@@ -5,15 +5,15 @@ candidate-aligner contract (:class:`BandedDpAligner`), registered as
 ``"banded-dp"`` in :data:`repro.api.registry.ALIGNERS`.
 """
 
-from .banded import align_banded
+from .banded import AlignmentStack, align_banded, stack_problems
 from .chaining import Anchor, Chain, ChainingResult, chain_anchors
 from .dp import NEG_INF, AlignmentResult, align_local, align_semiglobal
 from .scoring import DEFAULT_SCHEME, HIGH_QUALITY_THRESHOLD, ScoringScheme
 from .stages import BandedDpAligner
 
 __all__ = [
-    "Anchor", "AlignmentResult", "BandedDpAligner", "Chain",
-    "ChainingResult", "DEFAULT_SCHEME", "HIGH_QUALITY_THRESHOLD",
+    "Anchor", "AlignmentResult", "AlignmentStack", "BandedDpAligner",
+    "Chain", "ChainingResult", "DEFAULT_SCHEME", "HIGH_QUALITY_THRESHOLD",
     "NEG_INF", "ScoringScheme", "align_banded", "align_local",
-    "align_semiglobal", "chain_anchors",
+    "align_semiglobal", "chain_anchors", "stack_problems",
 ]

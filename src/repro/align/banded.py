@@ -1,120 +1,80 @@
 """Banded affine-gap alignment (Banded Smith-Waterman, as in GenDP).
 
-GenDP — the DP fallback engine GenPairX integrates with — implements the
-Banded Smith-Waterman algorithm (§7.4).  This module provides the same
-banded semiglobal alignment for the functional model: DP cells are computed
-only within ``bandwidth`` diagonals of the expected read-to-window offset,
-which is what makes the fallback path affordable in pure Python too.
+GenDP — the DP fallback engine GenPairX integrates with — implements
+Banded Smith-Waterman (§7.4).  This is the public entry to the same banded
+semiglobal alignment: cells are computed only within ``bandwidth``
+diagonals of the *expected diagonal*, the offset at which a candidate
+location puts the read in its window.  Edits shift an alignment by a few
+bases (Table 1 tops out at 5-base gaps), so a narrow band loses nothing.
 
-The band is expressed relative to the *expected diagonal*: a candidate
-mapping location tells the pipeline where the read should start inside the
-reference window, and edits only shift the alignment by a handful of bases,
-so a narrow band loses nothing for the short-read regime (Table 1 tops out
-at 5-base gaps).
+:func:`repro.align.dp.gotoh_stack` does the work (its module has the
+recurrence, the prefix-max scan and the derived traceback).  A row costs
+it a fixed number of numpy calls however many problems it sweeps: a lone
+150 x 33-cell problem is no faster than a scalar loop, sixteen stacked
+cost a sixth each.  So :func:`align_banded` takes one problem (1-D arrays)
+or a stack of equal shape (2-D), and :func:`stack_problems` builds stacks.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..genome.cigar import Cigar
-from .dp import NEG_INF, AlignmentResult, _FROM_DIAG, _FROM_E, _FROM_F, \
-    _traceback
+from .dp import AlignmentResult, gotoh_stack
 from .scoring import DEFAULT_SCHEME, ScoringScheme
+
+
+class AlignmentStack(List[AlignmentResult]):
+    """Results of one stacked call, in stack order; ``cells`` is the DP
+    work of the whole stack (each result carries its own share)."""
+
+    @property
+    def cells(self) -> int:
+        return sum(result.cells for result in self)
 
 
 def align_banded(read: np.ndarray, ref: np.ndarray,
                  scheme: ScoringScheme = DEFAULT_SCHEME,
-                 diagonal: int = 0, bandwidth: int = 16) -> AlignmentResult:
+                 diagonal: int = 0, bandwidth: int = 16
+                 ) -> Union[AlignmentResult, AlignmentStack]:
     """Banded semiglobal alignment of ``read`` within a reference window.
 
-    Parameters
-    ----------
-    diagonal:
-        Expected offset of the read start within the window (``j - i`` of
-        the main alignment diagonal).
-    bandwidth:
-        Half-width of the band, in diagonals, around ``diagonal``.
+    ``diagonal`` is the expected offset of the read start in the window
+    (``j - i`` of the main diagonal), ``bandwidth`` the band's half-width
+    in diagonals.  1-D ``read``/``ref`` are one problem and return one
+    :class:`AlignmentResult`; 2-D ``(B, n)``/``(B, m)`` are ``B`` problems
+    swept together and return an :class:`AlignmentStack`.
     """
-    read_list = np.asarray(read, dtype=np.uint8).tolist()
-    ref_list = np.asarray(ref, dtype=np.uint8).tolist()
-    n, m = len(read_list), len(ref_list)
-    if n == 0:
-        return AlignmentResult(0, Cigar(()), 0, 0, 0, 0, 0)
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
-    match, mismatch = scheme.match, scheme.mismatch
-    open_cost = scheme.gap_open + scheme.gap_extend
-    extend = scheme.gap_extend
+    read = np.asarray(read, dtype=np.uint8)
+    ref = np.asarray(ref, dtype=np.uint8)
+    if read.ndim != ref.ndim or read.ndim not in (1, 2) \
+            or (read.ndim == 2 and read.shape[0] != ref.shape[0]):
+        raise ValueError(
+            f"read {read.shape} and ref {ref.shape} must both be 1-D, or "
+            f"both 2-D stacks of the same number of problems")
+    results = gotoh_stack(np.atleast_2d(read), np.atleast_2d(ref), scheme,
+                          diagonal, bandwidth)
+    return AlignmentStack(results) if read.ndim == 2 else results[0]
 
-    h_prev = [0] * (m + 1)  # row 0: free reference prefix
-    f_prev = [NEG_INF] * (m + 1)
-    ptr_h = [bytearray(m + 1) for _ in range(n + 1)]
-    ptr_e = [bytearray(m + 1) for _ in range(n + 1)]
-    ptr_f = [bytearray(m + 1) for _ in range(n + 1)]
-    cells = 0
 
-    prev_lo, prev_hi = 0, m  # row 0 is fully defined
-    for i in range(1, n + 1):
-        base = read_list[i - 1]
-        lo = max(1, i + diagonal - bandwidth)
-        hi = min(m, i + diagonal + bandwidth)
-        if lo > hi:
-            # The band leaves the window entirely; alignment is hopeless.
-            return AlignmentResult(NEG_INF, Cigar(()), 0, 0, 0, n, cells)
-        h_row = [NEG_INF] * (m + 1)
-        f_row = [NEG_INF] * (m + 1)
-        if lo == 1:
-            h_row[0] = -(scheme.gap_open + extend * i)
-            f_row[0] = h_row[0]
-        e_val = NEG_INF
-        row_ptr_h = ptr_h[i]
-        row_ptr_e = ptr_e[i]
-        row_ptr_f = ptr_f[i]
-        for j in range(lo, hi + 1):
-            open_e = h_row[j - 1] - open_cost
-            ext_e = e_val - extend
-            if open_e >= ext_e:
-                e_val = open_e
-                row_ptr_e[j] = 0
-            else:
-                e_val = ext_e
-                row_ptr_e[j] = 1
-            prev_h = h_prev[j] if prev_lo <= j <= prev_hi or i == 1 else \
-                NEG_INF
-            open_f = prev_h - open_cost
-            ext_f = f_prev[j] - extend
-            if open_f >= ext_f:
-                f_row[j] = open_f
-                row_ptr_f[j] = 0
-            else:
-                f_row[j] = ext_f
-                row_ptr_f[j] = 1
-            diag_h = h_prev[j - 1]
-            diag = diag_h + (match if base == ref_list[j - 1] else -mismatch)
-            best = diag
-            origin = _FROM_DIAG
-            if e_val > best:
-                best = e_val
-                origin = _FROM_E
-            if f_row[j] > best:
-                best = f_row[j]
-                origin = _FROM_F
-            h_row[j] = best
-            row_ptr_h[j] = origin
-            cells += 1
-        h_prev = h_row
-        f_prev = f_row
-        prev_lo, prev_hi = lo, hi
-
-    end_j = max(range(prev_lo, prev_hi + 1), key=lambda j: h_prev[j])
-    score = h_prev[end_j]
-    if score <= NEG_INF // 2:
-        return AlignmentResult(NEG_INF, Cigar(()), 0, 0, 0, n, cells)
-    cigar, start_j = _traceback(read_list, ref_list, ptr_h, ptr_e, ptr_f,
-                                n, end_j, stop_at_row0=True)
-    return AlignmentResult(score=score, cigar=cigar, ref_start=start_j,
-                           ref_end=end_j, read_start=0, read_end=n,
-                           cells=cells)
+def stack_problems(problems: Sequence[Optional[Tuple[np.ndarray, np.ndarray,
+                                                     int, int]]]
+                   ) -> List[tuple]:
+    """Group ``(read, window, diagonal, bandwidth)`` problems by shape
+    into stacked :func:`align_banded` arguments ``(members, reads, windows,
+    diagonal, bandwidth)``; ``members`` are the input positions.  A
+    ``None`` (a candidate with no window) joins no stack."""
+    groups: Dict[Tuple[int, int, int, int], List[int]] = {}
+    for index, problem in enumerate(problems):
+        if problem is not None:
+            read, ref, diagonal, bandwidth = problem
+            groups.setdefault((len(read), len(ref), diagonal, bandwidth),
+                              []).append(index)
+    return [(members,
+             np.stack([problems[index][0] for index in members]),
+             np.stack([problems[index][1] for index in members]),
+             diagonal, bandwidth)
+            for (_n, _m, diagonal, bandwidth), members in groups.items()]

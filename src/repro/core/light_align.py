@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -182,10 +182,13 @@ class LightAligner:
             np.cumsum(~mask, out=cumulative[1:])
             prefix_mismatches[shift] = cumulative
 
+        # (shift, suffix frame delta) -> (best split, its mismatches):
+        # every profile with the same indel run asks the same question.
+        splits: Dict[Tuple[int, int], Tuple[int, int]] = {}
         for profile in profiles:
             hit = self._try_profile(profile, length, masks,
                                     prefix_mismatches, shift_lo,
-                                    shift_hi, offset)
+                                    shift_hi, offset, splits)
             if hit is not None:
                 return hit
         return None
@@ -194,7 +197,9 @@ class LightAligner:
 
     def _try_profile(self, profile: EditProfile, length: int, masks,
                      prefix_mismatches, shift_lo: int, shift_hi: int,
-                     offset: int) -> Optional[LightAlignment]:
+                     offset: int, splits: Dict[Tuple[int, int],
+                                               Tuple[int, int]]
+                     ) -> Optional[LightAlignment]:
         if profile.insertion_run == 0 and profile.deletion_run == 0:
             # Check the candidate frame first, then re-anchored frames:
             # an edit at the very read boundary can make a shifted start
@@ -222,15 +227,20 @@ class LightAligner:
             b = a + suffix_delta
             if not shift_lo <= b <= shift_hi:
                 continue
-            pre_a = prefix_mismatches[a]
-            pre_b = prefix_mismatches[b]
-            total_b = pre_b[-1]
-            # Mismatches as a function of the split position q: prefix
-            # mismatches below q plus suffix mismatches at/after q+c.
-            splits = np.arange(0, length - consumed + 1)
-            totals = pre_a[splits] + (total_b - pre_b[splits + consumed])
-            best_split = int(np.argmin(totals))
-            if int(totals[best_split]) != profile.mismatches:
+            best = splits.get((a, suffix_delta))
+            if best is None:
+                pre_a = prefix_mismatches[a]
+                pre_b = prefix_mismatches[b]
+                # Mismatches as a function of the split position q:
+                # prefix mismatches below q plus suffix mismatches
+                # at/after q+c.
+                totals = pre_a[:length - consumed + 1] \
+                    + (pre_b[-1] - pre_b[consumed:])
+                best_split = int(np.argmin(totals))
+                best = splits[a, suffix_delta] = (best_split,
+                                                  int(totals[best_split]))
+            best_split, mismatches = best
+            if mismatches != profile.mismatches:
                 continue
             cigar = self._split_cigar(masks[a], masks[b], best_split,
                                       consumed, run, is_insertion, length)

@@ -53,12 +53,12 @@ from typing import Callable, Iterable, Iterator, List, Optional, \
 
 import numpy as np
 
-from ..align.banded import align_banded
+from ..align.banded import align_banded, stack_problems
 from ..align.scoring import DEFAULT_SCHEME, HIGH_QUALITY_THRESHOLD, \
     ScoringScheme
 from ..genome.cigar import Cigar
 from ..genome.io_fasta import read_ahead
-from ..genome.reference import ReferenceGenome
+from ..genome.reference import ReferenceError, ReferenceGenome
 from ..genome.sam import (METHOD_DP, METHOD_EXACT, METHOD_LIGHT,
                           AlignmentRecord)
 from ..genome.sequence import reverse_complement
@@ -602,7 +602,7 @@ class GenPairPipeline:
         pad = max(self.config.max_edits, self.config.fallback_pad)
         try:
             chromosome, pos = self.reference.from_linear(int(candidate))
-        except Exception:
+        except ReferenceError:
             return None
         chrom_len = self.reference.length(chromosome)
         if pos >= chrom_len or pos + read_length > chrom_len + pad:
@@ -662,16 +662,24 @@ class GenPairPipeline:
         return hit, chromosome, window_start + hit.ref_start
 
     def _dp_align_candidates(self, oriented1, oriented2, joint_candidates):
-        """Banded DP at the filtered candidates (cheap fallback arc)."""
-        best = None
+        """Banded DP at the filtered candidates (cheap fallback arc).
+
+        One stacked kernel call aligns read 1 at every candidate, a
+        second aligns read 2 where read 1 survived — the same problems,
+        and so the same ``dp_cells_candidate``, as one candidate at a
+        time.
+        """
         cap = self.config.max_joint_candidates
         min_score = int(self.config.min_dp_score_fraction
                         * self._perfect_joint(oriented1, oriented2))
-        for cand1, cand2 in joint_candidates[:cap]:
-            hit1 = self._dp_at(oriented1, cand1)
-            if hit1 is None:
-                continue
-            hit2 = self._dp_at(oriented2, cand2)
+        candidates = joint_candidates[:cap]
+        hits1 = self._dp_at(oriented1, [cand1 for cand1, _ in candidates])
+        survivors = [(pair, hit1) for pair, hit1 in zip(candidates, hits1)
+                     if hit1 is not None]
+        hits2 = self._dp_at(oriented2,
+                            [cand2 for (_, cand2), _ in survivors])
+        best = None
+        for ((cand1, cand2), hit1), hit2 in zip(survivors, hits2):
             if hit2 is None:
                 continue
             score = hit1[0].score + hit2[0].score
@@ -681,18 +689,25 @@ class GenPairPipeline:
                 best = (score, (cand1, cand2, hit1, hit2))
         return None if best is None else best[1]
 
-    def _dp_at(self, codes: np.ndarray, candidate: int):
-        ctx = self._window(candidate, len(codes))
-        if ctx is None:
-            return None
-        window, offset, chromosome, pos = ctx
-        result = align_banded(codes, window, scheme=self.scheme,
-                              diagonal=offset,
-                              bandwidth=self.config.fallback_bandwidth)
-        self.stats.dp_cells_candidate += result.cells
-        if result.score < 0:
-            return None
-        return result, chromosome, pos + result.ref_start - offset
+    def _dp_at(self, codes: np.ndarray, candidates: Sequence[int]) -> list:
+        """Banded DP of one read at each candidate: a hit or ``None``
+        per candidate, in order."""
+        contexts = [self._window(candidate, len(codes))
+                    for candidate in candidates]
+        hits: list = [None] * len(contexts)
+        for members, reads, windows, diagonal, bandwidth in stack_problems(
+                [None if ctx is None else
+                 (codes, ctx[0], ctx[1], self.config.fallback_bandwidth)
+                 for ctx in contexts]):
+            stack = align_banded(reads, windows, scheme=self.scheme,
+                                 diagonal=diagonal, bandwidth=bandwidth)
+            for k, result in zip(members, stack):
+                self.stats.dp_cells_candidate += result.cells
+                if result.score >= 0:
+                    _, offset, chromosome, pos = contexts[k]
+                    hits[k] = (result, chromosome,
+                               pos + result.ref_start - offset)
+        return hits
 
     def _build_result(self, name: str, stage: str, pair_seeds: PairSeeds,
                       read1: np.ndarray, read2: np.ndarray,

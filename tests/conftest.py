@@ -8,11 +8,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import SeedMap
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           plant_variants)
 from repro.genome.reference import RepeatProfile
+
+# ``pytest --hypothesis-profile ci``: property tests that leave
+# ``max_examples`` to the profile (the DP kernel against its scalar
+# oracle) search ten times deeper in CI than at the desk.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -111,3 +111,23 @@ class TestCustomThreshold:
                                "s").stage != STAGE_LIGHT
         assert loose.map_pair(read1, pair.read2.codes,
                               "l").stage == STAGE_LIGHT
+
+
+class TestWindowErrors:
+    """Only an out-of-range coordinate means "no window here"."""
+
+    def test_reference_error_is_no_window(self, plain_reference,
+                                          plain_seedmap):
+        pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
+        assert pipeline._window(10 ** 9, 150) is None
+
+    def test_other_errors_propagate(self, plain_reference, plain_seedmap,
+                                    monkeypatch):
+        pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
+
+        def broken(linear):
+            raise RuntimeError("coordinate table corrupt")
+
+        monkeypatch.setattr(pipeline.reference, "from_linear", broken)
+        with pytest.raises(RuntimeError, match="corrupt"):
+            pipeline._window(1000, 150)

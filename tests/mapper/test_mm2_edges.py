@@ -74,3 +74,29 @@ class TestStatsIntegrity:
         assert record.mapped
         assert record.cigar.count("D") == 3
         assert record.score == 300 - (12 + 3 * 2)
+
+
+class TestWindowErrors:
+    """Only an out-of-range coordinate means "no window here"; any other
+    failure of the reference is a bug and must surface."""
+
+    def test_reference_error_is_no_window(self, plain_reference):
+        mapper = Mm2LikeMapper(plain_reference)
+        assert mapper._window(10 ** 9, 150) is None
+
+    @pytest.mark.parametrize("site", ["window", "rescue_mate"])
+    def test_other_errors_propagate(self, plain_reference, monkeypatch,
+                                    site):
+        mapper = Mm2LikeMapper(plain_reference)
+        codes = plain_reference.fetch("chr1", 5000, 5150)
+        (anchor, *_), = mapper._placements([codes])
+
+        def broken(linear):
+            raise RuntimeError("coordinate table corrupt")
+
+        monkeypatch.setattr(mapper.reference, "from_linear", broken)
+        with pytest.raises(RuntimeError, match="corrupt"):
+            if site == "window":
+                mapper._window(1000, 150)
+            else:
+                mapper._rescue_mate(anchor, codes)

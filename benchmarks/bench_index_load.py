@@ -10,9 +10,8 @@ This bench measures
 * the warm path — :func:`repro.index.open_index`, with and without
   checksum verification (verification streams the file once; skipping
   it is the reopen-a-trusted-file fast path);
-* serving throughput — pairs/sec of ``map_batch`` over a
-  memory-mapped index at several forked worker counts, where all
-  workers share one physical copy of the tables.
+* serving throughput — pairs/sec of ``map_pairs`` over a
+  memory-mapped index.
 
 The acceptance gate: a verified mmap open must cost <5% of a cold
 build, and the mmap-served pipeline must match the in-memory build's
@@ -29,7 +28,6 @@ from repro.core import GenPairPipeline, SeedMap
 from repro.index import open_index, save_index
 from repro.util import format_table
 
-WORKER_COUNTS = (1, 2, 4)
 SERVE_PAIRS_REPEATS = 2
 
 
@@ -62,25 +60,20 @@ def test_index_load(bench_reference, bench_seedmap, bench_datasets,
              f"{warm_open_noverify * 1e3:,.1f} ms",
              f"{warm_open_noverify / cold_build:.3f}x")]
 
-    serve_rows = []
-    for workers in WORKER_COUNTS:
-        best = float("inf")
-        for _ in range(SERVE_PAIRS_REPEATS):
-            pipeline = GenPairPipeline(index.reference,
-                                       seedmap=index.seedmap)
-            start = time.perf_counter()
-            pipeline.map_batch(pairs, chunk_size=256,
-                               workers=workers if workers > 1 else None)
-            best = min(best, time.perf_counter() - start)
-        serve_rows.append((f"workers={workers}",
-                           f"{len(pairs) / best:,.0f} pairs/s"))
+    best = float("inf")
+    for _ in range(SERVE_PAIRS_REPEATS):
+        pipeline = GenPairPipeline(index.reference, seedmap=index.seedmap)
+        start = time.perf_counter()
+        pipeline.map_pairs(pairs)
+        best = min(best, time.perf_counter() - start)
+    serve_rows = [("in-process", f"{len(pairs) / best:,.0f} pairs/s")]
 
     # Correctness gate: the mmap-served pipeline is bit-identical to
     # the in-memory build.
     built = GenPairPipeline(bench_reference, seedmap=bench_seedmap)
     served = GenPairPipeline(index.reference, seedmap=index.seedmap)
-    assert ([result_signature(r) for r in built.map_batch(pairs)]
-            == [result_signature(r) for r in served.map_batch(pairs)])
+    assert ([result_signature(r) for r in built.map_pairs(pairs)]
+            == [result_signature(r) for r in served.map_pairs(pairs)])
     assert built.stats == served.stats
 
     report = format_table(("path", "time", "vs cold build"), rows,
@@ -88,7 +81,7 @@ def test_index_load(bench_reference, bench_seedmap, bench_datasets,
                                 f"({file_bytes:,} byte index)")
     report += "\n\n" + format_table(
         ("shared-index serving", "throughput"), serve_rows,
-        title="map_batch over one memory-mapped index")
+        title="map_pairs over one memory-mapped index")
     emit("index_load", report)
 
     # The acceptance gate from ISSUE 2: warm open <5% of a cold build.

@@ -1,7 +1,7 @@
 """Run every gated benchmark and write a per-PR ``BENCH_<n>.json``.
 
 The gated benches are the ones CI already enforces individually
-(batch throughput, index load, stream workers, serve latency,
+(batch throughput, index load, serve latency,
 per-engine pairs/sec); this harness executes them in one shot and
 records status, wall time, and the tail of each report — plus the
 host metadata (python version, platform, CPU count) and the total
@@ -29,7 +29,6 @@ from pathlib import Path
 GATED = (
     "bench_batch_throughput.py",
     "bench_index_load.py",
-    "bench_stream_workers.py",
     "bench_serve.py",
     "bench_serve_concurrent.py",
     "bench_engines.py",

@@ -1,10 +1,10 @@
 """Streaming through the persistent worker pool: fork once, map forever.
 
-Simulates a dataset to disk, then serves it two ways — the in-process
-streaming engine, and the persistent worker-pool streaming executor
-(``map_stream(workers=N)``): one long-lived pool of forked workers is
-fed chunk by chunk with double-buffered dispatch while a read-ahead
-thread keeps the FASTQ reader ahead of the workers, and an
+Simulates a dataset to disk, then serves it two ways through the
+``Mapper`` facade — in-process, and through the persistent worker-pool
+streaming executor (``workers=N``): one long-lived pool of forked
+workers is fed chunk by chunk with double-buffered dispatch while a
+read-ahead thread keeps the FASTQ reader ahead of the workers, and an
 ordered-merge collector hands chunks to the SAM writer in input order
 while later chunks are still being mapped.  The two SAM files are
 byte-identical.
@@ -17,10 +17,9 @@ import time
 
 import numpy as np
 
-from repro.core import GenPairPipeline
-from repro.genome import (ErrorModel, ReadSimulator, SamWriter,
-                          generate_reference, iter_pairs, write_fasta,
-                          write_fastq)
+from repro.api import Mapper, MappingConfig
+from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
+                          write_fasta, write_fastq)
 
 #: At least two workers so the persistent pool really runs (on a
 #: single-CPU box it demonstrates correctness, not speedup).
@@ -43,35 +42,37 @@ def main() -> None:
                 ((p.read2.name, p.read2.codes) for p in pairs))
 
     print("2. Streaming in-process (workers=1) ...")
-    solo = GenPairPipeline(reference)
-    start = time.perf_counter()
-    with SamWriter("stream_solo.sam", reference=reference) as writer:
-        writer.drain(solo.map_stream(
-            iter_pairs("stream_1.fq", "stream_2.fq"), chunk_size=64))
-    solo_s = time.perf_counter() - start
-    print(f"   {solo.stats.pairs_total} pairs in {solo_s:.2f}s "
-          f"({solo.stats.pairs_total / solo_s:,.0f} pairs/s)")
+    with Mapper.from_reference(reference, batch_size=64,
+                               full_fallback=False) as solo:
+        start = time.perf_counter()
+        solo.to_sam(solo.map_file("stream_1.fq", "stream_2.fq"),
+                    "stream_solo.sam")
+        solo_s = time.perf_counter() - start
+    solo_stats = solo.last_stats
+    print(f"   {solo_stats.pairs_total} pairs in {solo_s:.2f}s "
+          f"({solo_stats.pairs_total / solo_s:,.0f} pairs/s)")
 
     print(f"3. Streaming through a persistent pool of {WORKERS} "
           "forked workers ...")
-    pooled = GenPairPipeline(reference, seedmap=solo.seedmap)
-    start = time.perf_counter()
-    with SamWriter("stream_pool.sam", reference=reference) as writer:
-        writer.drain(pooled.map_stream(
-            iter_pairs("stream_1.fq", "stream_2.fq"), chunk_size=64,
-            workers=WORKERS))
-    pool_s = time.perf_counter() - start
-    print(f"   {pooled.stats.pairs_total} pairs in {pool_s:.2f}s "
-          f"({pooled.stats.pairs_total / pool_s:,.0f} pairs/s) — "
+    config = MappingConfig(batch_size=64, workers=WORKERS,
+                           full_fallback=False)
+    with Mapper(reference, solo.seedmap, config=config) as pooled:
+        start = time.perf_counter()
+        pooled.to_sam(pooled.map_file("stream_1.fq", "stream_2.fq"),
+                      "stream_pool.sam")
+        pool_s = time.perf_counter() - start
+    pool_stats = pooled.last_stats
+    print(f"   {pool_stats.pairs_total} pairs in {pool_s:.2f}s "
+          f"({pool_stats.pairs_total / pool_s:,.0f} pairs/s) — "
           "pool forked once, chunks merged in input order")
 
     identical = (open("stream_solo.sam").read()
                  == open("stream_pool.sam").read())
     print(f"4. SAM outputs byte-identical: {identical}")
     assert identical
-    assert solo.stats == pooled.stats
+    assert solo_stats == pool_stats
     print(f"   stats identical too (light-aligned "
-          f"{pooled.stats.light_aligned_pct:.1f}%)")
+          f"{pool_stats.light_aligned_pct:.1f}%)")
 
 
 if __name__ == "__main__":

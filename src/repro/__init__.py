@@ -13,11 +13,10 @@ Public API layout:
 * :mod:`repro.mapper` — the baseline seed-chain-align mapper ("MM2");
 * :mod:`repro.core` — the GenPair algorithm (SeedMap, partitioned
   seeding, paired-adjacency filtering, light alignment, pipeline); the
-  pipeline ships two bit-identical execution engines — the scalar
-  ``map_pair`` reference path and the batched ``map_batch`` engine,
-  which hashes a whole chunk's seeds in one vectorized call, resolves
-  them against the array-backed SeedMap in one probe, and optionally
-  shards chunks across forked workers (``workers=N``);
+  pipeline has one chunked dataflow — a whole chunk's seeds hashed in
+  one vectorized call and resolved against the array-backed SeedMap
+  in one probe (``map_pair`` is a chunk of one) — and one parallel
+  mode, the persistent forked pool of :mod:`repro.core.executor`;
 * :mod:`repro.index` — persistent memory-mapped SeedMap indexes: one
   ``repro index build`` serializes the SeedMap + encoded reference to a
   versioned binary file that ``repro map --index`` memory-maps back in

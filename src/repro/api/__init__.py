@@ -53,36 +53,37 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+#: Public name -> defining module, relative to this package.
 _EXPORTS = {
-    "MappingConfig": "config",
-    "MappingConfigError": "config",
-    "IndexFingerprint": "config",
-    "Mm2Options": "config",
-    "LongReadOptions": "config",
-    "UNSET": "config",
-    "ALIGNERS": "registry",
-    "ENGINES": "registry",
-    "FILTER_CHAINS": "registry",
-    "OUTPUT_FORMATS": "registry",
-    "OutputFormat": "registry",
-    "output_format": "registry",
-    "RegistryError": "registry",
-    "StageRegistry": "registry",
-    "Engine": "engines",
-    "GenPairEngine": "engines",
-    "LongReadEngine": "engines",
-    "Mm2Engine": "engines",
-    "MappingResult": "engines",
-    "Mapper": "mapper",
-    "MapServer": "server",
-    "ServeSettings": "server",
-    "ServerError": "server",
-    "ServerStats": "server",
-    "serve": "server",
-    "Client": "client",
-    "ClientError": "client",
-    "RequestTimeoutError": "client",
-    "ServerBusyError": "client",
+    "MappingConfig": ".config",
+    "MappingConfigError": ".config",
+    "IndexFingerprint": ".config",
+    "Mm2Options": ".config",
+    "LongReadOptions": ".config",
+    "UNSET": ".config",
+    "ALIGNERS": ".registry",
+    "ENGINES": ".registry",
+    "FILTER_CHAINS": ".registry",
+    "OUTPUT_FORMATS": ".registry",
+    "OutputFormat": ".registry",
+    "output_format": ".registry",
+    "RegistryError": ".registry",
+    "StageRegistry": ".registry",
+    "Engine": ".engines",
+    "GenPairEngine": ".engines",
+    "LongReadEngine": ".engines",
+    "Mm2Engine": ".engines",
+    "MappingResult": ".engines",
+    "Mapper": ".mapper",
+    "MapServer": "..serve",
+    "ServeSettings": "..serve",
+    "ServerError": "..serve",
+    "ServerStats": "..serve",
+    "serve": "..serve",
+    "Client": ".client",
+    "ClientError": ".client",
+    "RequestTimeoutError": ".client",
+    "ServerBusyError": ".client",
 }
 
 __all__ = sorted(_EXPORTS)
@@ -99,7 +100,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from .registry import (ALIGNERS, ENGINES, FILTER_CHAINS,
                            OUTPUT_FORMATS, OutputFormat, RegistryError,
                            StageRegistry, output_format)
-    from .server import (MapServer, ServeSettings, ServerError,
+    from ..serve import (MapServer, ServeSettings, ServerError,
                          ServerStats, serve)
 
 
@@ -110,7 +111,7 @@ def __getattr__(name: str):
             f"module {__name__!r} has no attribute {name!r}")
     import importlib
 
-    module = importlib.import_module(f".{module_name}", __name__)
+    module = importlib.import_module(module_name, __name__)
     value = getattr(module, name)
     globals()[name] = value  # cache for subsequent lookups
     return value

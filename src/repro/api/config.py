@@ -153,10 +153,10 @@ class MappingConfig:
     * **stages** — ``filter_chain`` and ``aligner`` name registry
       entries (:mod:`repro.api.registry`), selecting the pre-alignment
       candidate screen and the candidate aligner declaratively;
-    * **execution** — ``batch_size`` (0 selects the scalar reference
-      engine), ``workers`` (>1 streams chunks through a persistent
-      forked pool), ``inflight`` (in-flight chunk budget, default
-      ``2 x workers``);
+    * **execution** — ``batch_size`` (pairs per chunk of the one
+      chunked dataflow; chunk boundaries never change results) and
+      ``workers`` (>1 streams chunks through a persistent forked
+      pool);
     * **environment** — ``full_fallback`` (map residual pairs with the
       baseline MM2 pipeline) and ``verify_index`` (crc-check arrays on
       index open).
@@ -186,7 +186,6 @@ class MappingConfig:
     # execution
     batch_size: int = 256
     workers: int = 1
-    inflight: Optional[int] = None
     # environment
     full_fallback: bool = True
     verify_index: bool = True
@@ -207,17 +206,20 @@ class MappingConfig:
     def validate(self) -> "MappingConfig":
         """Raise :class:`MappingConfigError` listing every bad field."""
         problems: List[str] = []
-        for name, minimum in (("seed_length", 1), ("step", 1),
-                              ("seeds_per_read", 1), ("delta", 1),
-                              ("max_edits", 0), ("fallback_bandwidth", 1),
-                              ("fallback_pad", 0),
-                              ("max_joint_candidates", 1),
-                              ("batch_size", 0), ("workers", 1)):
+        for name, minimum, *hint in (
+                ("seed_length", 1), ("step", 1), ("seeds_per_read", 1),
+                ("delta", 1), ("max_edits", 0), ("fallback_bandwidth", 1),
+                ("fallback_pad", 0), ("max_joint_candidates", 1),
+                # 0 used to be a valid batch_size: say what replaced it.
+                ("batch_size", 1, " (the pair-by-pair engine that 0 "
+                                  "selected is gone; 1 gives the same "
+                                  "output)"),
+                ("workers", 1)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) \
                     or value < minimum:
-                problems.append(f"{name} must be an integer >= {minimum}, "
-                                f"got {value!r}")
+                problems.append(f"{name} must be an integer >= {minimum}"
+                                f"{''.join(hint)}, got {value!r}")
         if self.filter_threshold is not None and (
                 not isinstance(self.filter_threshold, int)
                 or isinstance(self.filter_threshold, bool)
@@ -225,11 +227,6 @@ class MappingConfig:
             problems.append("filter_threshold must be None (unfiltered) "
                             f"or an integer >= 1, got "
                             f"{self.filter_threshold!r}")
-        if self.inflight is not None and (
-                not isinstance(self.inflight, int)
-                or self.inflight < max(self.workers, 1)):
-            problems.append("inflight must be None or an integer >= "
-                            f"workers, got {self.inflight!r}")
         if not isinstance(self.min_dp_score_fraction, (int, float)) \
                 or not 0.0 <= float(self.min_dp_score_fraction) <= 1.0:
             problems.append("min_dp_score_fraction must be within "

@@ -10,9 +10,10 @@ workloads implement and the three adapters registered in
 
 * :class:`GenPairEngine` (``genpair``) — the paper's pipeline, wrapping
   :class:`~repro.core.pipeline.GenPairPipeline` plus the persistent
-  :class:`~repro.core.pipeline.StreamExecutor` worker pool (this is
-  the only engine that fans out to forked workers; its results are
-  byte-identical to the pre-polymorphic facade);
+  :class:`~repro.core.executor.StreamExecutor` worker pool (this is
+  the only engine that fans out to forked workers, and the only place
+  that constructs a pool; pooled and in-process output are
+  byte-identical);
 * :class:`Mm2Engine` (``mm2``) — the minimizer seed-chain-align
   baseline with paired-end support and configurable mate rescue
   (:class:`~repro.api.config.Mm2Options`); the minimizer index is
@@ -27,7 +28,7 @@ Engines are built lazily by the facade (one instance per engine name,
 reused across runs and daemon requests) and own their per-run
 statistics lifecycle: ``begin_run`` zeroes the per-run counters,
 ``run_stats`` returns them, and the facade folds them into per-engine
-cumulative totals with :func:`merge_stats`.
+cumulative totals with :func:`~repro.core.pipeline.merge_stats`.
 """
 
 from __future__ import annotations
@@ -37,28 +38,18 @@ from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
+from ..core.executor import StreamExecutor, pool_available
 from ..core.longread import LongReadConfig, LongReadMapper, LongReadStats
-from ..core.pipeline import (GenPairPipeline, PipelineStats,
-                             StreamExecutor, _fork_context)
+from ..core.pipeline import (GenPairPipeline, PipelineStats, chunked,
+                             normalize_pairs)
 from ..genome.results import MappingResult
+from ..util.diagnostics import note
 from .config import MappingConfig, MappingConfigError
 from .registry import ALIGNERS, FILTER_CHAINS
 
 #: ``input_kind`` values: what one workload item is.
 INPUT_PAIRED = "paired"    # (read1, read2, name) tuples / paired FASTQ
 INPUT_SINGLE = "single"    # (codes, name) tuples / single-read FASTQ
-
-
-def merge_stats(total, run) -> None:
-    """Fold one flat integer-counter dataclass into another in place.
-
-    The generic form of :meth:`PipelineStats.merge` — works for any
-    engine's stats dataclass (``PipelineStats``, ``MapperStats``,
-    ``LongReadStats``) as long as the fields are numeric.
-    """
-    for spec in dataclasses.fields(run):
-        setattr(total, spec.name,
-                getattr(total, spec.name) + getattr(run, spec.name))
 
 
 def stats_dict(stats) -> dict:
@@ -109,36 +100,6 @@ class Engine:
         pass
 
 
-def _chunked(items: Iterable, chunk_size: int,
-             normalize) -> Iterator[List]:
-    """Chunk a lazy item stream through ``normalize(chunk, consumed)``.
-
-    ``consumed`` is the running item count, so unnamed items are
-    numbered globally across the whole stream — the same contract as
-    ``GenPairPipeline._chunk_stream`` (synthetic names never repeat
-    between chunks).
-    """
-    chunk: List = []
-    consumed = 0
-    for item in items:
-        chunk.append(item)
-        if len(chunk) >= chunk_size:
-            yield normalize(chunk, consumed)
-            consumed += len(chunk)
-            chunk = []
-    if chunk:
-        yield normalize(chunk, consumed)
-
-
-def _chunk_paired(items: Iterable, chunk_size: int
-                  ) -> Iterator[List[Tuple[np.ndarray, np.ndarray, str]]]:
-    """Chunk + normalize a paired-item stream (global pair numbering)."""
-    return _chunked(
-        items, chunk_size,
-        lambda chunk, consumed: GenPairPipeline._normalize_pairs(
-            chunk, first_index=consumed))
-
-
 def _normalize_reads(items: Iterable, first_index: int = 0
                      ) -> List[Tuple[np.ndarray, str]]:
     """Coerce single-read inputs to ``(codes, name)`` tuples.
@@ -159,15 +120,6 @@ def _normalize_reads(items: Iterable, first_index: int = 0
             name = item[1] if len(item) > 1 else f"read{index}"
             out.append((codes, str(name)))
     return out
-
-
-def _chunk_single(items: Iterable, chunk_size: int
-                  ) -> Iterator[List[Tuple[np.ndarray, str]]]:
-    """Chunk + normalize a single-read stream (global read numbering)."""
-    return _chunked(
-        items, chunk_size,
-        lambda chunk, consumed: _normalize_reads(chunk,
-                                                 first_index=consumed))
 
 
 def _lazy_full_fallback(reference):
@@ -191,9 +143,10 @@ class GenPairEngine(Engine):
 
     Owns the :class:`GenPairPipeline` (stage selection through the
     registries) and the lazily-created, **reused**
-    :class:`StreamExecutor` worker pool — exactly the wiring the
-    pre-polymorphic ``Mapper`` had inline, so ``engine="genpair"``
-    output is byte-identical to the historical facade.
+    :class:`StreamExecutor` worker pool.  Whether there is a pool is
+    decided once, at construction (:func:`pool_available`); where
+    ``workers > 1`` cannot be honoured the engine says so once and maps
+    in-process — the output is identical either way.
     """
 
     name = "genpair"
@@ -206,9 +159,13 @@ class GenPairEngine(Engine):
         # so the candidate hot path stays exactly the historical code.
         screen = chain if len(chain) else None
         aligner = ALIGNERS.create(config.aligner, config)
+        self._pooled = pool_available(config.workers)
+        if config.workers > 1 and not self._pooled:
+            note("workers>1 needs os.fork, which this platform lacks; "
+                 "mapping single-process instead")
         full_fallback = None
         if config.full_fallback:
-            if self._config_wants_pool(config):
+            if self._pooled:
                 # Forked workers inherit a pre-fork build copy-on-write;
                 # building lazily would make every worker rebuild it.
                 from ..mapper import Mm2LikeMapper, make_full_fallback
@@ -225,20 +182,11 @@ class GenPairEngine(Engine):
 
     # -- pool lifecycle ------------------------------------------------
 
-    @staticmethod
-    def _config_wants_pool(config: MappingConfig) -> bool:
-        return (config.workers > 1 and config.batch_size > 0
-                and _fork_context() is not None)
-
-    def _wants_pool(self) -> bool:
-        return self._config_wants_pool(self.config)
-
     def _ensure_executor(self):
-        if self._executor is None and self._wants_pool():
+        if self._executor is None and self._pooled:
             self._executor = StreamExecutor(
                 self.pipeline, workers=self.config.workers,
-                chunk_size=self.config.batch_size,
-                inflight=self.config.inflight)
+                chunk_size=self.config.batch_size)
         return self._executor
 
     def warm_up(self) -> None:
@@ -251,29 +199,18 @@ class GenPairEngine(Engine):
         self.pipeline.stats = PipelineStats()
 
     def map_stream(self, items: Iterable) -> Iterator[MappingResult]:
-        config = self.config
         executor = self._ensure_executor()
         if executor is not None:
             source = executor.map(items)
-        elif config.batch_size > 0:
-            source = self.pipeline.map_stream(
-                items, chunk_size=config.batch_size,
-                workers=config.workers if config.workers > 1 else None)
         else:
-            source = self._scalar_stream(items)
+            source = self.pipeline.map_stream(
+                items, chunk_size=self.config.batch_size)
         for result in source:
             yield MappingResult(name=result.name,
                                 records=(result.record1, result.record2),
                                 engine=self.name, stage=result.stage,
                                 orientation=result.orientation,
                                 joint_score=result.joint_score)
-
-    def _scalar_stream(self, items: Iterable):
-        # The scalar reference engine, with the same global
-        # synthetic-name numbering as the chunked paths.
-        for chunk in self.pipeline._chunk_stream(items, 1):
-            for read1, read2, name in chunk:
-                yield self.pipeline.map_pair(read1, read2, name)
 
     def finish_run(self) -> None:
         if self._executor is not None:
@@ -321,8 +258,8 @@ class Mm2Engine(Engine):
         self.mapper.stats = self._stats_type()
 
     def map_stream(self, items: Iterable) -> Iterator[MappingResult]:
-        chunk_size = max(self.config.batch_size, 1)
-        for chunk in _chunk_paired(items, chunk_size):
+        for chunk in chunked(items, self.config.batch_size,
+                             normalize_pairs):
             for (read1, read2, name), outcome in zip(
                     chunk, self.mapper.map_pairs(chunk)):
                 record1, record2, proper = outcome
@@ -382,8 +319,8 @@ class LongReadEngine(Engine):
         self.mapper.stats = LongReadStats()
 
     def map_stream(self, items: Iterable) -> Iterator[MappingResult]:
-        chunk_size = max(self.config.batch_size, 1)
-        for chunk in _chunk_single(items, chunk_size):
+        for chunk in chunked(items, self.config.batch_size,
+                             _normalize_reads):
             for (codes, name), record in zip(chunk,
                                              self.mapper.map_reads(chunk)):
                 yield MappingResult(

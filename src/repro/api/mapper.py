@@ -8,7 +8,7 @@ single-read long-read mapping — through the same ``map`` /
 :class:`~repro.genome.MappingResult` record whatever the engine.
 Engine instances are built **lazily, once per engine name**, and reused
 across calls (and daemon requests); the GenPair engine additionally
-owns the persistent :class:`~repro.core.pipeline.StreamExecutor` worker
+owns the persistent :class:`~repro.core.executor.StreamExecutor` worker
 pool, created on first use and reused until :meth:`close`.
 
 Output is equally pluggable: :meth:`write` and :meth:`lines` resolve
@@ -32,14 +32,15 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
-from ..core.pipeline import PipelineStats, _fork_context
+from ..core.executor import pool_available
+from ..core.pipeline import PipelineStats, merge_stats
 from ..genome.io_fasta import iter_pairs, iter_reads, read_fasta
 from ..genome.reference import ReferenceGenome
 from ..genome.results import MappingResult, result_records
 from ..obs import get_registry
 from ..util.sync import maybe_sanitize_lock
 from .config import MappingConfig, MappingConfigError
-from .engines import INPUT_SINGLE, Engine, merge_stats, stats_dict
+from .engines import INPUT_SINGLE, Engine, stats_dict
 from .registry import ENGINES, output_format
 
 PathLike = Union[str, Path]
@@ -231,8 +232,7 @@ class Mapper:
         engine and what it expects.
         """
         selected = self.engine(engine)
-        chunk = self.config.batch_size if self.config.batch_size > 0 \
-            else None
+        chunk = self.config.batch_size
         if selected.input_kind == INPUT_SINGLE:
             if reads2 is not None:
                 raise MappingConfigError(
@@ -426,8 +426,7 @@ class Mapper:
     def uses_pool(self) -> bool:
         """Will ``genpair`` mapping runs go through a persistent worker
         pool?  (The other engines always map in-process.)"""
-        return (self.config.workers > 1 and self.config.batch_size > 0
-                and _fork_context() is not None)
+        return pool_available(self.config.workers)
 
     def warm_up(self, engine: Optional[str] = None) -> "Mapper":
         """Build the named engine (default: the config's) before the

@@ -13,7 +13,7 @@ Subcommands mirror a real read-mapping toolchain:
   default, ``mm2`` baseline, ``longread`` single-read), ``--format``
   the output writer, ``--call-variants out.vcf`` chains variant
   calling as a post-stage; reads stream through in O(batch) memory,
-  the batched engine is on by default (``--batch-size``),
+  ``--batch-size`` pairs per chunk,
   ``--workers N`` streams genpair chunks through a persistent pool of
   forked worker processes, ``--index`` serves from a prebuilt index,
   and ``--filter-chain``/``--aligner`` select registry stages
@@ -76,7 +76,7 @@ def _available_cpus() -> int:
 
 def _int_arg(flag: str, minimum: int, note: str = ""):
     """Argparse type: an integer bounded below, with a clear error
-    (``--workers`` must be positive, ``--batch-size`` non-negative)."""
+    (``--workers`` and ``--batch-size`` must be positive)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -162,16 +162,11 @@ def _build_mapper(args: argparse.Namespace):
         note(f"the worker pool serves the genpair engine; "
              f"--engine {engine} maps in-process (the pool still "
              "serves genpair requests of a daemon)")
-    if args.batch_size > 0 and args.workers > 1:
-        cpus = _available_cpus()
-        if args.workers > cpus:
-            note(f"--workers {args.workers} exceeds the {cpus} "
-                 f"available CPU(s); capping at {cpus}")
-            args.workers = cpus
-    elif args.workers > 1:
-        note("--workers requires the batched engine; "
-             "ignored with --batch-size 0")
-        args.workers = 1
+    cpus = _available_cpus()
+    if args.workers > cpus:
+        note(f"--workers {args.workers} exceeds the {cpus} "
+             f"available CPU(s); capping at {cpus}")
+        args.workers = cpus
     overrides = dict(delta=args.delta, batch_size=args.batch_size,
                      workers=args.workers,
                      full_fallback=not args.no_fallback,
@@ -738,15 +733,15 @@ def _add_mapper_args(parser: argparse.ArgumentParser,
                         help="named candidate aligner (light, "
                              "filtered-light, banded-dp)")
     parser.add_argument("--batch-size",
-                        type=_int_arg("--batch-size", 0,
-                                      " (0 disables the batched "
-                                      "engine)"),
+                        type=_int_arg("--batch-size", 1,
+                                      " (the pair-by-pair engine that "
+                                      "0 selected is gone; 1 gives the "
+                                      "same output)"),
                         default=256,
-                        help="pairs per vectorized batch: seeds are "
-                             "hashed and resolved against the SeedMap "
-                             "in one call per batch (0 disables the "
-                             "batched engine and maps pair by pair; "
-                             "results are identical either way)")
+                        help="pairs per chunk: seeds are hashed and "
+                             "resolved against the SeedMap in one "
+                             "call per chunk (results are identical "
+                             "whatever the size)")
     parser.add_argument("--workers", type=_int_arg("--workers", 1),
                         default=1,
                         help="stream batches through a persistent "

@@ -8,29 +8,30 @@ Subpackages by pipeline stage:
 * :mod:`~repro.core.pairfilter` — Paired-Adjacency Filtering (§4.5);
 * :mod:`~repro.core.light_align` — Light Alignment (§4.6);
 * :mod:`~repro.core.pipeline` — the end-to-end online dataflow + fallbacks;
+* :mod:`~repro.core.executor` — the persistent worker pool;
 * :mod:`~repro.core.longread` — long-read mode via Location Voting (§4.7).
 
-Batch API: the pipeline exposes two execution engines over the same
-dataflow.  :meth:`GenPairPipeline.map_pair` is the scalar reference path;
-:meth:`GenPairPipeline.map_batch` is the batched engine — seeds of a
-whole chunk are sliced out per the shared role contract
-(:func:`~repro.core.seeding.pair_role_codes`), hashed with one
-vectorized xxHash call (:func:`repro.hashing.hash_reads_batch`), and
-resolved against the array-backed Seed Table in one ``np.searchsorted``
-probe (:meth:`SeedMap.query_batch` via
-:func:`~repro.core.query.query_hash_groups`), merging per-read candidate
-lists batch-wide.  :func:`~repro.core.seeding.partition_pairs_batch` and
-:func:`~repro.core.query.query_reads_batch` are the Seed-level batch
-counterparts of ``partition_pair``/``query_read`` built on the same
-primitives (and pin the scalar/batch equivalence in the test suite).
-``map_batch(..., workers=N)`` and ``map_stream(..., workers=N)``
-dispatch chunks to a persistent pool of forked worker processes
-(:class:`~repro.core.pipeline.StreamExecutor`) — forked once per run,
-double-buffered dispatch, ordered merge — folding per-chunk counters
-back with :meth:`PipelineStats.merge` at pool shutdown.  All engines
-produce bit-identical :class:`PairResult` streams.
+One dataflow: :meth:`GenPairPipeline._map_chunk` seeds a whole chunk
+per the role contract (:func:`~repro.core.seeding.pair_role_codes`),
+hashes it with one vectorized xxHash call
+(:func:`repro.hashing.hash_reads_batch`) and resolves it against the
+array-backed Seed Table in one ``np.searchsorted`` probe
+(:meth:`SeedMap.query_batch` via
+:func:`~repro.core.query.query_hash_groups`), merging per-read
+candidate lists chunk-wide.  :meth:`~GenPairPipeline.map_pair` is a
+chunk of one, :meth:`~GenPairPipeline.map_pairs` /
+:meth:`~GenPairPipeline.map_stream` the eager / lazy forms.  The
+per-seed scalar path (:func:`~repro.core.seeding.partition_read` +
+:func:`~repro.core.query.query_read`) serves the long-read mode and,
+through ``tests/core/oracle.py``, pins the chunk seeding in the test
+suite.  One parallel mode: :class:`~repro.core.executor.StreamExecutor`
+— a persistent pool of forked workers, double-buffered dispatch,
+ordered merge — folds per-chunk counters back with
+:func:`~repro.core.pipeline.merge_stats`; pooled and in-process output
+are bit-identical.
 """
 
+from .executor import DEFAULT_INFLIGHT_PER_WORKER, StreamExecutor
 from .fingerprint import IndexFingerprint
 from .insert_estimator import (InsertSizeEstimate, InsertSizeEstimator,
                                calibrate_delta)
@@ -38,16 +39,14 @@ from .light_align import (EditProfile, LightAligner, LightAlignment,
                           enumerate_simple_profiles)
 from .longread import LongReadConfig, LongReadMapper, LongReadStats
 from .pairfilter import DEFAULT_DELTA, FilterResult, filter_adjacent
-from .pipeline import (DEFAULT_BATCH_SIZE, DEFAULT_INFLIGHT_PER_WORKER,
-                       STAGE_DP_CANDIDATE, STAGE_FULL_DP, STAGE_LIGHT,
-                       STAGE_UNMAPPED, GenPairConfig, GenPairPipeline,
-                       PairResult, PipelineStats, StreamExecutor)
-from .query import (QueryResult, query_hash_groups, query_pair,
-                    query_read, query_reads_batch)
+from .pipeline import (DEFAULT_BATCH_SIZE, STAGE_DP_CANDIDATE,
+                       STAGE_FULL_DP, STAGE_LIGHT, STAGE_UNMAPPED,
+                       GenPairConfig, GenPairPipeline, PairResult,
+                       PipelineStats)
+from .query import QueryResult, query_hash_groups, query_read
 from .seedmap import (DEFAULT_FILTER_THRESHOLD, LOCATION_ENTRY_BYTES,
                       SEED_TABLE_ENTRY_BYTES, SeedMap, SeedMapStats)
-from .seeding import (PairSeeds, Seed, pair_role_codes, partition_pair,
-                      partition_pairs_batch, partition_read, seed_offsets)
+from .seeding import Seed, pair_role_codes, partition_read, seed_offsets
 
 __all__ = [
     "DEFAULT_BATCH_SIZE", "DEFAULT_DELTA", "DEFAULT_FILTER_THRESHOLD",
@@ -57,10 +56,9 @@ __all__ = [
     "calibrate_delta", "FilterResult", "GenPairConfig", "GenPairPipeline",
     "LightAligner", "LightAlignment", "LOCATION_ENTRY_BYTES",
     "LongReadConfig", "LongReadMapper", "LongReadStats", "PairResult",
-    "PairSeeds", "PipelineStats", "QueryResult", "SEED_TABLE_ENTRY_BYTES",
+    "PipelineStats", "QueryResult", "SEED_TABLE_ENTRY_BYTES",
     "STAGE_DP_CANDIDATE", "STAGE_FULL_DP", "STAGE_LIGHT", "STAGE_UNMAPPED",
     "Seed", "SeedMap", "SeedMapStats", "enumerate_simple_profiles",
-    "filter_adjacent", "pair_role_codes", "partition_pair",
-    "partition_pairs_batch", "partition_read", "query_hash_groups",
-    "query_pair", "query_read", "query_reads_batch", "seed_offsets",
+    "filter_adjacent", "pair_role_codes", "partition_read",
+    "query_hash_groups", "query_read", "seed_offsets",
 ]

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..align.banded import align_banded
 from ..align.scoring import DEFAULT_SCHEME, ScoringScheme
-from ..genome.reference import ReferenceGenome
+from ..genome.reference import ReferenceError, ReferenceGenome
 from ..genome.sam import METHOD_DP, AlignmentRecord
 from .pairfilter import filter_adjacent
 from .query import query_read
@@ -150,7 +150,7 @@ class LongReadMapper:
         try:
             chromosome, pos = self.reference.from_linear(
                 max(0, int(candidate)))
-        except Exception:
+        except ReferenceError:
             return None
         chrom_len = self.reference.length(chromosome)
         start = max(0, pos - pad)

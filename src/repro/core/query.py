@@ -16,7 +16,7 @@ its location range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -65,47 +65,18 @@ def query_read(seedmap: SeedMap, seeds: Sequence[Seed]) -> QueryResult:
                        seed_table_accesses=len(seeds))
 
 
-def query_pair(seedmap: SeedMap, read1_seeds: Sequence[Seed],
-               read2_seeds: Sequence[Seed]
-               ) -> Tuple[QueryResult, QueryResult]:
-    """Query both reads of a pair (six seed lookups)."""
-    return query_read(seedmap, read1_seeds), query_read(seedmap, read2_seeds)
-
-
-def query_reads_batch(seedmap: SeedMap,
-                      reads_seeds: Sequence[Sequence[Seed]]
-                      ) -> List[QueryResult]:
-    """Resolve many reads' seeds in one vectorized SeedMap probe.
-
-    ``reads_seeds`` holds one seed sequence per read (e.g. the four seeded
-    roles of every pair in a batch, flattened).  All seed hashes are
-    resolved with a single :meth:`SeedMap.query_batch` call, the location
-    gather / implied-read-start conversion / per-read sorted-unique merge
-    run as whole-batch numpy operations, and the returned list contains
-    one :class:`QueryResult` per read, element-wise identical to calling
-    :func:`query_read` on each.
-    """
-    hashes: List[int] = []
-    offsets: List[int] = []
-    groups: List[int] = []
-    for group, seeds in enumerate(reads_seeds):
-        for seed in seeds:
-            hashes.append(seed.hash_value)
-            offsets.append(seed.read_offset)
-            groups.append(group)
-    return query_hash_groups(seedmap,
-                             np.array(hashes, dtype=np.uint64),
-                             np.array(offsets, dtype=np.int64),
-                             np.array(groups, dtype=np.int64),
-                             len(reads_seeds),
-                             [len(seeds) for seeds in reads_seeds])
-
-
 def query_hash_groups(seedmap: SeedMap, hashes: np.ndarray,
                       offsets: np.ndarray, groups: np.ndarray,
                       group_count: int,
                       group_sizes: Sequence[int]) -> List[QueryResult]:
-    """Vectorized core of :func:`query_reads_batch` over flat arrays.
+    """Resolve many reads' seeds in one vectorized SeedMap probe.
+
+    All seed hashes are resolved with a single
+    :meth:`SeedMap.query_batch` call; the location gather, the
+    implied-read-start conversion and the per-read sorted-unique merge
+    run as whole-batch numpy operations.  Returns one
+    :class:`QueryResult` per group, element-wise identical to calling
+    :func:`query_read` on each read's seeds.
 
     ``hashes`` / ``offsets`` / ``groups`` are parallel per-seed arrays;
     ``groups[i]`` assigns seed ``i`` to one of ``group_count`` reads and

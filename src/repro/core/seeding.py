@@ -15,12 +15,12 @@ fragment orientation, which the pipeline tries second).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..genome.sequence import reverse_complement
-from ..hashing import hash_reads_batch, hash_seed
+from ..hashing import hash_seed
 
 
 @dataclass(frozen=True)
@@ -66,103 +66,14 @@ def partition_read(codes: np.ndarray, seed_length: int = 50,
     return seeds
 
 
-@dataclass(frozen=True)
-class PairSeeds:
-    """The six seeds of a read-pair in one fragment orientation.
-
-    ``orientation`` is ``"fr"`` when read 1 is forward / read 2 reverse
-    (read 2's seeds are extracted from its reverse complement), ``"rf"``
-    for the opposite fragment strand.
-    """
-
-    read1: Tuple[Seed, ...]
-    read2: Tuple[Seed, ...]
-    orientation: str
-
-
 def pair_role_codes(read1_codes: np.ndarray, read2_codes: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
                                np.ndarray]:
     """The four seeded sequences of a pair, in canonical role order.
 
-    Role order is the contract shared by the scalar and batched engines:
-    ``(fr read1, fr read2, rf read1, rf read2)`` — i.e. ``(read1,
-    revcomp(read2), read2, revcomp(read1))``.  Both
-    :func:`partition_pair` and the pipeline's batched chunk seeding
-    derive their seeds from this single definition.
+    Role order is the contract shared by the pipeline's chunk seeding
+    and its scalar test oracle: ``(fr read1, fr read2, rf read1, rf
+    read2)`` — i.e. ``(read1, revcomp(read2), read2, revcomp(read1))``.
     """
     return (read1_codes, reverse_complement(read2_codes),
             read2_codes, reverse_complement(read1_codes))
-
-
-def partition_pair(read1_codes: np.ndarray, read2_codes: np.ndarray,
-                   seed_length: int = 50,
-                   seeds_per_read: int = 3) -> List[PairSeeds]:
-    """Extract seeds for both fragment orientations of a read-pair.
-
-    Returns the FR orientation first (the dominant case for Illumina-style
-    libraries); the pipeline tries orientations in order and stops at the
-    first that maps.
-    """
-    fr1, fr2, rf1, rf2 = pair_role_codes(read1_codes, read2_codes)
-    fr = PairSeeds(
-        read1=tuple(partition_read(fr1, seed_length, seeds_per_read)),
-        read2=tuple(partition_read(fr2, seed_length, seeds_per_read)),
-        orientation="fr",
-    )
-    rf = PairSeeds(
-        read1=tuple(partition_read(rf1, seed_length, seeds_per_read)),
-        read2=tuple(partition_read(rf2, seed_length, seeds_per_read)),
-        orientation="rf",
-    )
-    return [fr, rf]
-
-
-def partition_pairs_batch(read_pairs: Sequence[Tuple[np.ndarray,
-                                                     np.ndarray]],
-                          seed_length: int = 50,
-                          seeds_per_read: int = 3
-                          ) -> List[List[PairSeeds]]:
-    """Vectorized :func:`partition_pair` over a whole batch of pairs.
-
-    Extracts the seed windows of every pair in both fragment orientations
-    and hashes them with a single :func:`repro.hashing.hash_reads_batch`
-    call, so the per-pair Python work is only window slicing.  Returns one
-    ``[fr, rf]`` orientation list per input pair, element-wise identical
-    (same offsets, codes, and hash values) to calling
-    :func:`partition_pair` on each pair.
-    """
-    windows: List[np.ndarray] = []
-    roles_per_pair: List[Tuple[Tuple[np.ndarray, List[int]], ...]] = []
-    for read1_codes, read2_codes in read_pairs:
-        roles = []
-        for codes in pair_role_codes(read1_codes, read2_codes):
-            offsets = seed_offsets(len(codes), seed_length, seeds_per_read)
-            roles.append((codes, offsets))
-            for offset in offsets:
-                windows.append(codes[offset:offset + seed_length])
-        roles_per_pair.append(tuple(roles))
-    if windows:
-        hashes = hash_reads_batch(np.stack(windows))
-    else:
-        hashes = np.zeros(0, dtype=np.uint64)
-
-    result: List[List[PairSeeds]] = []
-    cursor = 0
-    for roles in roles_per_pair:
-        role_seeds: List[Tuple[Seed, ...]] = []
-        for codes, offsets in roles:
-            seeds = []
-            for offset in offsets:
-                seeds.append(Seed(read_offset=offset,
-                                  codes=codes[offset:offset + seed_length],
-                                  hash_value=int(hashes[cursor])))
-                cursor += 1
-            role_seeds.append(tuple(seeds))
-        result.append([
-            PairSeeds(read1=role_seeds[0], read2=role_seeds[1],
-                      orientation="fr"),
-            PairSeeds(read1=role_seeds[2], read2=role_seeds[3],
-                      orientation="rf"),
-        ])
-    return result

@@ -9,8 +9,8 @@ split every real mapper has (``bowtie2-build``, ``bwa index``,
 :class:`~repro.core.seedmap.SeedMap` *and* the encoded reference into a
 single versioned binary file, and ``repro map --index`` memory-maps it
 back in milliseconds.  Because the load path is ``np.memmap`` views into
-one read-only file, forked ``map_batch``/``map_stream`` workers share a
-single physical copy of the Seed/Location tables.
+one read-only file, forked pool workers share a single physical copy
+of the Seed/Location tables.
 
 File format (version 1)
 =======================

@@ -90,7 +90,7 @@ class MappingIndex:
     Hand :attr:`reference` and :attr:`seedmap` straight to
     :class:`~repro.core.pipeline.GenPairPipeline`; both are views into
     the index file (read-only), so any number of pipelines — including
-    forked ``map_batch`` workers — share one physical copy.
+    forked pool workers — share one physical copy.
     """
 
     def __init__(self, path: str, meta: dict, seedmap: SeedMap,

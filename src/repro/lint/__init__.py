@@ -1,7 +1,7 @@
 """`repro lint` — project-specific static analysis for the reproduction.
 
 The generic linters cannot know this codebase's invariants: that the
-:data:`~repro.core.pipeline._FORK_STATE` snapshot must stay fork-safe,
+:data:`~repro.core.executor._FORK_STATE` snapshot must stay fork-safe,
 that every registry entry must honour its stage protocol, or that SAM/
 PAF/JSONL record text may only be rendered by the registered output
 formats (the daemon's wire==file byte-identity holds *by construction*

@@ -21,7 +21,7 @@ name matching:
 * ``self`` is typed by the enclosing class, and ``self.attr`` by the
   class's attribute table (annotations plus ``self.attr = <typed
   expr>`` assignments found in any method);
-* subscripts of :data:`~repro.core.pipeline._FORK_STATE` are typed by
+* subscripts of :data:`~repro.core.executor._FORK_STATE` are typed by
   the union of every type the project stores into it — this is how
   ``pipeline = _FORK_STATE[token]`` inside the worker connects to the
   ``GenPairPipeline`` the executor registered pre-fork;

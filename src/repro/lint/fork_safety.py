@@ -26,9 +26,10 @@ on a resolved path from the worker.
   calls, and legacy global-RNG references inside worker-reachable
   functions, wherever those functions live;
 * RPL104 independently scans every class and module-level global of a
-  ``_FORK_STATE`` module for attributes assigned a fork-unsafe
-  resource — objects of these classes are exactly what gets stashed in
-  ``_FORK_STATE`` pre-fork.
+  ``_FORK_STATE`` module — and of the module defining any class the
+  project stores into ``_FORK_STATE[...]`` — for attributes assigned a
+  fork-unsafe resource: objects of these classes are exactly what gets
+  stashed in ``_FORK_STATE`` pre-fork.
 """
 
 from __future__ import annotations
@@ -175,8 +176,12 @@ class ForkSafetyChecker:
             return
         graph = CallGraph.build(project)
         yield from self._check_worker_reachable(graph)
+        # A class stored into _FORK_STATE may live in another module
+        # than the one defining the dict (the pipeline vs its pool).
+        stashed_in = {module.dotted
+                      for module, _cls in graph._fork_state_types}
         for module in project.modules:
-            if is_fork_module(module):
+            if is_fork_module(module) or module.dotted in stashed_in:
                 yield from self._check_prefork_stash(module)
 
     def dependencies(self, project: Project) -> List[Module]:

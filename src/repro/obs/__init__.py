@@ -12,7 +12,7 @@ What is instrumented where:
   and ``pipeline.chunks`` / ``pipeline.pairs`` counters (recorded
   once per chunk, so the hot path stays within 3% of uninstrumented —
   gated in ``benchmarks/bench_batch_throughput.py``);
-* :class:`~repro.core.pipeline.StreamExecutor` — worker-side
+* :class:`~repro.core.executor.StreamExecutor` — worker-side
   ``executor.chunk_s`` / ``executor.w<N>.chunk_s`` /
   ``executor.queue_wait_s`` histograms recorded with fork-safe plain
   counters and folded through the ordered-merge path, parent-side

@@ -7,7 +7,7 @@ latencies.  Four properties drive the design:
 
 * **Fork safety.**  Metric *objects* are plain Python ints/floats in
   plain dicts — no file descriptors, nothing per-registry the forked
-  :func:`~repro.core.pipeline._stream_worker` children could corrupt
+  :func:`~repro.core.executor._stream_worker` children could corrupt
   or deadlock on.  Workers record into a *fresh per-chunk registry*
   and ship :meth:`MetricsRegistry.snapshot` dictionaries back through
   the existing ordered-merge path; the parent folds them with

@@ -13,7 +13,7 @@ properties fall out:
   (the deadline trigger; 0 keeps coalescing purely opportunistic, so
   an idle daemon adds no latency).  The batch maps as **one**
   vectorized engine run — the whole point: eight 4-pair requests cost
-  one 32-pair ``map_batch``, not eight runs — and the results are
+  one 32-pair engine run, not eight — and the results are
   demultiplexed back per request, each request's lines rendered
   separately, so every reply is byte-identical to an uncoalesced one
   (mapping is per-item deterministic; asserted in the tests and the

@@ -18,14 +18,29 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("seed_length", 0), ("seed_length", "50"), ("step", 0),
         ("seeds_per_read", 0), ("delta", 0), ("max_edits", -1),
-        ("batch_size", -1), ("workers", 0), ("filter_threshold", 0),
-        ("min_dp_score_fraction", 1.5), ("inflight", 0),
+        ("batch_size", -1), ("batch_size", 0), ("workers", 0),
+        ("filter_threshold", 0), ("min_dp_score_fraction", 1.5),
         ("filter_chain", 7), ("aligner", None),
     ])
     def test_bad_values_rejected_by_name(self, field, value):
         with pytest.raises(MappingConfigError) as excinfo:
             MappingConfig(**{field: value})
         assert field in str(excinfo.value)
+
+    def test_batch_size_zero_says_the_engine_is_gone(self):
+        # 0 used to select the pair-by-pair engine: the rejection says
+        # what replaced it, on construction and on the wire path.
+        for build in (lambda: MappingConfig(batch_size=0),
+                      lambda: MappingConfig.from_dict({"batch_size": 0})):
+            with pytest.raises(MappingConfigError) as excinfo:
+                build()
+            message = str(excinfo.value)
+            assert "batch_size" in message and "pair-by-pair" in message
+            assert "1 gives the same output" in message
+
+    def test_inflight_is_not_a_field(self):
+        with pytest.raises(MappingConfigError, match="inflight"):
+            MappingConfig.from_dict({"inflight": 4})
 
     def test_multiple_problems_all_reported(self):
         with pytest.raises(MappingConfigError) as excinfo:

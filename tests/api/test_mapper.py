@@ -34,7 +34,7 @@ def pairs(simulator):
 
 @pytest.fixture(scope="module")
 def reference_results(small_reference, seedmap, pairs):
-    """Ground truth: the raw pipeline, scalar engine, no fallback."""
+    """Ground truth: the raw pipeline, no fallback."""
     pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
     return signatures(pipeline.map_pairs(pairs))
 
@@ -79,9 +79,9 @@ class TestConstruction:
 
 
 class TestEngines:
-    def test_scalar_engine_matches_batched(self, small_reference,
-                                           pairs, reference_results):
-        with Mapper.from_reference(small_reference, batch_size=0,
+    def test_chunks_of_one_match_default_batch(self, small_reference,
+                                               pairs, reference_results):
+        with Mapper.from_reference(small_reference, batch_size=1,
                                    full_fallback=False) as mapper:
             assert signatures(mapper.map(pairs)) == reference_results
 
@@ -130,6 +130,50 @@ class TestEngines:
                                    full_fallback=False) as mapper:
             mapper.warm_up()
             assert mapper._executor is not None
+
+
+class TestForkGuard:
+    """Where ``fork`` is missing, ``workers=2`` maps in-process: same
+    output, one note per mapper."""
+
+    def test_no_fork_start_method_degrades(self, monkeypatch, capsys,
+                                           small_reference, pairs,
+                                           reference_results):
+        import multiprocessing
+
+        def no_fork(method=None):
+            raise ValueError("cannot find context for 'fork'")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        with Mapper.from_reference(small_reference, workers=2,
+                                   full_fallback=False) as mapper:
+            assert not mapper.uses_pool
+            assert signatures(mapper.map(pairs)) == reference_results
+            assert mapper._executor is None
+            assert mapper.last_stats.pairs_total == len(pairs)
+        assert "os.fork" in capsys.readouterr().err
+
+    def test_platform_without_os_fork_notes_once(self, monkeypatch,
+                                                 capsys, small_reference,
+                                                 pairs,
+                                                 reference_results):
+        # Regression: a degraded stream used to print the note once per
+        # flushed buffer; it must appear once per mapper.
+        monkeypatch.delattr(os, "fork")
+        with Mapper.from_reference(small_reference, workers=2,
+                                   batch_size=8,
+                                   full_fallback=False) as mapper:
+            mapper.warm_up()
+            assert signatures(mapper.map(pairs)) == reference_results
+            assert signatures(mapper.map_stream(iter(pairs))) \
+                == reference_results
+            assert mapper._executor is None
+        assert capsys.readouterr().err.count("single-process") == 1
+        # A fresh mapper gets its own (single) note.
+        with Mapper.from_reference(small_reference, workers=2,
+                                   full_fallback=False) as other:
+            other.map(pairs[:4])
+        assert capsys.readouterr().err.count("single-process") == 1
 
 
 class TestFiles:

@@ -46,6 +46,20 @@ def wire_pairs(pairs):
             for p in pairs]
 
 
+class TestExports:
+    def test_api_names_are_the_serve_package_objects(self):
+        # repro.api re-exports the daemon lazily, straight from
+        # repro.serve (the repro.api.server shim is gone).
+        import repro.api
+        import repro.serve
+
+        for name in ("MapServer", "ServeSettings", "ServerError",
+                     "ServerStats", "serve"):
+            assert getattr(repro.api, name) is getattr(repro.serve, name)
+        with pytest.raises(ImportError):
+            import repro.api.server  # noqa: F401
+
+
 class TestProtocol:
     def test_ping_reports_identity_and_config(self, server):
         with Client(server.socket_path) as client:

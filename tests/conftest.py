@@ -97,5 +97,21 @@ def result_signature():
 
 
 @pytest.fixture(scope="session")
+def counter_deltas():
+    """Counter changes between two metrics-registry snapshots whose
+    names start with ``prefixes`` (the registry is process-wide, so
+    tests compare before/after instead of absolute values)."""
+    def deltas(before, after, prefixes):
+        changed = {}
+        for name, value in after["counters"].items():
+            if name.startswith(prefixes):
+                delta = value - before["counters"].get(name, 0)
+                if delta:
+                    changed[name] = delta
+        return changed
+    return deltas
+
+
+@pytest.fixture(scope="session")
 def clean_pairs(clean_simulator):
     return clean_simulator.simulate_pairs(60)

@@ -67,6 +67,26 @@ class TestLongReadMapper:
         assert abs(record.position - 10_000) <= 64 + 5  # vote bin width
 
 
+class TestWindowErrors:
+    """Only an out-of-range coordinate means "no alignment here"."""
+
+    def test_reference_error_is_no_hit(self, plain_reference, long_mapper):
+        codes = plain_reference.fetch("chr1", 4000, 5000)
+        assert long_mapper._dp_at(codes, 10 ** 9) is None
+
+    def test_other_errors_propagate_out_of_map_read(
+            self, plain_reference, plain_seedmap, monkeypatch):
+        mapper = LongReadMapper(plain_reference, seedmap=plain_seedmap)
+
+        def broken(linear):
+            raise RuntimeError("coordinate table corrupt")
+
+        monkeypatch.setattr(mapper.reference, "from_linear", broken)
+        with pytest.raises(RuntimeError, match="corrupt"):
+            mapper.map_read(plain_reference.fetch("chr1", 4000, 7000),
+                            "clean")
+
+
 class TestVoteThresholdAndBatch:
     def test_min_votes_filters_weak_bins(self, plain_reference,
                                          plain_seedmap):

@@ -1,6 +1,5 @@
-"""Pipeline/executor instrumentation: metrics deltas, spans, folds."""
-
-import os
+"""Pipeline instrumentation: metrics deltas and spans (the pooled
+folds are ``test_stream_executor.py``'s)."""
 
 import pytest
 
@@ -14,27 +13,17 @@ def named_tuples(sample_pairs):
             for pair in sample_pairs]
 
 
-def _counter_deltas(before, after, prefixes):
-    """Counter changes between two registry snapshots, filtered."""
-    deltas = {}
-    for name, value in after["counters"].items():
-        if name.startswith(prefixes):
-            delta = value - before["counters"].get(name, 0)
-            if delta:
-                deltas[name] = delta
-    return deltas
-
-
 class TestChunkMetrics:
     def test_batch_run_records_chunks_pairs_and_stage_timings(
-            self, small_reference, seedmap, named_tuples):
+            self, small_reference, seedmap, named_tuples,
+            counter_deltas):
         registry = get_registry()
         before = registry.snapshot()
         pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
-        pipeline.map_batch(named_tuples, chunk_size=16)
+        pipeline.map_pairs(named_tuples, chunk_size=16)
         after = registry.snapshot()
         chunks = -(-len(named_tuples) // 16)
-        deltas = _counter_deltas(before, after, "pipeline.")
+        deltas = counter_deltas(before, after, "pipeline.")
         assert deltas["pipeline.chunks"] == chunks
         assert deltas["pipeline.pairs"] == len(named_tuples)
         for name in ("pipeline.seed_query_s",
@@ -51,7 +40,7 @@ class TestChunkMetrics:
         try:
             before = registry.snapshot()
             pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
-            pipeline.map_batch(named_tuples[:32], chunk_size=16)
+            pipeline.map_pairs(named_tuples[:32], chunk_size=16)
             after = registry.snapshot()
         finally:
             set_metrics_enabled(previous)
@@ -61,50 +50,7 @@ class TestChunkMetrics:
             self, small_reference, seedmap, named_tuples):
         pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
         with capture_trace() as tracer:
-            pipeline.map_batch(named_tuples[:32], chunk_size=16)
+            pipeline.map_pairs(named_tuples[:32], chunk_size=16)
         names = [record.name for record in tracer.records]
         assert names.count("seed.query_batch") == 2
         assert names.count("pair.filter_align") == 2
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"),
-                    reason="needs the fork start method")
-class TestPooledMetrics:
-    def test_worker_metrics_fold_into_parent_registry(
-            self, small_reference, seedmap, named_tuples):
-        registry = get_registry()
-        before = registry.snapshot()
-        pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
-        pipeline.map_batch(named_tuples, chunk_size=16, workers=2)
-        after = registry.snapshot()
-        chunks = -(-len(named_tuples) // 16)
-        deltas = _counter_deltas(before, after,
-                                 ("pipeline.", "executor."))
-        assert deltas["pipeline.chunks"] == chunks
-        assert deltas["executor.chunks"] == chunks
-        assert after["gauges"]["executor.workers"] == 2.0
-        hists = after["histograms"]
-        waits = (hists["executor.queue_wait_s"]["count"]
-                 - before["histograms"].get("executor.queue_wait_s",
-                                            {}).get("count", 0))
-        assert waits == chunks
-        per_worker = [name for name in hists
-                      if name.startswith("executor.w")
-                      and name.endswith(".chunk_s")]
-        assert per_worker  # at least one worker recorded chunk times
-        assert (hists["executor.run_s"]["count"]
-                > before["histograms"].get("executor.run_s",
-                                           {}).get("count", 0))
-
-    def test_counter_folds_bit_identical_serial_vs_pooled(
-            self, small_reference, seedmap, named_tuples):
-        registry = get_registry()
-        deltas = []
-        for workers in (None, 2):
-            before = registry.snapshot()
-            pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
-            kwargs = {} if workers is None else {"workers": workers}
-            pipeline.map_batch(named_tuples, chunk_size=16, **kwargs)
-            after = registry.snapshot()
-            deltas.append(_counter_deltas(before, after, "pipeline."))
-        assert deltas[0] == deltas[1]

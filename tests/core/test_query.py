@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core import partition_read, query_pair, query_read
+from repro.core import partition_read, query_read
 from repro.core.seedmap import LOCATION_ENTRY_BYTES, SEED_TABLE_ENTRY_BYTES
 
 
@@ -45,14 +45,3 @@ class TestQueryRead:
         result = query_read(plain_seedmap, [])
         assert result.candidates.size == 0
         assert result.seed_table_accesses == 0
-
-
-class TestQueryPair:
-    def test_both_reads_queried(self, plain_reference, plain_seedmap):
-        codes1 = plain_reference.fetch("chr1", 1000, 1150)
-        codes2 = plain_reference.fetch("chr1", 1200, 1350)
-        result1, result2 = query_pair(plain_seedmap,
-                                      partition_read(codes1, 50),
-                                      partition_read(codes2, 50))
-        assert 1000 in result1.candidates.tolist()
-        assert 1200 in result2.candidates.tolist()

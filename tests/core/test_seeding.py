@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import partition_pair, partition_read
-from repro.genome import decode, random_sequence, reverse_complement
+from repro.core import partition_read
+from repro.genome import random_sequence
 from repro.hashing import hash_seed
 
 
@@ -43,36 +43,3 @@ class TestPartitionRead:
         with pytest.raises(ValueError):
             partition_read(random_sequence(np.random.default_rng(5), 100),
                            0)
-
-
-class TestPartitionPair:
-    def test_two_orientations(self):
-        rng = np.random.default_rng(6)
-        read1 = random_sequence(rng, 150)
-        read2 = random_sequence(rng, 150)
-        orientations = partition_pair(read1, read2)
-        assert [o.orientation for o in orientations] == ["fr", "rf"]
-
-    def test_fr_uses_read2_revcomp(self):
-        rng = np.random.default_rng(7)
-        read1 = random_sequence(rng, 150)
-        read2 = random_sequence(rng, 150)
-        fr = partition_pair(read1, read2)[0]
-        rc2 = reverse_complement(read2)
-        assert decode(fr.read2[0].codes) == decode(rc2[:50])
-        assert decode(fr.read1[0].codes) == decode(read1[:50])
-
-    def test_rf_swaps_roles(self):
-        rng = np.random.default_rng(8)
-        read1 = random_sequence(rng, 150)
-        read2 = random_sequence(rng, 150)
-        rf = partition_pair(read1, read2)[1]
-        rc1 = reverse_complement(read1)
-        assert decode(rf.read1[0].codes) == decode(read2[:50])
-        assert decode(rf.read2[0].codes) == decode(rc1[:50])
-
-    def test_six_seeds_per_orientation(self):
-        rng = np.random.default_rng(9)
-        fr = partition_pair(random_sequence(rng, 150),
-                            random_sequence(rng, 150))[0]
-        assert len(fr.read1) + len(fr.read2) == 6

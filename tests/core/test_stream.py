@@ -1,6 +1,5 @@
-"""Tests for the streaming execution face of the pipeline."""
-
-import os
+"""Tests for the streaming execution face of the pipeline (in-process;
+the pooled stream is ``test_stream_executor.py``'s)."""
 
 import pytest
 
@@ -8,11 +7,11 @@ from repro.core import GenPairPipeline
 
 
 class TestMapStream:
-    def test_bit_identical_to_map_batch(self, small_reference, seedmap,
+    def test_bit_identical_to_map_pairs(self, small_reference, seedmap,
                                         sample_pairs, result_signature):
         batched = GenPairPipeline(small_reference, seedmap=seedmap)
         streamed = GenPairPipeline(small_reference, seedmap=seedmap)
-        expected = batched.map_batch(sample_pairs, chunk_size=32)
+        expected = batched.map_pairs(sample_pairs, chunk_size=32)
         actual = list(streamed.map_stream(iter(sample_pairs),
                                           chunk_size=32))
         assert list(map(result_signature, expected)) \
@@ -51,45 +50,6 @@ class TestMapStream:
         with pytest.raises(ValueError):
             list(pipeline.map_stream(iter([]), chunk_size=0))
 
-    def test_streamed_workers_identical(self, small_reference, seedmap,
-                                        sample_pairs, result_signature):
-        solo = GenPairPipeline(small_reference, seedmap=seedmap)
-        sharded = GenPairPipeline(small_reference, seedmap=seedmap)
-        expected = list(solo.map_stream(iter(sample_pairs),
-                                        chunk_size=32))
-        actual = list(sharded.map_stream(iter(sample_pairs),
-                                         chunk_size=32, workers=2))
-        assert list(map(result_signature, expected)) \
-            == list(map(result_signature, actual))
-        # Worker stats were folded in once, at pool shutdown.
-        assert solo.stats == sharded.stats
-
-    def test_worker_stream_consumption_is_bounded(self, small_reference,
-                                                  seedmap, sample_pairs):
-        # The persistent pool is fed chunk by chunk with a bounded
-        # number of chunks in flight — never the whole input.  With
-        # inflight submitted chunks, the read-ahead depth, and partial
-        # chunks, consumption after the first result cannot exceed
-        # (inflight + depth + 3) x chunk_size pairs.
-        from repro.core.pipeline import READ_AHEAD_DEPTH
-
-        pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
-        consumed = []
-
-        def feed():
-            for index, pair in enumerate(sample_pairs):
-                consumed.append(index)
-                yield pair
-
-        chunk_size, inflight = 8, 2
-        stream = pipeline.map_stream(feed(), chunk_size=chunk_size,
-                                     workers=2, inflight=inflight)
-        next(stream)
-        bound = (inflight + READ_AHEAD_DEPTH + 3) * chunk_size
-        assert len(consumed) <= bound < len(sample_pairs)
-        assert len(list(stream)) == len(sample_pairs) - 1
-        assert len(consumed) == len(sample_pairs)
-
 
 class TestStreamNaming:
     def test_unnamed_tuples_numbered_globally(self, small_reference,
@@ -104,62 +64,3 @@ class TestStreamNaming:
                  pipeline.map_stream(iter(tuples), chunk_size=16)]
         assert names == [f"pair{i}" for i in range(len(tuples))]
         assert len(set(names)) == len(tuples)
-
-    def test_unnamed_tuples_numbered_globally_with_workers(
-            self, small_reference, seedmap, sample_pairs):
-        tuples = [(pair.read1.codes, pair.read2.codes)
-                  for pair in sample_pairs]
-        pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
-        names = [result.name for result in
-                 pipeline.map_stream(iter(tuples), chunk_size=16,
-                                     workers=2)]
-        assert names == [f"pair{i}" for i in range(len(tuples))]
-
-
-class TestForkGuard:
-    def test_no_fork_start_method_degrades(self, monkeypatch, capsys,
-                                           small_reference, seedmap,
-                                           sample_pairs):
-        import multiprocessing
-
-        def no_fork(method=None):
-            raise ValueError("cannot find context for 'fork'")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
-        results = pipeline.map_batch(sample_pairs, workers=4)
-        assert len(results) == len(sample_pairs)
-        assert pipeline.stats.pairs_total == len(sample_pairs)
-        assert "os.fork" in capsys.readouterr().err
-
-    def test_platform_without_os_fork_degrades(self, monkeypatch, capsys,
-                                               small_reference, seedmap,
-                                               sample_pairs,
-                                               result_signature):
-        monkeypatch.delattr(os, "fork")
-        solo = GenPairPipeline(small_reference, seedmap=seedmap)
-        expected = solo.map_batch(sample_pairs)
-        pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
-        results = pipeline.map_batch(sample_pairs, workers=2)
-        assert list(map(result_signature, expected)) \
-            == list(map(result_signature, results))
-        assert solo.stats == pipeline.stats
-        assert "single-process" in capsys.readouterr().err
-
-    def test_note_printed_once_per_pipeline(self, monkeypatch, capsys,
-                                            small_reference, seedmap,
-                                            sample_pairs):
-        # Regression: a degraded stream used to print the note once per
-        # flushed buffer; it must appear once per pipeline.
-        monkeypatch.delattr(os, "fork")
-        pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
-        results = list(pipeline.map_stream(iter(sample_pairs),
-                                           chunk_size=8, workers=2))
-        assert len(results) == len(sample_pairs)
-        pipeline.map_batch(sample_pairs[:4], workers=2)
-        err = capsys.readouterr().err
-        assert err.count("single-process") == 1
-        # A fresh pipeline gets its own (single) note.
-        other = GenPairPipeline(small_reference, seedmap=seedmap)
-        other.map_batch(sample_pairs[:4], workers=2)
-        assert capsys.readouterr().err.count("single-process") == 1

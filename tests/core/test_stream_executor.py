@@ -1,9 +1,11 @@
-"""Lifecycle tests for the persistent worker-pool streaming executor.
+"""The persistent worker-pool streaming executor: the one parallel mode.
 
-Covers what the equivalence suites cannot see from the outside: one
-pool serving many buffers, ordered merging under skewed chunk
-latencies, and failure surfacing (worker exceptions and hard worker
-deaths must abort the stream with a clear error, never hang it).
+Pooled output, statistics and folded metrics must equal the in-process
+path's; beyond that, what the equivalence checks cannot see from the
+outside: one pool serving many buffers, bounded input consumption,
+ordered merging under skewed chunk latencies, and failure surfacing
+(worker exceptions and hard worker deaths must abort the stream with a
+clear error, never hang it).
 """
 
 import os
@@ -12,7 +14,8 @@ import time
 import pytest
 
 from repro.core import GenPairPipeline, StreamExecutor
-from repro.core.pipeline import _FORK_STATE
+from repro.core.executor import _FORK_STATE, READ_AHEAD_DEPTH
+from repro.obs import get_registry
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="needs the fork start method")
@@ -51,6 +54,93 @@ class CrashingPipeline(GenPairPipeline):
 def named_tuples(sample_pairs):
     return [(pair.read1.codes, pair.read2.codes, pair.name)
             for pair in sample_pairs]
+
+
+def pooled_stream(pipeline, pairs, chunk_size, workers=2, inflight=None):
+    """One pool for one stream: forked on the first ``next()``, shut
+    down — worker stats folded into the pipeline — once the stream is
+    exhausted or closed."""
+    executor = StreamExecutor(pipeline, workers=workers,
+                              chunk_size=chunk_size, inflight=inflight)
+    try:
+        yield from executor.map(pairs)
+    finally:
+        executor.close()
+
+
+class TestPooledEqualsSerial:
+    def test_identical_results_and_merged_stats(
+            self, small_reference, seedmap, sample_pairs,
+            result_signature):
+        solo = GenPairPipeline(small_reference, seedmap=seedmap)
+        pooled = GenPairPipeline(small_reference, seedmap=seedmap)
+        expected = list(solo.map_stream(iter(sample_pairs),
+                                        chunk_size=32))
+        actual = list(pooled_stream(pooled, iter(sample_pairs),
+                                    chunk_size=32))
+        assert list(map(result_signature, expected)) \
+            == list(map(result_signature, actual))
+        # Worker stats were folded in once, at pool shutdown.
+        assert solo.stats == pooled.stats
+
+    def test_input_that_fits_in_one_chunk(self, small_reference, seedmap,
+                                          sample_pairs, result_signature):
+        # Regression: a pooled run whose input fits in one chunk must
+        # still go through the pool (exactly ``workers`` forks) and
+        # come out identical — never silently in-process.
+        subset = sample_pairs[:60]
+        serial = GenPairPipeline(small_reference, seedmap=seedmap)
+        want = serial.map_pairs(subset, chunk_size=256)
+        forked = {"count": 0}
+        original = os.fork
+
+        def counting_fork():
+            forked["count"] += 1
+            return original()
+
+        os.fork = counting_fork
+        try:
+            pooled = GenPairPipeline(small_reference, seedmap=seedmap)
+            got = list(pooled_stream(pooled, subset, chunk_size=256))
+        finally:
+            os.fork = original
+        assert forked["count"] == 2
+        assert list(map(result_signature, got)) \
+            == list(map(result_signature, want))
+        assert pooled.stats == serial.stats
+
+    def test_unnamed_tuples_numbered_globally(self, small_reference,
+                                              seedmap, sample_pairs):
+        tuples = [(pair.read1.codes, pair.read2.codes)
+                  for pair in sample_pairs]
+        pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
+        names = [result.name for result in
+                 pooled_stream(pipeline, iter(tuples), chunk_size=16)]
+        assert names == [f"pair{i}" for i in range(len(tuples))]
+
+    def test_stream_consumption_is_bounded(self, small_reference,
+                                           seedmap, sample_pairs):
+        # The persistent pool is fed chunk by chunk with a bounded
+        # number of chunks in flight — never the whole input.  With
+        # inflight submitted chunks, the read-ahead depth, and partial
+        # chunks, consumption after the first result cannot exceed
+        # (inflight + depth + 3) x chunk_size pairs.
+        pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
+        consumed = []
+
+        def feed():
+            for index, pair in enumerate(sample_pairs):
+                consumed.append(index)
+                yield pair
+
+        chunk_size, inflight = 8, 2
+        stream = pooled_stream(pipeline, feed(), chunk_size=chunk_size,
+                               inflight=inflight)
+        next(stream)
+        bound = (inflight + READ_AHEAD_DEPTH + 3) * chunk_size
+        assert len(consumed) <= bound < len(sample_pairs)
+        assert len(list(stream)) == len(sample_pairs) - 1
+        assert len(consumed) == len(sample_pairs)
 
 
 class TestPoolLifecycle:
@@ -109,8 +199,7 @@ class TestPoolLifecycle:
     def test_abandoned_stream_terminates_workers(self, small_reference,
                                                  seedmap, named_tuples):
         pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
-        stream = pipeline.map_stream(iter(named_tuples), chunk_size=8,
-                                     workers=2)
+        stream = pooled_stream(pipeline, iter(named_tuples), chunk_size=8)
         next(stream)
         stream.close()  # abandons in-flight chunks; must not hang
 
@@ -130,33 +219,6 @@ class TestPoolLifecycle:
             reordered = list(reversed(named_tuples))
             got = [r.name for r in executor.map(reordered)]
             assert got == [name for _, _, name in reordered]
-
-    def test_small_batch_still_shards_across_workers(
-            self, small_reference, seedmap, sample_pairs,
-            result_signature):
-        # Regression: an eager map_batch(workers=N) whose input fits in
-        # one chunk must subdivide the dispatch granularity (keeping
-        # worker parallelism) rather than silently running in-process.
-        subset = sample_pairs[:60]
-        serial = GenPairPipeline(small_reference, seedmap=seedmap)
-        want = serial.map_batch(subset, chunk_size=256)
-        forked = {"count": 0}
-        original = os.fork
-
-        def counting_fork():
-            forked["count"] += 1
-            return original()
-
-        os.fork = counting_fork
-        try:
-            pooled = GenPairPipeline(small_reference, seedmap=seedmap)
-            got = pooled.map_batch(subset, chunk_size=256, workers=2)
-        finally:
-            os.fork = original
-        assert forked["count"] == 2
-        assert list(map(result_signature, got)) \
-            == list(map(result_signature, want))
-        assert pooled.stats == serial.stats
 
     def test_unclosed_executor_is_reaped_at_gc(self, small_reference,
                                                seedmap):
@@ -179,8 +241,7 @@ class TestPoolLifecycle:
         serial = GenPairPipeline(small_reference, seedmap=seedmap)
         list(serial.map_stream(iter(sample_pairs), chunk_size=16))
         pooled = GenPairPipeline(small_reference, seedmap=seedmap)
-        stream = pooled.map_stream(iter(sample_pairs), chunk_size=16,
-                                   workers=2)
+        stream = pooled_stream(pooled, iter(sample_pairs), chunk_size=16)
         for _ in range(len(sample_pairs) - 1):
             next(stream)
         # The pool is still open mid-stream; nothing folded yet beyond
@@ -199,8 +260,7 @@ class TestOrderedMerge:
                 for r in serial.map_stream(iter(tuples), chunk_size=8)]
         skewed = SkewedPipeline(small_reference, seedmap=seedmap)
         got = [(r.name, r.stage, r.record1.position, r.joint_score)
-               for r in skewed.map_stream(iter(tuples), chunk_size=8,
-                                          workers=2)]
+               for r in pooled_stream(skewed, iter(tuples), chunk_size=8)]
         assert got == want
 
 
@@ -217,19 +277,17 @@ class TestFailureSurfacing:
                 yield pair
             raise ValueError("reader died mid-stream")
 
-        def collect(pipeline, workers):
+        def collect(stream):
             names = []
             with pytest.raises(ValueError, match="reader died"):
-                for result in pipeline.map_stream(broken_feed(),
-                                                  chunk_size=8,
-                                                  workers=workers):
+                for result in stream:
                     names.append(result.name)
             return names
 
         serial = GenPairPipeline(small_reference, seedmap=seedmap)
-        want = collect(serial, workers=None)
+        want = collect(serial.map_stream(broken_feed(), chunk_size=8))
         pooled = GenPairPipeline(small_reference, seedmap=seedmap)
-        got = collect(pooled, workers=2)
+        got = collect(pooled_stream(pooled, broken_feed(), chunk_size=8))
         assert got == want
         assert len(want) == 96  # 12 full chunks; the partial one drops
 
@@ -239,8 +297,7 @@ class TestFailureSurfacing:
         poisoned[30] = (poisoned[30][0], poisoned[30][1], "poison")
         pipeline = RaisingPipeline(small_reference, seedmap=seedmap)
         with pytest.raises(RuntimeError, match="kaput in worker"):
-            list(pipeline.map_stream(iter(poisoned), chunk_size=8,
-                                     workers=2))
+            list(pooled_stream(pipeline, iter(poisoned), chunk_size=8))
 
     def test_worker_death_aborts_with_clear_error(self, small_reference,
                                                   seedmap, named_tuples):
@@ -248,5 +305,49 @@ class TestFailureSurfacing:
         killed[30] = (killed[30][0], killed[30][1], "crash")
         pipeline = CrashingPipeline(small_reference, seedmap=seedmap)
         with pytest.raises(RuntimeError, match="exited with code 3"):
-            list(pipeline.map_stream(iter(killed), chunk_size=8,
-                                     workers=2))
+            list(pooled_stream(pipeline, iter(killed), chunk_size=8))
+
+
+class TestPooledMetrics:
+    def test_worker_metrics_fold_into_parent_registry(
+            self, small_reference, seedmap, named_tuples,
+            counter_deltas):
+        registry = get_registry()
+        before = registry.snapshot()
+        pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
+        list(pooled_stream(pipeline, named_tuples, chunk_size=16))
+        after = registry.snapshot()
+        chunks = -(-len(named_tuples) // 16)
+        deltas = counter_deltas(before, after,
+                                 ("pipeline.", "executor."))
+        assert deltas["pipeline.chunks"] == chunks
+        assert deltas["executor.chunks"] == chunks
+        assert after["gauges"]["executor.workers"] == 2.0
+        hists = after["histograms"]
+        waits = (hists["executor.queue_wait_s"]["count"]
+                 - before["histograms"].get("executor.queue_wait_s",
+                                            {}).get("count", 0))
+        assert waits == chunks
+        per_worker = [name for name in hists
+                      if name.startswith("executor.w")
+                      and name.endswith(".chunk_s")]
+        assert per_worker  # at least one worker recorded chunk times
+        assert (hists["executor.run_s"]["count"]
+                > before["histograms"].get("executor.run_s",
+                                           {}).get("count", 0))
+
+    def test_counter_folds_bit_identical_serial_vs_pooled(
+            self, small_reference, seedmap, named_tuples,
+            counter_deltas):
+        registry = get_registry()
+        deltas = []
+        for pooled in (False, True):
+            before = registry.snapshot()
+            pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
+            if pooled:
+                list(pooled_stream(pipeline, named_tuples, chunk_size=16))
+            else:
+                pipeline.map_pairs(named_tuples, chunk_size=16)
+            after = registry.snapshot()
+            deltas.append(counter_deltas(before, after, "pipeline."))
+        assert deltas[0] == deltas[1]

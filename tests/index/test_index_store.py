@@ -51,14 +51,14 @@ class TestRoundTrip:
         assert np.array_equal(index.seedmap.location_table,
                               seedmap.location_table)
 
-    def test_map_batch_bit_identical(self, index_path, small_reference,
+    def test_map_pairs_bit_identical(self, index_path, small_reference,
                                      seedmap, sample_pairs,
                                      result_signature):
         index = open_index(index_path)
         built = GenPairPipeline(small_reference, seedmap=seedmap)
         loaded = GenPairPipeline(index.reference, seedmap=index.seedmap)
-        expected = built.map_batch(sample_pairs)
-        actual = loaded.map_batch(sample_pairs)
+        expected = built.map_pairs(sample_pairs)
+        actual = loaded.map_pairs(sample_pairs)
         assert ([result_signature(r) for r in expected]
                 == [result_signature(r) for r in actual])
         assert built.stats == loaded.stats

@@ -57,3 +57,32 @@ class TestNonForkModulesExempt:
         findings = [f for f in _lint(ordinary)
                     if f.code.startswith("RPL1")]
         assert findings == []
+
+
+class TestStashedClassInAnotherModule:
+    def test_prefork_stash_follows_the_stored_type(self, tmp_path):
+        """The pool module defines _FORK_STATE; the class it stores is
+        defined next door (core/executor.py vs core/pipeline.py) and
+        must still be scanned for fork-unsafe attributes."""
+        project = tmp_path / "splitproj"
+        project.mkdir()
+        (project / "__init__.py").write_text("")
+        (project / "flow.py").write_text(
+            "import threading\n"
+            "class Pipeline:\n"
+            "    def __init__(self):\n"
+            "        self.lock = threading.Lock()\n"
+            "    def map_chunk(self, items):\n"
+            "        return items\n")
+        (project / "pool.py").write_text(
+            "from .flow import Pipeline\n"
+            "_FORK_STATE = {}\n"
+            "class Executor:\n"
+            "    def __init__(self, pipeline: Pipeline, token: int):\n"
+            "        _FORK_STATE[token] = pipeline\n"
+            "def _stream_worker(token, tasks, results):\n"
+            "    pipeline = _FORK_STATE[token]\n"
+            "    results.put(pipeline.map_chunk(tasks.get()))\n")
+        stashes = [f for f in _lint(project) if f.code == "RPL104"]
+        assert [(f.path.endswith("flow.py"), f.line)
+                for f in stashes] == [(True, 4)]

@@ -80,6 +80,7 @@ class TestParser:
                                             ("--workers", "-2"),
                                             ("--workers", "two"),
                                             ("--batch-size", "-1"),
+                                            ("--batch-size", "0"),
                                             ("--batch-size", "many")])
     def test_map_rejects_bad_worker_and_batch_values(self, capsys, flag,
                                                      value):
@@ -90,11 +91,16 @@ class TestParser:
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_map_accepts_zero_batch_size(self):
-        args = build_parser().parse_args(
-            ["map", "--reference", "r", "--reads1", "a", "--reads2",
-             "b", "--batch-size", "0"])
-        assert args.batch_size == 0
+    def test_map_rejects_zero_batch_size_naming_the_replacement(
+            self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["map", "--reference", "r", "--reads1", "a", "--reads2",
+                 "b", "--batch-size", "0"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--batch-size" in err and "pair-by-pair" in err
+        assert "1 gives the same output" in err
 
 
 class TestWorkflow:
@@ -119,11 +125,11 @@ class TestWorkflow:
                 if not line.startswith("@")]
         assert len(body) == 160
 
-        # Per-pair engine (--batch-size 0) and the persistent
+        # Chunks of one (--batch-size 1) and the persistent
         # worker-pool streaming executor (with a small batch size, so
         # the pool really serves several chunks) write the same
-        # records as the default batched engine.
-        for suffix, extra in (("perpair", ["--batch-size", "0"]),
+        # records as the default chunk size.
+        for suffix, extra in (("perpair", ["--batch-size", "1"]),
                               ("workers", ["--workers", "2"]),
                               ("stream", ["--workers", "2",
                                           "--batch-size", "16"])):

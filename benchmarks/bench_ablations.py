@@ -10,8 +10,7 @@ calls out.
 import numpy as np
 from conftest import emit
 
-from repro.core import (GenPairConfig, GenPairPipeline, SeedMap,
-                        partition_read)
+from repro.core import GenPairConfig, GenPairPipeline, SeedMap
 from repro.genome import ErrorModel, ReadSimulator
 from repro.util import format_table
 from repro.variants import evaluate_mappings

@@ -60,7 +60,7 @@ def main() -> None:
         for result in pipeline.map_stream(
                 iter_pairs("pindex_1.fq", "pindex_2.fq"),
                 chunk_size=128):
-            writer.write_pair(result)
+            writer.write_result(result)
     stats = pipeline.stats
     print(f"   mapped {stats.pairs_total} pairs -> {writer.count} "
           f"records (light-aligned {stats.light_aligned_pct:.1f}%)")

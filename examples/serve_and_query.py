@@ -47,7 +47,7 @@ def main() -> None:
     print("2. The 5-line Python API hello-world ...")
     with Mapper.from_index("serve.rpix") as mapper:
         results = mapper.map_file("serve_1.fq", "serve_2.fq")
-        mapper.to_sam(results, "offline.sam")
+        mapper.write(results, "offline.sam", format="sam")
         print(f"   mapped {mapper.last_stats.pairs_total} pairs, "
               f"{mapper.last_stats.light_aligned_pct:.1f}% "
               "DP-free -> offline.sam")

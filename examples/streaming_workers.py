@@ -13,7 +13,9 @@ Run:  python examples/streaming_workers.py
 """
 
 import os
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +29,10 @@ WORKERS = max(2, min(4, os.cpu_count() or 1))
 
 
 def main() -> None:
+    out_dir = Path(tempfile.mkdtemp(prefix="repro_stream_"))
+    reads1, reads2 = out_dir / "stream_1.fq", out_dir / "stream_2.fq"
+    solo_sam, pool_sam = (out_dir / "stream_solo.sam",
+                          out_dir / "stream_pool.sam")
     rng = np.random.default_rng(99)
 
     print("1. Simulating a 150kb reference and 600 read pairs ...")
@@ -35,18 +41,16 @@ def main() -> None:
                               error_model=ErrorModel.giab_like(),
                               seed=13)
     pairs = simulator.simulate_pairs(600)
-    write_fasta("stream_ref.fa", reference)
-    write_fastq("stream_1.fq",
-                ((p.read1.name, p.read1.codes) for p in pairs))
-    write_fastq("stream_2.fq",
-                ((p.read2.name, p.read2.codes) for p in pairs))
+    write_fasta(out_dir / "stream_ref.fa", reference)
+    write_fastq(reads1, ((p.read1.name, p.read1.codes) for p in pairs))
+    write_fastq(reads2, ((p.read2.name, p.read2.codes) for p in pairs))
+    print(f"   files under {out_dir}")
 
     print("2. Streaming in-process (workers=1) ...")
     with Mapper.from_reference(reference, batch_size=64,
                                full_fallback=False) as solo:
         start = time.perf_counter()
-        solo.to_sam(solo.map_file("stream_1.fq", "stream_2.fq"),
-                    "stream_solo.sam")
+        solo.write(solo.map_file(reads1, reads2), solo_sam, format="sam")
         solo_s = time.perf_counter() - start
     solo_stats = solo.last_stats
     print(f"   {solo_stats.pairs_total} pairs in {solo_s:.2f}s "
@@ -58,16 +62,15 @@ def main() -> None:
                            full_fallback=False)
     with Mapper(reference, solo.seedmap, config=config) as pooled:
         start = time.perf_counter()
-        pooled.to_sam(pooled.map_file("stream_1.fq", "stream_2.fq"),
-                      "stream_pool.sam")
+        pooled.write(pooled.map_file(reads1, reads2), pool_sam,
+                     format="sam")
         pool_s = time.perf_counter() - start
     pool_stats = pooled.last_stats
     print(f"   {pool_stats.pairs_total} pairs in {pool_s:.2f}s "
           f"({pool_stats.pairs_total / pool_s:,.0f} pairs/s) — "
           "pool forked once, chunks merged in input order")
 
-    identical = (open("stream_solo.sam").read()
-                 == open("stream_pool.sam").read())
+    identical = solo_sam.read_bytes() == pool_sam.read_bytes()
     print(f"4. SAM outputs byte-identical: {identical}")
     assert identical
     assert solo_stats == pool_stats

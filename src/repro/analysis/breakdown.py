@@ -1,7 +1,8 @@
 """Stage-time breakdown of the baseline mapper (Fig 1).
 
-Runs the baseline seed-chain-align mapper over a paired dataset with its
-stage timer armed and reports the percentage of wall-clock time per stage.
+Runs the baseline seed-chain-align mapper over a paired dataset under a
+trace capture and reports the percentage of wall-clock time per stage,
+summed from the mapper's ``mm2.<stage>`` spans (:mod:`repro.obs.trace`).
 The paper's finding — chaining + alignment dominate at 83-85% on
 paired-end data — is what motivates the whole design.
 """
@@ -14,7 +15,7 @@ from typing import Dict, Sequence
 from ..genome.reference import ReferenceGenome
 from ..genome.simulate import SimulatedPair
 from ..mapper.mm2 import Mm2LikeMapper
-from ..mapper.profiler import StageTimer
+from ..obs import capture_trace
 
 
 @dataclass(frozen=True)
@@ -37,13 +38,20 @@ def profile_breakdown(reference: ReferenceGenome,
                       pairs: Sequence[SimulatedPair],
                       dataset: str = "dataset",
                       mapper: Mm2LikeMapper = None) -> BreakdownReport:
-    """Map all pairs with a fresh timer and report stage percentages."""
+    """Map all pairs under a trace and report stage percentages."""
     if mapper is None:
         mapper = Mm2LikeMapper(reference)
-    mapper.timer = StageTimer()
-    for pair in pairs:
-        mapper.map_pair(pair.read1.codes, pair.read2.codes, pair.name)
-    return BreakdownReport(dataset=dataset, pairs=len(pairs),
-                           percent_by_stage=mapper.timer
-                           .breakdown_percent(),
-                           total_seconds=mapper.timer.total)
+    with capture_trace() as tracer:
+        for pair in pairs:
+            mapper.map_pair(pair.read1.codes, pair.read2.codes, pair.name)
+    seconds: Dict[str, float] = {}
+    for record in tracer.records:
+        layer, _, stage = record.name.partition(".")
+        if layer == "mm2":
+            seconds[stage] = seconds.get(stage, 0.0) + record.elapsed_s
+    total = sum(seconds.values())
+    return BreakdownReport(
+        dataset=dataset, pairs=len(pairs),
+        percent_by_stage={stage: 100.0 * value / total if total else 0.0
+                          for stage, value in seconds.items()},
+        total_seconds=total)

@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.seeding import partition_read
+from ..core.query import resolve_reads
+from ..core.seeding import seed_offsets
 from ..core.seedmap import SeedMap
 from ..genome.reference import ReferenceGenome
 from ..genome.sequence import reverse_complement
@@ -75,17 +76,11 @@ def _read_is_exact(reference: ReferenceGenome, codes: np.ndarray,
 def _has_exact_seed(reference: ReferenceGenome, codes: np.ndarray,
                     chromosome: str, start: int, seed_length: int,
                     slack: int = 8) -> bool:
-    """Observation 1 predicate: any of the three seeds exactly matches."""
-    chrom_len = reference.length(chromosome)
-    for seed in partition_read(codes, seed_length):
-        for offset in range(-slack, slack + 1):
-            pos = start + seed.read_offset + offset
-            if pos < 0 or pos + seed_length > chrom_len:
-                continue
-            window = reference.fetch(chromosome, pos, pos + seed_length)
-            if np.array_equal(window, seed.codes):
-                return True
-    return False
+    """Observation 1 predicate: any of the three seeds exactly matches
+    (bases compared at the truth locus; nothing is hashed)."""
+    return any(_read_is_exact(reference, codes[offset:offset + seed_length],
+                              chromosome, start + offset, slack)
+               for offset in seed_offsets(len(codes), seed_length))
 
 
 def profile_exact_matches(reference: ReferenceGenome,
@@ -137,15 +132,16 @@ def profile_seed_locations(seedmap: SeedMap,
                            reads: Sequence[SimulatedRead],
                            seed_length: Optional[int] = None
                            ) -> SeedLocationReport:
-    """Measure per-seed location counts through a SeedMap."""
+    """Measure per-seed location counts through a SeedMap.
+
+    The three numbers are the mapping front-end's own accounting
+    (:func:`~repro.core.query.resolve_reads`): Seed Table accesses,
+    seeds with a hit, locations fetched.
+    """
     seed_length = seed_length or seedmap.seed_length
-    queried = hit = total = 0
-    for read in reads:
-        for seed in partition_read(read.codes, seed_length):
-            queried += 1
-            count = seedmap.location_count(seed.hash_value)
-            if count:
-                hit += 1
-                total += count
-    return SeedLocationReport(seeds_queried=queried, seeds_hit=hit,
-                              locations_total=total)
+    results = resolve_reads(seedmap, [read.codes for read in reads],
+                            seed_length)
+    return SeedLocationReport(
+        seeds_queried=sum(r.seed_table_accesses for r in results),
+        seeds_hit=sum(r.seed_hits for r in results),
+        locations_total=sum(r.locations_fetched for r in results))

@@ -14,12 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-import numpy as np
-
-from ..core.seeding import partition_read
 from ..genome.reference import ReferenceGenome
 from ..genome.sequence import reverse_complement
 from ..genome.simulate import SimulatedPair
+from .exact_match import _has_exact_seed
 
 
 @dataclass(frozen=True)
@@ -45,21 +43,6 @@ class SeedLengthCurve:
         """(seed length, rate%) rows, sorted, for reports."""
         return tuple((length, 100.0 * self.rates[length])
                      for length in sorted(self.rates))
-
-
-def _has_exact_seed(reference: ReferenceGenome, codes: np.ndarray,
-                    chromosome: str, start: int, seed_length: int,
-                    slack: int = 8) -> bool:
-    chrom_len = reference.length(chromosome)
-    for seed in partition_read(codes, seed_length):
-        for offset in range(-slack, slack + 1):
-            pos = start + seed.read_offset + offset
-            if pos < 0 or pos + seed_length > chrom_len:
-                continue
-            window = reference.fetch(chromosome, pos, pos + seed_length)
-            if np.array_equal(window, seed.codes):
-                return True
-    return False
 
 
 def seed_length_curve(reference: ReferenceGenome,

@@ -31,7 +31,7 @@ Hello world::
 
     with Mapper.from_index("demo.rpix") as mapper:
         results = mapper.map_file("demo_1.fq", "demo_2.fq")
-        mapper.to_sam(results, "demo.sam")
+        mapper.write(results, "demo.sam", format="sam")
         print(mapper.last_stats.pairs_total, "pairs mapped")
 
 Workload and stage selection are declarative through the registries

@@ -354,15 +354,6 @@ class Mapper:
             get_registry().counter(
                 f"output.{format_name}.wire_lines").inc(emitted)
 
-    def to_sam(self, results: Iterable, path: PathLike) -> int:
-        """:meth:`write` pinned to the SAM format (historical name)."""
-        return self.write(results, path, format="sam")
-
-    def sam_lines(self, results: Iterable,
-                  header: bool = True) -> Iterator[str]:
-        """:meth:`lines` pinned to the SAM format (historical name)."""
-        return self.lines(results, format="sam", header=header)
-
     # -- variant-calling post-stage ------------------------------------
 
     def map_and_call(self, results: Iterable, out: PathLike,

@@ -11,21 +11,24 @@ Subpackages by pipeline stage:
 * :mod:`~repro.core.executor` — the persistent worker pool;
 * :mod:`~repro.core.longread` — long-read mode via Location Voting (§4.7).
 
-One dataflow: :meth:`GenPairPipeline._map_chunk` seeds a whole chunk
-per the role contract (:func:`~repro.core.seeding.pair_role_codes`),
-hashes it with one vectorized xxHash call
-(:func:`repro.hashing.hash_reads_batch`) and resolves it against the
-array-backed Seed Table in one ``np.searchsorted`` probe
-(:meth:`SeedMap.query_batch` via
+One seed→candidate front-end: :func:`~repro.core.query.resolve_reads`
+takes a list of reads, hashes all their seed windows with one
+vectorized xxHash call (:func:`repro.hashing.hash_reads_batch`) and
+resolves them against the array-backed Seed Table in one
+``np.searchsorted`` probe (:meth:`SeedMap.query_batch` via
 :func:`~repro.core.query.query_hash_groups`), merging per-read
-candidate lists chunk-wide.  :meth:`~GenPairPipeline.map_pair` is a
-chunk of one, :meth:`~GenPairPipeline.map_pairs` /
+candidate lists chunk-wide.  :meth:`GenPairPipeline._map_chunk` calls
+it on the four role sequences of every pair of a chunk
+(:func:`~repro.core.seeding.pair_role_codes`);
+:meth:`LongReadMapper.map_reads` on the pseudo-pair chunks of every
+read of a chunk.  :meth:`~GenPairPipeline.map_pair` and
+:meth:`~LongReadMapper.map_read` are chunks of one,
+:meth:`~GenPairPipeline.map_pairs` /
 :meth:`~GenPairPipeline.map_stream` the eager / lazy forms.  The
-per-seed scalar path (:func:`~repro.core.seeding.partition_read` +
-:func:`~repro.core.query.query_read`) serves the long-read mode and,
-through ``tests/core/oracle.py``, pins the chunk seeding in the test
-suite.  One parallel mode: :class:`~repro.core.executor.StreamExecutor`
-— a persistent pool of forked workers, double-buffered dispatch,
+per-seed scalar chain (one xxHash, one :meth:`SeedMap.query` and one
+``np.unique`` merge at a time) lives in ``tests/core/oracle.py`` as
+the reference both are tested against.  One parallel mode:
+:class:`~repro.core.executor.StreamExecutor` — a persistent pool of forked workers, double-buffered dispatch,
 ordered merge — folds per-chunk counters back with
 :func:`~repro.core.pipeline.merge_stats`; pooled and in-process output
 are bit-identical.
@@ -43,10 +46,10 @@ from .pipeline import (DEFAULT_BATCH_SIZE, STAGE_DP_CANDIDATE,
                        STAGE_FULL_DP, STAGE_LIGHT, STAGE_UNMAPPED,
                        GenPairConfig, GenPairPipeline, PairResult,
                        PipelineStats)
-from .query import QueryResult, query_hash_groups, query_read
+from .query import QueryResult, query_hash_groups, resolve_reads
 from .seedmap import (DEFAULT_FILTER_THRESHOLD, LOCATION_ENTRY_BYTES,
                       SEED_TABLE_ENTRY_BYTES, SeedMap, SeedMapStats)
-from .seeding import Seed, pair_role_codes, partition_read, seed_offsets
+from .seeding import pair_role_codes, seed_offsets
 
 __all__ = [
     "DEFAULT_BATCH_SIZE", "DEFAULT_DELTA", "DEFAULT_FILTER_THRESHOLD",
@@ -58,7 +61,7 @@ __all__ = [
     "LongReadConfig", "LongReadMapper", "LongReadStats", "PairResult",
     "PipelineStats", "QueryResult", "SEED_TABLE_ENTRY_BYTES",
     "STAGE_DP_CANDIDATE", "STAGE_FULL_DP", "STAGE_LIGHT", "STAGE_UNMAPPED",
-    "Seed", "SeedMap", "SeedMapStats", "enumerate_simple_profiles",
-    "filter_adjacent", "pair_role_codes", "partition_read",
-    "query_hash_groups", "query_read", "seed_offsets",
+    "SeedMap", "SeedMapStats", "enumerate_simple_profiles",
+    "filter_adjacent", "pair_role_codes", "query_hash_groups",
+    "resolve_reads", "seed_offsets",
 ]

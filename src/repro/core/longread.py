@@ -3,7 +3,9 @@
 A long read is reformulated as a paired-end problem: it is partitioned into
 consecutive ``read_length`` chunks, and adjacent chunks form pseudo-pairs
 whose separation is below Δ by construction.  Each pseudo-pair runs through
-Partitioned Seeding, SeedMap Query and Paired-Adjacency Filtering; every
+Partitioned Seeding and SeedMap Query — the paired-end front-end itself,
+:func:`repro.core.query.resolve_reads`, called once for the chunks of all
+the reads of an engine chunk — and Paired-Adjacency Filtering; every
 surviving joint candidate implies a start position for the *whole* long
 read.  Location Voting (Alser et al., "sparsified genomics") bins those
 implied starts and the top-voted bin wins.  Because long reads are noisier,
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,9 +25,8 @@ from ..align.scoring import DEFAULT_SCHEME, ScoringScheme
 from ..genome.reference import ReferenceError, ReferenceGenome
 from ..genome.sam import METHOD_DP, AlignmentRecord
 from .pairfilter import filter_adjacent
-from .query import query_read
+from .query import QueryResult, resolve_reads
 from .seedmap import SeedMap
-from .seeding import partition_read
 
 
 @dataclass(frozen=True)
@@ -74,61 +75,73 @@ class LongReadMapper:
 
     def map_read(self, codes: np.ndarray,
                  name: str = "long") -> AlignmentRecord:
-        """Map one long read; returns an unmapped record on failure."""
-        self.stats.reads_total += 1
-        votes = self._vote(codes)
-        if not votes:
-            return AlignmentRecord(query_name=name, mapped=False,
-                                   read_codes=codes)
-        best = self._align_top_votes(codes, votes)
-        if best is None:
-            return AlignmentRecord(query_name=name, mapped=False,
-                                   read_codes=codes)
-        alignment, chromosome, position = best
-        self.stats.mapped += 1
-        return AlignmentRecord(query_name=name, chromosome=chromosome,
-                               position=position, strand="+", mapq=60,
-                               cigar=alignment.cigar,
-                               score=alignment.score, read_codes=codes,
-                               mapped=True, method=METHOD_DP)
+        """Map one long read: a chunk of one."""
+        return self.map_reads([(codes, name)])[0]
 
     def map_reads(self, reads: List[Tuple[np.ndarray, str]]
                   ) -> List[AlignmentRecord]:
         """Map a chunk of ``(codes, name)`` long reads in input order.
 
-        The batched entry point the engine-polymorphic API streams
-        chunks through; statistics accumulate in :attr:`stats` exactly
-        as repeated :meth:`map_read` calls would.
+        The long-read dataflow: every read of the chunk is cut into
+        pseudo-pair chunks, all of them are resolved in one
+        :func:`~repro.core.query.resolve_reads` call (each chunk once,
+        though interior chunks sit in two pseudo-pairs), then each read
+        votes over its consecutive results and the top bins get DP.
+        Returns an unmapped record where a read gathers no usable vote.
         """
-        return [self.map_read(codes, name) for codes, name in reads]
+        config = self.config
+        chunks: List[np.ndarray] = []
+        bounds = [0]
+        for codes, _name in reads:
+            chunks.extend(self._chunks(codes))
+            bounds.append(len(chunks))
+        queries = resolve_reads(self.seedmap, chunks, config.seed_length,
+                                config.seeds_per_chunk)
+        records = []
+        for (codes, name), first, last in zip(reads, bounds, bounds[1:]):
+            self.stats.reads_total += 1
+            record = AlignmentRecord(query_name=name, mapped=False,
+                                     read_codes=codes)
+            best = self._align_top_votes(codes,
+                                         self._vote(queries[first:last]))
+            if best is not None:
+                alignment, chromosome, position = best
+                self.stats.mapped += 1
+                record = AlignmentRecord(
+                    query_name=name, chromosome=chromosome,
+                    position=position, strand="+", mapq=60,
+                    cigar=alignment.cigar, score=alignment.score,
+                    read_codes=codes, mapped=True, method=METHOD_DP)
+            records.append(record)
+        return records
 
     # -- internals ----------------------------------------------------------
 
-    def _chunks(self, codes: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+    def _chunks(self, codes: np.ndarray) -> List[np.ndarray]:
+        """The read's consecutive ``chunk_length`` pieces; chunk ``i``
+        starts at read offset ``i * chunk_length``."""
         length = self.config.chunk_length
-        return [(start, codes[start:start + length])
+        return [codes[start:start + length]
                 for start in range(0, len(codes) - length + 1, length)]
 
-    def _vote(self, codes: np.ndarray) -> Counter:
-        """Location Voting over all pseudo-pairs of the read."""
+    def _vote(self, queries: Sequence[QueryResult]) -> Counter:
+        """Location Voting over one read's pseudo-pairs.
+
+        ``queries`` are the resolved chunks of the read, in order;
+        consecutive ones form the pseudo-pairs.
+        """
         config = self.config
-        chunks = self._chunks(codes)
         votes: Counter = Counter()
-        for (off1, chunk1), (off2, chunk2) in zip(chunks, chunks[1:]):
+        for index, (result1, result2) in enumerate(zip(queries,
+                                                       queries[1:])):
             self.stats.pseudo_pairs += 1
-            seeds1 = partition_read(chunk1, config.seed_length,
-                                    config.seeds_per_chunk)
-            seeds2 = partition_read(chunk2, config.seed_length,
-                                    config.seeds_per_chunk)
-            result1 = query_read(self.seedmap, seeds1)
-            result2 = query_read(self.seedmap, seeds2)
             filtered = filter_adjacent(result1.candidates,
                                        result2.candidates,
                                        delta=config.delta,
                                        boundaries=self._chromosome_starts)
+            offset = index * config.chunk_length
             for cand1, _cand2 in filtered.pairs:
-                implied_start = cand1 - off1
-                votes[implied_start // config.vote_bin] += 1
+                votes[(cand1 - offset) // config.vote_bin] += 1
         return votes
 
     def _align_top_votes(self, codes: np.ndarray, votes: Counter):

@@ -19,7 +19,9 @@ There is one dataflow, and it is chunked
 (:meth:`GenPairPipeline._map_chunk`): all seeds of a chunk are hashed
 with one vectorized xxHash call, resolved against the array-backed
 SeedMap in one ``searchsorted`` probe and merged into per-read
-candidate lists chunk-wide; only filtering and alignment run per pair.
+candidate lists chunk-wide (:func:`repro.core.query.resolve_reads`, the
+front-end the long-read mode shares); only filtering and alignment run
+per pair.
 :meth:`~GenPairPipeline.map_pair` is a chunk of one,
 :meth:`~GenPairPipeline.map_pairs` the eager form and
 :meth:`~GenPairPipeline.map_stream` the lazy one; chunk boundaries never
@@ -45,13 +47,12 @@ from ..genome.reference import ReferenceError, ReferenceGenome
 from ..genome.sam import (METHOD_DP, METHOD_EXACT, METHOD_LIGHT,
                           AlignmentRecord)
 from ..genome.sequence import reverse_complement
-from ..hashing import hash_reads_batch
 from ..obs import get_registry, span
 from .light_align import LightAligner
 from .pairfilter import DEFAULT_DELTA, filter_adjacent
-from .query import QueryResult, query_hash_groups
+from .query import QueryResult, resolve_reads
 from .seedmap import DEFAULT_FILTER_THRESHOLD, SeedMap
-from .seeding import pair_role_codes, seed_offsets
+from .seeding import pair_role_codes
 
 #: Stage labels recorded on every mapped pair (Fig 10 vocabulary).
 STAGE_LIGHT = "light"            # mapped and aligned by GenPair
@@ -307,18 +308,25 @@ class GenPairPipeline:
                                                str]]) -> List[PairResult]:
         """Batch-seed, batch-hash, and batch-query one chunk of pairs.
 
-        The chunk's seed windows are resolved in one batched SeedMap
-        probe (:meth:`_resolve_chunk`); the per-pair decision logic
-        then runs over the pre-resolved :class:`QueryResult` quadruple
-        of each pair.  Stage timings are recorded once per *chunk*
-        (``pipeline.seed_query_s`` / ``pipeline.filter_align_s``), so
-        instrumentation cost is amortized over the whole batch.
+        The four role sequences of every pair
+        (:func:`~repro.core.seeding.pair_role_codes` order: fr read1,
+        fr read2, rf read1, rf read2) are resolved in one batched
+        SeedMap probe (:func:`~repro.core.query.resolve_reads`); the
+        per-pair decision logic then runs over the pre-resolved
+        :class:`QueryResult` quadruple of each pair.  Stage timings
+        are recorded once per *chunk* (``pipeline.seed_query_s`` /
+        ``pipeline.filter_align_s``), so instrumentation cost is
+        amortized over the whole batch.
         """
         obs = self.obs
         timed = obs.enabled
         start = time.perf_counter() if timed else 0.0
         with span("seed.query_batch"):
-            queries = self._resolve_chunk(items)
+            queries = resolve_reads(
+                self.seedmap,
+                [codes for read1, read2, _ in items
+                 for codes in pair_role_codes(read1, read2)],
+                self.config.seed_length, self.config.seeds_per_read)
         queried = time.perf_counter() if timed else 0.0
         with span("pair.filter_align"):
             results = []
@@ -337,54 +345,6 @@ class GenPairPipeline:
             obs.counter("pipeline.chunks").inc()
             obs.counter("pipeline.pairs").inc(len(items))
         return results
-
-    def _resolve_chunk(self, items: Sequence[Tuple[np.ndarray,
-                                                   np.ndarray, str]]
-                       ) -> List[QueryResult]:
-        """Batched seeding: one chunk's SeedMap queries, pre-resolved.
-
-        The chunk's seed windows are sliced out of one concatenated code
-        buffer, hashed with a single vectorized call, and resolved with
-        one batched SeedMap probe; returns four :class:`QueryResult`
-        entries per pair (roles: fr read1, fr read2, rf read1, rf read2
-        — :func:`~repro.core.seeding.pair_role_codes` order).
-        """
-        if not items:
-            return []
-        seed_length = self.config.seed_length
-        seeds_per_read = self.config.seeds_per_read
-        role_codes: List[np.ndarray] = []
-        for read1, read2, _ in items:
-            role_codes.extend(pair_role_codes(read1, read2))
-        offsets_by_length = {}
-        role_offsets = []
-        for codes in role_codes:
-            length = len(codes)
-            offsets = offsets_by_length.get(length)
-            if offsets is None:
-                offsets = seed_offsets(length, seed_length, seeds_per_read)
-                offsets_by_length[length] = offsets
-            role_offsets.append(offsets)
-        lengths = np.array([len(codes) for codes in role_codes],
-                           dtype=np.int64)
-        sizes = [len(offsets) for offsets in role_offsets]
-        flat_offsets = np.array(
-            [offset for offsets in role_offsets for offset in offsets],
-            dtype=np.int64)
-        groups = np.repeat(np.arange(len(role_codes)), sizes)
-        buffer = np.concatenate(role_codes)
-        if flat_offsets.size and buffer.size >= seed_length:
-            bases = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-            window_starts = bases[groups] + flat_offsets
-            windows = np.lib.stride_tricks.sliding_window_view(
-                buffer, seed_length)[window_starts]
-            hashes = hash_reads_batch(windows)
-        else:
-            hashes = np.zeros(0, dtype=np.uint64)
-            flat_offsets = flat_offsets[:0]
-            groups = groups[:0]
-        return query_hash_groups(self.seedmap, hashes, flat_offsets,
-                                 groups, len(role_codes), sizes)
 
     # -- per-pair decision -------------------------------------------------
 

@@ -11,6 +11,12 @@ bursty, sequential memory traffic.
 The query also carries the memory-traffic accounting the hardware model
 consumes: each seed lookup costs one Seed Table access plus a burst read of
 its location range.
+
+:func:`resolve_reads` is the one seed→candidate front-end under ``src/``:
+the GenPair pipeline (the four role sequences of every pair of a chunk),
+the long-read mode (the pseudo-pair chunks of every read of a chunk) and
+the Observation-2 profiler all hand it a list of reads.  The per-seed
+scalar chain it replaced is the test oracle (``tests/core/oracle.py``).
 """
 
 from __future__ import annotations
@@ -20,8 +26,10 @@ from typing import List, Sequence
 
 import numpy as np
 
+from ..genome.sequence import ALPHABET_SIZE
+from ..hashing import hash_reads_batch
 from .seedmap import LOCATION_ENTRY_BYTES, SEED_TABLE_ENTRY_BYTES, SeedMap
-from .seeding import Seed
+from .seeding import seed_offsets
 
 
 @dataclass(frozen=True)
@@ -45,26 +53,6 @@ class QueryResult:
                 + self.locations_fetched * LOCATION_ENTRY_BYTES)
 
 
-def query_read(seedmap: SeedMap, seeds: Sequence[Seed]) -> QueryResult:
-    """Query SeedMap with one read's seeds; merge into sorted candidates."""
-    hit_lists = []
-    locations_fetched = 0
-    seed_hits = 0
-    for seed in seeds:
-        locations = seedmap.query(seed.hash_value)
-        locations_fetched += int(locations.size)
-        if locations.size:
-            seed_hits += 1
-            hit_lists.append(locations - seed.read_offset)
-    if hit_lists:
-        merged = np.unique(np.concatenate(hit_lists))
-    else:
-        merged = np.zeros(0, dtype=np.int64)
-    return QueryResult(candidates=merged, seed_hits=seed_hits,
-                       locations_fetched=locations_fetched,
-                       seed_table_accesses=len(seeds))
-
-
 def query_hash_groups(seedmap: SeedMap, hashes: np.ndarray,
                       offsets: np.ndarray, groups: np.ndarray,
                       group_count: int,
@@ -75,8 +63,10 @@ def query_hash_groups(seedmap: SeedMap, hashes: np.ndarray,
     :meth:`SeedMap.query_batch` call; the location gather, the
     implied-read-start conversion and the per-read sorted-unique merge
     run as whole-batch numpy operations.  Returns one
-    :class:`QueryResult` per group, element-wise identical to calling
-    :func:`query_read` on each read's seeds.
+    :class:`QueryResult` per group, element-wise identical to looking
+    each seed up with :meth:`SeedMap.query` and merging each read's
+    hits with ``np.unique`` (the scalar reference in
+    ``tests/core/oracle.py``).
 
     ``hashes`` / ``offsets`` / ``groups`` are parallel per-seed arrays;
     ``groups[i]`` assigns seed ``i`` to one of ``group_count`` reads and
@@ -119,3 +109,52 @@ def query_hash_groups(seedmap: SeedMap, hashes: np.ndarray,
                         locations_fetched=int(fetched[g]),
                         seed_table_accesses=int(group_sizes[g]))
             for g in range(group_count)]
+
+
+def resolve_reads(seedmap: SeedMap, reads: Sequence[np.ndarray],
+                  seed_length: int,
+                  seeds_per_read: int = 3) -> List[QueryResult]:
+    """Partitioned Seeding + SeedMap Query for a whole list of reads.
+
+    The reads' seed windows (:func:`~repro.core.seeding.seed_offsets`)
+    are sliced out of one concatenated code buffer, hashed with a single
+    vectorized call, and resolved with one batched SeedMap probe; returns
+    one :class:`QueryResult` per read, in input order.  A read shorter
+    than one seed contributes no seed (no Seed Table access is charged),
+    and so does a seed window holding an ambiguous base (``N``): it
+    cannot be an exact 2-bit match, so the read keeps its other seeds.
+    """
+    if not reads:
+        return []
+    offsets_by_length = {}
+    read_offsets = []
+    for codes in reads:
+        length = len(codes)
+        offsets = offsets_by_length.get(length)
+        if offsets is None:
+            offsets = seed_offsets(length, seed_length, seeds_per_read)
+            offsets_by_length[length] = offsets
+        read_offsets.append(offsets)
+    sizes = [len(offsets) for offsets in read_offsets]
+    flat_offsets = np.array(
+        [offset for offsets in read_offsets for offset in offsets],
+        dtype=np.int64)
+    groups = np.repeat(np.arange(len(reads)), sizes)
+    hashes = np.zeros(0, dtype=np.uint64)
+    if flat_offsets.size:
+        lengths = np.array([len(codes) for codes in reads], dtype=np.int64)
+        bases = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate(reads), seed_length)[bases[groups] + flat_offsets]
+        try:
+            hashes = hash_reads_batch(windows)
+        except ValueError:
+            # hash_reads_batch's own scan found an ambiguous base, so
+            # an N-free chunk pays no extra pass for this guard.
+            concrete = (windows < ALPHABET_SIZE).all(axis=1)
+            flat_offsets = flat_offsets[concrete]
+            groups = groups[concrete]
+            sizes = np.bincount(groups, minlength=len(reads))
+            hashes = hash_reads_batch(windows[concrete])
+    return query_hash_groups(seedmap, hashes, flat_offsets, groups,
+                             len(reads), sizes)

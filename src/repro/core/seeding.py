@@ -1,10 +1,13 @@
-"""Partitioned Seeding: extract and hash the six seeds of a read-pair (§4.3).
+"""Partitioned Seeding: where the six seeds of a read-pair sit (§4.3).
 
 Each read contributes three non-overlapping ``seed_length`` seeds — its
 first, middle, and last window (Observation 1: in ~86% of pairs at least one
-seed per read is an exact reference match).  A seed remembers its offset in
-the read so that a reference hit can be converted into an implied *read
-start position*, which is what paired-adjacency filtering compares.
+seed per read is an exact reference match).  A seed's offset in the read
+converts a reference hit into an implied *read start position*, which is
+what paired-adjacency filtering compares.  This module holds the geometry
+only — :func:`seed_offsets` and the role contract
+:func:`pair_role_codes`; slicing, hashing and querying the windows is
+:func:`repro.core.query.resolve_reads`.
 
 Paired-end orientation: in an FR library the two reads face each other, so
 to place both on the forward reference strand the pipeline seeds read 1
@@ -14,22 +17,11 @@ fragment orientation, which the pipeline tries second).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from ..genome.sequence import reverse_complement
-from ..hashing import hash_seed
-
-
-@dataclass(frozen=True)
-class Seed:
-    """One extracted seed: its read offset, codes, and 32-bit hash."""
-
-    read_offset: int
-    codes: np.ndarray
-    hash_value: int
 
 
 def seed_offsets(length: int, seed_length: int = 50,
@@ -48,22 +40,6 @@ def seed_offsets(length: int, seed_length: int = 50,
         return [0]
     span = length - seed_length
     return [round(i * span / (count - 1)) for i in range(count)]
-
-
-def partition_read(codes: np.ndarray, seed_length: int = 50,
-                   seeds_per_read: int = 3) -> List[Seed]:
-    """Extract ``seeds_per_read`` non-overlapping seeds from one read.
-
-    Seeds are placed at the first, (evenly spaced) middle, and last windows
-    of the read; a 150bp read with 50bp seeds tiles exactly.  Reads shorter
-    than one seed yield no seeds (they always fall back to DP).
-    """
-    seeds = []
-    for offset in seed_offsets(len(codes), seed_length, seeds_per_read):
-        window = codes[offset:offset + seed_length]
-        seeds.append(Seed(read_offset=offset, codes=window,
-                          hash_value=hash_seed(window)))
-    return seeds
 
 
 def pair_role_codes(read1_codes: np.ndarray, read2_codes: np.ndarray

@@ -14,13 +14,13 @@ paired-end data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.query import QueryResult
-from ..core.seeding import Seed
+from ..core.seeding import seed_offsets
 from ..core.seedmap import SeedMap
+from ..hashing import hash_reads_batch
 
 
 @dataclass(frozen=True)
@@ -35,20 +35,30 @@ class AdjacencyResult:
         return bool(self.candidates)
 
 
-def adjacency_filter(seedmap: SeedMap, seeds: Sequence[Seed],
+def adjacency_filter(seedmap: SeedMap, codes: np.ndarray,
+                     seed_length: Optional[int] = None,
                      min_support: int = 2,
                      slack: int = 5) -> AdjacencyResult:
     """Keep read-start candidates supported by >= ``min_support`` seeds.
 
-    Each seed hit implies a read start (location - seed offset); hits
-    from different seeds that agree within ``slack`` bases support each
-    other, exactly FastHASH's adjacency criterion.
+    Each seed hit of the read ``codes`` implies a read start (location
+    - seed offset); hits from different seeds that agree within
+    ``slack`` bases support each other, exactly FastHASH's adjacency
+    criterion.  Support counts every hit, so this needs the per-seed,
+    un-deduplicated location lists (:meth:`SeedMap.query`), not the
+    merged candidates of :func:`repro.core.query.resolve_reads`.
     """
+    seed_length = seed_length or seedmap.seed_length
+    offsets = seed_offsets(len(codes), seed_length)
     implied: List[np.ndarray] = []
-    for seed in seeds:
-        locations = seedmap.query(seed.hash_value)
-        if locations.size:
-            implied.append(locations - seed.read_offset)
+    if offsets:
+        windows = np.stack([codes[offset:offset + seed_length]
+                            for offset in offsets])
+        for offset, hash_value in zip(offsets,
+                                      hash_reads_batch(windows).tolist()):
+            locations = seedmap.query(hash_value)
+            if locations.size:
+                implied.append(locations - offset)
     if not implied:
         return AdjacencyResult((), ())
     merged = np.sort(np.concatenate(implied))
@@ -67,11 +77,3 @@ def adjacency_filter(seedmap: SeedMap, seeds: Sequence[Seed],
             support.append(count)
         index = end
     return AdjacencyResult(tuple(candidates), tuple(support))
-
-
-def adjacency_from_query(result: QueryResult,
-                         seeds: Sequence[Seed],
-                         seedmap: SeedMap,
-                         min_support: int = 2) -> AdjacencyResult:
-    """Convenience wrapper matching the pipeline's query interface."""
-    return adjacency_filter(seedmap, seeds, min_support=min_support)

@@ -162,9 +162,6 @@ class SamWriter:
         for record in result_records(result):
             self.write(record)
 
-    # Historical name from when the only results were read pairs.
-    write_pair = write_result
-
     def write_all(self, records: Iterable[AlignmentRecord]) -> int:
         """Append many records; returns the number written by this call."""
         before = self.count

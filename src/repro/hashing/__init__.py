@@ -1,10 +1,9 @@
-"""Hashing substrate: spec-exact xxHash32 and seed-hashing helpers."""
+"""Hashing substrate: vectorized spec-exact xxHash32 and seed hashing
+(the scalar pure-Python reference is in ``tests/core/oracle.py``)."""
 
 from .seeds import (DEFAULT_SEED_LENGTH, hash_reads_batch,
-                    hash_reference_windows, hash_seed, hash_seeds)
+                    hash_reference_windows)
 from .vectorized import pack_rows_2bit, xxhash32_rows
-from .xxhash32 import xxhash32
 
 __all__ = ["DEFAULT_SEED_LENGTH", "hash_reads_batch",
-           "hash_reference_windows", "hash_seed", "hash_seeds",
-           "pack_rows_2bit", "xxhash32", "xxhash32_rows"]
+           "hash_reference_windows", "pack_rows_2bit", "xxhash32_rows"]

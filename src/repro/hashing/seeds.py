@@ -2,32 +2,20 @@
 
 The hardware hashes the 2-bit packed representation of each 50bp seed
 (§4.3, §5.1); this module provides the same mapping for the functional
-model, plus a vectorized batch helper used during SeedMap construction,
-where hundreds of thousands of reference seeds are hashed per build.
+model, always a whole batch at a time: the windows of a chunk of reads
+online, every window of the reference during SeedMap construction.  The
+one-seed-at-a-time form (``xxhash32(pack_2bit(codes))``, pure Python) is
+the reference in ``tests/core/oracle.py``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 import numpy as np
 
-from ..genome.sequence import ALPHABET_SIZE, pack_2bit
-from .xxhash32 import xxhash32
+from ..genome.sequence import ALPHABET_SIZE
 
 #: Seed length used throughout the paper (Observation 1 fixes 50bp).
 DEFAULT_SEED_LENGTH = 50
-
-
-def hash_seed(codes: np.ndarray, seed: int = 0) -> int:
-    """Hash one concrete seed (code array) to a 32-bit key."""
-    return xxhash32(pack_2bit(codes), seed=seed)
-
-
-def hash_seeds(seed_windows: Iterable[np.ndarray], seed: int = 0
-               ) -> List[int]:
-    """Hash many seeds; plain loop over :func:`hash_seed`."""
-    return [hash_seed(window, seed=seed) for window in seed_windows]
 
 
 def hash_reads_batch(windows: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -35,11 +23,13 @@ def hash_reads_batch(windows: np.ndarray, seed: int = 0) -> np.ndarray:
 
     ``windows`` is a ``(count, seed_length)`` array of base codes — e.g.
     all six seeds of every read-pair in a batch, stacked row-wise.  Row
-    ``i`` of the returned ``uint64`` array is bit-identical to
-    ``hash_seed(windows[i], seed=seed)``; this is the online counterpart
-    of :func:`hash_reference_windows` and the entry point of the batched
-    mapping engine (one ``xxhash32_rows`` call replaces thousands of
-    scalar xxHash evaluations).
+    ``i`` of the returned ``uint64`` array is bit-identical to the
+    scalar ``xxhash32(pack_2bit(windows[i]), seed=seed)`` of the test
+    oracle (``tests/core/oracle.py``); this is the online counterpart
+    of :func:`hash_reference_windows` (one ``xxhash32_rows`` call
+    replaces thousands of scalar xxHash evaluations).  Windows holding
+    an ambiguous base raise: the caller
+    (:func:`repro.core.query.resolve_reads`) drops them first.
     """
     windows = np.ascontiguousarray(windows, dtype=np.uint8)
     if windows.ndim != 2:

@@ -26,10 +26,6 @@ from .format import (ARRAY_DTYPES, FORMAT_VERSION, IndexFormatError,
 
 PathLike = Union[str, Path]
 
-#: Back-compat alias; the canonical sentinel lives with the canonical
-#: fingerprint in :mod:`repro.core.fingerprint`.
-_UNSET = UNSET
-
 
 def save_index(path: PathLike, seedmap: SeedMap,
                reference: ReferenceGenome) -> int:
@@ -133,7 +129,7 @@ class MappingIndex:
 
 def open_index(path: PathLike, mmap: bool = True, verify: bool = True,
                expect_seed_length: Optional[int] = None,
-               expect_filter_threshold=_UNSET,
+               expect_filter_threshold=UNSET,
                expect_step: Optional[int] = None) -> MappingIndex:
     """Open a persistent index written by :func:`save_index`.
 

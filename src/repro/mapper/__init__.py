@@ -1,13 +1,13 @@
-"""Baseline software mapper ("MM2"): minimizer seed-chain-align pipeline."""
+"""Baseline software mapper ("MM2"): minimizer seed-chain-align pipeline
+(its four stages are ``mm2.*`` spans, see :mod:`repro.obs.trace`)."""
 
 from .index import IndexStats, MinimizerIndex
 from .minimizer import Minimizer, extract_minimizers
 from .mm2 import (MapperConfig, MapperStats, Mm2LikeMapper,
                   make_full_fallback)
-from .profiler import STAGES, StageTimer
 
 __all__ = [
     "IndexStats", "MapperConfig", "MapperStats", "Minimizer",
-    "MinimizerIndex", "Mm2LikeMapper", "STAGES", "StageTimer",
-    "extract_minimizers", "make_full_fallback",
+    "MinimizerIndex", "Mm2LikeMapper", "extract_minimizers",
+    "make_full_fallback",
 ]

@@ -31,9 +31,9 @@ from ..genome.cigar import Cigar
 from ..genome.reference import ReferenceError, ReferenceGenome
 from ..genome.sam import METHOD_DP, AlignmentRecord
 from ..genome.sequence import reverse_complement
+from ..obs import span
 from .index import MinimizerIndex
 from .minimizer import extract_minimizers
-from .profiler import StageTimer
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,7 @@ class Mm2LikeMapper:
     def __init__(self, reference: ReferenceGenome,
                  index: Optional[MinimizerIndex] = None,
                  config: Optional[MapperConfig] = None,
-                 scheme: ScoringScheme = DEFAULT_SCHEME,
-                 timer: Optional[StageTimer] = None) -> None:
+                 scheme: ScoringScheme = DEFAULT_SCHEME) -> None:
         config = config if config is not None else MapperConfig()
         self.reference = reference
         self.config = config
@@ -95,7 +94,6 @@ class Mm2LikeMapper:
         self.index = index if index is not None else MinimizerIndex.build(
             reference, k=config.k, w=config.w,
             max_occurrences=config.max_occurrences)
-        self.timer = timer if timer is not None else StageTimer()
         self.stats = MapperStats()
 
     # -- single-end ----------------------------------------------------------
@@ -133,7 +131,7 @@ class Mm2LikeMapper:
         """
         self.stats.pairs_seen += 1
         placements1, placements2 = self._placements([read1, read2])
-        with self.timer.stage("pairing"):
+        with span("mm2.pairing"):
             combo = self._best_combo(placements1, placements2,
                                      len(read1), len(read2))
         if combo is None and self.config.mate_rescue:
@@ -184,7 +182,7 @@ class Mm2LikeMapper:
         scalar loop, the eight of a pair are.
         """
         chains = [self._chains(codes) for codes in reads]
-        with self.timer.stage("alignment"):
+        with span("mm2.alignment"):
             placed = iter(self._align_chains(
                 [chain for per_read in chains for chain in per_read]))
         placements = []
@@ -198,12 +196,12 @@ class Mm2LikeMapper:
 
     def _chains(self, codes: np.ndarray) -> list:
         """The best ``(oriented read, strand, chain)`` of one read."""
-        with self.timer.stage("seeding"):
+        with span("mm2.seeding"):
             anchors_fwd = self._anchors(codes)
             rc = reverse_complement(codes)
             anchors_rev = self._anchors(rc)
             self.stats.anchors_total += len(anchors_fwd) + len(anchors_rev)
-        with self.timer.stage("chaining"):
+        with span("mm2.chaining"):
             chains = []
             result_fwd = chain_anchors(anchors_fwd,
                                        max_gap=self.config.max_gap,

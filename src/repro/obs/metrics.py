@@ -306,7 +306,7 @@ def get_registry() -> MetricsRegistry:
 
 def host_metadata() -> Dict[str, Union[str, int, None]]:
     """The host facts that make recorded numbers comparable across
-    machines (stamped into ``BENCH_<n>.json`` and the daemon's
+    machines (stamped into ``--metrics-json`` files and the daemon's
     ``stats`` reply)."""
     return {
         "python": sys.version.split()[0],

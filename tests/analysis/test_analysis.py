@@ -78,7 +78,15 @@ class TestBreakdown:
         report = profile_breakdown(plain_reference, clean_pairs[:15],
                                    dataset="unit")
         assert report.pairs == 15
+        assert set(report.percent_by_stage) == {"seeding", "chaining",
+                                                "alignment", "pairing"}
         total = sum(report.percent_by_stage.values())
         assert total == pytest.approx(100.0, abs=0.01)
+        assert report.total_seconds > 0
         # Chaining + alignment dominate, mirroring Fig 1 (83-85%).
         assert report.dp_share_pct > 50.0
+
+    def test_no_pairs_no_shares(self, plain_reference):
+        report = profile_breakdown(plain_reference, [], dataset="empty")
+        assert report.percent_by_stage == {}
+        assert report.total_seconds == 0 and report.dp_share_pct == 0.0

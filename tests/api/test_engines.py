@@ -137,6 +137,30 @@ class TestParityEdges:
             == {spec.name: 0 for spec in dataclasses.fields(stats)}
 
 
+class TestLongReadChunkSize:
+    """Long-read resolution is chunk-wide (all pseudo-pair chunks of an
+    engine chunk in one SeedMap probe), so — as for genpair — the chunk
+    size must never show in the output."""
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 256])
+    def test_batch_size_never_changes_output(self, small_reference,
+                                             seedmap, simulator,
+                                             batch_size):
+        reads = simulator.simulate_long_reads(9, length_mean=1500,
+                                              length_sd=400)
+        runs = []
+        for size in (2, batch_size):
+            config = MappingConfig(engine="longread", batch_size=size,
+                                   full_fallback=False)
+            with Mapper(small_reference, seedmap, config=config) as facade:
+                results = facade.map(reads)
+                lines = {fmt: list(facade.lines(results, format=fmt))
+                         for fmt in ("sam", "paf", "jsonl")}
+                runs.append((lines, facade.last_stats))
+        assert runs[0] == runs[1]
+        assert runs[0][1].reads_total == 9 and runs[0][1].mapped >= 8
+
+
 class TestOutputFormats:
     def test_write_and_lines_byte_identical_everywhere(
             self, tmp_path, mapper, pairs, long_reads):

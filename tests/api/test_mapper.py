@@ -177,7 +177,7 @@ class TestForkGuard:
 
 
 class TestFiles:
-    def test_map_file_and_to_sam_match_offline_pipeline(
+    def test_map_file_and_write_sam_match_offline_pipeline(
             self, tmp_path, small_reference, seedmap, pairs):
         fq1, fq2 = tmp_path / "r_1.fq", tmp_path / "r_2.fq"
         write_fastq(fq1, ((p.read1.name, p.read1.codes) for p in pairs))
@@ -185,7 +185,8 @@ class TestFiles:
         sam_facade = tmp_path / "facade.sam"
         with Mapper.from_reference(small_reference,
                                    full_fallback=False) as mapper:
-            count = mapper.to_sam(mapper.map_file(fq1, fq2), sam_facade)
+            count = mapper.write(mapper.map_file(fq1, fq2), sam_facade,
+                                 format="sam")
         assert count == 2 * len(pairs)
 
         from repro.genome import SamWriter, iter_pairs
@@ -197,13 +198,14 @@ class TestFiles:
             writer.drain(pipeline.map_stream(iter_pairs(fq1, fq2)))
         assert sam_facade.read_bytes() == sam_pipeline.read_bytes()
 
-    def test_sam_lines_reproduce_to_sam_bytes(self, tmp_path,
-                                              small_reference, pairs):
+    def test_sam_lines_reproduce_written_sam_bytes(self, tmp_path,
+                                                   small_reference, pairs):
         with Mapper.from_reference(small_reference,
                                    full_fallback=False) as mapper:
-            lines = list(mapper.sam_lines(mapper.map_stream(pairs)))
+            lines = list(mapper.lines(mapper.map_stream(pairs),
+                                      format="sam"))
             path = tmp_path / "whole.sam"
-            mapper.to_sam(mapper.map_stream(pairs), path)
+            mapper.write(mapper.map_stream(pairs), path, format="sam")
         assert "\n".join(lines) + "\n" == path.read_text()
 
 

@@ -145,7 +145,8 @@ class TestByteIdentity:
         offline = tmp_path / "offline.sam"
         with Mapper.from_index(index_path, full_fallback=False) \
                 as mapper:
-            mapper.to_sam(mapper.map_file(fq1, fq2), offline)
+            mapper.write(mapper.map_file(fq1, fq2), offline,
+                         format="sam")
         served = tmp_path / "served.sam"
         with Client(server.socket_path) as client:
             reply = client.map_file(fq1, fq2, served)
@@ -160,7 +161,8 @@ class TestByteIdentity:
         offline = tmp_path / "offline_inline.sam"
         with Mapper.from_index(index_path, full_fallback=False) \
                 as mapper:
-            mapper.to_sam(mapper.map_stream(named), offline)
+            mapper.write(mapper.map_stream(named), offline,
+                         format="sam")
         with Client(server.socket_path) as client:
             reply = client.map_pairs(wire_pairs(pairs), header=True)
         assert "\n".join(reply["sam"]) + "\n" == offline.read_text()

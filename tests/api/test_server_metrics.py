@@ -94,6 +94,16 @@ class TestTraceFlag:
             assert entry["elapsed_s"] >= 0.0
             assert entry["depth"] >= 0
 
+    def test_trace_attributes_the_mm2_engine_by_stage(self, server,
+                                                      pairs):
+        with Client(server.socket_path) as client:
+            reply = client.map_pairs(wire_pairs(pairs[:3]), engine="mm2",
+                                     trace=True)
+        names = {entry["name"] for entry in reply["trace"]}
+        assert {"mm2.seeding", "mm2.chaining", "mm2.alignment",
+                "mm2.pairing"} <= names
+        assert "seed.query_batch" not in names
+
     def test_trace_flag_never_changes_the_wire(self, server, pairs):
         with Client(server.socket_path) as client:
             plain = client.map_pairs(wire_pairs(pairs), header=True)

@@ -6,6 +6,10 @@ must treat these as read-only.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -19,6 +23,20 @@ from repro.genome.reference import RepeatProfile
 # ``max_examples`` to the profile (the DP kernel against its scalar
 # oracle) search ten times deeper in CI than at the desk.
 settings.register_profile("ci", max_examples=1000, deadline=None)
+
+
+def _load_core_oracle():
+    """Make ``tests/core/oracle.py`` importable as ``core_oracle`` from
+    every test directory.  By path: the top-level name ``oracle``
+    belongs to tests/align's."""
+    spec = importlib.util.spec_from_file_location(
+        "core_oracle", Path(__file__).parent / "core" / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+
+
+_load_core_oracle()
 
 
 @pytest.fixture(scope="session")
@@ -72,7 +90,7 @@ def sample_pairs(simulator):
     return simulator.simulate_pairs(120)
 
 
-def record_signature(record):
+def _record_fields(record):
     """Every observable field of an AlignmentRecord, as a tuple."""
     return (record.query_name, record.chromosome, record.position,
             record.strand, record.mapq, str(record.cigar), record.score,
@@ -91,9 +109,35 @@ def result_signature():
     """
     def signature(result):
         return (result.name, result.stage, result.orientation,
-                result.joint_score, record_signature(result.record1),
-                record_signature(result.record2))
+                result.joint_score, _record_fields(result.record1),
+                _record_fields(result.record2))
     return signature
+
+
+@pytest.fixture(scope="session")
+def record_signature():
+    """Full-field signature of one AlignmentRecord (single-read
+    engines), the per-record half of :func:`result_signature`."""
+    return _record_fields
+
+
+@pytest.fixture()
+def seedmap_probes(monkeypatch):
+    """Reads per SeedMap probe: the ``group_count`` of every
+    ``query_hash_groups`` call ``resolve_reads`` makes in the test."""
+    import repro.core.query as query
+
+    real = query.query_hash_groups
+    calls = []
+
+    def counting(seedmap, hashes, offsets, groups, group_count,
+                 group_sizes):
+        calls.append(group_count)
+        return real(seedmap, hashes, offsets, groups, group_count,
+                    group_sizes)
+
+    monkeypatch.setattr(query, "query_hash_groups", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

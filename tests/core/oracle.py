@@ -1,28 +1,185 @@
-"""Scalar pair seeding and querying: the oracle the chunk dataflow is
-tested against.
+"""The scalar seed→candidate chain: the oracle of ``resolve_reads``.
 
-This is the pair-by-pair path ``GenPairPipeline.map_pair`` ran before
-the chunked dataflow became the only one: every seed hashed on its own
-(``hash_seed`` via :func:`repro.core.partition_read`), looked up on its
-own (``SeedMap.query`` via :func:`repro.core.query_read`) and each
-read's hits merged with ``np.unique``.  It defines what
-``GenPairPipeline._resolve_chunk`` must reproduce exactly — candidates
-(values and dtype), seed hits, locations fetched, Seed Table accesses —
-and, fed through the pipeline's own per-pair decision
-(``_map_prepared``), what every chunk size must map to.  Nothing under
-``src/`` imports this module.
+This is the per-seed path that ran under ``src/`` before the chunk
+resolver (:func:`repro.core.query.resolve_reads`) became the only
+front-end: every seed hashed on its own (pure-Python :func:`xxhash32`
+of the 2-bit packed window, :func:`hash_seed`), looked up on its own
+(``SeedMap.query``) and each read's hits merged with ``np.unique``
+(:func:`query_read`).  It defines what ``resolve_reads`` must reproduce
+exactly — candidates (values and dtype), seed hits, locations fetched,
+Seed Table accesses — read by read; fed through the pipeline's own
+per-pair decision (``_map_prepared``), what every GenPair chunk size
+must map to; and, through the scalar :func:`longread_votes`, what the
+long-read mode must vote.
+
+The chain imports no hashing or query function from the package — only
+``SeedMap``, ``QueryResult``, ``seed_offsets`` and ``pair_role_codes``
+(plus ``filter_adjacent`` for the long-read vote, which is downstream
+of the chain).  Nothing under ``src/`` imports this module; tests load
+it as ``core_oracle`` (``tests/conftest.py`` — the top-level name
+``oracle`` belongs to ``tests/align/oracle.py``).
 """
 
 from __future__ import annotations
 
+import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import (QueryResult, Seed, SeedMap, pair_role_codes,
-                        partition_read, query_read)
+from repro.core import (QueryResult, SeedMap, filter_adjacent,
+                        pair_role_codes, seed_offsets)
 
+# -- pure-Python xxHash32, bit-exact to the reference specification ----------
+# (https://github.com/Cyan4973/xxHash; the spec vectors are in
+# tests/hashing/test_xxhash.py)
+
+_PRIME32_1 = 0x9E3779B1
+_PRIME32_2 = 0x85EBCA77
+_PRIME32_3 = 0xC2B2AE3D
+_PRIME32_4 = 0x27D4EB2F
+_PRIME32_5 = 0x165667B1
+_MASK32 = 0xFFFFFFFF
+
+
+def _rotl32(value: int, count: int) -> int:
+    value &= _MASK32
+    return ((value << count) | (value >> (32 - count))) & _MASK32
+
+
+def _round(accumulator: int, lane: int) -> int:
+    accumulator = (accumulator + lane * _PRIME32_2) & _MASK32
+    accumulator = _rotl32(accumulator, 13)
+    return (accumulator * _PRIME32_1) & _MASK32
+
+
+def xxhash32(data: bytes, seed: int = 0) -> int:
+    """Compute the 32-bit xxHash of ``data`` with the given ``seed``."""
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise TypeError("xxhash32 expects bytes-like input")
+    data = bytes(data)
+    seed &= _MASK32
+    length = len(data)
+    index = 0
+
+    if length >= 16:
+        acc1 = (seed + _PRIME32_1 + _PRIME32_2) & _MASK32
+        acc2 = (seed + _PRIME32_2) & _MASK32
+        acc3 = seed
+        acc4 = (seed - _PRIME32_1) & _MASK32
+        limit = length - 16
+        while index <= limit:
+            lanes = struct.unpack_from("<IIII", data, index)
+            acc1 = _round(acc1, lanes[0])
+            acc2 = _round(acc2, lanes[1])
+            acc3 = _round(acc3, lanes[2])
+            acc4 = _round(acc4, lanes[3])
+            index += 16
+        digest = (_rotl32(acc1, 1) + _rotl32(acc2, 7)
+                  + _rotl32(acc3, 12) + _rotl32(acc4, 18)) & _MASK32
+    else:
+        digest = (seed + _PRIME32_5) & _MASK32
+
+    digest = (digest + length) & _MASK32
+
+    while index + 4 <= length:
+        (lane,) = struct.unpack_from("<I", data, index)
+        digest = (digest + lane * _PRIME32_3) & _MASK32
+        digest = (_rotl32(digest, 17) * _PRIME32_4) & _MASK32
+        index += 4
+
+    while index < length:
+        digest = (digest + data[index] * _PRIME32_5) & _MASK32
+        digest = (_rotl32(digest, 11) * _PRIME32_1) & _MASK32
+        index += 1
+
+    digest ^= digest >> 15
+    digest = (digest * _PRIME32_2) & _MASK32
+    digest ^= digest >> 13
+    digest = (digest * _PRIME32_3) & _MASK32
+    digest ^= digest >> 16
+    return digest
+
+
+# -- scalar seeding and querying ---------------------------------------------
+
+def pack_2bit(codes: np.ndarray) -> bytes:
+    """2 bits per base, 4 bases per byte, first base in the low bits."""
+    values = [int(code) for code in codes]
+    if any(value > 3 for value in values):
+        raise ValueError("cannot 2-bit pack ambiguous bases")
+    values += [0] * (-len(values) % 4)
+    return bytes(values[i] | values[i + 1] << 2 | values[i + 2] << 4
+                 | values[i + 3] << 6 for i in range(0, len(values), 4))
+
+
+def hash_seed(codes: np.ndarray, seed: int = 0) -> int:
+    """Hash one concrete seed (code array) to a 32-bit key."""
+    return xxhash32(pack_2bit(codes), seed=seed)
+
+
+@dataclass(frozen=True)
+class Seed:
+    """One extracted seed: its read offset, codes, and 32-bit hash."""
+
+    read_offset: int
+    codes: np.ndarray
+    hash_value: int
+
+
+def partition_read(codes: np.ndarray, seed_length: int = 50,
+                   seeds_per_read: int = 3) -> List[Seed]:
+    """Extract ``seeds_per_read`` non-overlapping seeds from one read.
+
+    Seeds are placed at the first, (evenly spaced) middle, and last windows
+    of the read; a 150bp read with 50bp seeds tiles exactly.  Reads shorter
+    than one seed yield no seeds (they always fall back to DP), and a
+    window holding an ambiguous base (code > 3) is not a seed: it cannot
+    be an exact 2-bit match.
+    """
+    seeds = []
+    for offset in seed_offsets(len(codes), seed_length, seeds_per_read):
+        window = codes[offset:offset + seed_length]
+        if any(int(code) > 3 for code in window):
+            continue
+        seeds.append(Seed(read_offset=offset, codes=window,
+                          hash_value=hash_seed(window)))
+    return seeds
+
+
+def query_read(seedmap: SeedMap, seeds: Sequence[Seed]) -> QueryResult:
+    """Query SeedMap with one read's seeds; merge into sorted candidates."""
+    hit_lists = []
+    locations_fetched = 0
+    seed_hits = 0
+    for seed in seeds:
+        locations = seedmap.query(seed.hash_value)
+        locations_fetched += int(locations.size)
+        if locations.size:
+            seed_hits += 1
+            hit_lists.append(locations - seed.read_offset)
+    if hit_lists:
+        merged = np.unique(np.concatenate(hit_lists))
+    else:
+        merged = np.zeros(0, dtype=np.int64)
+    return QueryResult(candidates=merged, seed_hits=seed_hits,
+                       locations_fetched=locations_fetched,
+                       seed_table_accesses=len(seeds))
+
+
+def resolve_reads(seedmap: SeedMap, reads: Sequence[np.ndarray],
+                  seed_length: int,
+                  seeds_per_read: int = 3) -> List[QueryResult]:
+    """What ``repro.core.resolve_reads`` must return, one read at a
+    time."""
+    return [query_read(seedmap, partition_read(codes, seed_length,
+                                               seeds_per_read))
+            for codes in reads]
+
+
+# -- GenPair: the pair-by-pair path ------------------------------------------
 
 @dataclass(frozen=True)
 class PairSeeds:
@@ -73,18 +230,36 @@ def prepare_pair(pipeline, read1: np.ndarray, read2: np.ndarray
                                     config.seeds_per_read))
 
 
-def resolve_chunk(pipeline, items) -> List[QueryResult]:
-    """What ``pipeline._resolve_chunk(items)`` must return: four results
-    per pair, in role order (fr read1, fr read2, rf read1, rf read2)."""
-    return [result
-            for read1, read2, _ in items
-            for orientation in prepare_pair(pipeline, read1, read2)
-            for result in orientation]
-
-
 def map_pairs(pipeline, items) -> list:
     """Map ``(read1, read2, name)`` items one pair at a time: scalar
     seeding and querying, then the pipeline's own per-pair decision."""
     return [pipeline._map_prepared(read1, read2, name,
                                    prepare_pair(pipeline, read1, read2))
             for read1, read2, name in items]
+
+
+# -- long reads: the scalar Location Voting ----------------------------------
+
+def longread_votes(mapper, codes: np.ndarray) -> Tuple[Counter, int]:
+    """``(votes, pseudo_pairs)`` of one long read, the way
+    ``LongReadMapper._vote`` ran before chunk-wide resolution: each
+    pseudo-pair seeds and queries both its chunks on its own, so every
+    interior chunk is resolved twice."""
+    config = mapper.config
+    length = config.chunk_length
+    chunks = [(start, codes[start:start + length])
+              for start in range(0, len(codes) - length + 1, length)]
+    votes: Counter = Counter()
+    pseudo_pairs = 0
+    for (off1, chunk1), (_off2, chunk2) in zip(chunks, chunks[1:]):
+        pseudo_pairs += 1
+        result1 = query_read(mapper.seedmap, partition_read(
+            chunk1, config.seed_length, config.seeds_per_chunk))
+        result2 = query_read(mapper.seedmap, partition_read(
+            chunk2, config.seed_length, config.seeds_per_chunk))
+        filtered = filter_adjacent(result1.candidates, result2.candidates,
+                                   delta=config.delta,
+                                   boundaries=mapper._chromosome_starts)
+        for cand1, _cand2 in filtered.pairs:
+            votes[(cand1 - off1) // config.vote_bin] += 1
+    return votes, pseudo_pairs

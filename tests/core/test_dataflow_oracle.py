@@ -1,35 +1,20 @@
 """The chunk dataflow against the scalar oracle (``oracle.py``).
 
-Two contracts: ``GenPairPipeline._resolve_chunk`` returns, query for
-query and field for field, what per-seed hashing + ``SeedMap.query`` +
-a per-read ``np.unique`` merge return; and whatever the chunk size —
+Two contracts: ``resolve_reads`` returns, read for read and field for
+field, what per-seed hashing + ``SeedMap.query`` + a per-read
+``np.unique`` merge return; and whatever the chunk size —
 including ``map_pair``'s chunk of one — results and ``PipelineStats``
 equal the oracle's queries fed one pair at a time through the same
 per-pair decision.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
+import core_oracle as oracle  # tests/core/oracle.py, see conftest
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import GenPairPipeline
+from repro.core import GenPairPipeline, pair_role_codes, resolve_reads
 from repro.genome import ErrorModel, ReadSimulator, reverse_complement
-
-
-def _load_oracle():
-    # By path: the top-level name ``oracle`` belongs to tests/align's.
-    spec = importlib.util.spec_from_file_location(
-        "core_oracle", Path(__file__).with_name("oracle.py"))
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-oracle = _load_oracle()
 
 
 def as_items(pairs):
@@ -76,27 +61,32 @@ def assert_same_queries(got, want):
         assert have.traffic_bytes == expect.traffic_bytes
 
 
-class TestResolveChunk:
-    def test_giab_like_set(self, small_reference, seedmap, giab_items):
-        pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
-        assert_same_queries(pipeline._resolve_chunk(giab_items),
-                            oracle.resolve_chunk(pipeline, giab_items))
+def role_codes(items):
+    """What ``_map_chunk`` hands the resolver: four reads per pair."""
+    return [codes for read1, read2, _ in items
+            for codes in pair_role_codes(read1, read2)]
 
-    def test_clean_set(self, plain_reference, plain_seedmap, clean_items):
-        pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
-        got = pipeline._resolve_chunk(clean_items)
-        assert_same_queries(got, oracle.resolve_chunk(pipeline,
-                                                      clean_items))
+
+def both(seedmap, reads, seed_length=50, seeds_per_read=3):
+    return (resolve_reads(seedmap, reads, seed_length, seeds_per_read),
+            oracle.resolve_reads(seedmap, reads, seed_length,
+                                 seeds_per_read))
+
+
+class TestResolveReads:
+    def test_giab_like_set(self, seedmap, giab_items):
+        assert_same_queries(*both(seedmap, role_codes(giab_items)))
+
+    def test_clean_set(self, plain_seedmap, clean_items):
+        got, want = both(plain_seedmap, role_codes(clean_items))
+        assert_same_queries(got, want)
         # An error-free pair hits with all three seeds in its true
         # orientation: the comparison is not between empty results.
         assert any(result.seed_hits == 3 for result in got)
 
-    def test_unequal_and_short_reads(self, plain_reference, plain_seedmap,
-                                     unequal_items):
-        pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
-        got = pipeline._resolve_chunk(unequal_items)
-        assert_same_queries(got, oracle.resolve_chunk(pipeline,
-                                                      unequal_items))
+    def test_unequal_and_short_reads(self, plain_seedmap, unequal_items):
+        got, want = both(plain_seedmap, role_codes(unequal_items))
+        assert_same_queries(got, want)
         # Pair "c": read 2 is 40bp — fr role 2 and rf role 1 carry no
         # seed, so no Seed Table access is charged for them.
         accesses = [result.seed_table_accesses for result in got[8:12]]
@@ -105,17 +95,75 @@ class TestResolveChunk:
         assert all(result.seed_table_accesses == 0
                    and result.candidates.size == 0 for result in got[16:])
 
-    def test_chunk_of_only_short_reads(self, plain_reference,
-                                       plain_seedmap, unequal_items):
-        pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
-        items = unequal_items[4:]
-        assert_same_queries(pipeline._resolve_chunk(items),
-                            oracle.resolve_chunk(pipeline, items))
+    def test_chunk_of_only_short_reads(self, plain_seedmap, unequal_items):
+        assert_same_queries(*both(plain_seedmap,
+                                  role_codes(unequal_items[4:])))
 
-    def test_empty_chunk(self, plain_reference, plain_seedmap):
+    def test_empty_input(self, plain_seedmap):
+        assert both(plain_seedmap, []) == ([], [])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_read_lists_match_oracle(self, plain_reference,
+                                            plain_seedmap, data):
+        """Mixed lengths 0..400 (some shorter than a seed), reads drawn
+        from the reference (so seeds hit) with a few bases flipped and
+        the occasional N."""
+        chrom_len = plain_reference.length("chr1")
+        reads = []
+        for _ in range(data.draw(st.integers(0, 12), label="reads")):
+            length = data.draw(st.integers(0, 400), label="length")
+            start = data.draw(st.integers(0, chrom_len - length),
+                              label="start")
+            codes = plain_reference.fetch("chr1", start,
+                                          start + length).copy()
+            for position in data.draw(
+                    st.lists(st.integers(0, max(0, length - 1)),
+                             max_size=3), label="edits"):
+                if length:
+                    codes[position] = data.draw(st.integers(0, 4),
+                                                label="base")
+            reads.append(codes)
+        seed_length = data.draw(st.sampled_from([50, 50, 32]),
+                                label="seed_length")
+        seeds_per_read = data.draw(st.integers(1, 4), label="seeds")
+        assert_same_queries(*both(plain_seedmap, reads, seed_length,
+                                  seeds_per_read))
+
+
+class TestOneProbePerChunk:
+    """Every engine's reads enter through ``resolve_reads``: one
+    ``query_hash_groups`` call per chunk, whatever the chunk holds."""
+
+    def test_genpair_chunk(self, plain_reference, plain_seedmap,
+                           clean_items, seedmap_probes):
         pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
-        assert pipeline._resolve_chunk([]) == []
-        assert oracle.resolve_chunk(pipeline, []) == []
+        pipeline.map_pairs(clean_items[:10], chunk_size=4)
+        assert seedmap_probes == [16, 16, 8]
+
+
+class TestScalarPathLeftSrc:
+    """The per-seed path exists in ``tests/`` only: nothing can select
+    it, because it cannot be imported from the package."""
+
+    @pytest.mark.parametrize("module", ["repro.hashing.xxhash32",
+                                        "repro.mapper.profiler"])
+    def test_modules_are_gone(self, module):
+        import importlib
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize("package, name", [
+        ("repro.core", "partition_read"), ("repro.core", "query_read"),
+        ("repro.core", "Seed"), ("repro.hashing", "hash_seed"),
+        ("repro.hashing", "hash_seeds"), ("repro.hashing", "xxhash32"),
+        ("repro.filters.adjacency", "adjacency_from_query"),
+        ("repro.mapper", "StageTimer"), ("repro.mapper", "STAGES")])
+    def test_names_are_gone(self, package, name):
+        import importlib
+        module = importlib.import_module(package)
+        assert not hasattr(module, name)
+        assert name not in getattr(module, "__all__", ())
 
 
 class TestOraclePartition:

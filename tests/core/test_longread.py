@@ -1,10 +1,21 @@
 """Tests for the long-read mapping mode (§4.7)."""
 
+import core_oracle as oracle  # tests/core/oracle.py, see conftest
 import numpy as np
 import pytest
 
-from repro.core import LongReadConfig, LongReadMapper
+from repro.core import (LongReadConfig, LongReadMapper, LongReadStats,
+                        resolve_reads)
 from repro.genome import ErrorModel, ReadSimulator, random_sequence
+from repro.genome.sequence import N_CODE
+
+
+def votes_of(mapper, codes):
+    """One read's Location Voting, the way ``map_reads`` runs it."""
+    config = mapper.config
+    return mapper._vote(resolve_reads(
+        mapper.seedmap, mapper._chunks(codes), config.seed_length,
+        config.seeds_per_chunk))
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +107,7 @@ class TestVoteThresholdAndBatch:
         permissive = LongReadMapper(plain_reference,
                                     seedmap=plain_seedmap)
         assert permissive.map_read(codes, "a").mapped
-        votes = permissive._vote(codes)
+        votes = votes_of(permissive, codes)
         bar = max(votes.values()) + 1
         strict = LongReadMapper(
             plain_reference, seedmap=plain_seedmap,
@@ -127,3 +138,96 @@ class TestVoteThresholdAndBatch:
         assert [(r.position, r.score) for r in got] \
             == [(r.position, r.score) for r in expected]
         assert batched.stats.reads_total == 3
+
+
+class TestAgainstScalarOracle:
+    """Chunk-wide resolution (each pseudo-pair chunk resolved once, all
+    reads of an engine chunk in one probe) votes and maps exactly as the
+    scalar per-pseudo-pair path in ``tests/core/oracle.py``."""
+
+    @pytest.fixture(scope="class")
+    def reads(self, small_reference):
+        sim = ReadSimulator(small_reference, seed=13)
+        simulated = sim.simulate_long_reads(9, length_mean=1800,
+                                            length_sd=500,
+                                            error_rate=0.005)
+        items = [(read.codes, read.name) for read in simulated]
+        # One read shorter than a chunk, one of exactly one chunk (no
+        # pseudo-pair), one spanning an N.
+        items.append((small_reference.fetch("chr1", 100, 220), "short"))
+        items.append((small_reference.fetch("chr1", 900, 1050), "one"))
+        with_n = small_reference.fetch("chr2", 3000, 4200).copy()
+        with_n[170] = N_CODE
+        items.append((with_n, "with_n"))
+        return items
+
+    def test_votes_match_oracle_read_by_read(self, small_reference,
+                                             seedmap, reads):
+        mapper = LongReadMapper(small_reference, seedmap=seedmap)
+        pseudo_pairs = 0
+        voted = 0
+        for codes, _name in reads:
+            want, pairs = oracle.longread_votes(mapper, codes)
+            got = votes_of(mapper, codes)
+            assert got == want
+            # Same insertion order, hence the same most_common() ties.
+            assert list(got) == list(want)
+            pseudo_pairs += pairs
+            voted += bool(want)
+        assert mapper.stats.pseudo_pairs == pseudo_pairs > 50
+        assert voted >= 9
+
+    @pytest.fixture(scope="class")
+    def looped(self, small_reference, seedmap, reads):
+        mapper = LongReadMapper(small_reference, seedmap=seedmap)
+        return ([mapper.map_read(codes, name) for codes, name in reads],
+                mapper.stats)
+
+    def test_loop_maps_and_counts(self, looped, reads):
+        records, stats = looped
+        by_name = {record.query_name: record for record in records}
+        assert not by_name["short"].mapped and not by_name["one"].mapped
+        assert by_name["with_n"].mapped
+        assert "X" in str(by_name["with_n"].cigar)
+        assert stats.reads_total == len(reads)
+        assert stats.mapped >= 9
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 256])
+    def test_chunk_size_never_changes_output(self, small_reference,
+                                             seedmap, reads, looped,
+                                             chunk_size, record_signature):
+        want, want_stats = looped
+        mapper = LongReadMapper(small_reference, seedmap=seedmap)
+        got = []
+        for start in range(0, len(reads), chunk_size):
+            got.extend(mapper.map_reads(reads[start:start + chunk_size]))
+        assert list(map(record_signature, got)) \
+            == list(map(record_signature, want))
+        assert mapper.stats == want_stats
+
+    def test_each_chunk_resolved_once_in_one_probe(
+            self, small_reference, seedmap, reads, seedmap_probes):
+        mapper = LongReadMapper(small_reference, seedmap=seedmap)
+        mapper.map_reads(reads)
+        chunks = sum(len(codes) // mapper.config.chunk_length
+                     for codes, _name in reads)
+        assert seedmap_probes == [chunks]
+        # The scalar path resolved both chunks of every pseudo-pair.
+        assert 2 * mapper.stats.pseudo_pairs > chunks
+
+    def test_no_votes_is_not_an_exception(self, small_reference, seedmap):
+        codes = small_reference.fetch("chr1", 2000, 3500)
+        mapper = LongReadMapper(small_reference, seedmap=seedmap)
+        assert not votes_of(mapper, codes[:149])
+        assert not votes_of(mapper, codes[:0])
+        # A chunk too short to hold a seed: pseudo-pairs, but no seed.
+        seedless = LongReadMapper(
+            small_reference, seedmap=seedmap,
+            config=LongReadConfig(chunk_length=40))
+        assert not votes_of(seedless, codes)
+        assert oracle.longread_votes(seedless, codes)[0] == {}
+        seedless.stats = LongReadStats()
+        assert not seedless.map_read(codes, "seedless").mapped
+        assert seedless.stats == LongReadStats(reads_total=1,
+                                               pseudo_pairs=36)
+        assert seedless.map_reads([]) == []

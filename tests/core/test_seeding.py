@@ -1,11 +1,12 @@
-"""Tests for Partitioned Seeding."""
+"""Tests for Partitioned Seeding: where the seeds sit
+(``repro.core.seed_offsets``, through the scalar oracle's
+``partition_read``) and what they hash to."""
 
 import numpy as np
 import pytest
 
-from repro.core import partition_read
+from core_oracle import hash_seed, partition_read
 from repro.genome import random_sequence
-from repro.hashing import hash_seed
 
 
 class TestPartitionRead:

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
+from core_oracle import hash_seed
 from repro.core import SeedMap
-from repro.core.seeding import partition_read
 from repro.genome import ReferenceGenome, encode, random_sequence
-from repro.hashing import hash_seed
 
 
 class TestBuild:

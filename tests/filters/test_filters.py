@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import LightAligner, partition_read
+from core_oracle import partition_read
+from repro.core import LightAligner
 from repro.filters import (FilteredLightAligner, adjacency_filter,
                            exact_match_at, gatekeeper_filter,
                            pair_exact_match, shd_filter)
@@ -96,16 +97,14 @@ class TestGateKeeper:
 class TestAdjacency:
     def test_true_locus_supported(self, plain_reference, plain_seedmap):
         codes = plain_reference.fetch("chr1", 4000, 4150)
-        seeds = partition_read(codes, 50)
-        result = adjacency_filter(plain_seedmap, seeds, min_support=2)
+        result = adjacency_filter(plain_seedmap, codes, min_support=2)
         assert result.passed
         assert any(abs(c - 4000) <= 5 for c in result.candidates)
         assert max(result.support) == 3  # all three seeds agree
 
     def test_random_read_unsupported(self, plain_seedmap):
         codes = random_sequence(np.random.default_rng(9), 150)
-        seeds = partition_read(codes, 50)
-        assert not adjacency_filter(plain_seedmap, seeds).passed
+        assert not adjacency_filter(plain_seedmap, codes).passed
 
     def test_single_seed_insufficient(self, plain_reference,
                                       plain_seedmap):
@@ -113,9 +112,24 @@ class TestAdjacency:
         # Corrupt the middle and last seeds; only the first survives.
         codes[60] = (codes[60] + 1) % 4
         codes[110] = (codes[110] + 1) % 4
-        seeds = partition_read(codes, 50)
-        result = adjacency_filter(plain_seedmap, seeds, min_support=2)
+        result = adjacency_filter(plain_seedmap, codes, min_support=2)
         assert not any(abs(c - 5000) <= 5 for c in result.candidates)
+
+    def test_support_counts_every_hit_of_every_seed(self, small_reference,
+                                                    seedmap):
+        """Against the scalar seeding: on a repeat-rich reference the
+        support adds up to the un-deduplicated per-seed hit count."""
+        codes = small_reference.fetch("chr1", 5000, 5150)
+        hits = sum(seedmap.query(seed.hash_value).size
+                   for seed in partition_read(codes, 50))
+        result = adjacency_filter(seedmap, codes, seed_length=50,
+                                  min_support=1)
+        assert sum(result.support) == hits >= 3
+
+    def test_read_shorter_than_a_seed(self, plain_reference,
+                                      plain_seedmap):
+        codes = plain_reference.fetch("chr1", 4000, 4030)
+        assert not adjacency_filter(plain_seedmap, codes).passed
 
 
 class TestExactFilter:

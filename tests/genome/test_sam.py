@@ -79,7 +79,7 @@ class TestSamWriter:
             assert writer.count == 3
         assert streamed.read_text() == eager.read_text()
 
-    def test_write_pair_appends_both_records(self, tmp_path):
+    def test_write_result_appends_both_records(self, tmp_path):
         class FakeResult:
             record1 = AlignmentRecord("p/1", "chr1", 0,
                                       cigar=Cigar.parse("4="))
@@ -88,7 +88,7 @@ class TestSamWriter:
 
         path = tmp_path / "pairs.sam"
         with SamWriter(path) as writer:
-            writer.write_pair(FakeResult())
+            writer.write_result(FakeResult())
             assert writer.count == 2
         body = [line for line in path.read_text().splitlines()
                 if not line.startswith("@")]

@@ -1,10 +1,11 @@
-"""Tests for the scalar xxHash32 implementation."""
+"""Tests for the scalar xxHash32 reference (``tests/core/oracle.py``):
+the spec vectors that anchor it, and through it the vectorized kernel
+(``test_vectorized.py`` compares the two row for row)."""
 
 import numpy as np
 import pytest
 
-from repro.hashing import hash_seed, xxhash32
-from repro.hashing.xxhash32 import _rotl32
+from core_oracle import _rotl32, hash_seed, xxhash32
 
 
 class TestSpecVectors:

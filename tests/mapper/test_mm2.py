@@ -104,14 +104,22 @@ class TestPairedEnd:
                 == (g1.position, g2.position, gp)
         assert batched.stats.pairs_seen == serial.stats.pairs_seen
 
-    def test_timer_populated(self, plain_reference, clean_pairs):
+    def test_stage_spans_recorded_under_a_trace(self, plain_reference,
+                                                clean_pairs):
+        from repro.obs import capture_trace
+
         mapper = Mm2LikeMapper(plain_reference)
-        mapper.map_pair(clean_pairs[2].read1.codes,
-                        clean_pairs[2].read2.codes, "t")
-        seconds = mapper.timer.seconds
-        assert seconds["seeding"] > 0
-        assert seconds["chaining"] > 0
-        assert seconds["alignment"] > 0
+        with capture_trace() as tracer:
+            mapper.map_pair(clean_pairs[2].read1.codes,
+                            clean_pairs[2].read2.codes, "t")
+        seconds = {}
+        for record in tracer.records:
+            seconds[record.name] = (seconds.get(record.name, 0.0)
+                                    + record.elapsed_s)
+        assert set(seconds) == {"mm2.seeding", "mm2.chaining",
+                                "mm2.alignment", "mm2.pairing"}
+        assert all(value > 0 for value in seconds.values())
+        assert not hasattr(mapper, "timer")
 
 
 class TestFallbackAdapter:

@@ -68,9 +68,9 @@ def main() -> None:
         wire = [(decode(p.read1.codes), decode(p.read2.codes), p.name)
                 for p in pairs[:3]]
         reply = client.map_pairs(wire)
-        print(f"   {reply['pairs']} pairs -> {len(reply['sam'])} SAM "
+        print(f"   {reply['pairs']} pairs -> {len(reply['lines'])} SAM "
               f"records in {reply['elapsed_s'] * 1e3:.1f} ms")
-        for line in reply["sam"][:2]:
+        for line in reply["lines"][:2]:
             print(f"     {line.split(chr(9))[0]} ... "
                   f"{line.split(chr(9))[3]}")
 

@@ -1,19 +1,13 @@
-"""DP alignment substrate: scoring, Gotoh aligners, banding, chaining.
-
-:mod:`~repro.align.stages` adapts the substrate to the pipeline's
-candidate-aligner contract (:class:`BandedDpAligner`), registered as
-``"banded-dp"`` in :data:`repro.api.registry.ALIGNERS`.
-"""
+"""DP alignment substrate: scoring, Gotoh aligners, banding, chaining."""
 
 from .banded import AlignmentStack, align_banded, stack_problems
 from .chaining import Anchor, Chain, ChainingResult, chain_anchors
 from .dp import NEG_INF, AlignmentResult, align_local, align_semiglobal
 from .scoring import DEFAULT_SCHEME, HIGH_QUALITY_THRESHOLD, ScoringScheme
-from .stages import BandedDpAligner
 
 __all__ = [
-    "Anchor", "AlignmentResult", "AlignmentStack", "BandedDpAligner",
-    "Chain", "ChainingResult", "DEFAULT_SCHEME", "HIGH_QUALITY_THRESHOLD",
+    "Anchor", "AlignmentResult", "AlignmentStack", "Chain",
+    "ChainingResult", "DEFAULT_SCHEME", "HIGH_QUALITY_THRESHOLD",
     "NEG_INF", "ScoringScheme", "align_banded", "align_local",
     "align_semiglobal", "chain_anchors", "stack_problems",
 ]

@@ -34,11 +34,9 @@ Hello world::
         mapper.write(results, "demo.sam", format="sam")
         print(mapper.last_stats.pairs_total, "pairs mapped")
 
-Workload and stage selection are declarative through the registries
-(:data:`~repro.api.registry.ENGINES`,
-:data:`~repro.api.registry.OUTPUT_FORMATS`,
-:data:`~repro.api.registry.FILTER_CHAINS`,
-:data:`~repro.api.registry.ALIGNERS`)::
+Engine and output format are selected by name from the two tables of
+:mod:`repro.api.registry` (:data:`~repro.api.registry.ENGINES`,
+:data:`~repro.api.registry.OUTPUT_FORMATS`)::
 
     config = MappingConfig(engine="longread", output_format="paf")
     with Mapper.from_index("demo.rpix", config=config) as mapper:
@@ -61,14 +59,11 @@ _EXPORTS = {
     "Mm2Options": ".config",
     "LongReadOptions": ".config",
     "UNSET": ".config",
-    "ALIGNERS": ".registry",
     "ENGINES": ".registry",
-    "FILTER_CHAINS": ".registry",
     "OUTPUT_FORMATS": ".registry",
     "OutputFormat": ".registry",
     "output_format": ".registry",
     "RegistryError": ".registry",
-    "StageRegistry": ".registry",
     "Engine": ".engines",
     "GenPairEngine": ".engines",
     "LongReadEngine": ".engines",
@@ -97,9 +92,8 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from .engines import (Engine, GenPairEngine, LongReadEngine,
                           Mm2Engine)
     from .mapper import Mapper
-    from .registry import (ALIGNERS, ENGINES, FILTER_CHAINS,
-                           OUTPUT_FORMATS, OutputFormat, RegistryError,
-                           StageRegistry, output_format)
+    from .registry import (ENGINES, OUTPUT_FORMATS, OutputFormat,
+                           RegistryError, output_format)
     from ..serve import (MapServer, ServeSettings, ServerError,
                          ServerStats, serve)
 

@@ -212,8 +212,7 @@ class Client:
         enforced daemon-side (``0`` disables the daemon's default
         deadline for this request).  Returns the raw response:
         ``lines`` (record lines in the requested format, prefixed with
-        the header lines when ``header=True``; ``sam`` stays as an
-        alias for the SAM format), per-request ``stats``,
+        the header lines when ``header=True``), per-request ``stats``,
         ``elapsed_s``, and ``coalesced`` (how many concurrent requests
         shared this request's engine run).  With ``trace=True`` the
         response also carries ``trace`` — the per-stage span breakdown

@@ -3,7 +3,7 @@
 :class:`MappingConfig` is the one knob object of the public API: it
 consolidates the algorithmic parameters of
 :class:`~repro.core.pipeline.GenPairConfig` with the index, batching,
-worker, and stage-selection knobs that used to be scattered across
+worker, and engine/format-selection knobs that used to be scattered across
 ``GenPairPipeline``, ``StreamExecutor``, ``open_index``, and the CLI.
 A config validates itself eagerly (:meth:`MappingConfig.validate`),
 round-trips through plain dictionaries (:meth:`MappingConfig.to_dict` /
@@ -150,9 +150,6 @@ class MappingConfig:
       ``longread`` carry engine-specific sub-configs
       (:class:`Mm2Options` / :class:`LongReadOptions`) that are
       rejected loudly when they don't apply to the selected engine;
-    * **stages** — ``filter_chain`` and ``aligner`` name registry
-      entries (:mod:`repro.api.registry`), selecting the pre-alignment
-      candidate screen and the candidate aligner declaratively;
     * **execution** — ``batch_size`` (pairs per chunk of the one
       chunked dataflow; chunk boundaries never change results) and
       ``workers`` (>1 streams chunks through a persistent forked
@@ -180,9 +177,6 @@ class MappingConfig:
     output_format: str = "sam"
     mm2: Optional[Mm2Options] = None
     longread: Optional[LongReadOptions] = None
-    # stages
-    filter_chain: str = "none"
-    aligner: str = "light"
     # execution
     batch_size: int = 256
     workers: int = 1
@@ -231,8 +225,7 @@ class MappingConfig:
                 or not 0.0 <= float(self.min_dp_score_fraction) <= 1.0:
             problems.append("min_dp_score_fraction must be within "
                             f"[0, 1], got {self.min_dp_score_fraction!r}")
-        for name in ("engine", "output_format", "filter_chain",
-                     "aligner"):
+        for name in ("engine", "output_format"):
             if not isinstance(getattr(self, name), str):
                 problems.append(f"{name} must be a registry name string, "
                                 f"got {getattr(self, name)!r}")
@@ -261,21 +254,17 @@ class MappingConfig:
         return self
 
     def resolve_stages(self) -> None:
-        """Check every registry-named knob against its registry.
+        """Check ``engine`` and ``output_format`` against their tables
+        (:mod:`repro.api.registry`).
 
-        ``filter_chain``/``aligner``/``engine``/``output_format`` are
-        validated by name; separate from :meth:`validate` so
-        constructing a config stays import-light.
-        :class:`~repro.api.Mapper` calls this before building anything,
-        and each error names the available entries.
+        Separate from :meth:`validate` so constructing a config stays
+        import-light.  :class:`~repro.api.Mapper` calls this before
+        building anything, and each error names the available entries.
         """
-        from .registry import (ALIGNERS, ENGINES, FILTER_CHAINS,
-                               OUTPUT_FORMATS)
+        from .registry import engine_class, output_format
 
-        FILTER_CHAINS.require(self.filter_chain)
-        ALIGNERS.require(self.aligner)
-        ENGINES.require(self.engine)
-        OUTPUT_FORMATS.require(self.output_format)
+        engine_class(self.engine)
+        output_format(self.output_format)
 
     # -- derivations ---------------------------------------------------
 
@@ -328,11 +317,7 @@ class MappingConfig:
         Unknown keys are rejected by name so a version-skewed daemon
         request fails loudly instead of silently dropping knobs.
         """
-        known = {spec.name for spec in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise MappingConfigError(
-                f"unknown MappingConfig field(s): {', '.join(unknown)}")
+        _reject_unknown(cls, payload, "MappingConfig")
         return cls(**payload)
 
     @classmethod

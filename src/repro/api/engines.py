@@ -5,7 +5,7 @@ workload — paired-end GenPair, the mm2-like baseline, single-read
 long-read voting — flows through the same ``map``/``map_stream``/
 ``map_file`` surface and the same :class:`~repro.genome.MappingResult`
 record.  This module defines the :class:`Engine` protocol those
-workloads implement and the three adapters registered in
+workloads implement and the three adapters listed in
 :data:`~repro.api.registry.ENGINES`:
 
 * :class:`GenPairEngine` (``genpair``) — the paper's pipeline, wrapping
@@ -45,7 +45,6 @@ from ..core.pipeline import (GenPairPipeline, PipelineStats, chunked,
 from ..genome.results import MappingResult
 from ..util.diagnostics import note
 from .config import MappingConfig, MappingConfigError
-from .registry import ALIGNERS, FILTER_CHAINS
 
 #: ``input_kind`` values: what one workload item is.
 INPUT_PAIRED = "paired"    # (read1, read2, name) tuples / paired FASTQ
@@ -141,8 +140,7 @@ def _lazy_full_fallback(reference):
 class GenPairEngine(Engine):
     """The paper's paired-end pipeline behind the Engine protocol.
 
-    Owns the :class:`GenPairPipeline` (stage selection through the
-    registries) and the lazily-created, **reused**
+    Owns the :class:`GenPairPipeline` and the lazily-created, **reused**
     :class:`StreamExecutor` worker pool.  Whether there is a pool is
     decided once, at construction (:func:`pool_available`); where
     ``workers > 1`` cannot be honoured the engine says so once and maps
@@ -154,11 +152,6 @@ class GenPairEngine(Engine):
 
     def __init__(self, facade) -> None:
         config: MappingConfig = facade.config
-        chain = FILTER_CHAINS.create(config.filter_chain, config)
-        # An empty chain means "screen nothing": hand the pipeline None
-        # so the candidate hot path stays exactly the historical code.
-        screen = chain if len(chain) else None
-        aligner = ALIGNERS.create(config.aligner, config)
         self._pooled = pool_available(config.workers)
         if config.workers > 1 and not self._pooled:
             note("workers>1 needs os.fork, which this platform lacks; "
@@ -176,8 +169,7 @@ class GenPairEngine(Engine):
         self.config = config
         self.pipeline = GenPairPipeline(
             facade.reference, seedmap=facade.seedmap,
-            config=config.genpair(), full_fallback=full_fallback,
-            aligner=aligner, candidate_screen=screen)
+            config=config.genpair(), full_fallback=full_fallback)
         self._executor = None
 
     # -- pool lifecycle ------------------------------------------------

@@ -41,7 +41,7 @@ from ..obs import get_registry
 from ..util.sync import maybe_sanitize_lock
 from .config import MappingConfig, MappingConfigError
 from .engines import INPUT_SINGLE, Engine, stats_dict
-from .registry import ENGINES, output_format
+from .registry import engine_class, output_format
 
 PathLike = Union[str, Path]
 
@@ -166,7 +166,7 @@ class Mapper:
         with self._engines_lock:
             engine = self._engines.get(name)
             if engine is None:
-                engine = ENGINES.create(name, self)
+                engine = engine_class(name)(self)
                 self._engines[name] = engine
                 self._totals.setdefault(name, engine.fresh_stats())
         return engine

@@ -1,206 +1,42 @@
-"""Named registries: declarative engine, stage, and output choice.
+"""The two selectable tables: mapping engines and output formats.
 
-Instead of callers composing mapper and stage classes by hand, a
-:class:`~repro.api.MappingConfig` names what it wants —
-``engine="mm2"``, ``filter_chain="shd"``, ``aligner="light"``,
-``output_format="paf"`` — and :class:`~repro.api.Mapper` resolves the
-names here when it builds the workload.  Four registries exist:
+A :class:`~repro.api.MappingConfig` names what it wants —
+``engine="mm2"``, ``output_format="paf"`` — and
+:class:`~repro.api.Mapper` (or a daemon request) resolves the names
+here.  Both tables are closed module-level literals:
 
-* :data:`ENGINES` — the mapping engines behind the polymorphic facade:
+* :data:`ENGINES` — the engine classes behind the polymorphic facade:
   ``genpair`` (the paper's paired-end pipeline, the default), ``mm2``
   (the minimizer seed-chain-align baseline with paired-end support),
   and ``longread`` (pseudo-pair Location Voting over single long
-  reads).  Factories take the :class:`~repro.api.Mapper` facade and
-  return an :class:`~repro.api.engines.Engine` adapter sharing the
-  facade's reference/SeedMap;
-* :data:`OUTPUT_FORMATS` — the output writers every engine's results
-  flow through: ``sam`` (default), ``paf``, and ``jsonl``.  Each
+  reads).  ``engine_class(name)(facade)`` builds an
+  :class:`~repro.api.engines.Engine` sharing the facade's
+  reference/SeedMap;
+* :data:`OUTPUT_FORMATS` — the writers every engine's results flow
+  through: ``sam`` (default), ``paf``, and ``jsonl``.  Each
   :class:`OutputFormat` bundles header/record line renderers with a
   file writer built on the *same* renderers, so daemon wire output is
-  byte-identical to file output by construction;
+  byte-identical to file output by construction.
 
-* :data:`FILTER_CHAINS` — pre-alignment candidate screens
-  (:class:`~repro.filters.stages.FilterChain` instances): ``none``
-  (default — the pipeline's historical behaviour), ``shd``,
-  ``gatekeeper``, ``exact``, ``adjacency`` (SHD with the intra-read
-  amendment disabled, the FastHASH-adjacent raw-mask variant), and
-  ``combined`` (exact fast-accept semantics are lossy, so the combined
-  chain strings GateKeeper *then* SHD: the cheap raw-mask reject first,
-  the amended tighter filter second);
-* :data:`ALIGNERS` — candidate aligners behind the light-align
-  contract: ``light`` (default), ``filtered-light`` (the §8
-  SHD-then-light combination of
-  :class:`~repro.filters.FilteredLightAligner`), and ``banded-dp``
-  (banded Gotoh DP at every candidate — the always-correct reference
-  stage).
-
-Every factory takes the resolved :class:`~repro.api.MappingConfig` and
-returns a fresh stage object, so per-run knobs (``max_edits``,
-``score_threshold``, ``fallback_bandwidth``) flow into the stage.
-Unknown names raise :class:`RegistryError` naming the available
-entries; third-party stages register with the ``register`` decorator::
-
-    @FILTER_CHAINS.register("my-screen")
-    def _build(config):
-        return FilterChain((MyScreen(),), name="my-screen")
+:func:`engine_class` and :func:`output_format` are the lookups; an
+unknown name raises :class:`RegistryError` listing the available ones.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Type
 
-from ..align.scoring import DEFAULT_SCHEME
-from ..align.stages import BandedDpAligner
-from ..filters.combined import FilteredLightAligner
-from ..filters.stages import (ExactScreen, FilterChain, GateKeeperScreen,
-                              ShdScreen)
+from ..genome.jsonl import (JsonlWriter, jsonl_header_lines,
+                            jsonl_record_lines)
+from ..genome.paf import PafWriter, paf_header_lines, paf_record_lines
+from ..genome.results import ResultLineWriter
+from ..genome.sam import SamWriter, sam_header_lines, sam_record_lines
+from .engines import Engine, GenPairEngine, LongReadEngine, Mm2Engine
 
 
 class RegistryError(LookupError):
-    """An unknown stage name was requested; names the available ones."""
-
-
-class StageRegistry:
-    """A named factory table for one kind of pipeline stage."""
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self._factories: Dict[str, Callable] = {}
-
-    def register(self, name: str, factory: Callable = None):
-        """Register ``factory`` under ``name`` (usable as a decorator)."""
-        if factory is None:
-            def decorator(fn: Callable) -> Callable:
-                self.register(name, fn)
-                return fn
-            return decorator
-        if not name or not isinstance(name, str):
-            raise ValueError(f"{self.kind} name must be a non-empty "
-                             f"string, got {name!r}")
-        if name in self._factories:
-            raise ValueError(f"{self.kind} {name!r} is already "
-                             "registered")
-        self._factories[name] = factory
-        return factory
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._factories))
-
-    def require(self, name: str) -> Callable:
-        """The factory for ``name``, or a :class:`RegistryError` that
-        names every available stage."""
-        try:
-            return self._factories[name]
-        except KeyError:
-            available = ", ".join(self.names()) or "(none registered)"
-            raise RegistryError(
-                f"unknown {self.kind} {name!r}; available: "
-                f"{available}") from None
-
-    def create(self, name: str, config):
-        """Build a fresh stage instance for ``name`` from ``config``."""
-        return self.require(name)(config)
-
-
-#: Pre-alignment candidate screens, selected by ``filter_chain``.
-FILTER_CHAINS = StageRegistry("filter chain")
-
-#: Candidate aligners, selected by ``aligner``.
-ALIGNERS = StageRegistry("aligner")
-
-
-@FILTER_CHAINS.register("none")
-def _chain_none(config) -> FilterChain:
-    return FilterChain((), name="none")
-
-
-@FILTER_CHAINS.register("shd")
-def _chain_shd(config) -> FilterChain:
-    return FilterChain((ShdScreen(max_edits=config.max_edits),),
-                       name="shd")
-
-
-@FILTER_CHAINS.register("gatekeeper")
-def _chain_gatekeeper(config) -> FilterChain:
-    return FilterChain((GateKeeperScreen(max_edits=config.max_edits),),
-                       name="gatekeeper")
-
-
-@FILTER_CHAINS.register("adjacency")
-def _chain_adjacency(config) -> FilterChain:
-    # The FastHASH-flavoured raw-mask variant: SHD without the
-    # amendment step is exactly the adjacent-shift Hamming criterion.
-    return FilterChain((ShdScreen(max_edits=config.max_edits,
-                                  amend_min_run=1),),
-                       name="adjacency")
-
-
-@FILTER_CHAINS.register("exact")
-def _chain_exact(config) -> FilterChain:
-    return FilterChain((ExactScreen(),), name="exact")
-
-
-@FILTER_CHAINS.register("combined")
-def _chain_combined(config) -> FilterChain:
-    return FilterChain((GateKeeperScreen(max_edits=config.max_edits),
-                        ShdScreen(max_edits=config.max_edits)),
-                       name="combined")
-
-
-@ALIGNERS.register("light")
-def _aligner_light(config):
-    from ..core.light_align import LightAligner
-
-    return LightAligner(scheme=DEFAULT_SCHEME,
-                        max_edits=config.max_edits,
-                        threshold=config.score_threshold)
-
-
-@ALIGNERS.register("filtered-light")
-def _aligner_filtered_light(config) -> FilteredLightAligner:
-    return FilteredLightAligner(scheme=DEFAULT_SCHEME,
-                                max_edits=config.max_edits,
-                                threshold=config.score_threshold)
-
-
-@ALIGNERS.register("banded-dp")
-def _aligner_banded_dp(config) -> BandedDpAligner:
-    return BandedDpAligner(scheme=DEFAULT_SCHEME,
-                           threshold=config.score_threshold,
-                           bandwidth=config.fallback_bandwidth)
-
-
-# -- engines ----------------------------------------------------------------
-
-#: Mapping engines, selected by ``engine``.  Factories take the
-#: :class:`~repro.api.Mapper` facade (reference, SeedMap, config) and
-#: return an engine adapter; the engine classes import lazily so the
-#: registry stays cheap to import.
-ENGINES = StageRegistry("engine")
-
-
-@ENGINES.register("genpair")
-def _engine_genpair(facade):
-    from .engines import GenPairEngine
-
-    return GenPairEngine(facade)
-
-
-@ENGINES.register("mm2")
-def _engine_mm2(facade):
-    from .engines import Mm2Engine
-
-    return Mm2Engine(facade)
-
-
-@ENGINES.register("longread")
-def _engine_longread(facade):
-    from .engines import LongReadEngine
-
-    return LongReadEngine(facade)
-
-
-# -- output formats ---------------------------------------------------------
+    """An unknown engine or output format name was requested; names
+    the available ones."""
 
 
 class OutputFormat:
@@ -212,76 +48,69 @@ class OutputFormat:
     byte-identical to one written directly.
     """
 
-    def __init__(self, name: str, suffix: str, header, records,
-                 writer) -> None:
+    def __init__(self, name: str, suffix: str,
+                 header: Callable[..., List[str]],
+                 records: Callable[..., Iterable[str]],
+                 writer: Type[ResultLineWriter]) -> None:
         self.name = name
         self.suffix = suffix
         self._header = header
         self._records = records
         self._writer = writer
 
-    def header_lines(self, reference=None):
+    def header_lines(self, reference=None) -> List[str]:
         """Lines written once, before any record (may be empty)."""
         return list(self._header(reference))
 
-    def record_lines(self, results, reference=None):
+    def record_lines(self, results, reference=None) -> Iterable[str]:
         """Lazy record lines for a result stream."""
         return self._records(results, reference)
 
-    def lines(self, results, reference=None, header: bool = True):
+    def lines(self, results, reference=None,
+              header: bool = True) -> Iterator[str]:
         """Wire form: optional header lines, then record lines."""
         if header:
             yield from self.header_lines(reference)
         yield from self.record_lines(results, reference)
 
-    def open(self, path, reference=None):
+    def open(self, path, reference=None) -> ResultLineWriter:
         """An incremental writer (context manager with ``count``/
         ``write_result``/``drain``) for ``path``."""
         return self._writer(path, reference)
 
 
+#: Mapping engines, selected by ``engine``.
+ENGINES: Dict[str, Type[Engine]] = {
+    "genpair": GenPairEngine,
+    "mm2": Mm2Engine,
+    "longread": LongReadEngine,
+}
+
 #: Output formats, selected by ``output_format``.
-OUTPUT_FORMATS = StageRegistry("output format")
+OUTPUT_FORMATS: Dict[str, OutputFormat] = {
+    "sam": OutputFormat("sam", ".sam", sam_header_lines,
+                        sam_record_lines, SamWriter),
+    "paf": OutputFormat("paf", ".paf", paf_header_lines,
+                        paf_record_lines, PafWriter),
+    "jsonl": OutputFormat("jsonl", ".jsonl", jsonl_header_lines,
+                          jsonl_record_lines, JsonlWriter),
+}
+
+
+def _require(kind: str, table: dict, name: str):
+    try:
+        return table[name]
+    except KeyError:
+        raise RegistryError(
+            f"unknown {kind} {name!r}; available: "
+            f"{', '.join(sorted(table))}") from None
+
+
+def engine_class(name: str) -> Type[Engine]:
+    """The :class:`~repro.api.engines.Engine` class named ``name``."""
+    return _require("engine", ENGINES, name)
 
 
 def output_format(name: str) -> OutputFormat:
-    """The :class:`OutputFormat` registered under ``name`` (unknown
-    names raise :class:`RegistryError` listing the available ones)."""
-    return OUTPUT_FORMATS.create(name, None)
-
-
-@OUTPUT_FORMATS.register("sam")
-def _format_sam(config=None) -> OutputFormat:
-    from ..genome.sam import SamWriter, sam_header_lines, sam_record_lines
-
-    return OutputFormat(
-        "sam", ".sam",
-        header=sam_header_lines,
-        records=lambda results, reference: sam_record_lines(results),
-        writer=lambda path, reference: SamWriter(path,
-                                                 reference=reference))
-
-
-@OUTPUT_FORMATS.register("paf")
-def _format_paf(config=None) -> OutputFormat:
-    from ..genome.paf import PafWriter, paf_header_lines, paf_record_lines
-
-    return OutputFormat(
-        "paf", ".paf",
-        header=paf_header_lines,
-        records=paf_record_lines,
-        writer=lambda path, reference: PafWriter(path,
-                                                 reference=reference))
-
-
-@OUTPUT_FORMATS.register("jsonl")
-def _format_jsonl(config=None) -> OutputFormat:
-    from ..genome.jsonl import (JsonlWriter, jsonl_header_lines,
-                                jsonl_record_lines)
-
-    return OutputFormat(
-        "jsonl", ".jsonl",
-        header=jsonl_header_lines,
-        records=jsonl_record_lines,
-        writer=lambda path, reference: JsonlWriter(path,
-                                                   reference=reference))
+    """The :class:`OutputFormat` named ``name``."""
+    return _require("output format", OUTPUT_FORMATS, name)

@@ -15,9 +15,8 @@ Subcommands mirror a real read-mapping toolchain:
   calling as a post-stage; reads stream through in O(batch) memory,
   ``--batch-size`` pairs per chunk,
   ``--workers N`` streams genpair chunks through a persistent pool of
-  forked worker processes, ``--index`` serves from a prebuilt index,
-  and ``--filter-chain``/``--aligner`` select registry stages
-  declaratively;
+  forked worker processes, and ``--index`` serves from a prebuilt
+  index;
 * ``map-long``      — single-read long-read shim: ``map`` pinned to
   ``--engine longread`` with one ``--reads`` FASTQ;
 * ``serve``         — run the long-lived mapping daemon: the index and
@@ -150,7 +149,7 @@ def _build_mapper(args: argparse.Namespace):
     Returns ``(mapper, None)`` or ``(None, exit_code)`` with the error
     already printed.
     """
-    from .api import Mapper, MappingConfigError, RegistryError
+    from .api import Mapper, MappingConfigError
     from .index import IndexFormatError
 
     if (args.index is None) == (args.reference is None):
@@ -170,8 +169,6 @@ def _build_mapper(args: argparse.Namespace):
     overrides = dict(delta=args.delta, batch_size=args.batch_size,
                      workers=args.workers,
                      full_fallback=not args.no_fallback,
-                     filter_chain=args.filter_chain,
-                     aligner=args.aligner,
                      engine=engine,
                      output_format=getattr(args, "format", "sam"))
     # The fingerprint gate: an explicit --filter-threshold must match
@@ -189,9 +186,6 @@ def _build_mapper(args: argparse.Namespace):
     except (IndexFormatError, MappingConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 1
-    except RegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 2
     return mapper, None
 
 
@@ -262,7 +256,7 @@ def _map_input(args: argparse.Namespace):
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    from .api import MappingConfigError, RegistryError
+    from .api import MappingConfigError
     from .genome import FastaError
 
     paths = _map_input(args)
@@ -281,7 +275,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
                     results, args.out, args.call_variants)
             else:
                 count = mapper.write(results, args.out)
-        except (FastaError, MappingConfigError, RegistryError) as exc:
+        except (FastaError, MappingConfigError) as exc:
             # Engines build lazily inside map_file, so engine-specific
             # config errors (e.g. longread chunk_length vs the index's
             # seed_length) surface here, not in _build_mapper.
@@ -725,13 +719,6 @@ def _add_mapper_args(parser: argparse.ArgumentParser,
                              "fingerprint")
     parser.add_argument("--no-fallback", action="store_true",
                         help="disable the MM2 full-DP fallback")
-    parser.add_argument("--filter-chain", default="none",
-                        help="named pre-alignment candidate screen "
-                             "chain (none, shd, gatekeeper, adjacency, "
-                             "exact, combined)")
-    parser.add_argument("--aligner", default="light",
-                        help="named candidate aligner (light, "
-                             "filtered-light, banded-dp)")
     parser.add_argument("--batch-size",
                         type=_int_arg("--batch-size", 1,
                                       " (the pair-by-pair engine that "

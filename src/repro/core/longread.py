@@ -159,7 +159,7 @@ class LongReadMapper:
         return best
 
     def _dp_at(self, codes: np.ndarray, candidate: int):
-        pad = config_pad = self.config.dp_bandwidth
+        pad = self.config.dp_bandwidth
         try:
             chromosome, pos = self.reference.from_linear(
                 max(0, int(candidate)))
@@ -167,7 +167,7 @@ class LongReadMapper:
             return None
         chrom_len = self.reference.length(chromosome)
         start = max(0, pos - pad)
-        end = min(chrom_len, pos + len(codes) + config_pad)
+        end = min(chrom_len, pos + len(codes) + pad)
         if end - start < len(codes) // 2:
             return None
         window = self.reference.fetch(chromosome, start, end)

@@ -111,7 +111,6 @@ class PipelineStats:
     traffic_bytes: int = 0
     filter_iterations: int = 0
     light_attempts: int = 0
-    screen_rejections: int = 0
     dp_cells_candidate: int = 0
     dp_cells_full: int = 0
 
@@ -236,9 +235,7 @@ class GenPairPipeline:
                  seedmap: Optional[SeedMap] = None,
                  config: Optional[GenPairConfig] = None,
                  scheme: ScoringScheme = DEFAULT_SCHEME,
-                 full_fallback: Optional[FullFallback] = None,
-                 aligner=None,
-                 candidate_screen: Optional[Callable] = None) -> None:
+                 full_fallback: Optional[FullFallback] = None) -> None:
         # Constructed per-instance (config is frozen, but a shared
         # mutable default is a bug class worth keeping out wholesale).
         config = config if config is not None else GenPairConfig()
@@ -248,19 +245,9 @@ class GenPairPipeline:
         self.seedmap = seedmap if seedmap is not None else SeedMap.build(
             reference, seed_length=config.seed_length,
             filter_threshold=config.filter_threshold)
-        #: The candidate aligner.  Defaults to the paper's Light
-        #: Alignment; any object honouring the same contract —
-        #: ``align(codes, window, offset) -> None | hit`` with
-        #: ``score``/``cigar``/window-relative ``ref_start`` — plugs in
-        #: (see :data:`repro.api.registry.ALIGNERS`).
-        self.light_aligner = aligner if aligner is not None else \
-            LightAligner(scheme=scheme, max_edits=config.max_edits,
-                         threshold=config.score_threshold)
-        #: Optional pre-alignment screen ``(codes, window, offset) ->
-        #: bool`` applied to every candidate before the aligner (see
-        #: :data:`repro.api.registry.FILTER_CHAINS`); rejected
-        #: candidates count in ``stats.screen_rejections``.
-        self.candidate_screen = candidate_screen
+        self.light_aligner = LightAligner(
+            scheme=scheme, max_edits=config.max_edits,
+            threshold=config.score_threshold)
         self.full_fallback = full_fallback
         self.stats = PipelineStats()
         #: Where this pipeline's chunk timings land: the process-wide
@@ -475,20 +462,7 @@ class GenPairPipeline:
         if ctx is None:
             return None
         window, offset, chromosome, pos = ctx
-        screen = self.candidate_screen
-        if screen is not None and not screen(codes, window, offset):
-            self.stats.screen_rejections += 1
-            return None
-        aligner = self.light_aligner
-        # A DP-backed stage aligner (e.g. the registry's "banded-dp")
-        # accumulates a `cells` counter; charge its per-call delta to
-        # the candidate-stage DP accounting so the hardware-model
-        # sizing stays honest whichever aligner is plugged in.
-        cells_before = getattr(aligner, "cells", 0)
-        hit = aligner.align(codes, window, offset)
-        cells_delta = getattr(aligner, "cells", 0) - cells_before
-        if cells_delta:
-            self.stats.dp_cells_candidate += cells_delta
+        hit = self.light_aligner.align(codes, window, offset)
         if hit is None:
             return None
         window_start = pos - offset

@@ -1,5 +1,9 @@
 """Pre-alignment filters: the related-work baselines of §8.
 
+Library functions the comparison benches call
+(``benchmarks/bench_filters.py``); the mapping pipeline uses none of
+them.
+
 * :mod:`~repro.filters.shd` — Shifted Hamming Distance, the filter Light
   Alignment generalizes;
 * :mod:`~repro.filters.gatekeeper` — GateKeeper's cheaper variant;
@@ -8,10 +12,7 @@
 * :mod:`~repro.filters.exact` — whole-read exact matching (the §3.2
   baseline whose paired-end weakness motivates GenPair);
 * :mod:`~repro.filters.combined` — the SHD + Light Alignment combination
-  the paper flags as future work;
-* :mod:`~repro.filters.stages` — the filters as pluggable candidate
-  screens (:class:`FilterChain` links) behind the uniform stage
-  contract the :mod:`repro.api.registry` hands to the pipeline.
+  the paper flags as future work.
 """
 
 from .adjacency import AdjacencyResult, adjacency_filter
@@ -19,13 +20,10 @@ from .combined import FilterStats, FilteredLightAligner
 from .exact import ExactMatchVerdict, exact_match_at, pair_exact_match
 from .gatekeeper import GateKeeperResult, gatekeeper_filter
 from .shd import ShdResult, shd_filter
-from .stages import (ExactScreen, FilterChain, GateKeeperScreen,
-                     ShdScreen)
 
 __all__ = [
-    "AdjacencyResult", "ExactMatchVerdict", "ExactScreen",
-    "FilterChain", "FilterStats", "FilteredLightAligner",
-    "GateKeeperResult", "GateKeeperScreen", "ShdResult", "ShdScreen",
+    "AdjacencyResult", "ExactMatchVerdict", "FilterStats",
+    "FilteredLightAligner", "GateKeeperResult", "ShdResult",
     "adjacency_filter", "exact_match_at", "gatekeeper_filter",
     "pair_exact_match", "shd_filter",
 ]

@@ -16,7 +16,7 @@ and returns the tuple of records to serialize — which is what keeps the
 GenPair SAM output byte-identical across the API redesign.
 
 :class:`ResultLineWriter` is the shared incremental file writer behind
-the non-SAM output formats (PAF, JSONL): subclasses provide the line
+the three output formats (SAM, PAF, JSONL): subclasses provide the line
 renderer, and the base class guarantees the file output is exactly the
 rendered lines joined with newlines — the same lines the daemon streams
 over its socket, so wire output and file output cannot drift apart.
@@ -85,12 +85,12 @@ def result_records(result) -> Tuple:
 
 
 class ResultLineWriter:
-    """Incremental line-oriented result writer (PAF/JSONL base).
+    """Incremental line-oriented result writer (SAM/PAF/JSONL base).
 
-    Mirrors :class:`~repro.genome.sam.SamWriter`'s contract — header up
-    front, records as they arrive, ``count``/``drain``/``flush``/
-    context manager — over a subclass-provided line renderer.  ``count``
-    is the number of record lines written (header lines excluded).
+    Header up front, records as they arrive, ``count``/``drain``/
+    ``flush``/context manager — over a subclass-provided line renderer.
+    ``count`` is the number of record lines written (header lines
+    excluded).
     """
 
     def __init__(self, path: PathLike, reference=None) -> None:

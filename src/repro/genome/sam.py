@@ -16,7 +16,7 @@ import numpy as np
 
 from .cigar import Cigar
 from .reference import ReferenceGenome
-from .results import result_records
+from .results import ResultLineWriter, result_records
 from .sequence import decode
 
 PathLike = Union[str, Path]
@@ -123,7 +123,7 @@ class AlignmentRecord:
         return "\t".join(fields)
 
 
-class SamWriter:
+class SamWriter(ResultLineWriter):
     """Incremental SAM writer: header up front, records as they arrive.
 
     The streaming ``map`` path hands each chunk's results straight here,
@@ -138,72 +138,18 @@ class SamWriter:
     :attr:`count` tracks records written so far.
     """
 
-    def __init__(self, path: PathLike,
-                 reference: Optional[ReferenceGenome] = None) -> None:
-        self.path = str(path)
-        self.count = 0
-        self._handle = open(path, "w")
-        try:
-            for line in sam_header_lines(reference):
-                self._handle.write(line + "\n")
-        except Exception:
-            self._handle.close()
-            raise
+    def header_lines(self) -> list:
+        return sam_header_lines(self.reference)
 
-    def write(self, record: AlignmentRecord) -> None:
-        """Append one alignment record."""
-        self._handle.write(record.to_sam_line() + "\n")
-        self.count += 1
-
-    def write_result(self, result) -> None:
-        """Append every record of a mapping result — both mates of a
-        pipeline ``PairResult``/paired ``MappingResult``, the single
-        record of a long-read result, or a bare record."""
-        for record in result_records(result):
-            self.write(record)
-
-    def write_all(self, records: Iterable[AlignmentRecord]) -> int:
-        """Append many records; returns the number written by this call."""
-        before = self.count
-        for record in records:
-            self.write(record)
-        return self.count - before
-
-    def drain(self, results: Iterable) -> int:
-        """Write a stream of mapping results as they arrive.
-
-        Pulls ``results`` one element at a time (keeping a lazy
-        ``map_stream`` generator lazy) and writes each result's records
-        immediately, so disk output overlaps with mapping instead of
-        waiting for the stream to finish.  Flushes once the stream
-        ends and returns the number of results drained by this call.
-        """
-        drained = 0
-        for result in results:
-            self.write_result(result)
-            drained += 1
-        self.flush()
-        return drained
-
-    def flush(self) -> None:
-        """Push buffered records to the OS (e.g. before a checkpoint)."""
-        self._handle.flush()
-
-    def close(self) -> None:
-        self._handle.close()
-
-    def __enter__(self) -> "SamWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+    def result_lines(self, result) -> Iterable[str]:
+        return sam_record_lines((result,))
 
 
 def write_sam(path: PathLike, records: Iterable[AlignmentRecord],
               reference: Optional[ReferenceGenome] = None) -> int:
     """Write records to a SAM-flavoured file; returns the record count."""
     with SamWriter(path, reference=reference) as writer:
-        writer.write_all(records)
+        writer.drain(records)
         return writer.count
 
 
@@ -222,14 +168,17 @@ def sam_header_lines(
     return lines
 
 
-def sam_record_lines(results: Iterable) -> Iterable[str]:
+def sam_record_lines(results: Iterable,
+                     reference: Optional[ReferenceGenome] = None
+                     ) -> Iterable[str]:
     """Render a stream of mapping results as SAM record lines.
 
     Lazy: pulls one result at a time, emitting a line per record (both
     mates of a pair, the single record of a long read) — exactly the
     body :meth:`SamWriter.drain` would write.  Accepts pipeline
     ``PairResult``s, engine-agnostic ``MappingResult``s, and bare
-    records alike.
+    records alike.  ``reference`` is unused: it is the signature the
+    three formats' record renderers share.
     """
     for result in results:
         for record in result_records(result):

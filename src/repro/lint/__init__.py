@@ -2,9 +2,8 @@
 
 The generic linters cannot know this codebase's invariants: that the
 :data:`~repro.core.executor._FORK_STATE` snapshot must stay fork-safe,
-that every registry entry must honour its stage protocol, or that SAM/
-PAF/JSONL record text may only be rendered by the registered output
-formats (the daemon's wire==file byte-identity holds *by construction*
+or that SAM/PAF/JSONL record text may only be rendered by the three
+output formats (the daemon's wire==file byte-identity holds *by construction*
 only while that stays true).  This package checks those invariants
 statically, from the AST, so the bug classes previous PRs fixed by hand
 — mutable dataclass defaults, chunk-relative name collisions behind a
@@ -31,14 +30,6 @@ Code         Meaning
              list/dict/set/bytearray/ndarray (shared across every call)
 ``RPL202``   mutable-default: dataclass field with a mutable default
              (shared across every instance; use ``default_factory``)
-``RPL301``   registry-contract: a registered entry's class does not
-             statically implement its protocol (missing method, wrong
-             arity, or an ``OutputFormat`` built without all renderers)
-``RPL302``   registry-contract: a ``MappingConfig`` engine sub-option
-             field with no registered engine of that name (the knobs
-             would silently do nothing)
-``RPL303``   registry-contract: a registry factory whose return value
-             cannot be resolved statically (the contract is unverifiable)
 ``RPL401``   wire-identity: SAM/PAF record text assembled (tab-joined
              record fields) outside ``genome/{sam,paf,jsonl}.py``
 ``RPL402``   wire-identity: a wire tag/header literal (``AS:i:``,

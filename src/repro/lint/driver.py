@@ -38,7 +38,6 @@ from .mutable_defaults import MutableDefaultChecker
 from .no_print import NoPrintChecker
 from .obs_contract import ObsContractChecker
 from .project import Module, Project
-from .registry_contract import RegistryContractChecker
 from .resource_lifetime import ResourceLifetimeChecker
 from .timing import TimingChecker
 from .wire_identity import WireIdentityChecker
@@ -47,7 +46,6 @@ from .wire_identity import WireIdentityChecker
 CHECKERS = (
     ForkSafetyChecker(),
     MutableDefaultChecker(),
-    RegistryContractChecker(),
     WireIdentityChecker(),
     NoPrintChecker(),
     TimingChecker(),

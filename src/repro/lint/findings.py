@@ -28,12 +28,6 @@ CODES = {
               "module global of a _FORK_STATE module",
     "RPL201": "mutable function-parameter default",
     "RPL202": "mutable dataclass field default (use default_factory)",
-    "RPL301": "registry entry does not statically implement its stage "
-              "protocol",
-    "RPL302": "MappingConfig engine sub-option field with no registered "
-              "engine of that name",
-    "RPL303": "registry factory return value cannot be resolved "
-              "statically",
     "RPL401": "SAM/PAF record text assembled outside the registered "
               "output renderers",
     "RPL402": "wire tag/header literal outside the registered output "

@@ -6,10 +6,10 @@ directory in the tests).  Each :class:`Module` keeps its AST, source
 lines, and root-relative identity — ``rel_path`` (posix, e.g.
 ``core/pipeline.py``) and ``dotted`` (``core.pipeline``) — so checkers
 can target modules structurally ("the module defining ``_FORK_STATE``",
-"``api/registry.py``") without hard-coding absolute paths.
+"``obs/catalog.py``") without hard-coding absolute paths.
 
 The model also carries the small amount of cross-module resolution the
-registry-contract checker needs: following ``from .x import Y`` /
+call graph needs: following ``from .x import Y`` /
 ``from ..pkg.mod import Y`` imports to the defining module, looking up
 class definitions, and walking single-inheritance method resolution —
 all within the linted tree (anything outside resolves to ``None``, and
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Directories never walked into (caches, VCS litter).
 _SKIP_DIRS = {"__pycache__", ".git", ".mypy_cache", ".ruff_cache"}
@@ -93,18 +93,11 @@ class Project:
 
     def find_module(self, rel_suffix: str) -> Optional[Module]:
         """The unique module whose root-relative path ends with
-        ``rel_suffix`` (e.g. ``api/registry.py``), or ``None``."""
+        ``rel_suffix`` (e.g. ``obs/catalog.py``), or ``None``."""
         matches = [module for module in self.modules
                    if module.rel_path == rel_suffix
                    or module.rel_path.endswith("/" + rel_suffix)]
         return matches[0] if len(matches) == 1 else None
-
-    def modules_defining_class(self, name: str
-                               ) -> Iterator[Tuple[Module, ast.ClassDef]]:
-        for module in self.modules:
-            node = find_class(module.tree, name)
-            if node is not None:
-                yield module, node
 
     # -- import resolution --------------------------------------------------
 
@@ -126,48 +119,44 @@ class Project:
             base = base + target.split(".")
         return ".".join(base)
 
-    def resolve_name(self, module: Module, name: str,
-                     scopes: Tuple[ast.AST, ...] = ()
+    def resolve_name(self, module: Module, name: str
                      ) -> Optional[Tuple[Module, ast.ClassDef]]:
         """Resolve ``name`` (used in ``module``) to a class definition.
 
         Looks for a local ``class name`` first, then follows
-        ``from ... import name`` statements found in the module body or
-        any of the extra ``scopes`` (e.g. a factory function whose
-        imports are local).  Only project-internal (relative) imports
-        resolve; absolute imports of third-party modules return
-        ``None``.
+        ``from ... import name`` statements found anywhere in the
+        module.  Only project-internal (relative) imports resolve;
+        absolute imports of third-party modules return ``None``.
         """
         local = find_class(module.tree, name)
         if local is not None:
             return module, local
-        for scope in (module.tree, *scopes):
-            for node in ast.walk(scope):
-                if not isinstance(node, ast.ImportFrom):
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if bound != name:
                     continue
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    if bound != name:
-                        continue
-                    if node.level == 0:
-                        # Absolute import: only resolvable when it
-                        # names a module of this tree by dotted path.
-                        target = self.by_dotted.get(node.module or "")
-                    else:
-                        dotted = self.resolve_relative(
-                            module, node.level, node.module)
-                        target = self.by_dotted.get(dotted) \
-                            if dotted is not None else None
-                    if target is None:
-                        continue
-                    found = find_class(target.tree, alias.name)
-                    if found is not None:
-                        return target, found
-                    # Re-exported (e.g. through an __init__): follow
-                    # one more hop.
-                    hop = self.resolve_name(target, alias.name)
-                    if hop is not None:
-                        return hop
+                if node.level == 0:
+                    # Absolute import: only resolvable when it
+                    # names a module of this tree by dotted path.
+                    target = self.by_dotted.get(node.module or "")
+                else:
+                    dotted = self.resolve_relative(
+                        module, node.level, node.module)
+                    target = self.by_dotted.get(dotted) \
+                        if dotted is not None else None
+                if target is None:
+                    continue
+                found = find_class(target.tree, alias.name)
+                if found is not None:
+                    return target, found
+                # Re-exported (e.g. through an __init__): follow
+                # one more hop.
+                hop = self.resolve_name(target, alias.name)
+                if hop is not None:
+                    return hop
         return None
 
     # -- method resolution --------------------------------------------------
@@ -216,45 +205,3 @@ def _base_name(base: ast.expr) -> Optional[str]:
     if isinstance(base, ast.Attribute):
         return base.attr
     return None
-
-
-def is_abstract_body(fn: ast.FunctionDef) -> bool:
-    """Does this method body only raise ``NotImplementedError`` (or
-    consist of a bare ``...``)?  Such a definition does not count as an
-    implementation for protocol purposes; an explicit ``pass`` does —
-    it is a valid deliberate no-op (e.g. optional lifecycle hooks)."""
-    body = [node for node in fn.body
-            if not (isinstance(node, ast.Expr)
-                    and isinstance(node.value, ast.Constant)
-                    and isinstance(node.value.value, str))]
-    if not body:
-        return True
-    if len(body) != 1:
-        return False
-    node = body[0]
-    if isinstance(node, ast.Pass):
-        return False  # an explicit no-op IS a valid default implementation
-    if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
-        return node.value.value is Ellipsis
-    if isinstance(node, ast.Raise):
-        exc = node.exc
-        target = exc.func if isinstance(exc, ast.Call) else exc
-        return isinstance(target, ast.Name) \
-            and target.id == "NotImplementedError"
-    return False
-
-
-def positional_arity(fn: ast.FunctionDef, skip_self: bool = True
-                     ) -> Tuple[int, Optional[int]]:
-    """``(minimum, maximum)`` positional arguments a call may pass
-    (``maximum=None`` with ``*args``), excluding ``self``."""
-    args = fn.args
-    positional = list(args.posonlyargs) + list(args.args)
-    if skip_self and positional:
-        positional = positional[1:]
-    total = len(positional)
-    minimum = total - len(args.defaults)
-    if minimum < 0:
-        minimum = 0
-    maximum: Optional[int] = None if args.vararg is not None else total
-    return minimum, maximum

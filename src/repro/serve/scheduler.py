@@ -511,8 +511,6 @@ class Scheduler:
                      "stats": stats, "coalesced": len(batch)}
             if trace is not None:
                 reply["trace"] = trace
-            if task.format == "sam":
-                reply["sam"] = lines  # historical alias
             replies.append(reply)
         return replies
 

@@ -42,10 +42,9 @@ requests.  Operations:
     the one warm facade; optional ``"timeout_s"`` caps how long the
     request may wait+run (``0`` disables the server default).
     Responds with ``{"lines": [...]}`` — record lines in the requested
-    format (plus header lines first when ``"header": true``; ``"sam"``
-    is kept as an alias when the format is SAM) — plus per-request
-    ``stats``/``elapsed_s`` and ``coalesced`` (how many requests
-    shared the engine run; ``stats`` covers that whole run).
+    format (plus header lines first when ``"header": true``) — plus
+    per-request ``stats``/``elapsed_s`` and ``coalesced`` (how many
+    requests shared the engine run; ``stats`` covers that whole run).
 ``map_file``
     Map server-side FASTQ paths and write an output file server-side:
     ``{"op": "map_file", "reads1": ..., "reads2": ..., "out": ...}``
@@ -361,8 +360,8 @@ class MapServer:
                 "index": index.path if index is not None else None,
                 "workers": self.mapper.config.workers,
                 "engine": self.mapper.config.engine,
-                "engines": list(ENGINES.names()),
-                "formats": list(OUTPUT_FORMATS.names()),
+                "engines": sorted(ENGINES),
+                "formats": sorted(OUTPUT_FORMATS),
                 "listeners": list(bound_endpoints(self.listeners)),
                 "config": self.mapper.config.to_dict()}
 
@@ -390,11 +389,11 @@ class MapServer:
         ``None`` means "the facade's configured default" — the one
         warm facade resolves names to (lazily-built, reused) engine
         instances itself.  Both names are checked against their
-        registries *here*, before the request touches the queue, so a
+        tables *here*, before the request touches the queue, so a
         typo'd ``format`` fails in microseconds instead of after the
         whole request has been mapped.
         """
-        from ..api.registry import ENGINES, OUTPUT_FORMATS
+        from ..api.registry import engine_class, output_format
 
         engine = request.get("engine")
         if engine is not None and not isinstance(engine, str):
@@ -404,9 +403,9 @@ class MapServer:
         if fmt is not None and not isinstance(fmt, str):
             raise RequestError('"format" must be a format name string')
         if engine is not None:
-            ENGINES.require(engine)
+            engine_class(engine)
         if fmt is not None:
-            OUTPUT_FORMATS.require(fmt)
+            output_format(fmt)
         return engine, fmt
 
     def _op_map(self, request: Dict[str, Any]) -> Dict[str, Any]:

@@ -20,7 +20,7 @@ class TestValidation:
         ("seeds_per_read", 0), ("delta", 0), ("max_edits", -1),
         ("batch_size", -1), ("batch_size", 0), ("workers", 0),
         ("filter_threshold", 0), ("min_dp_score_fraction", 1.5),
-        ("filter_chain", 7), ("aligner", None),
+        ("engine", 7), ("output_format", None),
     ])
     def test_bad_values_rejected_by_name(self, field, value):
         with pytest.raises(MappingConfigError) as excinfo:
@@ -62,9 +62,23 @@ class TestValidation:
 class TestRoundTrip:
     def test_dict_round_trip_is_identity(self):
         config = MappingConfig(delta=321, workers=2, batch_size=64,
-                               filter_chain="shd",
+                               output_format="paf",
                                filter_threshold=None)
         assert MappingConfig.from_dict(config.to_dict()) == config
+
+    def test_default_wire_form_has_19_keys(self):
+        payload = MappingConfig().to_dict()
+        assert len(payload) == 19
+        assert MappingConfig.from_dict(payload) == MappingConfig()
+
+    @pytest.mark.parametrize("stale", ["filter_chain", "aligner"])
+    def test_removed_stage_knobs_rejected_by_name(self, stale):
+        payload = MappingConfig().to_dict()
+        payload[stale] = "none"
+        with pytest.raises(MappingConfigError) as excinfo:
+            MappingConfig.from_dict(payload)
+        assert str(excinfo.value) \
+            == f"unknown MappingConfig field(s): {stale}"
 
     def test_from_dict_rejects_unknown_fields(self):
         payload = MappingConfig().to_dict()

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.api import Mapper, MappingConfig, RegistryError
+from repro.api import Mapper, MappingConfig
 from repro.core import GenPairPipeline
 from repro.genome import write_fastq
 from repro.index import save_index
@@ -65,18 +65,6 @@ class TestConstruction:
         with Mapper.from_index(path, full_fallback=False) as mapper:
             assert signatures(mapper.map(pairs)) == reference_results
 
-    def test_unknown_stage_names_fail_fast_with_available(
-            self, small_reference):
-        with pytest.raises(RegistryError) as excinfo:
-            Mapper.from_reference(small_reference,
-                                  filter_chain="bogus-chain",
-                                  full_fallback=False)
-        assert "shd" in str(excinfo.value)
-        with pytest.raises(RegistryError) as excinfo:
-            Mapper.from_reference(small_reference, aligner="bogus",
-                                  full_fallback=False)
-        assert "light" in str(excinfo.value)
-
 
 class TestEngines:
     def test_chunks_of_one_match_default_batch(self, small_reference,
@@ -84,26 +72,6 @@ class TestEngines:
         with Mapper.from_reference(small_reference, batch_size=1,
                                    full_fallback=False) as mapper:
             assert signatures(mapper.map(pairs)) == reference_results
-
-    def test_shd_chain_is_output_transparent(self, small_reference,
-                                             pairs, reference_results):
-        # SHD has no false negatives within the shift range, so the
-        # screen can only skip doomed attempts, never change output.
-        with Mapper.from_reference(small_reference, filter_chain="shd",
-                                   full_fallback=False) as mapper:
-            assert signatures(mapper.map(pairs)) == reference_results
-
-    def test_banded_dp_aligner_maps_and_accounts_cells(
-            self, small_reference, pairs):
-        with Mapper.from_reference(small_reference,
-                                   aligner="banded-dp",
-                                   full_fallback=False) as mapper:
-            results = mapper.map(pairs)
-            mapped = [r for r in results if r.mapped]
-            assert len(mapped) >= int(0.8 * len(pairs))
-            # The stage aligner's DP work lands in the candidate-stage
-            # cell accounting, same as the DP fallback arc's.
-            assert mapper.last_stats.dp_cells_candidate > 0
 
     @pytest.mark.skipif(not hasattr(os, "fork"),
                         reason="worker pool needs os.fork")

@@ -1,103 +1,88 @@
-"""Stage registries: declarative lookup, rich errors, extension."""
+"""The two selectable tables: names, errors, and the entry contracts."""
 
-import numpy as np
+import dataclasses
+import importlib
+
 import pytest
 
-from repro.align.stages import BandedDpAligner
-from repro.api import (ALIGNERS, FILTER_CHAINS, MappingConfig,
-                       RegistryError, StageRegistry)
-from repro.core import LightAligner
-from repro.filters import FilteredLightAligner
-from repro.filters.stages import (ExactScreen, FilterChain,
-                                  GateKeeperScreen, ShdScreen)
+import repro.api
+from repro.api import (ENGINES, OUTPUT_FORMATS, Engine, Mapper,
+                       MappingConfig, RegistryError, output_format)
+from repro.api.registry import engine_class
+from repro.genome import ResultLineWriter
 
 
 class TestLookup:
-    def test_builtin_names_registered(self):
-        assert set(FILTER_CHAINS.names()) >= {
-            "none", "shd", "gatekeeper", "adjacency", "exact",
-            "combined"}
-        assert set(ALIGNERS.names()) >= {"light", "filtered-light",
-                                         "banded-dp"}
-
-    @pytest.mark.parametrize("registry", [FILTER_CHAINS, ALIGNERS])
-    def test_unknown_name_error_lists_available_stages(self, registry):
+    @pytest.mark.parametrize("lookup,table,kind", [
+        (engine_class, ENGINES, "engine"),
+        (output_format, OUTPUT_FORMATS, "output format")])
+    def test_unknown_name_error_lists_every_entry(self, lookup, table,
+                                                  kind):
         with pytest.raises(RegistryError) as excinfo:
-            registry.require("does-not-exist")
-        message = str(excinfo.value)
-        assert "does-not-exist" in message
-        for name in registry.names():
-            assert name in message
+            lookup("does-not-exist")
+        assert str(excinfo.value) == (
+            f"unknown {kind} 'does-not-exist'; available: "
+            f"{', '.join(sorted(table))}")
 
-    def test_create_builds_fresh_configured_instances(self):
-        config = MappingConfig(max_edits=2)
-        chain1 = FILTER_CHAINS.create("shd", config)
-        chain2 = FILTER_CHAINS.create("shd", config)
-        assert chain1 is not chain2
-        assert chain1.screens[0].max_edits == 2
+    def test_engine_keys_are_the_class_names(self):
+        assert {name: cls.name for name, cls in ENGINES.items()} \
+            == {name: name for name in ENGINES}
 
-    def test_aligner_factories_honour_config(self):
-        config = MappingConfig(max_edits=2, score_threshold=100,
-                               fallback_bandwidth=8)
-        light = ALIGNERS.create("light", config)
-        assert isinstance(light, LightAligner)
-        assert light.max_edits == 2
-        combined = ALIGNERS.create("filtered-light", config)
-        assert isinstance(combined, FilteredLightAligner)
-        dp = ALIGNERS.create("banded-dp", config)
-        assert isinstance(dp, BandedDpAligner)
-        assert dp.threshold == 100 and dp.bandwidth == 8
+    @pytest.mark.parametrize("overrides,listed", [
+        ({"engine": "bowtie"}, "genpair, longread, mm2"),
+        ({"output_format": "bam"}, "jsonl, paf, sam")])
+    def test_mapper_rejects_unknown_names_before_building(
+            self, small_reference, overrides, listed):
+        with pytest.raises(RegistryError, match=listed):
+            Mapper.from_reference(small_reference, full_fallback=False,
+                                  **overrides)
 
 
-class TestExtension:
-    def test_register_decorator_and_duplicate_rejection(self):
-        registry = StageRegistry("demo stage")
+class TestEntryContracts:
+    """What the deleted RPL301/RPL302 lint checks guaranteed."""
 
-        @registry.register("custom")
-        def build(config):
-            return ("custom", config.max_edits)
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    @pytest.mark.parametrize("method", ["begin_run", "map_stream",
+                                        "run_stats", "fresh_stats"])
+    def test_engines_override_the_abstract_protocol(self, name, method):
+        cls = ENGINES[name]
+        assert issubclass(cls, Engine)
+        assert getattr(cls, method) is not getattr(Engine, method)
 
-        assert registry.create("custom", MappingConfig(max_edits=1)) \
-            == ("custom", 1)
-        with pytest.raises(ValueError):
-            registry.register("custom", build)
-        with pytest.raises(ValueError):
-            registry.register("", build)
+    @pytest.mark.parametrize("name", sorted(OUTPUT_FORMATS))
+    def test_formats_carry_header_records_and_writer(self, name,
+                                                     tmp_path):
+        fmt = OUTPUT_FORMATS[name]
+        assert fmt.name == name and fmt.suffix == f".{name}"
+        assert isinstance(fmt.header_lines(None), list)
+        assert list(fmt.record_lines((), None)) == []
+        path = tmp_path / f"empty{fmt.suffix}"
+        with fmt.open(path, None) as writer:
+            assert isinstance(writer, ResultLineWriter)
+            assert writer.drain(()) == 0
+        # One definition: the file is the wire lines joined by newlines.
+        assert path.read_text() == "".join(
+            line + "\n" for line in fmt.lines((), None))
+
+    def test_every_options_field_names_an_engine(self):
+        option_fields = [
+            spec.name for spec in dataclasses.fields(MappingConfig)
+            if "Options" in str(spec.type)]
+        assert option_fields == ["mm2", "longread"]
+        assert set(option_fields) <= set(ENGINES)
 
 
-class TestChainSemantics:
-    def _world(self):
-        window = np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 1],
-                          dtype=np.uint8)
-        read = window[2:8].copy()
-        return read, window
+class TestPluginSystemIsGone:
+    @pytest.mark.parametrize("module", ["repro.filters.stages",
+                                        "repro.align.stages",
+                                        "repro.lint.registry_contract"])
+    def test_adapter_modules_cannot_be_imported(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
 
-    def test_empty_chain_passes_everything(self):
-        read, window = self._world()
-        assert FilterChain(())(read, window, 2)
-        assert len(FilterChain(())) == 0
-
-    def test_exact_screen_accepts_only_verbatim_matches(self):
-        read, window = self._world()
-        screen = ExactScreen()
-        assert screen(read, window, 2)
-        mutated = read.copy()
-        mutated[0] = (mutated[0] + 1) % 4
-        assert not screen(mutated, window, 2)
-
-    def test_shd_and_gatekeeper_admit_near_matches(self):
-        read, window = self._world()
-        mutated = read.copy()
-        mutated[3] = (mutated[3] + 1) % 4
-        for screen in (ShdScreen(max_edits=2),
-                       GateKeeperScreen(max_edits=2)):
-            assert screen(read, window, 2)
-            assert screen(mutated, window, 2)
-
-    def test_chain_is_a_conjunction(self):
-        read, window = self._world()
-        mutated = read.copy()
-        mutated[0] = (mutated[0] + 1) % 4
-        chain = FilterChain((ShdScreen(max_edits=3), ExactScreen()))
-        assert chain(read, window, 2)
-        assert not chain(mutated, window, 2)  # exact link rejects
+    @pytest.mark.parametrize("name", ["FILTER_CHAINS", "ALIGNERS",
+                                      "StageRegistry"])
+    def test_names_left_the_public_api(self, name):
+        assert name not in repro.api.__all__
+        with pytest.raises(ImportError):
+            exec(f"from repro.api import {name}")

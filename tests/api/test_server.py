@@ -74,7 +74,8 @@ class TestProtocol:
         with Client(server.socket_path) as client:
             reply = client.map_pairs(wire_pairs(pairs))
         assert reply["pairs"] == len(pairs)
-        assert len(reply["sam"]) == 2 * len(pairs)
+        assert len(reply["lines"]) == 2 * len(pairs)
+        assert "sam" not in reply  # the lines ship once, under "lines"
         assert reply["stats"]["pairs_total"] == len(pairs)
         assert reply["elapsed_s"] >= 0
 
@@ -165,7 +166,7 @@ class TestByteIdentity:
                          format="sam")
         with Client(server.socket_path) as client:
             reply = client.map_pairs(wire_pairs(pairs), header=True)
-        assert "\n".join(reply["sam"]) + "\n" == offline.read_text()
+        assert "\n".join(reply["lines"]) + "\n" == offline.read_text()
 
 
 class TestLifecycle:
@@ -234,7 +235,7 @@ class TestLifecycle:
             reply = client.map_pairs(entries)
             assert reply["pairs"] == 3
             # Unnamed pairs are numbered by request position.
-            assert reply["sam"][0].startswith("pair0/")
+            assert reply["lines"][0].startswith("pair0/")
             with pytest.raises(ClientError) as excinfo:
                 client.map_pairs([{"read1": "ACGT"}])
             assert "read2" in str(excinfo.value)

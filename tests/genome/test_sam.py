@@ -75,7 +75,7 @@ class TestSamWriter:
         streamed = tmp_path / "streamed.sam"
         with SamWriter(streamed, reference=plain_reference) as writer:
             for record in records:
-                writer.write(record)
+                writer.write_result(record)
             assert writer.count == 3
         assert streamed.read_text() == eager.read_text()
 

@@ -35,7 +35,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fixture", [
         "fork_unsafe.py", "mutable_bad.py", "rogue_sam.py",
-        "no_print_bad.py", "regproj"])
+        "no_print_bad.py"])
     def test_every_seeded_fixture_fails_strict(self, capsys, fixtures,
                                                fixture):
         assert main(["lint", "--strict", "--no-external",
@@ -64,8 +64,9 @@ class TestOutput:
     def test_list_codes(self, capsys):
         assert main(["lint", "--list-codes"]) == 0
         out = capsys.readouterr().out
-        for code in ("RPL101", "RPL202", "RPL301", "RPL401", "RPL501"):
+        for code in ("RPL101", "RPL202", "RPL401", "RPL501"):
             assert code in out
+        assert "RPL30" not in out  # the registry-contract family is gone
 
     def test_select_flag(self, capsys, fixtures):
         main(["lint", "--no-external", "--select", "RPL103",

@@ -63,18 +63,19 @@ class TestParser:
                      "--out", str(tmp_path / "x.sam")]) == 1
         assert "no such file" in capsys.readouterr().err
 
-    def test_unknown_stage_names_exit_2_naming_available(
-            self, tmp_path, capsys):
-        prefix = str(tmp_path / "d")
-        assert main(["simulate", "--out", prefix, "--pairs", "1",
-                     "--chromosomes", "2000", "--seed", "8"]) == 0
-        assert main(["map", "--reference", prefix + "_ref.fa",
-                     "--reads1", prefix + "_1.fq",
-                     "--reads2", prefix + "_2.fq",
-                     "--filter-chain", "warp-drive",
-                     "--out", str(tmp_path / "x.sam")]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["map", "--reference", "r", "--reads1", "a", "--reads2", "b"],
+        ["map-long", "--reference", "r", "--reads", "a"],
+        ["serve", "--reference", "r"]])
+    @pytest.mark.parametrize("flag", ["--filter-chain", "--aligner"])
+    def test_removed_stage_flags_are_unrecognized(self, capsys, argv,
+                                                  flag):
+        build_parser().parse_args(argv)  # valid without the flag
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + [flag, "shd"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "warp-drive" in err and "shd" in err
+        assert "unrecognized arguments" in err and flag in err
 
     @pytest.mark.parametrize("flag,value", [("--workers", "0"),
                                             ("--workers", "-2"),

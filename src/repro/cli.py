@@ -590,14 +590,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .lint import CODES, run_lint
-    from .lint.cache import DEFAULT_CACHE_NAME
-    from .lint.fixer import FIXABLE_CODES, fix_paths
 
     if args.list_codes:
         width = max(len(code) for code in CODES)
         for code, meaning in sorted(CODES.items()):
-            mark = "  [--fix]" if code in FIXABLE_CODES else ""
-            print(f"{code:<{width}}  {meaning}{mark}")
+            print(f"{code:<{width}}  {meaning}")
         return 0
     if args.paths:
         roots = [Path(p) for p in args.paths]
@@ -610,73 +607,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
               if s.strip()] if args.ignore else None
     exclude = [s.strip() for s in (args.exclude or []) if s.strip()]
 
-    if args.fix or args.diff:
-        codes = [code for code in FIXABLE_CODES
-                 if select is None
-                 or any(code.startswith(p) for p in select)]
-        fixes = fix_paths(roots, codes)
-        if args.diff:
-            for fix in fixes:
-                print(fix.diff(relative_to=Path.cwd()), end="")
-            return 0
-        for fix in fixes:
-            fix.write()
-            summary = ", ".join(f"{count} {code}" for code, count
-                                in fix.counts.items())
-            print(f"fixed {fix.path}: {summary}")
-        if not fixes:
-            print("nothing to fix")
-        return 0
-
-    cache_path = None
-    if args.cache_path:
-        cache_path = Path(args.cache_path)
-    elif args.cache:
-        cache_path = Path.cwd() / DEFAULT_CACHE_NAME
-    jobs = args.jobs
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
     report = run_lint(roots, select=select, ignore=ignore,
-                      external=not args.no_external,
-                      cache_path=cache_path, exclude=exclude,
-                      jobs=jobs)
-    baseline_root = Path.cwd()
-    if args.update_baseline:
-        from .lint.baseline import write_baseline
-        count = write_baseline(report.findings,
-                               Path(args.update_baseline),
-                               baseline_root)
-        print(f"baseline: recorded {count} finding(s) to "
-              f"{args.update_baseline}")
-        return 0
-    if args.baseline:
-        from .lint.baseline import apply_baseline
-        report.findings, absorbed = apply_baseline(
-            report.findings, Path(args.baseline), baseline_root)
-        if absorbed:
-            report.notes.append(
-                f"baseline: {absorbed} finding(s) absorbed by "
-                f"{args.baseline}")
-    fmt = args.format or ("json" if args.json else "text")
-    if fmt == "json":
+                      exclude=exclude)
+    if args.json:
         print(json.dumps(report.to_json(), indent=2))
-    elif fmt == "sarif":
-        from .lint.sarif import to_sarif
-        print(json.dumps(to_sarif(report, relative_to=Path.cwd()),
-                         indent=2))
-    elif fmt == "github":
-        from .lint.sarif import to_github
-        for line in to_github(report, relative_to=Path.cwd()):
-            print(line)
     else:
         for line in report.render(relative_to=Path.cwd()):
             print(line)
-        for message in report.notes:
-            print(f"note: {message}", file=sys.stderr)
-        if report.cache_stats is not None:
-            hits, misses = report.cache_stats
-            print(f"cache: {hits} hit(s), {misses} miss(es)",
-                  file=sys.stderr)
         if report.clean:
             print(f"clean: {len(roots)} root(s), "
                   f"{len(report.suppressed)} suppressed")
@@ -954,53 +891,18 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exit 2 on any finding (the CI gate)")
     lint_cmd.add_argument("--select", default=None,
                           help="comma-separated code prefixes to "
-                               "report (e.g. RPL1,RPL5)")
+                               "report (e.g. RPL1,RPL5); checkers "
+                               "with no selected code are not run")
     lint_cmd.add_argument("--ignore", default=None,
                           help="comma-separated code prefixes to "
                                "drop (wins over --select)")
-    lint_cmd.add_argument("--no-external", action="store_true",
-                          help="skip ruff/mypy, run only the project "
-                               "checkers")
     lint_cmd.add_argument("--json", action="store_true",
-                          help="machine-readable report on stdout "
-                               "(alias for --format json)")
-    lint_cmd.add_argument("--format",
-                          choices=("text", "json", "sarif", "github"),
-                          default=None,
-                          help="report format: human text (default), "
-                               "JSON, SARIF 2.1.0, or GitHub workflow "
-                               "commands")
+                          help="machine-readable report on stdout")
     lint_cmd.add_argument("--exclude", action="append", default=None,
                           metavar="FRAGMENT",
                           help="drop findings whose path contains this "
                                "fragment (repeatable; e.g. "
                                "tests/lint/fixtures)")
-    lint_cmd.add_argument("--fix", action="store_true",
-                          help="rewrite the fixable findings in place "
-                               "(RPL201/RPL501/RPL601; idempotent)")
-    lint_cmd.add_argument("--diff", action="store_true",
-                          help="print the --fix rewrites as a unified "
-                               "diff without touching any file")
-    lint_cmd.add_argument("--cache", action="store_true",
-                          help="use the incremental cache "
-                               "(.repro-lint-cache.json in the "
-                               "working directory)")
-    lint_cmd.add_argument("--cache-path", default=None,
-                          help="incremental cache location (implies "
-                               "--cache)")
-    lint_cmd.add_argument("--jobs", type=int, default=None,
-                          metavar="N",
-                          help="run the per-file checkers in a "
-                               "process pool of N workers (report is "
-                               "byte-identical to a serial run; 0 = "
-                               "one per CPU)")
-    lint_cmd.add_argument("--baseline", default=None, metavar="PATH",
-                          help="subtract this findings snapshot and "
-                               "report/gate only regressions")
-    lint_cmd.add_argument("--update-baseline", default=None,
-                          metavar="PATH",
-                          help="write the current findings to PATH as "
-                               "a baseline snapshot and exit 0")
     lint_cmd.add_argument("--list-codes", action="store_true",
                           help="print the finding-code table and exit")
     lint_cmd.set_defaults(func=_cmd_lint)

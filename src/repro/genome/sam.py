@@ -133,7 +133,7 @@ class SamWriter(ResultLineWriter):
     being mapped.  Use as a context manager::
 
         with SamWriter("out.sam", reference=reference) as writer:
-            writer.drain(pipeline.map_stream(pairs, workers=4))
+            writer.drain(pipeline.map_stream(pairs))
 
     :attr:`count` tracks records written so far.
     """

@@ -106,86 +106,31 @@ the bracket to suppress every code) to the offending line::
 
     handle = open(path)  # lint: ignore[RPL102] — closed before fork
 
-Suppressions apply to the physical line of the finding only, and also
-silence external-tool findings reported for that line.
+Suppressions apply to the physical line of the finding only.
 
 Running
 -------
 
-``repro lint`` walks ``src/repro`` (or explicit paths), runs every
-checker plus ``ruff``/``mypy`` when installed (``--no-external`` skips
-them; missing tools degrade to a stderr note), prints findings as
-``path:line  CODE  message``, and exits 0.  ``repro lint --strict``
-exits 2 on any finding — the CI gate.  ``--select``/``--ignore`` take
-comma-separated code prefixes; ``--exclude FRAGMENT`` (repeatable)
-drops paths containing the fragment; ``--list-codes`` prints the
-table above, tagging the autofixable codes.
+``repro lint`` walks ``src/repro`` (or explicit paths), runs the
+checkers, prints findings as ``path:line  CODE  message``, and exits
+0.  ``repro lint --strict`` exits 2 on any finding — the CI gate.
+``--select``/``--ignore`` take comma-separated code prefixes, and a
+checker whose codes are all filtered out is not run at all, so
+``--select RPL5`` costs one AST walk, not the call graph and the race
+detector; ``--exclude FRAGMENT`` (repeatable) drops paths containing
+the fragment; ``--json`` prints the report (findings, plus the
+path/line/code of every suppressed finding) as JSON; ``--list-codes``
+prints the table above.
 
-``--jobs N`` runs the per-file checkers in a process pool of ``N``
-workers (``0`` = one per CPU); the report is byte-identical to a
-serial run — results are reassembled in (checker, module) order
-before rendering, and the parent owns the cache, so parallelism
-changes wall-clock only.
-
-``--update-baseline PATH`` snapshots the current findings;
-``--baseline PATH`` subtracts that snapshot from a later run so
-``--strict`` gates only *regressions* — which is how a new checker
-family lands strict in CI before the historical findings are fixed.
-Matching is a counted multiset over (path, code, message), so
-findings may move between lines without tripping the gate.
-
-Autofix
--------
-
-``repro lint --fix`` rewrites the mechanical findings in place;
-``--diff`` previews the rewrites as a unified diff without writing.
-Fixable codes: ``RPL201`` (mutable default → ``None`` sentinel plus a
-guard after the docstring), ``RPL501`` (bare single-argument
-``print(x)`` → ``diagnostics.note(x)``, importing the module when
-needed), ``RPL601`` (``time.time()`` → ``time.perf_counter()``,
-rewiring ``from time import time``).  The fixer is idempotent — a
-second ``--fix`` run changes nothing — it honours suppression
-comments, and it skips anything it cannot rewrite safely (multi-line
-defaults, one-liner bodies, ``print`` with keywords or starred args).
-
-Incremental cache
------------------
-
-``--cache`` (or ``--cache-path PATH``) persists per-checker results
-keyed by content hash into ``.repro-lint-cache.json``.  Local
-checkers key per file (plus an environment digest — the obs-contract
-checker folds the catalog and README in); cross-module checkers key
-on their declared dependency closure, so the fork-safety checker
-re-runs when a worker-reachable module changes and is reused when an
-unrelated one does.  The store is generation-swapped: every save
-writes only entries the run touched, so stale keys age out.  Cached
-and uncached runs render byte-identically (tested), and CI gates the
-warm run at >=3x faster than cold.
-
-Output formats
---------------
-
-``--format text|json|sarif|github`` selects the report form: ``sarif``
-is a SARIF 2.1.0 log for code-scanning upload, ``github`` emits
-``::error file=...`` workflow commands (suppressed findings become
-``::notice`` lines) so CI annotates the diff inline.  ``to_json``
-carries suppressed findings' path/line/code, not just a count.
-
-Programmatic surface: :func:`run_lint` returns the finding list;
+Programmatic surface: :func:`run_lint` returns a :class:`LintReport`;
 :class:`Finding` is the one record type; ``CHECKERS`` lists the checker
-classes in the order they run; :func:`fix_paths` computes autofixes;
-:class:`LintCache` is the incremental store; :func:`to_sarif` /
-:func:`to_github` render a report for CI.
+instances in the order they run.
 """
 
 from __future__ import annotations
 
-from .cache import LintCache
 from .driver import CHECKERS, LintReport, lint_paths, run_lint
 from .findings import CODES, Finding, suppressed_codes
-from .fixer import FIXABLE_CODES, fix_paths
-from .sarif import to_github, to_sarif
 
-__all__ = ["CHECKERS", "CODES", "FIXABLE_CODES", "Finding",
-           "LintCache", "LintReport", "fix_paths", "lint_paths",
-           "run_lint", "suppressed_codes", "to_github", "to_sarif"]
+__all__ = ["CHECKERS", "CODES", "Finding", "LintReport", "lint_paths",
+           "run_lint", "suppressed_codes"]

@@ -807,18 +807,9 @@ class ConcurrencyChecker:
     """RPL1001–RPL1005, lock-set dataflow from thread spawns."""
 
     codes = ("RPL1001", "RPL1002", "RPL1003", "RPL1004", "RPL1005")
-    scope = "global"
 
     def check(self, project: Project) -> Iterator[Finding]:
         if not any("Thread" in module.source
                    for module in project.modules):
             return  # no thread spawns anywhere: nothing to analyze
         yield from _Analysis(project).run()
-
-    def dependencies(self, project: Project) -> List[Module]:
-        """Thread-reachability cannot leave the import closure of the
-        spawning modules — the cache invalidation set."""
-        from .cache import import_closure
-        anchors = [module for module in project.modules
-                   if "Thread" in module.source]
-        return import_closure(project, anchors)

@@ -137,14 +137,12 @@ class DeterminismChecker:
     """RPL801/RPL802 over every module of the tree."""
 
     codes = ("RPL801", "RPL802")
-    scope = "local"
 
     def check(self, project: Project) -> Iterator[Finding]:
         for module in project.modules:
-            yield from self.check_module(project, module)
+            yield from self._check_module(module)
 
-    def check_module(self, project: Project, module: Module
-                     ) -> Iterator[Finding]:
+    def _check_module(self, module: Module) -> Iterator[Finding]:
         parents = _ParentMap(module.tree)
         scopes = [module.tree] + [
             node for node in ast.walk(module.tree)

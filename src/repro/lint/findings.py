@@ -1,7 +1,7 @@
 """The one finding record, the code table, and suppression parsing.
 
-Every checker — custom or external — reports :class:`Finding` objects;
-the driver sorts them, drops the suppressed ones, and renders the
+Every checker reports :class:`Finding` objects; the driver sorts
+them, drops the suppressed ones, and renders the
 ``path:line  CODE  message`` report.  Suppressions are per-line
 ``# lint: ignore[CODE1,CODE2]`` comments (bare ``# lint: ignore``
 silences every code on that line); :func:`suppressed_codes` parses one
@@ -14,9 +14,8 @@ import re
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Tuple
 
-#: Every custom finding code with its one-line meaning (the
-#: ``--list-codes`` table; the full spec lives in ``repro.lint``'s
-#: docstring).  External tools report as ``ruff:<code>``/``mypy:<code>``.
+#: Every finding code with its one-line meaning (the ``--list-codes``
+#: table; the full spec lives in ``repro.lint``'s docstring).
 CODES = {
     "RPL101": "threading primitive created in worker-reachable code of "
               "a _FORK_STATE module",
@@ -64,34 +63,24 @@ _SUPPRESS_RE = re.compile(
 
 @dataclass(frozen=True)
 class Finding:
-    """One static-analysis finding, custom or external.
+    """One static-analysis finding.
 
     ``path`` is whatever the producing checker saw (the driver
-    relativizes for display); ``line`` is 1-based.  ``tool`` is
-    ``"repro"`` for the custom checkers, else the external tool name
-    (its code is then reported as ``tool:code``).
+    relativizes for display); ``line`` is 1-based.
     """
 
     path: str
     line: int
     code: str
     message: str
-    tool: str = "repro"
-    column: int = 0
-
-    @property
-    def display_code(self) -> str:
-        if self.tool == "repro":
-            return self.code
-        return f"{self.tool}:{self.code}"
 
     def render(self, path: Optional[str] = None) -> str:
         """The report line: ``path:line  CODE  message``."""
         shown = path if path is not None else self.path
-        return f"{shown}:{self.line}  {self.display_code}  {self.message}"
+        return f"{shown}:{self.line}  {self.code}  {self.message}"
 
     def sort_key(self) -> Tuple:
-        return (self.path, self.line, self.column, self.display_code)
+        return (self.path, self.line, self.code)
 
 
 @dataclass
@@ -105,10 +94,7 @@ class Suppression:
     codes: FrozenSet[str] = field(default_factory=frozenset)
 
     def covers(self, finding: Finding) -> bool:
-        if not self.codes:
-            return True
-        return (finding.code in self.codes
-                or finding.display_code in self.codes)
+        return not self.codes or finding.code in self.codes
 
 
 def suppressed_codes(source_line: str) -> Optional[Suppression]:

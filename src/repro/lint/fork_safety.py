@@ -167,7 +167,6 @@ class ForkSafetyChecker:
     """RPL101–RPL104, reachability via the project call graph."""
 
     codes = ("RPL101", "RPL102", "RPL103", "RPL104")
-    scope = "global"
 
     def check(self, project: Project) -> Iterator[Finding]:
         has_fork_modules = any(is_fork_module(module)
@@ -183,17 +182,6 @@ class ForkSafetyChecker:
         for module in project.modules:
             if is_fork_module(module) or module.dotted in stashed_in:
                 yield from self._check_prefork_stash(module)
-
-    def dependencies(self, project: Project) -> List[Module]:
-        """The modules whose content this checker's findings depend
-        on: the fork-protocol modules plus everything they can import
-        (reachability cannot leave the import closure) — the cache
-        invalidation set."""
-        from .cache import import_closure
-        anchors = [module for module in project.modules
-                   if is_fork_module(module)
-                   or "_FORK_STATE" in module.source]
-        return import_closure(project, anchors)
 
     # -- worker-reachable code (RPL101/102/103) -----------------------------
 

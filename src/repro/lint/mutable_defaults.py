@@ -104,14 +104,12 @@ class MutableDefaultChecker:
     """RPL201/RPL202 over every module of the tree."""
 
     codes = ("RPL201", "RPL202")
-    scope = "local"
 
     def check(self, project: Project) -> Iterator[Finding]:
         for module in project.modules:
-            yield from self.check_module(project, module)
+            yield from self._check_module(module)
 
-    def check_module(self, project: Project, module: Module
-                     ) -> Iterator[Finding]:
+    def _check_module(self, module: Module) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 for item in node.body:

@@ -29,14 +29,12 @@ class NoPrintChecker:
     """RPL501 over every non-CLI module."""
 
     codes = ("RPL501",)
-    scope = "local"
 
     def check(self, project: Project) -> Iterator[Finding]:
         for module in project.modules:
-            yield from self.check_module(project, module)
+            yield from self._check_module(module)
 
-    def check_module(self, project: Project, module: Module
-                     ) -> Iterator[Finding]:
+    def _check_module(self, module: Module) -> Iterator[Finding]:
         if not is_print_exempt(module):
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.Call) \

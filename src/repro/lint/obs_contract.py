@@ -206,32 +206,18 @@ class ObsContractChecker:
     """RPL901-RPL903 over every module of the tree."""
 
     codes = ("RPL901", "RPL902", "RPL903")
-    scope = "local"
 
     def check(self, project: Project) -> Iterator[Finding]:
-        for module in project.modules:
-            yield from self.check_module(project, module)
-
-    def check_module(self, project: Project, module: Module
-                     ) -> Iterator[Finding]:
         catalog = find_catalog(project)
         if catalog is None:
             return
-        if module is catalog.module:
-            yield from self._check_readme(project, catalog)
-            return
-        yield from self._check_record_sites(catalog, module)
-        if self._is_render_module(catalog, module):
-            yield from self._check_render_drift(catalog, module)
-
-    def environment(self, project: Project) -> str:
-        """Extra cache-key material: these findings depend on the
-        catalog source and the README table, not just the module."""
-        catalog = project.find_module("obs/catalog.py")
-        parts = [catalog.source if catalog is not None else ""]
-        readme = _find_readme(project.root)
-        parts.append(readme.read_text() if readme is not None else "")
-        return "\n\x00".join(parts)
+        for module in project.modules:
+            if module is catalog.module:
+                yield from self._check_readme(project, catalog)
+                continue
+            yield from self._check_record_sites(catalog, module)
+            if self._is_render_module(catalog, module):
+                yield from self._check_render_drift(catalog, module)
 
     # -- RPL901/RPL902: record sites ----------------------------------
 

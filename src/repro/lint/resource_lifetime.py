@@ -239,14 +239,12 @@ class ResourceLifetimeChecker:
     """RPL701/RPL702 over every module of the tree."""
 
     codes = ("RPL701", "RPL702")
-    scope = "local"
 
     def check(self, project: Project) -> Iterator[Finding]:
         for module in project.modules:
-            yield from self.check_module(project, module)
+            yield from self._check_module(module)
 
-    def check_module(self, project: Project, module: Module
-                     ) -> Iterator[Finding]:
+    def _check_module(self, module: Module) -> Iterator[Finding]:
         class_closed: dict = {}
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef):

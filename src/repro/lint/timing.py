@@ -56,14 +56,12 @@ class TimingChecker:
     """RPL601 over every non-test module."""
 
     codes = ("RPL601",)
-    scope = "local"
 
     def check(self, project: Project) -> Iterator[Finding]:
         for module in project.modules:
-            yield from self.check_module(project, module)
+            yield from self._check_module(module)
 
-    def check_module(self, project: Project, module: Module
-                     ) -> Iterator[Finding]:
+    def _check_module(self, module: Module) -> Iterator[Finding]:
         if is_timing_exempt(module):
             return
         modules, functions = time_aliases(module.tree)

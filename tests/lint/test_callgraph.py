@@ -66,8 +66,7 @@ class TestForkStateDataflow:
 
 class TestForkSafetyOnCallGraph:
     def test_cross_module_findings(self, fixtures):
-        findings = run_lint([fixtures / "forkproj"],
-                            external=False).findings
+        findings = run_lint([fixtures / "forkproj"]).findings
         by_code = {}
         for finding in findings:
             by_code.setdefault(finding.code, []).append(finding)
@@ -77,17 +76,14 @@ class TestForkSafetyOnCallGraph:
                    for f in by_code["RPL102"] + by_code["RPL103"])
 
     def test_unreachable_fd_open_not_flagged(self, fixtures):
-        findings = run_lint([fixtures / "forkproj"],
-                            external=False).findings
+        findings = run_lint([fixtures / "forkproj"]).findings
         assert not any("dump.bin" in (Path(f.path).read_text()
                                       .splitlines()[f.line - 1])
                        for f in findings)
 
     def test_deterministic_order(self, fixtures):
         first = [f.sort_key() for f in
-                 run_lint([fixtures / "forkproj"],
-                          external=False).findings]
+                 run_lint([fixtures / "forkproj"]).findings]
         second = [f.sort_key() for f in
-                  run_lint([fixtures / "forkproj"],
-                           external=False).findings]
+                  run_lint([fixtures / "forkproj"]).findings]
         assert first == second

@@ -7,12 +7,11 @@ from repro.lint import run_lint
 
 
 def _lint(path, **kwargs):
-    return run_lint([path], select=["RPL100"], external=False,
-                    **kwargs)
+    return run_lint([path], select=["RPL100"], **kwargs)
 
 
 def codes_of(findings):
-    return sorted({f.display_code for f in findings})
+    return sorted({f.code for f in findings})
 
 
 class TestConcprojFixture:
@@ -57,7 +56,7 @@ class TestConcprojFixture:
         report = _lint(fixtures / "concproj")
         assert not any("Stats.noted" in f.message
                        for f in report.findings)
-        assert any(f.display_code == "RPL1002"
+        assert any(f.code == "RPL1002"
                    and "Stats.noted" in f.message
                    for f in report.suppressed)
 
@@ -83,9 +82,8 @@ class TestNoThreadsNoFindings:
 
 
 class TestRealSourcesClean:
-    def test_src_repro_has_no_concurrency_findings(self):
+    def test_src_repro_has_no_concurrency_findings(self, head_report):
         """The acceptance bar: the family gates strict in CI, so HEAD
         must be clean."""
-        root = Path(__file__).resolve().parents[2] / "src" / "repro"
-        report = _lint(root)
-        assert report.findings == []
+        assert [f for f in head_report.findings
+                if f.code.startswith("RPL100")] == []

@@ -4,8 +4,7 @@ from repro.lint import run_lint
 
 
 def _findings(fixtures, code):
-    return run_lint([fixtures / "ordering.py"], select=[code],
-                    external=False).findings
+    return run_lint([fixtures / "ordering.py"], select=[code]).findings
 
 
 def _marked(fixtures, code):
@@ -38,10 +37,7 @@ class TestFilesystemOrder:
         findings = _findings(fixtures, "RPL802")
         assert any("returned" in f.message for f in findings)
 
-    def test_real_repo_clean(self):
+    def test_real_repo_clean(self, head_report):
         """src/repro itself holds the determinism contract."""
-        from pathlib import Path
-        import repro
-        report = run_lint([Path(repro.__file__).parent],
-                          select=["RPL8"], external=False)
-        assert report.findings == []
+        assert [f for f in head_report.findings
+                if f.code.startswith("RPL8")] == []

@@ -7,11 +7,11 @@ def _lint(path):
     # This suite is about the RPL1xx family; the deliberately leaky
     # fixtures also trip resource-lifetime codes, which have their own
     # tests.
-    return run_lint([path], select=["RPL1"], external=False).findings
+    return run_lint([path], select=["RPL1"]).findings
 
 
 def codes_of(findings):
-    return sorted(f.display_code for f in findings)
+    return sorted(f.code for f in findings)
 
 
 class TestForkUnsafeFixture:

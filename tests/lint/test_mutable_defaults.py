@@ -4,11 +4,11 @@ from repro.lint import run_lint
 
 
 def _lint(path):
-    return run_lint([path], external=False).findings
+    return run_lint([path]).findings
 
 
 def codes_of(findings):
-    return sorted(f.display_code for f in findings)
+    return sorted(f.code for f in findings)
 
 
 class TestBadFixture:

@@ -1,14 +1,11 @@
 """No-print checker (RPL501) and the diagnostics helper it points to."""
 
-from pathlib import Path
-
-import repro
 from repro.lint import run_lint
 from repro.util.diagnostics import note, warn
 
 
 def _lint(path):
-    return run_lint([path], external=False).findings
+    return run_lint([path]).findings
 
 
 class TestChecker:
@@ -26,9 +23,9 @@ class TestChecker:
         target.write_text('print("usage: ...")\n')
         assert _lint(target) == []
 
-    def test_library_clean_at_head(self):
-        package = Path(repro.__file__).parent
-        findings = [f for f in _lint(package) if f.code == "RPL501"]
+    def test_library_clean_at_head(self, head_report):
+        findings = [f for f in head_report.findings
+                    if f.code == "RPL501"]
         assert findings == []
 
 

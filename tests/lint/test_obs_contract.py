@@ -1,13 +1,10 @@
 """Obs-contract checker (RPL901-RPL903) against the obsproj fixture."""
 
-from pathlib import Path
-
 from repro.lint import run_lint
 
 
 def _report(fixtures, select=None):
-    return run_lint([fixtures / "obsproj"], select=select,
-                    external=False)
+    return run_lint([fixtures / "obsproj"], select=select)
 
 
 class TestRecordSites:
@@ -75,12 +72,9 @@ class TestReadmeDrift:
 class TestExemptions:
     def test_project_without_catalog_exempt(self, fixtures):
         """forkproj has no obs/catalog.py: no RPL9xx at all."""
-        report = run_lint([fixtures / "forkproj"], select=["RPL9"],
-                          external=False)
+        report = run_lint([fixtures / "forkproj"], select=["RPL9"])
         assert report.findings == []
 
-    def test_real_repo_record_sites_clean(self):
-        import repro
-        report = run_lint([Path(repro.__file__).parent],
-                          select=["RPL9"], external=False)
-        assert report.findings == []
+    def test_real_repo_record_sites_clean(self, head_report):
+        assert [f for f in head_report.findings
+                if f.code.startswith("RPL9")] == []

@@ -4,8 +4,7 @@ from repro.lint import run_lint
 
 
 def _findings(fixtures, code):
-    report = run_lint([fixtures / "lifetimes.py"], select=[code],
-                      external=False)
+    report = run_lint([fixtures / "lifetimes.py"], select=[code])
     return report.findings
 
 

@@ -1,13 +1,10 @@
 """Timing checker (RPL601): time.time() outside tests."""
 
-from pathlib import Path
-
-import repro
 from repro.lint import run_lint
 
 
 def _lint(path):
-    return run_lint([path], external=False).findings
+    return run_lint([path]).findings
 
 
 class TestChecker:
@@ -22,7 +19,7 @@ class TestChecker:
         assert not flagged & {16, 17, 18}
 
     def test_suppression_honoured(self, fixtures):
-        report = run_lint([fixtures / "timing_bad.py"], external=False)
+        report = run_lint([fixtures / "timing_bad.py"])
         assert all(f.line != 22 for f in report.findings)
         assert any(f.code == "RPL601" and f.line == 22
                    for f in report.suppressed)
@@ -55,7 +52,7 @@ class TestChecker:
         findings = _lint(tmp_path / "pkg")
         assert [f.code for f in findings] == ["RPL601"]
 
-    def test_library_clean_at_head(self):
-        package = Path(repro.__file__).parent
-        findings = [f for f in _lint(package) if f.code == "RPL601"]
+    def test_library_clean_at_head(self, head_report):
+        findings = [f for f in head_report.findings
+                    if f.code == "RPL601"]
         assert findings == []

@@ -1,14 +1,11 @@
 """Wire-identity checker (RPL401/RPL402) against the rogue formatter
 fixture and the real tree."""
 
-from pathlib import Path
-
-import repro
 from repro.lint import run_lint
 
 
 def _lint(path):
-    return run_lint([path], external=False).findings
+    return run_lint([path]).findings
 
 
 class TestRogueFormatter:
@@ -62,10 +59,8 @@ class TestExemptions:
 
 
 class TestRealTree:
-    def test_only_renderers_format_records(self):
+    def test_only_renderers_format_records(self, head_report):
         """The single-renderer rule holds at HEAD: no module outside
         genome/{sam,paf,jsonl}.py assembles record text or markers."""
-        package = Path(repro.__file__).parent
-        findings = [f for f in _lint(package)
-                    if f.code.startswith("RPL4")]
-        assert findings == []
+        assert [f for f in head_report.findings
+                if f.code.startswith("RPL4")] == []

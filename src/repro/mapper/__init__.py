@@ -2,12 +2,12 @@
 (its four stages are ``mm2.*`` spans, see :mod:`repro.obs.trace`)."""
 
 from .index import IndexStats, MinimizerIndex
-from .minimizer import Minimizer, extract_minimizers
+from .minimizer import extract_minimizers, extract_minimizers_rows
 from .mm2 import (MapperConfig, MapperStats, Mm2LikeMapper,
                   make_full_fallback)
 
 __all__ = [
-    "IndexStats", "MapperConfig", "MapperStats", "Minimizer",
-    "MinimizerIndex", "Mm2LikeMapper", "extract_minimizers",
+    "IndexStats", "MapperConfig", "MapperStats", "MinimizerIndex",
+    "Mm2LikeMapper", "extract_minimizers", "extract_minimizers_rows",
     "make_full_fallback",
 ]

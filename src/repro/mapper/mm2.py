@@ -13,6 +13,16 @@ The mapper aggregates DP-cell counts for chaining and alignment separately,
 which is exactly the split the paper uses to size GenDP for the residual
 workload (331,772 MCUPS chaining vs 3,469,180 MCUPS alignment per million
 reads, §7.4).
+
+The seed->chain front-end is chunk-wide and array-native:
+:meth:`Mm2LikeMapper.map_pairs` extracts the minimizers of every read and
+strand of the chunk in one pass, resolves them in one index probe into
+anchor columns and chains them in one :func:`chain_anchors` sweep (one
+chaining problem per read and strand); placement, pairing and rescue
+then run pair by pair, so the alignment stacks — and every record and
+counter — are those of a :meth:`~Mm2LikeMapper.map_pair` loop, which is a
+chunk of one.  The per-anchor and per-k-mer loops this replaced are the
+oracle in ``tests/align/oracle.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..align.banded import align_banded, stack_problems
-from ..align.chaining import Anchor, chain_anchors
+from ..align.chaining import AnchorColumns, chain_anchors
 from ..align.dp import AlignmentResult
 from ..align.scoring import DEFAULT_SCHEME, ScoringScheme
 from ..genome.cigar import Cigar
@@ -33,7 +43,7 @@ from ..genome.sam import METHOD_DP, AlignmentRecord
 from ..genome.sequence import reverse_complement
 from ..obs import span
 from .index import MinimizerIndex
-from .minimizer import extract_minimizers
+from .minimizer import extract_minimizers_rows
 
 
 @dataclass(frozen=True)
@@ -99,10 +109,17 @@ class Mm2LikeMapper:
     # -- single-end ----------------------------------------------------------
 
     def map_read(self, codes: np.ndarray, name: str = "read",
-                 mate: int = 0) -> AlignmentRecord:
-        """Map one read; returns an unmapped record if nothing scores."""
+                 mate: int = 0, chains: Optional[list] = None
+                 ) -> AlignmentRecord:
+        """Map one read; returns an unmapped record if nothing scores.
+
+        ``chains`` is :meth:`map_reads` handing over what it seeded and
+        chained for the whole chunk; alone, the read is a chunk of one.
+        """
         self.stats.reads_seen += 1
-        placements, = self._placements([codes])
+        if chains is None:
+            chains = self._chains([codes])
+        placements, = self._placements(chains)
         min_score = int(self.config.min_score_fraction
                         * self.scheme.perfect_score(len(codes)))
         placements = [p for p in placements if p.score >= min_score]
@@ -119,7 +136,7 @@ class Mm2LikeMapper:
     # -- paired-end ----------------------------------------------------------
 
     def map_pair(self, read1: np.ndarray, read2: np.ndarray,
-                 name: str = "pair"
+                 name: str = "pair", chains: Optional[list] = None
                  ) -> Tuple[AlignmentRecord, AlignmentRecord, bool]:
         """Map a pair; returns (record1, record2, proper_pair).
 
@@ -128,9 +145,14 @@ class Mm2LikeMapper:
         constraint (both reads of a proper pair are within ``max_insert``).
         If rescue fails, read 2 is mapped independently; the final records
         are the best-scoring consistent combination.
+
+        ``chains`` is :meth:`map_pairs` handing over what it seeded and
+        chained for the whole chunk; alone, the pair is a chunk of one.
         """
         self.stats.pairs_seen += 1
-        placements1, placements2 = self._placements([read1, read2])
+        if chains is None:
+            chains = self._chains([read1, read2])
+        placements1, placements2 = self._placements(chains)
         with span("mm2.pairing"):
             combo = self._best_combo(placements1, placements2,
                                      len(read1), len(read2))
@@ -160,28 +182,35 @@ class Mm2LikeMapper:
         """Map a chunk of ``(read1, read2, name)`` tuples in input order.
 
         The batched entry point the engine-polymorphic API streams
-        chunks through; statistics accumulate in :attr:`stats` exactly
-        as repeated :meth:`map_pair` calls would.
+        chunks through: every read and strand of the chunk is seeded and
+        chained in one pass, then each pair is placed, paired and
+        rescued on its own.  Records and :attr:`stats` are exactly those
+        of repeated :meth:`map_pair` calls, whatever the chunking.
         """
-        return [self.map_pair(read1, read2, name)
-                for read1, read2, name in pairs]
+        chains = self._chains([read for read1, read2, _name in pairs
+                               for read in (read1, read2)])
+        return [self.map_pair(read1, read2, name,
+                              chains[2 * number:2 * number + 2])
+                for number, (read1, read2, name) in enumerate(pairs)]
 
     def map_reads(self, reads: List[Tuple[np.ndarray, str]]
                   ) -> List[AlignmentRecord]:
         """Map a chunk of single ``(codes, name)`` reads in input order."""
-        return [self.map_read(codes, name) for codes, name in reads]
+        chains = self._chains([codes for codes, _name in reads])
+        return [self.map_read(codes, name, chains=chains[number:number + 1])
+                for number, (codes, name) in enumerate(reads)]
 
     # -- pipeline stages -----------------------------------------------------
 
-    def _placements(self, reads: Sequence[np.ndarray],
-                    max_placements: int = 4) -> List[List[_Placement]]:
-        """Seed, chain, and align each read on both strands.
+    def _placements(self, chains: List[list], max_placements: int = 4
+                    ) -> List[List[_Placement]]:
+        """Align each read's chains (see :meth:`_chains`) and keep its
+        best placements.
 
         The chains of every read are aligned together: a lone 150 x 33
         banded problem is no faster on the stacked kernel than on a
         scalar loop, the eight of a pair are.
         """
-        chains = [self._chains(codes) for codes in reads]
         with span("mm2.alignment"):
             placed = iter(self._align_chains(
                 [chain for per_read in chains for chain in per_read]))
@@ -194,39 +223,40 @@ class Mm2LikeMapper:
             placements.append(found[:max_placements])
         return placements
 
-    def _chains(self, codes: np.ndarray) -> list:
-        """The best ``(oriented read, strand, chain)`` of one read."""
+    def _chains(self, reads: Sequence[np.ndarray]) -> List[list]:
+        """The best ``(oriented read, strand, chain)`` triples of each
+        read: one minimizer pass, one index probe and one chaining sweep
+        for every read and strand of the chunk."""
         with span("mm2.seeding"):
-            anchors_fwd = self._anchors(codes)
-            rc = reverse_complement(codes)
-            anchors_rev = self._anchors(rc)
-            self.stats.anchors_total += len(anchors_fwd) + len(anchors_rev)
+            oriented = [strand for codes in reads
+                        for strand in (codes, reverse_complement(codes))]
+            anchors = self._anchors(oriented)
+            self.stats.anchors_total += anchors.ref_pos.size
         with span("mm2.chaining"):
-            chains = []
-            result_fwd = chain_anchors(anchors_fwd,
-                                       max_gap=self.config.max_gap,
-                                       min_score=self.config.min_chain_score)
-            result_rev = chain_anchors(anchors_rev,
-                                       max_gap=self.config.max_gap,
-                                       min_score=self.config.min_chain_score)
-            self.stats.dp_cells_chaining += (result_fwd.cells
-                                             + result_rev.cells)
-            chains.extend((codes, "+", chain)
-                          for chain in result_fwd.chains)
-            chains.extend((rc, "-", chain) for chain in result_rev.chains)
-            chains.sort(key=lambda item: -item[2].score)
-        return chains[:self.config.max_chains_tried]
+            results = chain_anchors(anchors, max_gap=self.config.max_gap,
+                                    min_score=self.config.min_chain_score)
+            self.stats.dp_cells_chaining += sum(result.cells
+                                                for result in results)
+            stranded = [[(codes, strand, chain) for chain in result.chains]
+                        for codes, strand, result
+                        in zip(oriented, itertools.cycle("+-"), results)]
+            per_read = []
+            for forward, reverse in zip(stranded[::2], stranded[1::2]):
+                chains = forward + reverse
+                chains.sort(key=lambda item: -item[2].score)
+                per_read.append(chains[:self.config.max_chains_tried])
+        return per_read
 
-    def _anchors(self, codes: np.ndarray) -> List[Anchor]:
-        anchors: List[Anchor] = []
-        for minimizer in extract_minimizers(codes, self.config.k,
-                                            self.config.w):
-            for position in self.index.lookup(minimizer.hash_value
-                                              ).tolist():
-                anchors.append(Anchor(ref_pos=position,
-                                      read_pos=minimizer.position,
-                                      length=self.config.k))
-        return anchors
+    def _anchors(self, oriented: Sequence[np.ndarray]) -> AnchorColumns:
+        """Every minimizer hit of every oriented read: one chaining
+        problem per row."""
+        read_pos, hashes, row = extract_minimizers_rows(
+            oriented, self.config.k, self.config.w)
+        which, ref_pos = self.index.lookup_all(hashes)
+        return AnchorColumns(ref_pos=ref_pos, read_pos=read_pos[which],
+                             length=np.full(which.size, self.config.k,
+                                            dtype=np.int64),
+                             problem=row[which], problems=len(oriented))
 
     def _align_chains(self, chains: list) -> List[Optional[_Placement]]:
         """Banded alignment in the window each chain implies: a

@@ -22,14 +22,17 @@ Span-name catalog (what instrumented layers emit today):
 ``serve.render``        one daemon map request's output rendering
 ``seed.query_batch``    one chunk's batched seeding + SeedMap probe
 ``pair.filter_align``   one chunk's per-pair filtering + alignment
-``mm2.seeding``         one read's minimizer extraction + index lookup
-``mm2.chaining``        one read's chaining DP (both strands)
+``mm2.seeding``         one chunk's minimizer extraction + index probe
+``mm2.chaining``        one chunk's chaining sweep (every read and strand)
 ``mm2.alignment``       banded alignment of all chains of a read/pair
 ``mm2.pairing``         one pair's best-combination search
 ======================  ================================================
 
-The ``mm2.*`` spans also appear nested under ``pair.filter_align`` when
-the baseline mapper runs as GenPair's full-DP fallback;
+``mm2.seeding`` and ``mm2.chaining`` are per chunk because the mapper's
+seed->chain front-end is (``Mm2LikeMapper.map_pairs``; a lone
+``map_pair`` is a chunk of one).  The ``mm2.*`` spans also appear nested
+under ``pair.filter_align`` when the baseline mapper runs as GenPair's
+full-DP fallback (pair by pair, so a chunk of one each);
 :func:`repro.analysis.profile_breakdown` sums them into Fig 1.
 """
 

@@ -1,23 +1,41 @@
-"""Scalar Gotoh loops: the oracle the vectorized kernel is tested against.
+"""Scalar loops: the oracles the vectorized kernels are tested against.
 
-These are the pure-Python banded, unbanded semiglobal and local aligners
-that ``repro.align`` shipped before the stacked numpy kernel replaced them
-(one cell at a time, explicit pointer bytearrays, scalar tracebacks).
-They define the contract the kernel must reproduce exactly: score,
-CIGAR, reference span, ``cells`` and every tie-break (``open >= ext``
-opens a gap; origin priority diag > E > F; the leftmost best end
-column).  Nothing under ``src/`` imports this module.
+Two families, both shipped under ``src/`` before a numpy sweep replaced
+them, both kept here one element at a time:
+
+* the pure-Python banded, unbanded semiglobal and local Gotoh aligners
+  (one cell at a time, explicit pointer bytearrays, scalar tracebacks).
+  They define the contract the DP kernel must reproduce exactly: score,
+  CIGAR, reference span, ``cells`` and every tie-break (``open >= ext``
+  opens a gap; origin priority diag > E > F; the leftmost best end
+  column);
+* the traditional path's seed->chain front-end: the monotone-deque
+  :func:`extract_minimizers`, the dict-of-lists :func:`build_index` and
+  the per-anchor :func:`chain_anchors` loop with its ``_gap_penalty``
+  and greedy ``_extract_chains``.  They define what the array-native
+  front-end must reproduce exactly: minimizer positions and hashes (the
+  rightmost minimum of a window wins), ``IndexStats`` and per-hash
+  positions, and the chains (anchors, float ``score`` with ``==``,
+  order) and ``cells`` of every chaining problem.
+
+Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import math
+from collections import deque
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.align.chaining import Anchor, Chain, ChainingResult
 from repro.align.dp import NEG_INF, AlignmentResult
 from repro.align.scoring import DEFAULT_SCHEME, ScoringScheme
 from repro.genome.cigar import Cigar
+from repro.genome.sequence import ALPHABET_SIZE
+from repro.hashing import hash_reference_windows
+from repro.mapper.index import IndexStats
 
 _FROM_DIAG = 0
 _FROM_E = 1  # deletion state
@@ -335,3 +353,148 @@ def _traceback_local(read_list, ref_list, ptr_h, ptr_e, ptr_f, end_i, end_j,
                 state = "H"
             i -= 1
     return Cigar.from_pairs(reversed(ops)), j, i
+
+
+# -- seed -> chain front-end -------------------------------------------------
+
+#: Stand-in hash of a k-mer spanning an ambiguous base: above every
+#: 32-bit hash, so a window's minimum only lands on it when the whole
+#: window is ambiguous — and then nothing is emitted.
+_AMBIGUOUS = 1 << 32
+
+
+def extract_minimizers(codes: np.ndarray, k: int = 15,
+                       w: int = 10) -> List[Tuple[int, int]]:
+    """(w, k) minimizers of a code array as ``(position, hash)`` pairs.
+
+    The standard monotone-deque sliding-window minimum; consecutive
+    windows sharing the same minimizer emit it once.  A k-mer spanning
+    an ambiguous base (``N``) is never a minimizer, as in minimap2.
+    """
+    if k <= 0 or w <= 0:
+        raise ValueError("k and w must be positive")
+    if len(codes) < k:
+        return []
+    try:
+        hashes = hash_reference_windows(codes, k).tolist()
+    except ValueError:
+        ambiguous = codes >= ALPHABET_SIZE
+        hashes = hash_reference_windows(np.where(ambiguous, 0, codes)
+                                        .astype(codes.dtype), k)
+        hashes[np.lib.stride_tricks.sliding_window_view(
+            ambiguous, k).any(axis=1)] = _AMBIGUOUS
+        hashes = hashes.tolist()
+    count = len(hashes)
+    window = min(w, count)
+    result: List[Tuple[int, int]] = []
+    queue: deque = deque()  # indices, increasing hash order
+    last_emitted = -1
+    for index in range(count):
+        while queue and hashes[queue[-1]] >= hashes[index]:
+            queue.pop()
+        queue.append(index)
+        if queue[0] <= index - window:
+            queue.popleft()
+        if index >= window - 1:
+            best = queue[0]
+            if best != last_emitted and hashes[best] != _AMBIGUOUS:
+                result.append((best, hashes[best]))
+                last_emitted = best
+    return result
+
+
+def build_index(reference, k: int = 15, w: int = 10,
+                max_occurrences: Optional[int] = 500
+                ) -> Tuple[Dict[int, np.ndarray], IndexStats]:
+    """The dict-of-lists minimizer index build: ``hash -> sorted global
+    positions`` and the build statistics."""
+    collected: Dict[int, list] = {}
+    total = 0
+    for name in reference.names:
+        codes = reference.fetch(name, 0, reference.length(name))
+        offset = reference.linear_offset(name)
+        for position, hash_value in extract_minimizers(codes, k, w):
+            collected.setdefault(hash_value, []).append(position + offset)
+            total += 1
+    table: Dict[int, np.ndarray] = {}
+    masked = 0
+    for hash_value, positions in collected.items():
+        if max_occurrences is not None and len(positions) > max_occurrences:
+            masked += 1
+            continue
+        table[hash_value] = np.array(sorted(positions), dtype=np.int64)
+    return table, IndexStats(total_minimizers=total,
+                             distinct_hashes=len(table),
+                             masked_hashes=masked)
+
+
+def _gap_penalty(ref_gap: int, read_gap: int, average_length: float) -> float:
+    """Concave gap cost, following minimap2's chaining penalty shape."""
+    diff = abs(ref_gap - read_gap)
+    if diff == 0:
+        return 0.0
+    return 0.2 * average_length * 0.05 * diff + 0.5 * math.log2(diff + 1)
+
+
+def chain_anchors(anchors: Sequence[Anchor], max_gap: int = 500,
+                  max_lookback: int = 25, min_score: float = 20.0,
+                  max_chains: int = 8) -> ChainingResult:
+    """Chain one problem's anchors with the O(n * lookback) DP, one
+    anchor and one predecessor at a time."""
+    if not anchors:
+        return ChainingResult((), 0)
+    ordered = sorted(anchors, key=lambda a: (a.ref_pos, a.read_pos))
+    count = len(ordered)
+    average_length = sum(a.length for a in ordered) / count
+    scores = [float(a.length) for a in ordered]
+    parents = [-1] * count
+    cells = 0
+    for i in range(1, count):
+        anchor = ordered[i]
+        lo = max(0, i - max_lookback)
+        for j in range(i - 1, lo - 1, -1):
+            prev = ordered[j]
+            cells += 1
+            ref_gap = anchor.ref_pos - prev.ref_pos
+            read_gap = anchor.read_pos - prev.read_pos
+            if read_gap <= 0 or ref_gap <= 0:
+                continue
+            if ref_gap > max_gap or read_gap > max_gap:
+                continue
+            overlap = max(0, prev.read_pos + prev.length - anchor.read_pos,
+                          prev.ref_pos + prev.length - anchor.ref_pos)
+            gain = anchor.length - min(overlap, anchor.length)
+            candidate = (scores[j] + gain
+                         - _gap_penalty(ref_gap, read_gap, average_length))
+            if candidate > scores[i]:
+                scores[i] = candidate
+                parents[i] = j
+    chains = _extract_chains(ordered, scores, parents, min_score, max_chains)
+    return ChainingResult(tuple(chains), cells)
+
+
+def _extract_chains(ordered: List[Anchor], scores: List[float],
+                    parents: List[int], min_score: float,
+                    max_chains: int) -> List[Chain]:
+    """Greedy backtracking: best chain first, anchors used at most once."""
+    order = sorted(range(len(ordered)), key=lambda i: -scores[i])
+    used = [False] * len(ordered)
+    chains: List[Chain] = []
+    for tail in order:
+        if used[tail] or scores[tail] < min_score:
+            continue
+        members: List[int] = []
+        node = tail
+        while node != -1 and not used[node]:
+            members.append(node)
+            node = parents[node]
+        if node != -1:
+            continue  # merged into an already-extracted chain; skip
+        for member in members:
+            used[member] = True
+        members.reverse()
+        chains.append(Chain(tuple(ordered[m] for m in members),
+                            scores[tail]))
+        if len(chains) >= max_chains:
+            break
+    return chains

@@ -66,9 +66,10 @@ class TestChaining:
         assert len(chain_anchors(weak, min_score=1.0).chains) == 1
 
     def test_cells_counted(self):
-        result = chain_anchors(colinear_anchors(count=10))
-        assert result.cells > 0
-        assert result.cells <= 10 * 25  # lookback cap
+        # Anchor i visits its min(i, lookback) predecessors.
+        assert chain_anchors(colinear_anchors(count=10)).cells == 45
+        assert chain_anchors(colinear_anchors(count=10),
+                             max_lookback=3).cells == 0 + 1 + 2 + 7 * 3
 
     def test_best_raises_when_empty(self):
         with pytest.raises(ValueError):

@@ -25,18 +25,19 @@ from repro.genome.reference import RepeatProfile
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
-def _load_core_oracle():
-    """Make ``tests/core/oracle.py`` importable as ``core_oracle`` from
-    every test directory.  By path: the top-level name ``oracle``
-    belongs to tests/align's."""
+def _load_oracle(package: str):
+    """Make ``tests/<package>/oracle.py`` importable as
+    ``<package>_oracle`` from every test directory.  By path: the two
+    files share a name, and tests/mapper needs tests/align's."""
     spec = importlib.util.spec_from_file_location(
-        "core_oracle", Path(__file__).parent / "core" / "oracle.py")
+        f"{package}_oracle", Path(__file__).parent / package / "oracle.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
 
 
-_load_core_oracle()
+_load_oracle("core")
+_load_oracle("align")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Tests for the baseline seed-chain-align mapper."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,11 @@ class TestSingleEnd:
     def test_cells_accounted(self, plain_reference):
         fresh = Mm2LikeMapper(plain_reference)
         fresh.map_read(plain_reference.fetch("chr1", 500, 650), "x")
-        assert fresh.stats.dp_cells_chaining >= 0
+        # Error-free read on a repeat-free reference: every anchor is
+        # on the forward strand, and n anchors cost sum(min(i, 25)).
+        anchors = fresh.stats.anchors_total
+        assert anchors > 25
+        assert fresh.stats.dp_cells_chaining == 300 + (anchors - 25) * 25
         assert fresh.stats.dp_cells_alignment > 0
 
 
@@ -140,3 +146,91 @@ class TestFallbackAdapter:
         rng = np.random.default_rng(33)
         assert fallback(random_sequence(rng, 150),
                         random_sequence(rng, 150), "junk") is None
+
+
+class TestChunkInvariance:
+    """Seeding and chaining are chunk-wide; where the chunk boundaries
+    fall must not show.  Hard input: GIAB-like pairs on a human-like
+    (repeat-rich) reference, where chaining problems run from empty to
+    hundreds of anchors and pairs get rescued."""
+
+    @pytest.fixture(scope="class")
+    def hard(self):
+        from repro.genome import ErrorModel, ReadSimulator, \
+            generate_reference
+        from repro.genome.reference import RepeatProfile
+
+        reference = generate_reference(
+            np.random.default_rng(51), (50_000, 20_000),
+            repeats=RepeatProfile.human_like())
+        pairs = ReadSimulator(reference, error_model=ErrorModel.giab_like(),
+                              seed=52).simulate_pairs(30)
+        index = MinimizerIndex.build(reference)
+        return reference, index, [(p.read1.codes, p.read2.codes, p.name)
+                                  for p in pairs]
+
+    @staticmethod
+    def run(reference, index, items, chunk_size, record_signature):
+        mapper = Mm2LikeMapper(reference, index=index)
+        if chunk_size is None:
+            mapped = [mapper.map_pair(*item) for item in items]
+        else:
+            mapped = [result
+                      for start in range(0, len(items), chunk_size)
+                      for result in mapper.map_pairs(
+                          items[start:start + chunk_size])]
+        return ([(record_signature(record1), record_signature(record2),
+                  proper) for record1, record2, proper in mapped],
+                dataclasses.asdict(mapper.stats))
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 30])
+    def test_map_pairs_equals_a_map_pair_loop(self, hard, chunk_size,
+                                              record_signature):
+        expected, stats = self.run(*hard, None, record_signature)
+        assert stats["mate_rescues"] > 0 and stats["anchors_total"] > 5_000
+        assert stats["dp_cells_chaining"] > 0 < stats["dp_cells_alignment"]
+        got, got_stats = self.run(*hard, chunk_size, record_signature)
+        assert got == expected
+        assert got_stats == stats
+
+    def test_mixed_read_lengths_in_one_chunk(self, hard, record_signature):
+        """150 bp pairs next to trimmed ones, one shorter than a
+        minimizer window and one shorter than a k-mer."""
+        reference, index, items = hard
+        mixed = [(read1[:length1], read2[:length2], name)
+                 for (read1, read2, name), (length1, length2) in zip(
+                     items, [(150, 150), (100, 150), (150, 60), (20, 150),
+                             (150, 9), (75, 75), (150, 150)])]
+        expected, stats = self.run(reference, index, mixed, None,
+                                   record_signature)
+        for chunk_size in (1, 3, 7):
+            got, got_stats = self.run(reference, index, mixed, chunk_size,
+                                      record_signature)
+            assert got == expected
+            assert got_stats == stats
+
+    def test_map_reads_equals_a_map_read_loop(self, hard, record_signature):
+        reference, index, items = hard
+        reads = [(read1, name) for read1, _read2, name in items[:9]]
+        serial = Mm2LikeMapper(reference, index=index)
+        batched = Mm2LikeMapper(reference, index=index)
+        expected = [serial.map_read(codes, name) for codes, name in reads]
+        got = batched.map_reads(reads)
+        assert list(map(record_signature, got)) \
+            == list(map(record_signature, expected))
+        assert batched.stats == serial.stats
+
+    def test_one_chaining_call_per_chunk(self, hard, monkeypatch):
+        import repro.mapper.mm2 as mm2
+
+        reference, index, items = hard
+        problems = []
+        real = mm2.chain_anchors
+
+        def counting(anchors, **options):
+            problems.append(anchors.problems)
+            return real(anchors, **options)
+
+        monkeypatch.setattr(mm2, "chain_anchors", counting)
+        Mm2LikeMapper(reference, index=index).map_pairs(items[:7])
+        assert problems == [4 * 7]  # reads x strands, one sweep

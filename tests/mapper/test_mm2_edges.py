@@ -89,7 +89,7 @@ class TestWindowErrors:
                                     site):
         mapper = Mm2LikeMapper(plain_reference)
         codes = plain_reference.fetch("chr1", 5000, 5150)
-        (anchor, *_), = mapper._placements([codes])
+        (anchor, *_), = mapper._placements(mapper._chains([codes]))
 
         def broken(linear):
             raise RuntimeError("coordinate table corrupt")

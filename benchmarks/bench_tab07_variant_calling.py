@@ -15,8 +15,7 @@ from conftest import emit
 from repro.core import GenPairConfig, GenPairPipeline, SeedMap
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           plant_variants)
-from repro.mapper import MinimizerIndex, Mm2LikeMapper, \
-    make_full_fallback
+from repro.mapper import MinimizerIndex, Mm2LikeMapper
 from repro.util import format_table
 from repro.variants import (Pileup, call_variants, compare_calls,
                             split_by_kind)
@@ -51,9 +50,8 @@ def run_experiment():
     mm2 = Mm2LikeMapper(reference, index=index)
     records = []
     for pair in pairs:
-        rec1, rec2, _ = mm2.map_pair(pair.read1.codes, pair.read2.codes,
-                                     pair.name)
-        records.extend([rec1, rec2])
+        records.extend(mm2.map_pair(pair.read1.codes, pair.read2.codes,
+                                    pair.name).records)
     configs["MM2"] = call_with(reference, records)
 
     # GenPair + MM2, with and without the index filter.
@@ -64,10 +62,10 @@ def run_experiment():
         pipeline = GenPairPipeline(
             reference, seedmap=seedmap,
             config=GenPairConfig(filter_threshold=threshold),
-            full_fallback=make_full_fallback(fallback_mapper))
+            fallback=fallback_mapper)
         records = []
         for result in pipeline.map_pairs(pairs):
-            records.extend([result.record1, result.record2])
+            records.extend(result.records)
         configs[label] = call_with(reference, records)
 
     truth_snps, truth_indels = split_by_kind(donor.truth)

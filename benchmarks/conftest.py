@@ -18,7 +18,7 @@ from repro.core import GenPairPipeline, SeedMap
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           plant_variants)
 from repro.genome.reference import RepeatProfile
-from repro.mapper import MinimizerIndex, Mm2LikeMapper, make_full_fallback
+from repro.mapper import MinimizerIndex, Mm2LikeMapper
 
 OUT_DIR = Path(__file__).parent / "out"
 
@@ -41,7 +41,7 @@ def record_signature(record):
 
 
 def result_signature(result):
-    """Full-field signature of a PairResult, for bit-identity asserts."""
+    """Full-field signature of a MappingResult, for bit-identity asserts."""
     return (result.name, result.stage, result.orientation,
             result.joint_score, record_signature(result.record1),
             record_signature(result.record2))
@@ -89,6 +89,6 @@ def bench_pipeline_run(bench_reference, bench_seedmap, bench_index,
     consume its stats)."""
     mapper = Mm2LikeMapper(bench_reference, index=bench_index)
     pipeline = GenPairPipeline(bench_reference, seedmap=bench_seedmap,
-                               full_fallback=make_full_fallback(mapper))
+                               fallback=mapper)
     results = pipeline.map_pairs(bench_datasets["dataset1"])
     return pipeline, mapper, results

@@ -32,7 +32,7 @@ def main() -> None:
     rows = []
     correct = 0
     for read in reads:
-        record = mapper.map_read(read.codes, read.name)
+        record = mapper.map_read(read.codes, read.name).record1
         if record.mapped:
             delta = record.position - read.ref_start
             ok = abs(delta) <= 100

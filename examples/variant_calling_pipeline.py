@@ -12,7 +12,7 @@ import numpy as np
 from repro.core import GenPairPipeline
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           plant_variants)
-from repro.mapper import Mm2LikeMapper, make_full_fallback
+from repro.mapper import Mm2LikeMapper
 from repro.util import format_table
 from repro.variants import (Pileup, call_variants, compare_calls,
                             split_by_kind, write_vcf)
@@ -34,8 +34,7 @@ def main() -> None:
 
     print("3. Mapping with GenPair + MM2 hybrid ...")
     mapper = Mm2LikeMapper(reference)
-    pipeline = GenPairPipeline(reference,
-                               full_fallback=make_full_fallback(mapper))
+    pipeline = GenPairPipeline(reference, fallback=mapper)
     results = pipeline.map_pairs(pairs)
     print(f"   {pipeline.stats.light_aligned_pct:.1f}% light-aligned, "
           f"{pipeline.stats.unmapped} pairs unmapped")

@@ -27,7 +27,7 @@ form ``sum(min(i, max_lookback))`` over a problem's anchors, which is what
 the per-anchor loop charged): they were visited and skipped.
 
 **The tie-break contract** — exactly the scalar loop's, which lives on as
-the test oracle in ``tests/align/oracle.py`` (nothing here imports it):
+the test oracle in ``tests/oracles/align.py`` (nothing here imports it):
 a candidate is ``(scores[j] + gain) - penalty`` in that association, the
 penalty's log term read from a ``math.log2`` table (``np.log2`` may
 differ in the last bit, and one ulp flips a tie); the parent is the

@@ -32,7 +32,7 @@ derived matrix-wide with the scalar loop's own comparisons (``open >= ext``
 opens; origin priority diag > E > F), so every tie-break is the scalar one:
 excluded cells hold ``NEG_INF`` and a value on a traceback path is a real
 score, so no comparison there ties two sentinels.  The scalar loops are the
-test oracle (``tests/align/oracle.py``).
+test oracle (``tests/oracles/align.py``).
 """
 
 from __future__ import annotations

@@ -1,34 +1,31 @@
 """Engine adapters: one protocol, three mapping engines.
 
-The :class:`~repro.api.Mapper` facade is engine-polymorphic: every
-workload — paired-end GenPair, the mm2-like baseline, single-read
-long-read voting — flows through the same ``map``/``map_stream``/
-``map_file`` surface and the same :class:`~repro.genome.MappingResult`
-record.  This module defines the :class:`Engine` protocol those
-workloads implement and the three adapters listed in
-:data:`~repro.api.registry.ENGINES`:
+Every workload flows through the :class:`~repro.api.Mapper` facade's
+``map``/``map_stream``/``map_file`` as one result type,
+:class:`~repro.genome.MappingResult`: each mapping core builds it in
+its chunk call and the engine passes it on untouched.  An
+:class:`Engine` is that chunk call plus the loop and the per-run
+statistics lifecycle around it, and a constructor translating
+:class:`~repro.api.config.MappingConfig` into the core's own config.
+The adapters listed in :data:`~repro.api.registry.ENGINES`:
 
-* :class:`GenPairEngine` (``genpair``) — the paper's pipeline, wrapping
+* :class:`GenPairEngine` (``genpair``) — the paper's
   :class:`~repro.core.pipeline.GenPairPipeline` plus the persistent
-  :class:`~repro.core.executor.StreamExecutor` worker pool (this is
-  the only engine that fans out to forked workers, and the only place
-  that constructs a pool; pooled and in-process output are
-  byte-identical);
+  :class:`~repro.core.executor.StreamExecutor` worker pool (the only
+  place that constructs one; pooled and in-process output are
+  byte-identical).  With ``full_fallback`` the pipeline's ``fallback=``
+  is an :class:`~repro.mapper.mm2.Mm2LikeMapper`;
 * :class:`Mm2Engine` (``mm2``) — the minimizer seed-chain-align
-  baseline with paired-end support and configurable mate rescue
-  (:class:`~repro.api.config.Mm2Options`); the minimizer index is
-  built lazily, on engine construction;
-* :class:`LongReadEngine` (``longread``) — single-read long-read
-  mapping via pseudo-pairs + Location Voting
-  (:class:`~repro.api.config.LongReadOptions`), sharing the facade's
-  warm SeedMap so one memory-mapped index serves both GenPair and
+  baseline (:class:`~repro.api.config.Mm2Options`), over the same
+  facade-owned minimizer index as that fallback;
+* :class:`LongReadEngine` (``longread``) — pseudo-pairs + Location
+  Voting (:class:`~repro.api.config.LongReadOptions`) over the facade's
+  warm SeedMap, so one memory-mapped index serves GenPair and
   long-read traffic.
 
-Engines are built lazily by the facade (one instance per engine name,
-reused across runs and daemon requests) and own their per-run
-statistics lifecycle: ``begin_run`` zeroes the per-run counters,
-``run_stats`` returns them, and the facade folds them into per-engine
-cumulative totals with :func:`~repro.core.pipeline.merge_stats`.
+The facade builds engines lazily (one instance per name, reused across
+runs and daemon requests) and folds each run's ``run_stats`` into
+per-engine totals with :func:`~repro.core.pipeline.merge_stats`.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ from ..core.longread import LongReadConfig, LongReadMapper, LongReadStats
 from ..core.pipeline import (GenPairPipeline, PipelineStats, chunked,
                              normalize_pairs)
 from ..genome.results import MappingResult
+from ..mapper.mm2 import MapperConfig, MapperStats, Mm2LikeMapper
 from ..util.diagnostics import note
 from .config import MappingConfig, MappingConfigError
 
@@ -55,48 +53,6 @@ def stats_dict(stats) -> dict:
     """A stats dataclass as plain JSON types (the wire/report form)."""
     return {spec.name: int(getattr(stats, spec.name))
             for spec in dataclasses.fields(stats)}
-
-
-class Engine:
-    """The protocol every mapping engine adapter satisfies.
-
-    Class attributes ``name`` (the registry entry) and ``input_kind``
-    (:data:`INPUT_PAIRED` or :data:`INPUT_SINGLE`); instance surface:
-
-    * :meth:`begin_run` — zero the per-run counters (called by the
-      facade at the start of every run);
-    * :meth:`map_stream` — map a lazy item stream, yielding
-      :class:`~repro.genome.MappingResult` in input order;
-    * :meth:`finish_run` — fold any deferred counters (worker pools);
-    * :meth:`run_stats` — the per-run stats dataclass;
-    * :meth:`fresh_stats` — a zeroed stats dataclass of this engine's
-      type (the facade's cumulative accumulator);
-    * :meth:`warm_up` / :meth:`close` — resource lifecycle.
-    """
-
-    name: str = ""
-    input_kind: str = INPUT_PAIRED
-
-    def begin_run(self) -> None:
-        raise NotImplementedError
-
-    def map_stream(self, items: Iterable) -> Iterator[MappingResult]:
-        raise NotImplementedError
-
-    def finish_run(self) -> None:
-        pass
-
-    def run_stats(self):
-        raise NotImplementedError
-
-    def fresh_stats(self):
-        raise NotImplementedError
-
-    def warm_up(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 def _normalize_reads(items: Iterable, first_index: int = 0
@@ -121,20 +77,50 @@ def _normalize_reads(items: Iterable, first_index: int = 0
     return out
 
 
-def _lazy_full_fallback(reference):
-    """Full-DP fallback that defers the O(genome) minimizer-index build
-    until the first pair actually needs it, so a mapper whose pairs all
-    stay on the GenPair path keeps mmap-cheap startup."""
-    from ..mapper import Mm2LikeMapper, make_full_fallback
+class Engine:
+    """A mapping core behind the facade's protocol.
 
-    state: dict = {}
+    A subclass declares ``name`` (the registry entry), ``input_kind``,
+    ``stats_type`` (the core's per-run stats dataclass) and
+    ``normalize`` (raw items to the core's tuples), and its constructor
+    sets ``config`` (the facade's :class:`MappingConfig`), ``core``
+    (the mapper, holder of the per-run ``stats``) and ``map_chunk``
+    (the core's chunk call: normalized items in, one
+    :class:`~repro.genome.MappingResult` each out).  The facade calls
+    :meth:`begin_run`, :meth:`map_stream`, :meth:`finish_run` (fold
+    deferred counters) and :meth:`run_stats` around every run,
+    :meth:`fresh_stats` for its accumulators, :meth:`warm_up` /
+    :meth:`close` for resources.
+    """
 
-    def fallback(read1, read2, name):
-        if "fn" not in state:
-            state["fn"] = make_full_fallback(Mm2LikeMapper(reference))
-        return state["fn"](read1, read2, name)
+    name: str = ""
+    input_kind: str = INPUT_PAIRED
+    stats_type: type = PipelineStats
+    normalize = staticmethod(normalize_pairs)
 
-    return fallback
+    def begin_run(self) -> None:
+        # Fresh per-run counters; previous totals live on in the facade.
+        self.core.stats = self.stats_type()
+
+    def map_stream(self, items: Iterable) -> Iterator[MappingResult]:
+        for chunk in chunked(items, self.config.batch_size,
+                             self.normalize):
+            yield from self.map_chunk(chunk)
+
+    def finish_run(self) -> None:
+        pass
+
+    def run_stats(self):
+        return self.core.stats
+
+    def fresh_stats(self):
+        return self.stats_type()
+
+    def warm_up(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
 
 
 class GenPairEngine(Engine):
@@ -148,7 +134,6 @@ class GenPairEngine(Engine):
     """
 
     name = "genpair"
-    input_kind = INPUT_PAIRED
 
     def __init__(self, facade) -> None:
         config: MappingConfig = facade.config
@@ -156,20 +141,20 @@ class GenPairEngine(Engine):
         if config.workers > 1 and not self._pooled:
             note("workers>1 needs os.fork, which this platform lacks; "
                  "mapping single-process instead")
-        full_fallback = None
-        if config.full_fallback:
-            if self._pooled:
-                # Forked workers inherit a pre-fork build copy-on-write;
-                # building lazily would make every worker rebuild it.
-                from ..mapper import Mm2LikeMapper, make_full_fallback
-                full_fallback = make_full_fallback(
-                    Mm2LikeMapper(facade.reference))
-            else:
-                full_fallback = _lazy_full_fallback(facade.reference)
         self.config = config
-        self.pipeline = GenPairPipeline(
+        fallback = None
+        if config.full_fallback:
+            # The O(genome) index waits for the first pair that needs
+            # it, so a run that stays on the GenPair path starts
+            # mmap-cheap — unless a pool will fork the pipeline: workers
+            # must inherit the index, not each build their own.
+            fallback = Mm2LikeMapper(
+                facade.reference,
+                index=facade.minimizer_index() if self._pooled
+                else facade.minimizer_index)
+        self.core = GenPairPipeline(
             facade.reference, seedmap=facade.seedmap,
-            config=config.genpair(), full_fallback=full_fallback)
+            config=config.genpair(), fallback=fallback)
         self._executor = None
 
     # -- pool lifecycle ------------------------------------------------
@@ -177,7 +162,7 @@ class GenPairEngine(Engine):
     def _ensure_executor(self):
         if self._executor is None and self._pooled:
             self._executor = StreamExecutor(
-                self.pipeline, workers=self.config.workers,
+                self.core, workers=self.config.workers,
                 chunk_size=self.config.batch_size)
         return self._executor
 
@@ -186,33 +171,19 @@ class GenPairEngine(Engine):
 
     # -- runs ----------------------------------------------------------
 
-    def begin_run(self) -> None:
-        # Fresh per-run counters; previous totals live on in the facade.
-        self.pipeline.stats = PipelineStats()
-
     def map_stream(self, items: Iterable) -> Iterator[MappingResult]:
+        # No loop of its own: the pool and the pipeline each run the
+        # base class's chunk loop over ``GenPairPipeline._map_chunk``.
         executor = self._ensure_executor()
         if executor is not None:
-            source = executor.map(items)
+            yield from executor.map(items)
         else:
-            source = self.pipeline.map_stream(
+            yield from self.core.map_stream(
                 items, chunk_size=self.config.batch_size)
-        for result in source:
-            yield MappingResult(name=result.name,
-                                records=(result.record1, result.record2),
-                                engine=self.name, stage=result.stage,
-                                orientation=result.orientation,
-                                joint_score=result.joint_score)
 
     def finish_run(self) -> None:
         if self._executor is not None:
             self._executor.fold_stats()
-
-    def run_stats(self) -> PipelineStats:
-        return self.pipeline.stats
-
-    def fresh_stats(self) -> PipelineStats:
-        return PipelineStats()
 
     def close(self) -> None:
         if self._executor is not None:
@@ -225,53 +196,25 @@ class GenPairEngine(Engine):
 class Mm2Engine(Engine):
     """The minimizer seed-chain-align baseline behind the protocol.
 
-    Paired-end input; the O(genome) minimizer index is built when the
-    engine is first constructed (i.e. on the first ``engine="mm2"``
-    request against a warm facade, never sooner).
+    Paired-end input; the O(genome) minimizer index is the facade's,
+    built when the first engine needs it (i.e. on the first
+    ``engine="mm2"`` request against a warm facade, or the first GenPair
+    fallback pair, never sooner).
     """
 
     name = "mm2"
-    input_kind = INPUT_PAIRED
+    stats_type = MapperStats
 
     def __init__(self, facade) -> None:
-        from ..mapper.mm2 import MapperConfig, MapperStats, Mm2LikeMapper
-
         options = facade.config.mm2_options()
         self.config = facade.config
-        self._stats_type = MapperStats
-        self.mapper = Mm2LikeMapper(
-            facade.reference,
+        self.core = Mm2LikeMapper(
+            facade.reference, index=facade.minimizer_index(),
             config=MapperConfig(
                 max_insert=options.max_insert,
                 min_score_fraction=options.min_score_fraction,
                 mate_rescue=options.mate_rescue))
-
-    def begin_run(self) -> None:
-        self.mapper.stats = self._stats_type()
-
-    def map_stream(self, items: Iterable) -> Iterator[MappingResult]:
-        for chunk in chunked(items, self.config.batch_size,
-                             normalize_pairs):
-            for (read1, read2, name), outcome in zip(
-                    chunk, self.mapper.map_pairs(chunk)):
-                record1, record2, proper = outcome
-                if proper:
-                    stage = "proper_pair"
-                elif record1.mapped or record2.mapped:
-                    stage = "mapped"
-                else:
-                    stage = "unmapped"
-                yield MappingResult(name=name,
-                                    records=(record1, record2),
-                                    engine=self.name, stage=stage,
-                                    joint_score=record1.score
-                                    + record2.score)
-
-    def run_stats(self):
-        return self.mapper.stats
-
-    def fresh_stats(self):
-        return self._stats_type()
+        self.map_chunk = self.core.map_pairs
 
 
 class LongReadEngine(Engine):
@@ -285,6 +228,8 @@ class LongReadEngine(Engine):
 
     name = "longread"
     input_kind = INPUT_SINGLE
+    stats_type = LongReadStats
+    normalize = staticmethod(_normalize_reads)
 
     def __init__(self, facade) -> None:
         config: MappingConfig = facade.config
@@ -295,7 +240,7 @@ class LongReadEngine(Engine):
                 f"be >= seed_length ({config.seed_length}): each "
                 "pseudo-pair chunk must hold at least one seed")
         self.config = config
-        self.mapper = LongReadMapper(
+        self.core = LongReadMapper(
             facade.reference, seedmap=facade.seedmap,
             config=LongReadConfig(
                 chunk_length=options.chunk_length,
@@ -306,22 +251,4 @@ class LongReadEngine(Engine):
                 max_votes_tried=options.max_votes_tried,
                 min_votes=options.min_votes,
                 dp_bandwidth=options.dp_bandwidth))
-
-    def begin_run(self) -> None:
-        self.mapper.stats = LongReadStats()
-
-    def map_stream(self, items: Iterable) -> Iterator[MappingResult]:
-        for chunk in chunked(items, self.config.batch_size,
-                             _normalize_reads):
-            for (codes, name), record in zip(chunk,
-                                             self.mapper.map_reads(chunk)):
-                yield MappingResult(
-                    name=name, records=(record,), engine=self.name,
-                    stage="mapped" if record.mapped else "unmapped",
-                    joint_score=record.score)
-
-    def run_stats(self) -> LongReadStats:
-        return self.mapper.stats
-
-    def fresh_stats(self) -> LongReadStats:
-        return LongReadStats()
+        self.map_chunk = self.core.map_reads

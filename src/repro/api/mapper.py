@@ -37,6 +37,7 @@ from ..core.pipeline import PipelineStats, merge_stats
 from ..genome.io_fasta import iter_pairs, iter_reads, read_fasta
 from ..genome.reference import ReferenceGenome
 from ..genome.results import MappingResult, result_records
+from ..mapper import MapperConfig, MinimizerIndex
 from ..obs import get_registry
 from ..util.sync import maybe_sanitize_lock
 from .config import MappingConfig, MappingConfigError
@@ -75,6 +76,9 @@ class Mapper:
         # while the scheduler maps; the cache get-or-create below must
         # not double-build (a SanitizedLock under REPRO_SANITIZE=1).
         self._engines_lock = maybe_sanitize_lock("api.engines")
+        self._minimizer_index = None
+        self._minimizer_index_lock = maybe_sanitize_lock(
+            "api.minimizer_index")
         self._totals: Dict[str, Any] = {}
         self.last_stats = PipelineStats()
         self.last_engine: Optional[str] = None
@@ -171,10 +175,22 @@ class Mapper:
                 self._totals.setdefault(name, engine.fresh_stats())
         return engine
 
+    def minimizer_index(self):
+        """The traditional path's minimizer index, built on first call
+        and shared — like :attr:`seedmap` — by the ``mm2`` engine and
+        the GenPair fallback (same ``k``/``w``/``max_occurrences``)."""
+        with self._minimizer_index_lock:
+            if self._minimizer_index is None:
+                defaults = MapperConfig()
+                self._minimizer_index = MinimizerIndex.build(
+                    self.reference, k=defaults.k, w=defaults.w,
+                    max_occurrences=defaults.max_occurrences)
+            return self._minimizer_index
+
     @property
     def pipeline(self):
         """The GenPair engine's pipeline (built on first access)."""
-        return self.engine("genpair").pipeline
+        return self.engine("genpair").core
 
     @property
     def _executor(self):

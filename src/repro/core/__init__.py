@@ -26,7 +26,7 @@ read of a chunk.  :meth:`~GenPairPipeline.map_pair` and
 :meth:`~GenPairPipeline.map_pairs` /
 :meth:`~GenPairPipeline.map_stream` the eager / lazy forms.  The
 per-seed scalar chain (one xxHash, one :meth:`SeedMap.query` and one
-``np.unique`` merge at a time) lives in ``tests/core/oracle.py`` as
+``np.unique`` merge at a time) lives in ``tests/oracles/core.py`` as
 the reference both are tested against.  One parallel mode:
 :class:`~repro.core.executor.StreamExecutor` — a persistent pool of forked workers, double-buffered dispatch,
 ordered merge — folds per-chunk counters back with
@@ -44,8 +44,7 @@ from .longread import LongReadConfig, LongReadMapper, LongReadStats
 from .pairfilter import DEFAULT_DELTA, FilterResult, filter_adjacent
 from .pipeline import (DEFAULT_BATCH_SIZE, STAGE_DP_CANDIDATE,
                        STAGE_FULL_DP, STAGE_LIGHT, STAGE_UNMAPPED,
-                       GenPairConfig, GenPairPipeline, PairResult,
-                       PipelineStats)
+                       GenPairConfig, GenPairPipeline, PipelineStats)
 from .query import QueryResult, query_hash_groups, resolve_reads
 from .seedmap import (DEFAULT_FILTER_THRESHOLD, LOCATION_ENTRY_BYTES,
                       SEED_TABLE_ENTRY_BYTES, SeedMap, SeedMapStats)
@@ -58,7 +57,7 @@ __all__ = [
     "InsertSizeEstimator",
     "calibrate_delta", "FilterResult", "GenPairConfig", "GenPairPipeline",
     "LightAligner", "LightAlignment", "LOCATION_ENTRY_BYTES",
-    "LongReadConfig", "LongReadMapper", "LongReadStats", "PairResult",
+    "LongReadConfig", "LongReadMapper", "LongReadStats",
     "PipelineStats", "QueryResult", "SEED_TABLE_ENTRY_BYTES",
     "STAGE_DP_CANDIDATE", "STAGE_FULL_DP", "STAGE_LIGHT", "STAGE_UNMAPPED",
     "SeedMap", "SeedMapStats", "enumerate_simple_profiles",

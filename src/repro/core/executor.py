@@ -2,7 +2,7 @@
 
 :class:`StreamExecutor` forks a long-lived pool of worker processes
 (sharing the parent's pipeline — SeedMap, memory-mapped index views,
-fallback closures — copy-on-write) once, feeds it chunk by chunk with
+the fallback mapper — copy-on-write) once, feeds it chunk by chunk with
 double-buffered dispatch so the reader stays ahead of the workers, and
 merges completed chunks back in input order while later chunks are
 still in flight.  Every worker maps its chunks with
@@ -30,10 +30,10 @@ import weakref
 from typing import Iterable, Iterator, List, Optional
 
 from ..genome.io_fasta import read_ahead
+from ..genome.results import MappingResult
 from ..obs import MetricsRegistry
-from .pipeline import (DEFAULT_BATCH_SIZE, GenPairPipeline, PairResult,
-                       PipelineStats, chunked, merge_stats,
-                       normalize_pairs)
+from .pipeline import (DEFAULT_BATCH_SIZE, GenPairPipeline, PipelineStats,
+                       chunked, merge_stats, normalize_pairs)
 
 #: Default in-flight chunk budget per worker of :class:`StreamExecutor` —
 #: double-buffered dispatch: every worker can have one chunk running and
@@ -152,8 +152,8 @@ class StreamExecutor:
     """Persistent worker-pool streaming executor for a pipeline.
 
     ``workers`` processes are forked **once** at construction
-    (inheriting the pipeline — SeedMap, reference views, fallback
-    closures — copy-on-write) and then serve arbitrarily many chunks
+    (inheriting the pipeline — SeedMap, reference views, the fallback
+    mapper — copy-on-write) and then serve arbitrarily many chunks
     until :meth:`close`, instead of a fresh pool being built and torn
     down per flushed buffer.
 
@@ -236,7 +236,7 @@ class StreamExecutor:
     def workers(self) -> int:
         return len(self._processes)
 
-    def map(self, pairs: Iterable) -> Iterator[PairResult]:
+    def map(self, pairs: Iterable) -> Iterator[MappingResult]:
         """Map a pair iterable through the pool, in input order.
 
         May be called repeatedly on one executor (the pool persists

@@ -19,7 +19,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .pipeline import GenPairPipeline, PairResult, STAGE_UNMAPPED
+from ..genome.results import MappingResult
+from .pipeline import GenPairPipeline, STAGE_UNMAPPED
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class InsertSizeEstimator:
         self.read_length = read_length
         self._values: List[int] = []
 
-    def add_result(self, result: PairResult) -> bool:
+    def add_result(self, result: MappingResult) -> bool:
         """Record one mapped pair; returns whether it was usable."""
         if result.stage == STAGE_UNMAPPED:
             return False
@@ -59,7 +60,7 @@ class InsertSizeEstimator:
         self._values.append(abs(record.template_length))
         return True
 
-    def add_results(self, results: Sequence[PairResult]) -> int:
+    def add_results(self, results: Sequence[MappingResult]) -> int:
         return sum(self.add_result(result) for result in results)
 
     def estimate(self, trim_fraction: float = 0.05

@@ -10,6 +10,8 @@ surviving joint candidate implies a start position for the *whole* long
 read.  Location Voting (Alser et al., "sparsified genomics") bins those
 implied starts and the top-voted bin wins.  Because long reads are noisier,
 the final alignment always uses DP (banded), never Light Alignment.
+Each read comes out as a one-record
+:class:`~repro.genome.results.MappingResult`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from ..align.banded import align_banded
 from ..align.scoring import DEFAULT_SCHEME, ScoringScheme
 from ..genome.reference import ReferenceError, ReferenceGenome
+from ..genome.results import MappingResult
 from ..genome.sam import METHOD_DP, AlignmentRecord
 from .pairfilter import filter_adjacent
 from .query import QueryResult, resolve_reads
@@ -74,12 +77,12 @@ class LongReadMapper:
         self._chromosome_starts = reference.linear_starts()
 
     def map_read(self, codes: np.ndarray,
-                 name: str = "long") -> AlignmentRecord:
+                 name: str = "long") -> MappingResult:
         """Map one long read: a chunk of one."""
         return self.map_reads([(codes, name)])[0]
 
     def map_reads(self, reads: List[Tuple[np.ndarray, str]]
-                  ) -> List[AlignmentRecord]:
+                  ) -> List[MappingResult]:
         """Map a chunk of ``(codes, name)`` long reads in input order.
 
         The long-read dataflow: every read of the chunk is cut into
@@ -87,7 +90,7 @@ class LongReadMapper:
         :func:`~repro.core.query.resolve_reads` call (each chunk once,
         though interior chunks sit in two pseudo-pairs), then each read
         votes over its consecutive results and the top bins get DP.
-        Returns an unmapped record where a read gathers no usable vote.
+        A read that gathers no usable vote comes out ``unmapped``.
         """
         config = self.config
         chunks: List[np.ndarray] = []
@@ -97,14 +100,17 @@ class LongReadMapper:
             bounds.append(len(chunks))
         queries = resolve_reads(self.seedmap, chunks, config.seed_length,
                                 config.seeds_per_chunk)
-        records = []
+        results = []
         for (codes, name), first, last in zip(reads, bounds, bounds[1:]):
             self.stats.reads_total += 1
-            record = AlignmentRecord(query_name=name, mapped=False,
-                                     read_codes=codes)
             best = self._align_top_votes(codes,
                                          self._vote(queries[first:last]))
-            if best is not None:
+            if best is None:
+                stage = "unmapped"
+                record = AlignmentRecord(query_name=name, mapped=False,
+                                         read_codes=codes)
+            else:
+                stage = "mapped"
                 alignment, chromosome, position = best
                 self.stats.mapped += 1
                 record = AlignmentRecord(
@@ -112,8 +118,10 @@ class LongReadMapper:
                     position=position, strand="+", mapq=60,
                     cigar=alignment.cigar, score=alignment.score,
                     read_codes=codes, mapped=True, method=METHOD_DP)
-            records.append(record)
-        return records
+            results.append(MappingResult(
+                name=name, records=(record,), engine="longread",
+                stage=stage, joint_score=record.score))
+        return results
 
     # -- internals ----------------------------------------------------------
 

@@ -4,7 +4,8 @@ This is the paper's Fig 3 dataflow with the Fig 10 fallback arcs:
 
 1. **Partitioned Seeding** extracts and hashes six 50bp seeds per pair;
 2. **SeedMap Query** resolves them to implied read-start candidates; pairs
-   with no usable seed hits fall back to the traditional full-DP pipeline;
+   with no usable seed hits fall back to the traditional full-DP pipeline
+   (``fallback=``, a :class:`~repro.mapper.mm2.Mm2LikeMapper`);
 3. **Paired-Adjacency Filtering** keeps joint candidates within Δ; pairs
    with none fall back to the full-DP pipeline;
 4. **Light Alignment** aligns both reads DP-free; pairs it cannot handle
@@ -20,13 +21,15 @@ There is one dataflow, and it is chunked
 with one vectorized xxHash call, resolved against the array-backed
 SeedMap in one ``searchsorted`` probe and merged into per-read
 candidate lists chunk-wide (:func:`repro.core.query.resolve_reads`, the
-front-end the long-read mode shares); only filtering and alignment run
-per pair.
+front-end the long-read mode shares); filtering and alignment run per
+pair, and the chunk's residue goes to the fallback mapper's
+``map_pairs`` in one call.  Every pair comes out as a
+:class:`~repro.genome.results.MappingResult`.
 :meth:`~GenPairPipeline.map_pair` is a chunk of one,
 :meth:`~GenPairPipeline.map_pairs` the eager form and
 :meth:`~GenPairPipeline.map_stream` the lazy one; chunk boundaries never
 change results.  The per-seed scalar reference the chunk seeding is
-tested against lives in ``tests/core/oracle.py``; worker processes are
+tested against lives in ``tests/oracles/core.py``; worker processes are
 :mod:`repro.core.executor`'s business.
 """
 
@@ -44,6 +47,7 @@ from ..align.scoring import DEFAULT_SCHEME, HIGH_QUALITY_THRESHOLD, \
     ScoringScheme
 from ..genome.cigar import Cigar
 from ..genome.reference import ReferenceError, ReferenceGenome
+from ..genome.results import MappingResult
 from ..genome.sam import (METHOD_DP, METHOD_EXACT, METHOD_LIGHT,
                           AlignmentRecord)
 from ..genome.sequence import reverse_complement
@@ -59,13 +63,6 @@ STAGE_LIGHT = "light"            # mapped and aligned by GenPair
 STAGE_DP_CANDIDATE = "dp_candidate"  # GenPair placed it, DP aligned it
 STAGE_FULL_DP = "full_dp"        # fell back to the traditional pipeline
 STAGE_UNMAPPED = "unmapped"
-
-#: Signature of the traditional-pipeline fallback: maps one pair, returns
-#: the two records plus the DP cell count it spent, or ``None`` if it
-#: could not place the pair either.
-FullFallback = Callable[[np.ndarray, np.ndarray, str],
-                        Optional[Tuple[AlignmentRecord, AlignmentRecord,
-                                       int]]]
 
 #: Default chunk size — big enough to amortize the vectorized
 #: hashing/query setup, small enough to keep the gathered location
@@ -212,22 +209,6 @@ def chunked(items: Iterable, chunk_size: int,
         yield normalize(chunk, consumed)
 
 
-@dataclass
-class PairResult:
-    """Mapping outcome for one read-pair."""
-
-    name: str
-    stage: str
-    record1: AlignmentRecord
-    record2: AlignmentRecord
-    orientation: str = "fr"
-    joint_score: int = 0
-
-    @property
-    def mapped(self) -> bool:
-        return self.stage != STAGE_UNMAPPED
-
-
 class GenPairPipeline:
     """End-to-end paired-end mapper implementing the GenPair algorithm."""
 
@@ -235,7 +216,7 @@ class GenPairPipeline:
                  seedmap: Optional[SeedMap] = None,
                  config: Optional[GenPairConfig] = None,
                  scheme: ScoringScheme = DEFAULT_SCHEME,
-                 full_fallback: Optional[FullFallback] = None) -> None:
+                 fallback=None) -> None:
         # Constructed per-instance (config is frozen, but a shared
         # mutable default is a bug class worth keeping out wholesale).
         config = config if config is not None else GenPairConfig()
@@ -248,7 +229,9 @@ class GenPairPipeline:
         self.light_aligner = LightAligner(
             scheme=scheme, max_edits=config.max_edits,
             threshold=config.score_threshold)
-        self.full_fallback = full_fallback
+        #: A :class:`~repro.mapper.mm2.Mm2LikeMapper` for the pairs
+        #: GenPair cannot place, or ``None`` to emit them unmapped.
+        self.fallback = fallback
         self.stats = PipelineStats()
         #: Where this pipeline's chunk timings land: the process-wide
         #: registry by default; a pool worker
@@ -260,12 +243,13 @@ class GenPairPipeline:
     # -- public API --------------------------------------------------------
 
     def map_pair(self, read1: np.ndarray, read2: np.ndarray,
-                 name: str = "pair") -> PairResult:
+                 name: str = "pair") -> MappingResult:
         """Map one read-pair: a chunk of one."""
         return self._map_chunk([(read1, read2, name)])[0]
 
     def map_pairs(self, pairs: Iterable,
-                  chunk_size: int = DEFAULT_BATCH_SIZE) -> List[PairResult]:
+                  chunk_size: int = DEFAULT_BATCH_SIZE
+                  ) -> List[MappingResult]:
         """Map pairs eagerly; returns results in input order.
 
         Accepts ``(read1, read2[, name])`` tuples or objects with
@@ -275,7 +259,7 @@ class GenPairPipeline:
 
     def map_stream(self, pairs: Iterable,
                    chunk_size: int = DEFAULT_BATCH_SIZE
-                   ) -> Iterator[PairResult]:
+                   ) -> Iterator[MappingResult]:
         """Map a lazy pair stream, yielding results as chunks finish.
 
         ``pairs`` may be any iterable (e.g.
@@ -292,7 +276,8 @@ class GenPairPipeline:
     # -- chunk dataflow ----------------------------------------------------
 
     def _map_chunk(self, items: Sequence[Tuple[np.ndarray, np.ndarray,
-                                               str]]) -> List[PairResult]:
+                                               str]]
+                   ) -> List[MappingResult]:
         """Batch-seed, batch-hash, and batch-query one chunk of pairs.
 
         The four role sequences of every pair
@@ -300,10 +285,11 @@ class GenPairPipeline:
         fr read2, rf read1, rf read2) are resolved in one batched
         SeedMap probe (:func:`~repro.core.query.resolve_reads`); the
         per-pair decision logic then runs over the pre-resolved
-        :class:`QueryResult` quadruple of each pair.  Stage timings
-        are recorded once per *chunk* (``pipeline.seed_query_s`` /
-        ``pipeline.filter_align_s``), so instrumentation cost is
-        amortized over the whole batch.
+        :class:`QueryResult` quadruple of each pair, and the pairs it
+        cannot place go on together (:meth:`_fall_back`).  Stage
+        timings are recorded once per *chunk*
+        (``pipeline.seed_query_s`` / ``pipeline.filter_align_s``), so
+        instrumentation cost is amortized over the whole batch.
         """
         obs = self.obs
         timed = obs.enabled
@@ -317,12 +303,19 @@ class GenPairPipeline:
         queried = time.perf_counter() if timed else 0.0
         with span("pair.filter_align"):
             results = []
+            residue = []
             for index, (read1, read2, name) in enumerate(items):
                 base = 4 * index
                 prepared = ((queries[base], queries[base + 1]),
                             (queries[base + 2], queries[base + 3]))
-                results.append(self._map_prepared(read1, read2, name,
-                                                  prepared))
+                result = self._map_prepared(read1, read2, name, prepared)
+                if result is None:
+                    residue.append(index)
+                results.append(result)
+            if residue:
+                for index, result in zip(residue, self._fall_back(
+                        [items[index] for index in residue])):
+                    results[index] = result
         if timed:
             done = time.perf_counter()
             obs.histogram("pipeline.seed_query_s").observe(
@@ -338,8 +331,9 @@ class GenPairPipeline:
     def _map_prepared(self, read1: np.ndarray, read2: np.ndarray,
                       name: str,
                       prepared: Sequence[Tuple[QueryResult, QueryResult]]
-                      ) -> PairResult:
-        """Query-results-to-mapping decision for one pair.
+                      ) -> Optional[MappingResult]:
+        """Query-results-to-mapping decision for one pair; ``None``
+        sends it to the traditional pipeline (:meth:`_fall_back`).
 
         ``prepared`` carries the pair's pre-resolved SeedMap queries,
         one ``(read1, read2)`` result per entry of :data:`ORIENTATIONS`;
@@ -371,7 +365,7 @@ class GenPairPipeline:
                 stats.seedmap_fallback += 1
             else:
                 stats.filter_fallback += 1
-            return self._full_fallback(read1, read2, name)
+            return None
 
         orientation, joint_candidates = best_filtered
         oriented1, oriented2 = self._oriented_codes(read1, read2,
@@ -394,7 +388,7 @@ class GenPairPipeline:
             return self._build_result(name, STAGE_DP_CANDIDATE,
                                       orientation, read1, read2, dp_hit)
         stats.residual_fallback += 1
-        return self._full_fallback(read1, read2, name)
+        return None
 
     # -- internals ----------------------------------------------------------
 
@@ -518,70 +512,64 @@ class GenPairPipeline:
 
     def _build_result(self, name: str, stage: str, orientation: str,
                       read1: np.ndarray, read2: np.ndarray,
-                      joint) -> PairResult:
-        cand1, cand2, hit1, hit2 = joint
+                      joint) -> MappingResult:
+        _cand1, _cand2, hit_up, hit_down = joint
         method = METHOD_LIGHT if stage == STAGE_LIGHT else METHOD_DP
-        rec_up = self._record(name, hit1, read_codes=None, mate=0,
-                              strand="+", method=method, stage=stage)
-        rec_down = self._record(name, hit2, read_codes=None, mate=0,
-                                strand="-", method=method, stage=stage)
         if orientation == "fr":
-            rec_up.query_name = f"{name}/1"
-            rec_up.mate = 1
-            rec_up.read_codes = read1
-            rec_down.query_name = f"{name}/2"
-            rec_down.mate = 2
-            rec_down.read_codes = read2
-            record1, record2 = rec_up, rec_down
+            record1 = self._record(name, hit_up, read1, 1, "+", method)
+            record2 = self._record(name, hit_down, read2, 2, "-", method)
         else:
             # Reverse fragment: physical read 2 is upstream/forward.
-            rec_up.query_name = f"{name}/2"
-            rec_up.mate = 2
-            rec_up.read_codes = read2
-            rec_down.query_name = f"{name}/1"
-            rec_down.mate = 1
-            rec_down.read_codes = read1
-            record1, record2 = rec_down, rec_up
+            record1 = self._record(name, hit_down, read1, 1, "-", method)
+            record2 = self._record(name, hit_up, read2, 2, "+", method)
         record1.set_mate(record2)
         record2.set_mate(record1)
-        joint_score = self._hit_score(hit1) + self._hit_score(hit2)
-        return PairResult(name=name, stage=stage, record1=record1,
-                          record2=record2,
-                          orientation=orientation,
-                          joint_score=joint_score)
+        return MappingResult(name=name, records=(record1, record2),
+                             engine="genpair", stage=stage,
+                             orientation=orientation,
+                             joint_score=hit_up[0].score
+                             + hit_down[0].score)
 
-    @staticmethod
-    def _hit_score(hit) -> int:
-        return hit[0].score
-
-    def _record(self, name: str, hit, read_codes, mate: int, strand: str,
-                method: str, stage: str) -> AlignmentRecord:
-        alignment, chromosome, position = hit[0], hit[1], hit[2]
+    def _record(self, name: str, hit, read_codes: np.ndarray, mate: int,
+                strand: str, method: str) -> AlignmentRecord:
+        alignment, chromosome, position = hit
         cigar = alignment.cigar
         if method == METHOD_LIGHT and cigar.edit_runs == ():
             method = METHOD_EXACT
-        return AlignmentRecord(query_name=name, chromosome=chromosome,
+        return AlignmentRecord(query_name=f"{name}/{mate}",
+                               chromosome=chromosome,
                                position=int(position), strand=strand,
                                mapq=60, cigar=cigar,
                                score=alignment.score,
                                read_codes=read_codes, mate=mate,
                                mapped=True, method=method)
 
-    def _full_fallback(self, read1: np.ndarray, read2: np.ndarray,
-                       name: str) -> PairResult:
-        if self.full_fallback is not None:
-            outcome = self.full_fallback(read1, read2, name)
-            if outcome is not None:
-                record1, record2, cells = outcome
-                self.stats.dp_cells_full += cells
-                score = record1.score + record2.score
-                return PairResult(name=name, stage=STAGE_FULL_DP,
-                                  record1=record1, record2=record2,
-                                  joint_score=score)
-        self.stats.unmapped += 1
-        unmapped1 = AlignmentRecord(query_name=f"{name}/1", mapped=False,
-                                    read_codes=read1, mate=1)
-        unmapped2 = AlignmentRecord(query_name=f"{name}/2", mapped=False,
-                                    read_codes=read2, mate=2)
-        return PairResult(name=name, stage=STAGE_UNMAPPED,
-                          record1=unmapped1, record2=unmapped2)
+    def _fall_back(self, items: Sequence[Tuple[np.ndarray, np.ndarray,
+                                               str]]
+                   ) -> List[MappingResult]:
+        """The chunk's residue through the traditional pipeline in one
+        ``map_pairs`` call, relabelled in the Fig 10 vocabulary.  Every
+        DP cell it spends counts, placed or not: the work is GenDP's
+        (§7.4)."""
+        stats = self.stats
+        if self.fallback is None:
+            results = [MappingResult(name=name, records=(
+                AlignmentRecord(query_name=f"{name}/1", mapped=False,
+                                read_codes=read1, mate=1),
+                AlignmentRecord(query_name=f"{name}/2", mapped=False,
+                                read_codes=read2, mate=2)))
+                for read1, read2, name in items]
+        else:
+            spent = self.fallback.stats
+            before = spent.dp_cells_chaining + spent.dp_cells_alignment
+            results = self.fallback.map_pairs(items)
+            stats.dp_cells_full += (spent.dp_cells_chaining
+                                    + spent.dp_cells_alignment - before)
+        for result in results:
+            result.engine = "genpair"
+            if result.mapped:
+                result.stage = STAGE_FULL_DP
+            else:
+                result.stage = STAGE_UNMAPPED
+                stats.unmapped += 1
+        return results

@@ -16,7 +16,7 @@ its location range.
 the GenPair pipeline (the four role sequences of every pair of a chunk),
 the long-read mode (the pseudo-pair chunks of every read of a chunk) and
 the Observation-2 profiler all hand it a list of reads.  The per-seed
-scalar chain it replaced is the test oracle (``tests/core/oracle.py``).
+scalar chain it replaced is the test oracle (``tests/oracles/core.py``).
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def query_hash_groups(seedmap: SeedMap, hashes: np.ndarray,
     :class:`QueryResult` per group, element-wise identical to looking
     each seed up with :meth:`SeedMap.query` and merging each read's
     hits with ``np.unique`` (the scalar reference in
-    ``tests/core/oracle.py``).
+    ``tests/oracles/core.py``).
 
     ``hashes`` / ``offsets`` / ``groups`` are parallel per-seed arrays;
     ``groups[i]`` assigns seed ``i`` to one of ``group_count`` reads and

@@ -1,19 +1,16 @@
-"""The engine-polymorphic mapping result record and writer substrate.
+"""The one mapping result record and the writer substrate.
 
-Every mapping engine of the reproduction — the GenPair pipeline, the
-baseline ``Mm2LikeMapper``, and the chunk-voting ``LongReadMapper`` —
-emits a different native shape (a ``PairResult``, a record triple, a
-bare :class:`~repro.genome.sam.AlignmentRecord`).  :class:`MappingResult`
-is the one record the public API hands around instead: a named group of
-one or two alignment records plus the engine/stage provenance, so output
-writers, the serving daemon, and the variant-calling post-stage consume
-every engine through a single shape.
+:class:`MappingResult` is what every mapping core of the reproduction —
+the GenPair pipeline, the baseline ``Mm2LikeMapper`` and the
+chunk-voting ``LongReadMapper`` — returns from its chunk call and what
+the engines, output writers, the serving daemon and the variant-calling
+post-stage pass on untouched: a named group of one or two alignment
+records plus the engine/stage provenance.
 
-:func:`result_records` is the tolerant accessor the writers use: it
-accepts a :class:`MappingResult`, a legacy pipeline ``PairResult``
-(``record1``/``record2`` attributes), or a bare ``AlignmentRecord``,
-and returns the tuple of records to serialize — which is what keeps the
-GenPair SAM output byte-identical across the API redesign.
+:func:`result_records` is the accessor the writers use: a result's
+``records``, or a bare :class:`~repro.genome.sam.AlignmentRecord`
+wrapped in a tuple (``write_sam(path, records)`` takes records
+directly).
 
 :class:`ResultLineWriter` is the shared incremental file writer behind
 the three output formats (SAM, PAF, JSONL): subclasses provide the line
@@ -63,20 +60,12 @@ class MappingResult:
 
 
 def result_records(result) -> Tuple:
-    """The alignment records a result carries, whatever its shape.
-
-    Accepts a :class:`MappingResult` (``records`` tuple), a pipeline
-    ``PairResult`` (``record1``/``record2``), or a bare record (an
-    object that renders itself via ``to_sam_line``).
-    """
+    """The alignment records of a :class:`MappingResult`, or a bare
+    record (an object that renders itself via ``to_sam_line``) as a
+    one-tuple."""
     records = getattr(result, "records", None)
     if records is not None:
         return tuple(records)
-    if hasattr(result, "record1"):
-        record2 = getattr(result, "record2", None)
-        if record2 is None:
-            return (result.record1,)
-        return (result.record1, record2)
     if hasattr(result, "to_sam_line"):
         return (result,)
     raise TypeError(

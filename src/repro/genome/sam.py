@@ -175,10 +175,10 @@ def sam_record_lines(results: Iterable,
 
     Lazy: pulls one result at a time, emitting a line per record (both
     mates of a pair, the single record of a long read) — exactly the
-    body :meth:`SamWriter.drain` would write.  Accepts pipeline
-    ``PairResult``s, engine-agnostic ``MappingResult``s, and bare
-    records alike.  ``reference`` is unused: it is the signature the
-    three formats' record renderers share.
+    body :meth:`SamWriter.drain` would write.  Accepts
+    ``MappingResult``s and bare records alike.  ``reference`` is
+    unused: it is the signature the three formats' record renderers
+    share.
     """
     for result in results:
         for record in result_records(result):

@@ -1,5 +1,5 @@
 """Hashing substrate: vectorized spec-exact xxHash32 and seed hashing
-(the scalar pure-Python reference is in ``tests/core/oracle.py``)."""
+(the scalar pure-Python reference is in ``tests/oracles/core.py``)."""
 
 from .seeds import (DEFAULT_SEED_LENGTH, hash_reads_batch,
                     hash_reference_windows)

@@ -5,7 +5,7 @@ The hardware hashes the 2-bit packed representation of each 50bp seed
 model, always a whole batch at a time: the windows of a chunk of reads
 online, every window of the reference during SeedMap construction.  The
 one-seed-at-a-time form (``xxhash32(pack_2bit(codes))``, pure Python) is
-the reference in ``tests/core/oracle.py``.
+the reference in ``tests/oracles/core.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def hash_reads_batch(windows: np.ndarray, seed: int = 0) -> np.ndarray:
     all six seeds of every read-pair in a batch, stacked row-wise.  Row
     ``i`` of the returned ``uint64`` array is bit-identical to the
     scalar ``xxhash32(pack_2bit(windows[i]), seed=seed)`` of the test
-    oracle (``tests/core/oracle.py``); this is the online counterpart
+    oracle (``tests/oracles/core.py``); this is the online counterpart
     of :func:`hash_reference_windows` (one ``xxhash32_rows`` call
     replaces thousands of scalar xxHash evaluations).  Windows holding
     an ambiguous base raise: the caller

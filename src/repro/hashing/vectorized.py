@@ -4,7 +4,7 @@ Offline SeedMap construction hashes one 50bp seed per reference position
 (§4.2) — millions of hashes even for the scaled-down genomes used here.
 This module evaluates the exact XXH32 algorithm across all rows at once
 with numpy, producing bit-identical results to the scalar reference
-implementation in ``tests/core/oracle.py`` (spec vectors and property
+implementation in ``tests/oracles/core.py`` (spec vectors and property
 tests in the suite).
 
 All arithmetic runs in ``uint64`` and is masked back to 32 bits; this is

@@ -3,11 +3,9 @@
 
 from .index import IndexStats, MinimizerIndex
 from .minimizer import extract_minimizers, extract_minimizers_rows
-from .mm2 import (MapperConfig, MapperStats, Mm2LikeMapper,
-                  make_full_fallback)
+from .mm2 import MapperConfig, MapperStats, Mm2LikeMapper
 
 __all__ = [
     "IndexStats", "MapperConfig", "MapperStats", "MinimizerIndex",
     "Mm2LikeMapper", "extract_minimizers", "extract_minimizers_rows",
-    "make_full_fallback",
 ]

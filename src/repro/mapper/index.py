@@ -10,7 +10,7 @@ The table is CSR: sorted unique ``hashes``, ``offsets`` into one
 minimizer columns — so every minimizer of a chunk of reads resolves in
 one ``np.searchsorted`` (:meth:`MinimizerIndex.lookup_all`).  The
 dict-of-lists build it replaced is the oracle in
-``tests/align/oracle.py``.
+``tests/oracles/align.py``.
 """
 
 from __future__ import annotations

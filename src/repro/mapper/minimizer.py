@@ -11,7 +11,7 @@ all oriented reads of a chunk) is hashed in one call, the hashes are
 laid out in one row with ``w - 1`` sentinel slots after each input row,
 and the sliding-window minimum is ``w`` elementwise passes over that
 row.  The contract is that of the one-k-mer-at-a-time monotone-queue
-loop, which is the test oracle in ``tests/align/oracle.py`` (nothing
+loop, which is the test oracle in ``tests/oracles/align.py`` (nothing
 under ``src/`` imports it): the queue pops on ``>=``, so the
 **rightmost** minimum of a window wins; consecutive windows sharing a
 winner emit it once; a row with fewer than ``w`` k-mers is one window

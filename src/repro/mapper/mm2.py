@@ -6,7 +6,9 @@ DP, banded affine-gap alignment, and paired-end resolution with mate
 rescue.  It serves three roles:
 
 * the software baseline of Fig 1 (stage breakdown) and Fig 11 (CPU rows);
-* the fallback engine behind "GenPair + MM2" — see :func:`make_full_fallback`;
+* the fallback engine behind "GenPair + MM2":
+  ``GenPairPipeline(fallback=<mapper>)`` sends each chunk's residue
+  through :meth:`Mm2LikeMapper.map_pairs`;
 * the accuracy reference for Table 7.
 
 The mapper aggregates DP-cell counts for chaining and alignment separately,
@@ -21,15 +23,17 @@ anchor columns and chains them in one :func:`chain_anchors` sweep (one
 chaining problem per read and strand); placement, pairing and rescue
 then run pair by pair, so the alignment stacks — and every record and
 counter — are those of a :meth:`~Mm2LikeMapper.map_pair` loop, which is a
-chunk of one.  The per-anchor and per-k-mer loops this replaced are the
-oracle in ``tests/align/oracle.py``.
+chunk of one.  Each pair comes out as a
+:class:`~repro.genome.results.MappingResult` (stage ``proper_pair``,
+``mapped`` or ``unmapped``).  The per-anchor and per-k-mer loops this
+replaced are the oracle in ``tests/oracles/align.py``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from ..align.dp import AlignmentResult
 from ..align.scoring import DEFAULT_SCHEME, ScoringScheme
 from ..genome.cigar import Cigar
 from ..genome.reference import ReferenceError, ReferenceGenome
+from ..genome.results import MappingResult
 from ..genome.sam import METHOD_DP, AlignmentRecord
 from ..genome.sequence import reverse_complement
 from ..obs import span
@@ -91,20 +96,32 @@ class _Placement:
 
 
 class Mm2LikeMapper:
-    """Minimizer seed-chain-align mapper with paired-end support."""
+    """Minimizer seed-chain-align mapper with paired-end support.
+
+    ``index`` may be a zero-argument callable returning the index: it
+    is called when the first read is seeded, so a mapper that is only a
+    fallback builds nothing until a pair needs it.
+    """
 
     def __init__(self, reference: ReferenceGenome,
-                 index: Optional[MinimizerIndex] = None,
+                 index: Union[MinimizerIndex, Callable[[], MinimizerIndex],
+                              None] = None,
                  config: Optional[MapperConfig] = None,
                  scheme: ScoringScheme = DEFAULT_SCHEME) -> None:
         config = config if config is not None else MapperConfig()
         self.reference = reference
         self.config = config
         self.scheme = scheme
-        self.index = index if index is not None else MinimizerIndex.build(
+        self._index = index if index is not None else MinimizerIndex.build(
             reference, k=config.k, w=config.w,
             max_occurrences=config.max_occurrences)
         self.stats = MapperStats()
+
+    @property
+    def index(self) -> MinimizerIndex:
+        if callable(self._index):
+            self._index = self._index()
+        return self._index
 
     # -- single-end ----------------------------------------------------------
 
@@ -137,8 +154,9 @@ class Mm2LikeMapper:
 
     def map_pair(self, read1: np.ndarray, read2: np.ndarray,
                  name: str = "pair", chains: Optional[list] = None
-                 ) -> Tuple[AlignmentRecord, AlignmentRecord, bool]:
-        """Map a pair; returns (record1, record2, proper_pair).
+                 ) -> MappingResult:
+        """Map a pair; the result's stage is ``proper_pair``, ``mapped``
+        (at least one mate placed on its own) or ``unmapped``.
 
         Strategy: fully map read 1, then place read 2 by *mate rescue* —
         a banded alignment inside the window implied by the insert-size
@@ -165,26 +183,31 @@ class Mm2LikeMapper:
         if combo is None:
             record1 = self._best_single(placements1, read1, f"{name}/1", 1)
             record2 = self._best_single(placements2, read2, f"{name}/2", 2)
-            return record1, record2, False
-        place1, place2 = combo
-        self.stats.pairs_proper += 1
-        self.stats.reads_mapped += 2
-        record1 = self._to_record(place1, read1, f"{name}/1", 1, 60)
-        record2 = self._to_record(place2, read2, f"{name}/2", 2, 60)
-        record1.set_mate(record2)
-        record2.set_mate(record1)
-        return record1, record2, True
+            stage = ("mapped" if record1.mapped or record2.mapped
+                     else "unmapped")
+        else:
+            place1, place2 = combo
+            self.stats.pairs_proper += 1
+            self.stats.reads_mapped += 2
+            record1 = self._to_record(place1, read1, f"{name}/1", 1, 60)
+            record2 = self._to_record(place2, read2, f"{name}/2", 2, 60)
+            record1.set_mate(record2)
+            record2.set_mate(record1)
+            stage = "proper_pair"
+        return MappingResult(name=name, records=(record1, record2),
+                             engine="mm2", stage=stage,
+                             joint_score=record1.score + record2.score)
 
     # -- batched entry points ------------------------------------------------
 
     def map_pairs(self, pairs: List[Tuple[np.ndarray, np.ndarray, str]]
-                  ) -> List[Tuple[AlignmentRecord, AlignmentRecord, bool]]:
+                  ) -> List[MappingResult]:
         """Map a chunk of ``(read1, read2, name)`` tuples in input order.
 
-        The batched entry point the engine-polymorphic API streams
-        chunks through: every read and strand of the chunk is seeded and
+        The chunk call the ``mm2`` engine and the GenPair fallback both
+        enter through: every read and strand of the chunk is seeded and
         chained in one pass, then each pair is placed, paired and
-        rescued on its own.  Records and :attr:`stats` are exactly those
+        rescued on its own.  Results and :attr:`stats` are exactly those
         of repeated :meth:`map_pair` calls, whatever the chunking.
         """
         chains = self._chains([read for read1, read2, _name in pairs
@@ -401,25 +424,3 @@ class Mm2LikeMapper:
                                mapq=mapq, cigar=placement.alignment.cigar,
                                score=placement.score, read_codes=codes,
                                mate=mate, mapped=True, method=METHOD_DP)
-
-
-def make_full_fallback(mapper: Mm2LikeMapper):
-    """Adapt a baseline mapper into a GenPair full-pipeline fallback.
-
-    The returned callable satisfies
-    :data:`repro.core.pipeline.FullFallback`: it maps the pair with the
-    traditional seed-chain-align pipeline and reports the DP cells spent,
-    so the hybrid "GenPair + MM2" / "GenPairX + GenDP" accounting stays
-    correct.
-    """
-    def fallback(read1: np.ndarray, read2: np.ndarray, name: str):
-        before = (mapper.stats.dp_cells_chaining
-                  + mapper.stats.dp_cells_alignment)
-        record1, record2, _proper = mapper.map_pair(read1, read2, name)
-        after = (mapper.stats.dp_cells_chaining
-                 + mapper.stats.dp_cells_alignment)
-        if not record1.mapped and not record2.mapped:
-            return None
-        return record1, record2, after - before
-
-    return fallback

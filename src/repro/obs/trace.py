@@ -32,7 +32,7 @@ Span-name catalog (what instrumented layers emit today):
 seed->chain front-end is (``Mm2LikeMapper.map_pairs``; a lone
 ``map_pair`` is a chunk of one).  The ``mm2.*`` spans also appear nested
 under ``pair.filter_align`` when the baseline mapper runs as GenPair's
-full-DP fallback (pair by pair, so a chunk of one each);
+full-DP fallback (once per chunk, over the pairs of it that need one);
 :func:`repro.analysis.profile_breakdown` sums them into Fig 1.
 """
 

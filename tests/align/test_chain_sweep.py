@@ -1,12 +1,12 @@
 """The segment-stacked chaining sweep against the per-anchor loop.
 
 ``repro.align.chain_anchors`` sweeps anchor columns; the scalar loop it
-replaced is ``chain_anchors`` of ``tests/align/oracle.py``.  Everything
+replaced is ``chain_anchors`` of ``tests/oracles/align.py``.  Everything
 must be *equal*, not close: chains (anchors, order), float scores with
 ``==`` and ``cells``.
 """
 
-import align_oracle
+from oracles import align as align_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import align_oracle as oracle
+from oracles import align as oracle
 from repro.align import (ScoringScheme, align_banded, align_local,
                          align_semiglobal)
 from repro.api import Mapper

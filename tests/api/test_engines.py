@@ -1,5 +1,7 @@
 """The engine-polymorphic facade: engines, formats, sub-configs, edges."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,46 @@ class TestPolymorphicSurface:
             first = facade.engine("mm2")
             facade.map(pairs[:3], engine="mm2")
             assert facade.engine("mm2") is first
+
+    def test_one_minimizer_index_per_facade(self, small_reference,
+                                            seedmap, pairs, monkeypatch):
+        """A daemon-style facade (fallback on, both paired engines
+        used) seeds the traditional path from one index: built by the
+        first pair that needs it, not before, and never again."""
+        from repro.genome import random_sequence
+        from repro.mapper import MinimizerIndex
+
+        builds = []
+        real = MinimizerIndex.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            builds.append(1)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(MinimizerIndex, "build", classmethod(counting))
+        rng = np.random.default_rng(4)
+        junk = (random_sequence(rng, 150), random_sequence(rng, 150), "j")
+        with Mapper(small_reference, seedmap,
+                    config=MappingConfig()) as facade:
+            facade.warm_up()
+            assert builds == []  # no pool to fork: nothing to pre-build
+            facade.map([junk], engine="genpair")
+            assert builds == [1]
+            facade.map(pairs[:3], engine="mm2")
+            facade.map(pairs[:3] + [junk], engine="genpair")
+            assert builds == [1]
+            fallback = facade.pipeline.fallback
+            assert fallback.index is facade.engine("mm2").core.index
+            assert fallback.index is facade.minimizer_index()
+            assert fallback is not facade.engine("mm2").core
+        if hasattr(os, "fork"):
+            # A pool forks the pipeline: the index must exist first, or
+            # every worker builds its own.
+            with Mapper(small_reference, seedmap,
+                        config=MappingConfig(workers=2)) as pooled:
+                pooled.warm_up()
+                assert builds == [1, 1]
+                assert pooled._executor is not None
 
     def test_unknown_engine_names_available(self, mapper, pairs):
         with pytest.raises(RegistryError, match="genpair"):
@@ -224,8 +266,8 @@ class TestEngineOptions:
                                               max_insert=750))
         with Mapper(small_reference, seedmap, config=config) as facade:
             engine = facade.engine("mm2")
-            assert engine.mapper.config.mate_rescue is False
-            assert engine.mapper.config.max_insert == 750
+            assert engine.core.config.mate_rescue is False
+            assert engine.core.config.max_insert == 750
 
     def test_longread_options_flow_into_mapper_config(
             self, small_reference, seedmap):
@@ -235,11 +277,11 @@ class TestEngineOptions:
                                      max_votes_tried=5))
         with Mapper(small_reference, seedmap, config=config) as facade:
             engine = facade.engine("longread")
-            assert engine.mapper.config.vote_bin == 32
-            assert engine.mapper.config.min_votes == 2
-            assert engine.mapper.config.max_votes_tried == 5
+            assert engine.core.config.vote_bin == 32
+            assert engine.core.config.min_votes == 2
+            assert engine.core.config.max_votes_tried == 5
             # the facade's fingerprint knobs flow through too
-            assert engine.mapper.config.seed_length \
+            assert engine.core.config.seed_length \
                 == facade.config.seed_length
 
     def test_chunk_shorter_than_seed_rejected(self, small_reference,

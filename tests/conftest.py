@@ -6,10 +6,6 @@ must treat these as read-only.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -23,21 +19,6 @@ from repro.genome.reference import RepeatProfile
 # ``max_examples`` to the profile (the DP kernel against its scalar
 # oracle) search ten times deeper in CI than at the desk.
 settings.register_profile("ci", max_examples=1000, deadline=None)
-
-
-def _load_oracle(package: str):
-    """Make ``tests/<package>/oracle.py`` importable as
-    ``<package>_oracle`` from every test directory.  By path: the two
-    files share a name, and tests/mapper needs tests/align's."""
-    spec = importlib.util.spec_from_file_location(
-        f"{package}_oracle", Path(__file__).parent / package / "oracle.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-
-
-_load_oracle("core")
-_load_oracle("align")
 
 
 @pytest.fixture(scope="session")
@@ -103,7 +84,7 @@ def _record_fields(record):
 
 @pytest.fixture(scope="session")
 def result_signature():
-    """Full-field signature of a PairResult, for bit-identity asserts.
+    """Full-field signature of a MappingResult, for bit-identity asserts.
 
     Shared by every suite that claims two engines/loads are
     "bit-identical", so the claim always means the same field set.

@@ -44,9 +44,11 @@ class TestOneNInOneSeed:
     def test_mm2_maps_it(self, plain_reference, clean_pairs, position):
         pair = clean_pairs[0]
         mapper = Mm2LikeMapper(plain_reference)
-        record1, record2, proper = mapper.map_pair(
+        result = mapper.map_pair(
             with_n(pair.read1.codes, position), pair.read2.codes, "n")
-        assert proper and record1.mapped and record2.mapped
+        record1, record2 = result.records
+        assert result.stage == "proper_pair"
+        assert record1.mapped and record2.mapped
         assert "1X" in str(record1.cigar)
 
 

@@ -1,4 +1,4 @@
-"""The chunk dataflow against the scalar oracle (``oracle.py``).
+"""The chunk dataflow against the scalar oracle (``oracles/core.py``).
 
 Two contracts: ``resolve_reads`` returns, read for read and field for
 field, what per-seed hashing + ``SeedMap.query`` + a per-read
@@ -8,7 +8,9 @@ equal the oracle's queries fed one pair at a time through the same
 per-pair decision.
 """
 
-import core_oracle as oracle  # tests/core/oracle.py, see conftest
+import os
+
+from oracles import core as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,3 +238,94 @@ class TestChunkSizeEquivalence:
         assert list(map(result_signature, got)) \
             == list(map(result_signature, want))
         assert chunked.stats == scalar.stats
+
+
+class TestFallbackSeam:
+    """The chunk's residue goes to the fallback mapper in one
+    ``map_pairs`` call; the oracle enters it pair by pair.  Results and
+    ``PipelineStats`` — ``dp_cells_full`` included — must not show which."""
+
+    @pytest.fixture(scope="class")
+    def world(self, small_reference, giab_items):
+        """GIAB-like pairs (light, candidate-DP and fallback-placed)
+        with unplaceable ones spread among them: random sequence (no
+        anchor, no cell) and random sequence around a 40 bp reference
+        stub (chained, aligned, rejected)."""
+        from repro.genome import random_sequence
+        from repro.mapper import MinimizerIndex
+
+        rng = np.random.default_rng(83)
+        items = list(giab_items[:160])
+        for number in range(6):
+            start = 3000 + 5000 * number
+            stub1 = small_reference.fetch("chr1", start, start + 40)
+            stub2 = small_reference.fetch("chr1", start + 300, start + 340)
+            items.insert(25 * number + 3, (
+                np.concatenate([stub1, random_sequence(rng, 110)]),
+                np.concatenate([random_sequence(rng, 110), stub2]),
+                f"stub{number}"))
+            items.insert(25 * number + 11, (random_sequence(rng, 150),
+                                            random_sequence(rng, 150),
+                                            f"junk{number}"))
+        return items, MinimizerIndex.build(small_reference)
+
+    @staticmethod
+    def pipeline(reference, seedmap, index):
+        from repro.mapper import Mm2LikeMapper
+
+        return GenPairPipeline(reference, seedmap=seedmap,
+                               fallback=Mm2LikeMapper(reference,
+                                                      index=index))
+
+    @pytest.fixture(scope="class")
+    def want(self, small_reference, seedmap, world, result_signature):
+        items, index = world
+        pipeline = self.pipeline(small_reference, seedmap, index)
+        results = oracle.map_pairs(pipeline, items)
+        stages = {result.stage for result in results}
+        assert stages == {"light", "dp_candidate", "full_dp", "unmapped"}
+        assert {result.engine for result in results} == {"genpair"}
+        assert pipeline.stats.unmapped == 12
+        assert pipeline.stats.dp_cells_full \
+            == (pipeline.fallback.stats.dp_cells_chaining
+                + pipeline.fallback.stats.dp_cells_alignment)
+        return list(map(result_signature, results)), pipeline.stats
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 256])
+    def test_chunk_size_never_shows(self, small_reference, seedmap, world,
+                                    want, chunk_size, result_signature):
+        items, index = world
+        pipeline = self.pipeline(small_reference, seedmap, index)
+        got = pipeline.map_pairs(items, chunk_size=chunk_size)
+        assert (list(map(result_signature, got)), pipeline.stats) == want
+
+    def test_one_fallback_call_per_chunk(self, small_reference, seedmap,
+                                         world, want):
+        items, index = world
+        pipeline = self.pipeline(small_reference, seedmap, index)
+        calls = []
+        real = pipeline.fallback.map_pairs
+
+        def counting(residue):
+            calls.append(len(residue))
+            return real(residue)
+
+        pipeline.fallback.map_pairs = counting
+        pipeline.map_pairs(items, chunk_size=64)
+        stats = want[1]
+        assert len(calls) == 3  # 172 pairs in chunks of 64
+        assert sum(calls) == (stats.seedmap_fallback
+                              + stats.filter_fallback
+                              + stats.residual_fallback) > 12
+
+    @pytest.mark.skipif(not hasattr(os, "fork"),
+                        reason="needs the fork start method")
+    def test_pool_never_shows(self, small_reference, seedmap, world, want,
+                              result_signature):
+        from repro.core import StreamExecutor
+
+        items, index = world
+        pipeline = self.pipeline(small_reference, seedmap, index)
+        with StreamExecutor(pipeline, workers=2, chunk_size=16) as pool:
+            got = list(pool.map(items))
+        assert (list(map(result_signature, got)), pipeline.stats) == want

@@ -48,12 +48,13 @@ class TestEstimator:
         assert 10 < estimate.sd < 60
 
     def test_unmapped_results_skipped(self):
-        from repro.core.pipeline import PairResult, STAGE_UNMAPPED
-        from repro.genome import AlignmentRecord
+        from repro.core.pipeline import STAGE_UNMAPPED
+        from repro.genome import AlignmentRecord, MappingResult
         estimator = InsertSizeEstimator()
-        result = PairResult(name="u", stage=STAGE_UNMAPPED,
-                            record1=AlignmentRecord("u/1", mapped=False),
-                            record2=AlignmentRecord("u/2", mapped=False))
+        result = MappingResult(
+            name="u", stage=STAGE_UNMAPPED,
+            records=(AlignmentRecord("u/1", mapped=False),
+                     AlignmentRecord("u/2", mapped=False)))
         assert not estimator.add_result(result)
 
 

@@ -1,6 +1,6 @@
 """Tests for the long-read mapping mode (§4.7)."""
 
-import core_oracle as oracle  # tests/core/oracle.py, see conftest
+from oracles import core as oracle
 import numpy as np
 import pytest
 
@@ -27,7 +27,11 @@ class TestLongReadMapper:
     def test_clean_long_read_maps_exactly(self, plain_reference,
                                           long_mapper):
         codes = plain_reference.fetch("chr1", 4000, 7000)
-        record = long_mapper.map_read(codes, "clean")
+        result = long_mapper.map_read(codes, "clean")
+        record, = result.records
+        assert (result.name, result.engine, result.stage,
+                result.joint_score) == ("clean", "longread", "mapped",
+                                        record.score)
         assert record.mapped
         assert record.chromosome == "chr1"
         assert abs(record.position - 4000) <= 5
@@ -42,16 +46,16 @@ class TestLongReadMapper:
                                         length_sd=200, error_rate=0.005)
         mapped = 0
         for read in reads:
-            record = mapper.map_read(read.codes, read.name)
+            record = mapper.map_read(read.codes, read.name).record1
             if record.mapped and \
                     abs(record.position - read.ref_start) <= 100:
                 mapped += 1
         assert mapped >= 3
 
     def test_garbage_unmapped(self, long_mapper):
-        record = long_mapper.map_read(
+        result = long_mapper.map_read(
             random_sequence(np.random.default_rng(9), 2000), "junk")
-        assert not record.mapped
+        assert not result.mapped and result.stage == "unmapped"
 
     def test_stats_accumulate(self, plain_reference, plain_seedmap):
         mapper = LongReadMapper(plain_reference, seedmap=plain_seedmap)
@@ -73,7 +77,7 @@ class TestLongReadMapper:
         majority of its chunks vote."""
         mapper = LongReadMapper(plain_reference, seedmap=plain_seedmap)
         codes = plain_reference.fetch("chr1", 10_000, 12_400)
-        record = mapper.map_read(codes, "vote")
+        record = mapper.map_read(codes, "vote").record1
         assert record.mapped
         assert abs(record.position - 10_000) <= 64 + 5  # vote bin width
 
@@ -122,8 +126,8 @@ class TestVoteThresholdAndBatch:
         explicit = LongReadMapper(plain_reference, seedmap=plain_seedmap,
                                   config=LongReadConfig(min_votes=1))
         codes = plain_reference.fetch("chr1", 5000, 6800)
-        rec1 = default.map_read(codes, "a")
-        rec2 = explicit.map_read(codes, "a")
+        rec1 = default.map_read(codes, "a").record1
+        rec2 = explicit.map_read(codes, "a").record1
         assert (rec1.position, rec1.score) == (rec2.position, rec2.score)
 
     def test_map_reads_batch_matches_map_read(self, plain_reference,
@@ -135,15 +139,15 @@ class TestVoteThresholdAndBatch:
         expected = [serial.map_read(codes, name)
                     for codes, name in items]
         got = batched.map_reads(items)
-        assert [(r.position, r.score) for r in got] \
-            == [(r.position, r.score) for r in expected]
+        assert [(r.record1.position, r.joint_score) for r in got] \
+            == [(r.record1.position, r.joint_score) for r in expected]
         assert batched.stats.reads_total == 3
 
 
 class TestAgainstScalarOracle:
     """Chunk-wide resolution (each pseudo-pair chunk resolved once, all
     reads of an engine chunk in one probe) votes and maps exactly as the
-    scalar per-pseudo-pair path in ``tests/core/oracle.py``."""
+    scalar per-pseudo-pair path in ``tests/oracles/core.py``."""
 
     @pytest.fixture(scope="class")
     def reads(self, small_reference):
@@ -180,8 +184,8 @@ class TestAgainstScalarOracle:
     @pytest.fixture(scope="class")
     def looped(self, small_reference, seedmap, reads):
         mapper = LongReadMapper(small_reference, seedmap=seedmap)
-        return ([mapper.map_read(codes, name) for codes, name in reads],
-                mapper.stats)
+        return ([mapper.map_read(codes, name).record1
+                 for codes, name in reads], mapper.stats)
 
     def test_loop_maps_and_counts(self, looped, reads):
         records, stats = looped
@@ -200,7 +204,8 @@ class TestAgainstScalarOracle:
         mapper = LongReadMapper(small_reference, seedmap=seedmap)
         got = []
         for start in range(0, len(reads), chunk_size):
-            got.extend(mapper.map_reads(reads[start:start + chunk_size]))
+            got.extend(result.record1 for result in mapper.map_reads(
+                reads[start:start + chunk_size]))
         assert list(map(record_signature, got)) \
             == list(map(record_signature, want))
         assert mapper.stats == want_stats

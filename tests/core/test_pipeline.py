@@ -125,28 +125,101 @@ class TestStats:
 class TestFullFallback:
     def test_fallback_invoked_and_counted(self, plain_reference,
                                           plain_seedmap):
-        calls = []
+        from types import SimpleNamespace
 
-        def fake_fallback(read1, read2, name):
-            calls.append(name)
-            from repro.genome import AlignmentRecord, Cigar
-            rec1 = AlignmentRecord(f"{name}/1", "chr1", 0,
-                                   cigar=Cigar.parse("150="), score=100,
-                                   mate=1)
-            rec2 = AlignmentRecord(f"{name}/2", "chr1", 300,
-                                   cigar=Cigar.parse("150="), score=100,
-                                   mate=2)
-            return rec1, rec2, 12345
+        from repro.genome import AlignmentRecord, Cigar, MappingResult
 
+        class FakeMapper:
+            """The two things the pipeline asks of a fallback."""
+
+            def __init__(self):
+                self.calls = []
+                self.stats = SimpleNamespace(dp_cells_chaining=7,
+                                             dp_cells_alignment=0)
+
+            def map_pairs(self, items):
+                self.calls.append([name for _r1, _r2, name in items])
+                self.stats.dp_cells_chaining += 45
+                self.stats.dp_cells_alignment += 12300
+                return [MappingResult(name=name, engine="mm2",
+                                      stage="proper_pair",
+                                      joint_score=200, records=(
+                    AlignmentRecord(f"{name}/1", "chr1", 0,
+                                    cigar=Cigar.parse("150="), score=100,
+                                    mate=1),
+                    AlignmentRecord(f"{name}/2", "chr1", 300,
+                                    cigar=Cigar.parse("150="), score=100,
+                                    mate=2)))
+                        for _r1, _r2, name in items]
+
+        fake = FakeMapper()
         pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap,
-                                   full_fallback=fake_fallback)
+                                   fallback=fake)
         rng = np.random.default_rng(6)
         result = pipeline.map_pair(random_sequence(rng, 150),
                                    random_sequence(rng, 150), "fb")
-        assert result.stage == STAGE_FULL_DP
-        assert calls == ["fb"]
+        assert (result.engine, result.stage) == ("genpair", STAGE_FULL_DP)
+        assert fake.calls == [["fb"]]
         assert pipeline.stats.dp_cells_full == 12345
         assert pipeline.stats.unmapped == 0
+
+    def test_placed_pair_is_full_dp_with_its_cells(self, plain_reference,
+                                                   plain_seedmap,
+                                                   clean_pairs):
+        """A pair GenPair cannot seed (every seed window broken) that
+        the traditional mapper places."""
+        from repro.mapper import Mm2LikeMapper
+
+        mapper = Mm2LikeMapper(plain_reference)
+        pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap,
+                                   fallback=mapper)
+        pair = clean_pairs[3]
+        reads = []
+        for codes in (pair.read1.codes, pair.read2.codes):
+            codes = codes.copy()
+            for pos in (25, 75, 125):  # one mismatch in each 50bp seed
+                codes[pos] = (codes[pos] + 1) % 4
+            reads.append(codes)
+        result = pipeline.map_pair(*reads, "fb")
+        assert pipeline.stats.seedmap_fallback == 1
+        assert (result.engine, result.stage) == ("genpair", STAGE_FULL_DP)
+        assert result.record1.mapped and result.record2.mapped
+        assert result.record1.position == pair.read1.ref_start
+        assert pipeline.stats.dp_cells_full \
+            == (mapper.stats.dp_cells_chaining
+                + mapper.stats.dp_cells_alignment) > 0
+
+    def test_unplaceable_pairs_still_count_their_cells(
+            self, plain_reference, plain_seedmap):
+        """Random sequence around a 40 bp stub of reference: too short
+        for a 50 bp seed, long enough to chain and be aligned — and
+        rejected.  The DP cells were spent all the same, and the
+        residual GenDP workload (§7.4) is sized from them."""
+        from repro.mapper import Mm2LikeMapper
+
+        rng = np.random.default_rng(6)
+        items = []
+        for number in range(5):
+            start = 1000 + 2000 * number
+            items.append((
+                np.concatenate([plain_reference.fetch("chr1", start,
+                                                      start + 40),
+                                random_sequence(rng, 110)]),
+                np.concatenate([random_sequence(rng, 110),
+                                plain_reference.fetch("chr1", start + 300,
+                                                      start + 340)]),
+                f"stub{number}"))
+        mapper = Mm2LikeMapper(plain_reference)
+        pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap,
+                                   fallback=mapper)
+        results = pipeline.map_pairs(items)
+        assert [(r.engine, r.stage) for r in results] \
+            == [("genpair", STAGE_UNMAPPED)] * 5
+        assert pipeline.stats.unmapped == 5
+        assert mapper.stats.dp_cells_alignment > 0
+        assert pipeline.stats.dp_cells_full \
+            == (mapper.stats.dp_cells_chaining
+                + mapper.stats.dp_cells_alignment)
 
 
 class TestConfig:

@@ -5,7 +5,7 @@
 import numpy as np
 import pytest
 
-from core_oracle import hash_seed, partition_read
+from oracles.core import hash_seed, partition_read
 from repro.genome import random_sequence
 
 

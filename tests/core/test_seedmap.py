@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from core_oracle import hash_seed
+from oracles.core import hash_seed
 from repro.core import SeedMap
 from repro.genome import ReferenceGenome, encode, random_sequence
 

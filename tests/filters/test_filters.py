@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from core_oracle import partition_read
+from oracles.core import partition_read
 from repro.core import LightAligner
 from repro.filters import (FilteredLightAligner, adjacency_filter,
                            exact_match_at, gatekeeper_filter,
@@ -185,11 +185,14 @@ class TestFilteredLightAligner:
         rng = np.random.default_rng(10)
         combo = FilteredLightAligner()
         plain = LightAligner()
+        aligned = 0
         for trial in range(30):
-            template = random_sequence(rng, 108)
-            read = template[:100].copy()
+            # 150 bp: a shorter read cannot reach the 276-point
+            # high-quality threshold, and both sides would say None.
+            template = random_sequence(rng, 158)
+            read = template[:150].copy()
             if trial % 2:
-                pos = int(rng.integers(0, 100))
+                pos = int(rng.integers(0, 150))
                 read[pos] = (read[pos] + 1) % 4
             window, offset = make_window(rng, template)
             filtered = combo.align(read, window, offset)
@@ -197,8 +200,10 @@ class TestFilteredLightAligner:
             if unfiltered is None:
                 assert filtered is None
             else:
+                aligned += 1
                 assert filtered is not None
                 assert filtered.score == unfiltered.score
+        assert aligned == 30
 
     def test_filter_saves_attempts_on_garbage(self):
         rng = np.random.default_rng(11)

@@ -164,3 +164,72 @@ class TestJsonl:
         result = MappingResult(name="p", records=(make_record(),))
         assert list(jsonl_record_lines([result])) \
             == list(jsonl_record_lines([result]))
+
+
+class TestThreeEnginesThreeFormats:
+    """Every mapping core returns :class:`MappingResult`; every format
+    reads it through ``.records`` and nothing else.  File output, wire
+    lines and a by-hand walk over ``result.records`` are the same
+    bytes, for each engine in each format."""
+
+    @pytest.fixture(scope="class")
+    def results(self, small_reference, seedmap, sample_pairs, simulator):
+        from repro.core import GenPairPipeline, LongReadMapper
+        from repro.genome import random_sequence
+        from repro.mapper import Mm2LikeMapper
+
+        rng = np.random.default_rng(5)
+        pairs = [(pair.read1.codes, pair.read2.codes, pair.name)
+                 for pair in sample_pairs[:40]]
+        pairs.append((random_sequence(rng, 150), random_sequence(rng, 150),
+                      "junk"))
+        mm2 = Mm2LikeMapper(small_reference)
+        genpair = GenPairPipeline(
+            small_reference, seedmap=seedmap,
+            fallback=Mm2LikeMapper(small_reference, index=mm2.index))
+        reads = [(read.codes, read.name)
+                 for read in simulator.simulate_long_reads(
+                     3, length_mean=1200, length_sd=150)]
+        reads.append((random_sequence(rng, 900), "junk"))
+        by_engine = {
+            "genpair": genpair.map_pairs(pairs),
+            "mm2": mm2.map_pairs(pairs),
+            "longread": LongReadMapper(small_reference,
+                                       seedmap=seedmap).map_reads(reads)}
+        assert {result.stage for result in by_engine["genpair"]} \
+            >= {"light", "full_dp", "unmapped"}
+        for engine, results in by_engine.items():
+            assert all(type(result) is MappingResult
+                       and result.engine == engine for result in results)
+            assert any(result.mapped for result in results)
+            assert not results[-1].mapped
+        return by_engine
+
+    @pytest.mark.parametrize("engine", ["genpair", "mm2", "longread"])
+    def test_file_wire_and_records_walk_agree(self, results, engine,
+                                              small_reference, tmp_path):
+        from repro.genome import SamWriter
+        from repro.genome.jsonl import record_payload
+
+        mapped = results[engine]
+        walks = {
+            "sam": [record.to_sam_line() for result in mapped
+                    for record in result.records],
+            "paf": [paf_line(record, small_reference) for result in mapped
+                    for record in result.records if record.mapped],
+            "jsonl": [json.dumps(record_payload(record, result),
+                                 separators=(",", ":"))
+                      for result in mapped for record in result.records]}
+        formats = {"sam": (SamWriter, sam_record_lines),
+                   "paf": (PafWriter, paf_record_lines),
+                   "jsonl": (JsonlWriter, jsonl_record_lines)}
+        for name, (writer_type, record_lines) in formats.items():
+            wire = list(record_lines(mapped, small_reference))
+            assert wire == walks[name]
+            path = tmp_path / f"{engine}.{name}"
+            with writer_type(path, small_reference) as writer:
+                header = writer.header_lines()
+                assert writer.drain(mapped) == len(mapped)
+                assert writer.count == len(wire)
+            assert path.read_text() == "".join(line + "\n"
+                                               for line in header + wire)

@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from repro.genome import (AlignmentRecord, Cigar, SamWriter, encode,
-                          write_sam)
+from repro.genome import (AlignmentRecord, Cigar, MappingResult, SamWriter,
+                          encode, write_sam)
 from repro.genome.sam import METHOD_LIGHT
 
 
@@ -80,15 +80,12 @@ class TestSamWriter:
         assert streamed.read_text() == eager.read_text()
 
     def test_write_result_appends_both_records(self, tmp_path):
-        class FakeResult:
-            record1 = AlignmentRecord("p/1", "chr1", 0,
-                                      cigar=Cigar.parse("4="))
-            record2 = AlignmentRecord("p/2", "chr1", 9,
-                                      cigar=Cigar.parse("4="))
-
+        result = MappingResult(name="p", records=(
+            AlignmentRecord("p/1", "chr1", 0, cigar=Cigar.parse("4=")),
+            AlignmentRecord("p/2", "chr1", 9, cigar=Cigar.parse("4="))))
         path = tmp_path / "pairs.sam"
         with SamWriter(path) as writer:
-            writer.write_result(FakeResult())
+            writer.write_result(result)
             assert writer.count == 2
         body = [line for line in path.read_text().splitlines()
                 if not line.startswith("@")]
@@ -104,19 +101,19 @@ class TestSamWriter:
         assert lines[1].startswith("@SQ")
 
     def test_drain_writes_lazily_and_counts_pairs(self, tmp_path):
-        class FakeResult:
-            def __init__(self, name):
-                self.record1 = AlignmentRecord(f"{name}/1", "chr1", 0,
-                                               cigar=Cigar.parse("4="))
-                self.record2 = AlignmentRecord(f"{name}/2", "chr1", 9,
-                                               cigar=Cigar.parse("4="))
+        def fake_result(name):
+            return MappingResult(name=name, records=(
+                AlignmentRecord(f"{name}/1", "chr1", 0,
+                                cigar=Cigar.parse("4=")),
+                AlignmentRecord(f"{name}/2", "chr1", 9,
+                                cigar=Cigar.parse("4="))))
 
         served = []
 
         def stream():
             for index in range(5):
                 served.append(index)
-                yield FakeResult(f"p{index}")
+                yield fake_result(f"p{index}")
 
         path = tmp_path / "drained.sam"
         with SamWriter(path) as writer:

@@ -87,8 +87,9 @@ class TestPipelineSetsMates:
         from repro.mapper import Mm2LikeMapper
         mapper = Mm2LikeMapper(plain_reference)
         pair = clean_pairs[1]
-        rec1, rec2, proper = mapper.map_pair(pair.read1.codes,
-                                             pair.read2.codes, pair.name)
-        assert proper
+        result = mapper.map_pair(pair.read1.codes, pair.read2.codes,
+                                 pair.name)
+        rec1, rec2 = result.records
+        assert result.stage == "proper_pair"
         assert rec1.proper_pair
         assert rec1.mate_position == rec2.position

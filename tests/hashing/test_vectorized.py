@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from core_oracle import hash_seed, xxhash32
+from oracles.core import hash_seed, xxhash32
 from repro.genome import pack_2bit, random_sequence
 from repro.hashing import (hash_reads_batch, hash_reference_windows,
                            pack_rows_2bit, xxhash32_rows)

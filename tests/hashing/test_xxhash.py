@@ -1,11 +1,11 @@
-"""Tests for the scalar xxHash32 reference (``tests/core/oracle.py``):
+"""Tests for the scalar xxHash32 reference (``tests/oracles/core.py``):
 the spec vectors that anchor it, and through it the vectorized kernel
 (``test_vectorized.py`` compares the two row for row)."""
 
 import numpy as np
 import pytest
 
-from core_oracle import _rotl32, hash_seed, xxhash32
+from oracles.core import _rotl32, hash_seed, xxhash32
 
 
 class TestSpecVectors:

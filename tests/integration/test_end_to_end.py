@@ -7,7 +7,7 @@ from repro.core import GenPairPipeline, STAGE_FULL_DP, STAGE_UNMAPPED
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           plant_variants, write_sam)
 from repro.hw import GenPairXDesign, WorkloadProfile
-from repro.mapper import Mm2LikeMapper, make_full_fallback
+from repro.mapper import Mm2LikeMapper
 from repro.variants import (Pileup, call_variants, compare_calls,
                             evaluate_mappings, split_by_kind)
 
@@ -28,8 +28,7 @@ class TestHybridPipeline:
     def test_genpair_plus_mm2_maps_nearly_everything(self, world):
         reference, _donor, pairs = world
         mapper = Mm2LikeMapper(reference)
-        pipeline = GenPairPipeline(reference,
-                                   full_fallback=make_full_fallback(mapper))
+        pipeline = GenPairPipeline(reference, fallback=mapper)
         results = pipeline.map_pairs(pairs)
         unmapped = sum(1 for r in results if r.stage == STAGE_UNMAPPED)
         assert unmapped <= len(pairs) * 0.05
@@ -37,8 +36,7 @@ class TestHybridPipeline:
     def test_mapping_locations_correct(self, world):
         reference, _donor, pairs = world
         mapper = Mm2LikeMapper(reference)
-        pipeline = GenPairPipeline(reference,
-                                   full_fallback=make_full_fallback(mapper))
+        pipeline = GenPairPipeline(reference, fallback=mapper)
         results = pipeline.map_pairs(pairs)
         records = [r.record1 for r in results]
         truths = [p.read1 for p in pairs]
@@ -49,8 +47,7 @@ class TestHybridPipeline:
     def test_full_dp_fallback_used_by_hybrid(self, world):
         reference, _donor, pairs = world
         mapper = Mm2LikeMapper(reference)
-        pipeline = GenPairPipeline(reference,
-                                   full_fallback=make_full_fallback(mapper))
+        pipeline = GenPairPipeline(reference, fallback=mapper)
         results = pipeline.map_pairs(pairs)
         # A small residue of pairs should exercise the full-DP arc.
         assert any(r.stage == STAGE_FULL_DP for r in results) or \
@@ -67,8 +64,7 @@ class TestVariantCallingEndToEnd:
                                   seed=77)
         pairs = simulator.simulate_pairs(1600)  # ~19x coverage
         mapper = Mm2LikeMapper(reference)
-        pipeline = GenPairPipeline(reference,
-                                   full_fallback=make_full_fallback(mapper))
+        pipeline = GenPairPipeline(reference, fallback=mapper)
         results = pipeline.map_pairs(pairs)
         pileup = Pileup(reference)
         for result in results:
@@ -105,8 +101,7 @@ class TestDesignFromMeasuredWorkload:
     def test_measured_profile_composes(self, world):
         reference, _donor, pairs = world
         mapper = Mm2LikeMapper(reference)
-        pipeline = GenPairPipeline(reference,
-                                   full_fallback=make_full_fallback(mapper))
+        pipeline = GenPairPipeline(reference, fallback=mapper)
         pipeline.map_pairs(pairs)
         profile = WorkloadProfile.from_pipeline(pipeline.stats,
                                                 mapper.stats)

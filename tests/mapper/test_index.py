@@ -1,6 +1,6 @@
 """Tests for the minimizer index."""
 
-import align_oracle
+from oracles import align as align_oracle
 import numpy as np
 import pytest
 
@@ -70,7 +70,7 @@ class TestMinimizerIndex:
 
 class TestAgainstDictBuild:
     """The one-argsort CSR build == the dict-of-lists build of
-    ``tests/align/oracle.py``: same ``IndexStats``, same positions for
+    ``tests/oracles/align.py``: same ``IndexStats``, same positions for
     every hash, masked hashes absent."""
 
     @pytest.mark.parametrize("k,w,max_occurrences", [

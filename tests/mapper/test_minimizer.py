@@ -1,6 +1,6 @@
 """Tests for minimizer extraction."""
 
-import align_oracle
+from oracles import align as align_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,7 +83,7 @@ def code_rows(draw):
 
 class TestAgainstScalarOracle:
     """The numpy sliding-window minimum == the one-k-mer-at-a-time
-    monotone-queue loop of ``tests/align/oracle.py``."""
+    monotone-queue loop of ``tests/oracles/align.py``."""
 
     @settings(deadline=None)
     @given(code_rows())

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.genome import random_sequence, reverse_complement
-from repro.mapper import MapperConfig, MinimizerIndex, Mm2LikeMapper, \
-    make_full_fallback
+from repro.mapper import MapperConfig, MinimizerIndex, Mm2LikeMapper
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +60,11 @@ class TestSingleEnd:
 class TestPairedEnd:
     def test_proper_pair(self, plain_reference, mapper, clean_pairs):
         pair = clean_pairs[0]
-        rec1, rec2, proper = mapper.map_pair(pair.read1.codes,
-                                             pair.read2.codes, pair.name)
-        assert proper
+        result = mapper.map_pair(pair.read1.codes, pair.read2.codes,
+                                 pair.name)
+        rec1, rec2 = result.records
+        assert (result.engine, result.stage) == ("mm2", "proper_pair")
+        assert result.joint_score == rec1.score + rec2.score
         assert rec1.position == pair.read1.ref_start
         assert rec2.position == pair.read2.ref_start
         assert rec1.strand == "+"
@@ -76,9 +77,9 @@ class TestPairedEnd:
         read2 = pair.read2.codes.copy()
         for pos in range(0, 150, 11):  # break every minimizer
             read2[pos] = (read2[pos] + 1) % 4
-        rec1, rec2, proper = mapper.map_pair(pair.read1.codes, read2,
-                                             "rescue")
-        assert proper
+        result = mapper.map_pair(pair.read1.codes, read2, "rescue")
+        rec2 = result.record2
+        assert result.stage == "proper_pair"
         assert abs(rec2.position - pair.read2.ref_start) <= 5
         assert mapper.stats.mate_rescues >= 1
 
@@ -91,11 +92,10 @@ class TestPairedEnd:
         read2 = pair.read2.codes.copy()
         for pos in range(0, 150, 11):  # break every minimizer
             read2[pos] = (read2[pos] + 1) % 4
-        rec1, rec2, proper = mapper.map_pair(pair.read1.codes, read2,
-                                             "norescue")
-        assert not proper
+        result = mapper.map_pair(pair.read1.codes, read2, "norescue")
+        assert result.stage == "mapped"
         assert mapper.stats.mate_rescues == 0
-        assert rec1.mapped  # read1 still maps independently
+        assert result.record1.mapped  # read1 still maps independently
 
     def test_map_pairs_batch_matches_map_pair(self, plain_reference,
                                               clean_pairs):
@@ -105,9 +105,10 @@ class TestPairedEnd:
                  for p in clean_pairs[:5]]
         expected = [serial.map_pair(*item) for item in items]
         got = batched.map_pairs(items)
-        for (e1, e2, ep), (g1, g2, gp) in zip(expected, got):
-            assert (e1.position, e2.position, ep) \
-                == (g1.position, g2.position, gp)
+        for want, result in zip(expected, got):
+            assert (want.record1.position, want.record2.position,
+                    want.stage) == (result.record1.position,
+                                    result.record2.position, result.stage)
         assert batched.stats.pairs_seen == serial.stats.pairs_seen
 
     def test_stage_spans_recorded_under_a_trace(self, plain_reference,
@@ -126,26 +127,6 @@ class TestPairedEnd:
                                 "mm2.alignment", "mm2.pairing"}
         assert all(value > 0 for value in seconds.values())
         assert not hasattr(mapper, "timer")
-
-
-class TestFallbackAdapter:
-    def test_fallback_returns_records_and_cells(self, plain_reference,
-                                                clean_pairs):
-        mapper = Mm2LikeMapper(plain_reference)
-        fallback = make_full_fallback(mapper)
-        pair = clean_pairs[3]
-        outcome = fallback(pair.read1.codes, pair.read2.codes, "fb")
-        assert outcome is not None
-        rec1, rec2, cells = outcome
-        assert rec1.mapped and rec2.mapped
-        assert cells > 0
-
-    def test_fallback_none_for_garbage(self, plain_reference):
-        mapper = Mm2LikeMapper(plain_reference)
-        fallback = make_full_fallback(mapper)
-        rng = np.random.default_rng(33)
-        assert fallback(random_sequence(rng, 150),
-                        random_sequence(rng, 150), "junk") is None
 
 
 class TestChunkInvariance:
@@ -179,8 +160,10 @@ class TestChunkInvariance:
                       for start in range(0, len(items), chunk_size)
                       for result in mapper.map_pairs(
                           items[start:start + chunk_size])]
-        return ([(record_signature(record1), record_signature(record2),
-                  proper) for record1, record2, proper in mapped],
+        return ([(record_signature(result.record1),
+                  record_signature(result.record2), result.name,
+                  result.engine, result.stage, result.joint_score)
+                 for result in mapped],
                 dataclasses.asdict(mapper.stats))
 
     @pytest.mark.parametrize("chunk_size", [1, 7, 30])

@@ -52,8 +52,7 @@ class TestConfig:
         read1 = plain_reference.fetch("chr1", 1000, 1150)
         read2 = reverse_complement(plain_reference.fetch("chr1", 2000,
                                                          2150))
-        _r1, _r2, proper = mapper.map_pair(read1, read2, "far")
-        assert not proper
+        assert mapper.map_pair(read1, read2, "far").stage != "proper_pair"
 
 
 class TestStatsIntegrity:

@@ -1,0 +1,5 @@
+"""Reference implementations the package's vectorized code is tested
+against: :mod:`oracles.core` (the scalar seed→candidate chain) and
+:mod:`oracles.align` (scalar DP, minimizer, index and chaining loops).
+Importable from every test directory because ``tests/`` — the directory
+of the root ``conftest.py`` — is on ``sys.path``."""

@@ -18,7 +18,8 @@ them, both kept here one element at a time:
   positions, and the chains (anchors, float ``score`` with ``==``,
   order) and ``cells`` of every chaining problem.
 
-Nothing under ``src/`` imports this module.
+Nothing under ``src/`` imports this module; tests import it as
+``oracles.align``.
 """
 
 from __future__ import annotations

@@ -8,16 +8,15 @@ of the 2-bit packed window, :func:`hash_seed`), looked up on its own
 (:func:`query_read`).  It defines what ``resolve_reads`` must reproduce
 exactly — candidates (values and dtype), seed hits, locations fetched,
 Seed Table accesses — read by read; fed through the pipeline's own
-per-pair decision (``_map_prepared``), what every GenPair chunk size
-must map to; and, through the scalar :func:`longread_votes`, what the
+per-pair decision (``_map_prepared``, and ``_fall_back`` on a chunk of
+one), what every GenPair chunk size must map to; and, through the scalar :func:`longread_votes`, what the
 long-read mode must vote.
 
 The chain imports no hashing or query function from the package — only
 ``SeedMap``, ``QueryResult``, ``seed_offsets`` and ``pair_role_codes``
 (plus ``filter_adjacent`` for the long-read vote, which is downstream
-of the chain).  Nothing under ``src/`` imports this module; tests load
-it as ``core_oracle`` (``tests/conftest.py`` — the top-level name
-``oracle`` belongs to ``tests/align/oracle.py``).
+of the chain).  Nothing under ``src/`` imports this module; tests import
+it as ``oracles.core``.
 """
 
 from __future__ import annotations
@@ -232,10 +231,17 @@ def prepare_pair(pipeline, read1: np.ndarray, read2: np.ndarray
 
 def map_pairs(pipeline, items) -> list:
     """Map ``(read1, read2, name)`` items one pair at a time: scalar
-    seeding and querying, then the pipeline's own per-pair decision."""
-    return [pipeline._map_prepared(read1, read2, name,
-                                   prepare_pair(pipeline, read1, read2))
-            for read1, read2, name in items]
+    seeding and querying, the pipeline's own per-pair decision, and the
+    traditional pipeline entered once per pair that needs it."""
+    results = []
+    for item in items:
+        read1, read2, name = item
+        result = pipeline._map_prepared(
+            read1, read2, name, prepare_pair(pipeline, read1, read2))
+        if result is None:
+            result, = pipeline._fall_back([item])
+        results.append(result)
+    return results
 
 
 # -- long reads: the scalar Location Voting ----------------------------------

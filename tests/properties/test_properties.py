@@ -8,7 +8,7 @@ disagrees with full DP when it answers.
 """
 
 import numpy as np
-from core_oracle import xxhash32
+from oracles.core import xxhash32
 from hypothesis import given, settings, strategies as st
 
 from repro.align import DEFAULT_SCHEME, align_semiglobal

@@ -21,9 +21,13 @@ There is one dataflow, and it is chunked
 with one vectorized xxHash call, resolved against the array-backed
 SeedMap in one ``searchsorted`` probe and merged into per-read
 candidate lists chunk-wide (:func:`repro.core.query.resolve_reads`, the
-front-end the long-read mode shares); filtering and alignment run per
-pair, and the chunk's residue goes to the fallback mapper's
-``map_pairs`` in one call.  Every pair comes out as a
+front-end the long-read mode shares); filtering and light alignment run
+per pair; the pairs light alignment cannot settle meet again in two
+chunk-wide candidate-DP waves (read 1 at every candidate, read 2 where
+read 1 survived: one :func:`align_banded` sweep per window shape, cut by
+:func:`~repro.align.banded.stack_problems`'s cell budget), and the
+chunk's residue goes to the fallback mapper's ``map_pairs`` in one call.
+Every pair comes out as a
 :class:`~repro.genome.results.MappingResult`.
 :meth:`~GenPairPipeline.map_pair` is a chunk of one,
 :meth:`~GenPairPipeline.map_pairs` the eager form and
@@ -37,8 +41,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Iterator, List, Optional, \
-    Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, \
+    Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -209,6 +213,18 @@ def chunked(items: Iterable, chunk_size: int,
         yield normalize(chunk, consumed)
 
 
+class _Pending(NamedTuple):
+    """A pair filtering placed and light alignment could not align: its
+    order for candidate DP (:meth:`GenPairPipeline._dp_align_candidates`)."""
+
+    orientation: str
+    oriented1: np.ndarray
+    oriented2: np.ndarray
+    #: ``(candidate 1, candidate 2)`` linear starts, at most
+    #: ``max_joint_candidates`` of them.
+    candidates: Sequence[Tuple[int, int]]
+
+
 class GenPairPipeline:
     """End-to-end paired-end mapper implementing the GenPair algorithm."""
 
@@ -283,10 +299,8 @@ class GenPairPipeline:
         The four role sequences of every pair
         (:func:`~repro.core.seeding.pair_role_codes` order: fr read1,
         fr read2, rf read1, rf read2) are resolved in one batched
-        SeedMap probe (:func:`~repro.core.query.resolve_reads`); the
-        per-pair decision logic then runs over the pre-resolved
-        :class:`QueryResult` quadruple of each pair, and the pairs it
-        cannot place go on together (:meth:`_fall_back`).  Stage
+        SeedMap probe (:func:`~repro.core.query.resolve_reads`) and
+        the chunk decided from them (:meth:`_map_resolved`).  Stage
         timings are recorded once per *chunk*
         (``pipeline.seed_query_s`` / ``pipeline.filter_align_s``), so
         instrumentation cost is amortized over the whole batch.
@@ -302,20 +316,7 @@ class GenPairPipeline:
                 self.config.seed_length, self.config.seeds_per_read)
         queried = time.perf_counter() if timed else 0.0
         with span("pair.filter_align"):
-            results = []
-            residue = []
-            for index, (read1, read2, name) in enumerate(items):
-                base = 4 * index
-                prepared = ((queries[base], queries[base + 1]),
-                            (queries[base + 2], queries[base + 3]))
-                result = self._map_prepared(read1, read2, name, prepared)
-                if result is None:
-                    residue.append(index)
-                results.append(result)
-            if residue:
-                for index, result in zip(residue, self._fall_back(
-                        [items[index] for index in residue])):
-                    results[index] = result
+            results = self._map_resolved(items, queries)
         if timed:
             done = time.perf_counter()
             obs.histogram("pipeline.seed_query_s").observe(
@@ -326,14 +327,64 @@ class GenPairPipeline:
             obs.counter("pipeline.pairs").inc(len(items))
         return results
 
+    def _map_resolved(self, items: Sequence[Tuple[np.ndarray, np.ndarray,
+                                                  str]],
+                      queries: Sequence[QueryResult]
+                      ) -> List[MappingResult]:
+        """Query-results-to-mapping decision for a chunk; ``queries``
+        holds four results per pair in
+        :func:`~repro.core.seeding.pair_role_codes` order.
+
+        Filtering and light alignment settle most pairs one by one
+        (:meth:`_map_prepared`).  The pairs left with candidates but no
+        light alignment get candidate DP together
+        (:meth:`_dp_align_candidates`), and what neither places goes on
+        together too (:meth:`_fall_back`).
+        """
+        stats = self.stats
+        results: list = []
+        pending = []
+        residue = []
+        for index, (read1, read2, name) in enumerate(items):
+            base = 4 * index
+            result = self._map_prepared(
+                read1, read2, name, ((queries[base], queries[base + 1]),
+                                     (queries[base + 2], queries[base + 3])))
+            if result is None:
+                residue.append(index)
+            elif type(result) is _Pending:
+                pending.append((index, result))
+            results.append(result)
+        if pending:
+            for (index, work), dp_hit in zip(
+                    pending, self._dp_align_candidates(
+                        [work for _index, work in pending])):
+                if dp_hit is None:
+                    stats.residual_fallback += 1
+                    residue.append(index)
+                    continue
+                stats.light_fallback += 1
+                read1, read2, name = items[index]
+                results[index] = self._build_result(
+                    name, STAGE_DP_CANDIDATE, work.orientation, read1,
+                    read2, dp_hit)
+            residue.sort()
+        if residue:
+            for index, result in zip(residue, self._fall_back(
+                    [items[index] for index in residue])):
+                results[index] = result
+        return results
+
     # -- per-pair decision -------------------------------------------------
 
     def _map_prepared(self, read1: np.ndarray, read2: np.ndarray,
                       name: str,
                       prepared: Sequence[Tuple[QueryResult, QueryResult]]
-                      ) -> Optional[MappingResult]:
-        """Query-results-to-mapping decision for one pair; ``None``
-        sends it to the traditional pipeline (:meth:`_fall_back`).
+                      ) -> Union[MappingResult, _Pending, None]:
+        """Filtering and light alignment of one pair: its
+        :class:`MappingResult`, or a :class:`_Pending` order for
+        candidate DP, or ``None`` to send it to the traditional pipeline
+        (:meth:`_fall_back`).
 
         ``prepared`` carries the pair's pre-resolved SeedMap queries,
         one ``(read1, read2)`` result per entry of :data:`ORIENTATIONS`;
@@ -380,15 +431,8 @@ class GenPairPipeline:
                                                          oriented2):
                 stats.exact_pairs += 1
             return result
-
-        dp_hit = self._dp_align_candidates(oriented1, oriented2,
-                                           joint_candidates)
-        if dp_hit is not None:
-            stats.light_fallback += 1
-            return self._build_result(name, STAGE_DP_CANDIDATE,
-                                      orientation, read1, read2, dp_hit)
-        stats.residual_fallback += 1
-        return None
+        return _Pending(orientation, oriented1, oriented2,
+                        joint_candidates[:self.config.max_joint_candidates])
 
     # -- internals ----------------------------------------------------------
 
@@ -462,44 +506,49 @@ class GenPairPipeline:
         window_start = pos - offset
         return hit, chromosome, window_start + hit.ref_start
 
-    def _dp_align_candidates(self, oriented1, oriented2, joint_candidates):
-        """Banded DP at the filtered candidates (cheap fallback arc).
+    def _dp_align_candidates(self, pending: Sequence[_Pending]) -> list:
+        """Banded DP at the filtered candidates (cheap fallback arc): the
+        best joint hit or ``None`` per pending pair, in order.
 
-        One stacked kernel call aligns read 1 at every candidate, a
-        second aligns read 2 where read 1 survived — the same problems,
-        and so the same ``dp_cells_candidate``, as one candidate at a
-        time.
+        Two chunk-wide waves: read 1 of every pair at every candidate,
+        then read 2 where read 1 survived — the same problems, and so
+        the same ``dp_cells_candidate``, as one candidate at a time.
         """
-        cap = self.config.max_joint_candidates
-        min_score = int(self.config.min_dp_score_fraction
-                        * self._perfect_joint(oriented1, oriented2))
-        candidates = joint_candidates[:cap]
-        hits1 = self._dp_at(oriented1, [cand1 for cand1, _ in candidates])
-        survivors = [(pair, hit1) for pair, hit1 in zip(candidates, hits1)
+        first = [(number, pair) for number, work in enumerate(pending)
+                 for pair in work.candidates]
+        hits1 = self._dp_at([(pending[number].oriented1, cand1)
+                             for number, (cand1, _cand2) in first])
+        survivors = [(number, pair, hit1)
+                     for (number, pair), hit1 in zip(first, hits1)
                      if hit1 is not None]
-        hits2 = self._dp_at(oriented2,
-                            [cand2 for (_, cand2), _ in survivors])
-        best = None
-        for ((cand1, cand2), hit1), hit2 in zip(survivors, hits2):
+        hits2 = self._dp_at([(pending[number].oriented2, cand2)
+                             for number, (_cand1, cand2), _hit1
+                             in survivors])
+        # The joint score a pair's next hit must beat: just under its
+        # acceptance floor, then its best so far (the first of equals).
+        bar = [int(self.config.min_dp_score_fraction
+                   * self._perfect_joint(work.oriented1, work.oriented2)) - 1
+               for work in pending]
+        best: list = [None] * len(pending)
+        for (number, (cand1, cand2), hit1), hit2 in zip(survivors, hits2):
             if hit2 is None:
                 continue
             score = hit1[0].score + hit2[0].score
-            if score < min_score:
-                continue
-            if best is None or score > best[0]:
-                best = (score, (cand1, cand2, hit1, hit2))
-        return None if best is None else best[1]
+            if score > bar[number]:
+                bar[number] = score
+                best[number] = (cand1, cand2, hit1, hit2)
+        return best
 
-    def _dp_at(self, codes: np.ndarray, candidates: Sequence[int]) -> list:
-        """Banded DP of one read at each candidate: a hit or ``None``
-        per candidate, in order."""
+    def _dp_at(self, problems: Sequence[Tuple[np.ndarray, int]]) -> list:
+        """Banded DP of each ``(read, candidate)``: a hit or ``None``
+        per problem, in order."""
         contexts = [self._window(candidate, len(codes))
-                    for candidate in candidates]
+                    for codes, candidate in problems]
         hits: list = [None] * len(contexts)
         for members, reads, windows, diagonal, bandwidth in stack_problems(
                 [None if ctx is None else
                  (codes, ctx[0], ctx[1], self.config.fallback_bandwidth)
-                 for ctx in contexts]):
+                 for (codes, _candidate), ctx in zip(problems, contexts)]):
             stack = align_banded(reads, windows, scheme=self.scheme,
                                  diagonal=diagonal, bandwidth=bandwidth)
             for k, result in zip(members, stack):

@@ -16,17 +16,20 @@ which is exactly the split the paper uses to size GenDP for the residual
 workload (331,772 MCUPS chaining vs 3,469,180 MCUPS alignment per million
 reads, §7.4).
 
-The seed->chain front-end is chunk-wide and array-native:
+Seeding, chaining and chain alignment are chunk-wide and array-native:
 :meth:`Mm2LikeMapper.map_pairs` extracts the minimizers of every read and
 strand of the chunk in one pass, resolves them in one index probe into
-anchor columns and chains them in one :func:`chain_anchors` sweep (one
-chaining problem per read and strand); placement, pairing and rescue
-then run pair by pair, so the alignment stacks — and every record and
-counter — are those of a :meth:`~Mm2LikeMapper.map_pair` loop, which is a
-chunk of one.  Each pair comes out as a
-:class:`~repro.genome.results.MappingResult` (stage ``proper_pair``,
-``mapped`` or ``unmapped``).  The per-anchor and per-k-mer loops this
-replaced are the oracle in ``tests/oracles/align.py``.
+anchor columns, chains them in one :func:`chain_anchors` sweep (one
+chaining problem per read and strand) and aligns the kept chains of every
+read in one :func:`align_banded` sweep per window shape
+(:func:`~repro.align.banded.stack_problems`, cut by its cell budget).
+Pairing and mate rescue — one wide-band call per rescue, a shape that is
+throughput-bound alone — then run pair by pair.  What shares a sweep
+never changes a result, so every record and counter is that of a
+:meth:`~Mm2LikeMapper.map_pair` loop, which is a chunk of one.  Each pair
+comes out as a :class:`~repro.genome.results.MappingResult` (stage
+``proper_pair``, ``mapped`` or ``unmapped``).  The per-anchor and
+per-k-mer loops this replaced are the oracle in ``tests/oracles/align.py``.
 """
 
 from __future__ import annotations
@@ -126,17 +129,18 @@ class Mm2LikeMapper:
     # -- single-end ----------------------------------------------------------
 
     def map_read(self, codes: np.ndarray, name: str = "read",
-                 mate: int = 0, chains: Optional[list] = None
+                 mate: int = 0,
+                 placements: Optional[List[_Placement]] = None
                  ) -> AlignmentRecord:
         """Map one read; returns an unmapped record if nothing scores.
 
-        ``chains`` is :meth:`map_reads` handing over what it seeded and
-        chained for the whole chunk; alone, the read is a chunk of one.
+        ``placements`` is :meth:`map_reads` handing over what it seeded,
+        chained and aligned for the whole chunk; alone, the read is a
+        chunk of one.
         """
         self.stats.reads_seen += 1
-        if chains is None:
-            chains = self._chains([codes])
-        placements, = self._placements(chains)
+        if placements is None:
+            placements, = self._placements([codes])
         min_score = int(self.config.min_score_fraction
                         * self.scheme.perfect_score(len(codes)))
         placements = [p for p in placements if p.score >= min_score]
@@ -153,7 +157,8 @@ class Mm2LikeMapper:
     # -- paired-end ----------------------------------------------------------
 
     def map_pair(self, read1: np.ndarray, read2: np.ndarray,
-                 name: str = "pair", chains: Optional[list] = None
+                 name: str = "pair",
+                 placements: Optional[Sequence[List[_Placement]]] = None
                  ) -> MappingResult:
         """Map a pair; the result's stage is ``proper_pair``, ``mapped``
         (at least one mate placed on its own) or ``unmapped``.
@@ -164,13 +169,14 @@ class Mm2LikeMapper:
         If rescue fails, read 2 is mapped independently; the final records
         are the best-scoring consistent combination.
 
-        ``chains`` is :meth:`map_pairs` handing over what it seeded and
-        chained for the whole chunk; alone, the pair is a chunk of one.
+        ``placements`` is :meth:`map_pairs` handing over what it seeded,
+        chained and aligned for the whole chunk; alone, the pair is a
+        chunk of one.
         """
         self.stats.pairs_seen += 1
-        if chains is None:
-            chains = self._chains([read1, read2])
-        placements1, placements2 = self._placements(chains)
+        if placements is None:
+            placements = self._placements([read1, read2])
+        placements1, placements2 = placements
         with span("mm2.pairing"):
             combo = self._best_combo(placements1, placements2,
                                      len(read1), len(read2))
@@ -205,35 +211,36 @@ class Mm2LikeMapper:
         """Map a chunk of ``(read1, read2, name)`` tuples in input order.
 
         The chunk call the ``mm2`` engine and the GenPair fallback both
-        enter through: every read and strand of the chunk is seeded and
-        chained in one pass, then each pair is placed, paired and
-        rescued on its own.  Results and :attr:`stats` are exactly those
-        of repeated :meth:`map_pair` calls, whatever the chunking.
+        enter through: every read and strand of the chunk is seeded,
+        chained and chain-aligned in one pass, then each pair is paired
+        and rescued on its own.  Results and :attr:`stats` are exactly
+        those of repeated :meth:`map_pair` calls, whatever the chunking.
         """
-        chains = self._chains([read for read1, read2, _name in pairs
-                               for read in (read1, read2)])
+        placements = self._placements([read for read1, read2, _name in pairs
+                                       for read in (read1, read2)])
         return [self.map_pair(read1, read2, name,
-                              chains[2 * number:2 * number + 2])
+                              placements[2 * number:2 * number + 2])
                 for number, (read1, read2, name) in enumerate(pairs)]
 
     def map_reads(self, reads: List[Tuple[np.ndarray, str]]
                   ) -> List[AlignmentRecord]:
         """Map a chunk of single ``(codes, name)`` reads in input order."""
-        chains = self._chains([codes for codes, _name in reads])
-        return [self.map_read(codes, name, chains=chains[number:number + 1])
-                for number, (codes, name) in enumerate(reads)]
+        placements = self._placements([codes for codes, _name in reads])
+        return [self.map_read(codes, name, placements=placed)
+                for (codes, name), placed in zip(reads, placements)]
 
     # -- pipeline stages -----------------------------------------------------
 
-    def _placements(self, chains: List[list], max_placements: int = 4
-                    ) -> List[List[_Placement]]:
-        """Align each read's chains (see :meth:`_chains`) and keep its
-        best placements.
+    def _placements(self, reads: Sequence[np.ndarray],
+                    max_placements: int = 4) -> List[List[_Placement]]:
+        """Seed, chain and align a chunk of reads; each read's best
+        placements, best first.
 
-        The chains of every read are aligned together: a lone 150 x 33
-        banded problem is no faster on the stacked kernel than on a
-        scalar loop, the eight of a pair are.
+        The chains of every read of the chunk are aligned together:
+        the kernel's cost per problem falls with the stack it rides in
+        (:mod:`repro.align.banded` has the curve).
         """
+        chains = self._chains(reads)
         with span("mm2.alignment"):
             placed = iter(self._align_chains(
                 [chain for per_read in chains for chain in per_read]))
@@ -369,21 +376,19 @@ class Mm2LikeMapper:
         mate_strand = "-" if anchor.strand == "+" else "+"
         oriented = (reverse_complement(mate_codes) if mate_strand == "-"
                     else mate_codes)
-        if anchor.strand == "+":
-            lo = anchor.linear_start
-            hi = anchor.linear_start + self.config.max_insert
-        else:
-            lo = anchor.linear_start - self.config.max_insert
-            hi = anchor.linear_start + len(mate_codes)
+        # The window lives on the anchor's chromosome, clamped to it.
         try:
             chromosome, pos = self.reference.from_linear(
-                max(0, int(lo)))
+                anchor.linear_start)
         except ReferenceError:
             return None
-        chrom_offset = self.reference.linear_offset(chromosome)
-        chrom_len = self.reference.length(chromosome)
-        start = max(0, pos)
-        end = min(chrom_len, hi - chrom_offset + len(mate_codes))
+        chrom_offset = anchor.linear_start - pos
+        if anchor.strand == "+":
+            lo, hi = pos, pos + self.config.max_insert
+        else:
+            lo, hi = pos - self.config.max_insert, pos + len(mate_codes)
+        start = max(0, lo)
+        end = min(self.reference.length(chromosome), hi + len(mate_codes))
         if end - start < len(mate_codes):
             return None
         window = self.reference.fetch(chromosome, start, end)

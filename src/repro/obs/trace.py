@@ -24,13 +24,15 @@ Span-name catalog (what instrumented layers emit today):
 ``pair.filter_align``   one chunk's per-pair filtering + alignment
 ``mm2.seeding``         one chunk's minimizer extraction + index probe
 ``mm2.chaining``        one chunk's chaining sweep (every read and strand)
-``mm2.alignment``       banded alignment of all chains of a read/pair
+``mm2.alignment``       one chunk's chain alignment (every chain of every read)
 ``mm2.pairing``         one pair's best-combination search
 ======================  ================================================
 
-``mm2.seeding`` and ``mm2.chaining`` are per chunk because the mapper's
-seed->chain front-end is (``Mm2LikeMapper.map_pairs``; a lone
-``map_pair`` is a chunk of one).  The ``mm2.*`` spans also appear nested
+``mm2.seeding``, ``mm2.chaining`` and ``mm2.alignment`` are per chunk
+because the mapper seeds, chains and chain-aligns a chunk at a time
+(``Mm2LikeMapper.map_pairs``; a lone ``map_pair`` is a chunk of one);
+``mm2.pairing`` stays per pair, and a mate rescue's wide-band alignment
+runs between spans.  The ``mm2.*`` spans also appear nested
 under ``pair.filter_align`` when the baseline mapper runs as GenPair's
 full-DP fallback (once per chunk, over the pairs of it that need one);
 :func:`repro.analysis.profile_breakdown` sums them into Fig 1.

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import align as oracle
 from repro.align import (ScoringScheme, align_banded, align_local,
-                         align_semiglobal)
+                         align_semiglobal, banded, stack_problems)
 from repro.api import Mapper
 from repro.core import pipeline as pipeline_module
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
@@ -118,6 +118,52 @@ class TestKernelEqualsOracle:
                                    bandwidth=6)
         assert signature(got) == signature(want)
         assert got.score <= -(2 ** 28)
+
+
+@st.composite
+def problem_lists(draw):
+    """Up to 40 ``(read, window, diagonal, bandwidth)`` problems of up to
+    four shapes, ``None``s among them."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(0, 20),
+                                     st.integers(-4, 12),
+                                     st.integers(1, 8)),
+                           min_size=1, max_size=4))
+    chosen = draw(st.lists(st.one_of(st.none(), st.sampled_from(shapes)),
+                           max_size=40))
+    return [None if shape is None else
+            (bases(draw, shape[0], 2), bases(draw, shape[1], 2), *shape[2:])
+            for shape in chosen]
+
+
+class TestStackProblems:
+    @settings(deadline=None, max_examples=100)
+    @given(problem_lists(), st.integers(1, 1500))
+    def test_sweeps_partition_the_problems_within_the_budget(
+            self, problems, budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(banded, "STACK_CELL_BUDGET", budget)
+            sweeps = stack_problems(problems)
+        assert sorted(k for members, *_ in sweeps for k in members) \
+            == [k for k, problem in enumerate(problems)
+                if problem is not None]
+        for members, reads, windows, diagonal, bandwidth in sweeps:
+            stack = align_banded(reads, windows, diagonal=diagonal,
+                                 bandwidth=bandwidth)
+            assert len(members) == 1 or stack.cells <= budget
+            for k, result in zip(members, stack):
+                read, window, own_diagonal, own_bandwidth = problems[k]
+                assert signature(result) == signature(align_banded(
+                    read, window, diagonal=own_diagonal,
+                    bandwidth=own_bandwidth))
+
+    def test_a_shape_over_budget_is_cut_into_equal_sweeps(self):
+        read, window = np.zeros(150, np.uint8), np.zeros(214, np.uint8)
+        fit = banded.STACK_CELL_BUDGET // (150 * 33)
+        sweeps = stack_problems([(read, window, 32, 16)] * (fit + 1))
+        sizes = [len(members) for members, *_ in sweeps]
+        assert len(sizes) == 2 and max(sizes) - min(sizes) <= 1
+        assert [k for members, *_ in sweeps for k in members] \
+            == list(range(fit + 1))
 
 
 def path_in_band(result, diagonal, bandwidth):

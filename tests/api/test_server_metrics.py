@@ -99,9 +99,12 @@ class TestTraceFlag:
         with Client(server.socket_path) as client:
             reply = client.map_pairs(wire_pairs(pairs[:3]), engine="mm2",
                                      trace=True)
-        names = {entry["name"] for entry in reply["trace"]}
-        assert {"mm2.seeding", "mm2.chaining", "mm2.alignment",
-                "mm2.pairing"} <= names
+        names = [entry["name"] for entry in reply["trace"]]
+        # One request of three pairs is one chunk: seeding, chaining and
+        # alignment once, pairing pair by pair.
+        assert [names.count(stage) for stage in (
+            "mm2.seeding", "mm2.chaining", "mm2.alignment",
+            "mm2.pairing")] == [1, 1, 1, 3]
         assert "seed.query_batch" not in names
 
     def test_trace_flag_never_changes_the_wire(self, server, pairs):

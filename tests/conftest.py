@@ -104,6 +104,29 @@ def record_signature():
 
 
 @pytest.fixture()
+def banded_calls(monkeypatch):
+    """``((n, m, diagonal, bandwidth), stack size)`` of every
+    ``align_banded`` call the two mappers make in the test; the stack
+    size of a 1-D call (one problem, unstacked) is ``None``."""
+    import repro.core.pipeline as pipeline
+    import repro.mapper.mm2 as mm2
+
+    real = mm2.align_banded
+    calls = []
+
+    def counting(read, ref, **options):
+        read = np.asarray(read)
+        calls.append(((read.shape[-1], np.shape(ref)[-1],
+                       options["diagonal"], options["bandwidth"]),
+                      read.shape[0] if read.ndim == 2 else None))
+        return real(read, ref, **options)
+
+    monkeypatch.setattr(mm2, "align_banded", counting)
+    monkeypatch.setattr(pipeline, "align_banded", counting)
+    return calls
+
+
+@pytest.fixture()
 def seedmap_probes(monkeypatch):
     """Reads per SeedMap probe: the ``group_count`` of every
     ``query_hash_groups`` call ``resolve_reads`` makes in the test."""

@@ -240,6 +240,47 @@ class TestChunkSizeEquivalence:
         assert chunked.stats == scalar.stats
 
 
+class TestCandidateDpWaves:
+    """Candidate DP is chunk-wide: the pairs light alignment leaves meet
+    in two waves (read 1 at every candidate, read 2 where read 1
+    survived), one kernel sweep per window shape and wave."""
+
+    def test_one_sweep_per_shape_and_wave(self, small_reference, seedmap,
+                                          giab_items, banded_calls):
+        def totals():
+            problems = {}
+            for shape, size in banded_calls:
+                problems[shape] = problems.get(shape, 0) + size
+            return problems
+
+        items = giab_items[:64]
+        GenPairPipeline(small_reference, seedmap=seedmap).map_pairs(
+            items, chunk_size=1)
+        pair_calls, pair_problems = len(banded_calls), totals()
+        banded_calls.clear()
+
+        pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
+        waves = []
+        real = pipeline._dp_at
+
+        def wave(problems):
+            before = len(banded_calls)
+            hits = real(problems)
+            waves.append(banded_calls[before:])
+            return hits
+
+        pipeline._dp_at = wave
+        pipeline.map_pairs(items, chunk_size=64)
+        assert pipeline.stats.light_fallback > 5
+        assert totals() == pair_problems  # the same problems
+        assert len(waves) == 2
+        for calls in waves:
+            shapes = [shape for shape, _size in calls]
+            assert len(set(shapes)) == len(shapes)  # one sweep a shape
+            assert None not in [size for _shape, size in calls]
+        assert len(banded_calls) < pair_calls / 3
+
+
 class TestFallbackSeam:
     """The chunk's residue goes to the fallback mapper in one
     ``map_pairs`` call; the oracle enters it pair by pair.  Results and

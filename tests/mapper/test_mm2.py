@@ -117,14 +117,17 @@ class TestPairedEnd:
 
         mapper = Mm2LikeMapper(plain_reference)
         with capture_trace() as tracer:
-            mapper.map_pair(clean_pairs[2].read1.codes,
-                            clean_pairs[2].read2.codes, "t")
-        seconds = {}
+            mapper.map_pairs([(pair.read1.codes, pair.read2.codes,
+                               pair.name) for pair in clean_pairs[2:5]])
+        seconds, spans = {}, {}
         for record in tracer.records:
             seconds[record.name] = (seconds.get(record.name, 0.0)
                                     + record.elapsed_s)
-        assert set(seconds) == {"mm2.seeding", "mm2.chaining",
-                                "mm2.alignment", "mm2.pairing"}
+            spans[record.name] = spans.get(record.name, 0) + 1
+        # Seeding, chaining and alignment are chunk-wide: one span each
+        # for the chunk; pairing runs pair by pair.
+        assert spans == {"mm2.seeding": 1, "mm2.chaining": 1,
+                         "mm2.alignment": 1, "mm2.pairing": 3}
         assert all(value > 0 for value in seconds.values())
         assert not hasattr(mapper, "timer")
 
@@ -217,3 +220,40 @@ class TestChunkInvariance:
         monkeypatch.setattr(mm2, "chain_anchors", counting)
         Mm2LikeMapper(reference, index=index).map_pairs(items[:7])
         assert problems == [4 * 7]  # reads x strands, one sweep
+
+    def test_one_alignment_sweep_per_shape_and_budget_slice(
+            self, hard, banded_calls):
+        """Chain alignment is chunk-wide: the problems of a ``map_pair``
+        loop, one sweep per window shape and budget slice; only a rescue
+        is a call of its own."""
+        from repro.align.banded import STACK_CELL_BUDGET
+
+        def tally():
+            stacks, lone = {}, 0
+            for shape, size in banded_calls:
+                if size is None:
+                    lone += 1
+                else:
+                    stacks.setdefault(shape, []).append(size)
+            banded_calls.clear()
+            return stacks, lone
+
+        reference, index, items = hard
+        serial = Mm2LikeMapper(reference, index=index)
+        for item in items:
+            serial.map_pair(*item)
+        pair_stacks, pair_rescues = tally()
+        chunked = Mm2LikeMapper(reference, index=index)
+        chunked.map_pairs(items)
+        stacks, rescues = tally()
+        assert rescues == pair_rescues >= chunked.stats.mate_rescues > 0
+        assert {shape: sum(sizes) for shape, sizes in stacks.items()} \
+            == {shape: sum(sizes) for shape, sizes in pair_stacks.items()}
+        for (n, m, _diagonal, bandwidth), sizes in stacks.items():
+            fit = STACK_CELL_BUDGET // (n * min(m, 2 * bandwidth + 1))
+            assert len(sizes) == -(-sum(sizes) // fit)
+            assert max(sizes) <= fit
+            assert min(sizes) > 1 or sum(sizes) == 1
+        assert max(map(len, stacks.values())) > 1  # a shape over budget
+        assert sum(map(len, stacks.values())) \
+            < sum(map(len, pair_stacks.values())) / 4

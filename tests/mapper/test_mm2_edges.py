@@ -55,6 +55,41 @@ class TestConfig:
         assert mapper.map_pair(read1, read2, "far").stage != "proper_pair"
 
 
+class TestRescueWindow:
+    """The rescue window lives on the anchor's chromosome, clamped to
+    it: near the start of any chromosome but the first, a ``-`` anchor
+    used to get the previous chromosome's tail searched instead."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        from repro.genome import generate_reference
+
+        reference = generate_reference(np.random.default_rng(5),
+                                       (20_000, 20_000, 20_000),
+                                       repeats=None)
+        return reference, MinimizerIndex.build(reference)
+
+    @pytest.mark.parametrize("start", [100, 19_400])
+    @pytest.mark.parametrize("unseeded", [1, 2])
+    def test_mate_rescued_at_both_edges_of_chr2(self, world, start,
+                                                unseeded):
+        reference, index = world
+        mapper = Mm2LikeMapper(reference, index=index)
+        reads = [reference.fetch("chr2", start, start + 150),
+                 reference.fetch("chr2", start + 200, start + 350)]
+        # Every 10th base substituted: no 15-mer survives, so only
+        # rescue from the other mate (the anchor) can place this one.
+        reads[unseeded - 1] = reads[unseeded - 1].copy()
+        reads[unseeded - 1][::10] = (reads[unseeded - 1][::10] + 1) % 4
+        result = mapper.map_pair(reads[0], reverse_complement(reads[1]),
+                                 "edge")
+        assert result.stage == "proper_pair"
+        assert mapper.stats.mate_rescues == 1
+        assert [(record.chromosome, record.position, record.strand)
+                for record in result.records] \
+            == [("chr2", start, "+"), ("chr2", start + 200, "-")]
+
+
 class TestStatsIntegrity:
     def test_pair_counters(self, plain_reference, clean_pairs):
         mapper = Mm2LikeMapper(plain_reference)
@@ -88,7 +123,7 @@ class TestWindowErrors:
                                     site):
         mapper = Mm2LikeMapper(plain_reference)
         codes = plain_reference.fetch("chr1", 5000, 5150)
-        (anchor, *_), = mapper._placements(mapper._chains([codes]))
+        (anchor, *_), = mapper._placements([codes])
 
         def broken(linear):
             raise RuntimeError("coordinate table corrupt")

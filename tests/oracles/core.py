@@ -8,9 +8,9 @@ of the 2-bit packed window, :func:`hash_seed`), looked up on its own
 (:func:`query_read`).  It defines what ``resolve_reads`` must reproduce
 exactly — candidates (values and dtype), seed hits, locations fetched,
 Seed Table accesses — read by read; fed through the pipeline's own
-per-pair decision (``_map_prepared``, and ``_fall_back`` on a chunk of
-one), what every GenPair chunk size must map to; and, through the scalar :func:`longread_votes`, what the
-long-read mode must vote.
+decision on a chunk of one (``_map_resolved``), what every GenPair chunk
+size must map to; and, through the scalar :func:`longread_votes`, what
+the long-read mode must vote.
 
 The chain imports no hashing or query function from the package — only
 ``SeedMap``, ``QueryResult``, ``seed_offsets`` and ``pair_role_codes``
@@ -219,28 +219,28 @@ def query_pair(seedmap: SeedMap, read1_seeds: Sequence[Seed],
 
 
 def prepare_pair(pipeline, read1: np.ndarray, read2: np.ndarray
-                 ) -> Tuple[Tuple[QueryResult, QueryResult], ...]:
-    """One pair's queries, one ``(read1, read2)`` result per orientation
-    — the ``prepared`` argument of ``GenPairPipeline._map_prepared``."""
+                 ) -> List[QueryResult]:
+    """One pair's four queries in ``pair_role_codes`` order (fr read 1,
+    fr read 2, rf read 1, rf read 2) — the ``queries`` argument of
+    ``GenPairPipeline._map_resolved`` for a chunk of one."""
     config = pipeline.config
-    return tuple(
-        query_pair(pipeline.seedmap, seeds.read1, seeds.read2)
-        for seeds in partition_pair(read1, read2, config.seed_length,
-                                    config.seeds_per_read))
+    return [result
+            for seeds in partition_pair(read1, read2, config.seed_length,
+                                        config.seeds_per_read)
+            for result in query_pair(pipeline.seedmap, seeds.read1,
+                                     seeds.read2)]
 
 
 def map_pairs(pipeline, items) -> list:
     """Map ``(read1, read2, name)`` items one pair at a time: scalar
-    seeding and querying, the pipeline's own per-pair decision, and the
-    traditional pipeline entered once per pair that needs it."""
+    seeding and querying, then the pipeline's own decision on a chunk of
+    one — so candidate DP stacks and the traditional pipeline are
+    entered once per pair that needs them."""
     results = []
     for item in items:
-        read1, read2, name = item
-        result = pipeline._map_prepared(
-            read1, read2, name, prepare_pair(pipeline, read1, read2))
-        if result is None:
-            result, = pipeline._fall_back([item])
-        results.append(result)
+        read1, read2, _name = item
+        results.extend(pipeline._map_resolved(
+            [item], prepare_pair(pipeline, read1, read2)))
     return results
 
 

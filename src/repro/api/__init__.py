@@ -5,12 +5,13 @@ reproduction.  Every workload — the paired-end GenPair pipeline, the
 mm2-like baseline, single-read long-read mapping — and every output
 format (SAM, PAF, JSONL) flows through the same objects:
 
-* :class:`MappingConfig` — every knob of a run in one validated,
+* :class:`MappingConfig` — the ten values a run sets in one validated,
   round-trippable object: the canonical :class:`IndexFingerprint`
-  shared with :mod:`repro.index`, the ``engine``/``output_format``
-  workload selection, and engine-specific sub-configs
-  (:class:`Mm2Options`, :class:`LongReadOptions`) that are rejected
-  loudly when they don't match the selected engine;
+  shared with :mod:`repro.index`, ``delta``, the
+  ``engine``/``output_format`` workload selection, and execution
+  (``batch_size``, ``workers``, ``full_fallback``, ``verify_index``).
+  Algorithm parameters live on the core dataclasses
+  (``GenPairConfig``, ``MapperConfig``, ``LongReadConfig``), not here;
 * :class:`Mapper` — the context-manager facade: construct once from an
   index file or a reference, then call :meth:`~Mapper.map`,
   :meth:`~Mapper.map_file`, and :meth:`~Mapper.write` as often as
@@ -56,8 +57,6 @@ _EXPORTS = {
     "MappingConfig": ".config",
     "MappingConfigError": ".config",
     "IndexFingerprint": ".config",
-    "Mm2Options": ".config",
-    "LongReadOptions": ".config",
     "UNSET": ".config",
     "ENGINES": ".registry",
     "OUTPUT_FORMATS": ".registry",
@@ -87,8 +86,8 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from ..genome.results import MappingResult
     from .client import (Client, ClientError, RequestTimeoutError,
                          ServerBusyError)
-    from .config import (UNSET, IndexFingerprint, LongReadOptions,
-                         MappingConfig, MappingConfigError, Mm2Options)
+    from .config import (UNSET, IndexFingerprint, MappingConfig,
+                         MappingConfigError)
     from .engines import (Engine, GenPairEngine, LongReadEngine,
                           Mm2Engine)
     from .mapper import Mapper

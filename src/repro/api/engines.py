@@ -5,8 +5,10 @@ Every workload flows through the :class:`~repro.api.Mapper` facade's
 :class:`~repro.genome.MappingResult`: each mapping core builds it in
 its chunk call and the engine passes it on untouched.  An
 :class:`Engine` is that chunk call plus the loop and the per-run
-statistics lifecycle around it, and a constructor translating
-:class:`~repro.api.config.MappingConfig` into the core's own config.
+statistics lifecycle around it, and a constructor that builds the core
+with its own config dataclass's defaults plus the values
+:class:`~repro.api.config.MappingConfig` carries for it (``seed_length``,
+``filter_threshold``, ``delta``).
 The adapters listed in :data:`~repro.api.registry.ENGINES`:
 
 * :class:`GenPairEngine` (``genpair``) — the paper's
@@ -16,11 +18,11 @@ The adapters listed in :data:`~repro.api.registry.ENGINES`:
   byte-identical).  With ``full_fallback`` the pipeline's ``fallback=``
   is an :class:`~repro.mapper.mm2.Mm2LikeMapper`;
 * :class:`Mm2Engine` (``mm2``) — the minimizer seed-chain-align
-  baseline (:class:`~repro.api.config.Mm2Options`), over the same
-  facade-owned minimizer index as that fallback;
+  baseline (:class:`~repro.mapper.mm2.MapperConfig` defaults), over the
+  same facade-owned minimizer index as that fallback;
 * :class:`LongReadEngine` (``longread``) — pseudo-pairs + Location
-  Voting (:class:`~repro.api.config.LongReadOptions`) over the facade's
-  warm SeedMap, so one memory-mapped index serves GenPair and
+  Voting (:class:`~repro.core.longread.LongReadConfig`) over the
+  facade's warm SeedMap, so one memory-mapped index serves GenPair and
   long-read traffic.
 
 The facade builds engines lazily (one instance per name, reused across
@@ -40,7 +42,7 @@ from ..core.longread import LongReadConfig, LongReadMapper, LongReadStats
 from ..core.pipeline import (GenPairPipeline, PipelineStats, chunked,
                              normalize_pairs)
 from ..genome.results import MappingResult
-from ..mapper.mm2 import MapperConfig, MapperStats, Mm2LikeMapper
+from ..mapper.mm2 import MapperStats, Mm2LikeMapper
 from ..util.diagnostics import note
 from .config import MappingConfig, MappingConfigError
 
@@ -206,14 +208,9 @@ class Mm2Engine(Engine):
     stats_type = MapperStats
 
     def __init__(self, facade) -> None:
-        options = facade.config.mm2_options()
         self.config = facade.config
-        self.core = Mm2LikeMapper(
-            facade.reference, index=facade.minimizer_index(),
-            config=MapperConfig(
-                max_insert=options.max_insert,
-                min_score_fraction=options.min_score_fraction,
-                mate_rescue=options.mate_rescue))
+        self.core = Mm2LikeMapper(facade.reference,
+                                  index=facade.minimizer_index())
         self.map_chunk = self.core.map_pairs
 
 
@@ -233,22 +230,15 @@ class LongReadEngine(Engine):
 
     def __init__(self, facade) -> None:
         config: MappingConfig = facade.config
-        options = config.longread_options()
-        if options.chunk_length < config.seed_length:
+        core_config = LongReadConfig(seed_length=config.seed_length,
+                                     delta=config.delta)
+        if core_config.chunk_length < config.seed_length:
             raise MappingConfigError(
-                f"longread.chunk_length ({options.chunk_length}) must "
+                f"longread chunk_length ({core_config.chunk_length}) must "
                 f"be >= seed_length ({config.seed_length}): each "
                 "pseudo-pair chunk must hold at least one seed")
         self.config = config
-        self.core = LongReadMapper(
-            facade.reference, seedmap=facade.seedmap,
-            config=LongReadConfig(
-                chunk_length=options.chunk_length,
-                seed_length=config.seed_length,
-                seeds_per_chunk=config.seeds_per_read,
-                delta=config.delta,
-                vote_bin=options.vote_bin,
-                max_votes_tried=options.max_votes_tried,
-                min_votes=options.min_votes,
-                dp_bandwidth=options.dp_bandwidth))
+        self.core = LongReadMapper(facade.reference,
+                                   seedmap=facade.seedmap,
+                                   config=core_config)
         self.map_chunk = self.core.map_reads

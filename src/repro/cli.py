@@ -10,15 +10,15 @@ Subcommands mirror a real read-mapping toolchain:
 * ``map``           — map FASTQ files through the engine-polymorphic
   :class:`repro.api.Mapper` facade and write SAM/PAF/JSONL;
   ``--engine`` selects the mapping engine (``genpair`` paired-end
-  default, ``mm2`` baseline, ``longread`` single-read), ``--format``
-  the output writer, ``--call-variants out.vcf`` chains variant
-  calling as a post-stage; reads stream through in O(batch) memory,
-  ``--batch-size`` pairs per chunk,
-  ``--workers N`` streams genpair chunks through a persistent pool of
-  forked worker processes, and ``--index`` serves from a prebuilt
-  index;
-* ``map-long``      — single-read long-read shim: ``map`` pinned to
-  ``--engine longread`` with one ``--reads`` FASTQ;
+  default, ``mm2`` baseline, ``longread`` single-read over one
+  ``--reads`` FASTQ), ``--format`` the output writer,
+  ``--call-variants out.vcf`` chains variant calling as a post-stage;
+  reads stream through in O(batch) memory, ``--batch-size`` pairs per
+  chunk, ``--workers N`` streams genpair chunks through a persistent
+  pool of forked worker processes, and ``--index`` serves from a
+  prebuilt index.  Every :class:`~repro.api.MappingConfig` field has
+  one flag here (``--seed-length`` / ``--step`` on ``index build``);
+  algorithm parameters are not flags;
 * ``serve``         — run the long-lived mapping daemon: the index and
   the worker pool stay warm, and mapping requests arrive as
   newline-delimited JSON over a UNIX socket;
@@ -156,7 +156,7 @@ def _build_mapper(args: argparse.Namespace):
         print(f"error: {args.command} needs exactly one of "
               "--reference or --index", file=sys.stderr)
         return None, 2
-    engine = getattr(args, "engine", "genpair")
+    engine = args.engine
     if engine != "genpair" and args.workers > 1:
         note(f"the worker pool serves the genpair engine; "
              f"--engine {engine} maps in-process (the pool still "
@@ -170,7 +170,7 @@ def _build_mapper(args: argparse.Namespace):
                      workers=args.workers,
                      full_fallback=not args.no_fallback,
                      engine=engine,
-                     output_format=getattr(args, "format", "sam"))
+                     output_format=args.format)
     # The fingerprint gate: an explicit --filter-threshold must match
     # what an index was built with (from_fingerprint rejects a
     # conflict); against FASTA it configures the in-process build.
@@ -231,8 +231,8 @@ def _map_input(args: argparse.Namespace):
     """The FASTQ paths ``map`` should feed its engine, validated for
     the engine's input arity; ``(reads1, reads2)`` or ``None`` with the
     error already printed."""
-    single = getattr(args, "reads", None)
-    engine = getattr(args, "engine", "genpair")
+    single = args.reads
+    engine = args.engine
     if engine == "longread":
         if single is None:
             print("error: --engine longread maps a single FASTQ; "
@@ -291,19 +291,12 @@ def _cmd_map(args: argparse.Namespace) -> int:
                              args.out)
         if args.call_variants:
             print(f"  called {calls} variants ({args.call_variants})")
-    if getattr(args, "metrics_json", None):
+    if args.metrics_json:
         from .obs import write_metrics_json
 
         write_metrics_json(args.metrics_json)
         print(f"  metrics written to {args.metrics_json}")
     return 0
-
-
-def _cmd_map_long(args: argparse.Namespace) -> int:
-    """``map-long``: the ``map`` flow pinned to the longread engine."""
-    args.engine = "longread"
-    args.reads1 = args.reads2 = None
-    return _cmd_map(args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -622,18 +615,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_mapper_args(parser: argparse.ArgumentParser,
-                     engine_flag: bool = True) -> None:
-    """The flags ``map``/``map-long``/``serve`` share (they build one
-    Mapper); ``map-long`` pins the engine, so it skips ``--engine``."""
-    if engine_flag:
-        parser.add_argument("--engine",
-                            choices=("genpair", "mm2", "longread"),
-                            default="genpair",
-                            help="mapping engine: the paper's paired-"
-                                 "end pipeline (default), the mm2-like "
-                                 "baseline, or single-read long-read "
-                                 "voting")
+def _add_mapper_args(parser: argparse.ArgumentParser) -> None:
+    """The flags ``map`` and ``serve`` share (they build one Mapper)."""
+    parser.add_argument("--engine",
+                        choices=("genpair", "mm2", "longread"),
+                        default="genpair",
+                        help="mapping engine: the paper's paired-end "
+                             "pipeline (default), the mm2-like "
+                             "baseline, or single-read long-read "
+                             "voting")
     parser.add_argument("--format", choices=("sam", "paf", "jsonl"),
                         default="sam",
                         help="output format (every engine writes "
@@ -745,23 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "registry (stage timings, worker "
                               "utilization, host metadata) as JSON")
     map_cmd.set_defaults(func=_cmd_map)
-
-    maplong_cmd = sub.add_parser(
-        "map-long", help="map single-read long-read FASTQ "
-                         "(the --engine longread shim)")
-    _add_mapper_args(maplong_cmd, engine_flag=False)
-    maplong_cmd.add_argument("--reads", required=True,
-                             help="single-read FASTQ")
-    maplong_cmd.add_argument("--out", default=None,
-                             help="output path (default: out.<format>)")
-    maplong_cmd.add_argument("--call-variants", metavar="VCF",
-                             default=None,
-                             help="also call variants to this VCF path")
-    maplong_cmd.add_argument("--metrics-json", metavar="PATH",
-                             default=None,
-                             help="after the run, dump the process "
-                                  "metrics registry as JSON")
-    maplong_cmd.set_defaults(func=_cmd_map_long)
 
     serve_cmd = sub.add_parser(
         "serve", help="run the persistent mapping daemon: warm index "

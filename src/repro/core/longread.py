@@ -158,8 +158,15 @@ class LongReadMapper:
         for bin_index, count in votes.most_common(config.max_votes_tried):
             if count < config.min_votes:
                 break  # most_common is descending; the rest are lower
-            start_linear = bin_index * config.vote_bin
-            hit = self._dp_at(codes, start_linear)
+            # A bin straddling a chromosome start belongs to the
+            # chromosome holding its last coordinate: its floor lies in
+            # the previous chromosome's tail, where no window fits.
+            floor = bin_index * config.vote_bin
+            starts = self._chromosome_starts
+            holder = np.searchsorted(
+                starts, max(0, floor + config.vote_bin - 1),
+                side="right") - 1
+            hit = self._dp_at(codes, max(floor, int(starts[holder])))
             if hit is None:
                 continue
             if best is None or hit[0].score > best[0].score:

@@ -49,7 +49,6 @@ import numpy as np
 from ..align.banded import align_banded, stack_problems
 from ..align.scoring import DEFAULT_SCHEME, HIGH_QUALITY_THRESHOLD, \
     ScoringScheme
-from ..genome.cigar import Cigar
 from ..genome.reference import ReferenceError, ReferenceGenome
 from ..genome.results import MappingResult
 from ..genome.sam import (METHOD_DP, METHOD_EXACT, METHOD_LIGHT,

@@ -11,7 +11,7 @@ eliminates — the quantity the ablation bench reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -5,14 +5,15 @@ feed real files through the pipeline, and the examples round-trip datasets to
 disk.  Only the features the pipeline needs are implemented: plain
 (optionally multi-line) FASTA, and four-line FASTQ with dummy qualities.
 
+Every FASTQ record goes through one strict parser, :func:`read_fastq`:
+truncated four-line records, mismatched ``+`` separator lines and bad
+headers raise :class:`FastaError` naming the file and the record.
 Paired input goes through :func:`iter_pairs_chunked` (or its flat wrapper
 :func:`iter_pairs`): the two FASTQ files are walked in lockstep in
-O(chunk) memory, R1/R2 record names are checked for agreement, and a
-truncated or unequal pair of files raises :class:`FastaError` instead of
-silently dropping the tail the way ``zip`` would.  Single-read input
-(long-read workloads) goes through :func:`iter_reads_chunked` /
-:func:`iter_reads` with the same strictness: truncated four-line
-records and mismatched ``+`` separator lines raise loudly.
+O(chunk) memory, R1/R2 record names are checked for agreement, and an
+unequal pair of files raises instead of silently dropping the tail the
+way ``zip`` would.  Single-read input (long-read workloads) goes through
+:func:`iter_reads_chunked` / :func:`iter_reads`.
 
 :func:`read_ahead` overlaps parsing with downstream work: it drives any
 iterator from a background thread through a bounded buffer, so the
@@ -91,23 +92,63 @@ def write_fasta(path: PathLike, genome: ReferenceGenome,
 
 
 def read_fastq(path: PathLike) -> Iterator[Tuple[str, np.ndarray]]:
-    """Yield ``(name, codes)`` records from a FASTQ file."""
+    """Yield ``(name, codes)`` records from a four-line FASTQ file.
+
+    The one record parser under :func:`iter_pairs_chunked`,
+    :func:`iter_reads_chunked` and direct callers.  Blank lines after
+    the last record are a clean end of file; everything else malformed
+    raises :class:`FastaError` naming the file and the record's ordinal:
+
+    * a record whose file ends before all four lines are present (how
+      many arrived is reported — a truncated download is never silently
+      dropped);
+    * a header line not starting with ``@``, a third line not starting
+      with ``+``, or a ``+`` line that repeats a *different* name than
+      the header's (the file was spliced from mismatched records);
+    * quality/sequence length disagreement.
+    """
+    ordinal = 0
     with open(path) as handle:
+        readline = handle.readline
         while True:
-            header = handle.readline()
-            if not header:
-                return
-            header = header.strip()
-            if not header.startswith("@"):
-                raise FastaError(f"bad FASTQ header: {header!r}")
-            seq = handle.readline().strip()
-            plus = handle.readline().strip()
-            qual = handle.readline().strip()
-            if not plus.startswith("+"):
-                raise FastaError("missing '+' separator in FASTQ record")
+            line1, line2, line3, line4 = (readline(), readline(),
+                                          readline(), readline())
+            ordinal += 1
+            header = line1.strip()
+            seq = line2.strip()
+            plus = line3.strip()
+            qual = line4.strip()
+            if len(header) < 2 or header[0] != "@" or not line4:
+                if not (header or seq or plus or qual):
+                    return  # end of file, possibly after blank lines
+                if not line4:
+                    present = sum(1 for line in (line1, line2, line3)
+                                  if line)
+                    raise FastaError(
+                        f"truncated FASTQ record {ordinal} in {path}: "
+                        f"file ended after {present} of its 4 lines; the "
+                        "record is incomplete (truncated download?)")
+                raise FastaError(
+                    f"bad FASTQ header at record {ordinal} in {path}: "
+                    f"{header!r}")
+            name = header[1:].split()[0]
+            if plus != "+":
+                if not plus.startswith("+"):
+                    raise FastaError(
+                        f"FASTQ record {ordinal} ({name!r}) in {path}: "
+                        f"expected a '+' separator line, got {plus!r}")
+                if plus[1:] not in (name, header[1:]):
+                    raise FastaError(
+                        f"FASTQ record {ordinal} in {path}: '+' "
+                        f"separator names {plus[1:]!r} but the header "
+                        f"names {name!r}; the file interleaves "
+                        "mismatched records")
             if len(qual) != len(seq):
-                raise FastaError("quality length differs from sequence")
-            yield header[1:].split()[0], encode(seq, allow_n=True)
+                raise FastaError(
+                    f"FASTQ record {ordinal} ({name!r}) in {path}: "
+                    f"quality length {len(qual)} differs from sequence "
+                    f"length {len(seq)}")
+            yield name, encode(seq, allow_n=True)
 
 
 #: Default reads per chunk of :func:`iter_reads_chunked` — long reads
@@ -124,64 +165,19 @@ def iter_reads_chunked(reads: PathLike,
     The single-read counterpart of :func:`iter_pairs_chunked` (long-read
     and other unpaired workloads): chunks hold at most ``chunk_size``
     reads (``None`` selects :data:`DEFAULT_READ_CHUNK`), so memory stays
-    O(chunk) on arbitrarily large inputs.  Validation is strict and
-    loud, mirroring the paired path's tail check:
-
-    * a record whose file ends before all four lines are present raises
-      :class:`FastaError` naming the record and how many lines arrived
-      (a truncated download is never silently dropped);
-    * a ``+`` separator line that repeats a *different* name than the
-      record's header raises (the file was spliced from mismatched
-      records);
-    * quality/sequence length disagreement raises.
+    O(chunk) on arbitrarily large inputs.  Records are parsed, and
+    malformed ones rejected, by :func:`read_fastq`.
     """
     if chunk_size is None:
         chunk_size = DEFAULT_READ_CHUNK
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
     chunk: List[Tuple[np.ndarray, str]] = []
-    ordinal = 0
-    with open(reads) as handle:
-        while True:
-            lines = [handle.readline() for _ in range(4)]
-            header = lines[0].strip()
-            if not lines[0] or (not header
-                                and not any(line.strip()
-                                            for line in lines[1:])):
-                break  # clean end of file (possibly trailing blanks)
-            present = sum(1 for line in lines if line)
-            if present < 4:
-                raise FastaError(
-                    f"truncated FASTQ record {ordinal + 1} in {reads}: "
-                    f"file ended after {present} of its 4 lines; the "
-                    "record is incomplete (truncated download?)")
-            if not header.startswith("@") or len(header) < 2:
-                raise FastaError(
-                    f"bad FASTQ header at record {ordinal + 1} in "
-                    f"{reads}: {header!r}")
-            name = header[1:].split()[0]
-            seq = lines[1].strip()
-            plus = lines[2].strip()
-            qual = lines[3].strip()
-            if not plus.startswith("+"):
-                raise FastaError(
-                    f"FASTQ record {ordinal + 1} ({name!r}) in {reads}: "
-                    f"expected a '+' separator line, got {plus!r}")
-            if len(plus) > 1 and plus[1:] not in (name, header[1:]):
-                raise FastaError(
-                    f"FASTQ record {ordinal + 1} in {reads}: '+' "
-                    f"separator names {plus[1:]!r} but the header names "
-                    f"{name!r}; the file interleaves mismatched records")
-            if len(qual) != len(seq):
-                raise FastaError(
-                    f"FASTQ record {ordinal + 1} ({name!r}) in {reads}: "
-                    f"quality length {len(qual)} differs from sequence "
-                    f"length {len(seq)}")
-            chunk.append((encode(seq, allow_n=True), name))
-            ordinal += 1
-            if len(chunk) >= chunk_size:
-                yield chunk
-                chunk = []
+    for name, codes in read_fastq(reads):
+        chunk.append((codes, name))
+        if len(chunk) >= chunk_size:
+            yield chunk
+            chunk = []
     if chunk:
         yield chunk
 

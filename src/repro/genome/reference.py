@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sequence import decode, encode, random_sequence
+from .sequence import decode, random_sequence
 
 
 class ReferenceError(ValueError):

@@ -22,8 +22,8 @@ mapeval experiments (Fig 13) and the accuracy analyses consume directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 

@@ -18,7 +18,7 @@ from a run of the functional pipeline via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np

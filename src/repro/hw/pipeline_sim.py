@@ -22,8 +22,8 @@ throughput recovery the paper's circular buffers provide.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 

@@ -35,7 +35,7 @@ per-k-mer loops this replaced are the oracle in ``tests/oracles/align.py``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -44,7 +44,6 @@ from ..align.banded import align_banded, stack_problems
 from ..align.chaining import AnchorColumns, chain_anchors
 from ..align.dp import AlignmentResult
 from ..align.scoring import DEFAULT_SCHEME, ScoringScheme
-from ..genome.cigar import Cigar
 from ..genome.reference import ReferenceError, ReferenceGenome
 from ..genome.results import MappingResult
 from ..genome.sam import METHOD_DP, AlignmentRecord

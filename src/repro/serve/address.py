@@ -23,7 +23,7 @@ from __future__ import annotations
 import socket
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 PathLike = Union[str, Path]
 

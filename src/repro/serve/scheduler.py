@@ -8,7 +8,7 @@ properties fall out:
 
 * **Coalescing.**  Inline ``map`` requests that agree on (engine,
   output format) are merged into one batch — up to
-  ``coalesce_requests`` requests / ``coalesce_items`` workload items,
+  ``coalesce_requests`` requests / :data:`COALESCE_ITEMS` workload items,
   flushed early when the queue runs dry or after ``coalesce_wait_s``
   (the deadline trigger; 0 keeps coalescing purely opportunistic, so
   an idle daemon adds no latency).  The batch maps as **one**
@@ -55,10 +55,17 @@ EXECUTING = "executing"
 DONE = "done"
 ABANDONED = "abandoned"
 
+#: Workload items (pairs / reads) past which a coalesced batch stops
+#: taking followers: the engines' default chunk, so a full batch is one
+#: vectorized chunk call.
+COALESCE_ITEMS = 256
+
 
 @dataclass
 class ServeSettings:
-    """The serving-tier knobs (``repro serve`` flags map 1:1).
+    """The serving-tier knobs (``repro serve`` flags map 1:1:
+    ``--max-queue``, ``--max-clients``, ``--request-timeout``,
+    ``--coalesce-max``, ``--coalesce-wait-ms``).
 
     Defaults are deliberately conservative: a full queue answers
     ``busy`` long before memory is at risk, and a five-minute request
@@ -69,7 +76,6 @@ class ServeSettings:
     max_clients: int = 64
     request_timeout_s: Optional[float] = 300.0
     coalesce_requests: int = 16
-    coalesce_items: int = 256
     coalesce_wait_s: float = 0.0
 
     def validate(self) -> "ServeSettings":
@@ -83,8 +89,6 @@ class ServeSettings:
                              "(None disables the default deadline)")
         if self.coalesce_requests < 1:
             raise ValueError("coalesce_requests must be >= 1")
-        if self.coalesce_items < 1:
-            raise ValueError("coalesce_items must be >= 1")
         if self.coalesce_wait_s < 0:
             raise ValueError("coalesce_wait_s must be >= 0")
         return self
@@ -312,7 +316,7 @@ class Scheduler:
         snapshot["queue_depth"] = self._queue.qsize()
         snapshot["max_queue"] = self.settings.max_queue
         snapshot["coalesce_requests"] = self.settings.coalesce_requests
-        snapshot["coalesce_items"] = self.settings.coalesce_items
+        snapshot["coalesce_items"] = COALESCE_ITEMS
         snapshot["coalesce_wait_s"] = self.settings.coalesce_wait_s
         return snapshot
 
@@ -364,7 +368,7 @@ class Scheduler:
         settings = self.settings
         flush_at = time.monotonic() + settings.coalesce_wait_s
         while len(batch) < settings.coalesce_requests \
-                and items < settings.coalesce_items:
+                and items < COALESCE_ITEMS:
             wait_s = flush_at - time.monotonic()
             try:
                 if wait_s > 0:

@@ -13,8 +13,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
-import numpy as np
-
 from ..genome.reference import ReferenceGenome
 from ..genome.sam import AlignmentRecord
 from ..genome.sequence import decode, reverse_complement

@@ -1,7 +1,5 @@
 """MappingConfig validation, round-trips, and the canonical fingerprint."""
 
-import dataclasses
-
 import pytest
 
 from repro.api import (IndexFingerprint, Mapper, MappingConfig,
@@ -17,9 +15,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("seed_length", 0), ("seed_length", "50"), ("step", 0),
-        ("seeds_per_read", 0), ("delta", 0), ("max_edits", -1),
-        ("batch_size", -1), ("batch_size", 0), ("workers", 0),
-        ("filter_threshold", 0), ("min_dp_score_fraction", 1.5),
+        ("delta", 0), ("batch_size", -1), ("batch_size", 0),
+        ("workers", 0), ("filter_threshold", 0),
         ("engine", 7), ("output_format", None),
     ])
     def test_bad_values_rejected_by_name(self, field, value):
@@ -66,9 +63,12 @@ class TestRoundTrip:
                                filter_threshold=None)
         assert MappingConfig.from_dict(config.to_dict()) == config
 
-    def test_default_wire_form_has_19_keys(self):
+    def test_default_wire_form_has_10_keys(self):
         payload = MappingConfig().to_dict()
-        assert len(payload) == 19
+        assert list(payload) == [
+            "seed_length", "filter_threshold", "step", "delta", "engine",
+            "output_format", "batch_size", "workers", "full_fallback",
+            "verify_index"]
         assert MappingConfig.from_dict(payload) == MappingConfig()
 
     @pytest.mark.parametrize("stale", ["filter_chain", "aligner"])
@@ -88,13 +88,12 @@ class TestRoundTrip:
         assert "turbo" in str(excinfo.value)
 
     def test_genpair_projection_carries_every_shared_field(self):
-        config = MappingConfig(seed_length=32, delta=77, max_edits=3,
-                               min_dp_score_fraction=0.25)
-        genpair = config.genpair()
-        assert isinstance(genpair, GenPairConfig)
-        for spec in dataclasses.fields(GenPairConfig):
-            assert getattr(genpair, spec.name) == \
-                getattr(config, spec.name)
+        config = MappingConfig(seed_length=32, filter_threshold=None,
+                               delta=77)
+        assert config.genpair() == GenPairConfig(
+            seed_length=32, filter_threshold=None, delta=77)
+        # The facade and the core agree on the defaults of what it sets.
+        assert MappingConfig().genpair() == GenPairConfig()
 
 
 class TestFingerprint:

@@ -5,12 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.api import (ENGINES, OUTPUT_FORMATS, LongReadOptions, Mapper,
-                       MappingConfig, MappingConfigError, Mm2Options,
-                       RegistryError, output_format)
-from repro.core import GenPairPipeline, LongReadStats, PipelineStats
+from repro.api import (ENGINES, OUTPUT_FORMATS, Mapper, MappingConfig,
+                       MappingConfigError, RegistryError, output_format)
+from repro.core import (GenPairPipeline, LongReadConfig, LongReadStats,
+                        PipelineStats)
 from repro.genome import MappingResult, reverse_complement, write_fastq
-from repro.mapper import MapperStats
+from repro.mapper import MapperConfig, MapperStats
 
 
 @pytest.fixture(scope="module")
@@ -259,69 +259,41 @@ class TestMapFileArity:
 
 
 class TestEngineOptions:
-    def test_mm2_options_flow_into_mapper_config(self, small_reference,
-                                                 seedmap):
-        config = MappingConfig(engine="mm2", full_fallback=False,
-                               mm2=Mm2Options(mate_rescue=False,
-                                              max_insert=750))
-        with Mapper(small_reference, seedmap, config=config) as facade:
-            engine = facade.engine("mm2")
-            assert engine.core.config.mate_rescue is False
-            assert engine.core.config.max_insert == 750
+    """What the facade hands each core: the core's own defaults, plus
+    ``seed_length``/``delta`` where the core shares the SeedMap."""
 
-    def test_longread_options_flow_into_mapper_config(
-            self, small_reference, seedmap):
-        config = MappingConfig(
-            engine="longread", full_fallback=False,
-            longread=LongReadOptions(vote_bin=32, min_votes=2,
-                                     max_votes_tried=5))
+    def test_mm2_engine_runs_the_core_defaults(self, small_reference,
+                                               seedmap):
+        config = MappingConfig(engine="mm2", full_fallback=False)
         with Mapper(small_reference, seedmap, config=config) as facade:
-            engine = facade.engine("longread")
-            assert engine.core.config.vote_bin == 32
-            assert engine.core.config.min_votes == 2
-            assert engine.core.config.max_votes_tried == 5
-            # the facade's fingerprint knobs flow through too
-            assert engine.core.config.seed_length \
-                == facade.config.seed_length
+            assert facade.engine("mm2").core.config == MapperConfig()
+
+    def test_longread_engine_gets_seed_length_and_delta(
+            self, small_reference, seedmap):
+        config = MappingConfig(engine="longread", full_fallback=False,
+                               delta=321)
+        with Mapper(small_reference, seedmap, config=config) as facade:
+            assert facade.engine("longread").core.config \
+                == LongReadConfig(seed_length=seedmap.seed_length,
+                                  delta=321)
 
     def test_chunk_shorter_than_seed_rejected(self, small_reference,
                                               seedmap):
         config = MappingConfig(engine="longread", full_fallback=False,
-                               longread=LongReadOptions(chunk_length=30))
+                               seed_length=200)
         with Mapper(small_reference, seedmap, config=config) as facade:
             with pytest.raises(MappingConfigError, match="chunk_length"):
                 facade.engine("longread")
 
-    def test_options_rejected_for_wrong_engine(self):
-        with pytest.raises(MappingConfigError, match="only apply"):
-            MappingConfig(engine="genpair", mm2=Mm2Options())
-        with pytest.raises(MappingConfigError, match="only apply"):
-            MappingConfig(engine="mm2", mm2=Mm2Options(),
-                          longread=LongReadOptions())
-
-    def test_options_round_trip_through_dict(self):
-        config = MappingConfig(
-            engine="longread",
-            longread=LongReadOptions(vote_bin=128, min_votes=3))
-        payload = config.to_dict()
-        assert payload["longread"]["vote_bin"] == 128
-        rebuilt = MappingConfig.from_dict(payload)
-        assert rebuilt == config
-        assert isinstance(rebuilt.longread, LongReadOptions)
-
     def test_unknown_option_keys_rejected_by_name(self):
-        with pytest.raises(MappingConfigError, match="mate_resuce"):
-            MappingConfig(engine="mm2", mm2={"mate_resuce": False})
-        with pytest.raises(MappingConfigError, match="vote_width"):
-            MappingConfig.from_dict(
-                {"engine": "longread", "longread": {"vote_width": 9}})
-
-    def test_option_value_validation(self):
-        with pytest.raises(MappingConfigError, match="max_insert"):
-            MappingConfig(engine="mm2", mm2=Mm2Options(max_insert=0))
-        with pytest.raises(MappingConfigError, match="min_votes"):
-            MappingConfig(engine="longread",
-                          longread=LongReadOptions(min_votes=0))
+        # The sub-config and algorithm fields the facade dropped fail by
+        # name on the wire path, like any other unknown key.
+        with pytest.raises(MappingConfigError, match="longread, mm2"):
+            MappingConfig.from_dict({"engine": "mm2",
+                                     "mm2": {"mate_rescue": False},
+                                     "longread": None})
+        with pytest.raises(MappingConfigError, match="max_edits"):
+            MappingConfig.from_dict({"max_edits": 3})
 
 
 class TestVariantPostStage:

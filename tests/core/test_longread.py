@@ -6,7 +6,8 @@ import pytest
 
 from repro.core import (LongReadConfig, LongReadMapper, LongReadStats,
                         resolve_reads)
-from repro.genome import ErrorModel, ReadSimulator, random_sequence
+from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
+                          random_sequence)
 from repro.genome.sequence import N_CODE
 
 
@@ -80,6 +81,29 @@ class TestLongReadMapper:
         record = mapper.map_read(codes, "vote").record1
         assert record.mapped
         assert abs(record.position - 10_000) <= 64 + 5  # vote bin width
+
+
+class TestChromosomeStart:
+    """A vote bin's floor can lie in the previous chromosome's tail;
+    DP must anchor inside the chromosome the read voted for."""
+
+    @pytest.fixture(scope="class")
+    def two_chromosomes(self):
+        return generate_reference(np.random.default_rng(5),
+                                  (20000, 20000), repeats=None)
+
+    @pytest.mark.parametrize("chromosome,start", [
+        ("chr2", 0), ("chr2", 10), ("chr2", 40), ("chr2", 5000),
+        ("chr1", 0), ("chr1", 10)])
+    def test_read_at_any_chromosome_start_maps(self, two_chromosomes,
+                                               chromosome, start):
+        mapper = LongReadMapper(two_chromosomes)
+        codes = two_chromosomes.fetch(chromosome, start, start + 1500)
+        result = mapper.map_read(codes, "edge")
+        record = result.record1
+        assert (result.stage, record.chromosome, record.position) \
+            == ("mapped", chromosome, start)
+        assert str(record.cigar) == "1500="
 
 
 class TestWindowErrors:

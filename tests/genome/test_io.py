@@ -124,6 +124,24 @@ class TestPairedStreaming:
         with pytest.raises(FastaError, match="record 4"):
             read_pairs(path1, path2)
 
+    def test_trailing_blank_lines_tolerated(self, tmp_path):
+        path1, path2 = _write_pair_files(tmp_path, 3)
+        for path, blanks in ((path1, "\n"), (path2, "\n\n\n\n\n")):
+            with open(path, "a") as handle:
+                handle.write(blanks)
+        assert [name for _, _, name in read_pairs(path1, path2)] \
+            == ["pair0", "pair1", "pair2"]
+
+    def test_truncated_mate_names_file_and_record(self, tmp_path):
+        path1, path2 = _write_pair_files(tmp_path, 3)
+        lines = path2.read_text().splitlines(True)
+        path2.write_text("".join(lines[:10]))  # record 3 loses +/qual
+        with pytest.raises(FastaError) as excinfo:
+            read_pairs(path1, path2)
+        message = str(excinfo.value)
+        assert "record 3" in message and "r_2.fq" in message
+        assert "after 2 of its 4 lines" in message
+
     def test_names_without_mate_suffix_accepted(self, tmp_path):
         path1 = tmp_path / "a.fq"
         path2 = tmp_path / "b.fq"

@@ -252,8 +252,7 @@ class TestSettings:
     @pytest.mark.parametrize("kwargs", [
         {"max_queue": 0}, {"max_clients": 0},
         {"request_timeout_s": 0.0}, {"request_timeout_s": -1.0},
-        {"coalesce_requests": 0}, {"coalesce_items": 0},
-        {"coalesce_wait_s": -0.1}])
+        {"coalesce_requests": 0}, {"coalesce_wait_s": -0.1}])
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ServeSettings(**kwargs).validate()

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+import dataclasses
 import os
 import socket
 import threading
@@ -7,6 +9,69 @@ import threading
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _subparsers(parser):
+    """``{name: subparser}`` of a parser's subcommands."""
+    action, = (a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+#: The one (subcommand, flag) that sets each :class:`MappingConfig`
+#: field.  ``map`` and ``serve`` share these through one helper; the
+#: two fingerprint fields an index fixes are ``index build`` flags.
+FLAG_OF_FIELD = {
+    "seed_length": ("index build", "--seed-length"),
+    "filter_threshold": ("map", "--filter-threshold"),
+    "step": ("index build", "--step"),
+    "delta": ("map", "--delta"),
+    "engine": ("map", "--engine"),
+    "output_format": ("map", "--format"),
+    "batch_size": ("map", "--batch-size"),
+    "workers": ("map", "--workers"),
+    "full_fallback": ("map", "--no-fallback"),
+    "verify_index": ("map", "--no-verify"),
+}
+
+
+class TestConfigDriftGuard:
+    """The facade carries what a flag sets, and nothing else."""
+
+    def test_every_config_field_has_a_flag(self):
+        from repro.api import MappingConfig
+
+        assert list(FLAG_OF_FIELD) == [
+            spec.name for spec in dataclasses.fields(MappingConfig)]
+        commands = _subparsers(build_parser())
+        commands["index build"] = _subparsers(commands["index"])["build"]
+        for field, (command, flag) in FLAG_OF_FIELD.items():
+            targets = [command] + (["serve"] if command == "map" else [])
+            for target in targets:
+                flags = {option for action in commands[target]._actions
+                         for option in action.option_strings}
+                assert flag in flags, (field, target, flag)
+
+    @pytest.mark.parametrize("source", ["--reference", "--index"])
+    def test_build_mapper_passes_only_config_fields(self, monkeypatch,
+                                                    source):
+        from repro.api import Mapper, MappingConfig, MappingConfigError
+
+        seen = {}
+
+        def record(cls, path, **overrides):
+            seen.update(overrides)
+            raise MappingConfigError("recorded")
+
+        monkeypatch.setattr(Mapper, "from_reference", classmethod(record))
+        monkeypatch.setattr(Mapper, "from_index", classmethod(record))
+        assert main(["map", source, "x", "--reads1", "a", "--reads2", "b",
+                     "--filter-threshold", "9"]) == 1
+        fields = {spec.name for spec in dataclasses.fields(MappingConfig)}
+        assert seen and set(seen) <= fields
+        # Everything but the fingerprint the source fixes is passed.
+        assert fields - set(seen) <= {"seed_length", "step",
+                                      "verify_index"}
 
 
 class TestParser:
@@ -30,6 +95,11 @@ class TestParser:
                      ["call", "--reference", "r", "--sam", "s"]):
             args = parser.parse_args(argv)
             assert callable(args.func)
+
+    def test_one_spelling_per_subcommand(self):
+        assert sorted(_subparsers(build_parser())) == [
+            "call", "client", "design", "index", "lint", "map", "serve",
+            "simulate", "stats", "top"]
 
     def test_version_flag(self, capsys):
         from repro import __version__
@@ -65,7 +135,8 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [
         ["map", "--reference", "r", "--reads1", "a", "--reads2", "b"],
-        ["map-long", "--reference", "r", "--reads", "a"],
+        ["map", "--engine", "longread", "--reference", "r",
+         "--reads", "a"],
         ["serve", "--reference", "r"]])
     @pytest.mark.parametrize("flag", ["--filter-chain", "--aligner"])
     def test_removed_stage_flags_are_unrecognized(self, capsys, argv,
@@ -236,6 +307,20 @@ class TestWorkflow:
                      "--no-fallback"]) == 1
         assert "unequal read counts" in capsys.readouterr().err
 
+    def test_map_accepts_a_trailing_blank_line(self, tmp_path, capsys):
+        prefix = str(tmp_path / "d")
+        assert main(["simulate", "--out", prefix, "--pairs", "6",
+                     "--chromosomes", "5000", "--seed", "6"]) == 0
+        for suffix in ("_1.fq", "_2.fq"):
+            with open(prefix + suffix, "a") as handle:
+                handle.write("\n")
+        assert main(["map", "--reference", prefix + "_ref.fa",
+                     "--reads1", prefix + "_1.fq",
+                     "--reads2", prefix + "_2.fq",
+                     "--out", str(tmp_path / "x.sam"),
+                     "--no-fallback"]) == 0
+        assert "mapped 6 pairs" in capsys.readouterr().out
+
     def test_design_report(self, capsys):
         assert main(["design", "--memory", "DDR5",
                      "--simulated-pairs", "1500"]) == 0
@@ -292,18 +377,20 @@ class TestEngineWorkflow:
                              for line in lines)
         assert "proper pairs" in capsys.readouterr().out
 
-    def test_map_long_shim_and_engine_flag_agree(self, world, tmp_path,
-                                                 capsys):
-        shim = str(tmp_path / "shim.jsonl")
+    def test_engine_longread_flag_matches_the_api(self, world, tmp_path,
+                                                  capsys):
+        from repro.api import Mapper
+
         flag = str(tmp_path / "flag.jsonl")
-        assert main(["map-long", "--index", world + ".rpix",
-                     "--format", "jsonl", "--reads", world + "_long.fq",
-                     "--out", shim]) == 0
+        api = str(tmp_path / "api.jsonl")
         assert main(["map", "--index", world + ".rpix",
                      "--engine", "longread", "--format", "jsonl",
                      "--reads", world + "_long.fq", "--out", flag]) == 0
-        assert open(shim).read() == open(flag).read()
         assert "long reads" in capsys.readouterr().out
+        with Mapper.from_index(world + ".rpix", engine="longread",
+                               output_format="jsonl") as mapper:
+            mapper.write(mapper.map_file(world + "_long.fq"), api)
+        assert open(flag).read() == open(api).read()
 
     def test_call_variants_post_stage(self, world, tmp_path, capsys):
         out = str(tmp_path / "cv.sam")
@@ -327,7 +414,7 @@ class TestEngineWorkflow:
                      world + "_ref.fa", "--seed-length", "200",
                      "--out", wide]) == 0
         capsys.readouterr()
-        code = main(["map-long", "--index", wide,
+        code = main(["map", "--engine", "longread", "--index", wide,
                      "--reads", world + "_long.fq",
                      "--out", str(tmp_path / "x.sam")])
         assert code == 1

@@ -73,5 +73,9 @@ class ScoringScheme:
 DEFAULT_SCHEME = ScoringScheme()
 
 #: Score threshold for "high quality" alignments in §3.4: alignments at or
-#: above this exhibit at most the Table 1 edit vocabulary.
+#: above this exhibit at most the Table 1 edit vocabulary.  The paper
+#: states it for :data:`REFERENCE_READ_LENGTH`-base reads.
 HIGH_QUALITY_THRESHOLD = 276
+
+#: The read length the paper's thresholds are stated at (2x150 bp).
+REFERENCE_READ_LENGTH = 150

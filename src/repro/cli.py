@@ -61,6 +61,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
+from .api.registry import ENGINES, OUTPUT_FORMATS
 from .util.diagnostics import note, set_quiet
 
 
@@ -617,14 +618,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _add_mapper_args(parser: argparse.ArgumentParser) -> None:
     """The flags ``map`` and ``serve`` share (they build one Mapper)."""
-    parser.add_argument("--engine",
-                        choices=("genpair", "mm2", "longread"),
+    parser.add_argument("--engine", choices=tuple(ENGINES),
                         default="genpair",
                         help="mapping engine: the paper's paired-end "
                              "pipeline (default), the mm2-like "
                              "baseline, or single-read long-read "
                              "voting")
-    parser.add_argument("--format", choices=("sam", "paf", "jsonl"),
+    parser.add_argument("--format", choices=tuple(OUTPUT_FORMATS),
                         default="sam",
                         help="output format (every engine writes "
                              "every format)")
@@ -801,11 +801,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  "FASTQ for --engine longread)")
     client_cmd.add_argument("--reads2", help="client map: R2 FASTQ")
     client_cmd.add_argument("--engine", default=None,
-                            choices=("genpair", "mm2", "longread"),
+                            choices=tuple(ENGINES),
                             help="client map: per-request engine "
                                  "(default: the daemon's)")
     client_cmd.add_argument("--format", default=None,
-                            choices=("sam", "paf", "jsonl"),
+                            choices=tuple(OUTPUT_FORMATS),
                             help="client map: per-request output "
                                  "format (default: the daemon's)")
     client_cmd.add_argument("--out", default=None,

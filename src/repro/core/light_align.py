@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..align.scoring import (DEFAULT_SCHEME, HIGH_QUALITY_THRESHOLD,
-                             ScoringScheme)
+                             REFERENCE_READ_LENGTH, ScoringScheme)
 from ..genome.cigar import Cigar
 
 
@@ -117,7 +117,10 @@ class LightAligner:
     def __init__(self, scheme: ScoringScheme = DEFAULT_SCHEME,
                  max_edits: int = 5,
                  threshold: int = HIGH_QUALITY_THRESHOLD) -> None:
-        """``max_edits`` bounds the shift range (2e+1 Hamming masks)."""
+        """``max_edits`` bounds the shift range (2e+1 Hamming masks);
+        ``threshold`` is the §3.4 acceptance score of a 150-base read, and
+        a read of another length keeps that edit budget under its own
+        perfect score."""
         if max_edits < 1:
             raise ValueError("max_edits must be at least 1")
         self.scheme = scheme
@@ -127,12 +130,14 @@ class LightAligner:
 
     def _profiles_uncached(self, read_length: int
                            ) -> Tuple[EditProfile, ...]:
-        profiles = enumerate_simple_profiles(read_length, self.scheme,
-                                             self.threshold,
-                                             max_run=self.max_edits)
-        # The mask range only reaches max_edits shifts, so longer runs are
-        # not detectable; enumerate_simple_profiles already caps at max_run.
-        return profiles
+        budget = (self.scheme.perfect_score(REFERENCE_READ_LENGTH)
+                  - self.threshold)
+        # The mask range only reaches max_edits shifts, so longer runs
+        # are not detectable: max_run caps the lattice there.
+        return enumerate_simple_profiles(
+            read_length, self.scheme,
+            self.scheme.perfect_score(read_length) - budget,
+            max_run=self.max_edits)
 
     def profiles_for(self, read_length: int) -> Tuple[EditProfile, ...]:
         """The profile lattice for one read length (cached)."""

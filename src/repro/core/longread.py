@@ -12,6 +12,13 @@ implied starts and the top-voted bin wins.  Because long reads are noisier,
 the final alignment always uses DP (banded), never Light Alignment.
 Each read comes out as a one-record
 :class:`~repro.genome.results.MappingResult`.
+
+Coordinates: votes are bins of *linear* implied read starts;
+:meth:`~repro.genome.ReferenceGenome.window` turns a bin's floor into a
+chromosome and a DP window (a bin straddling a chromosome start goes to
+the chromosome holding the middle of the read).  Only forward-strand
+reads are placed: the chunks are seeded as given, so a reverse-complemented
+read gathers no votes and comes out ``unmapped``.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 
 from ..align.banded import align_banded
 from ..align.scoring import DEFAULT_SCHEME, ScoringScheme
-from ..genome.reference import ReferenceError, ReferenceGenome
+from ..genome.reference import ReferenceGenome
 from ..genome.results import MappingResult
 from ..genome.sam import METHOD_DP, AlignmentRecord
 from .pairfilter import filter_adjacent
@@ -74,7 +81,7 @@ class LongReadMapper:
         self.seedmap = seedmap if seedmap is not None else SeedMap.build(
             reference, seed_length=config.seed_length)
         self.stats = LongReadStats()
-        self._chromosome_starts = reference.linear_starts()
+        self._boundaries = reference.read_boundaries(config.chunk_length)
 
     def map_read(self, codes: np.ndarray,
                  name: str = "long") -> MappingResult:
@@ -146,7 +153,7 @@ class LongReadMapper:
             filtered = filter_adjacent(result1.candidates,
                                        result2.candidates,
                                        delta=config.delta,
-                                       boundaries=self._chromosome_starts)
+                                       boundaries=self._boundaries)
             offset = index * config.chunk_length
             for cand1, _cand2 in filtered.pairs:
                 votes[(cand1 - offset) // config.vote_bin] += 1
@@ -158,15 +165,7 @@ class LongReadMapper:
         for bin_index, count in votes.most_common(config.max_votes_tried):
             if count < config.min_votes:
                 break  # most_common is descending; the rest are lower
-            # A bin straddling a chromosome start belongs to the
-            # chromosome holding its last coordinate: its floor lies in
-            # the previous chromosome's tail, where no window fits.
-            floor = bin_index * config.vote_bin
-            starts = self._chromosome_starts
-            holder = np.searchsorted(
-                starts, max(0, floor + config.vote_bin - 1),
-                side="right") - 1
-            hit = self._dp_at(codes, max(floor, int(starts[holder])))
+            hit = self._dp_at(codes, bin_index * config.vote_bin)
             if hit is None:
                 continue
             if best is None or hit[0].score > best[0].score:
@@ -175,19 +174,13 @@ class LongReadMapper:
 
     def _dp_at(self, codes: np.ndarray, candidate: int):
         pad = self.config.dp_bandwidth
-        try:
-            chromosome, pos = self.reference.from_linear(
-                max(0, int(candidate)))
-        except ReferenceError:
+        found = self.reference.window(candidate, len(codes), pad, pad,
+                                      min_length=len(codes) // 2)
+        if found is None:
             return None
-        chrom_len = self.reference.length(chromosome)
-        start = max(0, pos - pad)
-        end = min(chrom_len, pos + len(codes) + pad)
-        if end - start < len(codes) // 2:
-            return None
-        window = self.reference.fetch(chromosome, start, end)
+        window, chromosome, start, offset = found
         result = align_banded(codes, window, scheme=self.scheme,
-                              diagonal=pos - start,
+                              diagonal=offset,
                               bandwidth=self.config.dp_bandwidth)
         self.stats.dp_cells += result.cells
         if result.score <= 0:

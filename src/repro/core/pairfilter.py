@@ -65,8 +65,10 @@ def filter_adjacent(candidates1: np.ndarray, candidates2: np.ndarray,
         bounded FIFO; extremely repetitive regions would otherwise explode
         quadratically).
     boundaries:
-        Sorted global start offsets of each chromosome (see
-        :meth:`repro.genome.ReferenceGenome.linear_starts`).  The linear
+        Sorted linear coordinates at which a candidate changes
+        chromosome (the mappers pass
+        :meth:`repro.genome.ReferenceGenome.read_boundaries`, which agrees
+        with the window the candidate will get).  The linear
         coordinate space concatenates chromosomes, so without this check
         a candidate near the end of one chromosome could pair with one at
         the start of the next (gap ≤ Δ across the boundary) even though

@@ -35,6 +35,13 @@ Every pair comes out as a
 change results.  The per-seed scalar reference the chunk seeding is
 tested against lives in ``tests/oracles/core.py``; worker processes are
 :mod:`repro.core.executor`'s business.
+
+Coordinates: candidates are *linear* implied read starts up to and
+including the adjacency filter, whose chromosome boundaries are
+:meth:`~repro.genome.ReferenceGenome.read_boundaries`; from
+:meth:`GenPairPipeline._window` — one
+:meth:`~repro.genome.ReferenceGenome.window` call — on, light alignment,
+candidate DP and the records speak ``(chromosome, position)``.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import numpy as np
 from ..align.banded import align_banded, stack_problems
 from ..align.scoring import DEFAULT_SCHEME, HIGH_QUALITY_THRESHOLD, \
     ScoringScheme
-from ..genome.reference import ReferenceError, ReferenceGenome
+from ..genome.reference import ReferenceGenome
 from ..genome.results import MappingResult
 from ..genome.sam import (METHOD_DP, METHOD_EXACT, METHOD_LIGHT,
                           AlignmentRecord)
@@ -253,7 +260,7 @@ class GenPairPipeline:
         #: (:mod:`repro.core.executor`) swaps in a fresh per-chunk
         #: registry whose snapshot ships back with the chunk.
         self.obs = get_registry()
-        self._chromosome_starts = reference.linear_starts()
+        self._window_pad = max(config.max_edits, config.fallback_pad)
 
     # -- public API --------------------------------------------------------
 
@@ -392,6 +399,10 @@ class GenPairPipeline:
         """
         stats = self.stats
         stats.pairs_total += 1
+        # One boundary array serves both candidate lists: the shorter
+        # read's, so no start changes chromosome beyond its own middle.
+        boundaries = self.reference.read_boundaries(min(len(read1),
+                                                        len(read2)))
         any_seed_hit = False
         best_filtered: Optional[Tuple[str, Tuple[Tuple[int, int],
                                                  ...]]] = None
@@ -405,7 +416,7 @@ class GenPairPipeline:
             filtered = filter_adjacent(result1.candidates,
                                        result2.candidates,
                                        delta=self.config.delta,
-                                       boundaries=self._chromosome_starts)
+                                       boundaries=boundaries)
             stats.filter_iterations += filtered.iterations
             if filtered.passed:
                 best_filtered = (orientation, filtered.pairs)
@@ -451,25 +462,12 @@ class GenPairPipeline:
         return read2, reverse_complement(read1)
 
     def _window(self, candidate: int, read_length: int
-                ) -> Optional[Tuple[np.ndarray, int, str, int]]:
-        """Reference window around a candidate, clamped to the chromosome.
-
-        Returns ``(window, offset_of_candidate, chromosome, chrom_pos)``.
-        """
-        pad = max(self.config.max_edits, self.config.fallback_pad)
-        try:
-            chromosome, pos = self.reference.from_linear(int(candidate))
-        except ReferenceError:
-            return None
-        chrom_len = self.reference.length(chromosome)
-        if pos >= chrom_len or pos + read_length > chrom_len + pad:
-            return None
-        start = max(0, pos - pad)
-        end = min(chrom_len, pos + read_length + pad)
-        if end - start < read_length:
-            return None
-        window = self.reference.fetch(chromosome, start, end)
-        return window, pos - start, chromosome, pos
+                ) -> Optional[Tuple[np.ndarray, str, int, int]]:
+        """:meth:`ReferenceGenome.window` around a candidate: room for
+        the edit budget either side, and at least the whole read."""
+        pad = self._window_pad
+        return self.reference.window(candidate, read_length, pad, pad,
+                                     min_length=read_length)
 
     def _light_align_candidates(self, oriented1, oriented2,
                                 joint_candidates):
@@ -498,11 +496,10 @@ class GenPairPipeline:
         ctx = self._window(candidate, len(codes))
         if ctx is None:
             return None
-        window, offset, chromosome, pos = ctx
+        window, chromosome, window_start, offset = ctx
         hit = self.light_aligner.align(codes, window, offset)
         if hit is None:
             return None
-        window_start = pos - offset
         return hit, chromosome, window_start + hit.ref_start
 
     def _dp_align_candidates(self, pending: Sequence[_Pending]) -> list:
@@ -546,16 +543,16 @@ class GenPairPipeline:
         hits: list = [None] * len(contexts)
         for members, reads, windows, diagonal, bandwidth in stack_problems(
                 [None if ctx is None else
-                 (codes, ctx[0], ctx[1], self.config.fallback_bandwidth)
+                 (codes, ctx[0], ctx[3], self.config.fallback_bandwidth)
                  for (codes, _candidate), ctx in zip(problems, contexts)]):
             stack = align_banded(reads, windows, scheme=self.scheme,
                                  diagonal=diagonal, bandwidth=bandwidth)
             for k, result in zip(members, stack):
                 self.stats.dp_cells_candidate += result.cells
                 if result.score >= 0:
-                    _, offset, chromosome, pos = contexts[k]
+                    _, chromosome, window_start, _ = contexts[k]
                     hits[k] = (result, chromosome,
-                               pos + result.ref_start - offset)
+                               window_start + result.ref_start)
         return hits
 
     def _build_result(self, name: str, stage: str, orientation: str,

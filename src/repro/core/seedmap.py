@@ -9,7 +9,7 @@ SeedMap is a two-table structure:
   range of its locations in the Location Table.
 
 The functional model stores locations as *global linear coordinates* (see
-:meth:`repro.genome.ReferenceGenome.to_linear`), exactly the flattened
+:meth:`repro.genome.ReferenceGenome.linear_offset`), exactly the flattened
 ``(chromosome, offset)`` pairs of Fig 4.  Seeds whose location count
 exceeds the **index filtering threshold** are dropped at build time (§5.2;
 default 500, matching both the paper and Minimap2's heuristic), which also

@@ -10,8 +10,7 @@ from .cigar import Cigar, CigarError
 from .io_fasta import (DEFAULT_PAIR_CHUNK, DEFAULT_READ_CHUNK,
                        FastaError, iter_pairs, iter_pairs_chunked,
                        iter_reads, iter_reads_chunked, read_ahead,
-                       read_fasta, read_fastq, read_pairs, write_fasta,
-                       write_fastq)
+                       read_fasta, read_fastq, write_fasta, write_fastq)
 from .jsonl import JsonlWriter, jsonl_header_lines, jsonl_record_lines
 from .paf import PafWriter, paf_header_lines, paf_line, paf_record_lines
 from .reference import (ReferenceError, ReferenceGenome, RepeatProfile,
@@ -41,7 +40,7 @@ __all__ = [
     "iter_reads_chunked", "jsonl_header_lines", "jsonl_record_lines",
     "kmer_to_int", "kmers", "pack_2bit", "paf_header_lines", "paf_line",
     "paf_record_lines", "plant_variants", "random_sequence", "read_ahead",
-    "read_fasta", "read_fastq", "read_pairs", "result_records",
+    "read_fasta", "read_fastq", "result_records",
     "reverse_complement", "reverse_complement_str", "sam_header_lines",
     "sam_record_lines", "unpack_2bit", "write_fasta", "write_fastq",
     "write_sam",

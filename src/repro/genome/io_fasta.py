@@ -257,12 +257,6 @@ def iter_pairs(reads1: PathLike, reads2: PathLike,
         yield from chunk
 
 
-def read_pairs(reads1: PathLike, reads2: PathLike
-               ) -> List[Tuple[np.ndarray, np.ndarray, str]]:
-    """Eagerly read two paired FASTQ files (same validation as streaming)."""
-    return list(iter_pairs(reads1, reads2))
-
-
 #: End-of-stream and failure sentinels for :func:`read_ahead`'s buffer.
 _READ_AHEAD_DONE = object()
 

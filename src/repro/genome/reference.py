@@ -2,11 +2,19 @@
 
 The paper evaluates against GRCh38 (3.1 Gbp).  A pure-Python functional model
 cannot process a human genome, so this module provides (a) a reference
-container with the operations the pipeline needs (windowed fetch, global
-linear coordinates used by paired-adjacency filtering) and (b) a synthetic
+container with the operations the pipeline needs and (b) a synthetic
 generator that reproduces the *statistics* GenPair is sensitive to —
 principally repeated sequence, which controls how many reference locations a
 seed hits (Observation 2: ~9.6 locations per 50bp seed on GRCh38).
+
+Coordinate model.  The seed layer (SeedMap and minimizer hits, the implied
+read starts derived from them, the paired-adjacency filter) works in one
+*linear* space, every chromosome a disjoint region of it (§4.2); everything
+after works inside one chromosome.  :meth:`ReferenceGenome.window` is the
+one crossing — an implied start belongs to the chromosome holding the
+*middle* of the read span — and :meth:`ReferenceGenome.read_boundaries`
+states the same rule for the filter.  No mapper converts a linear
+coordinate on its own.
 
 The generator plants two kinds of repeats:
 
@@ -20,8 +28,9 @@ behaviour studied in §7.8.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +63,8 @@ class ReferenceGenome:
             self._names.append(name)
             cursor += len(codes)
         self._total = cursor
+        self._starts: List[int] = list(self._offsets.values())
+        self._boundaries: Dict[int, np.ndarray] = {}
 
     @classmethod
     def from_linear_codes(cls, names: Sequence[str],
@@ -63,7 +74,7 @@ class ReferenceGenome:
 
         ``codes`` is the concatenation of every chromosome's base codes in
         declaration order — the same global coordinate space
-        :meth:`to_linear` maps into.  Each chromosome becomes a *view*
+        :meth:`linear_offset` spans.  Each chromosome becomes a *view*
         into ``codes`` (zero-copy), which is what lets the persistent
         index (:mod:`repro.index`) serve a whole genome out of one
         ``np.memmap`` that forked workers share physically.
@@ -124,34 +135,19 @@ class ReferenceGenome:
         self._chromosome(name)
         return self._offsets[name]
 
-    def linear_starts(self) -> np.ndarray:
-        """Sorted global start offset of every chromosome.
-
-        ``np.searchsorted(starts, pos, side="right") - 1`` maps a linear
-        coordinate to its chromosome index — the vectorized counterpart
-        of :meth:`from_linear`, used by paired-adjacency filtering to
-        reject joint candidates spanning a chromosome boundary.
+    def read_boundaries(self, read_length: int) -> np.ndarray:
+        """Sorted linear read *starts* at which a read of ``read_length``
+        changes chromosome — every chromosome start moved back by half a
+        read: :meth:`window`'s rule as the ``boundaries`` of
+        :func:`repro.core.pairfilter.filter_adjacent`.  Cached per
+        half-length; treat the array as read-only.
         """
-        return np.array([self._offsets[name] for name in self._names],
-                        dtype=np.int64)
-
-    def to_linear(self, name: str, position: int) -> int:
-        """Convert ``(chromosome, position)`` to a global coordinate."""
-        if not 0 <= position <= self.length(name):
-            raise ReferenceError(
-                f"position {position} outside {name!r} "
-                f"(length {self.length(name)})")
-        return self._offsets[name] + position
-
-    def from_linear(self, linear: int) -> Tuple[str, int]:
-        """Convert a global coordinate back to ``(chromosome, position)``."""
-        if not 0 <= linear < self._total:
-            raise ReferenceError(f"linear coordinate {linear} out of range")
-        for name in reversed(self._names):
-            offset = self._offsets[name]
-            if linear >= offset:
-                return name, linear - offset
-        raise ReferenceError("empty genome")  # pragma: no cover
+        half = read_length // 2
+        boundaries = self._boundaries.get(half)
+        if boundaries is None:
+            boundaries = self._boundaries[half] = np.array(
+                self._starts, dtype=np.int64) - half
+        return boundaries
 
     # -- sequence access ---------------------------------------------------
 
@@ -164,20 +160,38 @@ class ReferenceGenome:
                 f"(length {len(codes)})")
         return codes[start:end]
 
-    def fetch_linear(self, start: int, end: int) -> np.ndarray:
-        """Fetch a window in global coordinates (must be one chromosome)."""
-        name, pos = self.from_linear(start)
-        if end - start > self.length(name) - pos:
-            raise ReferenceError("linear window crosses a chromosome")
-        return self.fetch(name, pos, pos + (end - start))
+    def window(self, start: int, read_length: int, before: int, after: int,
+               min_length: int = 0, chromosome: Optional[str] = None
+               ) -> Optional[Tuple[np.ndarray, str, int, int]]:
+        """Reference bases around a read placed at ``start``, clamped to
+        one chromosome: ``(window, chromosome, window_start, offset)``.
 
-    def iter_windows(self, size: int, step: int
-                     ) -> Iterator[Tuple[str, int, np.ndarray]]:
-        """Yield ``(name, start, window)`` tiles across all chromosomes."""
-        for name in self._names:
-            codes = self.chromosomes[name]
-            for start in range(0, len(codes) - size + 1, step):
-                yield name, start, codes[start:start + size]
+        ``start`` is a *linear* implied read start — indels can push it
+        a few bases before its chromosome or leave the span overhanging
+        the end — and the read belongs to the chromosome holding the
+        middle of ``[start, start + read_length)``: ``None`` when that
+        lies outside the genome.  With ``chromosome`` named, ``start`` is
+        a position on it.  The window (a view) runs from ``before`` bases
+        ahead of the span to ``after`` past it, cut at the chromosome's
+        ends; shorter than ``min_length`` it is ``None`` too.
+        ``offset = start - window_start`` places the read in it, negative
+        for a start before the chromosome.
+        """
+        if chromosome is None:
+            middle = start + read_length // 2
+            if not 0 <= middle < self._total:
+                return None
+            index = bisect_right(self._starts, middle) - 1
+            chromosome = self._names[index]
+            codes = self.chromosomes[chromosome]
+            start -= self._starts[index]
+        else:
+            codes = self._chromosome(chromosome)
+        low = max(0, start - before)
+        high = min(len(codes), start + read_length + after)
+        if high - low < max(min_length, 0):
+            return None
+        return codes[low:high], chromosome, low, start - low
 
     def sequence(self, name: str) -> str:
         """Decode one whole chromosome to a string (tests/examples only)."""

@@ -30,6 +30,12 @@ never changes a result, so every record and counter is that of a
 comes out as a :class:`~repro.genome.results.MappingResult` (stage
 ``proper_pair``, ``mapped`` or ``unmapped``).  The per-anchor and
 per-k-mer loops this replaced are the oracle in ``tests/oracles/align.py``.
+
+Coordinates: minimizer hits, anchors and chain diagonals are *linear*;
+:meth:`~repro.genome.ReferenceGenome.window` turns a chain's diagonal
+into a chromosome and a window, and a placement is ``(chromosome,
+position)`` from there on — pairing compares chromosomes before gaps,
+rescue searches the anchor's chromosome, records copy the placement.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from ..align.banded import align_banded, stack_problems
 from ..align.chaining import AnchorColumns, chain_anchors
 from ..align.dp import AlignmentResult
 from ..align.scoring import DEFAULT_SCHEME, ScoringScheme
-from ..genome.reference import ReferenceError, ReferenceGenome
+from ..genome.reference import ReferenceGenome
 from ..genome.results import MappingResult
 from ..genome.sam import METHOD_DP, AlignmentRecord
 from ..genome.sequence import reverse_complement
@@ -92,7 +98,8 @@ class _Placement:
     """Internal: one scored candidate placement of a read."""
 
     score: int
-    linear_start: int
+    chromosome: str
+    position: int
     strand: str
     alignment: AlignmentResult
 
@@ -290,12 +297,15 @@ class Mm2LikeMapper:
     def _align_chains(self, chains: list) -> List[Optional[_Placement]]:
         """Banded alignment in the window each chain implies: a
         placement or ``None`` per chain, in order."""
-        windows = [self._window(chain.diagonal, len(oriented))
+        pad = self.config.window_pad
+        windows = [self.reference.window(int(chain.diagonal), len(oriented),
+                                         pad, pad,
+                                         min_length=len(oriented) // 2)
                    for oriented, _strand, chain in chains]
         placements: List[Optional[_Placement]] = [None] * len(chains)
         for members, reads, refs, diagonal, bandwidth in stack_problems(
                 [None if window is None else
-                 (oriented, window[0], window[1], self.config.bandwidth)
+                 (oriented, window[0], window[3], self.config.bandwidth)
                  for (oriented, _strand, _chain), window
                  in zip(chains, windows)]):
             stack = align_banded(reads, refs, scheme=self.scheme,
@@ -303,28 +313,12 @@ class Mm2LikeMapper:
             for k, result in zip(members, stack):
                 self.stats.dp_cells_alignment += result.cells
                 if result.score >= 0:
+                    _, chromosome, window_start, _ = windows[k]
                     placements[k] = _Placement(
-                        score=result.score,
-                        linear_start=windows[k][2] + result.ref_start,
+                        score=result.score, chromosome=chromosome,
+                        position=window_start + result.ref_start,
                         strand=chains[k][1], alignment=result)
         return placements
-
-    def _window(self, linear_start: int, read_length: int):
-        """Reference window around an implied start, clamped in-chromosome."""
-        pad = self.config.window_pad
-        try:
-            chromosome, pos = self.reference.from_linear(
-                max(0, int(linear_start)))
-        except ReferenceError:
-            return None
-        chrom_len = self.reference.length(chromosome)
-        start = max(0, pos - pad)
-        end = min(chrom_len, pos + read_length + pad)
-        if end - start < read_length // 2:
-            return None
-        window = self.reference.fetch(chromosome, start, end)
-        window_linear = self.reference.linear_offset(chromosome) + start
-        return window, pos - start, window_linear
 
     # -- pairing -------------------------------------------------------------
 
@@ -344,12 +338,13 @@ class Mm2LikeMapper:
 
     def _proper(self, place1: _Placement, place2: _Placement,
                 read_length: int) -> bool:
-        if place1.strand == place2.strand:
+        if place1.strand == place2.strand \
+                or place1.chromosome != place2.chromosome:
             return False
         if place1.strand == "+":
-            gap = place2.linear_start - place1.linear_start
+            gap = place2.position - place1.position
         else:
-            gap = place1.linear_start - place2.linear_start
+            gap = place1.position - place2.position
         return -read_length // 2 <= gap <= self.config.max_insert
 
     def _try_rescue(self, read1: np.ndarray, read2: np.ndarray,
@@ -375,34 +370,28 @@ class Mm2LikeMapper:
         mate_strand = "-" if anchor.strand == "+" else "+"
         oriented = (reverse_complement(mate_codes) if mate_strand == "-"
                     else mate_codes)
-        # The window lives on the anchor's chromosome, clamped to it.
-        try:
-            chromosome, pos = self.reference.from_linear(
-                anchor.linear_start)
-        except ReferenceError:
+        # The insert span on the anchor's chromosome: downstream of a
+        # ``+`` anchor, upstream of (and overlapping) a ``-`` one.
+        before, after = ((0, self.config.max_insert) if anchor.strand == "+"
+                         else (self.config.max_insert, len(mate_codes)))
+        found = self.reference.window(anchor.position, len(mate_codes),
+                                      before, after,
+                                      min_length=len(mate_codes),
+                                      chromosome=anchor.chromosome)
+        if found is None:
             return None
-        chrom_offset = anchor.linear_start - pos
-        if anchor.strand == "+":
-            lo, hi = pos, pos + self.config.max_insert
-        else:
-            lo, hi = pos - self.config.max_insert, pos + len(mate_codes)
-        start = max(0, lo)
-        end = min(self.reference.length(chromosome), hi + len(mate_codes))
-        if end - start < len(mate_codes):
-            return None
-        window = self.reference.fetch(chromosome, start, end)
+        window, chromosome, start, _ = found
         # Wide band: the mate can sit anywhere in the insert window.
         result = align_banded(oriented, window, scheme=self.scheme,
-                              diagonal=(end - start) // 2,
-                              bandwidth=(end - start) // 2 + 8)
+                              diagonal=len(window) // 2,
+                              bandwidth=len(window) // 2 + 8)
         self.stats.dp_cells_alignment += result.cells
         min_score = int(self.config.min_score_fraction
                         * self.scheme.perfect_score(len(mate_codes)))
         if result.score < min_score:
             return None
-        return _Placement(score=result.score,
-                          linear_start=chrom_offset + start
-                          + result.ref_start,
+        return _Placement(score=result.score, chromosome=chromosome,
+                          position=start + result.ref_start,
                           strand=mate_strand, alignment=result)
 
     # -- record construction ---------------------------------------------
@@ -421,10 +410,10 @@ class Mm2LikeMapper:
 
     def _to_record(self, placement: _Placement, codes: np.ndarray,
                    name: str, mate: int, mapq: int) -> AlignmentRecord:
-        chromosome, pos = self.reference.from_linear(
-            placement.linear_start)
-        return AlignmentRecord(query_name=name, chromosome=chromosome,
-                               position=pos, strand=placement.strand,
+        return AlignmentRecord(query_name=name,
+                               chromosome=placement.chromosome,
+                               position=placement.position,
+                               strand=placement.strand,
                                mapq=mapq, cigar=placement.alignment.cigar,
                                score=placement.score, read_codes=codes,
                                mate=mate, mapped=True, method=METHOD_DP)

@@ -320,10 +320,12 @@ class MapServer:
             if isinstance(op, str) and not op.startswith("_") else None
         if handler is None:
             self._count_error()
+            available = sorted(name[len("_op_"):] for name in dir(self)
+                               if name.startswith("_op_"))
             return error_reply(
                 E_UNKNOWN_OP,
-                f"unknown op {op!r}; available: map, map_file, ping, "
-                "shutdown, stats", op=op)
+                f"unknown op {op!r}; available: {', '.join(available)}",
+                op=op)
         start = time.perf_counter()
         try:
             response = handler(request)

@@ -94,6 +94,9 @@ class TestProtocol:
             with pytest.raises(ClientError) as excinfo:
                 client.request({"op": "frobnicate"})
             assert "frobnicate" in str(excinfo.value)
+            # Listed from the handlers themselves, not a literal.
+            assert "available: map, map_file, ping, shutdown, stats" \
+                in str(excinfo.value)
             assert client.ping()["ok"]
 
     def test_malformed_request_keeps_connection_usable(self, server):

@@ -46,6 +46,42 @@ class TestProfileEnumeration:
             assert not (profile.insertion_run and profile.deletion_run)
 
 
+class TestAcceptanceBarFollowsReadLength:
+    """The §3.4 threshold (276) is stated for 150-base reads; a read of
+    another length gets the same 24-point edit budget under its own
+    perfect score, so the lattice is the same twelve profiles."""
+
+    def test_unchanged_at_150(self):
+        assert LightAligner().profiles_for(150) \
+            == enumerate_simple_profiles(150, max_run=5)
+        assert len(LightAligner().profiles_for(150)) == 12
+
+    @pytest.mark.parametrize("length", [90, 100, 137, 250])
+    def test_same_lattice_at_other_lengths(self, length):
+        aligner = LightAligner()
+        at_150 = aligner.profiles_for(150)
+        profiles = aligner.profiles_for(length)
+        assert [(p.mismatches, p.insertion_run, p.deletion_run,
+                 p.score - 2 * length) for p in profiles] \
+            == [(p.mismatches, p.insertion_run, p.deletion_run,
+                 p.score - 300) for p in at_150]
+
+    def test_custom_threshold_keeps_its_budget(self):
+        # 260 at 150 bp is a 40-point budget: 160 for a 100-base read.
+        profiles = LightAligner(threshold=260).profiles_for(100)
+        assert min(p.score for p in profiles) >= 160
+        assert any(p.mismatches == 4 for p in profiles)
+        assert not any(p.mismatches == 5 for p in profiles)
+
+    def test_exact_100_base_read_aligns(self):
+        rng = np.random.default_rng(3)
+        template = random_sequence(rng, 100)
+        window, offset = make_window(rng, template)
+        hit = LightAligner().align(template, window, offset)
+        assert (hit.score, str(hit.cigar), hit.ref_start) \
+            == (200, "100=", offset)
+
+
 class TestLightAlignerCases:
     def setup_method(self):
         self.aligner = LightAligner()

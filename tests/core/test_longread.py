@@ -117,10 +117,10 @@ class TestWindowErrors:
             self, plain_reference, plain_seedmap, monkeypatch):
         mapper = LongReadMapper(plain_reference, seedmap=plain_seedmap)
 
-        def broken(linear):
+        def broken(*args, **kwargs):
             raise RuntimeError("coordinate table corrupt")
 
-        monkeypatch.setattr(mapper.reference, "from_linear", broken)
+        monkeypatch.setattr(mapper.reference, "window", broken)
         with pytest.raises(RuntimeError, match="corrupt"):
             mapper.map_read(plain_reference.fetch("chr1", 4000, 7000),
                             "clean")

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import (GenPairConfig, GenPairPipeline, STAGE_DP_CANDIDATE,
                         STAGE_FULL_DP, STAGE_LIGHT, STAGE_UNMAPPED)
-from repro.genome import (ErrorModel, ReadSimulator, random_sequence,
+from repro.genome import (METHOD_EXACT, ErrorModel, PairedEndProfile,
+                          ReadSimulator, random_sequence,
                           reverse_complement)
 
 
@@ -25,6 +26,23 @@ class TestCleanPairs:
             assert result.record1.strand == "+"
             assert result.record2.strand == "-"
             assert result.joint_score == 600
+
+    def test_error_free_2x100_pairs_light_aligned(self, pipeline,
+                                                  plain_reference):
+        """The acceptance bar follows the read length: a perfect
+        100-base read scores 200, under the 150-base threshold of 276."""
+        pairs = ReadSimulator(
+            plain_reference, error_model=ErrorModel.perfect(),
+            profile=PairedEndProfile(read_length=100, insert_mean=300.0),
+            seed=29).simulate_pairs(10)
+        for pair in pairs:
+            result = pipeline.map_pair(pair.read1.codes, pair.read2.codes,
+                                       pair.name)
+            assert result.stage == STAGE_LIGHT
+            assert [record.method for record in result.records] \
+                == [METHOD_EXACT, METHOD_EXACT]
+            assert result.record1.position == pair.read1.ref_start
+            assert result.joint_score == 400
 
     def test_swapped_pair_maps_in_rf_orientation(self, pipeline,
                                                  clean_pairs):

@@ -125,9 +125,9 @@ class TestWindowErrors:
                                     monkeypatch):
         pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
 
-        def broken(linear):
+        def broken(*args, **kwargs):
             raise RuntimeError("coordinate table corrupt")
 
-        monkeypatch.setattr(pipeline.reference, "from_linear", broken)
+        monkeypatch.setattr(pipeline.reference, "window", broken)
         with pytest.raises(RuntimeError, match="corrupt"):
             pipeline._window(1000, 150)

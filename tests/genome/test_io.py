@@ -5,8 +5,7 @@ import pytest
 
 from repro.genome import (decode, encode, generate_reference, iter_pairs,
                           iter_pairs_chunked, read_ahead, read_fasta,
-                          read_fastq,
-                          read_pairs, write_fasta, write_fastq)
+                          read_fastq, write_fasta, write_fastq)
 from repro.genome.io_fasta import FastaError
 
 
@@ -101,7 +100,7 @@ class TestPairedStreaming:
     def test_flat_iterator_matches_chunks(self, tmp_path):
         path1, path2 = _write_pair_files(tmp_path, 7)
         flat = list(iter_pairs(path1, path2, chunk_size=3))
-        eager = read_pairs(path1, path2)
+        eager = list(iter_pairs(path1, path2))
         assert len(flat) == len(eager) == 7
         assert [name for _, _, name in flat] \
             == [name for _, _, name in eager]
@@ -109,27 +108,27 @@ class TestPairedStreaming:
     def test_unequal_counts_rejected(self, tmp_path):
         path1, path2 = _write_pair_files(tmp_path, 6, drop_from_2=2)
         with pytest.raises(FastaError, match="unequal read counts"):
-            read_pairs(path1, path2)
+            list(iter_pairs(path1, path2))
         # Symmetric: the shorter file may be reads1 as well.
         with pytest.raises(FastaError, match="unequal read counts"):
-            read_pairs(path2, path1)
+            list(iter_pairs(path2, path1))
 
     def test_error_names_the_short_file(self, tmp_path):
         path1, path2 = _write_pair_files(tmp_path, 5, drop_from_2=1)
         with pytest.raises(FastaError, match="r_2.fq ended after 4"):
-            read_pairs(path1, path2)
+            list(iter_pairs(path1, path2))
 
     def test_name_disagreement_rejected(self, tmp_path):
         path1, path2 = _write_pair_files(tmp_path, 5, rename_at=3)
         with pytest.raises(FastaError, match="record 4"):
-            read_pairs(path1, path2)
+            list(iter_pairs(path1, path2))
 
     def test_trailing_blank_lines_tolerated(self, tmp_path):
         path1, path2 = _write_pair_files(tmp_path, 3)
         for path, blanks in ((path1, "\n"), (path2, "\n\n\n\n\n")):
             with open(path, "a") as handle:
                 handle.write(blanks)
-        assert [name for _, _, name in read_pairs(path1, path2)] \
+        assert [name for _, _, name in list(iter_pairs(path1, path2))] \
             == ["pair0", "pair1", "pair2"]
 
     def test_truncated_mate_names_file_and_record(self, tmp_path):
@@ -137,7 +136,7 @@ class TestPairedStreaming:
         lines = path2.read_text().splitlines(True)
         path2.write_text("".join(lines[:10]))  # record 3 loses +/qual
         with pytest.raises(FastaError) as excinfo:
-            read_pairs(path1, path2)
+            list(iter_pairs(path1, path2))
         message = str(excinfo.value)
         assert "record 3" in message and "r_2.fq" in message
         assert "after 2 of its 4 lines" in message
@@ -147,7 +146,7 @@ class TestPairedStreaming:
         path2 = tmp_path / "b.fq"
         write_fastq(path1, [("frag9", encode("ACGT"))])
         write_fastq(path2, [("frag9", encode("TTTT"))])
-        (_, _, name), = read_pairs(path1, path2)
+        (_, _, name), = list(iter_pairs(path1, path2))
         assert name == "frag9"
 
     def test_streaming_is_lazy(self, tmp_path):

@@ -1,5 +1,7 @@
 """Edge-case tests for the baseline mapper."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,48 @@ class TestRescueWindow:
             == [("chr2", start, "+"), ("chr2", start + 200, "-")]
 
 
+class TestCrossChromosomePair:
+    """Two placements on different chromosomes are never a proper pair,
+    however close their linear coordinates: read 1 forward from the last
+    200 bp of chr1, read 2 reverse from the first 210 bp of chr2."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        from repro.genome import generate_reference
+
+        reference = generate_reference(np.random.default_rng(7),
+                                       (20_000, 15_000), repeats=None)
+        return (reference, MinimizerIndex.build(reference),
+                reference.fetch("chr1", 19_800, 19_950),
+                reverse_complement(reference.fetch("chr2", 60, 210)))
+
+    @staticmethod
+    def check(result):
+        assert [(record.chromosome, record.position, record.strand,
+                 record.mapq,
+                 int(record.to_sam_line().split("\t")[1]) & 0x2)
+                for record in result.records] \
+            == [("chr1", 19_800, "+", 20, 0), ("chr2", 60, "-", 20, 0)]
+
+    def test_mm2_maps_each_read_on_its_own(self, world):
+        reference, index, read1, read2 = world
+        mapper = Mm2LikeMapper(reference, index=index)
+        result = mapper.map_pair(read1, read2, "cross")
+        assert result.stage == "mapped"
+        assert mapper.stats.pairs_proper == 0
+        self.check(result)
+
+    def test_genpair_fallback_gives_the_same_records(self, world):
+        from repro.core import STAGE_FULL_DP, GenPairPipeline
+
+        reference, index, read1, read2 = world
+        pipeline = GenPairPipeline(
+            reference, fallback=Mm2LikeMapper(reference, index=index))
+        result = pipeline.map_pair(read1, read2, "cross")
+        assert result.stage == STAGE_FULL_DP
+        self.check(result)
+
+
 class TestStatsIntegrity:
     def test_pair_counters(self, plain_reference, clean_pairs):
         mapper = Mm2LikeMapper(plain_reference)
@@ -116,7 +160,10 @@ class TestWindowErrors:
 
     def test_reference_error_is_no_window(self, plain_reference):
         mapper = Mm2LikeMapper(plain_reference)
-        assert mapper._window(10 ** 9, 150) is None
+        codes = plain_reference.fetch("chr1", 5000, 5150)
+        chain = SimpleNamespace(diagonal=10 ** 9)
+        assert mapper._align_chains([(codes, "+", chain)]) == [None]
+        assert mapper.stats.dp_cells_alignment == 0
 
     @pytest.mark.parametrize("site", ["window", "rescue_mate"])
     def test_other_errors_propagate(self, plain_reference, monkeypatch,
@@ -125,12 +172,12 @@ class TestWindowErrors:
         codes = plain_reference.fetch("chr1", 5000, 5150)
         (anchor, *_), = mapper._placements([codes])
 
-        def broken(linear):
+        def broken(*args, **kwargs):
             raise RuntimeError("coordinate table corrupt")
 
-        monkeypatch.setattr(mapper.reference, "from_linear", broken)
+        monkeypatch.setattr(mapper.reference, "window", broken)
         with pytest.raises(RuntimeError, match="corrupt"):
             if site == "window":
-                mapper._window(1000, 150)
+                mapper._placements([codes])
             else:
                 mapper._rescue_mate(anchor, codes)

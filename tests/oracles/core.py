@@ -265,7 +265,7 @@ def longread_votes(mapper, codes: np.ndarray) -> Tuple[Counter, int]:
             chunk2, config.seed_length, config.seeds_per_chunk))
         filtered = filter_adjacent(result1.candidates, result2.candidates,
                                    delta=config.delta,
-                                   boundaries=mapper._chromosome_starts)
+                                   boundaries=mapper._boundaries)
         for cand1, _cand2 in filtered.pairs:
             votes[(cand1 - off1) // config.vote_bin] += 1
     return votes, pseudo_pairs

@@ -2,7 +2,10 @@
 
 Subpackages by pipeline stage:
 
-* :mod:`~repro.core.seedmap` — offline SeedMap construction (§4.2);
+* :mod:`~repro.core.seedmap` — offline SeedMap construction (§4.2), a
+  thin owner of the :class:`repro.hashing.PositionTable` that holds the
+  sorted-key build, the probe and the gather (the ``.rpix`` file format
+  of :mod:`repro.index` is unchanged by that);
 * :mod:`~repro.core.seeding` — Partitioned Seeding (§4.3);
 * :mod:`~repro.core.query` — SeedMap Query (§4.4);
 * :mod:`~repro.core.pairfilter` — Paired-Adjacency Filtering (§4.5);

@@ -27,7 +27,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..genome.sequence import ALPHABET_SIZE
-from ..hashing import hash_reads_batch
+from ..hashing import hash_reads_batch, ragged_ranges
 from .seedmap import LOCATION_ENTRY_BYTES, SEED_TABLE_ENTRY_BYTES, SeedMap
 from .seeding import seed_offsets
 
@@ -86,9 +86,7 @@ def query_hash_groups(seedmap: SeedMap, hashes: np.ndarray,
         if total:
             # Gather every location of every seed into one flat array:
             # seed i contributes counts[i] consecutive elements.
-            seed_index = np.repeat(np.arange(counts.size), counts)
-            exclusive = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            within = np.arange(total) - exclusive[seed_index]
+            seed_index, within = ragged_ranges(counts)
             flat = seedmap.location_table[starts[seed_index] + within]
             candidates = flat - offsets[seed_index]
             flat_groups = groups[seed_index]

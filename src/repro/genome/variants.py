@@ -87,17 +87,6 @@ class DiploidDonor:
     haplotypes: Dict[str, Tuple[Haplotype, Haplotype]]
     truth: List[Variant]
 
-    @property
-    def chromosome_names(self) -> Tuple[str, ...]:
-        return tuple(self.haplotypes)
-
-    def truth_by_kind(self) -> Dict[str, List[Variant]]:
-        """Split the truth set into SNP and INDEL subsets (paper Table 7)."""
-        out: Dict[str, List[Variant]] = {"SNP": [], "INDEL": []}
-        for variant in self.truth:
-            out["SNP" if variant.kind == "SNP" else "INDEL"].append(variant)
-        return out
-
 
 def plant_variants(
     rng: np.random.Generator,

@@ -59,6 +59,12 @@ name              dtype     contents
 ``locations``     ``<i8``   the Location Table (global linear coordinates)
 ================  ========  ==================================================
 
+The four table arrays are the attributes of the
+:class:`repro.hashing.PositionTable` a SeedMap owns (``keys``,
+``starts``, ``ends``, ``positions``); the table keeps ``starts`` and
+``ends`` apart so this layout — and the version — did not change when
+it was introduced.
+
 Integrity: the header is covered by its own crc32, each array by the
 manifest crc32 (verified on open; pass ``verify=False`` to skip), and
 the file size is checked against the manifest before mapping, so

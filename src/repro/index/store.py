@@ -21,6 +21,7 @@ import numpy as np
 from ..core.fingerprint import UNSET, IndexFingerprint
 from ..core.seedmap import SeedMap, SeedMapStats
 from ..genome.reference import ReferenceGenome
+from ..hashing import PositionTable
 from .format import (ARRAY_DTYPES, FORMAT_VERSION, IndexFormatError,
                      align_up, crc32, pack_header, read_header)
 
@@ -171,9 +172,11 @@ def open_index(path: PathLike, mmap: bool = True, verify: bool = True,
     ref_meta = meta["reference"]
     reference = ReferenceGenome.from_linear_codes(
         ref_meta["names"], ref_meta["lengths"], arrays["ref_codes"])
-    seedmap = SeedMap(meta["seed_length"], arrays["locations"],
-                      arrays["hash_keys"], arrays["range_starts"],
-                      arrays["range_ends"],
+    seedmap = SeedMap(meta["seed_length"],
+                      PositionTable(arrays["hash_keys"],
+                                    arrays["range_starts"],
+                                    arrays["range_ends"],
+                                    arrays["locations"]),
                       SeedMapStats(**meta["stats"]),
                       filter_threshold=meta["filter_threshold"],
                       step=meta["step"])

@@ -26,7 +26,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..genome.sequence import ALPHABET_SIZE
-from ..hashing import hash_reference_windows
+from ..hashing import hash_reference_windows, ragged_ranges
 
 #: Stand-in hash of a k-mer spanning an ambiguous base, and of the
 #: padding after each row: above every 32-bit hash, so a window's
@@ -91,15 +91,6 @@ def extract_minimizers_rows(rows: Sequence[np.ndarray], k: int = 15,
     emit[1:] &= winner[1:] != winner[:-1]
     winner, window_row = winner[emit], window_row[emit]
     return winner - slot[window_row], padded[winner], window_row
-
-
-def ragged_ranges(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``counts[i]`` consecutive items for each owner ``i``, flattened:
-    ``(owner, within)`` — whose every item is, and its rank there."""
-    owner = np.repeat(np.arange(counts.size), counts)
-    within = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts,
-                                               counts)
-    return owner, within
 
 
 def _kmer_hashes(codes: np.ndarray, k: int) -> np.ndarray:

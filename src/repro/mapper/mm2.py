@@ -180,6 +180,7 @@ class Mm2LikeMapper:
         chunk of one.
         """
         self.stats.pairs_seen += 1
+        self.stats.reads_seen += 2
         if placements is None:
             placements = self._placements([read1, read2])
         placements1, placements2 = placements

@@ -21,8 +21,7 @@ importing this module (fixture trees never execute).
 
 from __future__ import annotations
 
-import re
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 #: Fixed metric names: ``name -> (kind, description)``.
 STATIC_METRICS: Dict[str, Tuple[str, str]] = {
@@ -85,45 +84,3 @@ METRIC_FAMILIES: Tuple[Tuple[str, str, str], ...] = (
     ("serve.map_s.*.*", "histogram",
      "daemon map seconds per engine and format"),
 )
-
-
-def _template_regex(template: str) -> "re.Pattern[str]":
-    pattern = "".join("[^.]+" if part == "*" else re.escape(part)
-                      for part in re.split(r"(\*)", template))
-    return re.compile(f"^{pattern}$")
-
-
-_FAMILY_REGEXES = tuple(
-    (template, kind, _template_regex(template))
-    for template, kind, _ in METRIC_FAMILIES)
-
-
-def registered_kind(name: str) -> Optional[str]:
-    """The declared kind for a concrete metric name (``None`` when the
-    name belongs to no static metric and no family)."""
-    static = STATIC_METRICS.get(name)
-    if static is not None:
-        return static[0]
-    for _, kind, regex in _FAMILY_REGEXES:
-        if regex.match(name):
-            return kind
-    return None
-
-
-def family_kind(template: str) -> Optional[str]:
-    """The declared kind for an exact family template (the form a
-    dynamic f-string name reduces to), or ``None``."""
-    for declared, kind, _ in METRIC_FAMILIES:
-        if declared == template:
-            return kind
-    return None
-
-
-def catalog_entries() -> Dict[str, str]:
-    """Every declared name/template -> kind (the README drift check's
-    reference set; families use ``*`` placeholders)."""
-    entries = {name: kind
-               for name, (kind, _) in STATIC_METRICS.items()}
-    for template, kind, _ in METRIC_FAMILIES:
-        entries[template] = kind
-    return entries

@@ -40,12 +40,6 @@ class AccuracyReport:
         return 2 * p * r / (p + r) if (p + r) else 0.0
 
 
-def _indel_signature(variant: Variant) -> Tuple[str, int, int]:
-    """Length-based signature tolerant to anchor shifts."""
-    delta = len(variant.alt) - len(variant.ref)
-    return (variant.chromosome, variant.position, delta)
-
-
 def compare_calls(calls: Sequence[Variant], truth: Sequence[Variant],
                   indel_position_slack: int = 2) -> AccuracyReport:
     """Match a call set against the truth set."""

@@ -115,6 +115,7 @@ class TestPolymorphicSurface:
         mapper.map(pairs, engine="mm2")
         assert isinstance(mapper.last_stats, MapperStats)
         assert mapper.last_stats.pairs_seen == len(pairs)
+        assert mapper.last_stats.reads_seen == 2 * len(pairs)
         mapper.map(long_reads, engine="longread")
         assert isinstance(mapper.last_stats, LongReadStats)
         assert mapper.last_engine == "longread"

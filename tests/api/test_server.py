@@ -274,6 +274,7 @@ class TestEnginePolymorphicProtocol:
         assert reply["lines"] == offline
         assert "sam" not in reply
         assert reply["stats"]["pairs_seen"] == len(pairs)
+        assert reply["stats"]["reads_seen"] == 2 * len(pairs)
 
     def test_longread_jsonl_wire_matches_offline(self, server,
                                                  index_path,

@@ -124,3 +124,10 @@ class TestStatsAndMemory:
         seed = plain_reference.fetch("chr1", 512, 562)
         assert plain_seedmap.location_count(hash_seed(seed)) >= 1
         assert plain_seedmap.location_count(2**34) == 0
+
+    @pytest.mark.parametrize("seed_hash", [-1, 0, 2**64 - 1, 2**70])
+    def test_any_integer_is_a_valid_probe(self, plain_seedmap, seed_hash):
+        """32-bit hashes are the only keys; nothing else raises."""
+        assert plain_seedmap.query(seed_hash).size == 0
+        assert plain_seedmap.location_count(seed_hash) == 0
+        assert seed_hash not in plain_seedmap

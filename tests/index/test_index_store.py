@@ -1,10 +1,13 @@
 """Tests for the persistent memory-mapped SeedMap index."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core import GenPairPipeline, SeedMap
 from repro.genome import generate_reference
+from repro.genome.reference import RepeatProfile
 from repro.index import (FORMAT_VERSION, MAGIC, IndexFormatError,
                          MappingIndex, inspect_index, open_index,
                          save_index)
@@ -109,6 +112,33 @@ class TestEdgeConfigurations:
         path = tmp_path / "step.rpix"
         save_index(path, seedmap, genome)
         assert open_index(path).step == 5
+
+
+class TestFileBytesPinned:
+    """The format is version 1 byte for byte: sizes and digests of the
+    files the commit before ``PositionTable`` wrote (PR 23) for the
+    reference of ``perf.inputs.giab_dataset`` — rebuilt here from its
+    seed, so ``tests/`` does not import the benchmark."""
+
+    @pytest.fixture(scope="class")
+    def giab_reference(self):
+        return generate_reference(np.random.default_rng(101),
+                                  (160_000, 80_000),
+                                  repeats=RepeatProfile.human_like())
+
+    @pytest.mark.parametrize("filter_threshold, size, digest", [
+        (500, 6_396_288, "df7ffaffa6471a7d"),
+        (3, 5_917_888, "b830bcd24a77cc9c"),
+        (None, 6_396_288, "b6d5ce21a0dcaf90"),
+    ])
+    def test_save_index_bytes(self, tmp_path, giab_reference,
+                              filter_threshold, size, digest):
+        path = tmp_path / "giab.rpix"
+        built = SeedMap.build(giab_reference,
+                              filter_threshold=filter_threshold)
+        assert save_index(path, built, giab_reference) == size
+        assert FORMAT_VERSION == 1
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
 
 
 class TestRejection:

@@ -109,7 +109,9 @@ class TestPairedEnd:
             assert (want.record1.position, want.record2.position,
                     want.stage) == (result.record1.position,
                                     result.record2.position, result.stage)
-        assert batched.stats.pairs_seen == serial.stats.pairs_seen
+        assert batched.stats.pairs_seen == serial.stats.pairs_seen == 5
+        # Both mates of a pair count as seen, as in single-end runs.
+        assert batched.stats.reads_seen == serial.stats.reads_seen == 10
 
     def test_stage_spans_recorded_under_a_trace(self, plain_reference,
                                                 clean_pairs):
@@ -205,6 +207,7 @@ class TestChunkInvariance:
         assert list(map(record_signature, got)) \
             == list(map(record_signature, expected))
         assert batched.stats == serial.stats
+        assert (batched.stats.reads_seen, batched.stats.pairs_seen) == (9, 0)
 
     def test_one_chaining_call_per_chunk(self, hard, monkeypatch):
         import repro.mapper.mm2 as mm2

@@ -7,16 +7,31 @@ mismatch-plus-deletion combo — i.e. exactly the edit vocabulary of Table 1
 
 Mechanism, mirroring the hardware module (§5.4):
 
-1. compute the Hamming mask between the read and ``2*e + 1`` shifted copies
-   of the reference window (shift ``s`` compares ``read[i]`` against
-   ``ref[candidate + s + i]``);
-2. for every mask, find the longest run of matches from the start and from
-   the end;
-3. try each admissible edit profile in decreasing score order: an insertion
-   run of length ``k`` manifests as a start-run in mask ``a`` plus an
-   end-run in mask ``a - k`` covering ``read_length - k`` bases; a deletion
-   run as start-run in ``a`` plus end-run in ``a + k`` covering the whole
-   read; leftover uncovered bases must equal the profile's mismatch count.
+1. compute the Hamming mask between the read (length ``L``) and
+   ``2*e + 1`` shifted copies of the reference window (shift ``s``
+   compares ``read[i]`` against ``ref[candidate + s + i]``) — one
+   ``(shifts x L)`` mismatch matrix and one ``cumsum`` over it, mask after
+   mask;
+2. for every mask, find the longest run from the start and from the end
+   — generalised to runs that allow up to ``j`` mismatches: ``P[s, j]`` is
+   the longest prefix of mask ``s`` with at most ``j`` mismatches,
+   ``T[s, j]`` the longest such suffix, for ``j`` up to the lattice's
+   largest mismatch count ``M``;
+3. fit the admissible edit profiles in decreasing score order: an
+   insertion run of length ``k`` is a prefix in mask ``a`` plus a suffix
+   in mask ``a - k`` covering ``L - k`` bases; a deletion run a prefix in
+   ``a`` plus a suffix in ``a + k`` covering the whole read; ``m``
+   mismatches are split ``j`` / ``m - j`` between them, so the profile fits
+   at frame ``a`` iff ``max_{j <= m} P[a, j] + T[b, m - j] + consumed >=
+   L`` (a substitution profile is the case ``k = 0``: ``m`` mismatches in
+   all).  One comparison settles every (profile, frame) slot of the
+   lattice; the first slot that fits wins, and only its indel split
+   position is searched (the first minimum of the per-split count).
+
+A slot fits with *at most* ``m`` mismatches, yet is still the slot that
+holds exactly ``m``: a profile with ``m' < m`` mismatches and the same
+indel run scores higher, so it sits earlier in the lattice and its slot
+at the same frame — which fits — would have won first.
 
 The first profile that fits yields the *optimal* alignment among all
 alignments scoring at or above the threshold (validated against full DP in
@@ -27,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -127,6 +142,7 @@ class LightAligner:
         self.max_edits = max_edits
         self.threshold = threshold
         self._profile_cache = lru_cache(maxsize=8)(self._profiles_uncached)
+        self._slot_plan = lru_cache(maxsize=64)(self._slot_plan_uncached)
 
     def _profiles_uncached(self, read_length: int
                            ) -> Tuple[EditProfile, ...]:
@@ -142,6 +158,39 @@ class LightAligner:
     def profiles_for(self, read_length: int) -> Tuple[EditProfile, ...]:
         """The profile lattice for one read length (cached)."""
         return self._profile_cache(read_length)
+
+    def _slot_plan_uncached(self, length: int, shift_lo: int,
+                            shift_hi: int) -> tuple:
+        """What every attempt of one read length and shift range shares:
+        the window index of each mask's reference bases, each mask's
+        start in the end-to-end prefix counts, the budgets ``0..M``, and
+        every (profile, frame) slot of the lattice in the order it is
+        tried — substitutions at the candidate frame first, then at
+        re-anchored ones (an edit at the very read boundary can make a
+        shifted start the better pure-mismatch reading), indels at
+        ascending prefix frame ``a`` — one entry per mismatch split
+        ``j``: ``(P index, T index, L - consumed)`` into the flattened
+        ``(2, shifts, M + 1)`` run table, and its slot
+        ``(profile, a, b)``."""
+        profiles = self.profiles_for(length)
+        shifts = range(shift_lo, shift_hi + 1)
+        width = max(p.mismatches for p in profiles) + 1
+        entries, slots = [], []
+        for profile in profiles:
+            delta = profile.deletion_run - profile.insertion_run
+            for a in (shifts if delta else sorted(shifts, key=abs)):
+                b = a + delta
+                if shift_lo <= b <= shift_hi:
+                    for j in range(profile.mismatches + 1):
+                        entries.append((
+                            (a - shift_lo) * width + j,
+                            (len(shifts) + b - shift_lo) * width
+                            + profile.mismatches - j,
+                            length - profile.insertion_run))
+                        slots.append((profile, a, b))
+        rows = np.arange(len(shifts))[:, None]
+        return (rows + np.arange(length), rows * length, np.arange(width),
+                *np.array(entries, dtype=np.intp).T, slots)
 
     def align(self, read: np.ndarray, window: np.ndarray,
               offset: int) -> Optional[LightAlignment]:
@@ -170,112 +219,60 @@ class LightAligner:
         # read matching the candidate frame exactly short-circuits the
         # whole mask machinery with an identical result.
         profiles = self.profiles_for(length)
-        if profiles and profiles[0].mismatches == 0 and np.array_equal(
+        if not profiles:
+            return None
+        if profiles[0].mismatches == 0 and np.array_equal(
                 read, window[offset:offset + length]):
             return LightAlignment(score=profiles[0].score,
                                   cigar=Cigar.from_pairs([(length, "=")]),
                                   ref_start=offset, profile=profiles[0])
-        shifts = range(shift_lo, shift_hi + 1)
-        masks = {}
-        prefix_mismatches = {}
-        for shift in shifts:
-            ref_slice = window[offset + shift:offset + shift + length]
-            mask = read == ref_slice
-            masks[shift] = mask
-            # prefix_mismatches[shift][q] = mismatches in read[0:q).
-            cumulative = np.zeros(length + 1, dtype=np.int64)
-            np.cumsum(~mask, out=cumulative[1:])
-            prefix_mismatches[shift] = cumulative
-
-        # (shift, suffix frame delta) -> (best split, its mismatches):
-        # every profile with the same indel run asks the same question.
-        splits: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for profile in profiles:
-            hit = self._try_profile(profile, length, masks,
-                                    prefix_mismatches, shift_lo,
-                                    shift_hi, offset, splits)
-            if hit is not None:
-                return hit
-        return None
-
-    # -- per-profile matching ---------------------------------------------
-
-    def _try_profile(self, profile: EditProfile, length: int, masks,
-                     prefix_mismatches, shift_lo: int, shift_hi: int,
-                     offset: int, splits: Dict[Tuple[int, int],
-                                               Tuple[int, int]]
-                     ) -> Optional[LightAlignment]:
-        if profile.insertion_run == 0 and profile.deletion_run == 0:
-            # Check the candidate frame first, then re-anchored frames:
-            # an edit at the very read boundary can make a shifted start
-            # the better (pure-mismatch) interpretation.
-            for shift in sorted(range(shift_lo, shift_hi + 1),
-                                key=abs):
-                if int(prefix_mismatches[shift][-1]) \
-                        != profile.mismatches:
-                    continue
-                cigar = _mask_to_cigar(masks[shift])
-                return LightAlignment(score=profile.score, cigar=cigar,
-                                      ref_start=offset + shift,
-                                      profile=profile)
+        frames, starts, budgets, prefix, suffix, need, slots = \
+            self._slot_plan(length, shift_lo, shift_hi)
+        mismatches = window[offset + shift_lo:][frames] != read
+        # counts[s * L + q]: the mismatches of masks before s, plus those
+        # of mask s in read[0:q) — every mask's prefix counts end to end,
+        # so one sorted row answers each mask's run question by search.
+        counts = np.zeros(mismatches.size + 1, dtype=np.int64)
+        np.cumsum(mismatches, out=counts[1:])
+        # Per mask s and budget j: P ends where the (j+1)-th mismatch of
+        # the mask is counted, T starts where all but j are; both capped
+        # at L (a run may carry on into the next mask).
+        longest_prefix = counts.searchsorted(counts[starts] + budgets,
+                                             "right") - 1 - starts
+        longest_suffix = starts + length - counts.searchsorted(
+            counts[starts + length] - budgets)
+        runs = np.minimum(np.concatenate((longest_prefix, longest_suffix)),
+                          length).ravel()
+        fits = runs[prefix] + runs[suffix] >= need
+        first = int(fits.argmax())
+        if not fits[first]:
             return None
-        run = profile.insertion_run or profile.deletion_run
-        is_insertion = profile.insertion_run > 0
-        # Read bases at the split: the read prefix [0, q) aligns in mask
-        # ``a``; the suffix [q + consumed, length) in mask ``b``.  An
-        # insertion consumes ``run`` read bases at the split and shifts
-        # the suffix frame left; a deletion consumes none and shifts it
-        # right (see module docstring).
-        suffix_delta = -run if is_insertion else run
-        consumed = run if is_insertion else 0
-        for a in range(shift_lo, shift_hi + 1):
-            b = a + suffix_delta
-            if not shift_lo <= b <= shift_hi:
-                continue
-            best = splits.get((a, suffix_delta))
-            if best is None:
-                pre_a = prefix_mismatches[a]
-                pre_b = prefix_mismatches[b]
-                # Mismatches as a function of the split position q:
-                # prefix mismatches below q plus suffix mismatches
-                # at/after q+c.
-                totals = pre_a[:length - consumed + 1] \
-                    + (pre_b[-1] - pre_b[consumed:])
-                best_split = int(np.argmin(totals))
-                best = splits[a, suffix_delta] = (best_split,
-                                                  int(totals[best_split]))
-            best_split, mismatches = best
-            if mismatches != profile.mismatches:
-                continue
-            cigar = self._split_cigar(masks[a], masks[b], best_split,
-                                      consumed, run, is_insertion, length)
-            return LightAlignment(score=profile.score, cigar=cigar,
+        profile, a, b = slots[first]
+        mask_a = ~mismatches[a - shift_lo]
+        if a == b:
+            return LightAlignment(score=profile.score,
+                                  cigar=_mask_to_cigar(mask_a),
                                   ref_start=offset + a, profile=profile)
-        return None
-
-    @staticmethod
-    def _split_cigar(mask_a, mask_b, split: int, consumed: int, run: int,
-                     is_insertion: bool, length: int) -> Cigar:
-        """CIGAR for prefix-in-a, indel, suffix-in-b at ``split``."""
-        pairs = list(_mask_to_cigar(mask_a[:split]).ops)
-        pairs.append((run, "I" if is_insertion else "D"))
-        pairs.extend(_mask_to_cigar(mask_b[split + consumed:]).ops)
-        return Cigar.from_pairs(pairs)
+        # The split q puts read[0, q) in mask a and read[q + consumed, L)
+        # in mask b; it holds the fewest mismatches where this is least.
+        consumed = profile.insertion_run
+        at_a = (a - shift_lo) * length
+        at_b = (b - shift_lo) * length + consumed
+        split = int(np.argmin(counts[at_a:at_a + length - consumed + 1]
+                              - counts[at_b:at_b + length - consumed + 1]))
+        indel = (consumed or profile.deletion_run, "I" if consumed else "D")
+        tail = ~mismatches[b - shift_lo, split + consumed:]
+        cigar = Cigar.from_pairs(_mask_to_cigar(mask_a[:split]).ops
+                                 + (indel,) + _mask_to_cigar(tail).ops)
+        return LightAlignment(score=profile.score, cigar=cigar,
+                              ref_start=offset + a, profile=profile)
 
 
 def _mask_to_cigar(mask: np.ndarray) -> Cigar:
     """Convert a Hamming mask to an ``=``/``X`` CIGAR."""
-    pairs = []
     if mask.size == 0:
         return Cigar(())
-    current = bool(mask[0])
-    run = 0
-    for value in mask.tolist():
-        if value == current:
-            run += 1
-        else:
-            pairs.append((run, "=" if current else "X"))
-            current = value
-            run = 1
-    pairs.append((run, "=" if current else "X"))
-    return Cigar.from_pairs(pairs)
+    starts = np.flatnonzero(np.diff(mask, prepend=not mask[0]))
+    lengths = np.diff(starts, append=mask.size)
+    return Cigar(tuple(zip(lengths.tolist(),
+                           np.where(mask[starts], "=", "X").tolist())))

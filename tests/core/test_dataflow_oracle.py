@@ -281,6 +281,39 @@ class TestCandidateDpWaves:
         assert len(banded_calls) < pair_calls / 3
 
 
+class TestLightKernelInPipeline:
+    """The run-table light-alignment kernel under the whole pipeline: a
+    GIAB-like chunk, fallback on, mapped with the scalar aligner swapped
+    in on ``pipeline.light_aligner`` must not show in any result or
+    counter."""
+
+    def test_scalar_aligner_never_shows(self, small_reference, seedmap,
+                                        giab_items, result_signature):
+        from repro.mapper import MinimizerIndex, Mm2LikeMapper
+
+        index = MinimizerIndex.build(small_reference)
+
+        def run(scalar):
+            pipeline = GenPairPipeline(
+                small_reference, seedmap=seedmap,
+                fallback=Mm2LikeMapper(small_reference, index=index))
+            if scalar:
+                kernel = pipeline.light_aligner
+                pipeline.light_aligner = oracle.ScalarLightAligner(
+                    kernel.scheme, kernel.max_edits, kernel.threshold)
+            results = pipeline.map_pairs(giab_items[:256], chunk_size=256)
+            return list(map(result_signature, results)), pipeline.stats
+
+        got, want = run(scalar=False), run(scalar=True)
+        assert got == want
+        stats = want[1]
+        # Non-exact light hits, light misses and every later arc occur.
+        assert stats.exact_pairs < stats.light_mapped
+        assert stats.light_fallback
+        assert (stats.seedmap_fallback + stats.filter_fallback
+                + stats.residual_fallback)
+
+
 class TestFallbackSeam:
     """The chunk's residue goes to the fallback mapper in one
     ``map_pairs`` call; the oracle enters it pair by pair.  Results and

@@ -15,8 +15,19 @@ the long-read mode must vote.
 The chain imports no hashing or query function from the package — only
 ``SeedMap``, ``QueryResult``, ``seed_offsets`` and ``pair_role_codes``
 (plus ``filter_adjacent`` for the long-read vote, which is downstream
-of the chain).  Nothing under ``src/`` imports this module; tests import
-it as ``oracles.core``.
+of the chain).
+
+Light alignment has its scalar form here too: :class:`ScalarLightAligner`
+walks the profile lattice one profile and one frame at a time, an
+``argmin`` over the split positions per indel frame and an exact
+mismatch-count test per profile, with the per-base
+:func:`mask_to_cigar` loop.  It shares the lattice (``profiles_for``)
+with the package's ``LightAligner`` and defines what the run-table
+kernel must return for every attempt: ``None``, or the same score,
+CIGAR, ``ref_start`` and profile.
+
+Nothing under ``src/`` imports this module; tests import it as
+``oracles.core``.
 """
 
 from __future__ import annotations
@@ -24,12 +35,14 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import (QueryResult, SeedMap, filter_adjacent,
+from repro.core import (EditProfile, LightAligner, LightAlignment,
+                        QueryResult, SeedMap, filter_adjacent,
                         pair_role_codes, seed_offsets)
+from repro.genome.cigar import Cigar
 
 # -- pure-Python xxHash32, bit-exact to the reference specification ----------
 # (https://github.com/Cyan4973/xxHash; the spec vectors are in
@@ -242,6 +255,124 @@ def map_pairs(pipeline, items) -> list:
         results.extend(pipeline._map_resolved(
             [item], prepare_pair(pipeline, read1, read2)))
     return results
+
+
+# -- light alignment: the per-profile lattice walk ---------------------------
+
+def mask_to_cigar(mask: np.ndarray) -> Cigar:
+    """Convert a Hamming mask to an ``=``/``X`` CIGAR, base by base."""
+    pairs = []
+    if mask.size == 0:
+        return Cigar(())
+    current = bool(mask[0])
+    run = 0
+    for value in mask.tolist():
+        if value == current:
+            run += 1
+        else:
+            pairs.append((run, "=" if current else "X"))
+            current = value
+            run = 1
+    pairs.append((run, "=" if current else "X"))
+    return Cigar.from_pairs(pairs)
+
+
+class ScalarLightAligner(LightAligner):
+    """``LightAligner`` with the profile-by-profile ``align``."""
+
+    def align(self, read: np.ndarray, window: np.ndarray,
+              offset: int) -> Optional[LightAlignment]:
+        read = np.asarray(read, dtype=np.uint8)
+        length = len(read)
+        if length == 0:
+            return None
+        max_e = self.max_edits
+        # Valid shifts: ref indices [offset+s, offset+s+length) in-window.
+        shift_lo = -min(max_e, offset)
+        shift_hi = min(max_e, len(window) - offset - length)
+        if shift_hi < 0 or shift_lo > 0:
+            return None
+        profiles = self.profiles_for(length)
+        if profiles and profiles[0].mismatches == 0 and np.array_equal(
+                read, window[offset:offset + length]):
+            return LightAlignment(score=profiles[0].score,
+                                  cigar=Cigar.from_pairs([(length, "=")]),
+                                  ref_start=offset, profile=profiles[0])
+        masks = {}
+        prefix_mismatches = {}
+        for shift in range(shift_lo, shift_hi + 1):
+            ref_slice = window[offset + shift:offset + shift + length]
+            mask = read == ref_slice
+            masks[shift] = mask
+            # prefix_mismatches[shift][q] = mismatches in read[0:q).
+            cumulative = np.zeros(length + 1, dtype=np.int64)
+            np.cumsum(~mask, out=cumulative[1:])
+            prefix_mismatches[shift] = cumulative
+
+        # (shift, suffix frame delta) -> (best split, its mismatches):
+        # every profile with the same indel run asks the same question.
+        splits: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        for profile in profiles:
+            hit = self._try_profile(profile, length, masks,
+                                    prefix_mismatches, shift_lo,
+                                    shift_hi, offset, splits)
+            if hit is not None:
+                return hit
+        return None
+
+    def _try_profile(self, profile: EditProfile, length: int, masks,
+                     prefix_mismatches, shift_lo: int, shift_hi: int,
+                     offset: int, splits: Dict[Tuple[int, int],
+                                               Tuple[int, int]]
+                     ) -> Optional[LightAlignment]:
+        if profile.insertion_run == 0 and profile.deletion_run == 0:
+            # Check the candidate frame first, then re-anchored frames:
+            # an edit at the very read boundary can make a shifted start
+            # the better (pure-mismatch) interpretation.
+            for shift in sorted(range(shift_lo, shift_hi + 1), key=abs):
+                if int(prefix_mismatches[shift][-1]) != profile.mismatches:
+                    continue
+                return LightAlignment(score=profile.score,
+                                      cigar=mask_to_cigar(masks[shift]),
+                                      ref_start=offset + shift,
+                                      profile=profile)
+            return None
+        run = profile.insertion_run or profile.deletion_run
+        is_insertion = profile.insertion_run > 0
+        # Read bases at the split: the read prefix [0, q) aligns in mask
+        # ``a``; the suffix [q + consumed, length) in mask ``b``.  An
+        # insertion consumes ``run`` read bases at the split and shifts
+        # the suffix frame left; a deletion consumes none and shifts it
+        # right.
+        suffix_delta = -run if is_insertion else run
+        consumed = run if is_insertion else 0
+        for a in range(shift_lo, shift_hi + 1):
+            b = a + suffix_delta
+            if not shift_lo <= b <= shift_hi:
+                continue
+            best = splits.get((a, suffix_delta))
+            if best is None:
+                pre_a = prefix_mismatches[a]
+                pre_b = prefix_mismatches[b]
+                # Mismatches as a function of the split position q:
+                # prefix mismatches below q plus suffix mismatches
+                # at/after q+c.
+                totals = pre_a[:length - consumed + 1] \
+                    + (pre_b[-1] - pre_b[consumed:])
+                best_split = int(np.argmin(totals))
+                best = splits[a, suffix_delta] = (best_split,
+                                                  int(totals[best_split]))
+            best_split, mismatches = best
+            if mismatches != profile.mismatches:
+                continue
+            pairs = list(mask_to_cigar(masks[a][:best_split]).ops)
+            pairs.append((run, "I" if is_insertion else "D"))
+            pairs.extend(mask_to_cigar(
+                masks[b][best_split + consumed:]).ops)
+            return LightAlignment(score=profile.score,
+                                  cigar=Cigar.from_pairs(pairs),
+                                  ref_start=offset + a, profile=profile)
+        return None
 
 
 # -- long reads: the scalar Location Voting ----------------------------------

@@ -213,8 +213,9 @@ def _print_engine_report(engine: str, stats, count: int,
         print(f"mapped {get('pairs_seen')} pairs -> {count} records "
               f"({out})")
         print(f"  proper pairs {get('pairs_proper')} | mate rescues "
-              f"{get('mate_rescues')} | reads mapped "
-              f"{get('reads_mapped')}")
+              f"{get('mate_rescues')} of {get('rescue_attempts')} "
+              f"attempts ({get('rescue_whole_window')} whole-window) | "
+              f"reads mapped {get('reads_mapped')}")
     elif engine == "longread":
         print(f"mapped {get('reads_total')} long reads -> {count} "
               f"records ({out})")

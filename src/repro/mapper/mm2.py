@@ -23,13 +23,19 @@ anchor columns, chains them in one :func:`chain_anchors` sweep (one
 chaining problem per read and strand) and aligns the kept chains of every
 read in one :func:`align_banded` sweep per window shape
 (:func:`~repro.align.banded.stack_problems`, cut by its cell budget).
-Pairing and mate rescue — one wide-band call per rescue, a shape that is
-throughput-bound alone — then run pair by pair.  What shares a sweep
-never changes a result, so every record and counter is that of a
-:meth:`~Mm2LikeMapper.map_pair` loop, which is a chunk of one.  Each pair
-comes out as a :class:`~repro.genome.results.MappingResult` (stage
-``proper_pair``, ``mapped`` or ``unmapped``).  The per-anchor and
-per-k-mer loops this replaced are the oracle in ``tests/oracles/align.py``.
+Pairing runs pair by pair; mate rescue runs in two chunk-wide waves —
+read 2 near read 1's best placement, then read 1 near read 2's for the
+pairs still open — and aligns only the diagonals of the insert window
+that a q-gram bound cannot rule out (:class:`_RescueSearch`): most
+rescues are settled with no DP or in one shared sweep of a narrow band,
+and only the rest pay for the whole-window band, with exactly its
+result.  What shares a sweep never changes a result, so every record
+and counter is that of a :meth:`~Mm2LikeMapper.map_pair` loop, which is
+a chunk of one.  Each pair comes out as a
+:class:`~repro.genome.results.MappingResult` (stage ``proper_pair``,
+``mapped`` or ``unmapped``).  The per-anchor and per-k-mer loops this
+replaced, and the whole-window rescue, are the oracles in
+``tests/oracles/align.py``.
 
 Coordinates: minimizer hits, anchors and chain diagonals are *linear*;
 :meth:`~repro.genome.ReferenceGenome.window` turns a chain's diagonal
@@ -40,6 +46,7 @@ rescue searches the anchor's chromosome, records copy the placement.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -53,10 +60,18 @@ from ..align.scoring import DEFAULT_SCHEME, ScoringScheme
 from ..genome.reference import ReferenceGenome
 from ..genome.results import MappingResult
 from ..genome.sam import METHOD_DP, AlignmentRecord
-from ..genome.sequence import reverse_complement
+from ..genome.sequence import ALPHABET_SIZE, reverse_complement
+from ..hashing import PositionTable
 from ..obs import span
 from .index import MinimizerIndex
 from .minimizer import extract_minimizers_rows
+
+#: Length of the q-grams a mate rescue votes with (:class:`_RescueSearch`
+#: derives it).
+RESCUE_K = 7
+#: Half-width, in diagonals, of a rescue's first band; one shape for every
+#: rescue of a read length, so a wave's rescues share sweeps.
+RESCUE_BAND = 16
 
 
 @dataclass(frozen=True)
@@ -88,6 +103,12 @@ class MapperStats:
     pairs_seen: int = 0
     pairs_proper: int = 0
     mate_rescues: int = 0
+    #: Mates searched for near an anchor; ``mate_rescues`` of the pairs
+    #: were placed that way.
+    rescue_attempts: int = 0
+    #: Rescue attempts no q-gram bound could narrow: the whole insert
+    #: window was aligned.
+    rescue_whole_window: int = 0
     anchors_total: int = 0
     dp_cells_chaining: int = 0
     dp_cells_alignment: int = 0
@@ -102,6 +123,154 @@ class _Placement:
     position: int
     strand: str
     alignment: AlignmentResult
+
+
+@dataclass(frozen=True)
+class _Paired:
+    """Internal: what :meth:`Mm2LikeMapper.map_pairs` hands
+    :meth:`~Mm2LikeMapper.map_pair` for one pair — each read's
+    placements, and the proper combination (``None`` without one),
+    found by mate rescue or not."""
+
+    placements1: List[_Placement]
+    placements2: List[_Placement]
+    combo: Optional[Tuple[_Placement, _Placement]]
+    rescued: bool
+
+
+def _qgrams(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The 2-bit-packed :data:`RESCUE_K`-mers of ``codes`` that hold no
+    ``N``, and where each starts."""
+    count = len(codes) - RESCUE_K + 1
+    if count <= 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    keys = np.zeros(count, dtype=np.int64)
+    for offset in range(RESCUE_K):
+        keys <<= 2
+        keys |= codes[offset:offset + count] & 3
+    ambiguous = np.concatenate(([0], np.cumsum(codes >= ALPHABET_SIZE)))
+    where = np.flatnonzero(ambiguous[RESCUE_K:] == ambiguous[:count])
+    return keys[where], where
+
+
+class _RescueSearch:
+    """One mate rescue: the mate oriented for its anchor, the insert
+    window on the anchor's chromosome, and the q-gram votes that bound
+    where in the window an alignment of the mate can lie.
+
+    The result must be exactly that of the *whole-window band* (diagonal
+    ``m // 2``, half-width ``m // 2 + 8`` over the ``m``-base window),
+    which holds the window's diagonals ``low..high`` — ``-8`` (a few read
+    bases hanging off the window's start) to ``m - 1``.
+
+    *The bound.*  An alignment of the ``n``-base mate loses ``P =
+    perfect - score`` to its edits.  A mismatch costs ``match +
+    mismatch`` (10) and breaks at most ``k`` of the mate's k-mers; a
+    deletion run of ``l`` bases costs ``12 + 2l`` and breaks ``k - 1``;
+    an insertion run costs ``12 + 4l`` (its bases lose their match too)
+    and breaks ``k + l - 1``, never more than ``k`` per 10 points for
+    ``k = 7``.  So of the ``valid`` k-mers (those without an ``N``) at
+    least ``t(P) = valid - k·⌊P/10⌋`` match exactly, each a vote on the
+    alignment's diagonal.  Each gap base moves the alignment one
+    diagonal and the gaps cost at least ``gap_open + gap_extend·G`` for
+    ``G`` gap bases, so the alignment spans at most ``D(P) = max(0, (P -
+    gap_open) // gap_extend)`` diagonals past its first.  Every
+    alignment scoring at least ``s`` therefore lies inside a *hot
+    window*: ``D + 1`` consecutive diagonals holding ``t`` votes or
+    more.  At the 40% floor a 150 bp mate has ``P = 180``, so ``t = (151
+    - k) - 18k``: 18 at ``k = 7``, -1 at ``k = 8`` — 7
+    (:data:`RESCUE_K`) is the largest ``k`` that can still rule anything
+    out at the floor.
+
+    *The first band.*  :data:`RESCUE_BAND` = 16 is the band of every
+    chain alignment (``MapperConfig.bandwidth``): a 150 x 33-cell
+    problem that costs ~0.28 ms in a stack of 16 against ~4 ms for the
+    whole 150 x 1150 window alone, and wide enough to hold every hot
+    window of a mate drifting up to 16 diagonals (``P <= 44``, every
+    Table 1 profile) around the most-voted diagonal.
+
+    *Certified bands.*  When every alignment scoring at least ``s`` lies
+    inside a band and the band's best is ``s``, the whole-window best is
+    ``s`` too and every co-optimal path lies in the band, so the
+    leftmost best end cell and every traceback tie (which compare only
+    values on co-optimal paths) are the whole window's: the band's
+    result *is* the whole window's.  The same holds for a band whose best
+    is below the floor and that holds every alignment reaching it: both
+    fail.  Hot windows are clipped to ``low..high`` first — an
+    alignment the whole-window band cannot hold is no competitor — and a
+    band never reaches below ``low``, so it holds no path the whole
+    window lacks.
+    """
+
+    def __init__(self, oriented: np.ndarray, window: np.ndarray,
+                 chromosome: str, start: int, strand: str, min_score: int,
+                 scheme: ScoringScheme) -> None:
+        self.oriented, self.window = oriented, window
+        self.chromosome, self.start, self.strand = chromosome, start, strand
+        self.min_score = min_score
+        self.scheme = scheme
+        n, m = len(oriented), len(window)
+        self.wide = (m // 2, m // 2 + 8)
+        self.low, self.high = max(self.wide[0] - self.wide[1], -n), m - 1
+        read_keys, read_starts = _qgrams(oriented)
+        window_keys, window_starts = _qgrams(window)
+        table, _ = PositionTable.build(window_keys, window_starts)
+        which, positions = table.gather(read_keys)
+        # Votes per diagonal ``d = window position - read position``,
+        # stored at ``d + n``.
+        votes = np.bincount(positions - read_starts[which] + n,
+                            minlength=n + m + 1)
+        self._cumulative = np.concatenate(([0], np.cumsum(votes)))
+        self._valid = read_keys.size
+        self.top = int(votes.argmax()) - n
+
+    def hot_span(self, score: int) -> Optional[Tuple[int, int]]:
+        """The diagonals ``(lo, hi)``, clipped to ``low..high``, of every
+        hot window for alignments scoring at least ``score``; ``None``
+        when there is none, so no such alignment exists."""
+        n = len(self.oriented)
+        penalty = self.scheme.perfect_score(n) - score
+        drift = max(0, (penalty - self.scheme.gap_open)
+                    // self.scheme.gap_extend)
+        need = self._valid - RESCUE_K * (penalty
+                                         // self.scheme.substitution_cost())
+        starts = np.arange(max(self.low - drift, -n), self.high + 1)
+        ends = np.minimum(starts + drift + 1 + n, self._cumulative.size - 1)
+        hot = starts[self._cumulative[ends]
+                     - self._cumulative[starts + n] >= need]
+        if not hot.size:
+            return None
+        return max(int(hot[0]), self.low), min(int(hot[-1]) + drift,
+                                                self.high)
+
+    def first_band(self) -> Optional[Tuple[int, tuple]]:
+        """``RESCUE_BAND`` diagonals either side of the most-voted one,
+        cut as a sub-window of ``n + 2·RESCUE_BAND`` bases so that every
+        rescue of a read length has one problem shape: ``(offset,
+        problem)``, the band holding diagonals ``offset..offset +
+        2·RESCUE_BAND`` (inside ``0..m - n``), or ``None`` when the
+        window is too short to cut one."""
+        length = len(self.oriented) + 2 * RESCUE_BAND
+        if len(self.window) < length:
+            return None
+        offset = min(max(self.top - RESCUE_BAND, 0),
+                     len(self.window) - length)
+        return offset, (self.oriented, self.window[offset:offset + length],
+                        RESCUE_BAND, RESCUE_BAND)
+
+    def band(self, lo: int, hi: int) -> tuple:
+        """The problem of a band over diagonals ``lo..hi`` of the whole
+        window (``lo`` exactly, ``hi`` or one more)."""
+        bandwidth = max(1, -(-(hi - lo) // 2))
+        return self.oriented, self.window, lo + bandwidth, bandwidth
+
+    def placement(self, result: Optional[AlignmentResult]
+                  ) -> Optional[_Placement]:
+        if result is None or result.score < self.min_score:
+            return None
+        return _Placement(score=result.score, chromosome=self.chromosome,
+                          position=self.start + result.ref_start,
+                          strand=self.strand, alignment=result)
 
 
 class Mm2LikeMapper:
@@ -163,39 +332,34 @@ class Mm2LikeMapper:
     # -- paired-end ----------------------------------------------------------
 
     def map_pair(self, read1: np.ndarray, read2: np.ndarray,
-                 name: str = "pair",
-                 placements: Optional[Sequence[List[_Placement]]] = None
+                 name: str = "pair", paired: Optional[_Paired] = None
                  ) -> MappingResult:
         """Map a pair; the result's stage is ``proper_pair``, ``mapped``
         (at least one mate placed on its own) or ``unmapped``.
 
-        Strategy: fully map read 1, then place read 2 by *mate rescue* —
-        a banded alignment inside the window implied by the insert-size
-        constraint (both reads of a proper pair are within ``max_insert``).
-        If rescue fails, read 2 is mapped independently; the final records
-        are the best-scoring consistent combination.
+        Strategy: the best properly-oriented combination of the two
+        reads' own placements; failing one, *mate rescue* — read 2
+        searched for in the window the insert-size constraint implies
+        next to read 1's best placement (both reads of a proper pair are
+        within ``max_insert``), then read 1 next to read 2's.  If rescue
+        fails too, each read keeps its own best placement.
 
-        ``placements`` is :meth:`map_pairs` handing over what it seeded,
-        chained and aligned for the whole chunk; alone, the pair is a
-        chunk of one.
+        ``paired`` is :meth:`map_pairs` handing over what it seeded,
+        chained, aligned, paired and rescued for the whole chunk; alone,
+        the pair is a chunk of one.
         """
         self.stats.pairs_seen += 1
         self.stats.reads_seen += 2
-        if placements is None:
-            placements = self._placements([read1, read2])
-        placements1, placements2 = placements
-        with span("mm2.pairing"):
-            combo = self._best_combo(placements1, placements2,
-                                     len(read1), len(read2))
-        if combo is None and self.config.mate_rescue:
-            rescued = self._try_rescue(read1, read2, placements1,
-                                       placements2)
-            if rescued is not None:
-                combo = rescued
-                self.stats.mate_rescues += 1
+        if paired is None:
+            paired, = self._pair_up([(read1, read2, name)],
+                                    self._placements([read1, read2]))
+        combo = paired.combo
+        self.stats.mate_rescues += paired.rescued
         if combo is None:
-            record1 = self._best_single(placements1, read1, f"{name}/1", 1)
-            record2 = self._best_single(placements2, read2, f"{name}/2", 2)
+            record1 = self._best_single(paired.placements1, read1,
+                                        f"{name}/1", 1)
+            record2 = self._best_single(paired.placements2, read2,
+                                        f"{name}/2", 2)
             stage = ("mapped" if record1.mapped or record2.mapped
                      else "unmapped")
         else:
@@ -219,15 +383,16 @@ class Mm2LikeMapper:
 
         The chunk call the ``mm2`` engine and the GenPair fallback both
         enter through: every read and strand of the chunk is seeded,
-        chained and chain-aligned in one pass, then each pair is paired
-        and rescued on its own.  Results and :attr:`stats` are exactly
-        those of repeated :meth:`map_pair` calls, whatever the chunking.
+        chained and chain-aligned in one pass, every pair paired, and
+        the mates of the pairs left open rescued in two chunk-wide
+        waves.  Results and :attr:`stats` are exactly those of repeated
+        :meth:`map_pair` calls, whatever the chunking.
         """
         placements = self._placements([read for read1, read2, _name in pairs
                                        for read in (read1, read2)])
-        return [self.map_pair(read1, read2, name,
-                              placements[2 * number:2 * number + 2])
-                for number, (read1, read2, name) in enumerate(pairs)]
+        return [self.map_pair(read1, read2, name, paired)
+                for (read1, read2, name), paired
+                in zip(pairs, self._pair_up(pairs, placements))]
 
     def map_reads(self, reads: List[Tuple[np.ndarray, str]]
                   ) -> List[AlignmentRecord]:
@@ -303,25 +468,69 @@ class Mm2LikeMapper:
                                          pad, pad,
                                          min_length=len(oriented) // 2)
                    for oriented, _strand, chain in chains]
+        results = self._align_stacked(
+            [None if window is None else
+             (oriented, window[0], window[3], self.config.bandwidth)
+             for (oriented, _strand, _chain), window in zip(chains, windows)])
         placements: List[Optional[_Placement]] = [None] * len(chains)
+        for k, result in enumerate(results):
+            if result is not None and result.score >= 0:
+                _, chromosome, window_start, _ = windows[k]
+                placements[k] = _Placement(
+                    score=result.score, chromosome=chromosome,
+                    position=window_start + result.ref_start,
+                    strand=chains[k][1], alignment=result)
+        return placements
+
+    def _align_stacked(self, problems: Sequence[Optional[tuple]]
+                       ) -> List[Optional[AlignmentResult]]:
+        """Every ``(read, window, diagonal, bandwidth)`` problem aligned,
+        one :func:`align_banded` sweep per shape and budget slice
+        (:func:`stack_problems`); ``None`` for a ``None`` problem."""
+        results: List[Optional[AlignmentResult]] = [None] * len(problems)
         for members, reads, refs, diagonal, bandwidth in stack_problems(
-                [None if window is None else
-                 (oriented, window[0], window[3], self.config.bandwidth)
-                 for (oriented, _strand, _chain), window
-                 in zip(chains, windows)]):
+                problems):
             stack = align_banded(reads, refs, scheme=self.scheme,
                                  diagonal=diagonal, bandwidth=bandwidth)
             for k, result in zip(members, stack):
                 self.stats.dp_cells_alignment += result.cells
-                if result.score >= 0:
-                    _, chromosome, window_start, _ = windows[k]
-                    placements[k] = _Placement(
-                        score=result.score, chromosome=chromosome,
-                        position=window_start + result.ref_start,
-                        strand=chains[k][1], alignment=result)
-        return placements
+                results[k] = result
+        return results
 
     # -- pairing -------------------------------------------------------------
+
+    def _pair_up(self, pairs: Sequence[Tuple[np.ndarray, np.ndarray, str]],
+                 placements: Sequence[List[_Placement]]) -> List[_Paired]:
+        """Pair every pair of a chunk, then rescue the mates of the pairs
+        left without a proper combination in two waves: read 2 near read
+        1's best placement, then read 1 near read 2's for the pairs still
+        open — the order one pair alone tries them in."""
+        combos = []
+        for (read1, read2, _name), placed1, placed2 in zip(
+                pairs, placements[::2], placements[1::2]):
+            with span("mm2.pairing"):
+                combos.append(self._best_combo(placed1, placed2,
+                                               len(read1), len(read2)))
+        rescued = [False] * len(pairs)
+        for side in ((0, 1) if self.config.mate_rescue else ()):
+            waiting = [number for number, combo in enumerate(combos)
+                       if combo is None and placements[2 * number + side]]
+            if not waiting:
+                continue
+            anchors = [placements[2 * number + side][0]
+                       for number in waiting]
+            with span("mm2.rescue"):
+                mates = self._rescue([(anchor, pairs[number][1 - side])
+                                      for anchor, number
+                                      in zip(anchors, waiting)])
+            for number, anchor, mate in zip(waiting, anchors, mates):
+                if mate is not None:
+                    combos[number] = ((anchor, mate) if side == 0
+                                      else (mate, anchor))
+                    rescued[number] = True
+        return [_Paired(placed1, placed2, combo, was_rescued)
+                for placed1, placed2, combo, was_rescued in zip(
+                    placements[::2], placements[1::2], combos, rescued)]
 
     def _best_combo(self, placements1: List[_Placement],
                     placements2: List[_Placement], len1: int, len2: int
@@ -348,26 +557,64 @@ class Mm2LikeMapper:
             gap = place1.position - place2.position
         return -read_length // 2 <= gap <= self.config.max_insert
 
-    def _try_rescue(self, read1: np.ndarray, read2: np.ndarray,
-                    placements1: List[_Placement],
-                    placements2: List[_Placement]
-                    ) -> Optional[Tuple[_Placement, _Placement]]:
-        """Rescue the unplaced mate near the placed one."""
-        if placements1:
-            anchor = placements1[0]
-            mate = self._rescue_mate(anchor, read2)
-            if mate is not None:
-                return anchor, mate
-        if placements2:
-            anchor = placements2[0]
-            mate = self._rescue_mate(anchor, read1)
-            if mate is not None:
-                return mate, anchor
-        return None
+    def _rescue(self, jobs: Sequence[Tuple[_Placement, np.ndarray]]
+                ) -> List[Optional[_Placement]]:
+        """Search for each ``(anchor, mate)``'s mate in the insert window
+        next to its anchor: one wave of a chunk's rescues, each result
+        exactly the whole-window band's (:class:`_RescueSearch`).
 
-    def _rescue_mate(self, anchor: _Placement, mate_codes: np.ndarray
-                     ) -> Optional[_Placement]:
-        """Banded search for the mate in the insert-size window."""
+        A rescue with no hot window at the score floor fails with no DP.
+        The others align a :data:`RESCUE_BAND` band around their
+        most-voted diagonal, all in one sweep per read length; a band's
+        result stands when every hot window for the score it reached
+        lies inside it.  Otherwise the band widens once to the hot
+        windows for that score (or the floor, if higher): those hold
+        every alignment that could beat or tie it, so the widened result
+        stands.  Only a rescue whose hot windows cover the whole window
+        runs the whole-window band, a lone call.
+        """
+        self.stats.rescue_attempts += len(jobs)
+        searches = [self._rescue_search(anchor, mate) for anchor, mate in jobs]
+        results: List[Optional[AlignmentResult]] = [None] * len(jobs)
+        # No hot window at the floor: the rescue cannot succeed.
+        live = [number for number, search in enumerate(searches)
+                if search is not None
+                and search.hot_span(search.min_score) is not None]
+        firsts = [searches[number].first_band() for number in live]
+        narrow = self._align_stacked([None if first is None else first[1]
+                                      for first in firsts])
+        widened = []
+        for number, first, result in zip(live, firsts, narrow):
+            search = searches[number]
+            reached = search.min_score if result is None \
+                else max(result.score, search.min_score)
+            # Never None: the band's own alignment, or the floor's hot
+            # window that kept the rescue live, lies in a hot window.
+            hot = search.hot_span(reached)
+            if first is not None and first[0] <= hot[0] \
+                    and hot[1] <= first[0] + 2 * RESCUE_BAND:
+                results[number] = dataclasses.replace(
+                    result, ref_start=result.ref_start + first[0],
+                    ref_end=result.ref_end + first[0])
+            elif hot != (search.low, search.high):
+                widened.append((number, search.band(*hot)))
+            else:
+                self.stats.rescue_whole_window += 1
+                diagonal, bandwidth = search.wide
+                results[number] = align_banded(
+                    search.oriented, search.window, scheme=self.scheme,
+                    diagonal=diagonal, bandwidth=bandwidth)
+                self.stats.dp_cells_alignment += results[number].cells
+        for (number, _problem), result in zip(widened, self._align_stacked(
+                [problem for _number, problem in widened])):
+            results[number] = result
+        return [None if search is None else search.placement(result)
+                for search, result in zip(searches, results)]
+
+    def _rescue_search(self, anchor: _Placement, mate_codes: np.ndarray
+                       ) -> Optional[_RescueSearch]:
+        """The mate oriented opposite its anchor and the insert window
+        on the anchor's chromosome; ``None`` where no window fits."""
         mate_strand = "-" if anchor.strand == "+" else "+"
         oriented = (reverse_complement(mate_codes) if mate_strand == "-"
                     else mate_codes)
@@ -382,18 +629,10 @@ class Mm2LikeMapper:
         if found is None:
             return None
         window, chromosome, start, _ = found
-        # Wide band: the mate can sit anywhere in the insert window.
-        result = align_banded(oriented, window, scheme=self.scheme,
-                              diagonal=len(window) // 2,
-                              bandwidth=len(window) // 2 + 8)
-        self.stats.dp_cells_alignment += result.cells
         min_score = int(self.config.min_score_fraction
                         * self.scheme.perfect_score(len(mate_codes)))
-        if result.score < min_score:
-            return None
-        return _Placement(score=result.score, chromosome=chromosome,
-                          position=start + result.ref_start,
-                          strand=mate_strand, alignment=result)
+        return _RescueSearch(oriented, window, chromosome, start,
+                             mate_strand, min_score, self.scheme)
 
     # -- record construction ---------------------------------------------
 

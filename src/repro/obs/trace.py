@@ -26,16 +26,19 @@ Span-name catalog (what instrumented layers emit today):
 ``mm2.chaining``        one chunk's chaining sweep (every read and strand)
 ``mm2.alignment``       one chunk's chain alignment (every chain of every read)
 ``mm2.pairing``         one pair's best-combination search
+``mm2.rescue``          one chunk-wide wave of mate rescues (votes + DP)
 ======================  ================================================
 
 ``mm2.seeding``, ``mm2.chaining`` and ``mm2.alignment`` are per chunk
 because the mapper seeds, chains and chain-aligns a chunk at a time
 (``Mm2LikeMapper.map_pairs``; a lone ``map_pair`` is a chunk of one);
-``mm2.pairing`` stays per pair, and a mate rescue's wide-band alignment
-runs between spans.  The ``mm2.*`` spans also appear nested
+``mm2.pairing`` stays per pair, and ``mm2.rescue`` comes once per wave
+that has a mate to rescue (read 2 near read 1, then read 1 near read 2:
+at most two per chunk).  The ``mm2.*`` spans also appear nested
 under ``pair.filter_align`` when the baseline mapper runs as GenPair's
 full-DP fallback (once per chunk, over the pairs of it that need one);
-:func:`repro.analysis.profile_breakdown` sums them into Fig 1.
+:func:`repro.analysis.profile_breakdown` sums them into Fig 1, rescue
+into alignment.
 """
 
 from __future__ import annotations

@@ -86,6 +86,45 @@ class TestBreakdown:
         # Chaining + alignment dominate, mirroring Fig 1 (83-85%).
         assert report.dp_share_pct > 50.0
 
+    def test_rescue_dp_counts_as_alignment(self, plain_reference,
+                                           clean_pairs, monkeypatch):
+        """Every ``align_banded`` second — chain alignment and mate
+        rescue alike — lies inside what Fig 1 adds up as alignment.
+        Every 10th base of each read 2 is substituted, so no minimizer
+        survives and every mate is rescued."""
+        import time
+        from types import SimpleNamespace
+
+        import repro.mapper.mm2 as mm2
+
+        spent = []
+        real = mm2.align_banded
+
+        def timed(*args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                spent.append(time.perf_counter() - started)
+
+        monkeypatch.setattr(mm2, "align_banded", timed)
+        pairs = []
+        for pair in clean_pairs[:8]:
+            read2 = pair.read2.codes.copy()
+            read2[::10] = (read2[::10] + 1) % 4
+            pairs.append(SimpleNamespace(
+                name=pair.name, read1=pair.read1,
+                read2=SimpleNamespace(codes=read2)))
+        mapper = mm2.Mm2LikeMapper(plain_reference)
+        report = profile_breakdown(plain_reference, pairs, dataset="rescue",
+                                   mapper=mapper)
+        assert mapper.stats.mate_rescues == len(pairs)
+        assert set(report.percent_by_stage) == {"seeding", "chaining",
+                                                "alignment", "pairing"}
+        alignment_s = (report.percent_by_stage["alignment"]
+                       * report.total_seconds / 100)
+        assert alignment_s >= sum(spent)
+
     def test_no_pairs_no_shares(self, plain_reference):
         report = profile_breakdown(plain_reference, [], dataset="empty")
         assert report.percent_by_stage == {}

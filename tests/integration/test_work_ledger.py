@@ -24,7 +24,6 @@ and the JSON diff is the statement of what moved.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -35,6 +34,7 @@ import numpy as np
 import pytest
 
 from repro.api import Mapper, MappingConfig
+from repro.api.engines import stats_dict
 from repro.core import SeedMap
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           plant_variants, reverse_complement)
@@ -119,11 +119,6 @@ def counting_banded():
             module.align_banded = real
 
 
-def _counters(stats) -> dict:
-    return {field.name: int(getattr(stats, field.name))
-            for field in dataclasses.fields(stats)}
-
-
 def run(reference, seedmap, items, engine, chunk_size) -> dict:
     """One fresh facade mapping ``items``: the ledger entry."""
     mapper = Mapper(reference, seedmap, config=MappingConfig(
@@ -133,11 +128,11 @@ def run(reference, seedmap, items, engine, chunk_size) -> dict:
         for line in mapper.lines(mapper.map_stream(items)):
             digest.update(line.encode() + b"\n")
     entry = {"sam_sha256": digest.hexdigest(),
-             "stats": _counters(mapper.last_stats),
+             "stats": stats_dict(mapper.last_stats),
              "align_banded": banded}
     fallback = getattr(mapper.engine(engine).core, "fallback", None)
     if fallback is not None:
-        entry["fallback_stats"] = _counters(fallback.stats)
+        entry["fallback_stats"] = stats_dict(fallback.stats)
     return entry
 
 

@@ -176,6 +176,7 @@ class TestChunkInvariance:
                                               record_signature):
         expected, stats = self.run(*hard, None, record_signature)
         assert stats["mate_rescues"] > 0 and stats["anchors_total"] > 5_000
+        assert stats["rescue_attempts"] > stats["mate_rescues"]
         assert stats["dp_cells_chaining"] > 0 < stats["dp_cells_alignment"]
         got, got_stats = self.run(*hard, chunk_size, record_signature)
         assert got == expected
@@ -225,38 +226,64 @@ class TestChunkInvariance:
         assert problems == [4 * 7]  # reads x strands, one sweep
 
     def test_one_alignment_sweep_per_shape_and_budget_slice(
-            self, hard, banded_calls):
+            self, hard, banded_calls, monkeypatch):
         """Chain alignment is chunk-wide: the problems of a ``map_pair``
-        loop, one sweep per window shape and budget slice; only a rescue
-        is a call of its own."""
+        loop, one sweep per window shape and budget slice.  Rescue runs
+        in waves whose certified bands share sweeps; only a whole-window
+        rescue (forced here by a 10-base mate) is a call of its own."""
         from repro.align.banded import STACK_CELL_BUDGET
+        from repro.mapper.mm2 import RESCUE_BAND
+
+        rescue_calls = []
+        real = Mm2LikeMapper._rescue
+
+        def marking(mapper, jobs):
+            first = len(banded_calls)
+            try:
+                return real(mapper, jobs)
+            finally:
+                rescue_calls.extend(range(first, len(banded_calls)))
+
+        monkeypatch.setattr(Mm2LikeMapper, "_rescue", marking)
 
         def tally():
-            stacks, lone = {}, 0
-            for shape, size in banded_calls:
+            chains, rescues, lone = {}, {}, 0
+            for number, (shape, size) in enumerate(banded_calls):
                 if size is None:
                     lone += 1
                 else:
+                    stacks = rescues if number in rescue_calls else chains
                     stacks.setdefault(shape, []).append(size)
             banded_calls.clear()
-            return stacks, lone
+            rescue_calls.clear()
+            return chains, rescues, lone
 
         reference, index, items = hard
+        items = items + [(items[0][0], np.random.default_rng(53).integers(
+            0, 4, size=10, dtype=np.uint8), "short")]
         serial = Mm2LikeMapper(reference, index=index)
         for item in items:
             serial.map_pair(*item)
-        pair_stacks, pair_rescues = tally()
+        pair_chains, pair_rescues, pair_lone = tally()
         chunked = Mm2LikeMapper(reference, index=index)
         chunked.map_pairs(items)
-        stacks, rescues = tally()
-        assert rescues == pair_rescues >= chunked.stats.mate_rescues > 0
-        assert {shape: sum(sizes) for shape, sizes in stacks.items()} \
-            == {shape: sum(sizes) for shape, sizes in pair_stacks.items()}
-        for (n, m, _diagonal, bandwidth), sizes in stacks.items():
+        chains, rescues, lone = tally()
+        assert lone == pair_lone == chunked.stats.rescue_whole_window == 1
+        assert chunked.stats.rescue_attempts > chunked.stats.mate_rescues > 0
+        for got, want in ((chains, pair_chains), (rescues, pair_rescues)):
+            assert {shape: sum(sizes) for shape, sizes in got.items()} \
+                == {shape: sum(sizes) for shape, sizes in want.items()}
+        for (n, m, _diagonal, bandwidth), sizes in chains.items():
             fit = STACK_CELL_BUDGET // (n * min(m, 2 * bandwidth + 1))
             assert len(sizes) == -(-sum(sizes) // fit)
             assert max(sizes) <= fit
             assert min(sizes) > 1 or sum(sizes) == 1
-        assert max(map(len, stacks.values())) > 1  # a shape over budget
-        assert sum(map(len, stacks.values())) \
-            < sum(map(len, pair_stacks.values())) / 4
+        assert max(map(len, chains.values())) > 1  # a shape over budget
+        assert sum(map(len, chains.values())) \
+            < sum(map(len, pair_chains.values())) / 4
+        # The certified bands: one sweep per wave, shared by its rescues.
+        narrow = rescues[(150, 150 + 2 * RESCUE_BAND, RESCUE_BAND,
+                          RESCUE_BAND)]
+        assert len(narrow) <= 2 < sum(narrow)
+        assert len(narrow) < len(pair_rescues[(150, 150 + 2 * RESCUE_BAND,
+                                               RESCUE_BAND, RESCUE_BAND)])

@@ -180,4 +180,4 @@ class TestWindowErrors:
             if site == "window":
                 mapper._placements([codes])
             else:
-                mapper._rescue_mate(anchor, codes)
+                mapper._rescue([(anchor, codes)])

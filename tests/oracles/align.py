@@ -18,6 +18,10 @@ them, both kept here one element at a time:
   positions, and the chains (anchors, float ``score`` with ``==``,
   order) and ``cells`` of every chaining problem.
 
+Beside them, :func:`rescue_mate`: the mm2 mapper's mate rescue before
+its q-gram bound, one band over the whole insert window, which the
+seeded rescue must reproduce placement for placement.
+
 Nothing under ``src/`` imports this module; tests import it as
 ``oracles.align``.
 """
@@ -30,13 +34,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.align import banded
 from repro.align.chaining import Anchor, Chain, ChainingResult
 from repro.align.dp import NEG_INF, AlignmentResult
 from repro.align.scoring import DEFAULT_SCHEME, ScoringScheme
 from repro.genome.cigar import Cigar
-from repro.genome.sequence import ALPHABET_SIZE
+from repro.genome.sequence import ALPHABET_SIZE, reverse_complement
 from repro.hashing import hash_reference_windows
 from repro.mapper.index import IndexStats
+from repro.mapper.mm2 import _Placement
 
 _FROM_DIAG = 0
 _FROM_E = 1  # deletion state
@@ -354,6 +360,37 @@ def _traceback_local(read_list, ref_list, ptr_h, ptr_e, ptr_f, end_i, end_j,
                 state = "H"
             i -= 1
     return Cigar.from_pairs(reversed(ops)), j, i
+
+
+def rescue_mate(mapper, anchor, mate_codes):
+    """The mm2 mapper's mate rescue before its q-gram bound: one band
+    over the whole insert window next to ``anchor``, whatever the mate —
+    a placement of the mate, or ``None`` below the score floor.  The
+    seeded rescue (``Mm2LikeMapper._rescue``) must return exactly this.
+    The band runs on the DP kernel, itself checked against the scalar
+    :func:`align_banded` above."""
+    mate_strand = "-" if anchor.strand == "+" else "+"
+    oriented = (reverse_complement(mate_codes) if mate_strand == "-"
+                else mate_codes)
+    before, after = ((0, mapper.config.max_insert) if anchor.strand == "+"
+                     else (mapper.config.max_insert, len(mate_codes)))
+    found = mapper.reference.window(anchor.position, len(mate_codes),
+                                    before, after,
+                                    min_length=len(mate_codes),
+                                    chromosome=anchor.chromosome)
+    if found is None:
+        return None
+    window, chromosome, start, _ = found
+    result = banded.align_banded(oriented, window, scheme=mapper.scheme,
+                                 diagonal=len(window) // 2,
+                                 bandwidth=len(window) // 2 + 8)
+    min_score = int(mapper.config.min_score_fraction
+                    * mapper.scheme.perfect_score(len(mate_codes)))
+    if result.score < min_score:
+        return None
+    return _Placement(score=result.score, chromosome=chromosome,
+                      position=start + result.ref_start,
+                      strand=mate_strand, alignment=result)
 
 
 # -- seed -> chain front-end -------------------------------------------------

@@ -20,19 +20,22 @@ Public API layout:
 * :mod:`repro.index` — persistent memory-mapped SeedMap indexes: one
   ``repro index build`` serializes the SeedMap + encoded reference to a
   versioned binary file that ``repro map --index`` memory-maps back in
-  milliseconds, with forked workers sharing one physical copy;
+  milliseconds, with forked workers sharing one physical copy.
+
+Leaves no engine imports, loaded only when imported by name (``import
+repro.hw``), so mapping, serving and every forked worker never load them:
+
 * :mod:`repro.hw` — the GenPairX hardware model (NMSL, sizing, costs);
 * :mod:`repro.filters` — pre-alignment filter baselines (SHD,
   GateKeeper, FastHASH adjacency, exact match);
 * :mod:`repro.variants` — pileup caller, truth comparison, mapeval;
-* :mod:`repro.analysis` — the paper's §3 profiling observations.
+* :mod:`repro.analysis` — the paper's §3 profiling observations;
+* :mod:`repro.lint` — the project's static checks (``repro lint``).
 """
 
-from . import align, analysis, api, core, filters, genome, hashing, \
-    hw, index, mapper, util, variants
+from . import align, api, core, genome, hashing, index, mapper, util
 
 __version__ = "1.2.0"
 
-__all__ = ["align", "analysis", "api", "core", "filters", "genome",
-           "hashing", "hw", "index", "mapper", "util", "variants",
-           "__version__"]
+__all__ = ["align", "api", "core", "genome", "hashing", "index", "mapper",
+           "util", "__version__"]

@@ -16,15 +16,25 @@ problem through the same sweep, the convention
 read_pos)``.  An arc needs ``0 < ref_gap <= max_gap``, so no arc crosses
 a problem boundary or a neighbour ``ref_pos`` gap above ``max_gap``: the
 sorted row falls into independent *segments* (a repeat-heavy 796-anchor
-problem is 46 of them, the longest 72).  The DP therefore sweeps
-*position-in-segment*: step ``p`` scores the ``p``-th anchor of every
-segment that long, its ``min(p, max_lookback)`` predecessors all inside
-the segment, with a fixed number of numpy operations over
-``(active segments, lookback)``.  Arc terms live for one step only — a
-chunk-wide ``(anchors, lookback)`` table would be tens of MB.
-Predecessors beyond a cut are still *counted* (``cells`` is the closed
-form ``sum(min(i, max_lookback))`` over a problem's anchors, which is what
-the per-anchor loop charged): they were visited and skipped.
+problem is 46 of them, the longest 72).  Segments are laid out longest
+first as the rows of a *(segment x position)* plane, so the DP sweeps
+*position-in-segment*: step ``p`` scores column ``p`` of every row that
+long — a prefix of the rows — and reads its ``min(p, max_lookback)``
+predecessors as the reversed column slice ``p - 1 ... p - L`` of the
+position and score planes, with a fixed number of numpy operations over
+``(live rows, lookback)`` and no gather.  Reference positions are stored
+relative to the row's first anchor, so the planes are int32 whatever the
+genome size (int64 only when a segment or the read positions span 2**30).
+A lone anchor has no predecessor and no row.  The rows go through planes
+of at most :data:`SWEEP_CELL_BUDGET` cells, each taking as many of the
+longest rows left as fit: padding costs bounded memory, and a chunk of a
+few dozen pairs is one plane, swept in as few steps as its longest
+segment allows (a step costs its numpy calls however few rows it has).
+Arc terms live for one step only — a chunk-wide ``(anchors, lookback)``
+table would be tens of MB.  Predecessors beyond a cut are still
+*counted* (``cells`` is the closed form ``sum(min(i, max_lookback))``
+over a problem's anchors, which is what the per-anchor loop charged):
+they were visited and skipped.
 
 **The tie-break contract** — exactly the scalar loop's, which lives on as
 the test oracle in ``tests/oracles/align.py`` (nothing here imports it):
@@ -34,19 +44,29 @@ differ in the last bit, and one ulp flips a tie); the parent is the
 *nearest* predecessor reaching the strict maximum, and only if that
 beats the anchor's own length; chains are extracted best first, ties in
 sorted-anchor order, an anchor used once, and a tail whose backtrack
-runs into a used anchor is skipped.  ``Chain``/``Anchor`` objects are
-built for the extracted chains only.
+runs into a used anchor is skipped.
+
+**Extraction yields columns.**  The chains of a chunk come out as
+chunk-wide columns on the returned :class:`ChainStack` — problem, rank,
+score and diagonal of every chain — which is all a mapper reads.
+``Chain``/``Anchor`` objects are built only when a result's ``chains``
+is first read, by walking that problem's tails.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Sequence, Tuple, Union
+from functools import lru_cache, partial
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
+
+from ..hashing import ragged_ranges
+
+#: Most cells of one sweep plane: 2**17, ~4 MB across its index, position
+#: and score planes.
+SWEEP_CELL_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -102,12 +122,27 @@ class Chain:
         return self.anchors[0].ref_pos - self.anchors[0].read_pos
 
 
-@dataclass(frozen=True)
 class ChainingResult:
-    """All chains found plus DP accounting."""
+    """All chains found plus DP accounting.
 
-    chains: Tuple[Chain, ...]
-    cells: int
+    ``chains`` may be a zero-argument callable returning them: it is
+    called when they are first read, so a chunk-wide sweep builds no
+    objects nobody reads.  Results compare by ``(chains, cells)``.
+    """
+
+    __slots__ = ("_chains", "cells")
+
+    def __init__(self, chains: Union[Tuple[Chain, ...],
+                                     Callable[[], Tuple[Chain, ...]]],
+                 cells: int) -> None:
+        self._chains = chains
+        self.cells = cells
+
+    @property
+    def chains(self) -> Tuple[Chain, ...]:
+        if callable(self._chains):
+            self._chains = self._chains()
+        return self._chains
 
     @property
     def best(self) -> Chain:
@@ -115,11 +150,41 @@ class ChainingResult:
             raise ValueError("no chains produced")
         return self.chains[0]
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChainingResult):
+            return NotImplemented
+        return (self.chains, self.cells) == (other.chains, other.cells)
+
+    def __hash__(self) -> int:
+        return hash((self.chains, self.cells))
+
+    def __repr__(self) -> str:
+        return f"ChainingResult(chains={self.chains!r}, cells={self.cells})"
+
+
+class ChainStack(List[ChainingResult]):
+    """Results of one chunk-wide sweep, in problem order, plus every
+    extracted chain of the chunk as columns, in problem then rank order:
+    ``problem``, ``rank`` (0 is the problem's best), ``score`` and
+    ``diagonal`` (the chain start's ``ref_pos - read_pos``); ``cells``
+    is the DP work of the whole stack."""
+
+    def __init__(self, results: Sequence[ChainingResult],
+                 problem: np.ndarray, rank: np.ndarray, score: np.ndarray,
+                 diagonal: np.ndarray) -> None:
+        super().__init__(results)
+        self.problem, self.rank = problem, rank
+        self.score, self.diagonal = score, diagonal
+
+    @property
+    def cells(self) -> int:
+        return sum(result.cells for result in self)
+
 
 def chain_anchors(anchors: Union[Sequence[Anchor], AnchorColumns],
                   max_gap: int = 500, max_lookback: int = 25,
                   min_score: float = 20.0, max_chains: int = 8
-                  ) -> Union[ChainingResult, List[ChainingResult]]:
+                  ) -> Union[ChainingResult, ChainStack]:
     """Chain anchors with the standard O(n * lookback) DP.
 
     Anchors are sorted by (ref_pos, read_pos); for each anchor the DP scans
@@ -129,8 +194,8 @@ def chain_anchors(anchors: Union[Sequence[Anchor], AnchorColumns],
     best first.
 
     A ``Sequence[Anchor]`` is one problem and returns its
-    :class:`ChainingResult`; :class:`AnchorColumns` returns one result
-    per problem, in problem order.
+    :class:`ChainingResult`; :class:`AnchorColumns` returns a
+    :class:`ChainStack`, one result per problem, in problem order.
     """
     if isinstance(anchors, AnchorColumns):
         return _chain_columns(anchors, max_gap, max_lookback, min_score,
@@ -144,10 +209,11 @@ def chain_anchors(anchors: Union[Sequence[Anchor], AnchorColumns],
 
 
 def _chain_columns(anchors: AnchorColumns, max_gap: int, max_lookback: int,
-                   min_score: float, max_chains: int
-                   ) -> List[ChainingResult]:
+                   min_score: float, max_chains: int) -> ChainStack:
     if not anchors.ref_pos.size:
-        return [ChainingResult((), 0)] * anchors.problems
+        none = np.zeros(0, dtype=np.int64)
+        return ChainStack([ChainingResult((), 0)] * anchors.problems,
+                          none, none, np.zeros(0), none)
     order = np.lexsort((anchors.read_pos, anchors.ref_pos, anchors.problem))
     ref = anchors.ref_pos[order]
     read = anchors.read_pos[order]
@@ -161,14 +227,19 @@ def _chain_columns(anchors: AnchorColumns, max_gap: int, max_lookback: int,
     average = (np.bincount(problem, weights=length,
                            minlength=anchors.problems)
                / np.maximum(counts, 1))
-    scores, parents = _sweep(ref, read, length,
-                             (0.2 * average * 0.05)[problem],
-                             _segment_starts(ref, problem, max_gap),
+    starts = _segment_starts(ref, problem, max_gap)
+    scores, parents = _sweep(ref, read, length, starts,
+                             (0.2 * average * 0.05)[problem[starts]],
                              max_gap, max_lookback)
-    chains = _extract_chains(ref, read, length, problem, scores, parents,
-                             anchors.problems, min_score, max_chains)
-    return [ChainingResult(tuple(found), spent)
-            for found, spent in zip(chains, cells)]
+    tails, rank, roots = _chain_tails(problem, scores, parents, min_score,
+                                      max_chains)
+    ends = np.cumsum(np.bincount(problem[tails],
+                                 minlength=anchors.problems)).tolist()
+    walk = partial(_walk_chains, ref, read, length, scores, parents)
+    return ChainStack([ChainingResult(partial(walk, tails[begin:end]), spent)
+                       for begin, end, spent in zip([0] + ends, ends, cells)],
+                      problem[tails], rank, scores[tails],
+                      ref[roots] - read[roots])
 
 
 def _segment_starts(ref: np.ndarray, problem: np.ndarray,
@@ -191,44 +262,70 @@ def _half_log_table(max_gap: int) -> np.ndarray:
 
 
 def _sweep(ref: np.ndarray, read: np.ndarray, length: np.ndarray,
-           slope: np.ndarray, starts: np.ndarray, max_gap: int,
+           starts: np.ndarray, slope: np.ndarray, max_gap: int,
            max_lookback: int) -> Tuple[np.ndarray, np.ndarray]:
     """Chain score and parent (index into the sorted row, -1 for a chain
-    start) of every anchor; ``slope`` is the linear coefficient of each
-    anchor's gap penalty."""
+    start) of every anchor; ``slope[s]`` is the linear coefficient of
+    segment ``s``'s gap penalty."""
     scores = length.astype(np.float64)
     parents = np.full(ref.size, -1, dtype=np.int64)
+    if max_lookback < 1:
+        return scores, parents  # no anchor looks back at all
     sizes = np.diff(starts, append=ref.size)
-    # Longest segment first: the segments still running at step p are a
-    # prefix of this order.
     by_size = np.argsort(-sizes, kind="stable")
-    starts = starts[by_size]
-    running = np.searchsorted(-sizes[by_size], -np.arange(int(sizes.max())))
-    columns = np.stack((ref, read, length))  # one gather fetches all three
+    by_size = by_size[sizes[by_size] > 1]
+    # Positions go in relative (reference to the row's first anchor, read
+    # to the lowest): int32 planes unless a gap could leave int32.
+    lowest_read = read.min()
+    widest = max(int((ref[starts + sizes - 1] - ref[starts]).max()),
+                 int(read.max() - lowest_read), int(length.max()))
+    narrow = np.int32 if widest < 2 ** 30 else np.int64
     half_log = _half_log_table(max_gap)
-    back = np.arange(1, max_lookback + 1)
-    rows = np.arange(starts.size)
-    for step in range(1, running.size):
-        i = starts[:running[step]] + step
-        j = i[:, None] - back[:min(step, max_lookback)]
-        here = columns[:, i][:, :, None]
-        there = columns[:, j]
-        gaps = here[:2] - there[:2]
-        near = np.minimum(gaps[0], gaps[1])
-        far = np.maximum(gaps[0], gaps[1])
-        gain = here[2] - np.minimum(np.maximum(there[2] - near, 0), here[2])
-        diff = far - near
-        penalty = (slope[i][:, None] * diff
-                   + half_log.take(diff, mode="clip"))
-        candidate = (scores[j] + gain) - penalty
-        candidate[(near <= 0) | (far > max_gap)] = -np.inf
-        # argmax takes the first maximum: the nearest predecessor.
-        pick = candidate.argmax(axis=1)
-        best = candidate[rows[:i.size], pick]
-        better = best > here[2, :, 0]
-        chosen = i[better]
-        scores[chosen] = best[better]
-        parents[chosen] = chosen - pick[better] - 1
+    begin = 0
+    while begin < by_size.size:
+        width = int(sizes[by_size[begin]])
+        rows = by_size[begin:begin + max(SWEEP_CELL_BUDGET // width, 1)]
+        begin += rows.size
+        first, size = starts[rows], sizes[rows]
+        # Row r, column p: anchor first[r] + p; padding repeats the last.
+        index = np.minimum(first[:, None] + np.arange(width),
+                           (first + size - 1)[:, None])
+        ref_plane = (ref[index] - ref[first][:, None]).astype(narrow)
+        read_plane = (read[index] - lowest_read).astype(narrow)
+        length_plane = length[index].astype(narrow)
+        score_plane = scores[index]
+        row_slope = slope[rows][:, None]
+        row_number = np.arange(rows.size)
+        # The rows still running at step p are a prefix: longest first.
+        running = np.searchsorted(-size, -np.arange(width)).tolist()
+        for step in range(1, width):
+            live = running[step]
+            # Predecessors nearest first: argmax takes the first maximum.
+            back = slice(step - 1, step - max_lookback - 1
+                         if step > max_lookback else None, -1)
+            ref_gap = (ref_plane[:live, step, None]
+                       - ref_plane[:live, back])
+            read_gap = (read_plane[:live, step, None]
+                        - read_plane[:live, back])
+            near = np.minimum(ref_gap, read_gap)
+            far = np.maximum(ref_gap, read_gap)
+            own = length_plane[:live, step]
+            gain = own[:, None] - np.minimum(
+                np.maximum(length_plane[:live, back] - near, 0),
+                own[:, None])
+            diff = far - near
+            penalty = (row_slope[:live] * diff
+                       + half_log.take(diff, mode="clip"))
+            candidate = (score_plane[:live, back] + gain) - penalty
+            candidate[(near <= 0) | (far > max_gap)] = -np.inf
+            pick = candidate.argmax(axis=1)
+            best = candidate[row_number[:live], pick]
+            better = best > own
+            score_plane[:live, step] = np.where(better, best, own)
+            chosen = index[:live, step][better]
+            parents[chosen] = chosen - pick[better] - 1
+        valid = np.arange(width) < size[:, None]
+        scores[index[valid]] = score_plane[valid]
     return scores, parents
 
 
@@ -242,12 +339,12 @@ def _chain_starts(parents: np.ndarray) -> np.ndarray:
         roots = above
 
 
-def _extract_chains(ref: np.ndarray, read: np.ndarray, length: np.ndarray,
-                    problem: np.ndarray, scores: np.ndarray,
-                    parents: np.ndarray, problems: int, min_score: float,
-                    max_chains: int) -> List[List[Chain]]:
-    """Greedy backtracking per problem: best chain first, anchors used
-    at most once.
+def _chain_tails(problem: np.ndarray, scores: np.ndarray,
+                 parents: np.ndarray, min_score: float, max_chains: int
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy backtracking per problem — best chain first, anchors used
+    at most once — as ``(tail, rank, root)`` columns of the chains kept,
+    in problem then rank order.
 
     Walking the tails best first and skipping any whose backtrack meets
     a used anchor keeps, of each tree of the parent forest, exactly the
@@ -257,25 +354,28 @@ def _extract_chains(ref: np.ndarray, read: np.ndarray, length: np.ndarray,
     tails = np.flatnonzero(scores >= min_score)
     # Stable: equal scores keep sorted-anchor order within a problem.
     tails = tails[np.lexsort((-scores[tails], problem[tails]))]
-    _, first = np.unique(_chain_starts(parents)[tails], return_index=True)
+    roots = _chain_starts(parents)
+    _, first = np.unique(roots[tails], return_index=True)
     tails = tails[np.sort(first)]
-    found = np.bincount(problem[tails], minlength=problems)
-    rank = np.arange(tails.size) - np.repeat(np.cumsum(found) - found, found)
-    tails = tails[rank < max_chains]
+    _, rank = ragged_ranges(np.bincount(problem[tails]))
+    kept = rank < max_chains
+    tails = tails[kept]
+    return tails, rank[kept], roots[tails]
+
+
+def _walk_chains(ref: np.ndarray, read: np.ndarray, length: np.ndarray,
+                 scores: np.ndarray, parents: np.ndarray, tails: np.ndarray
+                 ) -> Tuple[Chain, ...]:
+    """The ``Chain`` of each of ``tails``, backtracked from it."""
     parent_of = parents.item  # a list of every parent would be MBs
-    members: List[int] = []
-    ends = []
-    for node in tails.tolist():
+    chains = []
+    for tail, score in zip(tails.tolist(), scores[tails].tolist()):
         path = []
-        while node != -1:
-            path.append(node)
-            node = parent_of(node)
-        members.extend(reversed(path))
-        ends.append(len(members))
-    anchors = list(map(Anchor, ref[members].tolist(), read[members].tolist(),
-                       length[members].tolist()))
-    chains = map(Chain, (tuple(anchors[begin:end])
-                         for begin, end in zip([0] + ends, ends)),
-                 scores[tails].tolist())
-    return [list(itertools.islice(chains, count))
-            for count in np.minimum(found, max_chains).tolist()]
+        while tail != -1:
+            path.append(tail)
+            tail = parent_of(tail)
+        path.reverse()
+        chains.append(Chain(tuple(map(Anchor, ref[path].tolist(),
+                                      read[path].tolist(),
+                                      length[path].tolist())), score))
+    return tuple(chains)

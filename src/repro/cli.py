@@ -215,7 +215,9 @@ def _print_engine_report(engine: str, stats, count: int,
         print(f"  proper pairs {get('pairs_proper')} | mate rescues "
               f"{get('mate_rescues')} of {get('rescue_attempts')} "
               f"attempts ({get('rescue_whole_window')} whole-window) | "
-              f"reads mapped {get('reads_mapped')}")
+              f"reads mapped {get('reads_mapped')} | anchors "
+              f"{get('anchors_total')} | chaining cells "
+              f"{get('dp_cells_chaining')}")
     elif engine == "longread":
         print(f"mapped {get('reads_total')} long reads -> {count} "
               f"records ({out})")

@@ -20,8 +20,9 @@ Seeding, chaining and chain alignment are chunk-wide and array-native:
 :meth:`Mm2LikeMapper.map_pairs` extracts the minimizers of every read and
 strand of the chunk in one pass, resolves them in one index probe into
 anchor columns, chains them in one :func:`chain_anchors` sweep (one
-chaining problem per read and strand) and aligns the kept chains of every
-read in one :func:`align_banded` sweep per window shape
+chaining problem per read and strand; the chains are read back as score
+and diagonal columns, never as objects) and aligns the kept chains of
+every read in one :func:`align_banded` sweep per window shape
 (:func:`~repro.align.banded.stack_problems`, cut by its cell budget).
 Pairing runs pair by pair; mate rescue runs in two chunk-wide waves —
 read 2 near read 1's best placement, then read 1 near read 2's for the
@@ -61,7 +62,7 @@ from ..genome.reference import ReferenceGenome
 from ..genome.results import MappingResult
 from ..genome.sam import METHOD_DP, AlignmentRecord
 from ..genome.sequence import ALPHABET_SIZE, reverse_complement
-from ..hashing import PositionTable
+from ..hashing import PositionTable, ragged_ranges
 from ..obs import span
 from .index import MinimizerIndex
 from .minimizer import extract_minimizers_rows
@@ -426,27 +427,29 @@ class Mm2LikeMapper:
         return placements
 
     def _chains(self, reads: Sequence[np.ndarray]) -> List[list]:
-        """The best ``(oriented read, strand, chain)`` triples of each
+        """The best ``(oriented read, strand, diagonal)`` chains of each
         read: one minimizer pass, one index probe and one chaining sweep
-        for every read and strand of the chunk."""
+        for every read and strand of the chunk, read as columns."""
         with span("mm2.seeding"):
             oriented = [strand for codes in reads
                         for strand in (codes, reverse_complement(codes))]
             anchors = self._anchors(oriented)
             self.stats.anchors_total += anchors.ref_pos.size
         with span("mm2.chaining"):
-            results = chain_anchors(anchors, max_gap=self.config.max_gap,
-                                    min_score=self.config.min_chain_score)
-            self.stats.dp_cells_chaining += sum(result.cells
-                                                for result in results)
-            stranded = [[(codes, strand, chain) for chain in result.chains]
-                        for codes, strand, result
-                        in zip(oriented, itertools.cycle("+-"), results)]
-            per_read = []
-            for forward, reverse in zip(stranded[::2], stranded[1::2]):
-                chains = forward + reverse
-                chains.sort(key=lambda item: -item[2].score)
-                per_read.append(chains[:self.config.max_chains_tried])
+            chains = chain_anchors(anchors, max_gap=self.config.max_gap,
+                                   min_score=self.config.min_chain_score)
+            self.stats.dp_cells_chaining += chains.cells
+            # Per read: the forward chains then the reverse ones, each
+            # best first, stably sorted by score.
+            read, strand = np.divmod(chains.problem, 2)
+            order = np.lexsort((chains.rank, strand, -chains.score, read))
+            _, within = ragged_ranges(np.bincount(read, minlength=len(reads)))
+            picked = order[within < self.config.max_chains_tried]
+            per_read: List[list] = [[] for _ in reads]
+            for problem, diagonal in zip(chains.problem[picked].tolist(),
+                                         chains.diagonal[picked].tolist()):
+                per_read[problem // 2].append(
+                    (oriented[problem], "+-"[problem % 2], diagonal))
         return per_read
 
     def _anchors(self, oriented: Sequence[np.ndarray]) -> AnchorColumns:
@@ -461,17 +464,18 @@ class Mm2LikeMapper:
                              problem=row[which], problems=len(oriented))
 
     def _align_chains(self, chains: list) -> List[Optional[_Placement]]:
-        """Banded alignment in the window each chain implies: a
-        placement or ``None`` per chain, in order."""
+        """Banded alignment in the window each ``(oriented read, strand,
+        diagonal)`` chain implies: a placement or ``None`` per chain, in
+        order."""
         pad = self.config.window_pad
-        windows = [self.reference.window(int(chain.diagonal), len(oriented),
-                                         pad, pad,
+        windows = [self.reference.window(diagonal, len(oriented), pad, pad,
                                          min_length=len(oriented) // 2)
-                   for oriented, _strand, chain in chains]
+                   for oriented, _strand, diagonal in chains]
         results = self._align_stacked(
             [None if window is None else
              (oriented, window[0], window[3], self.config.bandwidth)
-             for (oriented, _strand, _chain), window in zip(chains, windows)])
+             for (oriented, _strand, _diagonal), window
+             in zip(chains, windows)])
         placements: List[Optional[_Placement]] = [None] * len(chains)
         for k, result in enumerate(results):
             if result is not None and result.score >= 0:

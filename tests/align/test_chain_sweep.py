@@ -6,12 +6,16 @@ must be *equal*, not close: chains (anchors, order), float scores with
 ``==`` and ``cells``.
 """
 
+from unittest import mock
+
 from oracles import align as align_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.align import Anchor, AnchorColumns, chain_anchors
+from repro.align import Anchor, AnchorColumns, Chain, chain_anchors, \
+    chaining
+from repro.core import GenPairPipeline
 from repro.genome import ErrorModel, ReadSimulator, generate_reference, \
     reverse_complement
 from repro.genome.reference import RepeatProfile
@@ -27,26 +31,46 @@ def columns(problems):
                          table[:, 3], len(problems))
 
 
+def assert_columns_are_the_chains(stack):
+    """A stack's chain columns say what its results' chains say, in
+    problem then rank order."""
+    assert list(zip(stack.problem.tolist(), stack.rank.tolist(),
+                    stack.score.tolist(), stack.diagonal.tolist())) == [
+        (number, rank, chain.score, chain.diagonal)
+        for number, result in enumerate(stack)
+        for rank, chain in enumerate(result.chains)]
+
+
 @st.composite
 def anchor_problems(draw):
-    """Several stacked problems (some empty) of clustered anchors.
+    """Many stacked problems of clustered anchors.
 
     Reference gaps come from a menu holding 0 (duplicate ``ref_pos``),
     small steps (tandem clusters, equal-score ties on a lattice),
     exactly ``max_gap`` and ``max_gap + 1`` (the segment cut) and a far
     jump; read positions follow the diagonal with a small jitter or are
     free; lengths are fixed or variable; anchors arrive shuffled.
-    ``max_lookback`` is small so that problems fall on both sides of it.
+    ``max_lookback`` is small so that problems fall on both sides of it,
+    0 (no arcs at all) or longer than any segment.  Problems may be
+    empty, a lone anchor, or a shifted copy of an earlier one — equal
+    segment lengths across problems, so the longest-first row order
+    meets ties.
     """
     max_gap = draw(st.integers(2, 40))
-    max_lookback = draw(st.sampled_from([1, 2, 3, 5, 25]))
+    max_lookback = draw(st.sampled_from([0, 1, 2, 3, 5, 25, 40]))
     gap_menu = st.sampled_from([0, 1, 1, 2, 3, 7, max_gap - 1, max_gap,
                                 max_gap + 1, 3 * max_gap])
     lengths = draw(st.sampled_from([st.just(15), st.just(3),
                                     st.integers(1, 20)]))
     problems = []
-    for _ in range(draw(st.integers(1, 4))):
-        count = draw(st.integers(0, 30))
+    for _ in range(draw(st.integers(1, 10))):
+        if problems and draw(st.booleans()):
+            shift = draw(st.integers(1, 10_000))
+            problems.append([Anchor(a.ref_pos + shift, a.read_pos, a.length)
+                             for a in draw(st.sampled_from(problems))])
+            continue
+        count = draw(st.one_of(st.sampled_from([0, 1]),
+                               st.integers(0, 30)))
         gaps = draw(st.lists(gap_menu, min_size=count, max_size=count))
         ref_positions = np.cumsum(gaps, dtype=np.int64) + 1000
         diagonal = draw(st.booleans())
@@ -64,24 +88,60 @@ def anchor_problems(draw):
                           min_score=min_score, max_chains=max_chains)
 
 
+#: Plane budgets for the sweep: the real one (a test's problems fit one
+#: plane) and ones that cut them into many, down to a row per plane.
+BUDGETS = [chaining.SWEEP_CELL_BUDGET, 1, 8, 60]
+
+
 class TestAgainstScalarOracle:
     @settings(deadline=None)
-    @given(anchor_problems())
-    def test_stacked_problems_match_oracle(self, drawn):
+    @given(anchor_problems(), st.sampled_from(BUDGETS))
+    def test_stacked_problems_match_oracle(self, drawn, budget):
         problems, options = drawn
         expected = [align_oracle.chain_anchors(anchors, **options)
                     for anchors in problems]
-        got = chain_anchors(columns(problems), **options)
+        with mock.patch.object(chaining, "SWEEP_CELL_BUDGET", budget):
+            got = chain_anchors(columns(problems), **options)
         assert len(got) == len(problems)
+        assert_columns_are_the_chains(got)
         for result, reference in zip(got, expected):
             assert result.cells == reference.cells
             assert result.chains == reference.chains
             for chain, other in zip(result.chains, reference.chains):
                 assert type(chain.score) is float
                 assert chain.score == other.score
+        assert got.cells == sum(reference.cells for reference in expected)
         # A Sequence[Anchor] is one problem through the same sweep.
         for anchors, reference in zip(problems, expected):
             assert chain_anchors(anchors, **options) == reference
+
+    def test_zero_lookback_leaves_every_anchor_alone(self):
+        """``max_lookback=0`` used to raise in the sweep's ``argmax``
+        (an empty row of candidates): no anchor looks back, so each is
+        a chain of its own and nothing is charged."""
+        anchors = [Anchor(100 + 20 * i, 20 * i, 15) for i in range(4)]
+        result = chain_anchors(anchors, max_lookback=0, min_score=1.0)
+        assert result == align_oracle.chain_anchors(
+            anchors, max_lookback=0, min_score=1.0)
+        assert result.cells == 0
+        assert [len(chain.anchors) for chain in result.chains] == [1] * 4
+
+    @pytest.mark.parametrize("read_base", [0, 3 * 10 ** 9])
+    def test_positions_past_int32(self, read_base):
+        """Reference and read positions past 2**31 go into the int32
+        planes relative to their segment and to the lowest read
+        position."""
+        anchors = [Anchor(5 * 10 ** 9 + 7 * (i % 30),
+                          read_base + 5 * (i // 2), 15) for i in range(60)]
+        assert chain_anchors(anchors) == align_oracle.chain_anchors(anchors)
+
+    def test_gap_past_int32_is_no_arc(self):
+        """A read gap of 2**32 + 10 would read as 10 in int32: such
+        reads switch the planes to int64, and the gap stays no arc."""
+        anchors = [Anchor(1000, 0, 15), Anchor(1010, 2 ** 32 + 10, 15)]
+        result = chain_anchors(anchors, min_score=1.0)
+        assert result == align_oracle.chain_anchors(anchors, min_score=1.0)
+        assert len(result.chains) == 2
 
     def test_default_options_cross_the_lookback(self):
         """60 tandem anchors (period 7 on the reference, 5 on the read)
@@ -114,21 +174,31 @@ def repeat_mapper():
     return Mm2LikeMapper(reference)
 
 
-def test_real_anchor_sets_match_oracle(repeat_mapper):
+@pytest.fixture(scope="module")
+def repeat_pairs(repeat_mapper):
+    """GIAB-like pairs on the human-like reference."""
+    return ReadSimulator(repeat_mapper.reference,
+                         error_model=ErrorModel.giab_like(),
+                         seed=42).simulate_pairs(40)
+
+
+@pytest.mark.parametrize("budget", [chaining.SWEEP_CELL_BUDGET, 500])
+def test_real_anchor_sets_match_oracle(repeat_mapper, repeat_pairs, budget,
+                                       monkeypatch):
     """The mapper's own anchors — GIAB-like reads on a human-like
     reference: heavy-tailed problems, hundreds of anchors in the repeat
-    ones — chunk-wide against one oracle call per read and strand."""
-    pairs = ReadSimulator(repeat_mapper.reference,
-                          error_model=ErrorModel.giab_like(),
-                          seed=42).simulate_pairs(40)
-    oriented = [strand for pair in pairs
+    ones — chunk-wide against one oracle call per read and strand, in
+    one plane and in dozens."""
+    oriented = [strand for pair in repeat_pairs
                 for codes in (pair.read1.codes, pair.read2.codes)
                 for strand in (codes, reverse_complement(codes))]
     anchors = repeat_mapper._anchors(oriented)
     assert anchors.problems == 160
     sizes = np.bincount(anchors.problem, minlength=160)
     assert sizes.max() > 100 and sizes.min() == 0  # both tails present
+    monkeypatch.setattr(chaining, "SWEEP_CELL_BUDGET", budget)
     got = chain_anchors(anchors, max_gap=500, min_score=20.0)
+    assert_columns_are_the_chains(got)
     for number, result in enumerate(got):
         mine = anchors.problem == number
         reference = align_oracle.chain_anchors(
@@ -137,3 +207,54 @@ def test_real_anchor_sets_match_oracle(repeat_mapper):
                                          anchors.length[mine].tolist())],
             max_gap=500, min_score=20.0)
         assert result == reference
+
+
+@pytest.fixture()
+def chain_objects_built(monkeypatch):
+    """How many ``Anchor`` and ``Chain`` objects the test builds, counted
+    in their constructors."""
+    built = {Anchor: 0, Chain: 0}
+    for kind in built:
+        def counting(self, *args, _kind=kind, _real=kind.__init__,
+                     **kwargs):
+            built[_kind] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(kind, "__init__", counting)
+    return built
+
+
+class TestMappersBuildNoChainObjects:
+    """The mappers read chain columns only: mapping a repeat-rich chunk
+    builds not one ``Anchor`` or ``Chain``."""
+
+    def test_mm2_chunk(self, repeat_mapper, repeat_pairs,
+                       chain_objects_built):
+        mapper = Mm2LikeMapper(repeat_mapper.reference,
+                               index=repeat_mapper.index)
+        results = mapper.map_pairs([(pair.read1.codes, pair.read2.codes,
+                                     pair.name) for pair in repeat_pairs])
+        assert mapper.stats.dp_cells_chaining > 0
+        assert sum(result.stage == "proper_pair" for result in results) > 30
+        assert chain_objects_built == {Anchor: 0, Chain: 0}
+        # The count is live: reading ``chains`` builds them.
+        assert chain_anchors([Anchor(100, 0, 15), Anchor(120, 20, 15)]
+                             ).chains
+        assert chain_objects_built[Chain] == 1
+
+    def test_genpair_full_fallback(self, repeat_mapper, repeat_pairs,
+                                   chain_objects_built):
+        fallback = Mm2LikeMapper(repeat_mapper.reference,
+                                 index=repeat_mapper.index)
+        pipeline = GenPairPipeline(repeat_mapper.reference,
+                                   fallback=fallback)
+        junk = np.random.default_rng(43).integers(0, 4, size=150,
+                                                  dtype=np.uint8)
+        pipeline.map_pairs([(pair.read1.codes, pair.read2.codes, pair.name)
+                            for pair in repeat_pairs]
+                           + [(repeat_pairs[0].read1.codes, junk, "junk")])
+        stats = pipeline.stats
+        assert stats.seedmap_fallback + stats.filter_fallback > 0
+        assert fallback.stats.pairs_seen > 0
+        assert fallback.stats.dp_cells_chaining > 0
+        assert chain_objects_built == {Anchor: 0, Chain: 0}

@@ -1,9 +1,14 @@
 """The Mapper facade: construction, engines, stats lifecycle, reuse."""
 
+import importlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import Mapper, MappingConfig
 from repro.core import GenPairPipeline
 from repro.genome import write_fastq
@@ -64,6 +69,49 @@ class TestConstruction:
         save_index(path, seedmap, small_reference)
         with Mapper.from_index(path, full_fallback=False) as mapper:
             assert signatures(mapper.map(pairs)) == reference_results
+
+
+#: Packages no engine imports: the hardware model, paper baselines and
+#: observations, the variant caller, the project's linter.
+LEAVES = ("repro.hw", "repro.analysis", "repro.filters", "repro.variants",
+          "repro.lint")
+
+_MAP_AND_LIST_LEAVES = """
+import sys
+import numpy as np
+from repro.api import Mapper
+from repro.genome import random_sequence
+rng = np.random.default_rng(5)
+items = [(random_sequence(rng, 150), random_sequence(rng, 150), f"p{i}")
+         for i in range(4)]
+with Mapper.from_index(sys.argv[1]) as mapper:
+    for engine in ("genpair", "mm2"):
+        assert len(mapper.map(items, engine=engine)) == 4
+print(" ".join(name for name in sys.modules for leaf in sys.argv[2:]
+               if name == leaf or name.startswith(leaf + ".")))
+"""
+
+
+class TestImportFootprint:
+    def test_mapping_loads_no_leaf_package(self, tmp_path, small_reference,
+                                           seedmap):
+        """``import repro.api``, open an index, map through both paired
+        engines (GenPair with its mm2 fallback): none of the leaves is
+        loaded."""
+        path = tmp_path / "leaves.rpix"
+        save_index(path, seedmap, small_reference)
+        source = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [source] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        done = subprocess.run(
+            [sys.executable, "-c", _MAP_AND_LIST_LEAVES, str(path),
+             *LEAVES], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == []
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_leaves_import_by_name(self, leaf):
+        assert importlib.import_module(leaf).__name__ == leaf
 
 
 class TestEngines:

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import os
+import re
 import socket
 import threading
 
@@ -375,7 +376,13 @@ class TestEngineWorkflow:
         lines = open(out).read().splitlines()
         assert lines and all(len(line.split("\t")) >= 12
                              for line in lines)
-        assert "proper pairs" in capsys.readouterr().out
+        report = capsys.readouterr().out
+        assert "proper pairs" in report
+        # The chaining work closes the stats line.
+        anchors, cells = re.search(
+            r"\| anchors (\d+) \| chaining cells (\d+)$", report,
+            re.MULTILINE).groups()
+        assert 0 < int(anchors) < int(cells)
 
     def test_engine_longread_flag_matches_the_api(self, world, tmp_path,
                                                   capsys):

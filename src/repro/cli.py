@@ -604,8 +604,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
               if s.strip()] if args.ignore else None
     exclude = [s.strip() for s in (args.exclude or []) if s.strip()]
 
-    report = run_lint(roots, select=select, ignore=ignore,
-                      exclude=exclude)
+    try:
+        report = run_lint(roots, select=select, ignore=ignore,
+                          exclude=exclude)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:
@@ -867,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exit 2 on any finding (the CI gate)")
     lint_cmd.add_argument("--select", default=None,
                           help="comma-separated code prefixes to "
-                               "report (e.g. RPL1,RPL5); checkers "
+                               "report (e.g. RPL2,RPL5); checkers "
                                "with no selected code are not run")
     lint_cmd.add_argument("--ignore", default=None,
                           help="comma-separated code prefixes to "

@@ -1,13 +1,15 @@
 """`repro lint` — project-specific static analysis for the reproduction.
 
-The generic linters cannot know this codebase's invariants: that the
-:data:`~repro.core.executor._FORK_STATE` snapshot must stay fork-safe,
-or that SAM/PAF/JSONL record text may only be rendered by the three
-output formats (the daemon's wire==file byte-identity holds *by construction*
-only while that stays true).  This package checks those invariants
+The generic linters cannot know this codebase's invariants: that state
+the daemon's threads share is written only under a lock, that library
+code never prints to the stdout the serve wire owns, that defaults are
+never shared mutable objects, that intervals are never timed on the
+adjustable wall clock.  This package checks those invariants
 statically, from the AST, so the bug classes previous PRs fixed by hand
-— mutable dataclass defaults, chunk-relative name collisions behind a
-duplicated renderer, a fork-unsafe capture — cannot regress silently.
+— the ``ServerStats`` / ``MetricsRegistry`` lost-update races, a stray
+pipeline ``print`` — cannot regress silently.  Invariants a behavioural
+test already pins (fork safety, wire byte-identity, resource lifetime,
+output determinism, the metric catalog) are left to those tests.
 
 Checkers and finding codes
 --------------------------
@@ -15,58 +17,16 @@ Checkers and finding codes
 ===========  ===============================================================
 Code         Meaning
 ===========  ===============================================================
-``RPL101``   fork-safety: threading primitive created in worker-reachable
-             code of a ``_FORK_STATE`` module (a lock held across ``fork``
-             deadlocks every child)
-``RPL102``   fork-safety: file handle / socket / pipe opened in
-             worker-reachable code (fd shared across the fork boundary)
-``RPL103``   fork-safety: legacy ``np.random`` / ``random`` *global* state
-             referenced from worker-reachable code (every forked child
-             inherits — and repeats — the same stream)
-``RPL104``   fork-safety: fork-unsafe resource (open fd, socket, lock,
-             RNG instance) stashed on an object or module global of a
-             ``_FORK_STATE`` module, i.e. captured pre-fork
 ``RPL201``   mutable-default: function parameter defaulting to a
              list/dict/set/bytearray/ndarray (shared across every call)
 ``RPL202``   mutable-default: dataclass field with a mutable default
              (shared across every instance; use ``default_factory``)
-``RPL401``   wire-identity: SAM/PAF record text assembled (tab-joined
-             record fields) outside ``genome/{sam,paf,jsonl}.py``
-``RPL402``   wire-identity: a wire tag/header literal (``AS:i:``,
-             ``XM:Z:``, ``cg:Z:``, ``@HD``/``@SQ`` header) outside the
-             registered renderer modules
 ``RPL501``   no-print: ``print()`` in a library module (route
              diagnostics through :mod:`repro.util.diagnostics`)
 ``RPL601``   timing: ``time.time()`` called outside tests (the wall
              clock is adjustable; time intervals with
              ``time.perf_counter()``, or ``time.monotonic()`` for
              stamps that cross a fork)
-``RPL701``   resource-lifetime: a handle acquired from ``open`` /
-             ``socket`` / ``mmap`` / ``open_index`` outside a ``with``
-             or ``try/finally`` escapes the function unclosed — via
-             ``return``, a container stash, or an attribute stash whose
-             owning class never closes it (attributes the class closes
-             in any method are ownership transfer, not leaks)
-``RPL702``   resource-lifetime: a view derived from
-             ``open_index(...)`` inside its ``with`` block is returned
-             or yielded out of the block — the mmap closes at exit and
-             the view dangles
-``RPL801``   determinism: iterating a set into output order (a loop,
-             ``join``, or ``list(...)`` conversion that feeds
-             output) without ``sorted(...)`` — set order varies per
-             process and breaks wire byte-identity
-``RPL802``   determinism: ``os.listdir`` / ``glob`` / ``Path.iterdir``
-             results used without sorting (OS-dependent order)
-``RPL901``   obs-contract: a literal metric name at a ``counter`` /
-             ``gauge`` / ``histogram`` call site that the catalog
-             (:mod:`repro.obs.catalog`) does not declare, or declares
-             with a different kind
-``RPL902``   obs-contract: a dynamic (f-string) metric name whose
-             ``*``-template is not a declared metric family
-``RPL903``   obs-contract: catalog drift — a renderer in
-             ``obs/render.py`` references an undeclared name, or the
-             README metric table (between the ``lint:metric-catalog``
-             markers) disagrees with the catalog's entries or kinds
 ``RPL1001``  concurrency: write to thread-shared state (an attribute
              or module global reached from several thread roots, or
              from one spawned multiply) with no lock held on any call
@@ -86,7 +46,7 @@ Code         Meaning
              loop in thread-reachable code (raises or skips entries)
 ===========  ===============================================================
 
-The RPL1xxx family builds on the call graph: thread roots are
+The RPL100x family builds on the call graph: thread roots are
 ``threading.Thread(target=...)`` targets (including ones resolved
 through ``getattr(obj, f"_op_{...}")`` dispatch), locksets propagate
 interprocedurally as the *intersection* over call paths (a helper
@@ -104,7 +64,7 @@ Suppression
 Append ``# lint: ignore[CODE]`` (comma-separate several codes, or omit
 the bracket to suppress every code) to the offending line::
 
-    handle = open(path)  # lint: ignore[RPL102] — closed before fork
+    self.hits += 1  # lint: ignore[RPL1002] — single writer thread
 
 Suppressions apply to the physical line of the finding only.
 
@@ -114,7 +74,8 @@ Running
 ``repro lint`` walks ``src/repro`` (or explicit paths), runs the
 checkers, prints findings as ``path:line  CODE  message``, and exits
 0.  ``repro lint --strict`` exits 2 on any finding — the CI gate.
-``--select``/``--ignore`` take comma-separated code prefixes, and a
+``--select``/``--ignore`` take comma-separated code prefixes (one
+that matches no code exits 2, naming it), and a
 checker whose codes are all filtered out is not run at all, so
 ``--select RPL5`` costs one AST walk, not the call graph and the race
 detector; ``--exclude FRAGMENT`` (repeatable) drops paths containing

@@ -1,15 +1,12 @@
 """Project-wide call graph with light dataflow typing.
 
-PR 6's fork-safety checker approximated reachability by *name*: any
-function sharing a name with something ``_stream_worker`` mentions was
-considered reached, and only within the worker's own module.  That
-both over-approximates (unrelated same-name methods) and under-
-approximates (calls that cross a module boundary vanish).  This module
-builds the real thing on top of the :class:`~repro.lint.project.Project`
-model: one :class:`CallGraph` per project whose nodes are every
-function and method of the tree and whose edges are *resolved* calls —
-followed through relative imports, ``__init__`` re-exports, and
-single-inheritance method tables.
+The concurrency checker needs to know which function a call site, or a
+``threading.Thread(target=...)``, names — across module boundaries.
+This module answers that on top of the
+:class:`~repro.lint.project.Project` model: one :class:`CallGraph` per
+project whose nodes are every function and method of the tree, and
+whose call sites *resolve* — followed through relative imports,
+``__init__`` re-exports, and single-inheritance method tables.
 
 Resolution is driven by a small dataflow type environment rather than
 name matching:
@@ -21,31 +18,25 @@ name matching:
 * ``self`` is typed by the enclosing class, and ``self.attr`` by the
   class's attribute table (annotations plus ``self.attr = <typed
   expr>`` assignments found in any method);
-* subscripts of :data:`~repro.core.executor._FORK_STATE` are typed by
-  the union of every type the project stores into it — this is how
-  ``pipeline = _FORK_STATE[token]`` inside the worker connects to the
-  ``GenPairPipeline`` the executor registered pre-fork;
 * a call to a function or method whose **return annotation** names a
   project class types the call expression — this is how
   ``get_registry().counter(name).inc()`` connects the daemon's
   connection threads to :class:`~repro.obs.metrics.Counter.inc`.
 
 Nested ``def``\\ s are indexed as nodes too (qualified as
-``outer.inner``): they never gain resolved *edges* from name calls —
-the enclosing function's edge set already covers their bodies via the
-AST walk — but they are addressable as **thread roots** when passed to
-``threading.Thread(target=...)``, which is what the concurrency
-checker needs for ``read_ahead``'s prefetcher.
+``outer.inner``): they are addressable as **thread roots** when
+passed to ``threading.Thread(target=...)``, which is what the
+concurrency checker needs for ``read_ahead``'s prefetcher.
 
-A call that does not resolve contributes no edge: the graph is
-deliberately *under*-approximate, and the checkers built on it say so
-in their documentation.  There is no name-level fallback.
+A call that does not resolve names no node: the graph is deliberately
+*under*-approximate, and the concurrency checker says so in its
+documentation.  There is no name-level fallback.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .project import Module, Project, find_class
 
@@ -135,13 +126,8 @@ class CallGraph:
         #: Class attribute types: (module.dotted, class) -> attr -> ClassDef key
         self._attr_types: Dict[Tuple[str, str],
                                Dict[str, Tuple[Module, ast.ClassDef]]] = {}
-        #: Types the project stores into ``_FORK_STATE[...]``.
-        self._fork_state_types: List[Tuple[Module, ast.ClassDef]] = []
         for module in project.modules:
             self._index_module(module)
-        self._collect_fork_state_types()
-        #: Edges, computed lazily per node (id -> callee nodes).
-        self._edges: Dict[int, List[FunctionNode]] = {}
 
     @classmethod
     def build(cls, project: Project) -> "CallGraph":
@@ -198,11 +184,6 @@ class CallGraph:
 
     def nodes(self) -> Iterator[FunctionNode]:
         return iter(self._nodes.values())
-
-    def find(self, name: str) -> List[FunctionNode]:
-        """Every node whose bare function name matches ``name``."""
-        return [node for node in self._nodes.values()
-                if node.node.name == name]
 
     # -- symbol resolution ---------------------------------------------
 
@@ -382,43 +363,14 @@ class CallGraph:
                         return self._annotation_class(owner[0],
                                                       method.returns)
             return None
-        if isinstance(expr, ast.Subscript):
-            # The _FORK_STATE dataflow seam: ``_FORK_STATE[token]``
-            # is typed by whatever the project stores into it.
-            base = expr.value
-            if isinstance(base, ast.Name) and base.id == "_FORK_STATE":
-                if len(self._fork_state_types) == 1:
-                    return self._fork_state_types[0]
         return None
-
-    def _collect_fork_state_types(self) -> None:
-        """Every inferable type assigned into ``_FORK_STATE[...]``."""
-        seen: Set[Tuple[str, str]] = set()
-        for node in self._nodes.values():
-            module = node.module
-            env = self._parameter_types(module, node.node, node.cls)
-            for stmt in ast.walk(node.node):
-                if not isinstance(stmt, ast.Assign):
-                    continue
-                for target in stmt.targets:
-                    if isinstance(target, ast.Subscript) \
-                            and isinstance(target.value, ast.Name) \
-                            and target.value.id == "_FORK_STATE":
-                        typed = self._expression_type(
-                            module, stmt.value, env, node.cls)
-                        if typed is not None:
-                            key = (typed[0].dotted, typed[1].name)
-                            if key not in seen:
-                                seen.add(key)
-                                self._fork_state_types.append(typed)
 
     # -- public typing surface (the concurrency checker's seam) --------
 
     def local_env(self, node: FunctionNode
                   ) -> Dict[str, Tuple[Module, ast.ClassDef]]:
         """The dataflow type environment of one function: parameter
-        annotations plus single-assignment locals, the same
-        environment :meth:`callees` resolves with."""
+        annotations plus single-assignment locals."""
         module = node.module
         env = self._parameter_types(module, node.node, node.cls)
         for stmt in ast.walk(node.node):
@@ -518,112 +470,3 @@ class CallGraph:
                     if found is not None:
                         return target, found
         return None
-
-    # -- edges ---------------------------------------------------------
-
-    def callees(self, node: FunctionNode) -> List[FunctionNode]:
-        """Every function/method ``node`` can transfer control to,
-        by resolved (never name-matched) edges."""
-        cached = self._edges.get(id(node.node))
-        if cached is not None:
-            return cached
-        module = node.module
-        env = self.local_env(node)
-        targets: List[FunctionNode] = []
-        seen: Set[int] = set()
-
-        def add_function(fn: ast.FunctionDef) -> None:
-            target = self._nodes.get(id(fn))
-            if target is not None and id(fn) not in seen:
-                seen.add(id(fn))
-                targets.append(target)
-
-        def add_class_init(owner: Module, cls: ast.ClassDef) -> None:
-            methods = self.project.methods(owner, cls)
-            init = methods.get("__init__")
-            if init is not None:
-                add_function(init)
-
-        def add_method(owner: Module, cls: ast.ClassDef,
-                       name: str) -> None:
-            methods = self.project.methods(owner, cls)
-            fn = methods.get(name)
-            if fn is not None:
-                add_function(fn)
-
-        # First pass in statement order so local assignments type
-        # later calls (a single forward pass is enough for the
-        # assignment-then-call shape the codebase uses).
-        for stmt in ast.walk(node.node):
-            if isinstance(stmt, ast.Assign) \
-                    and len(stmt.targets) == 1 \
-                    and isinstance(stmt.targets[0], ast.Name):
-                typed = self._expression_type(module, stmt.value, env,
-                                              node.cls)
-                if typed is not None:
-                    env.setdefault(stmt.targets[0].id, typed)
-            elif isinstance(stmt, ast.AnnAssign) \
-                    and isinstance(stmt.target, ast.Name):
-                typed = self._annotation_class(module, stmt.annotation)
-                if typed is not None:
-                    env.setdefault(stmt.target.id, typed)
-
-        for call in ast.walk(node.node):
-            if not isinstance(call, ast.Call):
-                continue
-            func = call.func
-            if isinstance(func, ast.Name):
-                resolved = self._resolve_symbol(module, func.id)
-                if resolved is None:
-                    continue
-                if resolved[0] == "func":
-                    add_function(resolved[2])
-                else:
-                    add_class_init(resolved[1], resolved[2])
-            elif isinstance(func, ast.Attribute):
-                base = func.value
-                if isinstance(base, ast.Name):
-                    bindings = self._bindings.get(module.dotted)
-                    alias = bindings.module_aliases.get(base.id) \
-                        if bindings else None
-                    if alias is not None:
-                        target = self.project.by_dotted.get(alias)
-                        if target is not None:
-                            resolved = self._resolve_symbol(target,
-                                                            func.attr)
-                            if resolved is None:
-                                continue
-                            if resolved[0] == "func":
-                                add_function(resolved[2])
-                            else:
-                                add_class_init(resolved[1], resolved[2])
-                            continue
-                typed = self._expression_type(module, base, env,
-                                              node.cls)
-                if typed is not None:
-                    add_method(typed[0], typed[1], func.attr)
-        self._edges[id(node.node)] = targets
-        return targets
-
-    # -- reachability --------------------------------------------------
-
-    def reachable(self, entries: Iterable[FunctionNode]
-                  ) -> List[FunctionNode]:
-        """Every node reachable from ``entries`` (inclusive), in
-        deterministic discovery order."""
-        ordered: List[FunctionNode] = []
-        seen: Set[int] = set()
-        worklist = list(entries)
-        while worklist:
-            node = worklist.pop(0)
-            if id(node.node) in seen:
-                continue
-            seen.add(id(node.node))
-            ordered.append(node)
-            worklist.extend(self.callees(node))
-        return ordered
-
-    def reachable_from_name(self, name: str) -> List[FunctionNode]:
-        """Reachability from every function named ``name`` anywhere in
-        the project (the fork-safety entry point lookup)."""
-        return self.reachable(self.find(name))

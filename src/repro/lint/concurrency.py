@@ -54,7 +54,7 @@ The analysis runs on the project :class:`~repro.lint.callgraph
      ``for x in coll:`` loop (``del coll[k]``, ``coll[k] = ...``,
      ``coll.append/remove/pop/...``) in thread-reachable code.
 
-Like the rest of the call-graph families the analysis is deliberately
+Like the call graph it runs on, the analysis is deliberately
 *under*-approximate: unresolved calls contribute no edges, untyped
 receivers contribute no locations, and "guarded" means *some* lock is
 held rather than proving it is the right one.  Every finding is

@@ -11,7 +11,8 @@ A checker runs only when at least one of its declared ``codes``
 survives ``select``/``ignore`` — every finding it could produce would
 be filtered otherwise — so ``--select RPL5`` pays for the print walk
 and not for the call graph or the race detector.  The report is the
-same as filtering a full run afterwards.
+same as filtering a full run afterwards.  A prefix that matches no
+code is an error, not an empty selection.
 
 Files that fail to parse are reported as findings (code ``RPL000``)
 rather than crashing the run — a lint gate that dies on the broken file
@@ -25,29 +26,22 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .concurrency import ConcurrencyChecker
-from .determinism import DeterminismChecker
-from .findings import Finding, suppressed_codes
-from .fork_safety import ForkSafetyChecker
+from .findings import CODES, Finding, suppressed_codes
 from .mutable_defaults import MutableDefaultChecker
 from .no_print import NoPrintChecker
-from .obs_contract import ObsContractChecker
 from .project import Project
-from .resource_lifetime import ResourceLifetimeChecker
 from .timing import TimingChecker
-from .wire_identity import WireIdentityChecker
 
 #: Every checker, in report-stable order.
 CHECKERS = (
-    ForkSafetyChecker(),
     MutableDefaultChecker(),
-    WireIdentityChecker(),
     NoPrintChecker(),
     TimingChecker(),
-    ResourceLifetimeChecker(),
-    DeterminismChecker(),
-    ObsContractChecker(),
     ConcurrencyChecker(),
 )
+
+#: The code of a file that does not parse (reported by the driver).
+_PARSE_ERROR = "RPL000"
 
 
 @dataclass
@@ -127,16 +121,25 @@ def run_lint(roots: Sequence[Path],
              exclude: Optional[Sequence[str]] = None) -> LintReport:
     """Run the checkers over ``roots`` and return the report.
 
-    ``select``/``ignore`` are code *prefixes* (``RPL1`` covers the
-    fork-safety and concurrency families), ignore winning over
-    select; a checker none of whose codes survive them is not run.
+    ``select``/``ignore`` are code *prefixes* (``RPL100`` covers the
+    whole concurrency family), ignore winning over select; a checker
+    none of whose codes survive them is not run.  A prefix that
+    matches no code at all raises :class:`ValueError` — a typo or a
+    deleted family would otherwise select nothing and pass as clean.
     ``exclude`` drops findings whose path contains any given posix
     fragment (dirty fixture trees).
     """
+    unmatched = [prefix for prefix in [*(select or ()), *(ignore or ())]
+                 if not any(code.startswith(prefix)
+                            for code in (_PARSE_ERROR, *CODES))]
+    if unmatched:
+        raise ValueError(f"no finding code matches "
+                         f"{', '.join(unmatched)} (see --list-codes)")
     report = LintReport()
     for project in lint_paths(roots):
         findings = [
-            Finding(path=str(path), line=exc.lineno or 1, code="RPL000",
+            Finding(path=str(path), line=exc.lineno or 1,
+                    code=_PARSE_ERROR,
                     message=f"file does not parse: {exc.msg}")
             for path, exc in project.broken]
         for checker in CHECKERS:

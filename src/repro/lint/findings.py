@@ -17,35 +17,11 @@ from typing import FrozenSet, Optional, Tuple
 #: Every finding code with its one-line meaning (the ``--list-codes``
 #: table; the full spec lives in ``repro.lint``'s docstring).
 CODES = {
-    "RPL101": "threading primitive created in worker-reachable code of "
-              "a _FORK_STATE module",
-    "RPL102": "file handle/socket/pipe opened in worker-reachable code "
-              "of a _FORK_STATE module",
-    "RPL103": "legacy np.random/random global state referenced from "
-              "worker-reachable code",
-    "RPL104": "fork-unsafe resource stashed pre-fork on an object or "
-              "module global of a _FORK_STATE module",
     "RPL201": "mutable function-parameter default",
     "RPL202": "mutable dataclass field default (use default_factory)",
-    "RPL401": "SAM/PAF record text assembled outside the registered "
-              "output renderers",
-    "RPL402": "wire tag/header literal outside the registered output "
-              "renderers",
     "RPL501": "print() in a library module (use repro.util.diagnostics)",
     "RPL601": "time.time() used for timing (use time.perf_counter / "
               "time.monotonic)",
-    "RPL701": "file/socket/mmap handle acquired outside with/try-finally "
-              "escapes the function unclosed",
-    "RPL702": "mapping-backed view returned/yielded from inside its "
-              "with open_index(...) block",
-    "RPL801": "set iterated where order reaches output (wrap in "
-              "sorted(...))",
-    "RPL802": "os.listdir/glob/Path.iterdir consumed without sorted(...)",
-    "RPL901": "literal metric name not declared in the obs catalog "
-              "(or declared with another kind)",
-    "RPL902": "dynamic metric name matches no declared metric family",
-    "RPL903": "metric catalog drift: renderer or README references a "
-              "name the catalog does not declare",
     "RPL1001": "write to shared state in thread-reachable code with "
                "no lock held",
     "RPL1002": "non-atomic read-modify-write on shared state in "

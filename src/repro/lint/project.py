@@ -4,9 +4,8 @@ A :class:`Project` is a tree of parsed Python modules rooted at the
 directory being linted (``src/repro`` for the real package, a fixture
 directory in the tests).  Each :class:`Module` keeps its AST, source
 lines, and root-relative identity — ``rel_path`` (posix, e.g.
-``core/pipeline.py``) and ``dotted`` (``core.pipeline``) — so checkers
-can target modules structurally ("the module defining ``_FORK_STATE``",
-"``obs/catalog.py``") without hard-coding absolute paths.
+``core/pipeline.py``) and ``dotted`` (``core.pipeline``) — so imports
+resolve against the linted tree without hard-coding absolute paths.
 
 The model also carries the small amount of cross-module resolution the
 call graph needs: following ``from .x import Y`` /
@@ -65,8 +64,6 @@ class Project:
         self.broken = broken
         self.by_dotted: Dict[str, Module] = {
             module.dotted: module for module in modules}
-        self.by_rel_path: Dict[str, Module] = {
-            module.rel_path: module for module in modules}
 
     @classmethod
     def load(cls, root: Path) -> "Project":
@@ -88,16 +85,6 @@ class Project:
             except SyntaxError as exc:
                 broken.append((path, exc))
         return cls(root, modules, broken)
-
-    # -- structural lookups -------------------------------------------------
-
-    def find_module(self, rel_suffix: str) -> Optional[Module]:
-        """The unique module whose root-relative path ends with
-        ``rel_suffix`` (e.g. ``obs/catalog.py``), or ``None``."""
-        matches = [module for module in self.modules
-                   if module.rel_path == rel_suffix
-                   or module.rel_path.endswith("/" + rel_suffix)]
-        return matches[0] if len(matches) == 1 else None
 
     # -- import resolution --------------------------------------------------
 

@@ -19,9 +19,9 @@ latencies.  Four properties drive the design:
   under one *module-level* lock (:data:`_REGISTRY_LOCK`).  Module
   level, not per-registry, keeps the fork story intact: constructing
   a ``MetricsRegistry`` never constructs a threading primitive in
-  worker-reachable code (the fork-safety family's RPL101), and the
-  lock is re-armed in forked children via ``os.register_at_fork`` so
-  a parent thread holding it at fork time cannot deadlock the child.
+  code the forked workers run, and the lock is re-armed in forked
+  children via ``os.register_at_fork`` so a parent thread holding it
+  at fork time cannot deadlock the child.
   Under ``REPRO_SANITIZE=1`` the lock is a
   :class:`~repro.util.sync.SanitizedLock`, which turns unguarded or
   misordered access into hard errors in the concurrency stress tests.

@@ -11,7 +11,7 @@ import pytest
 import repro
 from repro.api import Mapper, MappingConfig
 from repro.core import GenPairPipeline
-from repro.genome import write_fastq
+from repro.genome import ReadSimulator, write_fastq
 from repro.index import save_index
 
 
@@ -223,6 +223,75 @@ class TestFiles:
             path = tmp_path / "whole.sam"
             mapper.write(mapper.map_stream(pairs), path, format="sam")
         assert "\n".join(lines) + "\n" == path.read_text()
+
+
+def long_reads(reference, count=2):
+    return [(read.codes, read.name) for read in ReadSimulator(
+        reference, seed=3).simulate_long_reads(count, 1_000, 200)]
+
+
+class TestResourceLifetime:
+    """A closed and dropped mapper leaves no fd open and no
+    ``ResourceWarning`` behind: the index mmap, the worker pool's pipes,
+    the FASTQ inputs and every output file are released, whatever
+    engine, format and path (``write`` or ``lines``) a run took."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_close_returns_every_fd(self, tmp_path, fds_returned,
+                                    small_reference, seedmap, pairs,
+                                    workers):
+        path = tmp_path / "fds.rpix"
+        save_index(path, seedmap, small_reference)
+        reads = long_reads(small_reference)
+        with fds_returned():
+            mapper = Mapper.from_index(path, workers=workers,
+                                       batch_size=8)
+            for engine in ("genpair", "mm2"):
+                for fmt in ("sam", "paf", "jsonl"):
+                    mapper.write(mapper.map_stream(pairs[:16], engine),
+                                 tmp_path / f"{engine}.{fmt}", format=fmt)
+                    lines = mapper.lines(mapper.map_stream(pairs[:16],
+                                                           engine),
+                                         format=fmt)
+                    assert sum(1 for _ in lines) >= 16
+            mapper.write(mapper.map_stream(reads, "longread"),
+                         tmp_path / "long.sam")
+            mapper.close()
+            del mapper
+
+    @pytest.mark.parametrize("engine", ["genpair", "longread"])
+    @pytest.mark.parametrize("drained", [True, False],
+                             ids=["drained", "abandoned"])
+    def test_map_file_returns_every_fd(self, tmp_path, fds_returned,
+                                       small_reference, pairs, engine,
+                                       drained):
+        """The FASTQ handles ``map_file`` opens (read ahead of a
+        two-worker pool for ``genpair``) close with the run, whether
+        it is read to the end or dropped after its first result."""
+        if engine == "longread":
+            inputs = [tmp_path / "long.fq"]
+            write_fastq(inputs[0], ((name, codes) for codes, name
+                                    in long_reads(small_reference, 6)))
+        else:
+            inputs = [tmp_path / "r_1.fq", tmp_path / "r_2.fq"]
+            write_fastq(inputs[0], ((p.read1.name, p.read1.codes)
+                                    for p in pairs))
+            write_fastq(inputs[1], ((p.read2.name, p.read2.codes)
+                                    for p in pairs))
+        with fds_returned():
+            with Mapper.from_reference(small_reference, engine=engine,
+                                       workers=2, batch_size=4,
+                                       full_fallback=False) as mapper:
+                stream = mapper.map_file(*inputs)
+                if drained:
+                    assert len(list(stream)) == (6 if engine == "longread"
+                                                 else len(pairs))
+                else:
+                    next(stream)
+                    stream.close()
+                # The mapper is still usable: the run slot came back.
+                assert mapper.map(pairs[:2], engine="genpair")
+            del mapper, stream
 
 
 class TestStatsLifecycle:

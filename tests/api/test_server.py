@@ -188,6 +188,34 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             mapper.map([])  # the mapper was closed with the server
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shutdown_returns_every_fd(self, tmp_path, index_path, pairs,
+                                       fds_returned, workers):
+        """A daemon that answered UNIX and TCP clients, inline and by
+        file, releases its listeners, connections, index maps and
+        worker pool when it stops."""
+        fq1, fq2 = tmp_path / "f_1.fq", tmp_path / "f_2.fq"
+        write_fastq(fq1, ((p.read1.name, p.read1.codes) for p in pairs))
+        write_fastq(fq2, ((p.read2.name, p.read2.codes) for p in pairs))
+        with fds_returned():
+            mapper = Mapper.from_index(index_path, workers=workers,
+                                       batch_size=8, full_fallback=False)
+            server = MapServer(mapper, tmp_path / "fds.sock",
+                               tcp="127.0.0.1:0")
+            thread = threading.Thread(target=server.serve_forever,
+                                      daemon=True)
+            thread.start()
+            with Client(server.socket_path) as client:
+                assert client.map_pairs(wire_pairs(pairs[:8]))["pairs"] \
+                    == 8
+                assert client.map_file(fq1, fq2, tmp_path / "served.sam")[
+                    "records"] == 2 * len(pairs)
+            with Client(f"127.0.0.1:{server.tcp_port}") as client:
+                assert client.shutdown()["ok"]
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            del server, mapper
+
     def test_second_daemon_on_a_live_socket_is_refused(self, server,
                                                        index_path):
         mapper = Mapper.from_index(index_path, full_fallback=False)

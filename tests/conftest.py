@@ -6,6 +6,12 @@ must treat these as read-only.
 
 from __future__ import annotations
 
+import gc
+import os
+import sys
+import warnings
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -164,3 +170,33 @@ def counter_deltas():
 @pytest.fixture(scope="session")
 def clean_pairs(clean_simulator):
     return clean_simulator.simulate_pairs(60)
+
+
+@pytest.fixture()
+def fds_returned(monkeypatch):
+    """A context manager for resource-lifetime checks: once its body
+    has run and ``gc.collect()`` has dropped what the body let go of,
+    exactly as many fds are open as when it entered, and no
+    ``ResourceWarning`` was raised on the way or left to a finalizer.
+    Skips where ``/proc/self/fd`` does not exist."""
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("counts open fds through /proc/self/fd")
+    # A warning raised inside a finalizer cannot propagate; it lands
+    # here instead.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+    @contextmanager
+    def check():
+        # Garbage from earlier tests may still hold fds; count from a
+        # collected heap so only the body's own fds are compared.
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            yield
+            gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert unraisable == []
+
+    return check

@@ -3,16 +3,21 @@
 Pooled output, statistics and folded metrics must equal the in-process
 path's; beyond that, what the equivalence checks cannot see from the
 outside: one pool serving many buffers, bounded input consumption,
-ordered merging under skewed chunk latencies, and failure surfacing
+ordered merging under skewed chunk latencies, failure surfacing
 (worker exceptions and hard worker deaths must abort the stream with a
-clear error, never hang it).
+clear error, never hang it), a lock held by another thread at fork
+time, and every fd released at close.
 """
 
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import GenPairPipeline, StreamExecutor
 from repro.core.executor import _FORK_STATE, READ_AHEAD_DEPTH
 from repro.obs import get_registry
@@ -236,6 +241,18 @@ class TestPoolLifecycle:
         assert all(not p.is_alive() for p in processes)
         assert len(_FORK_STATE) == state_before
 
+    def test_close_returns_every_fd(self, small_reference, seedmap,
+                                    named_tuples, fds_returned):
+        """The queue pipes and the read-ahead thread's handles go with
+        the pool: nothing the fork needed outlives close()."""
+        pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
+        with fds_returned():
+            with StreamExecutor(pipeline, workers=2,
+                                chunk_size=16) as executor:
+                assert len(list(executor.map(named_tuples))) \
+                    == len(named_tuples)
+            del executor
+
     def test_stats_folded_once_at_shutdown(self, small_reference,
                                            seedmap, sample_pairs):
         serial = GenPairPipeline(small_reference, seedmap=seedmap)
@@ -306,6 +323,65 @@ class TestFailureSurfacing:
         pipeline = CrashingPipeline(small_reference, seedmap=seedmap)
         with pytest.raises(RuntimeError, match="exited with code 3"):
             list(pooled_stream(pipeline, iter(killed), chunk_size=8))
+
+
+#: Fork a two-worker pool while another thread holds the metrics
+#: registry lock, then map through it; print the result count.  An
+#: alarm kills the workers and fails loudly instead of hanging if a
+#: worker inherited the held lock.
+_FORK_UNDER_HELD_LOCK = """
+import multiprocessing, os, signal, threading, time
+import numpy as np
+from repro.core import GenPairPipeline, SeedMap, StreamExecutor
+from repro.genome import ReadSimulator, generate_reference
+from repro.obs import metrics
+
+def expire(*_):
+    for child in multiprocessing.active_children():
+        child.kill()
+    os._exit(3)
+
+signal.signal(signal.SIGALRM, expire)
+signal.alarm(60)
+reference = generate_reference(np.random.default_rng(3), (20_000,))
+pipeline = GenPairPipeline(reference, seedmap=SeedMap.build(reference))
+pairs = [(p.read1.codes, p.read2.codes, p.name)
+         for p in ReadSimulator(reference, seed=5).simulate_pairs(32)]
+held = threading.Event()
+
+def hold():
+    # Keep the lock until both workers exist: each fork copies it held.
+    with metrics._REGISTRY_LOCK:
+        held.set()
+        while len(multiprocessing.active_children()) < 2:
+            time.sleep(0.005)
+
+holder = threading.Thread(target=hold)
+holder.start()
+held.wait()
+with StreamExecutor(pipeline, workers=2, chunk_size=8) as executor:
+    holder.join()
+    print(len(list(executor.map(pairs))))
+"""
+
+
+class TestForkWhileLocked:
+    @pytest.mark.parametrize("sanitize", ["0", "1"])
+    def test_lock_held_at_fork_does_not_deadlock_workers(self, sanitize):
+        """Workers record metrics under the module-level registry lock;
+        a parent thread holding it at fork time must not leave them a
+        copy that is locked forever (``os.register_at_fork`` re-arms a
+        fresh one in the child), plain or sanitized."""
+        source = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, REPRO_SANITIZE=sanitize,
+                   PYTHONPATH=os.pathsep.join(
+                       [source] + os.environ.get("PYTHONPATH", "").split(
+                           os.pathsep)))
+        child = subprocess.run(
+            [sys.executable, "-c", _FORK_UNDER_HELD_LOCK], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["32"]
 
 
 class TestPooledMetrics:

@@ -280,3 +280,37 @@ class TestInspect:
         with pytest.raises(IndexFormatError):
             inspect_index(bad)
         assert inspect_index(bad, verify=False)["checksums_ok"] is None
+
+
+class TestResourceLifetime:
+    """An opened index holds its file only through the arrays it hands
+    out: once the index and whatever was mapped through it are dropped,
+    every fd is released — mapped or read, verified or rejected."""
+
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
+    def test_dropped_index_returns_every_fd(self, index_path, simulator,
+                                            fds_returned, mmap):
+        pairs = simulator.simulate_pairs(8)
+        with fds_returned():
+            index = open_index(index_path, mmap=mmap)
+            pipeline = GenPairPipeline(index.reference,
+                                       seedmap=index.seedmap)
+            results = pipeline.map_pairs(pairs)
+            assert any(result.mapped for result in results)
+            del index, pipeline, results
+
+    def test_rejected_index_returns_every_fd(self, index_path, tmp_path,
+                                             fds_returned):
+        """A checksum failure raises after earlier arrays were mapped;
+        those maps must not outlive the error."""
+        raw = bytearray(index_path.read_bytes())
+        raw[-100] ^= 0xFF
+        bad = tmp_path / "bad.rpix"
+        bad.write_bytes(bytes(raw))
+        with fds_returned():
+            with pytest.raises(IndexFormatError, match="checksum"):
+                open_index(bad)
+
+    def test_inspect_returns_every_fd(self, index_path, fds_returned):
+        with fds_returned():
+            assert inspect_index(index_path)["checksums_ok"] is True

@@ -19,13 +19,18 @@ alters the work on purpose regenerates the file in the same diff::
 
     PYTHONPATH=src python tests/integration/test_work_ledger.py
 
-and the JSON diff is the statement of what moved.
+and the JSON diff is the statement of what moved.  Every entry is
+measured once more in two interpreters with different
+``PYTHONHASHSEED``s and must still equal the ledger, so no set or hash
+order reaches the output.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -33,6 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.api import Mapper, MappingConfig
 from repro.api.engines import stats_dict
 from repro.core import SeedMap
@@ -44,6 +50,11 @@ LEDGER = Path(__file__).resolve().parent.parent / "data" / "work_ledger.json"
 SEED = 7
 CHUNK_SIZES = (256, 7)
 READ_LENGTH = 150
+#: Every ledger entry, ``set/engine/chunk``.
+KEYS = [f"{name}/{engine}/{chunk}"
+        for name, engine in (("giab", "genpair"), ("giab", "mm2"),
+                             ("clean", "genpair"), ("long", "longread"))
+        for chunk in CHUNK_SIZES]
 
 
 def giab_set():
@@ -168,12 +179,7 @@ def test_ledger_names_every_run(measured, ledger):
     assert sorted(measured) == sorted(ledger)
 
 
-@pytest.mark.parametrize("key", [f"{name}/{engine}/{chunk}"
-                                 for name, engine in (
-                                     ("giab", "genpair"), ("giab", "mm2"),
-                                     ("clean", "genpair"),
-                                     ("long", "longread"))
-                                 for chunk in CHUNK_SIZES])
+@pytest.mark.parametrize("key", KEYS)
 def test_work_matches_the_ledger(measured, ledger, key):
     assert measured[key] == ledger[key]
 
@@ -188,6 +194,45 @@ def test_chunking_changes_only_how_dp_is_stacked(measured):
             assert big == dict(other, align_banded=None)
             assert measured[key]["align_banded"]["cells"] \
                 == other["align_banded"]["cells"]
+
+
+#: Measure every ledger entry in a fresh interpreter; print them as JSON.
+_MEASURE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_work_ledger import measure
+print(json.dumps(measure()))
+"""
+
+
+@pytest.fixture(scope="module")
+def hash_seeded():
+    """:func:`measure` in two interpreters, side by side, one with
+    ``PYTHONHASHSEED=0`` and one with ``=1``."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    children = [subprocess.Popen(
+        [sys.executable, "-c", _MEASURE, str(Path(__file__).parent)],
+        env=dict(os.environ, PYTHONHASHSEED=seed,
+                 PYTHONPATH=os.pathsep.join(
+                     [source] + os.environ.get("PYTHONPATH", "").split(
+                         os.pathsep))),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for seed in ("0", "1")]
+    measured = []
+    for child in children:
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+        measured.append(json.loads(out))
+    return measured
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_output_does_not_depend_on_the_hash_seed(hash_seeded, ledger, key):
+    """``str`` hashing is salted per process, so a set or hash order
+    that reached the output or the work would move the digest or a
+    counter between two interpreters with different
+    ``PYTHONHASHSEED``s."""
+    assert [entry[key] for entry in hash_seeded] == [ledger[key]] * 2
 
 
 if __name__ == "__main__":

@@ -41,12 +41,12 @@ class TestExitCodes:
 
     def test_seeded_violation_exits_nonzero(self, capsys, fixtures):
         code = main(["lint", "--strict",
-                     str(fixtures / "fork_unsafe.py")])
+                     str(fixtures / "mutable_bad.py")])
         assert code == 2
 
     @pytest.mark.parametrize("fixture", [
-        "fork_unsafe.py", "mutable_bad.py", "rogue_sam.py",
-        "no_print_bad.py"])
+        "concproj", "mutable_bad.py", "no_print_bad.py",
+        "timing_bad.py"])
     def test_every_seeded_fixture_fails_strict(self, capsys, fixtures,
                                                fixture):
         assert main(["lint", "--strict", str(fixtures / fixture)]) == 2
@@ -55,6 +55,20 @@ class TestExitCodes:
         code = main(["lint", str(fixtures / "no_print_bad.py")])
         assert code == 0
         assert "RPL501" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, prefixes", [
+        ("--select", "RLP2"),        # a typo
+        ("--select", "RPL2,RPL3"),   # a family deleted long ago
+        ("--ignore", "RPL8")])       # a family deleted since
+    def test_prefix_matching_no_code_exits_two(self, capsys, flag,
+                                               prefixes):
+        """Not "clean": an unmatched prefix would run no checker."""
+        assert main(["lint", "--strict", flag, prefixes,
+                     str(PACKAGE)]) == 2
+        captured = capsys.readouterr()
+        assert "clean" not in captured.out
+        unmatched = prefixes.split(",")[-1]
+        assert f"no finding code matches {unmatched} " in captured.err
 
 
 class TestOutput:
@@ -71,14 +85,15 @@ class TestOutput:
     def test_list_codes(self, capsys):
         assert main(["lint", "--list-codes"]) == 0
         out = capsys.readouterr().out
-        for code in ("RPL101", "RPL202", "RPL401", "RPL501"):
-            assert code in out
-        assert "RPL30" not in out  # the registry-contract family is gone
+        # four families: mutable defaults, print, timing, concurrency
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "RPL1001", "RPL1002", "RPL1003", "RPL1004", "RPL1005",
+            "RPL201", "RPL202", "RPL501", "RPL601"]
         assert "[--fix]" not in out
 
     def test_select_flag(self, capsys, fixtures):
-        main(["lint", "--select", "RPL103",
-              str(fixtures / "fork_unsafe.py")])
+        main(["lint", "--select", "RPL202",
+              str(fixtures / "mutable_bad.py")])
         out = capsys.readouterr().out
-        assert "RPL103" in out
-        assert "RPL101" not in out
+        assert "RPL202" in out
+        assert "RPL201" not in out

@@ -61,25 +61,41 @@ class TestSuppression:
         assert suppressed_codes("x = 1") is None
         bare = suppressed_codes("x = 1  # lint: ignore")
         assert bare is not None and bare.codes == frozenset()
-        coded = suppressed_codes("x = 1  # lint: ignore[RPL101, RPL501]")
-        assert coded.codes == {"RPL101", "RPL501"}
-        assert coded.covers(Finding("p", 1, "RPL101", "m"))
+        coded = suppressed_codes("x = 1  # lint: ignore[RPL1002, RPL501]")
+        assert coded.codes == {"RPL1002", "RPL501"}
+        assert coded.covers(Finding("p", 1, "RPL1002", "m"))
         assert not coded.covers(Finding("p", 1, "RPL201", "m"))
 
 
 class TestSelection:
     def test_select_prefix(self, fixtures):
-        report = run_lint([fixtures / "fork_unsafe.py"],
-                          select=["RPL103"])
-        assert {f.code for f in report.findings} == {"RPL103"}
+        report = run_lint([fixtures / "mutable_bad.py"],
+                          select=["RPL202"])
+        assert {f.code for f in report.findings} == {"RPL202"}
 
     def test_ignore_wins_over_select(self, fixtures):
-        report = run_lint([fixtures / "fork_unsafe.py"],
-                          select=["RPL1"], ignore=["RPL103", "RPL104"])
-        assert {f.code for f in report.findings} == {"RPL101", "RPL102"}
+        report = run_lint([fixtures / "concproj"],
+                          select=["RPL100"], ignore=["RPL1003", "RPL1004"])
+        assert {f.code for f in report.findings} \
+            == {"RPL1001", "RPL1002", "RPL1005"}
+
+    @pytest.mark.parametrize("select, ignore, named", [
+        (["RLP2"], None, "RLP2"),
+        (["RPL2", "RPL9"], None, "RPL9"),
+        (None, ["RPL7"], "RPL7"),
+        (["RPL1"], ["RPL4", "RPL8"], "RPL4, RPL8")])
+    def test_unmatched_prefix_raises_naming_it(self, tmp_path, select,
+                                               ignore, named):
+        """A prefix no code starts with would select nothing and let a
+        dirty tree pass as clean; every such prefix is named."""
+        target = _write(tmp_path, "mod.py",
+                        "def f(x, acc=[]):\n    return acc\n")
+        with pytest.raises(ValueError,
+                           match=f"no finding code matches {named} "):
+            run_lint([target], select=select, ignore=ignore)
 
 
-#: One prefix per checker (``RPL10`` fork safety ... ``RPL100``
+#: One prefix per checker (``RPL20`` mutable defaults ... ``RPL100``
 #: concurrency), derived from the codes each declares.
 _FAMILIES = [os.path.commonprefix(checker.codes) for checker in CHECKERS]
 
@@ -88,7 +104,7 @@ _FAMILIES = [os.path.commonprefix(checker.codes) for checker in CHECKERS]
 _SELECTIONS = [([family], None) for family in _FAMILIES] + [
     (["RPL1"], None), (["RPL0", "RPL5"], None),
     (["RPL5", "RPL100"], None), (["RPL1"], ["RPL100"]),
-    (["RPL2", "RPL8"], ["RPL202"]), (None, ["RPL1", "RPL9"])]
+    (["RPL2", "RPL6"], ["RPL202"]), (None, ["RPL1", "RPL6"])]
 
 
 def _filtered(findings, select, ignore):
@@ -158,7 +174,7 @@ class TestBrokenFiles:
 
 class TestReport:
     def test_render_is_sorted_and_formatted(self, fixtures):
-        report = run_lint([fixtures / "fork_unsafe.py"])
+        report = run_lint([fixtures / "timing_bad.py"])
         lines = report.render()
         assert lines == sorted(lines)
         assert all("  RPL" in line for line in lines)

@@ -399,6 +399,26 @@ class TestEngineWorkflow:
             mapper.write(mapper.map_file(world + "_long.fq"), api)
         assert open(flag).read() == open(api).read()
 
+    @pytest.mark.parametrize("engine, reads", [
+        ("genpair", ["--reads1", "_1.fq", "--reads2", "_2.fq",
+                     "--workers", "2"]),
+        ("mm2", ["--reads1", "_1.fq", "--reads2", "_2.fq"]),
+        ("longread", ["--reads", "_long.fq"])],
+        ids=["genpair", "mm2", "longread"])
+    def test_map_returns_every_fd(self, world, tmp_path, capsys,
+                                  monkeypatch, fds_returned, engine,
+                                  reads):
+        """One in-process ``repro map`` opens the index, the FASTQ
+        inputs, the output and (for ``--workers 2``) a pool; it must
+        leave none of them open."""
+        monkeypatch.setattr("repro.cli._available_cpus", lambda: 4)
+        argv = ["map", "--index", world + ".rpix", "--engine", engine,
+                "--out", str(tmp_path / "out.sam")] + [
+            world + arg if arg.startswith("_") else arg for arg in reads]
+        with fds_returned():
+            assert main(argv) == 0
+        assert (tmp_path / "out.sam").stat().st_size > 0
+
     def test_call_variants_post_stage(self, world, tmp_path, capsys):
         out = str(tmp_path / "cv.sam")
         vcf = str(tmp_path / "cv.vcf")

@@ -48,12 +48,11 @@ def main() -> None:
     open_s = time.perf_counter() - start
     print(f"   opened in {open_s * 1e3:.1f} ms "
           f"({100 * open_s / build_s:.1f}% of the build) — fingerprint: "
-          f"seed length {index.seed_length}, "
-          f"filter threshold {index.filter_threshold}")
+          f"{index.fingerprint.describe()}")
 
     print("4. Streaming the FASTQ pair through the mapped index ...")
-    config = GenPairConfig(seed_length=index.seed_length,
-                           filter_threshold=index.filter_threshold)
+    config = GenPairConfig(seed_length=index.seedmap.seed_length,
+                           filter_threshold=index.seedmap.filter_threshold)
     pipeline = GenPairPipeline(index.reference, seedmap=index.seedmap,
                                config=config)
     with SamWriter("pindex.sam", reference=index.reference) as writer:
@@ -67,7 +66,7 @@ def main() -> None:
 
     print("5. Index contents:")
     for row in inspect_index("pindex.rpix")["arrays"]:
-        print(f"   {row['name']:<13} {row['count']:>9,} entries  "
+        print(f"   {row['name']:<22} {row['count']:>9,} entries  "
               f"{row['bytes']:>11,} bytes")
 
 

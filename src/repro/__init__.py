@@ -17,10 +17,11 @@ Public API layout:
   one vectorized call and resolved against the array-backed SeedMap
   in one probe (``map_pair`` is a chunk of one) — and one parallel
   mode, the persistent forked pool of :mod:`repro.core.executor`;
-* :mod:`repro.index` — persistent memory-mapped SeedMap indexes: one
-  ``repro index build`` serializes the SeedMap + encoded reference to a
-  versioned binary file that ``repro map --index`` memory-maps back in
-  milliseconds, with forked workers sharing one physical copy.
+* :mod:`repro.index` — persistent memory-mapped indexes: one
+  ``repro index build`` serializes the SeedMap, the minimizer index and
+  the encoded reference to a versioned binary file that ``repro map
+  --index`` memory-maps back in milliseconds, with forked workers
+  sharing one physical copy.
 
 Leaves no engine imports, loaded only when imported by name (``import
 repro.hw``), so mapping, serving and every forked worker never load them:

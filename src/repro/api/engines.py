@@ -146,14 +146,8 @@ class GenPairEngine(Engine):
         self.config = config
         fallback = None
         if config.full_fallback:
-            # The O(genome) index waits for the first pair that needs
-            # it, so a run that stays on the GenPair path starts
-            # mmap-cheap — unless a pool will fork the pipeline: workers
-            # must inherit the index, not each build their own.
-            fallback = Mm2LikeMapper(
-                facade.reference,
-                index=facade.minimizer_index() if self._pooled
-                else facade.minimizer_index)
+            fallback = Mm2LikeMapper(facade.reference,
+                                     index=facade.minimizers)
         self.core = GenPairPipeline(
             facade.reference, seedmap=facade.seedmap,
             config=config.genpair(), fallback=fallback)
@@ -198,10 +192,8 @@ class GenPairEngine(Engine):
 class Mm2Engine(Engine):
     """The minimizer seed-chain-align baseline behind the protocol.
 
-    Paired-end input; the O(genome) minimizer index is the facade's,
-    built when the first engine needs it (i.e. on the first
-    ``engine="mm2"`` request against a warm facade, or the first GenPair
-    fallback pair, never sooner).
+    Paired-end input; the minimizer index is the facade's, the one the
+    GenPair fallback seeds from too.
     """
 
     name = "mm2"
@@ -209,8 +201,7 @@ class Mm2Engine(Engine):
 
     def __init__(self, facade) -> None:
         self.config = facade.config
-        self.core = Mm2LikeMapper(facade.reference,
-                                  index=facade.minimizer_index())
+        self.core = Mm2LikeMapper(facade.reference, index=facade.minimizers)
         self.map_chunk = self.core.map_pairs
 
 

@@ -37,7 +37,7 @@ from ..core.pipeline import PipelineStats, merge_stats
 from ..genome.io_fasta import iter_pairs, iter_reads, read_fasta
 from ..genome.reference import ReferenceGenome
 from ..genome.results import MappingResult, result_records
-from ..mapper import MapperConfig, MinimizerIndex
+from ..mapper import MinimizerIndex
 from ..obs import get_registry
 from ..util.sync import maybe_sanitize_lock
 from .config import MappingConfig, MappingConfigError
@@ -71,14 +71,16 @@ class Mapper:
         self.reference = reference
         self.seedmap = seedmap
         self.index = index
+        #: The traditional path's minimizer index, shared — like
+        #: :attr:`seedmap` — by the ``mm2`` engine and the GenPair
+        #: fallback: mapped from the index file, or built here once.
+        self.minimizers = (index.minimizers if index is not None
+                           else MinimizerIndex.build(reference))
         self._engines: Dict[str, Engine] = {}
         # The serving tier resolves engines from connection threads
         # while the scheduler maps; the cache get-or-create below must
         # not double-build (a SanitizedLock under REPRO_SANITIZE=1).
         self._engines_lock = maybe_sanitize_lock("api.engines")
-        self._minimizer_index = None
-        self._minimizer_index_lock = maybe_sanitize_lock(
-            "api.minimizer_index")
         self._totals: Dict[str, Any] = {}
         self.last_stats = PipelineStats()
         self.last_engine: Optional[str] = None
@@ -134,9 +136,10 @@ class Mapper:
                        **overrides: Any) -> "Mapper":
         """Build a mapper from a FASTA path or an in-memory reference.
 
-        The SeedMap is built in-process with the config's fingerprint
-        parameters — the pay-per-run path; prefer
-        :meth:`from_index` + ``repro index build`` for repeated runs.
+        The SeedMap (with the config's fingerprint parameters) and the
+        minimizer index are built in-process — the pay-per-run path;
+        prefer :meth:`from_index` + ``repro index build`` for repeated
+        runs.
         """
         from ..core.seedmap import SeedMap
 
@@ -174,18 +177,6 @@ class Mapper:
                 self._engines[name] = engine
                 self._totals.setdefault(name, engine.fresh_stats())
         return engine
-
-    def minimizer_index(self):
-        """The traditional path's minimizer index, built on first call
-        and shared — like :attr:`seedmap` — by the ``mm2`` engine and
-        the GenPair fallback (same ``k``/``w``/``max_occurrences``)."""
-        with self._minimizer_index_lock:
-            if self._minimizer_index is None:
-                defaults = MapperConfig()
-                self._minimizer_index = MinimizerIndex.build(
-                    self.reference, k=defaults.k, w=defaults.w,
-                    max_occurrences=defaults.max_occurrences)
-            return self._minimizer_index
 
     @property
     def pipeline(self):

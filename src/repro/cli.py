@@ -453,21 +453,25 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     from .core import SeedMap
     from .genome import read_fasta
     from .index import INDEX_SUFFIX, save_index
+    from .mapper import MinimizerIndex
 
     reference = read_fasta(args.reference)
     threshold = None if args.no_filter else args.filter_threshold
     start = time.perf_counter()
     seedmap = SeedMap.build(reference, seed_length=args.seed_length,
                             filter_threshold=threshold, step=args.step)
+    minimizers = MinimizerIndex.build(reference)
     build_seconds = time.perf_counter() - start
     out = args.out if args.out else args.reference + INDEX_SUFFIX
-    total = save_index(out, seedmap, reference)
+    total = save_index(out, seedmap, reference, minimizers)
     stats = seedmap.stats
     print(f"indexed {reference.total_length:,} bp "
           f"({len(reference.names)} chromosomes) in {build_seconds:.2f}s")
     print(f"  {stats.distinct_seeds:,} seeds, "
           f"{stats.stored_locations:,} locations "
           f"({stats.filtered_seeds:,} seeds over threshold dropped)")
+    print(f"  {len(minimizers):,} minimizer keys, "
+          f"{minimizers.table.positions.size:,} minimizer positions")
     print(f"wrote {out} ({total:,} bytes)")
     return 0
 
@@ -490,6 +494,11 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
     print(f"  fingerprint: seed length {meta['seed_length']}, filter "
           f"threshold {'none' if threshold is None else threshold}, "
           f"step {meta['step']}")
+    table, stats = meta["minimizers"], meta["minimizers"]["stats"]
+    print(f"  minimizers: k {table['k']}, w {table['w']}, max occurrences "
+          f"{table['max_occurrences']}, {stats['distinct_hashes']:,} keys, "
+          f"{meta['arrays']['minimizers.positions']['count']:,} positions, "
+          f"{stats['masked_hashes']:,} masked hashes")
     print(f"  reference: {reference['total_length']:,} bp in "
           f"{len(reference['names'])} chromosomes "
           f"({', '.join(reference['names'][:6])}"

@@ -4,8 +4,7 @@ Subpackages by pipeline stage:
 
 * :mod:`~repro.core.seedmap` — offline SeedMap construction (§4.2), a
   thin owner of the :class:`repro.hashing.PositionTable` that holds the
-  sorted-key build, the probe and the gather (the ``.rpix`` file format
-  of :mod:`repro.index` is unchanged by that);
+  sorted-key build, the probe and the gather;
 * :mod:`~repro.core.seeding` — Partitioned Seeding (§4.3);
 * :mod:`~repro.core.query` — SeedMap Query (§4.4);
 * :mod:`~repro.core.pairfilter` — Paired-Adjacency Filtering (§4.5);

@@ -80,9 +80,10 @@ class SeedMapStats:
 class SeedMap:
     """Hash index from 50bp seeds to sorted reference locations.
 
-    A thin owner of one :class:`~repro.hashing.PositionTable`: its
-    ``keys`` / ``starts`` / ``ends`` are the Seed Table, its
-    ``positions`` column the Location Table.
+    A thin owner of one :class:`~repro.hashing.PositionTable`
+    (:attr:`table`, what :mod:`repro.index` persists): its ``keys`` /
+    ``offsets`` are the Seed Table, its ``positions`` column the
+    Location Table.
     """
 
     def __init__(self, seed_length: int, table: PositionTable,
@@ -90,7 +91,7 @@ class SeedMap:
                  filter_threshold: Optional[int] = DEFAULT_FILTER_THRESHOLD,
                  step: int = 1) -> None:
         self.seed_length = seed_length
-        self._table = table
+        self.table = table
         self.stats = stats
         #: Build fingerprint: the configuration this index answers for.
         #: Persisted by :mod:`repro.index` and validated on open so a
@@ -139,7 +140,7 @@ class SeedMap:
             stored_locations=table.positions.size,
             filtered_seeds=dropped.size,
             filtered_locations=int(dropped.sum()),
-            max_locations=int((table.ends - table.starts).max(initial=0)),
+            max_locations=int(np.diff(table.offsets).max(initial=0)),
         )
         return cls(seed_length, table, stats,
                    filter_threshold=filter_threshold, step=step)
@@ -152,7 +153,7 @@ class SeedMap:
         This is the §4.4 lookup: one Seed Table access resolving to one
         contiguous, already-sorted Location Table range.
         """
-        return self._table.lookup(seed_hash)
+        return self.table.lookup(seed_hash)
 
     def query_batch(self, seed_hashes: np.ndarray
                     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -165,26 +166,12 @@ class SeedMap:
         what lets the batched pipeline resolve every seed of every pair
         in a chunk at once.
         """
-        return self._table.spans(seed_hashes)
+        return self.table.spans(seed_hashes)
 
     @property
     def location_table(self) -> np.ndarray:
         """The flat Location Table (global linear coordinates)."""
-        return self._table.positions
-
-    def table_arrays(self) -> "dict":
-        """The four backing arrays, keyed by their serialized names.
-
-        This is the persistence contract used by :mod:`repro.index`: a
-        SeedMap is exactly these arrays plus ``seed_length`` and
-        :attr:`stats`, so writing them to disk and handing memory-mapped
-        views back to the constructor reconstructs an identical index
-        without touching the FASTA.
-        """
-        return {"hash_keys": self._table.keys,
-                "range_starts": self._table.starts,
-                "range_ends": self._table.ends,
-                "locations": self._table.positions}
+        return self.table.positions
 
     def __contains__(self, seed_hash: int) -> bool:
         # A stored key always has at least one location.
@@ -192,13 +179,12 @@ class SeedMap:
 
     def location_count(self, seed_hash: int) -> int:
         """Number of stored locations for a seed hash (0 if absent)."""
-        return self._table.lookup(seed_hash).size
+        return self.table.lookup(seed_hash).size
 
     def iter_ranges(self):
         """Yield ``(hash, start, end)`` for every Seed Table entry."""
-        table = self._table
-        return zip(table.keys.tolist(), table.starts.tolist(),
-                   table.ends.tolist())
+        offsets = self.table.offsets.tolist()
+        return zip(self.table.keys.tolist(), offsets[:-1], offsets[1:])
 
     @property
     def memory_bytes(self) -> int:

@@ -3,15 +3,14 @@
 GenPair's SeedMap (§4.2: a Seed Table of sorted hashes over one
 contiguous Location Table) and the baseline's minimizer index are one
 structure: sorted distinct ``keys``, key ``i`` occurring at the sorted
-``positions[starts[i]:ends[i]]``.  A whole batch of hashes resolves in
-one ``np.searchsorted``; hashes occurring more than ``max_count`` times
-are left out at build time (§5.2's index filtering threshold, minimap2's
-occurrence mask).
+``positions[offsets[i]:offsets[i + 1]]``.  A whole batch of hashes
+resolves in one ``np.searchsorted``; hashes occurring more than
+``max_count`` times are left out at build time (§5.2's index filtering
+threshold, minimap2's occurrence mask).
 
-``starts`` and ``ends`` stay two arrays — two views of one offsets array
-when built, the two memory-mapped sections of an ``.rpix`` file when
-opened — so the file format (:mod:`repro.index`) does not depend on
-this class.
+The three columns are the table's whole state: an ``.rpix`` file
+(:mod:`repro.index`) holds each table as exactly these three sections,
+and opening it hands the memory-mapped sections back to the constructor.
 """
 
 from __future__ import annotations
@@ -32,13 +31,13 @@ def ragged_ranges(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 class PositionTable:
     """Sorted distinct ``keys``; key ``i`` occurs at
-    ``positions[starts[i]:ends[i]]``, sorted."""
+    ``positions[offsets[i]:offsets[i + 1]]``, sorted (``offsets`` has
+    ``len(keys) + 1`` entries, the last one ``positions.size``)."""
 
-    def __init__(self, keys: np.ndarray, starts: np.ndarray,
-                 ends: np.ndarray, positions: np.ndarray) -> None:
+    def __init__(self, keys: np.ndarray, offsets: np.ndarray,
+                 positions: np.ndarray) -> None:
         self.keys = np.asarray(keys, dtype=np.uint64)
-        self.starts = np.asarray(starts, dtype=np.int64)
-        self.ends = np.asarray(ends, dtype=np.int64)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
         self.positions = positions
         # ``lookup`` hands out views of this column.
         self.positions.setflags(write=False)
@@ -63,7 +62,7 @@ class PositionTable:
         keep = sizes <= (hashes.size if max_count is None else max_count)
         offsets = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
         np.cumsum(sizes[keep], out=offsets[1:])
-        table = cls(hashes[first[keep]], offsets[:-1], offsets[1:],
+        table = cls(hashes[first[keep]], offsets,
                     positions[order][np.repeat(keep, sizes)])
         return table, sizes[~keep]
 
@@ -77,8 +76,8 @@ class PositionTable:
         slot = np.minimum(np.searchsorted(self.keys, hashes),
                           self.keys.size - 1)
         found = self.keys[slot] == hashes
-        return (np.where(found, self.starts[slot], 0),
-                np.where(found, self.ends[slot], 0))
+        return (np.where(found, self.offsets[slot], 0),
+                np.where(found, self.offsets[slot + 1], 0))
 
     def gather(self, hashes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Every occurrence of every hash: ``(which, positions)`` where

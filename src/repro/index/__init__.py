@@ -1,18 +1,16 @@
-"""Persistent memory-mapped SeedMap index (the ``*-build`` separation).
+"""Persistent memory-mapped index (the ``*-build`` separation).
 
-The paper's SeedMap is an *offline* structure (§4.2): it depends only on
-the reference, the seed length, and the index filtering threshold — yet
-the reproduction originally rebuilt it from FASTA on every ``map`` run.
-This package gives the toolchain the one-time-build / many-cheap-opens
-split every real mapper has (``bowtie2-build``, ``bwa index``,
-``minimap2 -d``): ``repro index build`` serializes a built
-:class:`~repro.core.seedmap.SeedMap` *and* the encoded reference into a
-single versioned binary file, and ``repro map --index`` memory-maps it
-back in milliseconds.  Because the load path is ``np.memmap`` views into
-one read-only file, forked pool workers share a single physical copy
-of the Seed/Location tables.
+The paper's SeedMap is an *offline* structure (§4.2), and so is the
+minimizer index the traditional seed-chain-align path (the ``mm2``
+engine, GenPair's full fallback) seeds from.  ``repro index build``
+serializes a built :class:`~repro.core.seedmap.SeedMap`, the
+:class:`~repro.mapper.index.MinimizerIndex` *and* the encoded reference
+into one versioned binary file, and ``repro map --index`` memory-maps
+it back in milliseconds (the ``bowtie2-build`` / ``minimap2 -d``
+split).  The load path is ``np.memmap`` views into one read-only file,
+so forked pool workers share a single physical copy of every table.
 
-File format (version 1)
+File format (version 2)
 =======================
 
 All integers are **little-endian**; every array region is aligned to
@@ -32,7 +30,9 @@ align64(24 + H)   —        data section: raw array bytes, offsets per manifest
 
 The JSON header carries:
 
-* ``format_version`` — bumped on any incompatible layout change;
+* ``format_version`` — bumped on any incompatible layout change; only
+  the current version is read, and any other is refused with a message
+  naming ``repro index build``;
 * the **config fingerprint** — ``seed_length``, ``filter_threshold``
   (``null`` = unfiltered) and ``step`` the SeedMap was built with;
   opening with mismatching expectations is rejected, so a stale index
@@ -41,35 +41,37 @@ The JSON header carries:
   order), from which the zero-copy
   :meth:`~repro.genome.ReferenceGenome.from_linear_codes` views are cut;
 * ``stats`` — the :class:`~repro.core.seedmap.SeedMapStats` fields;
+* ``minimizers`` — the minimizer index's ``k``, ``w``,
+  ``max_occurrences`` (``null`` = unmasked) and ``stats`` (the
+  :class:`~repro.mapper.index.IndexStats` fields);
 * ``arrays`` — the manifest: for each array its ``dtype`` (explicit
   endian, e.g. ``"<u8"``), element ``count``, byte ``offset`` relative
   to the data section, and ``crc32`` of its raw bytes.
 
-Data-section arrays (in file order):
+Data-section arrays (in file order): ``ref_codes`` (``<u1``), all
+chromosomes' base codes concatenated in the global linear coordinate
+space (one byte per base so N is representable and fetches stay
+zero-copy); then, for ``seedmap`` and then ``minimizers``, the three
+columns of the :class:`repro.hashing.PositionTable` its owner holds,
+written and mapped by one helper:
 
-================  ========  ==================================================
-name              dtype     contents
-================  ========  ==================================================
-``ref_codes``     ``<u1``   all chromosomes' base codes, concatenated in the
-                            global linear coordinate space (one byte per base
-                            so N is representable and fetches stay zero-copy)
-``hash_keys``     ``<u8``   Seed Table keys, ascending and distinct
-``range_starts``  ``<i8``   Location Table span start per key
-``range_ends``    ``<i8``   Location Table span end per key
-``locations``     ``<i8``   the Location Table (global linear coordinates)
-================  ========  ==================================================
-
-The four table arrays are the attributes of the
-:class:`repro.hashing.PositionTable` a SeedMap owns (``keys``,
-``starts``, ``ends``, ``positions``); the table keeps ``starts`` and
-``ends`` apart so this layout — and the version — did not change when
-it was introduced.
+=====================  =======  ============================================
+name                   dtype    contents
+=====================  =======  ============================================
+``<table>.keys``       ``<u8``  hashes, ascending and distinct
+``<table>.offsets``    ``<i8``  keys + 1 entries: key ``i`` occurs at
+                                ``positions[offsets[i]:offsets[i + 1]]``
+``<table>.positions``  ``<i8``  global linear coordinates, sorted per key
+                                (the SeedMap's are the Location Table)
+=====================  =======  ============================================
 
 Integrity: the header is covered by its own crc32, each array by the
-manifest crc32 (verified on open; pass ``verify=False`` to skip), and
-the file size is checked against the manifest before mapping, so
-truncation, bit-flips, and version skew all fail loudly with
-:class:`IndexFormatError` instead of corrupting mapping output.
+manifest crc32 (verified on open; pass ``verify=False`` to skip), the
+file size is checked against the manifest before mapping, and each
+table's offsets must number its keys + 1 and end at its positions count
+(checked even unverified), so truncation, bit-flips, and version skew
+all fail loudly with :class:`IndexFormatError` instead of corrupting
+mapping output.
 """
 
 from .format import (ARRAY_ALIGNMENT, FORMAT_VERSION, INDEX_SUFFIX, MAGIC,

@@ -16,8 +16,8 @@ from typing import BinaryIO, Tuple
 #: File magic: identifies a repro SeedMap index, any version.
 MAGIC = b"RPROIDX\x01"
 
-#: Current (and only) on-disk format version.
-FORMAT_VERSION = 1
+#: Current (and only readable) on-disk format version.
+FORMAT_VERSION = 2
 
 #: Alignment of the data section and of every array region within it.
 ARRAY_ALIGNMENT = 64
@@ -30,14 +30,19 @@ INDEX_SUFFIX = ".rpix"
 _PREAMBLE = struct.Struct("<8sQI4x")
 PREAMBLE_BYTES = _PREAMBLE.size
 
+#: The hash -> positions tables a file holds, in file order.
+TABLES = ("seedmap", "minimizers")
+
+#: The sections of one table: the columns of a
+#: :class:`~repro.hashing.PositionTable`.
+TABLE_COLUMNS = (("keys", "<u8"), ("offsets", "<i8"), ("positions", "<i8"))
+
 #: Serialized dtype of each data-section array, in file order.  Explicit
 #: little-endian codes: the file is byte-order-portable, and a
 #: big-endian host simply pays one byteswap copy on load.
-ARRAY_DTYPES = (("ref_codes", "<u1"),
-                ("hash_keys", "<u8"),
-                ("range_starts", "<i8"),
-                ("range_ends", "<i8"),
-                ("locations", "<i8"))
+ARRAY_DTYPES = (("ref_codes", "<u1"),) + tuple(
+    (f"{table}.{column}", dtype)
+    for table in TABLES for column, dtype in TABLE_COLUMNS)
 
 
 class IndexFormatError(ValueError):

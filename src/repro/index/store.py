@@ -1,12 +1,14 @@
-"""Saving and memory-mapped opening of persistent SeedMap indexes.
+"""Saving and memory-mapped opening of persistent indexes.
 
 :func:`save_index` writes one self-describing file from a built
-:class:`~repro.core.seedmap.SeedMap` plus its reference;
+:class:`~repro.core.seedmap.SeedMap`, the reference's
+:class:`~repro.mapper.index.MinimizerIndex` and the reference itself;
 :func:`open_index` maps it back as a :class:`MappingIndex` whose
-``seedmap``/``reference`` are backed by ``np.memmap`` views — opening is
-O(header) work, and forked workers share the page cache copy of the
-tables.  :func:`inspect_index` reads and verifies a file without
-constructing the mapping objects (the ``repro index inspect`` path).
+``seedmap``/``minimizers``/``reference`` are backed by ``np.memmap``
+views — opening is O(header) work, and forked workers share the page
+cache copy of the tables.  :func:`inspect_index` reads and verifies a
+file without constructing the mapping objects (the ``repro index
+inspect`` path).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -22,22 +24,49 @@ from ..core.fingerprint import UNSET, IndexFingerprint
 from ..core.seedmap import SeedMap, SeedMapStats
 from ..genome.reference import ReferenceGenome
 from ..hashing import PositionTable
-from .format import (ARRAY_DTYPES, FORMAT_VERSION, IndexFormatError,
-                     align_up, crc32, pack_header, read_header)
+from ..mapper.index import IndexStats, MinimizerIndex
+from .format import (ARRAY_DTYPES, FORMAT_VERSION, TABLE_COLUMNS,
+                     IndexFormatError, align_up, crc32, pack_header,
+                     read_header)
 
 PathLike = Union[str, Path]
 
 
-def save_index(path: PathLike, seedmap: SeedMap,
-               reference: ReferenceGenome) -> int:
-    """Serialize a built SeedMap + its reference to ``path``.
+def _table_sections(name: str, table: PositionTable
+                    ) -> Dict[str, np.ndarray]:
+    """The three sections ``table`` is written as, by manifest name."""
+    return {f"{name}.{column}": getattr(table, column)
+            for column, _ in TABLE_COLUMNS}
 
-    Returns the total number of bytes written.  The reference must be
-    the one the SeedMap was built from: its linear coordinate space is
-    what the Location Table entries point into.
+
+def _mapped_table(name: str, arrays: Dict[str, np.ndarray]
+                  ) -> PositionTable:
+    """The table the ``name`` sections hold, checked in O(1) even
+    unverified: keys + 1 offsets, the last one the positions count."""
+    keys, offsets, positions = (arrays[f"{name}.{column}"]
+                                for column, _ in TABLE_COLUMNS)
+    if offsets.size != keys.size + 1 or int(offsets[-1]) != positions.size:
+        raise IndexFormatError(
+            f"table {name!r} is inconsistent: {offsets.size} offsets for "
+            f"{keys.size} keys and {positions.size} positions (corrupted "
+            "index); rebuild with `repro index build`")
+    return PositionTable(keys, offsets, positions)
+
+
+def save_index(path: PathLike, seedmap: SeedMap,
+               reference: ReferenceGenome,
+               minimizers: Optional[MinimizerIndex] = None) -> int:
+    """Serialize a built SeedMap, a minimizer index (by default
+    ``MinimizerIndex.build(reference)``, the ``mm2`` defaults) and the
+    reference both were built from to ``path``.
+
+    Returns the total number of bytes written.
     """
+    if minimizers is None:
+        minimizers = MinimizerIndex.build(reference)
     source = {"ref_codes": reference.linear_codes(),
-              **seedmap.table_arrays()}
+              **_table_sections("seedmap", seedmap.table),
+              **_table_sections("minimizers", minimizers.table)}
     manifest: Dict[str, dict] = {}
     arrays: List[np.ndarray] = []
     cursor = 0
@@ -66,6 +95,9 @@ def save_index(path: PathLike, seedmap: SeedMap,
             "total_length": int(reference.total_length),
         },
         "stats": dataclasses.asdict(seedmap.stats),
+        "minimizers": {"k": minimizers.k, "w": minimizers.w,
+                       "max_occurrences": minimizers.max_occurrences,
+                       "stats": dataclasses.asdict(minimizers.stats)},
         "arrays": manifest,
     }
     header = pack_header(meta)
@@ -81,51 +113,28 @@ def save_index(path: PathLike, seedmap: SeedMap,
     return len(header) + cursor
 
 
+@dataclasses.dataclass(eq=False)
 class MappingIndex:
-    """An opened persistent index: memory-mapped SeedMap + reference.
+    """An opened persistent index: memory-mapped SeedMap, minimizer
+    index and reference.
 
     Hand :attr:`reference` and :attr:`seedmap` straight to
-    :class:`~repro.core.pipeline.GenPairPipeline`; both are views into
-    the index file (read-only), so any number of pipelines — including
-    forked pool workers — share one physical copy.
+    :class:`~repro.core.pipeline.GenPairPipeline`, and :attr:`minimizers`
+    to :class:`~repro.mapper.mm2.Mm2LikeMapper`; all are views into the
+    index file (read-only), so any number of mappers — including forked
+    pool workers — share one physical copy.
     """
 
-    def __init__(self, path: str, meta: dict, seedmap: SeedMap,
-                 reference: ReferenceGenome) -> None:
-        self.path = path
-        self.meta = meta
-        self.seedmap = seedmap
-        self.reference = reference
-
-    @property
-    def format_version(self) -> int:
-        return self.meta["format_version"]
-
-    @property
-    def seed_length(self) -> int:
-        return self.meta["seed_length"]
-
-    @property
-    def filter_threshold(self) -> Optional[int]:
-        return self.meta["filter_threshold"]
-
-    @property
-    def step(self) -> int:
-        return self.meta["step"]
+    path: str
+    meta: dict
+    seedmap: SeedMap
+    minimizers: MinimizerIndex
+    reference: ReferenceGenome
 
     @property
     def fingerprint(self) -> IndexFingerprint:
         """The canonical config fingerprint this index was built with."""
         return IndexFingerprint.from_meta(self.meta)
-
-    @property
-    def stats(self) -> SeedMapStats:
-        return self.seedmap.stats
-
-    @classmethod
-    def open(cls, path: PathLike, **kwargs) -> "MappingIndex":
-        """Open an index file; see :func:`open_index` for parameters."""
-        return open_index(path, **kwargs)
 
 
 def open_index(path: PathLike, mmap: bool = True, verify: bool = True,
@@ -141,8 +150,9 @@ def open_index(path: PathLike, mmap: bool = True, verify: bool = True,
         ``False`` reads them into process-private memory instead.
     verify:
         Check every array's crc32 against the manifest (the header crc
-        is always checked).  Verification reads the file once; pass
-        ``False`` for latency-critical reopen paths that trust the file.
+        and each table's offsets check always run).  Verification reads
+        the file once; pass ``False`` for latency-critical reopen paths
+        that trust the file.
     expect_seed_length / expect_filter_threshold / expect_step:
         Config-fingerprint expectations, checked through the canonical
         :class:`~repro.core.fingerprint.IndexFingerprint`; a mismatch
@@ -172,27 +182,33 @@ def open_index(path: PathLike, mmap: bool = True, verify: bool = True,
     ref_meta = meta["reference"]
     reference = ReferenceGenome.from_linear_codes(
         ref_meta["names"], ref_meta["lengths"], arrays["ref_codes"])
-    seedmap = SeedMap(meta["seed_length"],
-                      PositionTable(arrays["hash_keys"],
-                                    arrays["range_starts"],
-                                    arrays["range_ends"],
-                                    arrays["locations"]),
+    seedmap = SeedMap(meta["seed_length"], _mapped_table("seedmap", arrays),
                       SeedMapStats(**meta["stats"]),
                       filter_threshold=meta["filter_threshold"],
                       step=meta["step"])
-    return MappingIndex(path, meta, seedmap, reference)
+    table = meta["minimizers"]
+    minimizers = MinimizerIndex(table["k"], table["w"],
+                                table["max_occurrences"],
+                                _mapped_table("minimizers", arrays),
+                                IndexStats(**table["stats"]))
+    return MappingIndex(path, meta, seedmap, minimizers, reference)
+
+
+def _manifest(meta: dict) -> Iterator[Tuple[str, dict]]:
+    """Every array's manifest entry, in file order."""
+    for name, _ in ARRAY_DTYPES:
+        spec = meta.get("arrays", {}).get(name)
+        if spec is None:
+            raise IndexFormatError(f"index is missing array {name!r}")
+        yield name, spec
 
 
 def _map_arrays(path: str, meta: dict, data_start: int, mmap: bool,
                 verify: bool) -> Dict[str, np.ndarray]:
     """Map (or read) every manifest array, optionally crc-checking it."""
     file_size = os.path.getsize(path)
-    manifest = meta.get("arrays", {})
     arrays: Dict[str, np.ndarray] = {}
-    for name, _ in ARRAY_DTYPES:
-        spec = manifest.get(name)
-        if spec is None:
-            raise IndexFormatError(f"index is missing array {name!r}")
+    for name, spec in _manifest(meta):
         dtype = np.dtype(spec["dtype"])
         count = int(spec["count"])
         start = data_start + int(spec["offset"])
@@ -233,17 +249,12 @@ def inspect_index(path: PathLike, verify: bool = True) -> dict:
     if verify:
         _map_arrays(path, meta, data_start, mmap=True, verify=True)
         checksums_ok = True
-    array_rows = []
-    for name, _ in ARRAY_DTYPES:
-        spec = meta.get("arrays", {}).get(name)
-        if spec is None:
-            raise IndexFormatError(f"index is missing array {name!r}")
-        array_rows.append({
-            "name": name, "dtype": spec["dtype"],
-            "count": int(spec["count"]),
-            "bytes": int(spec["count"]) * np.dtype(spec["dtype"]).itemsize,
-            "crc32": spec["crc32"],
-        })
+    array_rows = [{"name": name, "dtype": spec["dtype"],
+                   "count": int(spec["count"]),
+                   "bytes": int(spec["count"])
+                   * np.dtype(spec["dtype"]).itemsize,
+                   "crc32": spec["crc32"]}
+                  for name, spec in _manifest(meta)]
     return {"path": path, "file_bytes": os.path.getsize(path),
             "data_start": data_start, "meta": meta,
             "arrays": array_rows, "checksums_ok": checksums_ok}

@@ -9,7 +9,10 @@ The table is a :class:`repro.hashing.PositionTable` — the one SeedMap
 owns too — built from the reference's minimizer columns, so every
 minimizer of a chunk of reads resolves in one probe
 (:meth:`MinimizerIndex.lookup_all`).  The dict-of-lists build it
-replaced is the oracle in ``tests/oracles/align.py``.
+replaced is the oracle in ``tests/oracles/align.py``.  Like SeedMap it
+is built offline: ``repro index build`` writes it into the ``.rpix``
+file next to the SeedMap (:mod:`repro.index`), and every process that
+opens the file maps it.
 """
 
 from __future__ import annotations
@@ -36,11 +39,12 @@ class IndexStats:
 class MinimizerIndex:
     """Hash -> sorted global positions of that minimizer."""
 
-    def __init__(self, k: int, w: int, table: PositionTable,
-                 stats: IndexStats) -> None:
+    def __init__(self, k: int, w: int, max_occurrences: Optional[int],
+                 table: PositionTable, stats: IndexStats) -> None:
         self.k = k
         self.w = w
-        self._table = table
+        self.max_occurrences = max_occurrences
+        self.table = table
         self.stats = stats
 
     @classmethod
@@ -62,18 +66,18 @@ class MinimizerIndex:
         stats = IndexStats(total_minimizers=hashes.size,
                            distinct_hashes=len(table),
                            masked_hashes=masked.size)
-        return cls(k, w, table, stats)
+        return cls(k, w, max_occurrences, table, stats)
 
     def lookup(self, hash_value: int) -> np.ndarray:
         """Sorted global positions for a hash (empty array if absent),
         as a read-only view of the index's own column."""
-        return self._table.lookup(hash_value)
+        return self.table.lookup(hash_value)
 
     def lookup_all(self, hashes: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray]:
         """Every occurrence of every hash, in one probe: the ``(which,
         positions)`` columns of :meth:`PositionTable.gather`."""
-        return self._table.gather(hashes)
+        return self.table.gather(hashes)
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self.table)

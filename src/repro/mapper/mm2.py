@@ -50,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -277,30 +277,29 @@ class _RescueSearch:
 class Mm2LikeMapper:
     """Minimizer seed-chain-align mapper with paired-end support.
 
-    ``index`` may be a zero-argument callable returning the index: it
-    is called when the first read is seeded, so a mapper that is only a
-    fallback builds nothing until a pair needs it.
+    ``index`` (built from ``reference`` when not given) must have been
+    built with the config's ``k`` and ``w``: a table of other minimizers
+    would find no anchors, so a mismatch raises :class:`ValueError`.
     """
 
     def __init__(self, reference: ReferenceGenome,
-                 index: Union[MinimizerIndex, Callable[[], MinimizerIndex],
-                              None] = None,
+                 index: Optional[MinimizerIndex] = None,
                  config: Optional[MapperConfig] = None,
                  scheme: ScoringScheme = DEFAULT_SCHEME) -> None:
         config = config if config is not None else MapperConfig()
+        if index is None:
+            index = MinimizerIndex.build(
+                reference, k=config.k, w=config.w,
+                max_occurrences=config.max_occurrences)
+        elif (index.k, index.w) != (config.k, config.w):
+            raise ValueError(
+                f"minimizer index has k={index.k}, w={index.w} but the "
+                f"mapper is configured for k={config.k}, w={config.w}")
         self.reference = reference
         self.config = config
         self.scheme = scheme
-        self._index = index if index is not None else MinimizerIndex.build(
-            reference, k=config.k, w=config.w,
-            max_occurrences=config.max_occurrences)
+        self.index = index
         self.stats = MapperStats()
-
-    @property
-    def index(self) -> MinimizerIndex:
-        if callable(self._index):
-            self._index = self._index()
-        return self._index
 
     # -- single-end ----------------------------------------------------------
 

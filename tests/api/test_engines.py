@@ -63,45 +63,42 @@ class TestPolymorphicSurface:
             facade.map(pairs[:3], engine="mm2")
             assert facade.engine("mm2") is first
 
-    def test_one_minimizer_index_per_facade(self, small_reference,
-                                            seedmap, pairs, monkeypatch):
-        """A daemon-style facade (fallback on, both paired engines
-        used) seeds the traditional path from one index: built by the
-        first pair that needs it, not before, and never again."""
+    def test_no_minimizer_build_from_an_index_file(
+            self, small_reference, seedmap, pairs, tmp_path, monkeypatch):
+        """A facade opened from an index file maps the traditional path
+        from the file's minimizer table: GenPair warm-up, a pair that
+        reaches the full fallback, an ``mm2`` run and a forked pool all
+        map without one ``MinimizerIndex.build``."""
         from repro.genome import random_sequence
+        from repro.index import save_index
         from repro.mapper import MinimizerIndex
 
-        builds = []
-        real = MinimizerIndex.build.__func__
+        path = tmp_path / "small.rpix"
+        save_index(path, seedmap, small_reference)
 
-        def counting(cls, *args, **kwargs):
-            builds.append(1)
-            return real(cls, *args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("MinimizerIndex.build called")
 
-        monkeypatch.setattr(MinimizerIndex, "build", classmethod(counting))
+        monkeypatch.setattr(MinimizerIndex, "build", refuse)
         rng = np.random.default_rng(4)
         junk = (random_sequence(rng, 150), random_sequence(rng, 150), "j")
-        with Mapper(small_reference, seedmap,
-                    config=MappingConfig()) as facade:
+        with Mapper.from_index(path) as facade:
             facade.warm_up()
-            assert builds == []  # no pool to fork: nothing to pre-build
-            facade.map([junk], engine="genpair")
-            assert builds == [1]
-            facade.map(pairs[:3], engine="mm2")
-            facade.map(pairs[:3] + [junk], engine="genpair")
-            assert builds == [1]
+            facade.map([junk] + pairs[:3], engine="genpair")
+            assert facade.last_stats.seedmap_fallback \
+                + facade.last_stats.filter_fallback >= 1
+            results = facade.map(pairs[:3], engine="mm2")
+            assert all(result.mapped for result in results)
             fallback = facade.pipeline.fallback
             assert fallback.index is facade.engine("mm2").core.index
-            assert fallback.index is facade.minimizer_index()
             assert fallback is not facade.engine("mm2").core
+            assert isinstance(fallback.index.table.positions, np.memmap)
         if hasattr(os, "fork"):
-            # A pool forks the pipeline: the index must exist first, or
-            # every worker builds its own.
-            with Mapper(small_reference, seedmap,
-                        config=MappingConfig(workers=2)) as pooled:
+            with Mapper.from_index(path, workers=2) as pooled:
                 pooled.warm_up()
-                assert builds == [1, 1]
                 assert pooled._executor is not None
+                results = pooled.map([junk] + pairs[:8])
+                assert sum(result.mapped for result in results) >= 8
 
     def test_unknown_engine_names_available(self, mapper, pairs):
         with pytest.raises(RegistryError, match="genpair"):

@@ -43,6 +43,8 @@ class TestAgainstOracle:
         assert dropped.tolist() == left_out
         assert len(table) == len(kept)
         assert table.positions.size == sum(map(len, kept.values()))
+        assert table.offsets.tolist() == [0] + np.cumsum(
+            [len(kept[key]) for key in sorted(kept)]).tolist()
         for hash_value, found in kept.items():
             assert table.lookup(hash_value).tolist() == found
 

@@ -1,17 +1,23 @@
-"""Tests for the persistent memory-mapped SeedMap index."""
+"""Tests for the persistent memory-mapped index."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import GenPairPipeline, SeedMap
 from repro.genome import generate_reference
 from repro.genome.reference import RepeatProfile
-from repro.index import (FORMAT_VERSION, MAGIC, IndexFormatError,
-                         MappingIndex, inspect_index, open_index,
-                         save_index)
-from repro.index.format import PREAMBLE_BYTES
+from repro.index import (FORMAT_VERSION, IndexFormatError, MappingIndex,
+                         inspect_index, open_index, save_index)
+from repro.index.format import (PREAMBLE_BYTES, TABLE_COLUMNS, pack_header,
+                                read_header)
+from repro.mapper import MapperConfig, MinimizerIndex
+
+#: Every section a table is written as, in file order.
+TABLE_SECTIONS = [f"{table}.{column}" for table in ("seedmap", "minimizers")
+                  for column, _ in TABLE_COLUMNS]
 
 
 @pytest.fixture(scope="module")
@@ -21,17 +27,39 @@ def index_path(tmp_path_factory, small_reference, seedmap):
     return path
 
 
+def assert_same_table(mapped, built):
+    for column, _ in TABLE_COLUMNS:
+        assert np.array_equal(getattr(mapped, column),
+                              getattr(built, column)), column
+
+
+def section_bytes(index_path, section):
+    """``[start, end)`` of one data section in the file."""
+    report = inspect_index(index_path, verify=False)
+    size = next(row["bytes"] for row in report["arrays"]
+                if row["name"] == section)
+    start = report["data_start"] + report["meta"]["arrays"][section]["offset"]
+    return start, start + size
+
+
+def rewrite_header(index_path, out, edit):
+    """A copy of the index whose JSON header ``edit`` changed; the data
+    section is kept byte for byte."""
+    with open(index_path, "rb") as handle:
+        meta, data_start = read_header(handle)
+    edit(meta)
+    out.write_bytes(pack_header(meta) + index_path.read_bytes()[data_start:])
+    return out
+
+
 class TestRoundTrip:
     def test_tables_and_reference_identical(self, index_path,
                                             small_reference, seedmap):
         index = open_index(index_path)
-        assert index.seed_length == seedmap.seed_length
-        assert index.filter_threshold == seedmap.filter_threshold
-        assert index.step == seedmap.step
-        assert index.stats == seedmap.stats
-        for name, array in seedmap.table_arrays().items():
-            assert np.array_equal(index.seedmap.table_arrays()[name],
-                                  array), name
+        assert index.fingerprint.describe() == "seed length 50, filter " \
+            "threshold 500, step 1"
+        assert index.seedmap.stats == seedmap.stats
+        assert_same_table(index.seedmap.table, seedmap.table)
         assert index.reference.names == small_reference.names
         for name in small_reference.names:
             assert np.array_equal(
@@ -73,15 +101,47 @@ class TestRoundTrip:
                                   seedmap.query(seed_hash))
             assert index.seedmap.location_count(seed_hash) == end - start
 
-    def test_mapping_index_open_classmethod(self, index_path):
-        index = MappingIndex.open(index_path, verify=False)
-        assert index.format_version == FORMAT_VERSION
+    def test_format_version_recorded(self, index_path):
+        index = open_index(index_path, verify=False)
+        assert isinstance(index, MappingIndex)
+        assert index.meta["format_version"] == FORMAT_VERSION
 
     def test_save_returns_file_size(self, tmp_path, small_reference,
                                     seedmap):
         path = tmp_path / "sized.rpix"
         written = save_index(path, seedmap, small_reference)
         assert written == path.stat().st_size
+
+
+class TestMinimizerTable:
+    """The file's minimizer table is the one ``MinimizerIndex.build``
+    makes from the reference, however it is opened."""
+
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
+    @pytest.mark.parametrize("max_occurrences", [2, None],
+                             ids=["filtered", "unfiltered"])
+    def test_mapped_table_equals_build(self, tmp_path, small_reference,
+                                       seedmap, mmap, max_occurrences):
+        built = MinimizerIndex.build(small_reference,
+                                     max_occurrences=max_occurrences)
+        assert (built.stats.masked_hashes > 0) == (max_occurrences == 2)
+        path = tmp_path / "minimizers.rpix"
+        save_index(path, seedmap, small_reference, built)
+        mapped = open_index(path, mmap=mmap).minimizers
+        assert_same_table(mapped.table, built.table)
+        assert mapped.stats == built.stats
+        assert (mapped.k, mapped.w, mapped.max_occurrences) \
+            == (built.k, built.w, max_occurrences)
+        assert isinstance(mapped.table.positions, np.memmap) == mmap
+
+    def test_default_table_is_the_mappers(self, index_path,
+                                          small_reference):
+        mapped = open_index(index_path).minimizers
+        defaults = MapperConfig()
+        assert (mapped.k, mapped.w, mapped.max_occurrences) \
+            == (defaults.k, defaults.w, defaults.max_occurrences)
+        assert_same_table(mapped.table,
+                          MinimizerIndex.build(small_reference).table)
 
 
 class TestEdgeConfigurations:
@@ -91,8 +151,8 @@ class TestEdgeConfigurations:
         path = tmp_path / "nofilter.rpix"
         save_index(path, seedmap, genome)
         index = open_index(path, expect_filter_threshold=None)
-        assert index.filter_threshold is None
-        assert index.stats == seedmap.stats
+        assert index.seedmap.filter_threshold is None
+        assert index.seedmap.stats == seedmap.stats
 
     def test_tiny_genome_with_empty_tables(self, tmp_path):
         genome = generate_reference(np.random.default_rng(4), (20,),
@@ -104,6 +164,8 @@ class TestEdgeConfigurations:
         assert index.seedmap.location_table.size == 0
         assert index.reference.total_length == 20
         assert index.seedmap.query(123).size == 0
+        assert len(index.minimizers) == 1  # 20 bases: one window
+        assert index.minimizers.lookup(123).size == 0
 
     def test_step_recorded(self, tmp_path):
         genome = generate_reference(np.random.default_rng(5), (3_000,),
@@ -111,14 +173,16 @@ class TestEdgeConfigurations:
         seedmap = SeedMap.build(genome, step=5)
         path = tmp_path / "step.rpix"
         save_index(path, seedmap, genome)
-        assert open_index(path).step == 5
+        assert open_index(path).seedmap.step == 5
 
 
 class TestFileBytesPinned:
-    """The format is version 1 byte for byte: sizes and digests of the
-    files the commit before ``PositionTable`` wrote (PR 23) for the
-    reference of ``perf.inputs.giab_dataset`` — rebuilt here from its
-    seed, so ``tests/`` does not import the benchmark."""
+    """The format is version 2 byte for byte: sizes and digests of the
+    files written for the reference of ``perf.inputs.giab_dataset`` —
+    rebuilt here from its seed, so ``tests/`` does not import the
+    benchmark.  Version 1 wrote 6,396,288 bytes at filter threshold 500:
+    one ``offsets`` section per table instead of the SeedMap's
+    ``range_starts`` / ``range_ends`` pays for the minimizer table."""
 
     @pytest.fixture(scope="class")
     def giab_reference(self):
@@ -127,9 +191,9 @@ class TestFileBytesPinned:
                                   repeats=RepeatProfile.human_like())
 
     @pytest.mark.parametrize("filter_threshold, size, digest", [
-        (500, 6_396_288, "df7ffaffa6471a7d"),
-        (3, 5_917_888, "b830bcd24a77cc9c"),
-        (None, 6_396_288, "b6d5ce21a0dcaf90"),
+        (500, 5_804_864, "bdfabeb2f8472973"),
+        (3, 5_339_200, "d4745feed3249396"),
+        (None, 5_804_864, "bde29e875b4fbf7e"),
     ])
     def test_save_index_bytes(self, tmp_path, giab_reference,
                               filter_threshold, size, digest):
@@ -137,7 +201,7 @@ class TestFileBytesPinned:
         built = SeedMap.build(giab_reference,
                               filter_threshold=filter_threshold)
         assert save_index(path, built, giab_reference) == size
-        assert FORMAT_VERSION == 1
+        assert FORMAT_VERSION == 2
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
 
 
@@ -199,28 +263,64 @@ class TestRejection:
         with pytest.raises(IndexFormatError, match="cannot open"):
             open_index(tmp_path / "nope.rpix")
 
-    def test_unsupported_version(self, index_path, tmp_path):
-        raw = bytearray(index_path.read_bytes())
-        # Version lives inside the JSON header; bump it and re-pack so
-        # the header crc stays valid.
-        import json
-        import struct
-        import zlib
-        length = struct.unpack_from("<Q", raw, 8)[0]
-        meta = json.loads(raw[PREAMBLE_BYTES:PREAMBLE_BYTES + length])
-        meta["format_version"] = FORMAT_VERSION + 1
-        payload = json.dumps(meta, sort_keys=True,
-                             separators=(",", ":")).encode()
-        # Same-length payloads keep array offsets intact; pad a key if
-        # needed by rewriting the whole preamble + header region.
-        blob = bytearray(MAGIC)
-        blob += struct.pack("<QI4x", len(payload),
-                            zlib.crc32(payload) & 0xFFFFFFFF)
-        blob += payload
-        bad = tmp_path / "version.rpix"
-        bad.write_bytes(bytes(blob))
-        with pytest.raises(IndexFormatError, match="version"):
+    @pytest.mark.parametrize("version", [1, FORMAT_VERSION + 1])
+    def test_unsupported_version(self, index_path, tmp_path, version):
+        bad = rewrite_header(
+            index_path, tmp_path / "version.rpix",
+            lambda meta: meta.update(format_version=version))
+        with pytest.raises(IndexFormatError,
+                           match=f"version {version} .*`repro index "
+                                 "build`"):
+            open_index(bad, verify=False)
+
+    def test_map_refuses_a_version_1_file(self, index_path, tmp_path,
+                                          capsys):
+        old = rewrite_header(index_path, tmp_path / "old.rpix",
+                             lambda meta: meta.update(format_version=1))
+        assert main(["map", "--index", str(old),
+                     "--reads1", str(tmp_path / "r1.fq"),
+                     "--reads2", str(tmp_path / "r2.fq"),
+                     "--out", str(tmp_path / "out.sam")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: unsupported index format version 1")
+        assert "`repro index build`" in err
+
+    @pytest.mark.parametrize("section", TABLE_SECTIONS)
+    def test_truncated_in_section(self, index_path, tmp_path, section):
+        start, end = section_bytes(index_path, section)
+        bad = tmp_path / "trunc.rpix"
+        bad.write_bytes(index_path.read_bytes()[:(start + end) // 2])
+        with pytest.raises(IndexFormatError, match="truncated"):
+            open_index(bad, verify=False)
+
+    @pytest.mark.parametrize("section", TABLE_SECTIONS)
+    def test_bit_flip_in_section(self, index_path, tmp_path, section):
+        start, end = section_bytes(index_path, section)
+        bad = self._copy_with_flip(index_path, tmp_path, (start + end) // 2)
+        with pytest.raises(IndexFormatError,
+                           match=f"{section}.*checksum mismatch"):
             open_index(bad)
+
+    @pytest.mark.parametrize("table", ["seedmap", "minimizers"])
+    def test_last_offset_checked_without_verify(self, index_path,
+                                                tmp_path, table):
+        _, end = section_bytes(index_path, f"{table}.offsets")
+        # The last offset's low byte.
+        bad = self._copy_with_flip(index_path, tmp_path, end - 8)
+        with pytest.raises(IndexFormatError, match=f"{table}.*inconsistent"):
+            open_index(bad, verify=False)
+
+    @pytest.mark.parametrize("table", ["seedmap", "minimizers"])
+    def test_offsets_count_checked_without_verify(self, index_path,
+                                                  tmp_path, table):
+        def drop_a_key(meta):
+            meta["arrays"][f"{table}.keys"]["count"] -= 1
+
+        bad = rewrite_header(index_path, tmp_path / "count.rpix",
+                             drop_a_key)
+        with pytest.raises(IndexFormatError, match=f"{table}.*inconsistent"):
+            open_index(bad, verify=False)
 
     def test_stale_seed_length_fingerprint(self, index_path):
         with pytest.raises(IndexFormatError, match="fingerprint"):
@@ -234,7 +334,7 @@ class TestRejection:
         index = open_index(index_path,
                            expect_seed_length=seedmap.seed_length,
                            expect_filter_threshold=500)
-        assert index.seed_length == seedmap.seed_length
+        assert index.seedmap.seed_length == seedmap.seed_length
 
 
 class TestInspect:
@@ -247,28 +347,22 @@ class TestInspect:
         assert meta["reference"]["total_length"] \
             == small_reference.total_length
         names = [row["name"] for row in report["arrays"]]
-        assert names == ["ref_codes", "hash_keys", "range_starts",
-                         "range_ends", "locations"]
+        assert names == ["ref_codes"] + TABLE_SECTIONS
         counts = {row["name"]: row["count"] for row in report["arrays"]}
-        assert counts["locations"] == seedmap.stats.stored_locations
+        assert counts["seedmap.positions"] \
+            == seedmap.stats.stored_locations
+        assert counts["seedmap.offsets"] == seedmap.stats.distinct_seeds + 1
         assert counts["ref_codes"] == small_reference.total_length
+        minimizers = meta["minimizers"]
+        assert (minimizers["k"], minimizers["w"]) == (15, 10)
+        assert counts["minimizers.keys"] \
+            == minimizers["stats"]["distinct_hashes"]
 
     def test_missing_manifest_entry_rejected_without_verify(
             self, index_path, tmp_path):
-        import json
-        import struct
-        import zlib
-        raw = index_path.read_bytes()
-        length = struct.unpack_from("<Q", raw, 8)[0]
-        meta = json.loads(raw[PREAMBLE_BYTES:PREAMBLE_BYTES + length])
-        del meta["arrays"]["locations"]
-        payload = json.dumps(meta, sort_keys=True,
-                             separators=(",", ":")).encode()
-        blob = MAGIC + struct.pack("<QI4x", len(payload),
-                                   zlib.crc32(payload) & 0xFFFFFFFF) \
-            + payload
-        bad = tmp_path / "missing.rpix"
-        bad.write_bytes(blob)
+        bad = rewrite_header(
+            index_path, tmp_path / "missing.rpix",
+            lambda meta: meta["arrays"].pop("minimizers.positions"))
         with pytest.raises(IndexFormatError, match="missing array"):
             inspect_index(bad, verify=False)
 

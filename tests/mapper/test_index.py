@@ -26,7 +26,7 @@ class TestMinimizerIndex:
         assert found >= 10
 
     def test_positions_sorted(self, index):
-        for hash_value in index._table.keys[:100]:
+        for hash_value in index.table.keys[:100]:
             positions = index.lookup(hash_value)
             assert positions.size
             assert np.all(np.diff(positions) >= 0)
@@ -44,7 +44,7 @@ class TestMinimizerIndex:
 
     def test_lookup_is_read_only(self, index):
         """A caller's in-place edit must not reach the index."""
-        hash_value = index._table.keys[0]
+        hash_value = index.table.keys[0]
         before = index.lookup(hash_value).copy()
         with pytest.raises(ValueError):
             index.lookup(hash_value)[0] = -1
@@ -91,7 +91,7 @@ class TestAgainstDictBuild:
         index = MinimizerIndex.build(reference, k, w, max_occurrences)
         assert index.stats == stats
         assert len(index) == len(table)
-        assert index._table.keys.tolist() == sorted(table)
+        assert index.table.keys.tolist() == sorted(table)
         for hash_value, positions in table.items():
             found = index.lookup(hash_value)
             assert found.dtype == np.int64

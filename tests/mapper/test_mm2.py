@@ -57,6 +57,27 @@ class TestSingleEnd:
         assert fresh.stats.dp_cells_alignment > 0
 
 
+class TestIndexMismatch:
+    """A table of other minimizers finds no anchors: every read would
+    come out unmapped, so the mapper refuses it up front."""
+
+    @pytest.mark.parametrize("k, w", [(13, 10), (15, 5)])
+    def test_mismatched_index_refused(self, plain_reference, k, w):
+        index = MinimizerIndex.build(plain_reference, k=k, w=w)
+        with pytest.raises(ValueError) as refused:
+            Mm2LikeMapper(plain_reference, index=index)
+        message = str(refused.value)
+        assert f"k={k}, w={w}" in message and "k=15, w=10" in message
+
+    def test_matching_config_accepted(self, plain_reference):
+        index = MinimizerIndex.build(plain_reference, k=13, w=5)
+        mapper = Mm2LikeMapper(plain_reference, index=index,
+                               config=MapperConfig(k=13, w=5))
+        assert mapper.index is index
+        codes = plain_reference.fetch("chr1", 6000, 6150)
+        assert mapper.map_read(codes, "fwd").position == 6000
+
+
 class TestPairedEnd:
     def test_proper_pair(self, plain_reference, mapper, clean_pairs):
         pair = clean_pairs[0]

@@ -33,13 +33,22 @@ opens; origin priority diag > E > F), so every tie-break is the scalar one:
 excluded cells hold ``NEG_INF`` and a value on a traceback path is a real
 score, so no comparison there ties two sentinels.  The scalar loops are the
 test oracle (``tests/oracles/align.py``).
+
+*Traceback on demand.*  A sweep returns each result's score, end cell and
+``cells`` at once, and frees ``H``/``E``/``F``; only the uint8 pointer
+plane (``n x diagonals x B`` bytes, ~0.3 MB for 64 problems of 150 x 33)
+stays, shared by the sweep's results.  A result walks its traceback the
+first time ``ref_start`` or ``read_start`` is read, and run-length encodes
+the walk's op letters into a ``Cigar`` the first time ``cigar`` is:
+the mappers sweep many problems per answer they keep (candidate DP every
+filtered candidate, mm2 every chain and rescue band) and pay the walk
+only for the answers they read.  Pickling or copying a result resolves
+it and never carries the plane.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,10 +71,18 @@ _RUN_STOPS = bytes(bool(code & (_H_FROM_E | _H_FROM_F | _H_STARTS))
                    for code in range(256))
 _MATCH_OP = bytes(ord("=" if code & _BASES_EQUAL else "X")
                   for code in range(256))
-_OP_RUNS = re.compile(rb"=+|X+|I+|D+|S+")
 
 
-@dataclass(frozen=True)
+class _Pointers(NamedTuple):
+    """One sweep's traceback bits, shared by its results: ``codes[i - 1,
+    c, b]`` is cell ``(i, c)`` of problem ``b``."""
+
+    codes: np.ndarray
+    width: int
+    n: int
+    local: bool
+
+
 class AlignmentResult:
     """Outcome of one pairwise alignment.
 
@@ -73,15 +90,95 @@ class AlignmentResult:
     to the window passed in); ``read_start``/``read_end`` likewise for the
     read (non-trivial only for local alignment).  ``cells`` counts DP cells
     computed and feeds the MCUPS accounting of the hardware model.
+
+    Built with all seven values, a result is eager.  The kernel's results
+    hold their sweep's pointer plane instead of ``ref_start``,
+    ``read_start`` and ``cigar``, and resolve them on first read (module
+    docstring).
     """
 
-    score: int
-    cigar: Cigar
-    ref_start: int
-    ref_end: int
-    read_start: int
-    read_end: int
-    cells: int
+    __slots__ = ("score", "ref_end", "read_end", "cells", "_ref_start",
+                 "_read_start", "_cigar", "_ops", "_pending")
+
+    def __init__(self, score: int, cigar: Cigar, ref_start: int,
+                 ref_end: int, read_start: int, read_end: int,
+                 cells: int) -> None:
+        self.score, self.ref_end = score, ref_end
+        self.read_end, self.cells = read_end, cells
+        self._ref_start, self._read_start = ref_start, read_start
+        self._cigar: Optional[Cigar] = cigar
+        self._ops: Optional[bytes] = None
+        #: ``(pointers, problem, end column j, end band column c)`` until
+        #: the walk; ``_ref_start`` holds the span's shift till then.
+        self._pending: Optional[tuple] = None
+
+    @classmethod
+    def _traced(cls, score: int, ref_end: int, read_end: int, cells: int,
+                pending: tuple) -> "AlignmentResult":
+        result = cls(score, None, 0, ref_end, 0, read_end, cells)
+        result._pending = pending
+        return result
+
+    def _walk(self) -> None:
+        (codes, width, n, local), problem, end_j, end_c = self._pending
+        self._pending = None
+        ops, start_i, start_j = _traceback(
+            codes[:, :, problem].tobytes(), width, self.read_end, end_j,
+            end_c, local)
+        self._ops = b"S" * start_i + ops + b"S" * (n - self.read_end)
+        self._read_start = start_i
+        self._ref_start += start_j
+
+    @property
+    def ref_start(self) -> int:
+        if self._pending is not None:
+            self._walk()
+        return self._ref_start
+
+    @property
+    def read_start(self) -> int:
+        if self._pending is not None:
+            self._walk()
+        return self._read_start
+
+    @property
+    def cigar(self) -> Cigar:
+        if self._cigar is None:
+            if self._pending is not None:
+                self._walk()
+            self._cigar, self._ops = Cigar.from_ops(self._ops), None
+        return self._cigar
+
+    def shifted(self, offset: int) -> "AlignmentResult":
+        """This alignment with its reference span ``offset`` bases to the
+        right (a band cut from a wider window), still unresolved if this
+        one is."""
+        moved = AlignmentResult.__new__(AlignmentResult)
+        for slot in self.__slots__:
+            setattr(moved, slot, getattr(self, slot))
+        moved._ref_start += offset
+        moved.ref_end += offset
+        return moved
+
+    def _values(self) -> tuple:
+        return (self.score, self.cigar, self.ref_start, self.ref_end,
+                self.read_start, self.read_end, self.cells)
+
+    def __reduce__(self):
+        return AlignmentResult, self._values()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AlignmentResult):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return ("AlignmentResult(score={}, cigar={!r}, ref_start={}, "
+                "ref_end={}, read_start={}, read_end={}, cells={})"
+                .format(*self._values()))
 
 
 def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
@@ -134,13 +231,15 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
             -(gap_open + extend * edge)[:, None]
 
     # equal[i-1, c-1, b]: read base i against band column c's reference
-    # base, the window padded so that every column has one.
+    # base, the window padded so that every column has one; stored stack
+    # innermost like the planes, so that a row's slice is one block.
     left = max(0, -low)
     padded = np.full((stack, left + m + max(0, n + shift + width - m)),
                      255, dtype=np.uint8)
     padded[:, left:left + m] = refs
-    equal = sliding_window_view(padded, width, axis=1).transpose(1, 2, 0)[
-        low + left:low + left + n] == reads.T[:, None, :]
+    equal = np.empty((n, width, stack), dtype=bool)
+    np.equal(sliding_window_view(padded, width, axis=1).transpose(1, 2, 0)[
+        low + left:low + left + n], reads.T[:, None, :], out=equal)
     substitution = np.where(equal, dtype(scheme.match),
                             dtype(-scheme.mismatch))
 
@@ -185,20 +284,18 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
         end_rows = np.full(stack, n - 1)
         end_cols = band[-1, first:stops[-1] - 1].argmax(axis=0) + first
 
+    scores = band[end_rows, end_cols, np.arange(stack)].tolist()
+    end_rows += 1
+    pointers = _Pointers(codes, width, n, local)
     results = []
-    for b, (end_i, end_c) in enumerate(zip((end_rows + 1).tolist(),
-                                           end_cols.tolist())):
-        score, end_j = int(band[end_i - 1, end_c, b]), end_i + low + end_c
+    for b, (score, end_i, end_c) in enumerate(zip(
+            scores, end_rows.tolist(), end_cols.tolist())):
         if local and score == 0:
             results.append(AlignmentResult(0, Cigar(()), 0, 0, 0, 0, cells))
             continue
-        ops, start_i, start_j = _traceback(codes[:, :, b].tobytes(), width,
-                                           end_i, end_j, end_c, local)
-        ops = b"S" * start_i + ops + b"S" * (n - end_i)
-        cigar = Cigar(tuple((len(run.group()), chr(run.group()[0]))
-                            for run in _OP_RUNS.finditer(ops)))
-        results.append(AlignmentResult(score, cigar, start_j, end_j,
-                                       start_i, end_i, cells))
+        end_j = end_i + low + end_c
+        results.append(AlignmentResult._traced(
+            score, end_j, end_i, cells, (pointers, b, end_j, end_c)))
     return results
 
 

@@ -151,6 +151,7 @@ def _build_mapper(args: argparse.Namespace):
     already printed.
     """
     from .api import Mapper, MappingConfigError
+    from .genome import FastaError, SequenceError
     from .index import IndexFormatError
 
     if (args.index is None) == (args.reference is None):
@@ -184,7 +185,8 @@ def _build_mapper(args: argparse.Namespace):
                 **overrides)
         else:
             mapper = Mapper.from_reference(args.reference, **overrides)
-    except (IndexFormatError, MappingConfigError) as exc:
+    except (FastaError, IndexFormatError, MappingConfigError,
+            SequenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, 1
     return mapper, None
@@ -451,15 +453,19 @@ def _cmd_index_build(args: argparse.Namespace) -> int:
     import time
 
     from .core import SeedMap
-    from .genome import read_fasta
+    from .genome import FastaError, SequenceError, read_fasta
     from .index import INDEX_SUFFIX, save_index
     from .mapper import MinimizerIndex
 
-    reference = read_fasta(args.reference)
     threshold = None if args.no_filter else args.filter_threshold
-    start = time.perf_counter()
-    seedmap = SeedMap.build(reference, seed_length=args.seed_length,
-                            filter_threshold=threshold, step=args.step)
+    try:
+        reference = read_fasta(args.reference)
+        start = time.perf_counter()
+        seedmap = SeedMap.build(reference, seed_length=args.seed_length,
+                                filter_threshold=threshold, step=args.step)
+    except (FastaError, SequenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     minimizers = MinimizerIndex.build(reference)
     build_seconds = time.perf_counter() - start
     out = args.out if args.out else args.reference + INDEX_SUFFIX

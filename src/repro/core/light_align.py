@@ -276,9 +276,5 @@ def _perfect_cigar(length: int) -> Cigar:
 
 def _mask_to_cigar(mask: np.ndarray) -> Cigar:
     """Convert a Hamming mask to an ``=``/``X`` CIGAR."""
-    if mask.size == 0:
-        return Cigar(())
-    starts = np.flatnonzero(np.diff(mask, prepend=not mask[0]))
-    lengths = np.diff(starts, append=mask.size)
-    return Cigar(tuple(zip(lengths.tolist(),
-                           np.where(mask[starts], "=", "X").tolist())))
+    return Cigar.from_ops(np.where(mask, np.uint8(ord("=")),
+                                   np.uint8(ord("X"))))

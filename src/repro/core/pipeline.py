@@ -27,6 +27,9 @@ chunk-wide candidate-DP waves (read 1 at every candidate, read 2 where
 read 1 survived: one :func:`align_banded` sweep per window shape, cut by
 :func:`~repro.align.banded.stack_problems`'s cell budget), and the
 chunk's residue goes to the fallback mapper's ``map_pairs`` in one call.
+Candidate DP picks each pair's winner by score alone; a hit carries its
+window's start, and only the two winning hits of a pair walk their
+tracebacks (for the position and CIGAR of the records).
 Every pair comes out as a
 :class:`~repro.genome.results.MappingResult`.
 :meth:`~GenPairPipeline.map_pair` is a chunk of one,
@@ -496,7 +499,7 @@ class GenPairPipeline:
         hit = self.light_aligner.align(codes, window, offset)
         if hit is None:
             return None
-        return hit, chromosome, window_start + hit.ref_start
+        return hit, chromosome, window_start
 
     def _dp_align_candidates(self, pending: Sequence[_Pending]) -> list:
         """Banded DP at the filtered candidates (cheap fallback arc): the
@@ -533,7 +536,8 @@ class GenPairPipeline:
 
     def _dp_at(self, problems: Sequence[Tuple[np.ndarray, int]]) -> list:
         """Banded DP of each ``(read, candidate)``: a hit or ``None``
-        per problem, in order."""
+        per problem, in order.  A hit carries its window's start, not
+        its position: only the winners' tracebacks are ever walked."""
         contexts = [self._window(candidate, len(codes))
                     for codes, candidate in problems]
         hits: list = [None] * len(contexts)
@@ -547,8 +551,7 @@ class GenPairPipeline:
                 self.stats.dp_cells_candidate += result.cells
                 if result.score >= 0:
                     _, chromosome, window_start, _ = contexts[k]
-                    hits[k] = (result, chromosome,
-                               window_start + result.ref_start)
+                    hits[k] = (result, chromosome, window_start)
         return hits
 
     def _build_result(self, name: str, stage: str, orientation: str,
@@ -573,13 +576,14 @@ class GenPairPipeline:
 
     def _record(self, name: str, hit, read_codes: np.ndarray, mate: int,
                 strand: str, method: str) -> AlignmentRecord:
-        alignment, chromosome, position = hit
+        alignment, chromosome, window_start = hit
         cigar = alignment.cigar
         if method == METHOD_LIGHT and cigar.edit_runs == ():
             method = METHOD_EXACT
+        position = int(window_start + alignment.ref_start)
         return AlignmentRecord(query_name=f"{name}/{mate}",
                                chromosome=chromosome,
-                               position=int(position), strand=strand,
+                               position=position, strand=strand,
                                mapq=60, cigar=cigar,
                                score=alignment.score,
                                read_codes=read_codes, mate=mate,

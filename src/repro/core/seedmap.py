@@ -36,6 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..genome.reference import ReferenceGenome
+from ..genome.sequence import ALPHABET_SIZE, SequenceError
 from ..hashing import (DEFAULT_SEED_LENGTH, PositionTable,
                        hash_reference_windows)
 
@@ -120,12 +121,24 @@ class SeedMap:
             Stride between indexed reference positions.  The hardware
             indexes every position (stride 1); larger strides trade recall
             for index size and are exposed for experimentation.
+
+        A reference holding an ``N`` raises
+        :class:`~repro.genome.sequence.SequenceError` naming the record
+        and the base.
         """
         hash_chunks = [np.zeros(0, dtype=np.uint64)]
         position_chunks = [np.zeros(0, dtype=np.int64)]
         for name in reference.names:
             codes = reference.fetch(name, 0, reference.length(name))
-            hashes = hash_reference_windows(codes, seed_length, step=step)
+            try:
+                hashes = hash_reference_windows(codes, seed_length,
+                                                step=step)
+            except SequenceError:
+                offset = int(np.argmax(codes >= ALPHABET_SIZE)) + 1
+                raise SequenceError(
+                    f"reference record {name!r} has an N at base "
+                    f"{offset:,}; indexing N runs is not supported yet"
+                ) from None
             hash_chunks.append(hashes)
             position_chunks.append(
                 np.arange(len(hashes), dtype=np.int64) * step

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Tuple, Union
+
+import numpy as np
 
 _VALID_OPS = frozenset("M=XIDS")
 _READ_OPS = frozenset("M=XIS")
@@ -77,6 +79,19 @@ class Cigar:
             else:
                 merged.append((length, op))
         return cls(tuple(merged))
+
+    @classmethod
+    def from_ops(cls, ops: Union[bytes, np.ndarray]) -> "Cigar":
+        """Run-length encode one op letter per alignment column (``bytes``
+        or a ``uint8`` array of ASCII letters): ``b"==XI"`` is ``2=1X1I``."""
+        letters = np.frombuffer(ops, dtype=np.uint8) \
+            if isinstance(ops, bytes) else ops
+        if not letters.size:
+            return cls(())
+        edges = np.flatnonzero(np.concatenate(
+            ([True], letters[1:] != letters[:-1], [True])))
+        return cls(tuple(zip((edges[1:] - edges[:-1]).tolist(),
+                             letters[edges[:-1]].tobytes().decode("ascii"))))
 
     @classmethod
     def parse(cls, text: str) -> "Cigar":

@@ -60,7 +60,9 @@ def read_fasta(path: PathLike) -> "ReferenceGenome":
     """Read a FASTA file into a :class:`ReferenceGenome`.
 
     ``N`` bases are accepted and preserved; headers are truncated at the
-    first whitespace, matching common mapper behaviour.
+    first whitespace, matching common mapper behaviour.  Any other base
+    (an IUPAC code such as ``R``) raises :class:`FastaError` naming the
+    record and the base's 1-based offset in it.
     """
     chromosomes: Dict[str, np.ndarray] = {}
     name = None
@@ -72,7 +74,7 @@ def read_fasta(path: PathLike) -> "ReferenceGenome":
                 continue
             if line.startswith(">"):
                 if name is not None:
-                    chromosomes[name] = encode("".join(chunks), allow_n=True)
+                    chromosomes[name] = _encode_record(path, name, chunks)
                 name = line[1:].split()[0]
                 if not name:
                     raise FastaError("empty FASTA header")
@@ -84,8 +86,22 @@ def read_fasta(path: PathLike) -> "ReferenceGenome":
                     raise FastaError("sequence data before first header")
                 chunks.append(line)
     if name is not None:
-        chromosomes[name] = encode("".join(chunks), allow_n=True)
+        chromosomes[name] = _encode_record(path, name, chunks)
     return ReferenceGenome(chromosomes)
+
+
+def _encode_record(path: PathLike, name: str, lines: List[str]
+                   ) -> np.ndarray:
+    sequence = "".join(lines)
+    try:
+        return encode(sequence, allow_n=True)
+    except (SequenceError, UnicodeEncodeError):
+        offset, bad = next((offset, base) for offset, base
+                           in enumerate(sequence, start=1)
+                           if base not in "ACGTNacgtn")
+        raise FastaError(
+            f"FASTA record {name!r} in {path}: invalid base {bad!r} at "
+            f"base {offset:,}; only ACGT and N are supported") from None
 
 
 def write_fasta(path: PathLike, genome: ReferenceGenome,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..genome.sequence import ALPHABET_SIZE
+from ..genome.sequence import ALPHABET_SIZE, SequenceError
 
 #: Seed length used throughout the paper (Observation 1 fixes 50bp).
 DEFAULT_SEED_LENGTH = 50
@@ -53,7 +53,8 @@ def hash_reference_windows(codes: np.ndarray, seed_length: int,
     per-window Python work is just the xxHash core.
 
     Returns a ``uint64`` array of hash values, one per window start
-    ``0, step, 2*step, ...``.
+    ``0, step, 2*step, ...``.  An ambiguous base anywhere in ``codes``
+    raises :class:`~repro.genome.sequence.SequenceError`.
     """
     if seed_length <= 0 or step <= 0:
         raise ValueError("seed_length and step must be positive")
@@ -61,7 +62,7 @@ def hash_reference_windows(codes: np.ndarray, seed_length: int,
     if count <= 0:
         return np.zeros(0, dtype=np.uint64)
     if codes.size and codes.max(initial=0) >= ALPHABET_SIZE:
-        raise ValueError("reference windows must be concrete bases")
+        raise SequenceError("reference windows must be concrete bases")
     from .vectorized import pack_rows_2bit, xxhash32_rows
 
     starts = np.arange(count) * step

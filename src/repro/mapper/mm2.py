@@ -27,10 +27,15 @@ every read in one :func:`align_banded` sweep per window shape
 Pairing runs pair by pair; mate rescue runs in two chunk-wide waves —
 read 2 near read 1's best placement, then read 1 near read 2's for the
 pairs still open — and aligns only the diagonals of the insert window
-that a q-gram bound cannot rule out (:class:`_RescueSearch`): most
-rescues are settled with no DP or in one shared sweep of a narrow band,
-and only the rest pay for the whole-window band, with exactly its
-result.  What shares a sweep never changes a result, so every record
+that a q-gram bound cannot rule out (:class:`_RescueSearch`; a wave's
+votes come from one q-gram table over all its windows,
+:func:`_wave_votes`): most rescues are settled with no DP or in one
+shared sweep of a narrow band, and only the rest pay for the
+whole-window band, with exactly its result.  The kernel's tracebacks run
+on demand: pairing reads every placement's position, which walks its
+traceback, but only a placement that becomes a record has its CIGAR
+built, and a narrow band's result is shifted into its window without a
+walk.  What shares a sweep never changes a result, so every record
 and counter is that of a :meth:`~Mm2LikeMapper.map_pair` loop, which is
 a chunk of one.  Each pair comes out as a
 :class:`~repro.genome.results.MappingResult` (stage ``proper_pair``,
@@ -47,7 +52,6 @@ rescue searches the anchor's chromosome, records copy the placement.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -139,19 +143,55 @@ class _Paired:
     rescued: bool
 
 
-def _qgrams(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The 2-bit-packed :data:`RESCUE_K`-mers of ``codes`` that hold no
-    ``N``, and where each starts."""
-    count = len(codes) - RESCUE_K + 1
+def _qgrams(sequences: Sequence[np.ndarray]
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2-bit-packed :data:`RESCUE_K`-mers of every sequence that hold
+    no ``N``, packed over the sequences laid end to end: ``(key, start
+    within its sequence, sequence)`` per k-mer."""
+    lengths = np.array([len(codes) for codes in sequences], dtype=np.int64)
+    codes = np.concatenate(sequences)
+    count = codes.size - RESCUE_K + 1
     if count <= 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
     keys = np.zeros(count, dtype=np.int64)
     for offset in range(RESCUE_K):
         keys <<= 2
         keys |= codes[offset:offset + count] & 3
     ambiguous = np.concatenate(([0], np.cumsum(codes >= ALPHABET_SIZE)))
-    where = np.flatnonzero(ambiguous[RESCUE_K:] == ambiguous[:count])
-    return keys[where], where
+    owner, within = ragged_ranges(lengths)
+    # A k-mer of its own sequence, and free of ``N``.
+    where = np.flatnonzero(
+        (within[:count] + RESCUE_K <= lengths[owner[:count]])
+        & (ambiguous[RESCUE_K:] == ambiguous[:count]))
+    return keys[where], within[where], owner[where]
+
+
+def _wave_votes(problems: Sequence[Tuple[np.ndarray, np.ndarray]]
+                ) -> List[Tuple[np.ndarray, int]]:
+    """The q-gram votes of each ``(mate, window)`` of a rescue wave:
+    ``votes[d + n]`` counts the exact :data:`RESCUE_K`-mer matches on
+    diagonal ``d`` (window position - mate position), next to the mate's
+    count of valid k-mers.  One :class:`PositionTable` holds every
+    window's k-mers under a ``(rescue, k-mer)`` key and one gather finds
+    every mate's matches in its own window."""
+    if not problems:
+        return []
+    mates, windows = zip(*problems)
+    mate_keys, mate_starts, mate_owner = _qgrams(mates)
+    window_keys, window_starts, window_owner = _qgrams(windows)
+    table, _ = PositionTable.build(
+        window_keys | window_owner << 2 * RESCUE_K, window_starts)
+    which, positions = table.gather(mate_keys | mate_owner << 2 * RESCUE_K)
+    n = np.array([len(mate) for mate in mates], dtype=np.int64)
+    spans = n + [len(window) + 1 for window in windows]
+    bases = np.cumsum(spans) - spans
+    owner = mate_owner[which]
+    votes = np.bincount(bases[owner] + n[owner] + positions
+                        - mate_starts[which], minlength=int(spans.sum()))
+    valid = np.bincount(mate_owner, minlength=len(problems)).tolist()
+    return [(votes[base:base + span], count) for base, span, count
+            in zip(bases.tolist(), spans.tolist(), valid)]
 
 
 class _RescueSearch:
@@ -205,7 +245,9 @@ class _RescueSearch:
 
     def __init__(self, oriented: np.ndarray, window: np.ndarray,
                  chromosome: str, start: int, strand: str, min_score: int,
-                 scheme: ScoringScheme) -> None:
+                 scheme: ScoringScheme, votes: np.ndarray,
+                 valid: int) -> None:
+        """``votes`` and ``valid`` are the mate's :func:`_wave_votes`."""
         self.oriented, self.window = oriented, window
         self.chromosome, self.start, self.strand = chromosome, start, strand
         self.min_score = min_score
@@ -213,16 +255,8 @@ class _RescueSearch:
         n, m = len(oriented), len(window)
         self.wide = (m // 2, m // 2 + 8)
         self.low, self.high = max(self.wide[0] - self.wide[1], -n), m - 1
-        read_keys, read_starts = _qgrams(oriented)
-        window_keys, window_starts = _qgrams(window)
-        table, _ = PositionTable.build(window_keys, window_starts)
-        which, positions = table.gather(read_keys)
-        # Votes per diagonal ``d = window position - read position``,
-        # stored at ``d + n``.
-        votes = np.bincount(positions - read_starts[which] + n,
-                            minlength=n + m + 1)
         self._cumulative = np.concatenate(([0], np.cumsum(votes)))
-        self._valid = read_keys.size
+        self._valid = valid
         self.top = int(votes.argmax()) - n
 
     def hot_span(self, score: int) -> Optional[Tuple[int, int]]:
@@ -577,7 +611,7 @@ class Mm2LikeMapper:
         runs the whole-window band, a lone call.
         """
         self.stats.rescue_attempts += len(jobs)
-        searches = [self._rescue_search(anchor, mate) for anchor, mate in jobs]
+        searches = self._rescue_searches(jobs)
         results: List[Optional[AlignmentResult]] = [None] * len(jobs)
         # No hot window at the floor: the rescue cannot succeed.
         live = [number for number, search in enumerate(searches)
@@ -596,9 +630,7 @@ class Mm2LikeMapper:
             hot = search.hot_span(reached)
             if first is not None and first[0] <= hot[0] \
                     and hot[1] <= first[0] + 2 * RESCUE_BAND:
-                results[number] = dataclasses.replace(
-                    result, ref_start=result.ref_start + first[0],
-                    ref_end=result.ref_end + first[0])
+                results[number] = result.shifted(first[0])
             elif hot != (search.low, search.high):
                 widened.append((number, search.band(*hot)))
             else:
@@ -614,10 +646,23 @@ class Mm2LikeMapper:
         return [None if search is None else search.placement(result)
                 for search, result in zip(searches, results)]
 
-    def _rescue_search(self, anchor: _Placement, mate_codes: np.ndarray
-                       ) -> Optional[_RescueSearch]:
+    def _rescue_searches(self, jobs: Sequence[Tuple[_Placement, np.ndarray]]
+                         ) -> List[Optional[_RescueSearch]]:
+        """Each ``(anchor, mate)``'s search, its votes from one
+        :func:`_wave_votes` over the wave; ``None`` where no window
+        fits."""
+        found = [self._rescue_window(anchor, mate) for anchor, mate in jobs]
+        votes = iter(_wave_votes([(oriented, window) for oriented, window,
+                                  *_ in filter(None, found)]))
+        return [None if job is None else
+                _RescueSearch(*job, self.scheme, *next(votes))
+                for job in found]
+
+    def _rescue_window(self, anchor: _Placement, mate_codes: np.ndarray
+                       ) -> Optional[tuple]:
         """The mate oriented opposite its anchor and the insert window
-        on the anchor's chromosome; ``None`` where no window fits."""
+        on the anchor's chromosome, as :class:`_RescueSearch` takes them
+        (up to ``scheme``); ``None`` where no window fits."""
         mate_strand = "-" if anchor.strand == "+" else "+"
         oriented = (reverse_complement(mate_codes) if mate_strand == "-"
                     else mate_codes)
@@ -634,8 +679,7 @@ class Mm2LikeMapper:
         window, chromosome, start, _ = found
         min_score = int(self.config.min_score_fraction
                         * self.scheme.perfect_score(len(mate_codes)))
-        return _RescueSearch(oriented, window, chromosome, start,
-                             mate_strand, min_score, self.scheme)
+        return oriented, window, chromosome, start, mate_strand, min_score
 
     # -- record construction ---------------------------------------------
 

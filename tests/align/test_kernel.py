@@ -5,7 +5,9 @@ observable of a result — score, CIGAR, spans, ``cells`` — must be equal,
 ties included.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -13,11 +15,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import align as oracle
 from repro.align import (ScoringScheme, align_banded, align_local,
-                         align_semiglobal, banded, stack_problems)
+                         align_semiglobal, banded, dp, stack_problems)
 from repro.api import Mapper
 from repro.core import pipeline as pipeline_module
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           plant_variants)
+from repro.genome.cigar import Cigar
 from repro.genome.reference import RepeatProfile
 from repro.mapper import mm2 as mm2_module
 
@@ -118,6 +121,73 @@ class TestKernelEqualsOracle:
                                    bandwidth=6)
         assert signature(got) == signature(want)
         assert got.score <= -(2 ** 28)
+
+
+#: The fields a kernel result resolves on first read.
+LAZY_FIELDS = ("cigar", "ref_start", "read_start")
+
+
+def shifted_signature(result, offset):
+    score, cigar, ref_start, ref_end, read_start, read_end, cells = \
+        signature(result)
+    return (score, cigar, ref_start + offset, ref_end + offset, read_start,
+            read_end, cells)
+
+
+class TestLazyResults:
+    """A kernel result walks its traceback and builds its CIGAR only when
+    read; whatever the order of the reads, and after a rescue-style
+    shift, the values are the oracle's."""
+
+    @settings(deadline=None)
+    @given(problems(max_stack=4), st.permutations(LAZY_FIELDS),
+           st.integers(-50, 50), st.booleans())
+    def test_fields_in_any_order_and_shifted(self, problem, order, offset,
+                                             shift_first):
+        reads, windows, diagonal, bandwidth, scheme = problem
+        stack = align_banded(reads, windows, scheme, diagonal, bandwidth)
+        for result, read, window in zip(stack, reads, windows):
+            want = oracle.align_banded(read, window, scheme, diagonal,
+                                       bandwidth)
+            moved = result.shifted(offset)
+            for name in order:  # the shift reads nothing of the original
+                getattr(moved if shift_first else result, name)
+            assert signature(result) == signature(want)
+            assert signature(moved) == shifted_signature(want, offset)
+
+    @settings(deadline=None)
+    @given(problems(max_stack=4), st.sampled_from((pickle, copy)))
+    def test_pickle_and_copy_resolve(self, problem, module):
+        reads, windows, diagonal, bandwidth, scheme = problem
+        stack = align_banded(reads, windows, scheme, diagonal, bandwidth)
+        for result, read, window in zip(stack, reads, windows):
+            want = oracle.align_banded(read, window, scheme, diagonal,
+                                       bandwidth)
+            if module is pickle:
+                data = pickle.dumps(result)
+                assert len(data) <= len(pickle.dumps(want))
+                got = pickle.loads(data)
+            else:
+                got = copy.copy(result)
+            assert signature(got) == signature(want)
+            assert got == want and hash(got) == hash(want)
+
+    def test_pickle_leaves_the_pointer_plane_behind(self):
+        """A 64-problem sweep's pointer plane is ~300 KB; one pickled
+        result is its score, spans and CIGAR."""
+        rng = np.random.default_rng(5)
+        windows = rng.integers(0, 4, (64, 198)).astype(np.uint8)
+        reads = windows[:, 24:174].copy()
+        stack = align_banded(reads, windows, diagonal=24, bandwidth=16)
+        plane = stack[0]._pending[0].codes
+        assert plane.nbytes > 250_000
+        assert len(pickle.dumps(stack[7])) < 1_000
+        assert str(stack[7].cigar) == "150="
+
+    def test_an_eager_result_is_built_as_given(self):
+        result = dp.AlignmentResult(5, Cigar.parse("2=1I"), 3, 5, 0, 3, 9)
+        assert signature(result) == (5, "2=1I", 3, 5, 0, 3, 9)
+        assert signature(result.shifted(4)) == (5, "2=1I", 7, 9, 0, 3, 9)
 
 
 @st.composite
@@ -271,3 +341,39 @@ class TestMappingUnchanged:
         assert lines == oracle_lines
         assert stats == oracle_stats
         assert all(stats[counter] > 0 for counter in cell_counters)
+
+
+class TestTracebacksOnDemand:
+    """On the GIAB-like set the mappers walk only the tracebacks whose
+    answers they print."""
+
+    @pytest.fixture
+    def tally(self, monkeypatch):
+        counts = {"walks": 0, "cigars": 0}
+        walk, encode = dp._traceback, Cigar.from_ops.__func__
+
+        def counting_walk(*args):
+            counts["walks"] += 1
+            return walk(*args)
+
+        def counting_encode(cls, ops):
+            counts["cigars"] += 1
+            return encode(cls, ops)
+
+        monkeypatch.setattr(dp, "_traceback", counting_walk)
+        monkeypatch.setattr(Cigar, "from_ops", classmethod(counting_encode))
+        return counts
+
+    def test_candidate_dp_walks_two_per_placed_pair(self, giab_like, tally):
+        reference, pairs = giab_like
+        _lines, stats = mapped(reference, pairs, engine="genpair",
+                               full_fallback=False)
+        assert stats["light_fallback"] == 33
+        assert stats["residual_fallback"] > 0
+        assert tally["walks"] == 2 * stats["light_fallback"]
+
+    def test_mm2_builds_a_cigar_per_mapped_read_only(self, giab_like, tally):
+        reference, pairs = giab_like
+        _lines, stats = mapped(reference, pairs[:100], engine="mm2")
+        assert tally["cigars"] == stats["reads_mapped"] <= 2 * 100
+        assert stats["mate_rescues"] > 0

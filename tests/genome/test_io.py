@@ -50,6 +50,21 @@ class TestFasta:
         path.write_text(">s\nACNNGT\n")
         assert read_fasta(path).sequence("s") == "ACNNGT"
 
+    @pytest.mark.parametrize("text,record,base,offset", [
+        (">chr1\nACGTACGTAC\nGTRACGT\n", "chr1", "R", "13"),
+        (">a\nACGT\n>b desc\nyACGT\n", "b", "y", "1"),
+        (">a\nACGT\n>b\nACGT\nACGT\nACGT\nACGTACGTA-\n", "b", "-", "22"),
+    ])
+    def test_iupac_code_names_record_and_offset(self, tmp_path, text,
+                                               record, base, offset):
+        path = tmp_path / "x.fa"
+        path.write_text(text)
+        with pytest.raises(FastaError) as caught:
+            read_fasta(path)
+        assert str(caught.value) == (
+            f"FASTA record {record!r} in {path}: invalid base {base!r} at "
+            f"base {offset}; only ACGT and N are supported")
+
 
 class TestFastq:
     def test_round_trip(self, tmp_path):

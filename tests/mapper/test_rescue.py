@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import align as oracle
 from repro.genome import ReferenceGenome, reverse_complement
 from repro.mapper import MapperConfig, MinimizerIndex, Mm2LikeMapper
-from repro.mapper.mm2 import RESCUE_BAND, _Placement
+from repro.mapper.mm2 import RESCUE_BAND, _Placement, _wave_votes
 
 READ = 150
 
@@ -138,6 +138,37 @@ def waves(draw):
             mate = reverse_complement(mate)
         jobs.append((anchor_at(name, position, strand), mate))
     return codes, jobs
+
+
+class TestWaveVotes:
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 60),
+                              st.integers(0, 2**32 - 1)),
+                    min_size=1, max_size=5))
+    def test_one_table_votes_like_one_per_rescue(self, shapes):
+        """A wave's one composite-key table gives every rescue the votes
+        of its own mate against its own window, k-mers with an ``N``
+        left out, whatever the lengths (shorter than a q-gram too)."""
+        problems = []
+        for n, m, seed in shapes:
+            rng = np.random.default_rng(seed)
+            mate, window = (np.where(rng.random(size) < 0.04, 4,
+                                     rng.integers(0, 2, size))
+                            .astype(np.uint8) for size in (n, m))
+            problems.append((mate, window))
+        for (mate, window), (votes, valid) in zip(problems,
+                                                  _wave_votes(problems)):
+            n, m = len(mate), len(window)
+            kmers = [start for start in range(n - 6)
+                     if 4 not in mate[start:start + 7]]
+            want = np.zeros(n + m + 1, dtype=np.int64)
+            for start in kmers:
+                for where in range(m - 6):
+                    if np.array_equal(window[where:where + 7],
+                                      mate[start:start + 7]):
+                        want[where - start + n] += 1
+            assert valid == len(kmers)
+            assert votes.tolist() == want.tolist()
 
 
 class TestSeededRescueEqualsOracle:

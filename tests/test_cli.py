@@ -7,6 +7,7 @@ import re
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -341,6 +342,34 @@ class TestWorkflow:
         assert err.count("\n") == 1
         assert err.startswith("error: FASTQ record 3 (")
         assert "_2.fq: invalid base 'X'" in err
+
+    @pytest.mark.parametrize("command", ["index", "map"])
+    @pytest.mark.parametrize("base,message", [
+        ("R", "error: FASTA record 'c2' in {path}: invalid base 'R' at "
+              "base 1,201; only ACGT and N are supported"),
+        ("N", "error: reference record 'c2' has an N at base 1,201; "
+              "indexing N runs is not supported yet"),
+    ], ids=["iupac", "n_run"])
+    def test_unsupported_reference_base_is_a_one_line_error(
+            self, tmp_path, capsys, command, base, message):
+        # Regression: an IUPAC code escaped read_fasta as a SequenceError
+        # and an N reached the seed hashing as a bare ValueError: both
+        # printed a traceback.
+        rng = np.random.default_rng(3)
+        first, second = ("".join("ACGT"[code] for code in
+                                 rng.integers(0, 4, length))
+                         for length in (500, 3000))
+        path = tmp_path / "ref.fa"
+        path.write_text(f">c1\n{first}\n>c2\n{second[:1200]}{base * 5}"
+                        f"{second[1205:]}\n")
+        argv = (["index", "build", "--reference", str(path), "--out",
+                 str(tmp_path / "ref.rpix")] if command == "index" else
+                ["map", "--reference", str(path), "--reads1", "r1.fq",
+                 "--reads2", "r2.fq", "--out", str(tmp_path / "x.sam")])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message.format(path=path) + "\n"
+        assert not (tmp_path / "ref.rpix").exists()
 
     def test_design_report(self, capsys):
         assert main(["design", "--memory", "DDR5",

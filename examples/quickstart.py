@@ -3,10 +3,13 @@
 Builds a small synthetic reference, simulates GIAB-like 2x150bp read
 pairs, maps them with the GenPair pipeline (SeedMap -> partitioned
 seeding -> paired-adjacency filtering -> light alignment), and writes the
-alignments to a SAM file.
+alignments to a SAM file in a fresh temporary directory.
 
 Run:  python examples/quickstart.py
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -63,9 +66,9 @@ def main() -> None:
     records = []
     for result in results:
         records.extend([result.record1, result.record2])
-    count = write_sam("quickstart_output.sam", records,
-                      reference=reference)
-    print(f"6. Wrote {count} records to quickstart_output.sam")
+    out = Path(tempfile.mkdtemp(prefix="repro_quickstart_")) / "output.sam"
+    count = write_sam(out, records, reference=reference)
+    print(f"6. Wrote {count} records to {out}")
 
 
 if __name__ == "__main__":

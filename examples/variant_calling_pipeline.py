@@ -2,10 +2,13 @@
 
 Reference -> diploid donor with truth variants -> simulated reads ->
 hybrid GenPair+MM2 mapping -> pileup -> variant calls -> accuracy versus
-the truth set -> VCF on disk.
+the truth set -> VCF on disk, in a fresh temporary directory.
 
 Run:  python examples/variant_calling_pipeline.py
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -59,8 +62,9 @@ def main() -> None:
     print(format_table(("kind", "TP", "FP", "FN", "precision", "recall",
                         "F1"), rows))
 
-    count = write_vcf("variant_calls.vcf", calls, reference=reference)
-    print(f"6. Wrote {count} calls to variant_calls.vcf")
+    out = Path(tempfile.mkdtemp(prefix="repro_variants_")) / "calls.vcf"
+    count = write_vcf(out, calls, reference=reference)
+    print(f"6. Wrote {count} calls to {out}")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ format (SAM, PAF, JSONL) flows through the same objects:
   shared with :mod:`repro.index`, ``delta``, the
   ``engine``/``output_format`` workload selection, and execution
   (``batch_size``, ``workers``, ``full_fallback``, ``verify_index``).
-  Algorithm parameters live on the core dataclasses
-  (``GenPairConfig``, ``MapperConfig``, ``LongReadConfig``), not here;
+  Algorithm parameters are constants of the core modules, not
+  settings here (``GenPairConfig`` keeps the four a caller varies);
 * :class:`Mapper` — the context-manager facade: construct once from an
   index file or a reference, then call :meth:`~Mapper.map`,
   :meth:`~Mapper.map_file`, and :meth:`~Mapper.write` as often as

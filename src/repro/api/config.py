@@ -9,12 +9,15 @@ the paper's dataset-defined ``delta`` (§4.5), the ``engine`` and
 dictionaries (:meth:`MappingConfig.to_dict` /
 :meth:`MappingConfig.from_dict` — the daemon wire format).
 
-Algorithm parameters are not mirrored here.  Each mapping core has one
-config dataclass whose defaults the engines use —
-:class:`~repro.core.pipeline.GenPairConfig`,
-:class:`~repro.mapper.mm2.MapperConfig`,
-:class:`~repro.core.longread.LongReadConfig` — and a library user or
-benchmark varying one constructs the core with it directly.
+Algorithm parameters are not mirrored here.  Almost all of them are
+fixed, as in the paper's hardware: constants of the core modules
+(:mod:`repro.core.pipeline`, :mod:`repro.core.longread`,
+:mod:`repro.mapper.mm2`, the minimizer ``K``/``W``/``MAX_OCCURRENCES``
+of :mod:`repro.mapper`).  The few a caller varies are constructor
+arguments of the cores: :class:`~repro.core.pipeline.GenPairConfig`'s
+``seed_length``, ``filter_threshold``, ``delta`` and
+``score_threshold``, and :class:`~repro.core.longread.LongReadMapper`'s
+``seed_length`` and ``delta``.
 
 :class:`IndexFingerprint` is the **single canonical fingerprint** of an
 index-compatible configuration: the ``(seed_length, filter_threshold,
@@ -67,9 +70,10 @@ class MappingConfig:
       baseline MM2 pipeline) and ``verify_index`` (crc-check arrays on
       index open).
 
-    Every other algorithm parameter is the default of the selected
-    engine's core dataclass (``GenPairConfig``, ``MapperConfig``,
-    ``LongReadConfig``); vary one by constructing that core directly.
+    Every other algorithm parameter is a constant of the selected
+    engine's core module, except GenPair's light-alignment
+    ``score_threshold`` (:class:`~repro.core.pipeline.GenPairConfig`),
+    which a caller varies by constructing the pipeline directly.
     """
 
     # fingerprint
@@ -118,6 +122,10 @@ class MappingConfig:
         for name in ("engine", "output_format"):
             if not isinstance(getattr(self, name), str):
                 problems.append(f"{name} must be a registry name string, "
+                                f"got {getattr(self, name)!r}")
+        for name in ("full_fallback", "verify_index"):
+            if not isinstance(getattr(self, name), bool):
+                problems.append(f"{name} must be a bool, "
                                 f"got {getattr(self, name)!r}")
         if problems:
             raise MappingConfigError(

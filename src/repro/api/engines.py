@@ -6,9 +6,9 @@ Every workload flows through the :class:`~repro.api.Mapper` facade's
 its chunk call and the engine passes it on untouched.  An
 :class:`Engine` is that chunk call plus the loop and the per-run
 statistics lifecycle around it, and a constructor that builds the core
-with its own config dataclass's defaults plus the values
-:class:`~repro.api.config.MappingConfig` carries for it (``seed_length``,
-``filter_threshold``, ``delta``).
+with the values :class:`~repro.api.config.MappingConfig` carries for it
+(``seed_length``, ``filter_threshold``, ``delta``); every other
+algorithm parameter is a constant of the core's module.
 The adapters listed in :data:`~repro.api.registry.ENGINES`:
 
 * :class:`GenPairEngine` (``genpair``) — the paper's
@@ -18,10 +18,10 @@ The adapters listed in :data:`~repro.api.registry.ENGINES`:
   byte-identical).  With ``full_fallback`` the pipeline's ``fallback=``
   is an :class:`~repro.mapper.mm2.Mm2LikeMapper`;
 * :class:`Mm2Engine` (``mm2``) — the minimizer seed-chain-align
-  baseline (:class:`~repro.mapper.mm2.MapperConfig` defaults), over the
-  same facade-owned minimizer index as that fallback;
+  baseline (:mod:`repro.mapper.mm2`'s constants), over the same
+  facade-owned minimizer index as that fallback;
 * :class:`LongReadEngine` (``longread``) — pseudo-pairs + Location
-  Voting (:class:`~repro.core.longread.LongReadConfig`) over the
+  Voting (:class:`~repro.core.longread.LongReadMapper`) over the
   facade's warm SeedMap, so one memory-mapped index serves GenPair and
   long-read traffic.
 
@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, List, Tuple
 import numpy as np
 
 from ..core.executor import StreamExecutor, pool_available
-from ..core.longread import LongReadConfig, LongReadMapper, LongReadStats
+from ..core.longread import CHUNK_LENGTH, LongReadMapper, LongReadStats
 from ..core.pipeline import (GenPairPipeline, PipelineStats, chunked,
                              normalize_pairs)
 from ..genome.results import MappingResult
@@ -62,9 +62,10 @@ def _normalize_reads(items: Iterable, first_index: int = 0
     """Coerce single-read inputs to ``(codes, name)`` tuples.
 
     Accepts what the paired normalizer accepts, one read at a time:
-    ``(codes, name)`` tuples (the :func:`~repro.genome.iter_reads`
+    ``(codes[, name])`` tuples (the :func:`~repro.genome.iter_reads`
     shape), objects with ``codes``/``name`` (e.g. ``SimulatedRead``),
-    and bare code arrays (named ``read{N}`` by stream position).
+    and bare code arrays (named ``read{N}`` by stream position);
+    anything else raises :class:`TypeError` naming that position.
     """
     out: List[Tuple[np.ndarray, str]] = []
     for index, item in enumerate(items, start=first_index):
@@ -72,10 +73,15 @@ def _normalize_reads(items: Iterable, first_index: int = 0
             out.append((item.codes, item.name))
         elif isinstance(item, np.ndarray):
             out.append((item, f"read{index}"))
-        else:
-            codes = item[0]
+        elif isinstance(item, (tuple, list)) and len(item) in (1, 2) \
+                and isinstance(item[0], np.ndarray):
             name = item[1] if len(item) > 1 else f"read{index}"
-            out.append((codes, str(name)))
+            out.append((item[0], str(name)))
+        else:
+            raise TypeError(
+                f"read {index} of the stream is {item!r:.60}: expected "
+                "a code array, a (codes[, name]) tuple or an object with "
+                "codes and name")
     return out
 
 
@@ -210,8 +216,9 @@ class LongReadEngine(Engine):
 
     Shares the facade's SeedMap — one warm memory-mapped index serves
     both GenPair and long-read traffic — which is why the facade's
-    ``seed_length``/``delta`` flow into :class:`LongReadConfig` and the
-    pseudo-pair ``chunk_length`` must fit at least one seed.
+    ``seed_length``/``delta`` flow into :class:`LongReadMapper` and a
+    pseudo-pair chunk (:data:`~repro.core.longread.CHUNK_LENGTH`) must
+    fit at least one seed.
     """
 
     name = "longread"
@@ -221,15 +228,14 @@ class LongReadEngine(Engine):
 
     def __init__(self, facade) -> None:
         config: MappingConfig = facade.config
-        core_config = LongReadConfig(seed_length=config.seed_length,
-                                     delta=config.delta)
-        if core_config.chunk_length < config.seed_length:
+        if CHUNK_LENGTH < config.seed_length:
             raise MappingConfigError(
-                f"longread chunk_length ({core_config.chunk_length}) must "
-                f"be >= seed_length ({config.seed_length}): each "
-                "pseudo-pair chunk must hold at least one seed")
+                f"longread chunk_length ({CHUNK_LENGTH}) must be >= "
+                f"seed_length ({config.seed_length}): each pseudo-pair "
+                "chunk must hold at least one seed")
         self.config = config
         self.core = LongReadMapper(facade.reference,
                                    seedmap=facade.seedmap,
-                                   config=core_config)
+                                   seed_length=config.seed_length,
+                                   delta=config.delta)
         self.map_chunk = self.core.map_reads

@@ -42,7 +42,7 @@ from .insert_estimator import (InsertSizeEstimate, InsertSizeEstimator,
                                calibrate_delta)
 from .light_align import (EditProfile, LightAligner, LightAlignment,
                           enumerate_simple_profiles)
-from .longread import LongReadConfig, LongReadMapper, LongReadStats
+from .longread import LongReadMapper, LongReadStats
 from .pairfilter import DEFAULT_DELTA, FilterResult, filter_adjacent
 from .pipeline import (DEFAULT_BATCH_SIZE, STAGE_DP_CANDIDATE,
                        STAGE_FULL_DP, STAGE_LIGHT, STAGE_UNMAPPED,
@@ -59,7 +59,7 @@ __all__ = [
     "InsertSizeEstimator",
     "calibrate_delta", "FilterResult", "GenPairConfig", "GenPairPipeline",
     "LightAligner", "LightAlignment", "LOCATION_ENTRY_BYTES",
-    "LongReadConfig", "LongReadMapper", "LongReadStats",
+    "LongReadMapper", "LongReadStats",
     "PipelineStats", "QueryResult", "SEED_TABLE_ENTRY_BYTES",
     "STAGE_DP_CANDIDATE", "STAGE_FULL_DP", "STAGE_LIGHT", "STAGE_UNMAPPED",
     "SeedMap", "SeedMapStats", "enumerate_simple_profiles",

@@ -34,27 +34,20 @@ from ..align.scoring import DEFAULT_SCHEME, ScoringScheme
 from ..genome.reference import ReferenceGenome
 from ..genome.results import MappingResult
 from ..genome.sam import METHOD_DP, AlignmentRecord
-from .pairfilter import filter_adjacent
+from .pairfilter import DEFAULT_DELTA, filter_adjacent
 from .query import QueryResult, resolve_reads
 from .seedmap import SeedMap
 
 
-@dataclass(frozen=True)
-class LongReadConfig:
-    """Parameters of the long-read mode."""
-
-    chunk_length: int = 150
-    seed_length: int = 50
-    seeds_per_chunk: int = 3
-    delta: int = 500
-    #: Bin width for location voting (collapses nearby implied starts).
-    vote_bin: int = 64
-    #: How many top-voted locations get a DP alignment attempt.
-    max_votes_tried: int = 3
-    #: Vote threshold: bins with fewer votes than this never get a DP
-    #: attempt (1 keeps the historical behaviour of trying any bin).
-    min_votes: int = 1
-    dp_bandwidth: int = 96
+#: Length of the pieces a long read is cut into; adjacent pieces form a
+#: pseudo-pair, seeded like the reads of a pair.
+CHUNK_LENGTH = 150
+#: Bin width for location voting (collapses nearby implied starts).
+VOTE_BIN = 64
+#: How many top-voted locations get a DP alignment attempt.
+MAX_VOTES_TRIED = 3
+#: Half-width of the final DP band, and the window pad either side.
+DP_BANDWIDTH = 96
 
 
 @dataclass
@@ -71,17 +64,20 @@ class LongReadMapper:
     """Maps long reads with the GenPair front-end plus DP finishing."""
 
     def __init__(self, reference: ReferenceGenome,
-                 seedmap: Optional[SeedMap] = None,
-                 config: Optional[LongReadConfig] = None,
+                 seedmap: Optional[SeedMap] = None, seed_length: int = 50,
+                 delta: int = DEFAULT_DELTA,
                  scheme: ScoringScheme = DEFAULT_SCHEME) -> None:
-        config = config if config is not None else LongReadConfig()
+        """``seed_length`` is the SeedMap's and ``delta`` the
+        pseudo-pairs' paired-adjacency distance; the rest are this
+        module's constants."""
         self.reference = reference
-        self.config = config
+        self.seed_length = seed_length
+        self.delta = delta
         self.scheme = scheme
         self.seedmap = seedmap if seedmap is not None else SeedMap.build(
-            reference, seed_length=config.seed_length)
+            reference, seed_length=seed_length)
         self.stats = LongReadStats()
-        self._boundaries = reference.read_boundaries(config.chunk_length)
+        self._boundaries = reference.read_boundaries(CHUNK_LENGTH)
 
     def map_read(self, codes: np.ndarray,
                  name: str = "long") -> MappingResult:
@@ -99,14 +95,12 @@ class LongReadMapper:
         votes over its consecutive results and the top bins get DP.
         A read that gathers no usable vote comes out ``unmapped``.
         """
-        config = self.config
         chunks: List[np.ndarray] = []
         bounds = [0]
         for codes, _name in reads:
             chunks.extend(self._chunks(codes))
             bounds.append(len(chunks))
-        queries = resolve_reads(self.seedmap, chunks, config.seed_length,
-                                config.seeds_per_chunk)
+        queries = resolve_reads(self.seedmap, chunks, self.seed_length)
         results = []
         for (codes, name), first, last in zip(reads, bounds, bounds[1:]):
             self.stats.reads_total += 1
@@ -133,11 +127,10 @@ class LongReadMapper:
     # -- internals ----------------------------------------------------------
 
     def _chunks(self, codes: np.ndarray) -> List[np.ndarray]:
-        """The read's consecutive ``chunk_length`` pieces; chunk ``i``
-        starts at read offset ``i * chunk_length``."""
-        length = self.config.chunk_length
-        return [codes[start:start + length]
-                for start in range(0, len(codes) - length + 1, length)]
+        """The read's consecutive :data:`CHUNK_LENGTH` pieces; chunk
+        ``i`` starts at read offset ``i * CHUNK_LENGTH``."""
+        return [codes[start:start + CHUNK_LENGTH] for start
+                in range(0, len(codes) - CHUNK_LENGTH + 1, CHUNK_LENGTH)]
 
     def _vote(self, queries: Sequence[QueryResult]) -> Counter:
         """Location Voting over one read's pseudo-pairs.
@@ -145,27 +138,23 @@ class LongReadMapper:
         ``queries`` are the resolved chunks of the read, in order;
         consecutive ones form the pseudo-pairs.
         """
-        config = self.config
         votes: Counter = Counter()
         for index, (result1, result2) in enumerate(zip(queries,
                                                        queries[1:])):
             self.stats.pseudo_pairs += 1
             filtered = filter_adjacent(result1.candidates,
                                        result2.candidates,
-                                       delta=config.delta,
+                                       delta=self.delta,
                                        boundaries=self._boundaries)
-            offset = index * config.chunk_length
+            offset = index * CHUNK_LENGTH
             for cand1, _cand2 in filtered.pairs:
-                votes[(cand1 - offset) // config.vote_bin] += 1
+                votes[(cand1 - offset) // VOTE_BIN] += 1
         return votes
 
     def _align_top_votes(self, codes: np.ndarray, votes: Counter):
-        config = self.config
         best = None
-        for bin_index, count in votes.most_common(config.max_votes_tried):
-            if count < config.min_votes:
-                break  # most_common is descending; the rest are lower
-            hit = self._dp_at(codes, bin_index * config.vote_bin)
+        for bin_index, _count in votes.most_common(MAX_VOTES_TRIED):
+            hit = self._dp_at(codes, bin_index * VOTE_BIN)
             if hit is None:
                 continue
             if best is None or hit[0].score > best[0].score:
@@ -173,15 +162,13 @@ class LongReadMapper:
         return best
 
     def _dp_at(self, codes: np.ndarray, candidate: int):
-        pad = self.config.dp_bandwidth
-        found = self.reference.window(candidate, len(codes), pad, pad,
-                                      min_length=len(codes) // 2)
+        found = self.reference.window(candidate, len(codes), DP_BANDWIDTH,
+                                      DP_BANDWIDTH, min_length=len(codes) // 2)
         if found is None:
             return None
         window, chromosome, start, offset = found
         result = align_banded(codes, window, scheme=self.scheme,
-                              diagonal=offset,
-                              bandwidth=self.config.dp_bandwidth)
+                              diagonal=offset, bandwidth=DP_BANDWIDTH)
         self.stats.dp_cells += result.cells
         if result.score <= 0:
             return None

@@ -86,22 +86,31 @@ DEFAULT_BATCH_SIZE = 256
 ORIENTATIONS = ("fr", "rf")
 
 
+#: Joint candidates of a pair that light alignment and candidate DP try,
+#: in filter order (the paper's candidate FIFO depth).
+MAX_JOINT_CANDIDATES = 16
+#: Half-width, in diagonals, of the candidate-DP band.
+CANDIDATE_BANDWIDTH = 16
+#: Reference bases either side of a read's span in a candidate window;
+#: never fewer than the light aligner's edit budget.
+CANDIDATE_PAD = 24
+#: Candidate-DP pairs scoring below this fraction of the perfect joint
+#: score are rejected (the pair then goes to the traditional pipeline).
+MIN_DP_SCORE_FRACTION = 0.5
+
+
 @dataclass(frozen=True)
 class GenPairConfig:
-    """Tunable parameters of the GenPair pipeline (paper defaults)."""
+    """The GenPair parameters a caller sets (paper defaults): the
+    SeedMap's ``seed_length`` and ``filter_threshold``, the
+    dataset-defined ``delta`` (§4.5) and the light-alignment
+    ``score_threshold``.  The rest are this module's constants and
+    :data:`~repro.core.seeding.SEEDS_PER_READ`."""
 
     seed_length: int = 50
-    seeds_per_read: int = 3
     delta: int = DEFAULT_DELTA
     filter_threshold: Optional[int] = DEFAULT_FILTER_THRESHOLD
-    max_edits: int = 5
     score_threshold: int = HIGH_QUALITY_THRESHOLD
-    fallback_bandwidth: int = 16
-    fallback_pad: int = 24
-    max_joint_candidates: int = 16
-    #: DP fallback alignments below this fraction of the perfect score are
-    #: rejected (the pair then goes to the full traditional pipeline).
-    min_dp_score_fraction: float = 0.5
 
 
 @dataclass
@@ -176,24 +185,33 @@ def normalize_pairs(pairs: Iterable, first_index: int = 0
                     ) -> List[Tuple[np.ndarray, np.ndarray, str]]:
     """Coerce pair inputs to ``(read1, read2, name)`` tuples.
 
-    Accepts ``(read1, read2[, name])`` tuples and objects with
-    ``read1.codes``/``read2.codes``/``name`` (e.g. ``SimulatedPair``).
-    ``first_index`` seats the synthetic-name counter for unnamed
-    tuples: :func:`chunked` passes its running pair count so
-    ``pair{N}`` names stay unique across chunks instead of restarting
-    at ``pair0`` every chunk.
+    Accepts ``(read1, read2[, name])`` tuples of code arrays and objects
+    with ``read1.codes``/``read2.codes``/``name`` (e.g.
+    ``SimulatedPair``); anything else raises :class:`TypeError` naming
+    its position in the stream.  ``first_index`` seats that position
+    and the synthetic-name counter for unnamed tuples: :func:`chunked`
+    passes its running pair count so ``pair{N}`` names stay unique
+    across chunks instead of restarting at ``pair0`` every chunk.
     """
     items = []
     for index, pair in enumerate(pairs, start=first_index):
-        if type(pair) is tuple and len(pair) == 3:
+        if type(pair) is tuple and len(pair) == 3 \
+                and isinstance(pair[0], np.ndarray) \
+                and isinstance(pair[1], np.ndarray):
             items.append(pair)  # already (read1, read2, name)
         elif hasattr(pair, "read1"):
             items.append((pair.read1.codes, pair.read2.codes,
                           pair.name))
-        else:
-            read1, read2 = pair[0], pair[1]
+        elif isinstance(pair, (tuple, list)) and len(pair) in (2, 3) \
+                and isinstance(pair[0], np.ndarray) \
+                and isinstance(pair[1], np.ndarray):
             name = pair[2] if len(pair) > 2 else f"pair{index}"
-            items.append((read1, read2, name))
+            items.append((pair[0], pair[1], name))
+        else:
+            raise TypeError(
+                f"pair {index} of the stream is {pair!r:.60}: expected a "
+                "(read1, read2[, name]) tuple of code arrays or an object "
+                "with read1.codes, read2.codes and name")
     return items
 
 
@@ -229,7 +247,7 @@ class _Pending(NamedTuple):
     oriented1: np.ndarray
     oriented2: np.ndarray
     #: ``(candidate 1, candidate 2)`` linear starts, at most
-    #: ``max_joint_candidates`` of them.
+    #: :data:`MAX_JOINT_CANDIDATES` of them.
     candidates: Sequence[Tuple[int, int]]
 
 
@@ -251,8 +269,7 @@ class GenPairPipeline:
             reference, seed_length=config.seed_length,
             filter_threshold=config.filter_threshold)
         self.light_aligner = LightAligner(
-            scheme=scheme, max_edits=config.max_edits,
-            threshold=config.score_threshold)
+            scheme=scheme, threshold=config.score_threshold)
         #: A :class:`~repro.mapper.mm2.Mm2LikeMapper` for the pairs
         #: GenPair cannot place, or ``None`` to emit them unmapped.
         self.fallback = fallback
@@ -262,7 +279,7 @@ class GenPairPipeline:
         #: (:mod:`repro.core.executor`) swaps in a fresh per-chunk
         #: registry whose snapshot ships back with the chunk.
         self.obs = get_registry()
-        self._window_pad = max(config.max_edits, config.fallback_pad)
+        self._window_pad = max(self.light_aligner.max_edits, CANDIDATE_PAD)
 
     # -- public API --------------------------------------------------------
 
@@ -321,8 +338,7 @@ class GenPairPipeline:
         with span("seed.query_batch"):
             roles = chunk_role_codes(items)
             queries = resolve_reads(self.seedmap, roles,
-                                    self.config.seed_length,
-                                    self.config.seeds_per_read)
+                                    self.config.seed_length)
         queried = time.perf_counter() if timed else 0.0
         with span("pair.filter_align"):
             results = self._map_resolved(items, roles, queries)
@@ -449,7 +465,7 @@ class GenPairPipeline:
                 stats.exact_pairs += 1
             return result
         return _Pending(orientation, oriented1, oriented2,
-                        joint_candidates[:self.config.max_joint_candidates])
+                        joint_candidates[:MAX_JOINT_CANDIDATES])
 
     # -- internals ----------------------------------------------------------
 
@@ -472,9 +488,8 @@ class GenPairPipeline:
                                 joint_candidates):
         """Try light alignment at each joint candidate; keep the best."""
         best = None
-        cap = self.config.max_joint_candidates
         perfect = self._perfect_joint(oriented1, oriented2)
-        for cand1, cand2 in joint_candidates[:cap]:
+        for cand1, cand2 in joint_candidates[:MAX_JOINT_CANDIDATES]:
             self.stats.light_attempts += 2
             hit1 = self._light_at(oriented1, cand1)
             if hit1 is None:
@@ -521,7 +536,7 @@ class GenPairPipeline:
                              in survivors])
         # The joint score a pair's next hit must beat: just under its
         # acceptance floor, then its best so far (the first of equals).
-        bar = [int(self.config.min_dp_score_fraction
+        bar = [int(MIN_DP_SCORE_FRACTION
                    * self._perfect_joint(work.oriented1, work.oriented2)) - 1
                for work in pending]
         best: list = [None] * len(pending)
@@ -543,7 +558,7 @@ class GenPairPipeline:
         hits: list = [None] * len(contexts)
         for members, reads, windows, diagonal, bandwidth in stack_problems(
                 [None if ctx is None else
-                 (codes, ctx[0], ctx[3], self.config.fallback_bandwidth)
+                 (codes, ctx[0], ctx[3], CANDIDATE_BANDWIDTH)
                  for (codes, _candidate), ctx in zip(problems, contexts)]):
             stack = align_banded(reads, windows, scheme=self.scheme,
                                  diagonal=diagonal, bandwidth=bandwidth)

@@ -29,7 +29,7 @@ import numpy as np
 from ..genome.sequence import ALPHABET_SIZE
 from ..hashing import hash_reads_batch, ragged_ranges
 from .seedmap import LOCATION_ENTRY_BYTES, SEED_TABLE_ENTRY_BYTES, SeedMap
-from .seeding import seed_offsets
+from .seeding import SEEDS_PER_READ, seed_offsets
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,8 @@ def query_hash_groups(seedmap: SeedMap, hashes: np.ndarray,
 
 def resolve_reads(seedmap: SeedMap, reads: Sequence[np.ndarray],
                   seed_length: int,
-                  seeds_per_read: int = 3) -> List[QueryResult]:
+                  seeds_per_read: int = SEEDS_PER_READ
+                  ) -> List[QueryResult]:
     """Partitioned Seeding + SeedMap Query for a whole list of reads.
 
     The reads' seed windows (:func:`~repro.core.seeding.seed_offsets`)

@@ -23,9 +23,13 @@ import numpy as np
 
 from ..genome.sequence import reverse_complement
 
+#: Seeds per read — per pseudo-pair chunk in long-read mode too: the
+#: first, middle and last window (§4.3, six per pair).
+SEEDS_PER_READ = 3
+
 
 def seed_offsets(length: int, seed_length: int = 50,
-                 seeds_per_read: int = 3) -> List[int]:
+                 seeds_per_read: int = SEEDS_PER_READ) -> List[int]:
     """Read offsets of the first / middle / last seed windows.
 
     Reads shorter than one seed yield no offsets (they always fall back

@@ -24,7 +24,11 @@ import numpy as np
 
 from ..genome.reference import ReferenceGenome
 from ..hashing import PositionTable
-from .minimizer import extract_minimizers
+from .minimizer import K, W, extract_minimizers
+
+#: Minimizers occurring more often than this are masked out of the
+#: default index.
+MAX_OCCURRENCES = 500
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,9 @@ class MinimizerIndex:
         self.stats = stats
 
     @classmethod
-    def build(cls, reference: ReferenceGenome, k: int = 15, w: int = 10,
-              max_occurrences: Optional[int] = 500) -> "MinimizerIndex":
+    def build(cls, reference: ReferenceGenome, k: int = K, w: int = W,
+              max_occurrences: Optional[int] = MAX_OCCURRENCES
+              ) -> "MinimizerIndex":
         """Build the index across all chromosomes."""
         position_columns = [np.zeros(0, dtype=np.int64)]
         hash_columns = [np.zeros(0, dtype=np.uint64)]

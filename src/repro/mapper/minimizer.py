@@ -28,6 +28,12 @@ import numpy as np
 from ..genome.sequence import ALPHABET_SIZE
 from ..hashing import hash_reference_windows, ragged_ranges
 
+#: The baseline's minimizer k-mer length and window (minimap2's
+#: short-read preset): the defaults here, of the index build and of the
+#: mapper, which refuses an index built with others.
+K = 15
+W = 10
+
 #: Stand-in hash of a k-mer spanning an ambiguous base, and of the
 #: padding after each row: above every 32-bit hash, so a window's
 #: minimum only lands on it when the whole window is ambiguous — and
@@ -35,8 +41,8 @@ from ..hashing import hash_reference_windows, ragged_ranges
 _AMBIGUOUS = 1 << 32
 
 
-def extract_minimizers(codes: np.ndarray, k: int = 15,
-                       w: int = 10) -> Tuple[np.ndarray, np.ndarray]:
+def extract_minimizers(codes: np.ndarray, k: int = K,
+                       w: int = W) -> Tuple[np.ndarray, np.ndarray]:
     """The (w, k) minimizers of a code array as ``(positions, hashes)``
     columns (int64 k-mer starts, increasing; uint64 hashes).
 
@@ -48,8 +54,8 @@ def extract_minimizers(codes: np.ndarray, k: int = 15,
     return positions, hashes
 
 
-def extract_minimizers_rows(rows: Sequence[np.ndarray], k: int = 15,
-                            w: int = 10
+def extract_minimizers_rows(rows: Sequence[np.ndarray], k: int = K,
+                            w: int = W
                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`extract_minimizers` of every row in one pass:
     ``(positions, hashes, row)`` columns, row by row."""

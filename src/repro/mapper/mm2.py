@@ -69,34 +69,29 @@ from ..genome.sequence import ALPHABET_SIZE, reverse_complement
 from ..hashing import PositionTable, ragged_ranges
 from ..obs import span
 from .index import MinimizerIndex
-from .minimizer import extract_minimizers_rows
+from .minimizer import K, W, extract_minimizers_rows
 
+#: Chaining: anchors further apart than this on either sequence start a
+#: new chain, and chains scoring below the floor are dropped.
+MAX_GAP = 500
+MIN_CHAIN_SCORE = 20.0
+#: Chains of a read aligned, best first per strand.
+MAX_CHAINS_TRIED = 4
+#: Half-width, in diagonals, of every chain alignment's band.
+BANDWIDTH = 16
+#: Reference bases either side of a chain's implied read span.
+WINDOW_PAD = 32
+#: Longest proper-pair insert, and so the span a mate rescue searches.
+MAX_INSERT = 1000
+#: Alignments below this fraction of the perfect score are unmapped.
+MIN_SCORE_FRACTION = 0.4
 #: Length of the q-grams a mate rescue votes with (:class:`_RescueSearch`
 #: derives it).
 RESCUE_K = 7
-#: Half-width, in diagonals, of a rescue's first band; one shape for every
-#: rescue of a read length, so a wave's rescues share sweeps.
-RESCUE_BAND = 16
-
-
-@dataclass(frozen=True)
-class MapperConfig:
-    """Baseline mapper parameters (minimap2 short-read flavoured)."""
-
-    k: int = 15
-    w: int = 10
-    max_occurrences: int = 500
-    max_gap: int = 500
-    max_chains_tried: int = 4
-    bandwidth: int = 16
-    window_pad: int = 32
-    min_chain_score: float = 20.0
-    max_insert: int = 1000
-    #: Alignments below this fraction of the perfect score are unmapped.
-    min_score_fraction: float = 0.4
-    #: Attempt mate rescue (banded search in the insert window) when no
-    #: properly-oriented combination of independent placements exists.
-    mate_rescue: bool = True
+#: Half-width, in diagonals, of a rescue's first band: the chain
+#: alignments' :data:`BANDWIDTH`.  One shape for every rescue of a read
+#: length, so a wave's rescues share sweeps.
+RESCUE_BAND = BANDWIDTH
 
 
 @dataclass
@@ -224,7 +219,7 @@ class _RescueSearch:
     out at the floor.
 
     *The first band.*  :data:`RESCUE_BAND` = 16 is the band of every
-    chain alignment (``MapperConfig.bandwidth``): a 150 x 33-cell
+    chain alignment (:data:`BANDWIDTH`): a 150 x 33-cell
     problem that costs ~0.28 ms in a stack of 16 against ~4 ms for the
     whole 150 x 1150 window alone, and wide enough to hold every hot
     window of a mate drifting up to 16 diagonals (``P <= 44``, every
@@ -312,56 +307,24 @@ class Mm2LikeMapper:
     """Minimizer seed-chain-align mapper with paired-end support.
 
     ``index`` (built from ``reference`` when not given) must have been
-    built with the config's ``k`` and ``w``: a table of other minimizers
-    would find no anchors, so a mismatch raises :class:`ValueError`.
+    built with :data:`~repro.mapper.minimizer.K` and
+    :data:`~repro.mapper.minimizer.W`: a table of other minimizers would
+    find no anchors, so a mismatch raises :class:`ValueError`.
     """
 
     def __init__(self, reference: ReferenceGenome,
                  index: Optional[MinimizerIndex] = None,
-                 config: Optional[MapperConfig] = None,
                  scheme: ScoringScheme = DEFAULT_SCHEME) -> None:
-        config = config if config is not None else MapperConfig()
         if index is None:
-            index = MinimizerIndex.build(
-                reference, k=config.k, w=config.w,
-                max_occurrences=config.max_occurrences)
-        elif (index.k, index.w) != (config.k, config.w):
+            index = MinimizerIndex.build(reference)
+        elif (index.k, index.w) != (K, W):
             raise ValueError(
                 f"minimizer index has k={index.k}, w={index.w} but the "
-                f"mapper is configured for k={config.k}, w={config.w}")
+                f"mapper seeds with k={K}, w={W}")
         self.reference = reference
-        self.config = config
         self.scheme = scheme
         self.index = index
         self.stats = MapperStats()
-
-    # -- single-end ----------------------------------------------------------
-
-    def map_read(self, codes: np.ndarray, name: str = "read",
-                 mate: int = 0,
-                 placements: Optional[List[_Placement]] = None
-                 ) -> AlignmentRecord:
-        """Map one read; returns an unmapped record if nothing scores.
-
-        ``placements`` is :meth:`map_reads` handing over what it seeded,
-        chained and aligned for the whole chunk; alone, the read is a
-        chunk of one.
-        """
-        self.stats.reads_seen += 1
-        if placements is None:
-            placements, = self._placements([codes])
-        min_score = int(self.config.min_score_fraction
-                        * self.scheme.perfect_score(len(codes)))
-        placements = [p for p in placements if p.score >= min_score]
-        if not placements:
-            return AlignmentRecord(query_name=name, mapped=False,
-                                   read_codes=codes, mate=mate)
-        best = placements[0]
-        mapq = 60
-        if len(placements) > 1 and placements[1].score >= best.score - 4:
-            mapq = 3
-        self.stats.reads_mapped += 1
-        return self._to_record(best, codes, name, mate, mapq)
 
     # -- paired-end ----------------------------------------------------------
 
@@ -375,7 +338,7 @@ class Mm2LikeMapper:
         reads' own placements; failing one, *mate rescue* — read 2
         searched for in the window the insert-size constraint implies
         next to read 1's best placement (both reads of a proper pair are
-        within ``max_insert``), then read 1 next to read 2's.  If rescue
+        within :data:`MAX_INSERT`), then read 1 next to read 2's.  If rescue
         fails too, each read keeps its own best placement.
 
         ``paired`` is :meth:`map_pairs` handing over what it seeded,
@@ -409,8 +372,6 @@ class Mm2LikeMapper:
                              engine="mm2", stage=stage,
                              joint_score=record1.score + record2.score)
 
-    # -- batched entry points ------------------------------------------------
-
     def map_pairs(self, pairs: List[Tuple[np.ndarray, np.ndarray, str]]
                   ) -> List[MappingResult]:
         """Map a chunk of ``(read1, read2, name)`` tuples in input order.
@@ -427,13 +388,6 @@ class Mm2LikeMapper:
         return [self.map_pair(read1, read2, name, paired)
                 for (read1, read2, name), paired
                 in zip(pairs, self._pair_up(pairs, placements))]
-
-    def map_reads(self, reads: List[Tuple[np.ndarray, str]]
-                  ) -> List[AlignmentRecord]:
-        """Map a chunk of single ``(codes, name)`` reads in input order."""
-        placements = self._placements([codes for codes, _name in reads])
-        return [self.map_read(codes, name, placements=placed)
-                for (codes, name), placed in zip(reads, placements)]
 
     # -- pipeline stages -----------------------------------------------------
 
@@ -469,15 +423,15 @@ class Mm2LikeMapper:
             anchors = self._anchors(oriented)
             self.stats.anchors_total += anchors.ref_pos.size
         with span("mm2.chaining"):
-            chains = chain_anchors(anchors, max_gap=self.config.max_gap,
-                                   min_score=self.config.min_chain_score)
+            chains = chain_anchors(anchors, max_gap=MAX_GAP,
+                                   min_score=MIN_CHAIN_SCORE)
             self.stats.dp_cells_chaining += chains.cells
             # Per read: the forward chains then the reverse ones, each
             # best first, stably sorted by score.
             read, strand = np.divmod(chains.problem, 2)
             order = np.lexsort((chains.rank, strand, -chains.score, read))
             _, within = ragged_ranges(np.bincount(read, minlength=len(reads)))
-            picked = order[within < self.config.max_chains_tried]
+            picked = order[within < MAX_CHAINS_TRIED]
             per_read: List[list] = [[] for _ in reads]
             for problem, diagonal in zip(chains.problem[picked].tolist(),
                                          chains.diagonal[picked].tolist()):
@@ -488,25 +442,23 @@ class Mm2LikeMapper:
     def _anchors(self, oriented: Sequence[np.ndarray]) -> AnchorColumns:
         """Every minimizer hit of every oriented read: one chaining
         problem per row."""
-        read_pos, hashes, row = extract_minimizers_rows(
-            oriented, self.config.k, self.config.w)
+        read_pos, hashes, row = extract_minimizers_rows(oriented)
         which, ref_pos = self.index.lookup_all(hashes)
         return AnchorColumns(ref_pos=ref_pos, read_pos=read_pos[which],
-                             length=np.full(which.size, self.config.k,
-                                            dtype=np.int64),
+                             length=np.full(which.size, K, dtype=np.int64),
                              problem=row[which], problems=len(oriented))
 
     def _align_chains(self, chains: list) -> List[Optional[_Placement]]:
         """Banded alignment in the window each ``(oriented read, strand,
         diagonal)`` chain implies: a placement or ``None`` per chain, in
         order."""
-        pad = self.config.window_pad
-        windows = [self.reference.window(diagonal, len(oriented), pad, pad,
+        windows = [self.reference.window(diagonal, len(oriented),
+                                         WINDOW_PAD, WINDOW_PAD,
                                          min_length=len(oriented) // 2)
                    for oriented, _strand, diagonal in chains]
         results = self._align_stacked(
             [None if window is None else
-             (oriented, window[0], window[3], self.config.bandwidth)
+             (oriented, window[0], window[3], BANDWIDTH)
              for (oriented, _strand, _diagonal), window
              in zip(chains, windows)])
         placements: List[Optional[_Placement]] = [None] * len(chains)
@@ -549,7 +501,7 @@ class Mm2LikeMapper:
                 combos.append(self._best_combo(placed1, placed2,
                                                len(read1), len(read2)))
         rescued = [False] * len(pairs)
-        for side in ((0, 1) if self.config.mate_rescue else ()):
+        for side in (0, 1):
             waiting = [number for number, combo in enumerate(combos)
                        if combo is None and placements[2 * number + side]]
             if not waiting:
@@ -592,7 +544,7 @@ class Mm2LikeMapper:
             gap = place2.position - place1.position
         else:
             gap = place1.position - place2.position
-        return -read_length // 2 <= gap <= self.config.max_insert
+        return -read_length // 2 <= gap <= MAX_INSERT
 
     def _rescue(self, jobs: Sequence[Tuple[_Placement, np.ndarray]]
                 ) -> List[Optional[_Placement]]:
@@ -668,8 +620,8 @@ class Mm2LikeMapper:
                     else mate_codes)
         # The insert span on the anchor's chromosome: downstream of a
         # ``+`` anchor, upstream of (and overlapping) a ``-`` one.
-        before, after = ((0, self.config.max_insert) if anchor.strand == "+"
-                         else (self.config.max_insert, len(mate_codes)))
+        before, after = ((0, MAX_INSERT) if anchor.strand == "+"
+                         else (MAX_INSERT, len(mate_codes)))
         found = self.reference.window(anchor.position, len(mate_codes),
                                       before, after,
                                       min_length=len(mate_codes),
@@ -677,23 +629,25 @@ class Mm2LikeMapper:
         if found is None:
             return None
         window, chromosome, start, _ = found
-        min_score = int(self.config.min_score_fraction
-                        * self.scheme.perfect_score(len(mate_codes)))
-        return oriented, window, chromosome, start, mate_strand, min_score
+        return (oriented, window, chromosome, start, mate_strand,
+                self._min_score(len(mate_codes)))
 
     # -- record construction ---------------------------------------------
 
     def _best_single(self, placements: List[_Placement],
                      codes: np.ndarray, name: str,
                      mate: int) -> AlignmentRecord:
-        min_score = int(self.config.min_score_fraction
-                        * self.scheme.perfect_score(len(codes)))
+        min_score = self._min_score(len(codes))
         viable = [p for p in placements if p.score >= min_score]
         if not viable:
             return AlignmentRecord(query_name=name, mapped=False,
                                    read_codes=codes, mate=mate)
         self.stats.reads_mapped += 1
         return self._to_record(viable[0], codes, name, mate, 20)
+
+    def _min_score(self, length: int) -> int:
+        """The score floor of a ``length``-base read."""
+        return int(MIN_SCORE_FRACTION * self.scheme.perfect_score(length))
 
     def _to_record(self, placement: _Placement, codes: np.ndarray,
                    name: str, mate: int, mapq: int) -> AlignmentRecord:

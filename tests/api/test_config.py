@@ -18,6 +18,8 @@ class TestValidation:
         ("delta", 0), ("batch_size", -1), ("batch_size", 0),
         ("workers", 0), ("filter_threshold", 0),
         ("engine", 7), ("output_format", None),
+        ("full_fallback", "false"), ("full_fallback", 0),
+        ("verify_index", 1), ("verify_index", None),
     ])
     def test_bad_values_rejected_by_name(self, field, value):
         with pytest.raises(MappingConfigError) as excinfo:
@@ -34,6 +36,14 @@ class TestValidation:
             message = str(excinfo.value)
             assert "batch_size" in message and "pair-by-pair" in message
             assert "1 gives the same output" in message
+
+    def test_string_flag_from_the_wire_rejected(self):
+        # "false" is truthy: accepted, it would leave the fallback on.
+        with pytest.raises(MappingConfigError) as excinfo:
+            MappingConfig.from_dict({"full_fallback": "false"})
+        assert str(excinfo.value) == ("invalid MappingConfig: "
+                                      "full_fallback must be a bool, "
+                                      "got 'false'")
 
     def test_inflight_is_not_a_field(self):
         with pytest.raises(MappingConfigError, match="inflight"):

@@ -8,10 +8,9 @@ import pytest
 from oracles.genome import sam_line
 from repro.api import (ENGINES, OUTPUT_FORMATS, Mapper, MappingConfig,
                        MappingConfigError, RegistryError, output_format)
-from repro.core import (GenPairPipeline, LongReadConfig, LongReadStats,
-                        PipelineStats)
+from repro.core import GenPairPipeline, LongReadStats, PipelineStats
 from repro.genome import MappingResult, reverse_complement, write_fastq
-from repro.mapper import MapperConfig, MapperStats
+from repro.mapper import K, MAX_OCCURRENCES, W, MapperStats
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +176,52 @@ class TestParityEdges:
             == {spec.name: 0 for spec in dataclasses.fields(stats)}
 
 
+class TestMalformedItems:
+    """A bad item fails with a TypeError naming its stream position and
+    the accepted shapes, and the facade stays usable."""
+
+    PAIRS = "(read1, read2[, name]) tuple of code arrays"
+    READS = "a code array, a (codes[, name]) tuple"
+
+    def rejected(self, mapper, items, engine, shapes):
+        with pytest.raises(TypeError) as excinfo:
+            mapper.map(items, engine=engine)
+        assert shapes in str(excinfo.value)
+        return str(excinfo.value)
+
+    def test_bare_string_read(self, mapper, long_reads):
+        # It used to map the one base "A" as a read named "C".
+        message = self.rejected(mapper, [long_reads[0], "ACGTACGT"],
+                                "longread", self.READS)
+        assert message.startswith("read 1 of the stream is 'ACGTACGT'")
+
+    @pytest.mark.parametrize("engine", ["genpair", "mm2"])
+    def test_string_pair(self, mapper, pairs, engine):
+        message = self.rejected(mapper, [pairs[0], ("ACGT" * 40,
+                                                    "ACGT" * 40)],
+                                engine, self.PAIRS)
+        assert message.startswith("pair 1 of the stream is ('ACGT")
+        assert len(mapper.map(pairs[:2], engine=engine)) == 2
+
+    def test_string_read_with_a_name(self, mapper):
+        message = self.rejected(mapper, [("ACGT" * 40, "r0")], "longread",
+                                self.READS)
+        assert message.startswith("read 0 of the stream")
+
+    def test_one_tuple_pair(self, mapper, pairs):
+        message = self.rejected(mapper, [(pairs[0].read1.codes,)],
+                                "genpair", self.PAIRS)
+        assert message.startswith("pair 0 of the stream")
+
+    def test_position_counts_across_chunks(self, small_reference, seedmap,
+                                           pairs):
+        config = MappingConfig(full_fallback=False, batch_size=2)
+        with Mapper(small_reference, seedmap, config=config) as facade:
+            items = [pairs[0], pairs[1], pairs[2], ("x", "y", "bad")]
+            message = self.rejected(facade, items, "genpair", self.PAIRS)
+        assert message.startswith("pair 3 of the stream")
+
+
 class TestLongReadChunkSize:
     """Long-read resolution is chunk-wide (all pseudo-pair chunks of an
     engine chunk in one SeedMap probe), so — as for genpair — the chunk
@@ -264,16 +309,19 @@ class TestEngineOptions:
                                                seedmap):
         config = MappingConfig(engine="mm2", full_fallback=False)
         with Mapper(small_reference, seedmap, config=config) as facade:
-            assert facade.engine("mm2").core.config == MapperConfig()
+            index = facade.engine("mm2").core.index
+            assert index is facade.minimizers
+            assert (index.k, index.w, index.max_occurrences) \
+                == (K, W, MAX_OCCURRENCES)
 
     def test_longread_engine_gets_seed_length_and_delta(
             self, small_reference, seedmap):
         config = MappingConfig(engine="longread", full_fallback=False,
                                delta=321)
         with Mapper(small_reference, seedmap, config=config) as facade:
-            assert facade.engine("longread").core.config \
-                == LongReadConfig(seed_length=seedmap.seed_length,
-                                  delta=321)
+            core = facade.engine("longread").core
+            assert (core.seed_length, core.delta) \
+                == (seedmap.seed_length, 321)
 
     def test_chunk_shorter_than_seed_rejected(self, small_reference,
                                               seedmap):

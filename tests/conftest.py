@@ -20,6 +20,7 @@ from repro.core import SeedMap
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           plant_variants)
 from repro.genome.reference import RepeatProfile
+from repro.genome.sequence import N_CODE
 
 # ``pytest --hypothesis-profile ci``: property tests that leave
 # ``max_examples`` to the profile (the DP kernel against its scalar
@@ -107,6 +108,20 @@ def record_signature():
     """Full-field signature of one AlignmentRecord (single-read
     engines), the per-record half of :func:`result_signature`."""
     return _record_fields
+
+
+@pytest.fixture(scope="session")
+def map_alone():
+    """``map_alone(mapper, codes, name)``: read 1's record from an
+    ``Mm2LikeMapper.map_pairs`` pair whose mate cannot be placed (all
+    ``N``: no minimizer, and no alignment clears the score floor)."""
+    mate = np.full(150, N_CODE, dtype=np.uint8)
+
+    def mapped(mapper, codes, name):
+        result, = mapper.map_pairs([(codes, mate, name)])
+        assert not result.record2.mapped
+        return result.record1
+    return mapped
 
 
 @pytest.fixture()

@@ -4,8 +4,8 @@ from oracles import core as oracle
 import numpy as np
 import pytest
 
-from repro.core import (LongReadConfig, LongReadMapper, LongReadStats,
-                        resolve_reads)
+from repro.core import LongReadMapper, LongReadStats, resolve_reads
+from repro.core.longread import CHUNK_LENGTH
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           random_sequence)
 from repro.genome.sequence import N_CODE
@@ -13,10 +13,8 @@ from repro.genome.sequence import N_CODE
 
 def votes_of(mapper, codes):
     """One read's Location Voting, the way ``map_reads`` runs it."""
-    config = mapper.config
     return mapper._vote(resolve_reads(
-        mapper.seedmap, mapper._chunks(codes), config.seed_length,
-        config.seeds_per_chunk))
+        mapper.seedmap, mapper._chunks(codes), mapper.seed_length))
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +65,9 @@ class TestLongReadMapper:
         assert mapper.stats.pseudo_pairs >= 8  # 1500bp -> 10 chunks
         assert mapper.stats.dp_cells > 0
 
-    def test_pseudo_pair_distance_below_delta(self):
-        config = LongReadConfig(chunk_length=150, delta=500)
+    def test_pseudo_pair_distance_below_delta(self, long_mapper):
         # Adjacent chunks are 150bp apart by construction.
-        assert config.chunk_length < config.delta
+        assert CHUNK_LENGTH == 150 < long_mapper.delta == 500
 
     def test_voting_prefers_consistent_location(self, plain_reference,
                                                 plain_seedmap):
@@ -126,34 +123,7 @@ class TestWindowErrors:
                             "clean")
 
 
-class TestVoteThresholdAndBatch:
-    def test_min_votes_filters_weak_bins(self, plain_reference,
-                                         plain_seedmap):
-        """A threshold above every bin's votes leaves the read unmapped
-        (the bins exist, but none clears the bar)."""
-        codes = plain_reference.fetch("chr1", 2000, 3500)
-        permissive = LongReadMapper(plain_reference,
-                                    seedmap=plain_seedmap)
-        assert permissive.map_read(codes, "a").mapped
-        votes = votes_of(permissive, codes)
-        bar = max(votes.values()) + 1
-        strict = LongReadMapper(
-            plain_reference, seedmap=plain_seedmap,
-            config=LongReadConfig(min_votes=bar))
-        record = strict.map_read(codes, "a")
-        assert not record.mapped
-        assert strict.stats.dp_cells == 0  # no DP attempt at all
-
-    def test_min_votes_default_keeps_behaviour(self, plain_reference,
-                                               plain_seedmap):
-        default = LongReadMapper(plain_reference, seedmap=plain_seedmap)
-        explicit = LongReadMapper(plain_reference, seedmap=plain_seedmap,
-                                  config=LongReadConfig(min_votes=1))
-        codes = plain_reference.fetch("chr1", 5000, 6800)
-        rec1 = default.map_read(codes, "a").record1
-        rec2 = explicit.map_read(codes, "a").record1
-        assert (rec1.position, rec1.score) == (rec2.position, rec2.score)
-
+class TestBatch:
     def test_map_reads_batch_matches_map_read(self, plain_reference,
                                               plain_seedmap):
         serial = LongReadMapper(plain_reference, seedmap=plain_seedmap)
@@ -238,7 +208,7 @@ class TestAgainstScalarOracle:
             self, small_reference, seedmap, reads, seedmap_probes):
         mapper = LongReadMapper(small_reference, seedmap=seedmap)
         mapper.map_reads(reads)
-        chunks = sum(len(codes) // mapper.config.chunk_length
+        chunks = sum(len(codes) // CHUNK_LENGTH
                      for codes, _name in reads)
         assert seedmap_probes == [chunks]
         # The scalar path resolved both chunks of every pseudo-pair.
@@ -250,13 +220,12 @@ class TestAgainstScalarOracle:
         assert not votes_of(mapper, codes[:149])
         assert not votes_of(mapper, codes[:0])
         # A chunk too short to hold a seed: pseudo-pairs, but no seed.
-        seedless = LongReadMapper(
-            small_reference, seedmap=seedmap,
-            config=LongReadConfig(chunk_length=40))
+        seedless = LongReadMapper(small_reference, seedmap=seedmap,
+                                  seed_length=CHUNK_LENGTH + 1)
         assert not votes_of(seedless, codes)
         assert oracle.longread_votes(seedless, codes)[0] == {}
         seedless.stats = LongReadStats()
         assert not seedless.map_read(codes, "seedless").mapped
         assert seedless.stats == LongReadStats(reads_total=1,
-                                               pseudo_pairs=36)
+                                               pseudo_pairs=9)
         assert seedless.map_reads([]) == []

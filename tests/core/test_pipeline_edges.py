@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (GenPairConfig, GenPairPipeline, STAGE_LIGHT,
-                        SeedMap)
+from repro.core import (STAGE_DP_CANDIDATE, STAGE_LIGHT, GenPairConfig,
+                        GenPairPipeline, SeedMap)
+from repro.core.pipeline import MAX_JOINT_CANDIDATES
 from repro.genome import (ReferenceGenome, encode, random_sequence,
                           reverse_complement)
 
@@ -35,19 +36,22 @@ class TestWindowClamping:
 class TestCandidateCap:
     def test_max_joint_candidates_bounds_attempts(self):
         """A degenerate tandem-repeat genome floods the filter with
-        joint candidates; the cap must bound light attempts."""
+        joint candidates (60 here); the cap must bound light attempts."""
         unit = random_sequence(np.random.default_rng(3), 400)
         genome = ReferenceGenome({"rep": np.tile(unit, 60)})
         seedmap = SeedMap.build(genome, filter_threshold=None)
-        config = GenPairConfig(max_joint_candidates=4,
-                               filter_threshold=None)
+        config = GenPairConfig(filter_threshold=None)
         pipeline = GenPairPipeline(genome, seedmap=seedmap, config=config)
-        read1 = genome.fetch("rep", 800, 950)
+        read1 = genome.fetch("rep", 800, 950).copy()
+        # Three mismatches (score 270 < 276): light alignment fails at
+        # every candidate, so every capped one is tried.
+        read1[[10, 30, 60]] = (read1[[10, 30, 60]] + 1) % 4
         read2 = reverse_complement(genome.fetch("rep", 1000, 1150))
         result = pipeline.map_pair(read1, read2, "rep")
-        assert result.mapped
-        # 2 orientations x 4 candidates x 2 reads at most.
-        assert pipeline.stats.light_attempts <= 16
+        assert result.stage == STAGE_DP_CANDIDATE
+        # 16 candidates x 2 reads, in the one orientation filtered.
+        assert MAX_JOINT_CANDIDATES == 16
+        assert pipeline.stats.light_attempts == 2 * MAX_JOINT_CANDIDATES
 
     def test_repeat_read_maps_to_some_copy(self):
         unit = random_sequence(np.random.default_rng(4), 500)

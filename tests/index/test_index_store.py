@@ -13,7 +13,7 @@ from repro.index import (FORMAT_VERSION, IndexFormatError, MappingIndex,
                          inspect_index, open_index, save_index)
 from repro.index.format import (PREAMBLE_BYTES, TABLE_COLUMNS, pack_header,
                                 read_header)
-from repro.mapper import MapperConfig, MinimizerIndex
+from repro.mapper import K, MAX_OCCURRENCES, W, MinimizerIndex
 
 #: Every section a table is written as, in file order.
 TABLE_SECTIONS = [f"{table}.{column}" for table in ("seedmap", "minimizers")
@@ -137,9 +137,8 @@ class TestMinimizerTable:
     def test_default_table_is_the_mappers(self, index_path,
                                           small_reference):
         mapped = open_index(index_path).minimizers
-        defaults = MapperConfig()
         assert (mapped.k, mapped.w, mapped.max_occurrences) \
-            == (defaults.k, defaults.w, defaults.max_occurrences)
+            == (K, W, MAX_OCCURRENCES) == (15, 10, 500)
         assert_same_table(mapped.table,
                           MinimizerIndex.build(small_reference).table)
 

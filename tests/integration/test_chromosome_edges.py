@@ -18,7 +18,7 @@ import pytest
 from repro.core import (STAGE_DP_CANDIDATE, STAGE_LIGHT, GenPairPipeline,
                         LongReadMapper, SeedMap)
 from repro.genome import generate_reference, reverse_complement
-from repro.mapper import MapperConfig, MinimizerIndex, Mm2LikeMapper
+from repro.mapper import MinimizerIndex, Mm2LikeMapper
 
 READ = 150
 LONG = 1500
@@ -100,12 +100,12 @@ class TestPairedEngines:
     def test_mm2_places_it_without_rescue(self, world, chromosome, edge,
                                           strand, edit):
         reference, _seedmap, index = world
-        mapper = Mm2LikeMapper(reference, index=index,
-                               config=MapperConfig(mate_rescue=False))
+        mapper = Mm2LikeMapper(reference, index=index)
         read1, read2, position = edge_pair(reference, chromosome, edge,
                                            strand, edit)
         result = mapper.map_pair(read1, read2, "edge")
         record = result.record1
+        assert mapper.stats.mate_rescues == 0
         assert record.mapped and result.record2.mapped
         assert (record.chromosome, record.strand) == (chromosome, strand)
         assert abs(record.position - position) <= 5

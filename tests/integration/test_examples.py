@@ -1,9 +1,8 @@
 """Examples leave the directory they are run from alone.
 
-``examples/streaming_workers.py`` used to write its FASTA/FASTQ/SAM
-files into the current directory, and five of them were committed at
-the repo root; it now works under ``tempfile.mkdtemp`` like
-``examples/multi_engine.py``.
+Every example that starts no daemon runs here from an empty directory,
+which must still be empty when it exits 0: outputs go under
+``tempfile.mkdtemp`` (``TMPDIR`` points into the test's own directory).
 """
 
 import os
@@ -11,10 +10,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[2]
 
+#: The examples that start no daemon; ``streaming_workers.py`` has its
+#: own test below.
+EXAMPLES = ["hardware_design_space.py", "library_calibration.py",
+            "long_read_mapping.py", "multi_engine.py",
+            "persistent_index.py", "quickstart.py",
+            "variant_calling_pipeline.py"]
 
-def test_streaming_workers_leaves_cwd_empty(tmp_path):
+
+def run_example(tmp_path, name):
     cwd = tmp_path / "cwd"
     scratch = tmp_path / "tmp"
     cwd.mkdir()
@@ -24,11 +32,21 @@ def test_streaming_workers_leaves_cwd_empty(tmp_path):
                    [str(REPO / "src")]
                    + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     done = subprocess.run(
-        [sys.executable, str(REPO / "examples" / "streaming_workers.py")],
+        [sys.executable, str(REPO / "examples" / name)],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert "byte-identical: True" in done.stdout
     assert sorted(cwd.iterdir()) == []
+    return done.stdout, scratch
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_example_leaves_cwd_empty(tmp_path, name):
+    run_example(tmp_path, name)
+
+
+def test_streaming_workers_leaves_cwd_empty(tmp_path):
+    stdout, scratch = run_example(tmp_path, "streaming_workers.py")
+    assert "byte-identical: True" in stdout
     written = {path.name
                for path in sorted(scratch.glob("repro_stream_*/*"))}
     assert {"stream_solo.sam", "stream_pool.sam"} <= written

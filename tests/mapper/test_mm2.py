@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.genome import random_sequence, reverse_complement
-from repro.mapper import MapperConfig, MinimizerIndex, Mm2LikeMapper
+from repro.mapper import MinimizerIndex, Mm2LikeMapper
 
 
 @pytest.fixture(scope="module")
@@ -15,42 +15,46 @@ def mapper(plain_reference):
 
 
 class TestSingleEnd:
-    def test_forward_read(self, plain_reference, mapper):
+    """One read placed on its own: read 1 of a pair whose mate cannot
+    be placed."""
+
+    def test_forward_read(self, plain_reference, mapper, map_alone):
         codes = plain_reference.fetch("chr1", 6000, 6150)
-        record = mapper.map_read(codes, "fwd")
+        record = map_alone(mapper, codes, "fwd")
         assert record.mapped
         assert record.chromosome == "chr1"
         assert record.position == 6000
         assert record.strand == "+"
         assert record.score == 300
 
-    def test_reverse_read(self, plain_reference, mapper):
+    def test_reverse_read(self, plain_reference, mapper, map_alone):
         codes = reverse_complement(
             plain_reference.fetch("chr1", 8000, 8150))
-        record = mapper.map_read(codes, "rev")
+        record = map_alone(mapper, codes, "rev")
         assert record.mapped
         assert record.position == 8000
         assert record.strand == "-"
 
-    def test_read_with_errors(self, plain_reference, mapper):
+    def test_read_with_errors(self, plain_reference, mapper, map_alone):
         codes = plain_reference.fetch("chr1", 9000, 9150).copy()
         for pos in (30, 80, 120):
             codes[pos] = (codes[pos] + 1) % 4
-        record = mapper.map_read(codes, "errs")
+        record = map_alone(mapper, codes, "errs")
         assert record.mapped
         assert record.position == 9000
         assert record.score == 300 - 3 * 10
 
-    def test_garbage_unmapped(self, mapper):
-        record = mapper.map_read(
-            random_sequence(np.random.default_rng(31), 150), "junk")
+    def test_garbage_unmapped(self, mapper, map_alone):
+        record = map_alone(
+            mapper, random_sequence(np.random.default_rng(31), 150), "junk")
         assert not record.mapped
 
-    def test_cells_accounted(self, plain_reference):
+    def test_cells_accounted(self, plain_reference, map_alone):
         fresh = Mm2LikeMapper(plain_reference)
-        fresh.map_read(plain_reference.fetch("chr1", 500, 650), "x")
+        map_alone(fresh, plain_reference.fetch("chr1", 500, 650), "x")
         # Error-free read on a repeat-free reference: every anchor is
-        # on the forward strand, and n anchors cost sum(min(i, 25)).
+        # on the forward strand, and n anchors cost sum(min(i, 25)); the
+        # all-N mate has none.
         anchors = fresh.stats.anchors_total
         assert anchors > 25
         assert fresh.stats.dp_cells_chaining == 300 + (anchors - 25) * 25
@@ -68,14 +72,6 @@ class TestIndexMismatch:
             Mm2LikeMapper(plain_reference, index=index)
         message = str(refused.value)
         assert f"k={k}, w={w}" in message and "k=15, w=10" in message
-
-    def test_matching_config_accepted(self, plain_reference):
-        index = MinimizerIndex.build(plain_reference, k=13, w=5)
-        mapper = Mm2LikeMapper(plain_reference, index=index,
-                               config=MapperConfig(k=13, w=5))
-        assert mapper.index is index
-        codes = plain_reference.fetch("chr1", 6000, 6150)
-        assert mapper.map_read(codes, "fwd").position == 6000
 
 
 class TestPairedEnd:
@@ -103,20 +99,6 @@ class TestPairedEnd:
         assert result.stage == "proper_pair"
         assert abs(rec2.position - pair.read2.ref_start) <= 5
         assert mapper.stats.mate_rescues >= 1
-
-    def test_mate_rescue_disabled_by_config(self, plain_reference,
-                                            clean_pairs):
-        """Same corrupted mate, rescue off: no rescue is attempted."""
-        mapper = Mm2LikeMapper(plain_reference,
-                               config=MapperConfig(mate_rescue=False))
-        pair = clean_pairs[1]
-        read2 = pair.read2.codes.copy()
-        for pos in range(0, 150, 11):  # break every minimizer
-            read2[pos] = (read2[pos] + 1) % 4
-        result = mapper.map_pair(pair.read1.codes, read2, "norescue")
-        assert result.stage == "mapped"
-        assert mapper.stats.mate_rescues == 0
-        assert result.record1.mapped  # read1 still maps independently
 
     def test_map_pairs_batch_matches_map_pair(self, plain_reference,
                                               clean_pairs):
@@ -218,18 +200,6 @@ class TestChunkInvariance:
                                       record_signature)
             assert got == expected
             assert got_stats == stats
-
-    def test_map_reads_equals_a_map_read_loop(self, hard, record_signature):
-        reference, index, items = hard
-        reads = [(read1, name) for read1, _read2, name in items[:9]]
-        serial = Mm2LikeMapper(reference, index=index)
-        batched = Mm2LikeMapper(reference, index=index)
-        expected = [serial.map_read(codes, name) for codes, name in reads]
-        got = batched.map_reads(reads)
-        assert list(map(record_signature, got)) \
-            == list(map(record_signature, expected))
-        assert batched.stats == serial.stats
-        assert (batched.stats.reads_seen, batched.stats.pairs_seen) == (9, 0)
 
     def test_one_chaining_call_per_chunk(self, hard, monkeypatch):
         import repro.mapper.mm2 as mm2

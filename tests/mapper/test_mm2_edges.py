@@ -3,42 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.genome import ReferenceGenome, random_sequence, \
-    reverse_complement, sam_lines
-from repro.mapper import MapperConfig, MinimizerIndex, Mm2LikeMapper
-
-
-class TestAmbiguity:
-    def test_duplicated_locus_low_mapq(self):
-        """A read from an exactly duplicated region cannot be placed
-        uniquely: mapq must reflect the ambiguity."""
-        rng = np.random.default_rng(41)
-        segment = random_sequence(rng, 3000)
-        genome = ReferenceGenome({
-            "chr1": np.concatenate([random_sequence(rng, 2000), segment,
-                                    random_sequence(rng, 2000), segment,
-                                    random_sequence(rng, 2000)])})
-        mapper = Mm2LikeMapper(genome)
-        read = segment[1000:1150]
-        record = mapper.map_read(read, "dup")
-        assert record.mapped
-        assert record.mapq <= 3
-
-    def test_unique_locus_high_mapq(self, plain_reference):
-        mapper = Mm2LikeMapper(plain_reference)
-        record = mapper.map_read(plain_reference.fetch("chr1", 11_000,
-                                                       11_150), "uniq")
-        assert record.mapq == 60
+from repro.genome import reverse_complement, sam_lines
+from repro.mapper import MinimizerIndex, Mm2LikeMapper
+from repro.mapper.mm2 import MAX_INSERT, MIN_SCORE_FRACTION
 
 
 class TestConfig:
-    def test_min_score_fraction_rejects_weak(self, plain_reference):
-        strict = Mm2LikeMapper(plain_reference,
-                               config=MapperConfig(
-                                   min_score_fraction=0.99))
+    def test_min_score_fraction_rejects_weak(self, plain_reference,
+                                             map_alone):
+        """A read whose best alignment scores under the floor (40% of
+        perfect) comes out unmapped, though it has a placement."""
+        mapper = Mm2LikeMapper(plain_reference)
         codes = plain_reference.fetch("chr1", 12_000, 12_150).copy()
-        codes[75] = (codes[75] + 1) % 4  # score 290 < 0.99 * 300
-        assert not strict.map_read(codes, "strict").mapped
+        codes[106:] = (codes[106:] + 1) % 4  # 44 mismatches in the tail
+        (best, *_), = mapper._placements([codes])
+        assert 0 < best.score < MIN_SCORE_FRACTION * 300
+        assert not map_alone(mapper, codes, "weak").mapped
 
     def test_shared_index_reused(self, plain_reference):
         index = MinimizerIndex.build(plain_reference)
@@ -47,12 +27,14 @@ class TestConfig:
         assert mapper_a.index is mapper_b.index
 
     def test_max_insert_bounds_pairing(self, plain_reference):
-        mapper = Mm2LikeMapper(plain_reference,
-                               config=MapperConfig(max_insert=250))
+        mapper = Mm2LikeMapper(plain_reference)
+        start2 = 1000 + MAX_INSERT + 150
         read1 = plain_reference.fetch("chr1", 1000, 1150)
-        read2 = reverse_complement(plain_reference.fetch("chr1", 2000,
-                                                         2150))
-        assert mapper.map_pair(read1, read2, "far").stage != "proper_pair"
+        read2 = reverse_complement(plain_reference.fetch("chr1", start2,
+                                                         start2 + 150))
+        result = mapper.map_pair(read1, read2, "far")
+        assert result.stage == "mapped"
+        assert result.record2.position == start2
 
 
 class TestRescueWindow:
@@ -142,11 +124,11 @@ class TestStatsIntegrity:
         assert mapper.stats.pairs_proper >= 9
         assert mapper.stats.anchors_total > 0
 
-    def test_indel_read_cigar(self, plain_reference):
+    def test_indel_read_cigar(self, plain_reference, map_alone):
         mapper = Mm2LikeMapper(plain_reference)
         template = plain_reference.fetch("chr1", 14_000, 14_155)
         read = np.concatenate([template[:70], template[73:]])[:150]
-        record = mapper.map_read(read, "del3")
+        record = map_alone(mapper, read, "del3")
         assert record.mapped
         assert record.cigar.count("D") == 3
         assert record.score == 300 - (12 + 3 * 2)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import align as oracle
 from repro.genome import ReferenceGenome, reverse_complement
-from repro.mapper import MapperConfig, MinimizerIndex, Mm2LikeMapper
+from repro.mapper import MinimizerIndex, Mm2LikeMapper
 from repro.mapper.mm2 import RESCUE_BAND, _Placement, _wave_votes
 
 READ = 150
@@ -253,13 +253,3 @@ class TestBoundEdges:
         check(mapper, jobs)
         assert mapper.stats.rescue_attempts == len(jobs)
         assert mapper.stats.rescue_whole_window >= 1
-
-    def test_rescue_off_attempts_nothing(self, genome):
-        reference = ReferenceGenome({"chr1": genome})
-        mapper = Mm2LikeMapper(reference, config=MapperConfig(
-            mate_rescue=False))
-        read1 = genome[1_000:1_000 + READ]
-        read2 = np.random.default_rng(64).integers(0, 4, size=READ,
-                                                   dtype=np.uint8)
-        mapper.map_pair(read1, read2, "off")
-        assert mapper.stats.rescue_attempts == 0

@@ -42,7 +42,7 @@ from repro.genome.cigar import Cigar
 from repro.genome.sequence import ALPHABET_SIZE, reverse_complement
 from repro.hashing import hash_reference_windows
 from repro.mapper.index import IndexStats
-from repro.mapper.mm2 import _Placement
+from repro.mapper.mm2 import MAX_INSERT, MIN_SCORE_FRACTION, _Placement
 
 _FROM_DIAG = 0
 _FROM_E = 1  # deletion state
@@ -372,8 +372,8 @@ def rescue_mate(mapper, anchor, mate_codes):
     mate_strand = "-" if anchor.strand == "+" else "+"
     oriented = (reverse_complement(mate_codes) if mate_strand == "-"
                 else mate_codes)
-    before, after = ((0, mapper.config.max_insert) if anchor.strand == "+"
-                     else (mapper.config.max_insert, len(mate_codes)))
+    before, after = ((0, MAX_INSERT) if anchor.strand == "+"
+                     else (MAX_INSERT, len(mate_codes)))
     found = mapper.reference.window(anchor.position, len(mate_codes),
                                     before, after,
                                     min_length=len(mate_codes),
@@ -384,7 +384,7 @@ def rescue_mate(mapper, anchor, mate_codes):
     result = banded.align_banded(oriented, window, scheme=mapper.scheme,
                                  diagonal=len(window) // 2,
                                  bandwidth=len(window) // 2 + 8)
-    min_score = int(mapper.config.min_score_fraction
+    min_score = int(MIN_SCORE_FRACTION
                     * mapper.scheme.perfect_score(len(mate_codes)))
     if result.score < min_score:
         return None

@@ -42,6 +42,8 @@ import numpy as np
 from repro.core import (EditProfile, LightAligner, LightAlignment,
                         QueryResult, SeedMap, filter_adjacent,
                         pair_role_codes, seed_offsets)
+from repro.core.longread import CHUNK_LENGTH, VOTE_BIN
+from repro.core.seeding import SEEDS_PER_READ
 from repro.genome.cigar import Cigar
 
 # -- pure-Python xxHash32, bit-exact to the reference specification ----------
@@ -236,10 +238,10 @@ def prepare_pair(pipeline, read1: np.ndarray, read2: np.ndarray
     """One pair's four queries in ``pair_role_codes`` order (fr read 1,
     fr read 2, rf read 1, rf read 2) — the ``queries`` argument of
     ``GenPairPipeline._map_resolved`` for a chunk of one."""
-    config = pipeline.config
     return [result
-            for seeds in partition_pair(read1, read2, config.seed_length,
-                                        config.seeds_per_read)
+            for seeds in partition_pair(read1, read2,
+                                        pipeline.config.seed_length,
+                                        SEEDS_PER_READ)
             for result in query_pair(pipeline.seedmap, seeds.read1,
                                      seeds.read2)]
 
@@ -383,8 +385,7 @@ def longread_votes(mapper, codes: np.ndarray) -> Tuple[Counter, int]:
     ``LongReadMapper._vote`` ran before chunk-wide resolution: each
     pseudo-pair seeds and queries both its chunks on its own, so every
     interior chunk is resolved twice."""
-    config = mapper.config
-    length = config.chunk_length
+    length = CHUNK_LENGTH
     chunks = [(start, codes[start:start + length])
               for start in range(0, len(codes) - length + 1, length)]
     votes: Counter = Counter()
@@ -392,12 +393,12 @@ def longread_votes(mapper, codes: np.ndarray) -> Tuple[Counter, int]:
     for (off1, chunk1), (_off2, chunk2) in zip(chunks, chunks[1:]):
         pseudo_pairs += 1
         result1 = query_read(mapper.seedmap, partition_read(
-            chunk1, config.seed_length, config.seeds_per_chunk))
+            chunk1, mapper.seed_length, SEEDS_PER_READ))
         result2 = query_read(mapper.seedmap, partition_read(
-            chunk2, config.seed_length, config.seeds_per_chunk))
+            chunk2, mapper.seed_length, SEEDS_PER_READ))
         filtered = filter_adjacent(result1.candidates, result2.candidates,
-                                   delta=config.delta,
+                                   delta=mapper.delta,
                                    boundaries=mapper._boundaries)
         for cand1, _cand2 in filtered.pairs:
-            votes[(cand1 - off1) // config.vote_bin] += 1
+            votes[(cand1 - off1) // VOTE_BIN] += 1
     return votes, pseudo_pairs

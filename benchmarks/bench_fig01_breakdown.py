@@ -6,8 +6,8 @@ seed-chain-align mapper with its stage timer and print the same breakdown.
 """
 
 from conftest import emit
+from paper.profiles import profile_breakdown
 
-from repro.analysis import profile_breakdown
 from repro.mapper import Mm2LikeMapper
 from repro.util import format_table
 

@@ -6,8 +6,8 @@ score of the two reads in each pair over [200, 300].
 """
 
 from conftest import emit
+from paper.profiles import analyze_edit_patterns
 
-from repro.analysis import analyze_edit_patterns
 from repro.util import format_table
 
 PAPER_SIMPLE_FRACTION = 69.9

@@ -13,10 +13,10 @@ Three results:
 
 import numpy as np
 from conftest import emit
+from paper.filters import (FilteredLightAligner, exact_match_at,
+                           gatekeeper_filter, shd_filter)
 
 from repro.core import LightAligner
-from repro.filters import (FilteredLightAligner, exact_match_at,
-                           gatekeeper_filter, shd_filter)
 from repro.genome import random_sequence, reverse_complement
 from repro.util import format_table
 
@@ -27,11 +27,11 @@ def exact_match_rates(bench_reference, bench_datasets):
     for pair in pairs:
         hit1 = exact_match_at(bench_reference, pair.read1.codes,
                               pair.read1.chromosome,
-                              pair.read1.ref_start).matched
+                              pair.read1.ref_start) is not None
         hit2 = exact_match_at(bench_reference,
                               reverse_complement(pair.read2.codes),
                               pair.read2.chromosome,
-                              pair.read2.ref_start).matched
+                              pair.read2.ref_start) is not None
         single += int(hit1) + int(hit2)
         both += int(hit1 and hit2)
     return (100.0 * single / (2 * len(pairs)),

@@ -6,8 +6,8 @@ pairs; 9.3-9.6 reference locations per queried seed.
 """
 
 from conftest import emit
+from paper.profiles import profile_exact_matches, profile_seed_locations
 
-from repro.analysis import profile_exact_matches, profile_seed_locations
 from repro.util import paper_vs_measured
 
 

@@ -1,26 +1,18 @@
 """Calibrating GenPair to a sequencing library.
 
-Shows the three data-driven knobs a deployment would tune:
-
-1. **Δ (paired-adjacency threshold)** — estimated from the library's
-   insert-size distribution on a mapped sample (`calibrate_delta`);
-2. **seed length** — the §3.2 exploration: exact-seed rate versus seed
-   length on this dataset (`seed_length_curve`);
-3. **pre-filtering** — the SHD + Light Alignment combination from the
-   paper's future-work note, with its measured work savings.
+Δ (the paired-adjacency threshold) is the one knob §4.5 leaves
+"dataset-defined": `calibrate_delta` estimates it from the library's
+insert-size distribution on a mapped sample and retunes the pipeline.
 
 Run:  python examples/library_calibration.py
 """
 
 import numpy as np
 
-from repro.analysis import seed_length_curve
 from repro.core import GenPairConfig, GenPairPipeline, SeedMap, \
     calibrate_delta
-from repro.filters import FilteredLightAligner
 from repro.genome import (ErrorModel, PairedEndProfile, ReadSimulator,
-                          generate_reference, random_sequence)
-from repro.util import format_table
+                          generate_reference)
 
 
 def main() -> None:
@@ -35,38 +27,13 @@ def main() -> None:
         seed=100)
     sample = simulator.simulate_pairs(150)
 
-    print("1. Δ calibration from a mapped sample")
+    print("Δ calibration from a mapped sample")
     pipeline = GenPairPipeline(reference, seedmap=seedmap,
                                config=GenPairConfig(delta=2000))
     estimate = calibrate_delta(pipeline, sample)
     print(f"   insert size: {estimate.mean:.0f} +/- {estimate.sd:.0f} "
           f"({estimate.samples} pairs)")
     print(f"   Δ retuned: 2000 -> {pipeline.config.delta}")
-
-    print("\n2. Seed-length exploration (§3.2)")
-    curve = seed_length_curve(reference, sample[:80],
-                              lengths=(30, 40, 50, 60, 75))
-    print(format_table(("seed bp", "pairs with exact seed/read %"),
-                       [(length, f"{rate:.1f}")
-                        for length, rate in curve.as_rows()]))
-    print(f"   recommended: {curve.recommend(min_rate=0.85)}bp "
-          "(longest above the 85% Observation-1 bar)")
-
-    print("\n3. SHD pre-filter in front of Light Alignment (§8)")
-    combo = FilteredLightAligner()
-    for pair in sample[:100]:
-        read = pair.read1.codes
-        chrom_len = reference.length(pair.read1.chromosome)
-        start = max(8, min(pair.read1.ref_start, chrom_len - 158))
-        window = reference.fetch(pair.read1.chromosome, start - 8,
-                                 min(chrom_len, start + 158))
-        combo.align(read, window, 8)                     # true locus
-        combo.align(read, random_sequence(rng, len(window)), 8)  # junk
-    stats = combo.stats
-    print(f"   {stats.candidates_seen} candidates screened, "
-          f"{stats.filtered_out} rejected by SHD "
-          f"({100 * stats.rejection_rate:.0f}%), "
-          f"{stats.light_attempts} light alignments actually run")
 
 
 if __name__ == "__main__":

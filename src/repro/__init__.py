@@ -27,11 +27,11 @@ Leaves no engine imports, loaded only when imported by name (``import
 repro.hw``), so mapping, serving and every forked worker never load them:
 
 * :mod:`repro.hw` — the GenPairX hardware model (NMSL, sizing, costs);
-* :mod:`repro.filters` — pre-alignment filter baselines (SHD,
-  GateKeeper, FastHASH adjacency, exact match);
 * :mod:`repro.variants` — pileup caller, truth comparison, mapeval;
-* :mod:`repro.analysis` — the paper's §3 profiling observations;
 * :mod:`repro.lint` — the project's static checks (``repro lint``).
+
+The §3 profiling and the §8 filter baselines are evaluation, not
+mapping: they live outside the package, in ``benchmarks/paper/``.
 """
 
 from . import align, api, core, genome, hashing, index, mapper, util

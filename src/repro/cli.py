@@ -54,9 +54,10 @@ Example::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -90,20 +91,34 @@ def _int_arg(flag: str, minimum: int, note: str = ""):
     return parse
 
 
-def _float_arg(flag: str, above: float, note: str = ""):
-    """Argparse type: a float strictly above a bound, with a clear
-    error (``--request-timeout`` must be positive)."""
+def _float_arg(flag: str, above: float, note: str = "", *,
+               at_least: bool = False, below: float = math.inf):
+    """Argparse type: a float above a bound (or at it, with
+    ``at_least``) and below ``below``, with a clear error
+    (``--request-timeout`` must be positive, ``--error-rate`` in
+    [0, 0.5))."""
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected a number, got {text!r}")
-        if not value > above:
+        if not ((value >= above if at_least else value > above)
+                and value < below):
+            bounds = f"{'>=' if at_least else '>'} {above:g}"
+            if below < math.inf:
+                bounds += f" and < {below:g}"
             raise argparse.ArgumentTypeError(
-                f"{flag} must be > {above:g}{note}, got {text}")
+                f"{flag} must be {bounds}{note}, got {text}")
         return value
     return parse
+
+
+def _lengths_arg(text: str) -> Tuple[int, ...]:
+    """Argparse type for ``--chromosomes``: comma-separated integers,
+    each at least 1."""
+    length = _int_arg("--chromosomes", 1, " for every length")
+    return tuple(length(part) for part in text.split(","))
 
 
 def _tcp_arg(text: str):
@@ -117,19 +132,23 @@ def _tcp_arg(text: str):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .genome import (ErrorModel, ReadSimulator, generate_reference,
-                         plant_variants, write_fasta, write_fastq)
+    from .genome import (ErrorModel, ReadSimulator, SimulationError,
+                         generate_reference, plant_variants, write_fasta,
+                         write_fastq)
     from .variants import write_vcf
 
     rng = np.random.default_rng(args.seed)
-    lengths = tuple(int(x) for x in args.chromosomes.split(","))
-    reference = generate_reference(rng, lengths)
+    reference = generate_reference(rng, args.chromosomes)
     donor = plant_variants(rng, reference)
     error_model = (ErrorModel.giab_like() if args.profile == "giab"
                    else ErrorModel.mason_default(args.error_rate))
     simulator = ReadSimulator(reference, donor=donor,
                               error_model=error_model, seed=args.seed + 1)
-    pairs = simulator.simulate_pairs(args.pairs)
+    try:
+        pairs = simulator.simulate_pairs(args.pairs)
+    except SimulationError as exc:  # e.g. chromosomes shorter than a pair
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     write_fasta(f"{args.out}_ref.fa", reference)
     write_vcf(f"{args.out}_truth.vcf", donor.truth, reference=reference)
@@ -702,12 +721,17 @@ def build_parser() -> argparse.ArgumentParser:
                               help="generate reference + truth + reads")
     simulate.add_argument("--out", default="sim",
                           help="output file prefix")
-    simulate.add_argument("--pairs", type=int, default=500)
-    simulate.add_argument("--chromosomes", default="200000,100000",
+    simulate.add_argument("--pairs", type=_int_arg("--pairs", 0),
+                          default=500)
+    simulate.add_argument("--chromosomes", type=_lengths_arg,
+                          default="200000,100000",
                           help="comma-separated chromosome lengths")
     simulate.add_argument("--profile", choices=("giab", "mason"),
                           default="giab")
-    simulate.add_argument("--error-rate", type=float, default=0.004,
+    simulate.add_argument("--error-rate",
+                          type=_float_arg("--error-rate", 0.0,
+                                          at_least=True, below=0.5),
+                          default=0.004,
                           help="per-base error rate (mason profile)")
     simulate.add_argument("--seed", type=int, default=0)
     simulate.set_defaults(func=_cmd_simulate)
@@ -873,8 +897,11 @@ def build_parser() -> argparse.ArgumentParser:
                             help="compose the hardware design report")
     design.add_argument("--memory", choices=("HBM2", "GDDR6", "DDR5"),
                         default="HBM2")
-    design.add_argument("--window", type=int, default=1024)
-    design.add_argument("--simulated-pairs", type=int, default=6000)
+    design.add_argument("--window", type=_int_arg("--window", 1),
+                        default=1024)
+    design.add_argument("--simulated-pairs",
+                        type=_int_arg("--simulated-pairs", 1),
+                        default=6000)
     design.set_defaults(func=_cmd_design)
 
     lint_cmd = sub.add_parser(

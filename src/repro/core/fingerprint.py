@@ -46,13 +46,6 @@ class IndexFingerprint:
                                      else int(meta["filter_threshold"])),
                    step=int(meta.get("step", 1)))
 
-    @classmethod
-    def from_seedmap(cls, seedmap) -> "IndexFingerprint":
-        """Fingerprint of a built :class:`~repro.core.seedmap.SeedMap`."""
-        return cls(seed_length=seedmap.seed_length,
-                   filter_threshold=seedmap.filter_threshold,
-                   step=seedmap.step)
-
     def describe(self) -> str:
         threshold = ("none" if self.filter_threshold is None
                      else self.filter_threshold)

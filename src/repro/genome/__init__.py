@@ -22,9 +22,8 @@ from .sam import (METHOD_DP, METHOD_EXACT, METHOD_LIGHT, AlignmentRecord,
                   SamWriter, sam_header_lines, sam_lines,
                   sam_record_lines, write_sam)
 from .sequence import (ALPHABET_SIZE, SequenceError, decode, decode_all,
-                       encode, hamming_distance, kmer_to_int, kmers,
-                       pack_2bit, random_sequence, reverse_complement,
-                       reverse_complement_str, unpack_2bit)
+                       encode, kmers, pack_2bit, random_sequence,
+                       reverse_complement, unpack_2bit)
 from .simulate import (ErrorModel, PairedEndProfile, ReadSimulator,
                        SimulatedPair, SimulatedRead, SimulationError)
 from .variants import DiploidDonor, Haplotype, Variant, plant_variants
@@ -38,12 +37,11 @@ __all__ = [
     "ReferenceGenome", "RepeatProfile", "ResultLineWriter", "SamWriter",
     "SequenceError", "SimulatedPair", "SimulatedRead", "SimulationError",
     "Variant", "decode", "decode_all", "encode", "generate_reference",
-    "hamming_distance", "iter_pairs", "iter_pairs_chunked", "iter_reads",
-    "iter_reads_chunked", "jsonl_header_lines", "jsonl_lines",
-    "jsonl_record_lines", "kmer_to_int", "kmers", "pack_2bit",
-    "paf_header_lines", "paf_lines", "paf_record_lines", "plant_variants",
-    "random_sequence", "read_ahead", "read_fasta", "read_fastq",
-    "result_records", "reverse_complement", "reverse_complement_str",
+    "iter_pairs", "iter_pairs_chunked", "iter_reads", "iter_reads_chunked",
+    "jsonl_header_lines", "jsonl_lines", "jsonl_record_lines", "kmers",
+    "pack_2bit", "paf_header_lines", "paf_lines", "paf_record_lines",
+    "plant_variants", "random_sequence", "read_ahead", "read_fasta",
+    "read_fastq", "result_records", "reverse_complement",
     "sam_header_lines", "sam_lines", "sam_record_lines", "unpack_2bit",
     "write_fasta", "write_fastq", "write_sam",
 ]

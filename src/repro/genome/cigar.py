@@ -126,12 +126,6 @@ class Cigar:
         """Number of read bases consumed."""
         return sum(length for length, op in self.ops if op in _READ_OPS)
 
-    @property
-    def aligned_read_length(self) -> int:
-        """Read bases consumed excluding soft clips."""
-        return sum(length for length, op in self.ops
-                   if op in _READ_OPS and op != "S")
-
     def count(self, op: str) -> int:
         """Total length across runs of one operation."""
         return sum(length for length, o in self.ops if o == op)
@@ -143,11 +137,6 @@ class Cigar:
                      if op in ("X", "I", "D"))
 
     # -- transforms --------------------------------------------------------
-
-    def collapse_matches(self) -> "Cigar":
-        """Render ``=``/``X`` as plain ``M`` (classic SAM style)."""
-        return Cigar.from_pairs(
-            (length, "M" if op in "=X" else op) for length, op in self.ops)
 
     def concatenated(self, other: "Cigar") -> "Cigar":
         """Concatenate two CIGARs, merging the boundary run if needed."""

@@ -254,7 +254,9 @@ def generate_reference(
         Length of each chromosome to generate.
     repeats:
         Repeat structure profile, or ``None`` for a purely random genome
-        (every seed then hits ~1 location — useful in unit tests).
+        (every seed then hits ~1 location — useful in unit tests).  When
+        no chromosome is longer than a repeat element, no interspersed
+        copy is planted.
     name_prefix:
         Chromosomes are named ``f"{name_prefix}{i+1}"``.
     """
@@ -288,6 +290,9 @@ def _plant_interspersed_repeats(rng: np.random.Generator,
     library = [random_sequence(rng, profile.element_length)
                for _ in range(profile.library_size)]
     names = list(chromosomes)
+    if all(len(chromosomes[name]) <= profile.element_length
+           for name in names):
+        return  # nowhere to put a copy: the loop below would not end
     total = sum(len(chromosomes[name]) for name in names)
     target = int(total * profile.interspersed_fraction)
     planted = 0

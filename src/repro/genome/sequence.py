@@ -118,11 +118,6 @@ def reverse_complement(codes: np.ndarray) -> np.ndarray:
     return complement(codes)[::-1]
 
 
-def reverse_complement_str(seq: str) -> str:
-    """Return the reverse complement of a DNA string."""
-    return decode(reverse_complement(encode(seq, allow_n=True)))
-
-
 def random_sequence(rng: np.random.Generator, length: int) -> np.ndarray:
     """Draw a uniform random sequence of ``length`` concrete bases."""
     if length < 0:
@@ -167,23 +162,3 @@ def kmers(codes: np.ndarray, k: int) -> Iterator[np.ndarray]:
         raise SequenceError("k must be positive")
     for start in range(0, len(codes) - k + 1):
         yield codes[start:start + k]
-
-
-def kmer_to_int(codes: np.ndarray) -> int:
-    """Pack a concrete k-mer (k <= 31) into a single Python integer key."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.size and codes.max(initial=0) >= ALPHABET_SIZE:
-        raise SequenceError("ambiguous base in k-mer")
-    value = 0
-    for code in codes.tolist():
-        value = (value << 2) | code
-    return value
-
-
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Count positions where two equal-length code arrays differ."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise SequenceError("hamming_distance requires equal-length inputs")
-    return int(np.count_nonzero(a != b))

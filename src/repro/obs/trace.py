@@ -37,8 +37,8 @@ that has a mate to rescue (read 2 near read 1, then read 1 near read 2:
 at most two per chunk).  The ``mm2.*`` spans also appear nested
 under ``pair.filter_align`` when the baseline mapper runs as GenPair's
 full-DP fallback (once per chunk, over the pairs of it that need one);
-:func:`repro.analysis.profile_breakdown` sums them into Fig 1, rescue
-into alignment.
+``profile_breakdown`` in ``benchmarks/paper/profiles.py`` sums them
+into Fig 1, rescue into alignment.
 """
 
 from __future__ import annotations

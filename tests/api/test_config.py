@@ -114,8 +114,9 @@ class TestFingerprint:
                                 seed_length=config.seed_length,
                                 filter_threshold=config.filter_threshold,
                                 step=config.step)
-        assert IndexFingerprint.from_seedmap(seedmap) \
-            == config.fingerprint()
+        assert IndexFingerprint(seedmap.seed_length,
+                                seedmap.filter_threshold,
+                                seedmap.step) == config.fingerprint()
 
     def test_conflicts_name_each_field(self):
         fingerprint = IndexFingerprint(seed_length=50,
@@ -151,8 +152,9 @@ class TestIndexRoundTrip:
                                                plain_seedmap):
         with Mapper.from_index(index_path, full_fallback=False) \
                 as mapper:
-            assert mapper.config.fingerprint() \
-                == IndexFingerprint.from_seedmap(plain_seedmap)
+            assert mapper.config.fingerprint() == IndexFingerprint(
+                plain_seedmap.seed_length, plain_seedmap.filter_threshold,
+                plain_seedmap.step)
             assert mapper.index is not None
             assert mapper.index.fingerprint \
                 == mapper.config.fingerprint()

@@ -71,10 +71,9 @@ class TestConstruction:
             assert signatures(mapper.map(pairs)) == reference_results
 
 
-#: Packages no engine imports: the hardware model, paper baselines and
-#: observations, the variant caller, the project's linter.
-LEAVES = ("repro.hw", "repro.analysis", "repro.filters", "repro.variants",
-          "repro.lint")
+#: Packages no engine imports: the hardware model, the variant caller,
+#: the project's linter.
+LEAVES = ("repro.hw", "repro.variants", "repro.lint")
 
 _MAP_AND_LIST_LEAVES = """
 import sys

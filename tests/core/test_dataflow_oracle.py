@@ -149,7 +149,8 @@ class TestScalarPathLeftSrc:
     it, because it cannot be imported from the package."""
 
     @pytest.mark.parametrize("module", ["repro.hashing.xxhash32",
-                                        "repro.mapper.profiler"])
+                                        "repro.mapper.profiler",
+                                        "repro.filters", "repro.analysis"])
     def test_modules_are_gone(self, module):
         import importlib
         with pytest.raises(ModuleNotFoundError):
@@ -159,7 +160,6 @@ class TestScalarPathLeftSrc:
         ("repro.core", "partition_read"), ("repro.core", "query_read"),
         ("repro.core", "Seed"), ("repro.hashing", "hash_seed"),
         ("repro.hashing", "hash_seeds"), ("repro.hashing", "xxhash32"),
-        ("repro.filters.adjacency", "adjacency_from_query"),
         ("repro.mapper", "StageTimer"), ("repro.mapper", "STAGES")])
     def test_names_are_gone(self, package, name):
         import importlib

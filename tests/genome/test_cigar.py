@@ -48,7 +48,6 @@ class TestAccounting:
         cigar = Cigar.parse("10S50=2I30=3D60=")
         assert cigar.read_length == 10 + 50 + 2 + 30 + 60
         assert cigar.reference_length == 50 + 30 + 3 + 60
-        assert cigar.aligned_read_length == 50 + 2 + 30 + 60
 
     def test_count(self):
         cigar = Cigar.parse("5=1X5=2X5=")
@@ -62,9 +61,6 @@ class TestAccounting:
 
 
 class TestTransforms:
-    def test_collapse_matches(self):
-        assert str(Cigar.parse("50=1X99=").collapse_matches()) == "150M"
-
     def test_concatenated_merges_boundary(self):
         joined = Cigar.parse("50=").concatenated(Cigar.parse("50="))
         assert str(joined) == "100="

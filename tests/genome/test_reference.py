@@ -171,6 +171,12 @@ class TestGeneration:
         with pytest.raises(ReferenceError):
             generate_reference(np.random.default_rng(0), (0,))
 
+    def test_chromosomes_shorter_than_a_repeat_element_plant_none(self):
+        """No chromosome can hold a 300 bp element: the interspersed
+        repeats are skipped instead of drawing positions forever."""
+        genome = generate_reference(np.random.default_rng(0), (100,))
+        assert genome.length("chr1") == 100
+
     def test_repeats_raise_duplicate_seed_rate(self):
         rng1 = np.random.default_rng(9)
         rng2 = np.random.default_rng(9)

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.genome.sequence import (ALPHABET_SIZE, N_CODE, SequenceError,
-                                   complement, decode, encode,
-                                   hamming_distance, kmer_to_int, kmers,
-                                   pack_2bit, random_sequence,
-                                   reverse_complement,
-                                   reverse_complement_str, unpack_2bit)
+                                   complement, decode, decode_all, encode,
+                                   kmers, pack_2bit, random_sequence,
+                                   reverse_complement, unpack_2bit)
 
 
 class TestEncodeDecode:
@@ -45,6 +43,13 @@ class TestEncodeDecode:
         with pytest.raises(SequenceError):
             encode(np.array([0, 9], dtype=np.uint8))
 
+    def test_decode_all_matches_decode(self):
+        rng = np.random.default_rng(3)
+        arrays = [random_sequence(rng, n) for n in (0, 1, 150, 7)]
+        arrays.append(encode("ACNGT", allow_n=True))
+        assert decode_all(arrays) == [decode(codes) for codes in arrays]
+        assert decode_all([]) == []
+
     def test_decode_rejects_bad_codes(self):
         with pytest.raises(SequenceError):
             decode(np.array([7], dtype=np.uint8))
@@ -57,9 +62,6 @@ class TestComplement:
     def test_reverse_complement(self):
         assert decode(reverse_complement(encode("AACGTT"))) == "AACGTT"
         assert decode(reverse_complement(encode("AAAC"))) == "GTTT"
-
-    def test_reverse_complement_str(self):
-        assert reverse_complement_str("GATTACA") == "TGTAATC"
 
     def test_revcomp_is_involution(self):
         rng = np.random.default_rng(0)
@@ -100,27 +102,9 @@ class TestKmers:
         assert decode(windows[0]) == "ACG"
         assert decode(windows[-1]) == "GTA"
 
-    def test_kmer_to_int_distinct(self):
-        values = {kmer_to_int(encode(s))
-                  for s in ("AAA", "AAC", "CAA", "TTT")}
-        assert len(values) == 4
-
     def test_kmer_invalid_k(self):
         with pytest.raises(SequenceError):
             list(kmers(encode("ACGT"), 0))
-
-
-class TestHamming:
-    def test_zero_on_equal(self):
-        seq = encode("ACGTACGT")
-        assert hamming_distance(seq, seq.copy()) == 0
-
-    def test_counts_mismatches(self):
-        assert hamming_distance(encode("AAAA"), encode("AATA")) == 1
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(SequenceError):
-            hamming_distance(encode("AA"), encode("AAA"))
 
 
 class TestRandomSequence:

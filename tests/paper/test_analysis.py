@@ -1,11 +1,11 @@
 """Tests for the §3 profiling analyses."""
 
-import numpy as np
 import pytest
 
-from repro.analysis import (analyze_edit_patterns, classify_simple,
-                            profile_breakdown, profile_exact_matches,
-                            profile_seed_locations)
+from benchmarks.paper.profiles import (analyze_edit_patterns,
+                                       classify_simple, profile_breakdown,
+                                       profile_exact_matches,
+                                       profile_seed_locations)
 from repro.genome import Cigar, ErrorModel, ReadSimulator
 
 

@@ -1,15 +1,15 @@
 """Tests for the pre-alignment filter baselines."""
 
+import dataclasses
+
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles.core import partition_read
+from benchmarks.paper.filters import (FilteredLightAligner, exact_match_at,
+                                      gatekeeper_filter, shd_filter)
+from benchmarks.paper.profiles import profile_exact_matches
 from repro.core import LightAligner
-from repro.filters import (FilteredLightAligner, adjacency_filter,
-                           exact_match_at, gatekeeper_filter,
-                           pair_exact_match, shd_filter)
-from repro.genome import random_sequence, reverse_complement
+from repro.genome import random_sequence
 
 
 def make_window(rng, template, pad=8):
@@ -115,69 +115,33 @@ class TestGateKeeper:
         assert gk_pass >= shd_pass
 
 
-class TestAdjacency:
-    def test_true_locus_supported(self, plain_reference, plain_seedmap):
-        codes = plain_reference.fetch("chr1", 4000, 4150)
-        result = adjacency_filter(plain_seedmap, codes, min_support=2)
-        assert result.passed
-        assert any(abs(c - 4000) <= 5 for c in result.candidates)
-        assert max(result.support) == 3  # all three seeds agree
-
-    def test_random_read_unsupported(self, plain_seedmap):
-        codes = random_sequence(np.random.default_rng(9), 150)
-        assert not adjacency_filter(plain_seedmap, codes).passed
-
-    def test_single_seed_insufficient(self, plain_reference,
-                                      plain_seedmap):
-        codes = plain_reference.fetch("chr1", 5000, 5150).copy()
-        # Corrupt the middle and last seeds; only the first survives.
-        codes[60] = (codes[60] + 1) % 4
-        codes[110] = (codes[110] + 1) % 4
-        result = adjacency_filter(plain_seedmap, codes, min_support=2)
-        assert not any(abs(c - 5000) <= 5 for c in result.candidates)
-
-    def test_support_counts_every_hit_of_every_seed(self, small_reference,
-                                                    seedmap):
-        """Against the scalar seeding: on a repeat-rich reference the
-        support adds up to the un-deduplicated per-seed hit count."""
-        codes = small_reference.fetch("chr1", 5000, 5150)
-        hits = sum(seedmap.query(seed.hash_value).size
-                   for seed in partition_read(codes, 50))
-        result = adjacency_filter(seedmap, codes, seed_length=50,
-                                  min_support=1)
-        assert sum(result.support) == hits >= 3
-
-    def test_read_shorter_than_a_seed(self, plain_reference,
-                                      plain_seedmap):
-        codes = plain_reference.fetch("chr1", 4000, 4030)
-        assert not adjacency_filter(plain_seedmap, codes).passed
-
-
 class TestExactFilter:
     def test_match_found_with_slack(self, plain_reference):
         codes = plain_reference.fetch("chr1", 7000, 7150)
-        verdict = exact_match_at(plain_reference, codes, "chr1", 7004)
-        assert verdict.matched
-        assert verdict.position == 7000
+        assert exact_match_at(plain_reference, codes, "chr1", 7004) == 7000
 
     def test_mismatch_fails(self, plain_reference):
         codes = plain_reference.fetch("chr1", 7000, 7150).copy()
         codes[75] = (codes[75] + 1) % 4
-        assert not exact_match_at(plain_reference, codes, "chr1",
-                                  7000).matched
+        assert exact_match_at(plain_reference, codes, "chr1", 7000) is None
+
+    def test_slack_bounds_the_search(self, plain_reference):
+        codes = plain_reference.fetch("chr1", 7000, 7150)
+        assert exact_match_at(plain_reference, codes, "chr1", 7008) == 7000
+        assert exact_match_at(plain_reference, codes, "chr1", 7009) is None
+        assert exact_match_at(plain_reference, codes, "chr1", 7009,
+                              slack=9) == 7000
 
     def test_pair_requires_both(self, plain_reference, clean_pairs):
         pair = clean_pairs[0]
-        assert pair_exact_match(plain_reference, pair.read1.codes,
-                                pair.read2.codes, pair.chromosome,
-                                pair.read1.ref_start,
-                                pair.read2.ref_start)
+        report = profile_exact_matches(plain_reference, [pair])
+        assert (report.reads_exact, report.pairs_exact) == (2, 1)
         broken = pair.read2.codes.copy()
         broken[10] = (broken[10] + 1) % 4
-        assert not pair_exact_match(plain_reference, pair.read1.codes,
-                                    broken, pair.chromosome,
-                                    pair.read1.ref_start,
-                                    pair.read2.ref_start)
+        pair = dataclasses.replace(
+            pair, read2=dataclasses.replace(pair.read2, codes=broken))
+        report = profile_exact_matches(plain_reference, [pair])
+        assert (report.reads_exact, report.pairs_exact) == (1, 0)
 
 
 class TestFilteredLightAligner:
@@ -214,12 +178,3 @@ class TestFilteredLightAligner:
             combo.align(read, window, 8)
         assert combo.stats.rejection_rate > 0.9
         assert combo.stats.light_attempts < 3
-
-    def test_validation_helper(self):
-        rng = np.random.default_rng(12)
-        combo = FilteredLightAligner()
-        template = random_sequence(rng, 100)
-        window, offset = make_window(rng, template)
-        assert combo.validate_against_unfiltered(template, window,
-                                                 offset)
-        assert combo.stats.false_rejections == 0

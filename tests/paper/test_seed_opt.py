@@ -1,9 +1,8 @@
 """Tests for the seed-length optimization analysis (§3.2)."""
 
-import numpy as np
 import pytest
 
-from repro.analysis import SeedLengthCurve, seed_length_curve
+from benchmarks.paper.profiles import SeedLengthCurve, seed_length_curve
 from repro.genome import ErrorModel, ReadSimulator
 
 

@@ -81,11 +81,12 @@ class TestCigarProperties:
         assert cigar.reference_length == ref_len
 
     @given(cigar_ops)
-    def test_collapse_preserves_lengths(self, ops):
+    def test_from_ops_run_length_encodes_columns(self, ops):
+        columns = "".join(op * length for length, op in ops).encode("ascii")
         cigar = Cigar.from_pairs(ops)
-        collapsed = cigar.collapse_matches()
-        assert collapsed.read_length == cigar.read_length
-        assert collapsed.reference_length == cigar.reference_length
+        assert Cigar.from_ops(columns).ops == cigar.ops
+        assert Cigar.from_ops(
+            np.frombuffer(columns, dtype=np.uint8)).ops == cigar.ops
 
 
 def _rescore(cigar):

@@ -165,6 +165,37 @@ class TestParser:
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--pairs", "-3"], "--pairs"),
+        (["simulate", "--chromosomes", "0"], "--chromosomes"),
+        (["simulate", "--chromosomes", "abc"], "--chromosomes"),
+        (["simulate", "--chromosomes", "100,0"], "--chromosomes"),
+        (["simulate", "--profile", "mason", "--error-rate", "1.5"],
+         "--error-rate"),
+        (["design", "--window", "0"], "--window"),
+        (["design", "--simulated-pairs", "0"], "--simulated-pairs")],
+        ids=["pairs-negative", "chromosomes-zero", "chromosomes-abc",
+             "chromosomes-one-zero", "error-rate-1.5", "window-zero",
+             "simulated-pairs-zero"])
+    def test_out_of_range_simulate_and_design_values_exit_2(
+            self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + (["--out", str(tmp_path / "sim")]
+                         if argv[0] == "simulate" else []))
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        error_lines = [line for line in captured.err.splitlines()
+                       if "error:" in line]
+        assert len(error_lines) == 1 and flag in error_lines[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_simulate_on_chromosomes_shorter_than_a_pair_is_one_line(
+            self, tmp_path, capsys):
+        assert main(["simulate", "--chromosomes", "100", "--pairs", "2",
+                     "--out", str(tmp_path / "sim")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: no chromosome long enough for the fragment\n"
+
     def test_map_rejects_zero_batch_size_naming_the_replacement(
             self, capsys):
         with pytest.raises(SystemExit) as excinfo:

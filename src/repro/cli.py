@@ -212,12 +212,13 @@ def _build_mapper(args: argparse.Namespace):
 
 
 def _print_map_report(stats, count: int, out: str) -> None:
+    fallback = (stats.seedmap_fallback + stats.filter_fallback
+                + stats.residual_fallback)
     print(f"mapped {stats.pairs_total} pairs -> {count} records "
           f"({out})")
     print(f"  light-aligned {stats.light_aligned_pct:.1f}% | "
           f"DP-at-candidates {stats.light_fallback_pct:.1f}% | "
-          f"full fallback "
-          f"{stats.seedmap_fallback_pct + stats.filter_fallback_pct:.1f}%"
+          f"full fallback {100.0 * stats.fraction(fallback):.1f}%"
           f" | unmapped {stats.unmapped}")
 
 

@@ -18,10 +18,11 @@ takes a list of reads, hashes all their seed windows with one
 vectorized xxHash call (:func:`repro.hashing.hash_reads_batch`) and
 resolves them against the array-backed Seed Table in one
 ``np.searchsorted`` probe (:meth:`SeedMap.query_batch` via
-:func:`~repro.core.query.query_hash_groups`), merging per-read
-candidate lists chunk-wide.  :meth:`GenPairPipeline._map_chunk` calls
-it on the four role sequences of every pair of a chunk
-(:func:`~repro.core.seeding.pair_role_codes`);
+:func:`~repro.core.query.query_hash_groups`), merging the chunk's hits
+into one flat sorted candidate array with per-read bounds
+(:class:`~repro.core.query.QueryColumns`).
+:meth:`GenPairPipeline._map_chunk` calls it on the four role sequences
+of every pair of a chunk (:func:`~repro.core.seeding.pair_role_codes`);
 :meth:`LongReadMapper.map_reads` on the pseudo-pair chunks of every
 read of a chunk.  :meth:`~GenPairPipeline.map_pair` and
 :meth:`~LongReadMapper.map_read` are chunks of one,
@@ -47,7 +48,8 @@ from .pairfilter import DEFAULT_DELTA, FilterResult, filter_adjacent
 from .pipeline import (DEFAULT_BATCH_SIZE, STAGE_DP_CANDIDATE,
                        STAGE_FULL_DP, STAGE_LIGHT, STAGE_UNMAPPED,
                        GenPairConfig, GenPairPipeline, PipelineStats)
-from .query import QueryResult, query_hash_groups, resolve_reads
+from .query import (QueryColumns, QueryResult, query_hash_groups,
+                    resolve_reads)
 from .seedmap import (DEFAULT_FILTER_THRESHOLD, LOCATION_ENTRY_BYTES,
                       SEED_TABLE_ENTRY_BYTES, SeedMap, SeedMapStats)
 from .seeding import pair_role_codes, seed_offsets
@@ -60,7 +62,8 @@ __all__ = [
     "calibrate_delta", "FilterResult", "GenPairConfig", "GenPairPipeline",
     "LightAligner", "LightAlignment", "LOCATION_ENTRY_BYTES",
     "LongReadMapper", "LongReadStats",
-    "PipelineStats", "QueryResult", "SEED_TABLE_ENTRY_BYTES",
+    "PipelineStats", "QueryColumns", "QueryResult",
+    "SEED_TABLE_ENTRY_BYTES",
     "STAGE_DP_CANDIDATE", "STAGE_FULL_DP", "STAGE_LIGHT", "STAGE_UNMAPPED",
     "SeedMap", "SeedMapStats", "enumerate_simple_profiles",
     "filter_adjacent", "pair_role_codes", "query_hash_groups",

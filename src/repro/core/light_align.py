@@ -217,12 +217,12 @@ class LightAligner:
         # and the 0-edit profile always leads it (when the perfect score
         # clears the threshold at all), tried at shift 0 first — so a
         # read matching the candidate frame exactly short-circuits the
-        # whole mask machinery with an identical result.
+        # whole mask machinery with an identical result (compared as bytes).
         profiles = self.profiles_for(length)
         if not profiles:
             return None
-        if profiles[0].mismatches == 0 and np.array_equal(
-                read, window[offset:offset + length]):
+        if profiles[0].mismatches == 0 and (
+                read.tobytes() == window[offset:offset + length].tobytes()):
             return LightAlignment(score=profiles[0].score,
                                   cigar=_perfect_cigar(length),
                                   ref_start=offset, profile=profiles[0])

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from ..genome.reference import ReferenceGenome
 from ..genome.results import MappingResult
 from ..genome.sam import METHOD_DP, AlignmentRecord
 from .pairfilter import DEFAULT_DELTA, filter_adjacent
-from .query import QueryResult, resolve_reads
+from .query import QueryColumns, resolve_reads
 from .seedmap import SeedMap
 
 
@@ -132,20 +132,20 @@ class LongReadMapper:
         return [codes[start:start + CHUNK_LENGTH] for start
                 in range(0, len(codes) - CHUNK_LENGTH + 1, CHUNK_LENGTH)]
 
-    def _vote(self, queries: Sequence[QueryResult]) -> Counter:
+    def _vote(self, queries: QueryColumns) -> Counter:
         """Location Voting over one read's pseudo-pairs.
 
         ``queries`` are the resolved chunks of the read, in order;
         consecutive ones form the pseudo-pairs.
         """
         votes: Counter = Counter()
-        for index, (result1, result2) in enumerate(zip(queries,
-                                                       queries[1:])):
+        candidates, bounds = queries.candidates, queries.bounds.tolist()
+        for index in range(len(queries) - 1):
             self.stats.pseudo_pairs += 1
-            filtered = filter_adjacent(result1.candidates,
-                                       result2.candidates,
-                                       delta=self.delta,
-                                       boundaries=self._boundaries)
+            filtered = filter_adjacent(
+                candidates[bounds[index]:bounds[index + 1]],
+                candidates[bounds[index + 1]:bounds[index + 2]],
+                delta=self.delta, boundaries=self._boundaries)
             offset = index * CHUNK_LENGTH
             for cand1, _cand2 in filtered.pairs:
                 votes[(cand1 - offset) // VOTE_BIN] += 1

@@ -19,10 +19,11 @@ attempts, and DP cells for the residual work (GenDP MCUPS sizing, §7.4).
 There is one dataflow, and it is chunked
 (:meth:`GenPairPipeline._map_chunk`): all seeds of a chunk are hashed
 with one vectorized xxHash call, resolved against the array-backed
-SeedMap in one ``searchsorted`` probe and merged into per-read
-candidate lists chunk-wide (:func:`repro.core.query.resolve_reads`, the
-front-end the long-read mode shares); filtering and light alignment run
-per pair; the pairs light alignment cannot settle meet again in two
+SeedMap in one ``searchsorted`` probe and merged into one flat sorted
+candidate array with per-read bounds, a :class:`~repro.core.query.QueryColumns`
+(:func:`repro.core.query.resolve_reads`, the front-end the long-read
+mode shares); filtering and light alignment run per pair on slices of
+it; the pairs light alignment cannot settle meet again in two
 chunk-wide candidate-DP waves (read 1 at every candidate, read 2 where
 read 1 survived: one :func:`align_banded` sweep per window shape, cut by
 :func:`~repro.align.banded.stack_problems`'s cell budget), and the
@@ -66,7 +67,7 @@ from ..genome.sam import (METHOD_DP, METHOD_EXACT, METHOD_LIGHT,
 from ..obs import get_registry, span
 from .light_align import LightAligner
 from .pairfilter import DEFAULT_DELTA, filter_adjacent
-from .query import QueryResult, resolve_reads
+from .query import QueryColumns, resolve_reads
 from .seedmap import DEFAULT_FILTER_THRESHOLD, SeedMap
 from .seeding import chunk_role_codes
 
@@ -355,12 +356,11 @@ class GenPairPipeline:
     def _map_resolved(self, items: Sequence[Tuple[np.ndarray, np.ndarray,
                                                   str]],
                       roles: Sequence[np.ndarray],
-                      queries: Sequence[QueryResult]
-                      ) -> List[MappingResult]:
+                      queries: QueryColumns) -> List[MappingResult]:
         """Query-results-to-mapping decision for a chunk; ``roles`` holds
         four sequences per pair in
         :func:`~repro.core.seeding.pair_role_codes` order and
-        ``queries`` their results.
+        ``queries`` their rows.
 
         Filtering and light alignment settle most pairs one by one
         (:meth:`_map_prepared`).  The pairs left with candidates but no
@@ -369,14 +369,15 @@ class GenPairPipeline:
         together too (:meth:`_fall_back`).
         """
         stats = self.stats
+        columns = (queries.candidates, queries.bounds.tolist(),
+                   queries.seed_hits.tolist(),
+                   queries.locations_fetched.tolist(),
+                   queries.traffic_bytes.tolist())
         results: list = []
         pending = []
         residue = []
-        for index, (read1, read2, name) in enumerate(items):
-            base = 4 * index
-            result = self._map_prepared(
-                read1, read2, name, queries[base:base + 4],
-                roles[base:base + 4])
+        for index, item in enumerate(items):
+            result = self._map_prepared(item, roles, 4 * index, columns)
             if result is None:
                 residue.append(index)
             elif type(result) is _Pending:
@@ -404,21 +405,23 @@ class GenPairPipeline:
 
     # -- per-pair decision -------------------------------------------------
 
-    def _map_prepared(self, read1: np.ndarray, read2: np.ndarray,
-                      name: str, prepared: Sequence[QueryResult],
-                      roles: Sequence[np.ndarray]
+    def _map_prepared(self, item: Tuple[np.ndarray, np.ndarray, str],
+                      roles: Sequence[np.ndarray], base: int,
+                      columns: tuple
                       ) -> Union[MappingResult, _Pending, None]:
         """Filtering and light alignment of one pair: its
         :class:`MappingResult`, or a :class:`_Pending` order for
         candidate DP, or ``None`` to send it to the traditional pipeline
         (:meth:`_fall_back`).
 
-        ``roles`` are the pair's four sequences and ``prepared`` their
-        pre-resolved SeedMap queries, an ``(upstream, downstream)`` pair
-        of each per entry of :data:`ORIENTATIONS`; an orientation's
-        query statistics are only charged when that orientation is
-        actually tried.
+        The pair's sequences are ``roles[base:base + 4]`` and its queries
+        the same rows of ``columns`` (candidates; bounds, seed hits,
+        locations fetched and traffic bytes as lists), an ``(upstream,
+        downstream)`` pair per entry of :data:`ORIENTATIONS`; an
+        orientation's query statistics are only charged when tried.
         """
+        read1, read2, name = item
+        candidates, bounds, hits, fetched, traffic = columns
         stats = self.stats
         stats.pairs_total += 1
         # One boundary array serves both candidate lists: the shorter
@@ -426,34 +429,28 @@ class GenPairPipeline:
         boundaries = self.reference.read_boundaries(min(len(read1),
                                                         len(read2)))
         any_seed_hit = False
-        best_filtered: Optional[Tuple[str, Tuple[Tuple[int, int],
-                                                 ...]]] = None
-        for orientation, result1, result2 in zip(
-                ORIENTATIONS, prepared[0::2], prepared[1::2]):
-            stats.locations_fetched += (result1.locations_fetched
-                                        + result2.locations_fetched)
-            stats.traffic_bytes += (result1.traffic_bytes
-                                    + result2.traffic_bytes)
-            if result1.seed_hits and result2.seed_hits:
+        for orientation, up in zip(ORIENTATIONS, (base, base + 2)):
+            down = up + 1
+            stats.locations_fetched += fetched[up] + fetched[down]
+            stats.traffic_bytes += traffic[up] + traffic[down]
+            if hits[up] and hits[down]:
                 any_seed_hit = True
-            filtered = filter_adjacent(result1.candidates,
-                                       result2.candidates,
-                                       delta=self.config.delta,
-                                       boundaries=boundaries)
+            filtered = filter_adjacent(
+                candidates[bounds[up]:bounds[down]],
+                candidates[bounds[down]:bounds[down + 1]],
+                delta=self.config.delta, boundaries=boundaries)
             stats.filter_iterations += filtered.iterations
             if filtered.passed:
-                best_filtered = (orientation, filtered.pairs)
                 break
-        if best_filtered is None:
+        else:
             if not any_seed_hit:
                 stats.seedmap_fallback += 1
             else:
                 stats.filter_fallback += 1
             return None
 
-        orientation, joint_candidates = best_filtered
-        oriented1, oriented2 = (roles[0:2] if orientation == "fr"
-                                else roles[2:4])
+        joint_candidates = filtered.pairs
+        oriented1, oriented2 = roles[up:up + 2]
         light = self._light_align_candidates(oriented1, oriented2,
                                              joint_candidates)
         if light is not None:
@@ -592,14 +589,16 @@ class GenPairPipeline:
     def _record(self, name: str, hit, read_codes: np.ndarray, mate: int,
                 strand: str, method: str) -> AlignmentRecord:
         alignment, chromosome, window_start = hit
-        cigar = alignment.cigar
-        if method == METHOD_LIGHT and cigar.edit_runs == ():
-            method = METHOD_EXACT
+        if method == METHOD_LIGHT:
+            profile = alignment.profile
+            if not (profile.mismatches or profile.insertion_run
+                    or profile.deletion_run):
+                method = METHOD_EXACT
         position = int(window_start + alignment.ref_start)
         return AlignmentRecord(query_name=f"{name}/{mate}",
                                chromosome=chromosome,
                                position=position, strand=strand,
-                               mapq=60, cigar=cigar,
+                               mapq=60, cigar=alignment.cigar,
                                score=alignment.score,
                                read_codes=read_codes, mate=mate,
                                mapped=True, method=method)

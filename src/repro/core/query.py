@@ -15,14 +15,16 @@ its location range.
 :func:`resolve_reads` is the one seed→candidate front-end under ``src/``:
 the GenPair pipeline (the four role sequences of every pair of a chunk),
 the long-read mode (the pseudo-pair chunks of every read of a chunk) and
-the Observation-2 profiler all hand it a list of reads.  The per-seed
-scalar chain it replaced is the test oracle (``tests/oracles/core.py``).
+the Observation-2 profiler all hand it a list of reads, and it answers
+with one :class:`QueryColumns`: the reads' candidates in one flat array
+with per-read bounds, their counters as columns.  The per-seed scalar
+chain it replaced is the test oracle (``tests/oracles/core.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,19 +55,58 @@ class QueryResult:
                 + self.locations_fetched * LOCATION_ENTRY_BYTES)
 
 
+@dataclass(frozen=True)
+class QueryColumns:
+    """The query results of a list of reads, as columns: read ``g``'s
+    candidates are ``candidates[bounds[g]:bounds[g + 1]]``, its counters
+    entry ``g`` of the int64 columns.  Indexing or iterating builds
+    :class:`QueryResult` rows; a slice (step 1) shares ``candidates``.
+    """
+
+    candidates: np.ndarray
+    bounds: np.ndarray
+    seed_hits: np.ndarray
+    locations_fetched: np.ndarray
+    seed_table_accesses: np.ndarray
+
+    traffic_bytes = QueryResult.traffic_bytes  # one entry per read
+
+    def __len__(self) -> int:
+        return len(self.seed_hits)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step != 1:
+                raise ValueError("QueryColumns slices take step 1")
+            stop = max(start, stop)
+            return QueryColumns(self.candidates,
+                                self.bounds[start:stop + 1],
+                                self.seed_hits[start:stop],
+                                self.locations_fetched[start:stop],
+                                self.seed_table_accesses[start:stop])
+        key = range(len(self))[key]
+        return QueryResult(
+            candidates=self.candidates[
+                self.bounds[key]:self.bounds[key + 1]],
+            seed_hits=int(self.seed_hits[key]),
+            locations_fetched=int(self.locations_fetched[key]),
+            seed_table_accesses=int(self.seed_table_accesses[key]))
+
+
 def query_hash_groups(seedmap: SeedMap, hashes: np.ndarray,
                       offsets: np.ndarray, groups: np.ndarray,
                       group_count: int,
-                      group_sizes: Sequence[int]) -> List[QueryResult]:
+                      group_sizes: Sequence[int]) -> QueryColumns:
     """Resolve many reads' seeds in one vectorized SeedMap probe.
 
     All seed hashes are resolved with a single
     :meth:`SeedMap.query_batch` call; the location gather, the
     implied-read-start conversion and the per-read sorted-unique merge
-    run as whole-batch numpy operations.  Returns one
-    :class:`QueryResult` per group, element-wise identical to looking
-    each seed up with :meth:`SeedMap.query` and merging each read's
-    hits with ``np.unique`` (the scalar reference in
+    run as whole-batch numpy operations.  Returns the
+    :class:`QueryColumns` of the ``group_count`` reads, row for row
+    identical to looking each seed up with :meth:`SeedMap.query` and
+    merging each read's hits with ``np.unique`` (the scalar reference in
     ``tests/oracles/core.py``).
 
     ``hashes`` / ``offsets`` / ``groups`` are parallel per-seed arrays;
@@ -73,17 +114,16 @@ def query_hash_groups(seedmap: SeedMap, hashes: np.ndarray,
     ``group_sizes[g]`` is the number of seeds queried for group ``g``
     (its Seed Table access count, even when a seed resolves to nothing).
     """
-    empty = np.zeros(0, dtype=np.int64)
-    per_group = [empty] * group_count
-    fetched = np.zeros(group_count, dtype=np.int64)
-    hits = np.zeros(group_count, dtype=np.int64)
+    candidates = np.zeros(0, dtype=np.int64)
+    bounds = np.zeros(group_count + 1, dtype=np.int64)
+    fetched = hits = np.zeros(group_count, dtype=np.int64)
     if hashes.size:
         starts, ends = seedmap.query_batch(hashes)
         counts = ends - starts
-        np.add.at(fetched, groups, counts)
-        np.add.at(hits, groups, (counts > 0).astype(np.int64))
-        total = int(counts.sum())
-        if total:
+        fetched = np.bincount(groups, weights=counts,
+                              minlength=group_count).astype(np.int64)
+        hits = np.bincount(groups[counts > 0], minlength=group_count)
+        if fetched.any():
             # Gather every location of every seed into one flat array:
             # seed i contributes counts[i] consecutive elements.
             seed_index, within = ragged_ranges(counts)
@@ -92,39 +132,32 @@ def query_hash_groups(seedmap: SeedMap, hashes: np.ndarray,
             flat_groups = groups[seed_index]
             order = np.lexsort((candidates, flat_groups))
             sorted_groups = flat_groups[order]
-            sorted_candidates = candidates[order]
-            keep = np.ones(sorted_candidates.size, dtype=bool)
+            candidates = candidates[order]
+            keep = np.ones(candidates.size, dtype=bool)
             keep[1:] = ((sorted_groups[1:] != sorted_groups[:-1])
-                        | (sorted_candidates[1:] != sorted_candidates[:-1]))
-            sorted_groups = sorted_groups[keep]
-            sorted_candidates = sorted_candidates[keep]
-            bounds = np.searchsorted(sorted_groups,
+                        | (candidates[1:] != candidates[:-1]))
+            candidates = candidates[keep]
+            bounds = np.searchsorted(sorted_groups[keep],
                                      np.arange(group_count + 1))
-            per_group = [sorted_candidates[bounds[g]:bounds[g + 1]]
-                         for g in range(group_count)]
-    return [QueryResult(candidates=per_group[g],
-                        seed_hits=int(hits[g]),
-                        locations_fetched=int(fetched[g]),
-                        seed_table_accesses=int(group_sizes[g]))
-            for g in range(group_count)]
+    return QueryColumns(candidates, bounds, hits, fetched,
+                        np.asarray(group_sizes, dtype=np.int64))
 
 
 def resolve_reads(seedmap: SeedMap, reads: Sequence[np.ndarray],
                   seed_length: int,
                   seeds_per_read: int = SEEDS_PER_READ
-                  ) -> List[QueryResult]:
+                  ) -> QueryColumns:
     """Partitioned Seeding + SeedMap Query for a whole list of reads.
 
     The reads' seed windows (:func:`~repro.core.seeding.seed_offsets`)
     are sliced out of one concatenated code buffer, hashed with a single
     vectorized call, and resolved with one batched SeedMap probe; returns
-    one :class:`QueryResult` per read, in input order.  A read shorter
-    than one seed contributes no seed (no Seed Table access is charged),
-    and so does a seed window holding an ambiguous base (``N``): it
-    cannot be an exact 2-bit match, so the read keeps its other seeds.
+    their :class:`QueryColumns`, one row per read in input order.  A
+    read shorter than one seed contributes no seed (no Seed Table access
+    is charged), and so does a seed window holding an ambiguous base
+    (``N``): it cannot be an exact 2-bit match, so the read keeps its
+    other seeds.
     """
-    if not reads:
-        return []
     offsets_by_length = {}
     read_offsets = []
     for codes in reads:

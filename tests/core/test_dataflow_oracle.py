@@ -1,8 +1,9 @@
 """The chunk dataflow against the scalar oracle (``oracles/core.py``).
 
-Two contracts: ``resolve_reads`` returns, read for read and field for
-field, what per-seed hashing + ``SeedMap.query`` + a per-read
-``np.unique`` merge return; and whatever the chunk size —
+Two contracts: ``resolve_reads``'s ``QueryColumns`` hold, read for read
+and field for field — by index, slice or iteration — what per-seed
+hashing + ``SeedMap.query`` + a per-read ``np.unique`` merge return;
+and whatever the chunk size —
 including ``map_pair``'s chunk of one — results and ``PipelineStats``
 equal the oracle's queries fed one pair at a time through the same
 per-pair decision.
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import GenPairPipeline, pair_role_codes, resolve_reads
+from repro.core import (GenPairPipeline, QueryColumns, pair_role_codes,
+                        resolve_reads)
 from repro.genome import ErrorModel, ReadSimulator, reverse_complement
 
 
@@ -63,6 +65,34 @@ def assert_same_queries(got, want):
         assert have.traffic_bytes == expect.traffic_bytes
 
 
+def assert_same_columns(got, want, slices):
+    """``got`` (``QueryColumns``) against the oracle's list: its layout,
+    then every row by iteration, by index (negative ones too) and every
+    ``(start, stop)`` of ``slices`` as a slice — itself a
+    ``QueryColumns`` that slices again."""
+    assert isinstance(got, QueryColumns)
+    count = len(want)
+    assert got.bounds.size == count + 1
+    assert np.all(np.diff(got.bounds) >= 0)
+    for name in ("bounds", "seed_hits", "locations_fetched",
+                 "seed_table_accesses"):
+        assert getattr(got, name).dtype == np.int64
+    assert_same_queries(got, want)
+    assert_same_queries([got[index] for index in range(count)], want)
+    assert_same_queries([got[index - count] for index in range(count)],
+                        want)
+    for start, stop in slices:
+        part = got[start:stop]
+        assert isinstance(part, QueryColumns)
+        assert_same_queries(part, want[start:stop])
+        assert_same_queries(part[1:], want[start:stop][1:])
+    for index in (count, -count - 1):
+        with pytest.raises(IndexError):
+            got[index]
+    with pytest.raises(ValueError):
+        got[::2]
+
+
 def role_codes(items):
     """What ``_map_chunk`` hands the resolver: four reads per pair."""
     return [codes for read1, read2, _ in items
@@ -102,15 +132,21 @@ class TestResolveReads:
                                   role_codes(unequal_items[4:])))
 
     def test_empty_input(self, plain_seedmap):
-        assert both(plain_seedmap, []) == ([], [])
+        got, want = both(plain_seedmap, [])
+        assert want == []
+        assert len(got) == 0 and list(got) == []
+        assert got.bounds.tolist() == [0]
+        assert got.candidates.size == 0
+        assert_same_columns(got, want, [(0, 0), (-1, 1)])
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_random_read_lists_match_oracle(self, plain_reference,
                                             plain_seedmap, data):
-        """Mixed lengths 0..400 (some shorter than a seed), reads drawn
-        from the reference (so seeds hit) with a few bases flipped and
-        the occasional N."""
+        """Mixed lengths 0..400 (empty reads, reads shorter than a seed),
+        reads drawn from the reference (so seeds hit) with a few bases
+        flipped and the occasional N (code 4); the columns are read by
+        iteration, index and slice."""
         chrom_len = plain_reference.length("chr1")
         reads = []
         for _ in range(data.draw(st.integers(0, 12), label="reads")):
@@ -129,8 +165,12 @@ class TestResolveReads:
         seed_length = data.draw(st.sampled_from([50, 50, 32]),
                                 label="seed_length")
         seeds_per_read = data.draw(st.integers(1, 4), label="seeds")
-        assert_same_queries(*both(plain_seedmap, reads, seed_length,
-                                  seeds_per_read))
+        bound = len(reads) + 2
+        slices = data.draw(st.lists(st.tuples(st.integers(-bound, bound),
+                                              st.integers(-bound, bound)),
+                                    max_size=4), label="slices")
+        got, want = both(plain_seedmap, reads, seed_length, seeds_per_read)
+        assert_same_columns(got, want, slices)
 
 
 class TestOneProbePerChunk:
@@ -142,6 +182,44 @@ class TestOneProbePerChunk:
         pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
         pipeline.map_pairs(clean_items[:10], chunk_size=4)
         assert seedmap_probes == [16, 16, 8]
+
+
+class TestNoQueryRowsWhileMapping:
+    """The decision loops read the chunk's ``QueryColumns`` in place:
+    mapping builds no ``QueryResult`` row."""
+
+    @pytest.fixture()
+    def rows_built(self, monkeypatch):
+        import repro.core.query as query
+
+        built = []
+        real = query.QueryResult.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(query.QueryResult, "__init__", counting)
+        return built
+
+    def test_clean_and_giab_like_chunks(self, plain_reference,
+                                        plain_seedmap, small_reference,
+                                        seedmap, clean_items, giab_items,
+                                        rows_built):
+        from repro.core import LongReadMapper
+
+        clean = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
+        clean.map_pairs(clean_items)
+        giab = GenPairPipeline(small_reference, seedmap=seedmap)
+        giab.map_pairs(giab_items[:256])
+        LongReadMapper(plain_reference, seedmap=plain_seedmap).map_reads(
+            [(plain_reference.fetch("chr1", 4000, 7000), "long")])
+        assert clean.stats.light_mapped == clean.stats.pairs_total
+        assert giab.stats.light_fallback and giab.stats.seedmap_fallback
+        assert rows_built == []
+        # The counter counts: reading one row builds one.
+        resolve_reads(plain_seedmap, [clean_items[0][0]], 50)[0]
+        assert len(rows_built) == 1
 
 
 class TestScalarPathLeftSrc:

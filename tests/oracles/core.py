@@ -13,9 +13,12 @@ size must map to; and, through the scalar :func:`longread_votes`, what
 the long-read mode must vote.
 
 The chain imports no hashing or query function from the package — only
-``SeedMap``, ``QueryResult``, ``seed_offsets`` and ``pair_role_codes``
-(plus ``filter_adjacent`` for the long-read vote, which is downstream
-of the chain).
+``SeedMap``, the ``QueryResult`` / ``QueryColumns`` records,
+``seed_offsets`` and ``pair_role_codes`` (plus ``filter_adjacent`` for
+the long-read vote, which is downstream of the chain).  It answers read
+by read, one ``QueryResult`` each; :func:`as_columns` packs such a list
+into the ``QueryColumns`` the package's resolver returns, for the
+pipeline's own decision.
 
 Light alignment has its scalar form here too: :class:`ScalarLightAligner`
 walks the profile lattice one profile and one frame at a time, an
@@ -40,8 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import (EditProfile, LightAligner, LightAlignment,
-                        QueryResult, SeedMap, filter_adjacent,
-                        pair_role_codes, seed_offsets)
+                        QueryColumns, QueryResult, SeedMap,
+                        filter_adjacent, pair_role_codes, seed_offsets)
 from repro.core.longread import CHUNK_LENGTH, VOTE_BIN
 from repro.core.seeding import SEEDS_PER_READ
 from repro.genome.cigar import Cigar
@@ -183,6 +186,25 @@ def query_read(seedmap: SeedMap, seeds: Sequence[Seed]) -> QueryResult:
                        seed_table_accesses=len(seeds))
 
 
+def as_columns(results: Sequence[QueryResult]) -> QueryColumns:
+    """Per-read query results packed into one ``QueryColumns``: the
+    candidates back to back, their bounds, and the counters as int64
+    columns."""
+    def column(name: str) -> np.ndarray:
+        return np.array([getattr(result, name) for result in results],
+                        dtype=np.int64)
+
+    sizes = [result.candidates.size for result in results]
+    return QueryColumns(
+        candidates=np.concatenate(
+            [np.zeros(0, dtype=np.int64)]
+            + [result.candidates for result in results]),
+        bounds=np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+        seed_hits=column("seed_hits"),
+        locations_fetched=column("locations_fetched"),
+        seed_table_accesses=column("seed_table_accesses"))
+
+
 def resolve_reads(seedmap: SeedMap, reads: Sequence[np.ndarray],
                   seed_length: int,
                   seeds_per_read: int = 3) -> List[QueryResult]:
@@ -236,8 +258,9 @@ def query_pair(seedmap: SeedMap, read1_seeds: Sequence[Seed],
 def prepare_pair(pipeline, read1: np.ndarray, read2: np.ndarray
                  ) -> List[QueryResult]:
     """One pair's four queries in ``pair_role_codes`` order (fr read 1,
-    fr read 2, rf read 1, rf read 2) — the ``queries`` argument of
-    ``GenPairPipeline._map_resolved`` for a chunk of one."""
+    fr read 2, rf read 1, rf read 2) — packed with :func:`as_columns`,
+    the ``queries`` argument of ``GenPairPipeline._map_resolved`` for a
+    chunk of one."""
     return [result
             for seeds in partition_pair(read1, read2,
                                         pipeline.config.seed_length,
@@ -256,7 +279,7 @@ def map_pairs(pipeline, items) -> list:
         read1, read2, _name = item
         results.extend(pipeline._map_resolved(
             [item], pair_role_codes(read1, read2),
-            prepare_pair(pipeline, read1, read2)))
+            as_columns(prepare_pair(pipeline, read1, read2))))
     return results
 
 

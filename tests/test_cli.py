@@ -413,6 +413,43 @@ class TestWorkflow:
 
 @pytest.mark.skipif(not hasattr(socket, "AF_UNIX"),
                     reason="serve/client need UNIX-domain sockets")
+class TestMapReport:
+    def test_stage_shares_cover_every_pair(self, tmp_path, capsys):
+        """The GIAB-like regression set (repeat-rich reference 101,
+        donor 103, reads 200): 8 pairs pass the filter but no candidate
+        DP places them, so they go to the full pipeline too — the
+        stage line's three shares must cover all 300 pairs."""
+        from repro.genome import (ErrorModel, ReadSimulator, RepeatProfile,
+                                  generate_reference, plant_variants,
+                                  write_fasta, write_fastq)
+
+        reference = generate_reference(np.random.default_rng(101),
+                                       (160_000, 80_000),
+                                       repeats=RepeatProfile.human_like())
+        donor = plant_variants(np.random.default_rng(103), reference)
+        pairs = ReadSimulator(reference, donor=donor,
+                              error_model=ErrorModel.giab_like(),
+                              seed=200).simulate_pairs(300)
+        prefix = str(tmp_path / "giab")
+        write_fasta(prefix + "_ref.fa", reference)
+        for mate in (1, 2):
+            write_fastq(f"{prefix}_{mate}.fq",
+                        ((getattr(pair, f"read{mate}").name,
+                          getattr(pair, f"read{mate}").codes)
+                         for pair in pairs))
+        assert main(["map", "--reference", prefix + "_ref.fa",
+                     "--reads1", prefix + "_1.fq",
+                     "--reads2", prefix + "_2.fq",
+                     "--out", str(tmp_path / "out.sam")]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("  light-aligned 80.7% | "
+                               "DP-at-candidates 11.0% | "
+                               "full fallback 8.3% | unmapped ")
+        shares = [float(share) for share in re.findall(r"([\d.]+)%", line)]
+        assert len(shares) == 3
+        assert sum(shares) == pytest.approx(100.0, abs=0.15)
+
+
 class TestEngineWorkflow:
     @pytest.fixture(scope="class")
     def world(self, tmp_path_factory):

@@ -1,6 +1,6 @@
 """DP alignment substrate: scoring, Gotoh aligners, banding, chaining."""
 
-from .banded import AlignmentStack, align_banded, stack_problems
+from .banded import AlignmentStack, align_banded, align_problems
 from .chaining import (Anchor, AnchorColumns, Chain, ChainingResult,
                        ChainStack, chain_anchors)
 from .dp import NEG_INF, AlignmentResult, align_local, align_semiglobal
@@ -10,5 +10,5 @@ __all__ = [
     "Anchor", "AnchorColumns", "AlignmentResult", "AlignmentStack",
     "Chain", "ChainStack", "ChainingResult", "DEFAULT_SCHEME",
     "HIGH_QUALITY_THRESHOLD", "NEG_INF", "ScoringScheme", "align_banded",
-    "align_local", "align_semiglobal", "chain_anchors", "stack_problems",
+    "align_local", "align_problems", "align_semiglobal", "chain_anchors",
 ]

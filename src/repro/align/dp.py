@@ -30,9 +30,22 @@ open - ext*(j-1)``, one ``np.maximum.accumulate``, exact in integers.
 per-row operations.  ``H``, ``E``, ``F`` are kept and the traceback bits
 derived matrix-wide with the scalar loop's own comparisons (``open >= ext``
 opens; origin priority diag > E > F), so every tie-break is the scalar one:
-excluded cells hold ``NEG_INF`` and a value on a traceback path is a real
-score, so no comparison there ties two sentinels.  The scalar loops are the
+excluded cells hold a sentinel (*plane types*) and a value on a traceback
+path is a real score, so no comparison there ties two sentinels.  The scalar loops are the
 test oracle (``tests/oracles/align.py``).
+
+*Plane types.*  The planes take the narrowest integer type that holds
+every score of the problem next to the excluded cells' sentinel, judged by
+a ``bound`` on any value a sweep computes (``n`` substitutions and two
+gap runs across the matrix): int16 with a ``-2**14`` sentinel when the
+bound is below ``2**13`` (every chain, candidate and narrow rescue band
+of a 150-base read), int32 with ``NEG_INF`` below ``2**28`` (a
+whole-window rescue band), int64 beyond.  A sentinel-derived value stays
+below every real score and above the type's minimum, so the type never
+shows in a result; int16 halves the planes' bytes, and so doubles the
+problems one sweep holds at the same memory.  The substitution plane is
+the equality plane scaled in place, and each pointer bit is one
+comparison into a reused bool plane, scaled to its bit in place.
 
 *Traceback on demand.*  A sweep returns each result's score, end cell and
 ``cells`` at once, and frees ``H``/``E``/``F``; only the uint8 pointer
@@ -207,18 +220,14 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
 
     # Band coordinates over the diagonals that hold a cell, one pad
     # column each side: column c of row i is matrix column i + shift + c.
-    low = max(diagonal - bandwidth, -n)
-    width = min(diagonal + bandwidth, m - 1) - low + 1
+    low, width = _band_span(n, m, diagonal, bandwidth)
     shift = low - 1
     firsts = (lo - rows - shift).tolist()
     stops = (hi - rows - shift + 1).tolist()
     gap_open, extend = scheme.gap_open, scheme.gap_extend
-    # int32 holds any realistic problem and is a third faster when wide.
-    bound = n * max(scheme.match, scheme.mismatch) \
-        + 2 * (gap_open + extend * (n + m + width))
-    dtype = np.int32 if bound < 2 ** 28 else np.int64
+    dtype, sentinel = _plane_type(n, m, width, scheme)
     # Stack innermost: a row's band is one contiguous block.
-    h_all, e_all, f_all = np.full((3, n + 1, width + 2, stack), NEG_INF,
+    h_all, e_all, f_all = np.full((3, n + 1, width + 2, stack), sentinel,
                                   dtype=dtype)
     h_all[0, max(0, -shift):m - shift + 1] = 0  # free reference prefix
     # Column 0 where the band reaches it: the read so far inserted, or
@@ -240,8 +249,9 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
     equal = np.empty((n, width, stack), dtype=bool)
     np.equal(sliding_window_view(padded, width, axis=1).transpose(1, 2, 0)[
         low + left:low + left + n], reads.T[:, None, :], out=equal)
-    substitution = np.where(equal, dtype(scheme.match),
-                            dtype(-scheme.mismatch))
+    substitution = equal.astype(dtype)
+    substitution *= dtype(scheme.match + scheme.mismatch)
+    substitution -= dtype(scheme.mismatch)
 
     ramp = (extend * np.arange(width, dtype=dtype))[:, None]
     open_ramp = ramp + (gap_open + extend)
@@ -267,16 +277,19 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
     band = h_all[1:, 1:width + 1]
     diag = h_all[:-1, 1:width + 1] + substitution
     e = e_all[1:, 1:width + 1]
-    codes = (e > diag) * np.uint8(_H_FROM_E)
+    codes = np.empty((n, width, stack), dtype=np.uint8)
+    np.greater(e, diag, out=codes.view(bool))  # _H_FROM_E is 1
+    flag = equal  # its last read; then each comparison's bool plane
+    _set_bit(codes, flag, _BASES_EQUAL)
     np.maximum(diag, e, out=diag)
-    codes |= (f_all[1:, 1:width + 1] > diag) * np.uint8(_H_FROM_F)
+    _set_bit(codes, np.greater(f_all[1:, 1:width + 1], diag, out=flag),
+             _H_FROM_F)
     np.subtract(h_all[1:, :width], gap_open, out=diag)
-    codes |= (diag < e_all[1:, :width]) * np.uint8(_E_EXTENDS)
+    _set_bit(codes, np.less(diag, e_all[1:, :width], out=flag), _E_EXTENDS)
     np.subtract(h_all[:-1, 2:], gap_open, out=diag)
-    codes |= (diag < f_all[:-1, 2:]) * np.uint8(_F_EXTENDS)
-    codes |= equal * np.uint8(_BASES_EQUAL)
+    _set_bit(codes, np.less(diag, f_all[:-1, 2:], out=flag), _F_EXTENDS)
     if local:  # the first best cell, row by row; a clamped cell starts
-        codes |= (band <= 0) * np.uint8(_H_STARTS)
+        _set_bit(codes, np.less_equal(band, 0, out=flag), _H_STARTS)
         end_rows, end_cols = np.divmod(
             band.reshape(n * width, stack).argmax(axis=0), width)
     else:  # the leftmost best cell of the last row
@@ -297,6 +310,45 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
         results.append(AlignmentResult._traced(
             score, end_j, end_i, cells, (pointers, b, end_j, end_c)))
     return results
+
+
+def _set_bit(codes: np.ndarray, flag: np.ndarray, bit: int) -> None:
+    """``codes |= bit`` where ``flag``; ``flag``'s bytes are scaled to the
+    bit in place, so no temporary is made."""
+    bits = flag.view(np.uint8)
+    bits *= np.uint8(bit)
+    codes |= bits
+
+
+def _band_span(n: int, m: int, diagonal: int, bandwidth: int
+               ) -> Tuple[int, int]:
+    """``(low, width)``: the first diagonal of the band that holds a cell
+    of an ``n x m`` matrix, and how many diagonals do."""
+    low = max(diagonal - bandwidth, -n)
+    return low, min(diagonal + bandwidth, m - 1) - low + 1
+
+
+def _plane_type(n: int, m: int, width: int, scheme: ScoringScheme
+                ) -> Tuple[type, int]:
+    """The narrowest planes that hold every score of the problem next to
+    the excluded cells' sentinel, and that sentinel."""
+    bound = n * max(scheme.match, scheme.mismatch) \
+        + 2 * (scheme.gap_open + scheme.gap_extend * (n + m + width))
+    if bound < 2 ** 13:
+        return np.int16, -2 ** 14
+    return (np.int32 if bound < 2 ** 28 else np.int64), NEG_INF
+
+
+def plane_bytes(n: int, m: int, diagonal: int, bandwidth: int,
+                scheme: ScoringScheme) -> int:
+    """Bytes of the planes one problem adds to a :func:`gotoh_stack`
+    sweep at its peak: ``H``/``E``/``F``, substitution and one diagonal
+    temporary in the plane type, the bool and pointer planes."""
+    _low, width = _band_span(n, m, diagonal, bandwidth)
+    width = max(width, 1)
+    itemsize = np.dtype(_plane_type(n, m, width, scheme)[0]).itemsize
+    return itemsize * (3 * (n + 1) * (width + 2) + 2 * n * width) \
+        + 2 * n * width
 
 
 def _traceback(codes: bytes, width: int, i: int, j: int, c: int,

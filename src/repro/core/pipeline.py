@@ -25,9 +25,9 @@ candidate array with per-read bounds, a :class:`~repro.core.query.QueryColumns`
 mode shares); filtering and light alignment run per pair on slices of
 it; the pairs light alignment cannot settle meet again in two
 chunk-wide candidate-DP waves (read 1 at every candidate, read 2 where
-read 1 survived: one :func:`align_banded` sweep per window shape, cut by
-:func:`~repro.align.banded.stack_problems`'s cell budget), and the
-chunk's residue goes to the fallback mapper's ``map_pairs`` in one call.
+read 1 survived: one :func:`~repro.align.banded.align_problems` call per
+wave, which cuts each band to its span and sweeps each distinct problem
+once), and the chunk's residue goes to the fallback mapper's ``map_pairs`` in one call.
 Candidate DP picks each pair's winner by score alone; a hit carries its
 window's start, and only the two winning hits of a pair walk their
 tracebacks (for the position and CIGAR of the records).
@@ -57,7 +57,9 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, \
 
 import numpy as np
 
-from ..align.banded import align_banded, stack_problems
+# ``align_banded`` is not called here but stays importable: perf's shim
+# test reads this copy to check that importers' copies are rebound.
+from ..align.banded import align_banded, align_problems  # noqa: F401
 from ..align.scoring import DEFAULT_SCHEME, HIGH_QUALITY_THRESHOLD, \
     ScoringScheme
 from ..genome.reference import ReferenceGenome
@@ -552,18 +554,19 @@ class GenPairPipeline:
         its position: only the winners' tracebacks are ever walked."""
         contexts = [self._window(candidate, len(codes))
                     for codes, candidate in problems]
+        results = align_problems(
+            [None if ctx is None else
+             (codes, ctx[0], ctx[3], CANDIDATE_BANDWIDTH)
+             for (codes, _candidate), ctx in zip(problems, contexts)],
+            self.scheme)
         hits: list = [None] * len(contexts)
-        for members, reads, windows, diagonal, bandwidth in stack_problems(
-                [None if ctx is None else
-                 (codes, ctx[0], ctx[3], CANDIDATE_BANDWIDTH)
-                 for (codes, _candidate), ctx in zip(problems, contexts)]):
-            stack = align_banded(reads, windows, scheme=self.scheme,
-                                 diagonal=diagonal, bandwidth=bandwidth)
-            for k, result in zip(members, stack):
-                self.stats.dp_cells_candidate += result.cells
-                if result.score >= 0:
-                    _, chromosome, window_start, _ = contexts[k]
-                    hits[k] = (result, chromosome, window_start)
+        for k, result in enumerate(results):
+            if result is None:
+                continue
+            self.stats.dp_cells_candidate += result.cells
+            if result.score >= 0:
+                _, chromosome, window_start, _ = contexts[k]
+                hits[k] = (result, chromosome, window_start)
         return hits
 
     def _build_result(self, name: str, stage: str, orientation: str,

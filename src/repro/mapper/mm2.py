@@ -22,16 +22,18 @@ strand of the chunk in one pass, resolves them in one index probe into
 anchor columns, chains them in one :func:`chain_anchors` sweep (one
 chaining problem per read and strand; the chains are read back as score
 and diagonal columns, never as objects) and aligns the kept chains of
-every read in one :func:`align_banded` sweep per window shape
-(:func:`~repro.align.banded.stack_problems`, cut by its cell budget).
+every read in one :func:`~repro.align.banded.align_problems` call (each
+band cut to its span, so a window clamped at a chromosome end shares the
+others' sweep; each distinct problem swept once).
 Pairing runs pair by pair; mate rescue runs in two chunk-wide waves —
 read 2 near read 1's best placement, then read 1 near read 2's for the
 pairs still open — and aligns only the diagonals of the insert window
 that a q-gram bound cannot rule out (:class:`_RescueSearch`; a wave's
 votes come from one q-gram table over all its windows,
 :func:`_wave_votes`): most rescues are settled with no DP or in one
-shared sweep of a narrow band, and only the rest pay for the
-whole-window band, with exactly its result.  The kernel's tracebacks run
+shared sweep of a narrow band, and only the rest pay for a widened or
+the whole-window band, all in one more call per wave, with exactly the
+whole-window band's result.  The kernel's tracebacks run
 on demand: pairing reads every placement's position, which walks its
 traceback, but only a placement that becomes a record has its CIGAR
 built, and a narrow band's result is shifted into its window without a
@@ -58,7 +60,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..align.banded import align_banded, stack_problems
+from ..align.banded import align_problems
 from ..align.chaining import AnchorColumns, chain_anchors
 from ..align.dp import AlignmentResult
 from ..align.scoring import DEFAULT_SCHEME, ScoringScheme
@@ -275,18 +277,19 @@ class _RescueSearch:
 
     def first_band(self) -> Optional[Tuple[int, tuple]]:
         """``RESCUE_BAND`` diagonals either side of the most-voted one,
-        cut as a sub-window of ``n + 2·RESCUE_BAND`` bases so that every
-        rescue of a read length has one problem shape: ``(offset,
-        problem)``, the band holding diagonals ``offset..offset +
+        clamped into the window: ``(offset, problem)``, the whole-window
+        problem of the band over diagonals ``offset..offset +
         2·RESCUE_BAND`` (inside ``0..m - n``), or ``None`` when the
-        window is too short to cut one."""
-        length = len(self.oriented) + 2 * RESCUE_BAND
-        if len(self.window) < length:
+        window is too short to hold one.  The band lies inside its
+        window, so :func:`~repro.align.banded.align_problems` cuts it to
+        its span and every rescue of a read length shares a shape."""
+        n = len(self.oriented)
+        if len(self.window) < n + 2 * RESCUE_BAND:
             return None
         offset = min(max(self.top - RESCUE_BAND, 0),
-                     len(self.window) - length)
-        return offset, (self.oriented, self.window[offset:offset + length],
-                        RESCUE_BAND, RESCUE_BAND)
+                     len(self.window) - n - 2 * RESCUE_BAND)
+        return offset, (self.oriented, self.window, offset + RESCUE_BAND,
+                        RESCUE_BAND)
 
     def band(self, lo: int, hi: int) -> tuple:
         """The problem of a band over diagonals ``lo..hi`` of the whole
@@ -456,7 +459,7 @@ class Mm2LikeMapper:
                                          WINDOW_PAD, WINDOW_PAD,
                                          min_length=len(oriented) // 2)
                    for oriented, _strand, diagonal in chains]
-        results = self._align_stacked(
+        results = self._align(
             [None if window is None else
              (oriented, window[0], window[3], BANDWIDTH)
              for (oriented, _strand, _diagonal), window
@@ -471,19 +474,13 @@ class Mm2LikeMapper:
                     strand=chains[k][1], alignment=result)
         return placements
 
-    def _align_stacked(self, problems: Sequence[Optional[tuple]]
-                       ) -> List[Optional[AlignmentResult]]:
-        """Every ``(read, window, diagonal, bandwidth)`` problem aligned,
-        one :func:`align_banded` sweep per shape and budget slice
-        (:func:`stack_problems`); ``None`` for a ``None`` problem."""
-        results: List[Optional[AlignmentResult]] = [None] * len(problems)
-        for members, reads, refs, diagonal, bandwidth in stack_problems(
-                problems):
-            stack = align_banded(reads, refs, scheme=self.scheme,
-                                 diagonal=diagonal, bandwidth=bandwidth)
-            for k, result in zip(members, stack):
-                self.stats.dp_cells_alignment += result.cells
-                results[k] = result
+    def _align(self, problems: Sequence[Optional[tuple]]
+               ) -> List[Optional[AlignmentResult]]:
+        """:func:`~repro.align.banded.align_problems`, every problem's
+        cells charged to ``dp_cells_alignment``."""
+        results = align_problems(problems, self.scheme)
+        self.stats.dp_cells_alignment += sum(
+            result.cells for result in results if result is not None)
         return results
 
     # -- pairing -------------------------------------------------------------
@@ -560,7 +557,7 @@ class Mm2LikeMapper:
         windows for that score (or the floor, if higher): those hold
         every alignment that could beat or tie it, so the widened result
         stands.  Only a rescue whose hot windows cover the whole window
-        runs the whole-window band, a lone call.
+        runs the whole-window band; it shares the widened bands' call.
         """
         self.stats.rescue_attempts += len(jobs)
         searches = self._rescue_searches(jobs)
@@ -570,9 +567,9 @@ class Mm2LikeMapper:
                 if search is not None
                 and search.hot_span(search.min_score) is not None]
         firsts = [searches[number].first_band() for number in live]
-        narrow = self._align_stacked([None if first is None else first[1]
-                                      for first in firsts])
-        widened = []
+        narrow = self._align([None if first is None else first[1]
+                              for first in firsts])
+        wider = []
         for number, first, result in zip(live, firsts, narrow):
             search = searches[number]
             reached = search.min_score if result is None \
@@ -582,18 +579,15 @@ class Mm2LikeMapper:
             hot = search.hot_span(reached)
             if first is not None and first[0] <= hot[0] \
                     and hot[1] <= first[0] + 2 * RESCUE_BAND:
-                results[number] = result.shifted(first[0])
+                results[number] = result
             elif hot != (search.low, search.high):
-                widened.append((number, search.band(*hot)))
+                wider.append((number, search.band(*hot)))
             else:
                 self.stats.rescue_whole_window += 1
-                diagonal, bandwidth = search.wide
-                results[number] = align_banded(
-                    search.oriented, search.window, scheme=self.scheme,
-                    diagonal=diagonal, bandwidth=bandwidth)
-                self.stats.dp_cells_alignment += results[number].cells
-        for (number, _problem), result in zip(widened, self._align_stacked(
-                [problem for _number, problem in widened])):
+                wider.append((number, (search.oriented, search.window,
+                                       *search.wide)))
+        for (number, _problem), result in zip(wider, self._align(
+                [problem for _number, problem in wider])):
             results[number] = result
         return [None if search is None else search.placement(result)
                 for search, result in zip(searches, results)]

@@ -11,26 +11,27 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import (Phase, assume, find, given, settings,
+                        strategies as st)
 
 from oracles import align as oracle
-from repro.align import (ScoringScheme, align_banded, align_local,
-                         align_semiglobal, banded, dp, stack_problems)
+from repro.align import (DEFAULT_SCHEME, ScoringScheme, align_banded,
+                         align_local, align_problems, align_semiglobal,
+                         banded, dp)
 from repro.api import Mapper
-from repro.core import pipeline as pipeline_module
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           plant_variants)
 from repro.genome.cigar import Cigar
 from repro.genome.reference import RepeatProfile
-from repro.mapper import mm2 as mm2_module
 
 #: The default scheme, the tie schemes (``gap_open = 0`` makes opening and
 #: extending equal, ``gap_extend = 0`` makes every gap length equal, all
-#: zeros makes everything equal) and two asymmetric ones.
+#: zeros makes everything equal), two asymmetric ones and a heavy one whose
+#: value bound straddles int16 planes' ``2**13`` on the drawn problems.
 SCHEMES = (ScoringScheme(), ScoringScheme(2, 8, 0, 2),
            ScoringScheme(2, 8, 12, 0), ScoringScheme(1, 1, 0, 0),
            ScoringScheme(0, 0, 0, 0), ScoringScheme(1, 3, 5, 1),
-           ScoringScheme(3, 2, 1, 4))
+           ScoringScheme(3, 2, 1, 4), ScoringScheme(2, 100, 50, 100))
 
 
 def signature(result):
@@ -123,6 +124,61 @@ class TestKernelEqualsOracle:
         assert got.score <= -(2 ** 28)
 
 
+def plane_type(read, window, diagonal, bandwidth, scheme):
+    """The plane type the kernel picks for a problem."""
+    n, m = len(read), len(window)
+    _low, width = dp._band_span(n, m, diagonal, bandwidth)
+    return dp._plane_type(n, m, width, scheme)[0]
+
+
+class TestPlaneTypes:
+    """int16 planes below a value bound of ``2**13``, int32 above; the
+    type never shows in a result."""
+
+    @pytest.mark.parametrize("drawn", [np.int16, np.int32])
+    def test_the_property_draws_both_types(self, drawn):
+        find(problems(), lambda problem: plane_type(
+            problem[0][0], problem[1][0], *problem[2:]) is drawn,
+             settings=settings(phases=[Phase.generate], database=None))
+
+    @pytest.mark.parametrize("ends", ["band", "row", "local"])
+    def test_a_150_base_read_across_the_int16_bound(self, ends):
+        """Windows of growing length take the bound of a 150-base read
+        across ``2**13``: a mutated copy of the window's middle and an
+        all-mismatch read (the most negative scores, nearest the
+        sentinel) equal the scalar loops on both sides."""
+        rng = np.random.default_rng(13)
+        # The bound is 2424 + 8m for the full-matrix band of the
+        # unbanded and local aligners, 1856 + 8m for the whole-window
+        # rescue band (diagonal m // 2, half-width m // 2 + 8).
+        lengths = (719, 722) if ends != "band" else (790, 793)
+        seen = set()
+        for m in lengths:
+            window = rng.integers(0, 4, m).astype(np.uint8)
+            similar = window[m // 2:m // 2 + 150].copy()
+            similar[::17] = (similar[::17] + 1) % 4
+            similar = np.insert(np.delete(similar, slice(60, 63)), 100,
+                                [3, 3, 3])
+            for read, ref in ((similar, window),
+                              (np.zeros(150, np.uint8), np.ones(m, np.uint8))):
+                if ends == "band":
+                    options = (m // 2, m // 2 + 8)
+                    got = align_banded(read, ref, diagonal=options[0],
+                                       bandwidth=options[1])
+                    want = oracle.align_banded(read, ref,
+                                               diagonal=options[0],
+                                               bandwidth=options[1])
+                else:
+                    options = (0, len(read) + m)
+                    kernel = align_semiglobal if ends == "row" \
+                        else align_local
+                    got = kernel(read, ref)
+                    want = getattr(oracle, kernel.__name__)(read, ref)
+                seen.add(plane_type(read, ref, *options, DEFAULT_SCHEME))
+                assert signature(got) == signature(want)
+        assert seen == {np.int16, np.int32}
+
+
 #: The fields a kernel result resolves on first read.
 LAZY_FIELDS = ("cigar", "ref_start", "read_start")
 
@@ -193,8 +249,9 @@ class TestLazyResults:
 @st.composite
 def problem_lists(draw):
     """Up to 40 ``(read, window, diagonal, bandwidth)`` problems of up to
-    four shapes, ``None``s among them."""
-    shapes = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(0, 20),
+    four shapes, ``None``s among them; bands inside their windows and
+    bands the window clamps, repeats likely (two-letter alphabet)."""
+    shapes = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 20),
                                      st.integers(-4, 12),
                                      st.integers(1, 8)),
                            min_size=1, max_size=4))
@@ -205,35 +262,127 @@ def problem_lists(draw):
             for shape in chosen]
 
 
-class TestStackProblems:
-    @settings(deadline=None, max_examples=100)
-    @given(problem_lists(), st.integers(1, 1500))
-    def test_sweeps_partition_the_problems_within_the_budget(
-            self, problems, budget):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(banded, "STACK_CELL_BUDGET", budget)
-            sweeps = stack_problems(problems)
-        assert sorted(k for members, *_ in sweeps for k in members) \
-            == [k for k, problem in enumerate(problems)
-                if problem is not None]
-        for members, reads, windows, diagonal, bandwidth in sweeps:
-            stack = align_banded(reads, windows, diagonal=diagonal,
-                                 bandwidth=bandwidth)
-            assert len(members) == 1 or stack.cells <= budget
-            for k, result in zip(members, stack):
-                read, window, own_diagonal, own_bandwidth = problems[k]
-                assert signature(result) == signature(align_banded(
-                    read, window, diagonal=own_diagonal,
-                    bandwidth=own_bandwidth))
+def record_sweeps(patch):
+    """``(reads, windows, diagonal, bandwidth)`` of every kernel call
+    :func:`align_problems` makes while ``patch`` lasts."""
+    real, calls = banded.align_banded, []
 
-    def test_a_shape_over_budget_is_cut_into_equal_sweeps(self):
-        read, window = np.zeros(150, np.uint8), np.zeros(214, np.uint8)
-        fit = banded.STACK_CELL_BUDGET // (150 * 33)
-        sweeps = stack_problems([(read, window, 32, 16)] * (fit + 1))
-        sizes = [len(members) for members, *_ in sweeps]
+    def recording(reads, windows, **options):
+        calls.append((reads, windows, options["diagonal"],
+                      options["bandwidth"]))
+        return real(reads, windows, **options)
+
+    patch.setattr(banded, "align_banded", recording)
+    return calls
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    return record_sweeps(monkeypatch)
+
+
+def lone(problem, scheme=DEFAULT_SCHEME):
+    read, window, diagonal, bandwidth = problem
+    return align_banded(read, window, scheme, diagonal, bandwidth)
+
+
+class TestAlignProblems:
+    @settings(deadline=None, max_examples=100)
+    @given(problem_lists(), st.integers(1, 40_000),
+           st.sampled_from(SCHEMES))
+    def test_results_are_lone_calls_and_sweeps_fit_the_budget(
+            self, problems, budget, scheme):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(banded, "STACK_BYTE_BUDGET", budget)
+            calls = record_sweeps(patch)
+            results = align_problems(problems, scheme)
+        assert len(results) == len(problems)
+        for problem, result in zip(problems, results):
+            if problem is None:
+                assert result is None
+            else:  # ref_start read after the shift
+                assert signature(result) == signature(lone(problem, scheme))
+        distinct = set()
+        for reads, windows, diagonal, bandwidth in calls:
+            n, m = reads.shape[1], windows.shape[1]
+            assert len(reads) == 1 or len(reads) * dp.plane_bytes(
+                n, m, diagonal, bandwidth, scheme) <= budget
+            for read, window in zip(reads, windows):
+                key = (read.tobytes(), window.tobytes(), diagonal, bandwidth)
+                assert key not in distinct  # each problem swept once
+                distinct.add(key)
+
+    def test_rescue_bands_at_different_diagonals_share_one_sweep(
+            self, sweeps):
+        """Six widened rescue bands of one bandwidth, at different
+        diagonals of 1,150-base windows, cut to one shape."""
+        rng = np.random.default_rng(3)
+        problems = []
+        for diagonal in (40, 170, 333, 512, 800, 960):
+            window = rng.integers(0, 4, 1150).astype(np.uint8)
+            read = window[diagonal:diagonal + 150].copy()
+            read[::23] = (read[::23] + 1) % 4
+            problems.append((read, window, diagonal + 3, 24))
+        results = align_problems(problems)
+        assert [(len(reads), windows.shape[1], diagonal, bandwidth)
+                for reads, windows, diagonal, bandwidth in sweeps] \
+            == [(6, 150 + 2 * 24 + 1, 24 + 1, 24)]
+        for problem, result in zip(problems, results):
+            assert signature(result) == signature(lone(problem))
+            assert result.ref_start == problem[2] - 3
+
+    def test_a_clamped_band_keeps_its_shape(self, sweeps):
+        """A band the window clamps on either side is swept as given;
+        one starting at the window's first diagonal is cut on the right
+        only."""
+        read = np.zeros(150, np.uint8)
+        window = np.zeros(400, np.uint8)
+        problems = [(read, window, 10, 16), (read, window, 240, 16),
+                    (read, window, 16, 16)]
+        results = align_problems(problems)
+        assert sorted((windows.shape[1], diagonal, bandwidth)
+                      for _reads, windows, diagonal, bandwidth in sweeps) \
+            == [(150 + 2 * 16, 16, 16), (400, 10, 16), (400, 240, 16)]
+        for problem, result in zip(problems, results):
+            assert signature(result) == signature(lone(problem))
+
+    def test_repeats_are_swept_once_and_each_carries_its_cells(self, sweeps):
+        """The same read in windows that cut to the same bases: one
+        problem swept, every member a whole result of its own window."""
+        rng = np.random.default_rng(8)
+        window = rng.integers(0, 4, 300).astype(np.uint8)
+        read = window[100:250].copy()
+        shifted = np.concatenate([rng.integers(0, 4, 7).astype(np.uint8),
+                                  window])
+        problems = [(read, window, 100, 16), None, (read, window, 100, 16),
+                    (read, shifted, 107, 16)]
+        results = align_problems(problems)
+        assert [len(reads) for reads, *_ in sweeps] == [1]
+        assert results[1] is None
+        assert [result.ref_start for result in results if result] \
+            == [100, 100, 107]
+        for problem, result in zip(problems, results):
+            if problem is not None:
+                assert signature(result) == signature(lone(problem))
+                assert result.cells == 150 * 33
+
+    def test_a_shape_over_budget_is_cut_into_equal_sweeps(self, sweeps):
+        rng = np.random.default_rng(4)
+        window = rng.integers(0, 4, 214).astype(np.uint8)
+        fit = banded.STACK_BYTE_BUDGET // dp.plane_bytes(
+            150, 183, 17, 16, DEFAULT_SCHEME)
+        problems = [(rng.integers(0, 4, 150).astype(np.uint8), window, 32,
+                     16) for _ in range(fit + 1)]
+        results = align_problems(problems)
+        sizes = [len(reads) for reads, *_ in sweeps]
         assert len(sizes) == 2 and max(sizes) - min(sizes) <= 1
-        assert [k for members, *_ in sweeps for k in members] \
-            == list(range(fit + 1))
+        assert [signature(result) for result in results] \
+            == [signature(lone(problem)) for problem in problems]
+
+    def test_none_passes_through(self, sweeps):
+        assert align_problems([None, None]) == [None, None]
+        assert align_problems([]) == []
+        assert sweeps == []
 
 
 def path_in_band(result, diagonal, bandwidth):
@@ -320,7 +469,9 @@ def mapped(reference, pairs, **config):
 
 
 class TestMappingUnchanged:
-    """Same SAM bytes and DP accounting with the oracle patched in."""
+    """Same SAM bytes and DP accounting with the oracle patched in at the
+    one call site both mappers reach the kernel through
+    (:func:`~repro.align.banded.align_problems`'s ``align_banded``)."""
 
     @pytest.mark.parametrize("config,count,cell_counters", [
         ({"engine": "genpair", "full_fallback": True}, 300,
@@ -331,12 +482,16 @@ class TestMappingUnchanged:
                     cell_counters):
         reference, pairs = giab_like
         lines, stats = mapped(reference, pairs[:count], **config)
-        monkeypatch.setattr(pipeline_module, "align_banded",
-                            oracle.align_banded)
-        monkeypatch.setattr(mm2_module, "align_banded",
-                            oracle.align_banded)
+        calls = []
+
+        def scalar(*args, **kwargs):
+            calls.append(len(args[0]))
+            return oracle.align_banded(*args, **kwargs)
+
+        monkeypatch.setattr(banded, "align_banded", scalar)
         oracle_lines, oracle_stats = mapped(reference, pairs[:count],
                                             **config)
+        assert calls  # the oracle ran
         assert len(lines) == 2 * count
         assert lines == oracle_lines
         assert stats == oracle_stats

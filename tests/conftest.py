@@ -127,12 +127,12 @@ def map_alone():
 @pytest.fixture()
 def banded_calls(monkeypatch):
     """``((n, m, diagonal, bandwidth), stack size)`` of every
-    ``align_banded`` call the two mappers make in the test; the stack
-    size of a 1-D call (one problem, unstacked) is ``None``."""
-    import repro.core.pipeline as pipeline
-    import repro.mapper.mm2 as mm2
+    ``align_banded`` call the two mappers make in the test, all of them
+    from :func:`~repro.align.banded.align_problems`; the stack size of a
+    1-D call (one problem, unstacked) is ``None``."""
+    import repro.align.banded as banded
 
-    real = mm2.align_banded
+    real = banded.align_banded
     calls = []
 
     def counting(read, ref, **options):
@@ -142,8 +142,7 @@ def banded_calls(monkeypatch):
                       read.shape[0] if read.ndim == 2 else None))
         return real(read, ref, **options)
 
-    monkeypatch.setattr(mm2, "align_banded", counting)
-    monkeypatch.setattr(pipeline, "align_banded", counting)
+    monkeypatch.setattr(banded, "align_banded", counting)
     return calls
 
 

@@ -321,7 +321,7 @@ class TestChunkSizeEquivalence:
 class TestCandidateDpWaves:
     """Candidate DP is chunk-wide: the pairs light alignment leaves meet
     in two waves (read 1 at every candidate, read 2 where read 1
-    survived), one kernel sweep per window shape and wave."""
+    survived), one kernel sweep per cut shape and wave."""
 
     def test_one_sweep_per_shape_and_wave(self, small_reference, seedmap,
                                           giab_items, banded_calls):

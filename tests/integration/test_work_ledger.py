@@ -20,7 +20,9 @@ alters the work on purpose regenerates the file in the same diff::
 
     PYTHONPATH=src python tests/integration/test_work_ledger.py
 
-and the JSON diff is the statement of what moved.  Every entry is
+which prints every field that moved, per entry (``old -> new``), before
+it writes the file; that and the JSON diff are the statement of what
+moved.  Every entry is
 measured once more in two interpreters with different
 ``PYTHONHASHSEED``s and must still equal the ledger, so no set or hash
 order reaches the output.
@@ -243,8 +245,22 @@ def test_output_does_not_depend_on_the_hash_seed(hash_seeded, ledger, key):
     assert [entry[key] for entry in hash_seeded] == [ledger[key]] * 2
 
 
+def changes(old, new, path=""):
+    """``path: old -> new`` for every leaf that differs between two
+    ledgers (``None`` where a side lacks it), in key order."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            yield from changes(old.get(key), new.get(key),
+                               f"{path} {key}" if path else key)
+    elif old != new:
+        yield f"{path}: {old} -> {new}"
+
+
 if __name__ == "__main__":
+    previous = json.loads(LEDGER.read_text()) if LEDGER.exists() else {}
+    current = measure()
+    for line in changes(previous, current):
+        print(line)
     LEDGER.parent.mkdir(parents=True, exist_ok=True)
-    LEDGER.write_text(json.dumps(measure(), indent=2, sort_keys=True)
-                      + "\n")
+    LEDGER.write_text(json.dumps(current, indent=2, sort_keys=True) + "\n")
     print(f"wrote {LEDGER}")

@@ -219,11 +219,14 @@ class TestChunkInvariance:
     def test_one_alignment_sweep_per_shape_and_budget_slice(
             self, hard, banded_calls, monkeypatch):
         """Chain alignment is chunk-wide: the problems of a ``map_pair``
-        loop, one sweep per window shape and budget slice.  Rescue runs
-        in waves whose certified bands share sweeps; only a whole-window
-        rescue (forced here by a 10-base mate) is a call of its own."""
-        from repro.align.banded import STACK_CELL_BUDGET
-        from repro.mapper.mm2 import RESCUE_BAND
+        loop, one sweep per cut shape and budget slice.  Rescue runs in
+        waves whose certified bands share sweeps; a whole-window rescue
+        (forced here by a 10-base mate) rides in its wave's second call,
+        so no call is a lone 1-D one."""
+        from repro.align.banded import STACK_BYTE_BUDGET
+        from repro.align.dp import plane_bytes
+        from repro.align.scoring import DEFAULT_SCHEME
+        from repro.mapper.mm2 import BANDWIDTH, RESCUE_BAND
 
         rescue_calls = []
         real = Mm2LikeMapper._rescue
@@ -259,22 +262,31 @@ class TestChunkInvariance:
         chunked = Mm2LikeMapper(reference, index=index)
         chunked.map_pairs(items)
         chains, rescues, lone = tally()
-        assert lone == pair_lone == chunked.stats.rescue_whole_window == 1
+        band = (150, 150 + 2 * BANDWIDTH + 1, BANDWIDTH + 1, BANDWIDTH)
+        assert lone == pair_lone == 0
+        assert chunked.stats.rescue_whole_window == 1
         assert chunked.stats.rescue_attempts > chunked.stats.mate_rescues > 0
+        # The loop's shapes, each distinct problem once: the short pair's
+        # read 1 is pair 0's, so the chunk sweeps its chains once, and
+        # charges them twice.
+        assert chunked.stats == serial.stats
         for got, want in ((chains, pair_chains), (rescues, pair_rescues)):
-            assert {shape: sum(sizes) for shape, sizes in got.items()} \
-                == {shape: sum(sizes) for shape, sizes in want.items()}
-        for (n, m, _diagonal, bandwidth), sizes in chains.items():
-            fit = STACK_CELL_BUDGET // (n * min(m, 2 * bandwidth + 1))
+            assert got.keys() == want.keys()
+            assert all(sum(got[shape]) <= sum(want[shape]) for shape in got)
+        assert sum(chains[band]) < sum(pair_chains[band])
+        for (n, m, diagonal, bandwidth), sizes in chains.items():
+            fit = STACK_BYTE_BUDGET // plane_bytes(n, m, diagonal,
+                                                   bandwidth, DEFAULT_SCHEME)
             assert len(sizes) == -(-sum(sizes) // fit)
             assert max(sizes) <= fit
             assert min(sizes) > 1 or sum(sizes) == 1
-        assert max(map(len, chains.values())) > 1  # a shape over budget
+        # Cut to their span, the chain bands of a read length share one
+        # shape, and in int16 one sweep holds all of the chunk's.
+        assert list(chains) == [band] and len(chains[band]) == 1
         assert sum(map(len, chains.values())) \
             < sum(map(len, pair_chains.values())) / 4
         # The certified bands: one sweep per wave, shared by its rescues.
-        narrow = rescues[(150, 150 + 2 * RESCUE_BAND, RESCUE_BAND,
-                          RESCUE_BAND)]
-        assert len(narrow) <= 2 < sum(narrow)
-        assert len(narrow) < len(pair_rescues[(150, 150 + 2 * RESCUE_BAND,
-                                               RESCUE_BAND, RESCUE_BAND)])
+        narrow = (150, 150 + 2 * RESCUE_BAND + 1, RESCUE_BAND + 1,
+                  RESCUE_BAND)
+        assert len(rescues[narrow]) <= 2 < sum(rescues[narrow])
+        assert len(rescues[narrow]) < len(pair_rescues[narrow])

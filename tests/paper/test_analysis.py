@@ -95,10 +95,11 @@ class TestBreakdown:
         import time
         from types import SimpleNamespace
 
+        import repro.align.banded as banded
         import repro.mapper.mm2 as mm2
 
         spent = []
-        real = mm2.align_banded
+        real = banded.align_banded
 
         def timed(*args, **kwargs):
             started = time.perf_counter()
@@ -107,7 +108,7 @@ class TestBreakdown:
             finally:
                 spent.append(time.perf_counter() - started)
 
-        monkeypatch.setattr(mm2, "align_banded", timed)
+        monkeypatch.setattr(banded, "align_banded", timed)
         pairs = []
         for pair in clean_pairs[:8]:
             read2 = pair.read2.codes.copy()
@@ -123,7 +124,7 @@ class TestBreakdown:
                                                 "alignment", "pairing"}
         alignment_s = (report.percent_by_stage["alignment"]
                        * report.total_seconds / 100)
-        assert alignment_s >= sum(spent)
+        assert spent and alignment_s >= sum(spent)
 
     def test_no_pairs_no_shares(self, plain_reference):
         report = profile_breakdown(plain_reference, [], dataset="empty")

@@ -143,7 +143,10 @@ class Client:
 
     def _request_once(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         try:
-            self._sock.sendall(json.dumps(payload).encode() + b"\n")
+            try:
+                self._sock.sendall(json.dumps(payload).encode() + b"\n")
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # refused (``busy``) and closed first: read the line
             line = self._reader.readline()
         except OSError as exc:
             raise ClientError(f"daemon connection failed: {exc}") \

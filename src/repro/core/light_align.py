@@ -9,9 +9,9 @@ Mechanism, mirroring the hardware module (§5.4):
 
 1. compute the Hamming mask between the read (length ``L``) and
    ``2*e + 1`` shifted copies of the reference window (shift ``s``
-   compares ``read[i]`` against ``ref[candidate + s + i]``) — one
-   ``(shifts x L)`` mismatch matrix and one ``cumsum`` over it, mask after
-   mask;
+   compares ``read[i]`` against ``ref[candidate + s + i]``) — for a
+   stack of attempts one ``(attempts x shifts x L)`` mismatch block and
+   one ``cumsum`` over it, mask after mask;
 2. for every mask, find the longest run from the start and from the end
    — generalised to runs that allow up to ``j`` mismatches: ``P[s, j]`` is
    the longest prefix of mask ``s`` with at most ``j`` mismatches,
@@ -42,13 +42,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..align.scoring import (DEFAULT_SCHEME, HIGH_QUALITY_THRESHOLD,
                              REFERENCE_READ_LENGTH, ScoringScheme)
 from ..genome.cigar import Cigar
+
+#: Attempts settled by one run-table pass: bounds its ``(rows, shifts,
+#: L)`` mismatch block and prefix counts to a few MB.
+STACK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -162,16 +167,14 @@ class LightAligner:
     def _slot_plan_uncached(self, length: int, shift_lo: int,
                             shift_hi: int) -> tuple:
         """What every attempt of one read length and shift range shares:
-        the window index of each mask's reference bases, each mask's
-        start in the end-to-end prefix counts, the budgets ``0..M``, and
-        every (profile, frame) slot of the lattice in the order it is
-        tried — substitutions at the candidate frame first, then at
-        re-anchored ones (an edit at the very read boundary can make a
-        shifted start the better pure-mismatch reading), indels at
-        ascending prefix frame ``a`` — one entry per mismatch split
-        ``j``: ``(P index, T index, L - consumed)`` into the flattened
-        ``(2, shifts, M + 1)`` run table, and its slot
-        ``(profile, a, b)``."""
+        the budgets ``0..M``, and every (profile, frame) slot of the
+        lattice in the order it is tried — substitutions at the
+        candidate frame first, then at re-anchored ones (an edit at the
+        very read boundary can make a shifted start the better
+        pure-mismatch reading), indels at ascending prefix frame ``a`` —
+        one entry per mismatch split ``j``: ``(P index, T index, L -
+        consumed)`` into an attempt's flattened ``(2, shifts, M + 1)``
+        run table, and its slot ``(profile, a, b)``."""
         profiles = self.profiles_for(length)
         shifts = range(shift_lo, shift_hi + 1)
         width = max(p.mismatches for p in profiles) + 1
@@ -188,12 +191,10 @@ class LightAligner:
                             + profile.mismatches - j,
                             length - profile.insertion_run))
                         slots.append((profile, a, b))
-        rows = np.arange(len(shifts))[:, None]
-        return (rows + np.arange(length), rows * length, np.arange(width),
+        return (np.arange(width, dtype=np.int32),
                 *np.array(entries, dtype=np.intp).T, slots)
 
-    def align(self, read: np.ndarray, window: np.ndarray,
-              offset: int) -> Optional[LightAlignment]:
+    def align(self, read, window, offset):
         """Try to light-align ``read`` at ``window[offset ...]``.
 
         ``window`` must extend ``max_edits`` bases beyond the read span on
@@ -201,71 +202,122 @@ class LightAligner:
         leave the window are simply not considered.
 
         Returns ``None`` when no simple-edit profile fits — the DP-fallback
-        signal.
+        signal.  Stacked: with ``offset`` a sequence, ``read`` and
+        ``window`` are sequences too (a 2-D array's rows count), and a
+        list of results comes back; attempts of one read length and
+        shift range share one pass.
         """
-        read = np.asarray(read, dtype=np.uint8)
-        length = len(read)
-        if length == 0:
-            return None
+        if np.ndim(offset):
+            return self._align_rows(read, window,
+                                    np.asarray(offset, dtype=np.int64))
+        return self._align_rows([read], [window], np.array([offset]))[0]
+
+    def _align_rows(self, reads, windows, offsets: np.ndarray) -> list:
+        """:meth:`align` over stacked attempts."""
         max_e = self.max_edits
+        if isinstance(reads, np.ndarray) and isinstance(windows, np.ndarray) \
+                and windows.shape[1] == reads.shape[1] + 2 * max_e \
+                and reads.shape[1] and (offsets == max_e).all():
+            # Every row's window is exactly its whole shift range.
+            return self._align_frames(reads, windows, offsets, -max_e, max_e)
+        count = len(offsets)
+        lengths = np.fromiter(map(len, reads), np.int64, count)
         # Valid shifts: ref indices [offset+s, offset+s+length) in-window.
-        shift_lo = -min(max_e, offset)
-        shift_hi = min(max_e, len(window) - offset - length)
-        if shift_hi < 0 or shift_lo > 0:
-            return None
-        # Exact-match fast path: the profile lattice is best-score-first
-        # and the 0-edit profile always leads it (when the perfect score
-        # clears the threshold at all), tried at shift 0 first — so a
-        # read matching the candidate frame exactly short-circuits the
-        # whole mask machinery with an identical result (compared as bytes).
+        shift_lo = -np.minimum(max_e, offsets)
+        shift_hi = np.minimum(max_e, np.fromiter(map(len, windows), np.int64,
+                                                 count) - offsets - lengths)
+        groups: dict = {}
+        for row, key in enumerate(zip(lengths.tolist(), shift_lo.tolist(),
+                                      shift_hi.tolist())):
+            if key[0] and key[1] <= 0 <= key[2]:
+                groups.setdefault(key, []).append(row)
+        hits: list = [None] * count
+        for (length, low, high), rows in groups.items():
+            frames = np.array([windows[row][offsets[row] + low:
+                                            offsets[row] + high + length]
+                               for row in rows], dtype=np.uint8)
+            for row, hit in zip(rows, self._align_frames(
+                    np.array([reads[row] for row in rows], dtype=np.uint8),
+                    frames, offsets[rows], low, high)):
+                hits[row] = hit
+        return hits
+
+    def _align_frames(self, reads: np.ndarray, frames: np.ndarray,
+                      offsets: np.ndarray, shift_lo: int,
+                      shift_hi: int) -> list:
+        """Attempts of one read length and shift range, each row of
+        ``reads`` against its window from the first shift in ``frames``:
+        one compare for the exact ones, then one ``(rows x shifts x L)``
+        mismatch block and one ``cumsum`` per :data:`STACK_ROWS`."""
+        length = reads.shape[1]
         profiles = self.profiles_for(length)
+        hits: list = [None] * len(reads)
         if not profiles:
-            return None
-        if profiles[0].mismatches == 0 and (
-                read.tobytes() == window[offset:offset + length].tobytes()):
-            return LightAlignment(score=profiles[0].score,
-                                  cigar=_perfect_cigar(length),
-                                  ref_start=offset, profile=profiles[0])
-        frames, starts, budgets, prefix, suffix, need, slots = \
-            self._slot_plan(length, shift_lo, shift_hi)
-        mismatches = window[offset + shift_lo:][frames] != read
-        # counts[s * L + q]: the mismatches of masks before s, plus those
-        # of mask s in read[0:q) — every mask's prefix counts end to end,
-        # so one sorted row answers each mask's run question by search.
-        counts = np.zeros(mismatches.size + 1, dtype=np.int64)
-        np.cumsum(mismatches, out=counts[1:])
-        # Per mask s and budget j: P ends where the (j+1)-th mismatch of
-        # the mask is counted, T starts where all but j are; both capped
-        # at L (a run may carry on into the next mask).
-        longest_prefix = counts.searchsorted(counts[starts] + budgets,
-                                             "right") - 1 - starts
-        longest_suffix = starts + length - counts.searchsorted(
-            counts[starts + length] - budgets)
-        runs = np.minimum(np.concatenate((longest_prefix, longest_suffix)),
-                          length).ravel()
-        fits = runs[prefix] + runs[suffix] >= need
-        first = int(fits.argmax())
-        if not fits[first]:
-            return None
-        profile, a, b = slots[first]
-        mask_a = ~mismatches[a - shift_lo]
-        if a == b:
-            return LightAlignment(score=profile.score,
-                                  cigar=_mask_to_cigar(mask_a),
-                                  ref_start=offset + a, profile=profile)
-        # The split q puts read[0, q) in mask a and read[q + consumed, L)
-        # in mask b; it holds the fewest mismatches where this is least.
-        consumed = profile.insertion_run
-        at_a = (a - shift_lo) * length
-        at_b = (b - shift_lo) * length + consumed
-        split = int(np.argmin(counts[at_a:at_a + length - consumed + 1]
-                              - counts[at_b:at_b + length - consumed + 1]))
-        indel = (consumed or profile.deletion_run, "I" if consumed else "D")
-        tail = ~mismatches[b - shift_lo, split + consumed:]
-        cigar = Cigar.from_pairs(_mask_to_cigar(mask_a[:split]).ops
-                                 + (indel,) + _mask_to_cigar(tail).ops)
-        return LightAlignment(score=profile.score, cigar=cigar,
-                              ref_start=offset + a, profile=profile)
+            return hits
+        # Exact-match fast path: the 0-edit profile leads the lattice
+        # (when its score clears the threshold), tried at shift 0 first.
+        exact = np.zeros(len(reads), dtype=bool)
+        if profiles[0].mismatches == 0:
+            exact = (reads == frames[:, -shift_lo:length - shift_lo]).all(1)
+        shared: dict = {}  # one (immutable) exact hit per offset
+        for row in exact.nonzero()[0].tolist():
+            offset = int(offsets[row])
+            if offset not in shared:
+                shared[offset] = LightAlignment(
+                    profiles[0].score, _perfect_cigar(length), offset,
+                    profiles[0])
+            hits[row] = shared[offset]
+        rest = (~exact).nonzero()[0]
+        if rest.size:
+            budgets, prefix, suffix, need, slots = self._slot_plan(
+                length, shift_lo, shift_hi)
+        for at in range(0, rest.size, STACK_ROWS):
+            rows = rest[at:at + STACK_ROWS].tolist()
+            mismatches = sliding_window_view(frames[rows], length, axis=1) \
+                != reads[rows][:, None, :]
+            shifts = mismatches.shape[1]
+            # counts[m * L + q]: the mismatches of masks before m (of every
+            # attempt, end to end) and of mask m in read[0:q) — one sorted
+            # row answers each mask's run question by search.
+            counts = np.zeros(mismatches.size + 1, dtype=np.int32)
+            np.cumsum(mismatches, out=counts[1:])
+            # Per mask and budget j: P ends where the (j+1)-th mismatch of
+            # the mask is counted, T starts where all but j are; both
+            # capped at L (a run may carry on into the next mask).
+            starts = np.arange(0, mismatches.size, length)[:, None]
+            longest_prefix = counts.searchsorted(counts[starts] + budgets,
+                                                 "right") - 1 - starts
+            longest_suffix = starts + length - counts.searchsorted(
+                counts[starts + length] - budgets)
+            runs = np.minimum(np.concatenate(
+                (longest_prefix.reshape(len(rows), shifts, -1),
+                 longest_suffix.reshape(len(rows), shifts, -1)), axis=1),
+                length).reshape(len(rows), -1)
+            fits = runs[:, prefix] + runs[:, suffix] >= need
+            first = fits.argmax(1)
+            for k in fits[np.arange(len(rows)), first].nonzero()[0].tolist():
+                profile, a, b = slots[first[k]]
+                mask_a = ~mismatches[k, a - shift_lo]
+                if a == b:
+                    cigar = _mask_to_cigar(mask_a)
+                else:
+                    # Split q: read[0, q) in mask a, read[q + consumed, L)
+                    # in mask b; the fewest mismatches where this is least.
+                    consumed = profile.insertion_run
+                    at_a = (k * shifts + a - shift_lo) * length
+                    at_b = (k * shifts + b - shift_lo) * length + consumed
+                    split = int(np.argmin(
+                        counts[at_a:at_a + length - consumed + 1]
+                        - counts[at_b:at_b + length - consumed + 1]))
+                    tail = ~mismatches[k, b - shift_lo, split + consumed:]
+                    cigar = Cigar.from_pairs(
+                        _mask_to_cigar(mask_a[:split]).ops
+                        + ((consumed or profile.deletion_run,
+                            "I" if consumed else "D"),)
+                        + _mask_to_cigar(tail).ops)
+                hits[rows[k]] = LightAlignment(
+                    profile.score, cigar, int(offsets[rows[k]]) + a, profile)
+        return hits
 
 
 @lru_cache(maxsize=8)

@@ -22,8 +22,10 @@ with one vectorized xxHash call, resolved against the array-backed
 SeedMap in one ``searchsorted`` probe and merged into one flat sorted
 candidate array with per-read bounds, a :class:`~repro.core.query.QueryColumns`
 (:func:`repro.core.query.resolve_reads`, the front-end the long-read
-mode shares); filtering and light alignment run per pair on slices of
-it; the pairs light alignment cannot settle meet again in two
+mode shares); paired-adjacency filtering runs over it in one pass per
+orientation, and light alignment in waves of one stacked
+:meth:`LightAligner.align` call; the pairs
+light alignment cannot settle meet again in two
 chunk-wide candidate-DP waves (read 1 at every candidate, read 2 where
 read 1 survived: one :func:`~repro.align.banded.align_problems` call per
 wave, which cuts each band to its span and sweeps each distinct problem
@@ -42,10 +44,12 @@ tested against lives in ``tests/oracles/core.py``; worker processes are
 
 Coordinates: candidates are *linear* implied read starts up to and
 including the adjacency filter, whose chromosome boundaries are
-:meth:`~repro.genome.ReferenceGenome.read_boundaries`; from
-:meth:`GenPairPipeline._window` — one
-:meth:`~repro.genome.ReferenceGenome.window` call — on, light alignment,
-candidate DP and the records speak ``(chromosome, position)``.
+:meth:`~repro.genome.ReferenceGenome.read_boundaries`; from the windows
+on — :meth:`~repro.genome.ReferenceGenome.windows` for a light-alignment
+wave, :meth:`GenPairPipeline._window` (one
+:meth:`~repro.genome.ReferenceGenome.window` call) for candidate DP —
+light alignment, candidate DP and the records speak ``(chromosome,
+position)``.
 """
 
 from __future__ import annotations
@@ -53,9 +57,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, List, NamedTuple, \
-    Optional, Sequence, Tuple, Union
+    Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 # ``align_banded`` is not called here but stays importable: perf's shim
 # test reads this copy to check that importers' copies are rebound.
@@ -68,7 +73,7 @@ from ..genome.sam import (METHOD_DP, METHOD_EXACT, METHOD_LIGHT,
                           AlignmentRecord)
 from ..obs import get_registry, span
 from .light_align import LightAligner
-from .pairfilter import DEFAULT_DELTA, filter_adjacent
+from .pairfilter import DEFAULT_DELTA, JointColumns, filter_rows
 from .query import QueryColumns, resolve_reads
 from .seedmap import DEFAULT_FILTER_THRESHOLD, SeedMap
 from .seeding import chunk_role_codes
@@ -364,27 +369,46 @@ class GenPairPipeline:
         :func:`~repro.core.seeding.pair_role_codes` order and
         ``queries`` their rows.
 
-        Filtering and light alignment settle most pairs one by one
-        (:meth:`_map_prepared`).  The pairs left with candidates but no
-        light alignment get candidate DP together
+        Filtering (:meth:`_filter`) and light alignment
+        (:meth:`_light_align_waves`) settle most pairs.  The pairs left
+        with candidates but no light alignment get candidate DP together
         (:meth:`_dp_align_candidates`), and what neither places goes on
         together too (:meth:`_fall_back`).
         """
         stats = self.stats
-        columns = (queries.candidates, queries.bounds.tolist(),
-                   queries.seed_hits.tolist(),
-                   queries.locations_fetched.tolist(),
-                   queries.traffic_bytes.tolist())
-        results: list = []
+        stats.pairs_total += len(items)
+        if not items:
+            return []
+        lengths = np.fromiter(map(len, roles), np.int64, len(roles))
+        orientation, joint = self._filter(lengths, queries)
+        placed = (orientation >= 0).nonzero()[0]
+        ups = 4 * placed + 2 * orientation[placed]
+        starts = joint.bounds[placed]
+        counts = np.minimum(joint.bounds[placed + 1] - starts,
+                            MAX_JOINT_CANDIDATES)
+        perfect = (self.scheme.perfect_score(lengths[ups])
+                   + self.scheme.perfect_score(lengths[ups + 1])).tolist()
+        results: list = [None] * len(items)
         pending = []
-        residue = []
-        for index, item in enumerate(items):
-            result = self._map_prepared(item, roles, 4 * index, columns)
-            if result is None:
-                residue.append(index)
-            elif type(result) is _Pending:
-                pending.append((index, result))
-            results.append(result)
+        residue = (orientation < 0).nonzero()[0].tolist()
+        for index, number, up, start, count, top, light in zip(
+                placed.tolist(), orientation[placed].tolist(), ups.tolist(),
+                starts.tolist(), counts.tolist(), perfect,
+                self._light_align_waves(roles, lengths, ups, perfect, joint,
+                                        starts, counts)):
+            read1, read2, name = items[index]
+            direction = ORIENTATIONS[number]
+            if light is None:
+                pending.append((index, _Pending(
+                    direction, roles[up], roles[up + 1], list(zip(
+                        joint.first[start:start + count].tolist(),
+                        joint.second[start:start + count].tolist())))))
+                continue
+            stats.light_mapped += 1
+            result = results[index] = self._build_result(
+                name, STAGE_LIGHT, direction, read1, read2, light)
+            if result.joint_score == top:
+                stats.exact_pairs += 1
         if pending:
             for (index, work), dp_hit in zip(
                     pending, self._dp_align_candidates(
@@ -405,68 +429,7 @@ class GenPairPipeline:
                 results[index] = result
         return results
 
-    # -- per-pair decision -------------------------------------------------
-
-    def _map_prepared(self, item: Tuple[np.ndarray, np.ndarray, str],
-                      roles: Sequence[np.ndarray], base: int,
-                      columns: tuple
-                      ) -> Union[MappingResult, _Pending, None]:
-        """Filtering and light alignment of one pair: its
-        :class:`MappingResult`, or a :class:`_Pending` order for
-        candidate DP, or ``None`` to send it to the traditional pipeline
-        (:meth:`_fall_back`).
-
-        The pair's sequences are ``roles[base:base + 4]`` and its queries
-        the same rows of ``columns`` (candidates; bounds, seed hits,
-        locations fetched and traffic bytes as lists), an ``(upstream,
-        downstream)`` pair per entry of :data:`ORIENTATIONS`; an
-        orientation's query statistics are only charged when tried.
-        """
-        read1, read2, name = item
-        candidates, bounds, hits, fetched, traffic = columns
-        stats = self.stats
-        stats.pairs_total += 1
-        # One boundary array serves both candidate lists: the shorter
-        # read's, so no start changes chromosome beyond its own middle.
-        boundaries = self.reference.read_boundaries(min(len(read1),
-                                                        len(read2)))
-        any_seed_hit = False
-        for orientation, up in zip(ORIENTATIONS, (base, base + 2)):
-            down = up + 1
-            stats.locations_fetched += fetched[up] + fetched[down]
-            stats.traffic_bytes += traffic[up] + traffic[down]
-            if hits[up] and hits[down]:
-                any_seed_hit = True
-            filtered = filter_adjacent(
-                candidates[bounds[up]:bounds[down]],
-                candidates[bounds[down]:bounds[down + 1]],
-                delta=self.config.delta, boundaries=boundaries)
-            stats.filter_iterations += filtered.iterations
-            if filtered.passed:
-                break
-        else:
-            if not any_seed_hit:
-                stats.seedmap_fallback += 1
-            else:
-                stats.filter_fallback += 1
-            return None
-
-        joint_candidates = filtered.pairs
-        oriented1, oriented2 = roles[up:up + 2]
-        light = self._light_align_candidates(oriented1, oriented2,
-                                             joint_candidates)
-        if light is not None:
-            stats.light_mapped += 1
-            result = self._build_result(name, STAGE_LIGHT, orientation,
-                                        read1, read2, light)
-            if result.joint_score == self._perfect_joint(oriented1,
-                                                         oriented2):
-                stats.exact_pairs += 1
-            return result
-        return _Pending(orientation, oriented1, oriented2,
-                        joint_candidates[:MAX_JOINT_CANDIDATES])
-
-    # -- internals ----------------------------------------------------------
+    # -- chunk-wide decision -----------------------------------------------
 
     def _perfect_joint(self, oriented1: np.ndarray,
                        oriented2: np.ndarray) -> int:
@@ -483,37 +446,134 @@ class GenPairPipeline:
         return self.reference.window(candidate, read_length, pad, pad,
                                      min_length=read_length)
 
-    def _light_align_candidates(self, oriented1, oriented2,
-                                joint_candidates):
-        """Try light alignment at each joint candidate; keep the best."""
-        best = None
-        perfect = self._perfect_joint(oriented1, oriented2)
-        for cand1, cand2 in joint_candidates[:MAX_JOINT_CANDIDATES]:
-            self.stats.light_attempts += 2
-            hit1 = self._light_at(oriented1, cand1)
-            if hit1 is None:
-                continue
-            hit2 = self._light_at(oriented2, cand2)
-            if hit2 is None:
-                continue
-            joint = (cand1, cand2, hit1, hit2)
-            score = hit1[0].score + hit2[0].score
-            if best is None or score > best[0]:
-                best = (score, joint)
-            if score == perfect:
+    def _filter(self, lengths: np.ndarray, queries: QueryColumns
+                ) -> Tuple[np.ndarray, JointColumns]:
+        """Each pair's orientation (index into :data:`ORIENTATIONS`, or
+        ``-1``) and joint candidates: ``fr`` for all, ``rf`` for those it
+        left empty, one :func:`~repro.core.pairfilter.filter_rows` call
+        per orientation and boundary array (the shorter read's).  Only
+        the orientations tried are charged."""
+        stats = self.stats
+        count = len(lengths) // 4
+        half = np.minimum(lengths[0::4], lengths[1::4]) // 2
+        orientation = np.full(count, -1)
+        seeded = np.zeros(count, dtype=bool)
+        cycles = np.zeros(count, dtype=np.int64)
+        found = []
+        tried = np.arange(count)
+        for number in range(len(ORIENTATIONS)):
+            up = 4 * tried + 2 * number
+            both = np.concatenate((up, up + 1))
+            stats.locations_fetched += int(
+                queries.locations_fetched[both].sum())
+            stats.traffic_bytes += int(queries.traffic_bytes[both].sum())
+            hit = queries.seed_hits[both] > 0
+            seeded[tried] |= hit[:tried.size] & hit[tried.size:]
+            groups = sorted(set(half[tried].tolist()))
+            for length in groups:
+                pairs = tried if len(groups) == 1 \
+                    else tried[half[tried] == length]
+                joint = filter_rows(
+                    queries.candidates, queries.bounds,
+                    4 * pairs + 2 * number, self.config.delta,
+                    boundaries=self.reference.read_boundaries(2 * length))
+                cycles[pairs] += joint.iterations
+                sizes = joint.bounds[1:] - joint.bounds[:-1]
+                orientation[pairs[sizes > 0]] = number
+                found.append((pairs.repeat(sizes), joint))
+            tried = (orientation < 0).nonzero()[0]
+            if not tried.size:
                 break
-        return None if best is None else best[1]
+        else:
+            stats.seedmap_fallback += int((~seeded[tried]).sum())
+            stats.filter_fallback += int(seeded[tried].sum())
+        stats.filter_iterations += int(cycles.sum())
+        if len(found) == 1:  # one call, over every pair in order
+            return orientation, found[0][1]
+        # A pair's joint candidates all come from the call it passed in.
+        owners, joints = zip(*found)
+        owner = np.concatenate(owners)
+        order = owner.argsort(kind="stable")
+        return orientation, JointColumns(
+            np.concatenate([joint.first for joint in joints])[order],
+            np.concatenate([joint.second for joint in joints])[order],
+            np.concatenate(([0], np.bincount(owner, minlength=count)
+                            .cumsum())), cycles)
 
-    def _light_at(self, codes: np.ndarray, candidate: int):
-        """Light-align one read at one candidate; window-clamp aware."""
-        ctx = self._window(candidate, len(codes))
-        if ctx is None:
-            return None
-        window, chromosome, window_start, offset = ctx
-        hit = self.light_aligner.align(codes, window, offset)
-        if hit is None:
-            return None
-        return hit, chromosome, window_start
+    def _light_align_waves(self, roles: Sequence[np.ndarray],
+                           lengths: np.ndarray, ups: np.ndarray,
+                           perfect: List[int], joint: JointColumns,
+                           starts: np.ndarray, counts: np.ndarray) -> list:
+        """Each placed pair's best light joint hit or ``None`` (reads
+        ``roles[ups[k]:ups[k] + 2]``; the ``counts[k]`` joint candidates
+        from ``starts[k]``): wave ``w`` aligns every open pair at its
+        ``w``-th, and a pair closes at ``perfect[k]``.  The first of
+        equal scores wins."""
+        best: list = [None] * len(ups)
+        live = np.arange(len(ups))
+        for wave in range(MAX_JOINT_CANDIDATES):
+            live = live[counts[live] > wave]
+            if not live.size:
+                break
+            self.stats.light_attempts += 2 * live.size
+            at = starts[live] + wave
+            rows = np.concatenate((ups[live], ups[live] + 1))
+            hits = self._light_wave(
+                roles, rows, lengths[rows],
+                np.concatenate((joint.first[at], joint.second[at])))
+            done = np.zeros(live.size, dtype=bool)
+            for k, number, cand1, cand2 in zip(
+                    range(live.size), live.tolist(),
+                    joint.first[at].tolist(), joint.second[at].tolist()):
+                hit1, hit2 = hits[k], hits[live.size + k]
+                if hit1 is None or hit2 is None:
+                    continue
+                score = hit1[0].score + hit2[0].score
+                if best[number] is None or score > best[number][0]:
+                    best[number] = (score, (cand1, cand2, hit1, hit2))
+                done[k] = score == perfect[number]
+            live = live[~done]
+        return [None if found is None else found[1] for found in best]
+
+    def _light_wave(self, roles: Sequence[np.ndarray], rows: np.ndarray,
+                    lengths: np.ndarray, candidates: np.ndarray) -> list:
+        """``(hit, chromosome, window_start)`` or ``None`` per
+        ``roles[rows[k]]`` at ``candidates[k]``, in one stacked
+        :meth:`LightAligner.align` call on :meth:`_window`'s windows.
+        Unless one is clamped, only the span the shifts read is passed:
+        rows of a strided view of the linear reference, gathered once."""
+        reference, edits = self.reference, self.light_aligner.max_edits
+        index, low, high = reference.windows(
+            candidates, lengths, self._window_pad, self._window_pad,
+            lengths)
+        usable = (index >= 0).nonzero()[0]
+        hits: list = [None] * len(rows)
+        if not usable.size:
+            return hits
+        full = (candidates - low >= edits) \
+            & (high - candidates - lengths >= edits)
+        begin = np.where(full, candidates - edits, low)[usable]
+        codes = reference.linear_codes()
+        reads = [roles[row] for row in rows[usable].tolist()]
+        length = int(lengths[usable[0]])
+        if full[usable].all() and (lengths[usable] == length).all():
+            span = length + 2 * edits
+            reads, windows = np.array(reads), as_strided(
+                codes, (codes.size - span + 1, span), codes.strides * 2,
+                writeable=False)[begin]
+        else:
+            windows = [codes[start:end] for start, end in zip(
+                begin.tolist(), np.where(full, candidates + lengths + edits,
+                                         high)[usable].tolist())]
+        names = reference.names
+        for row, hit, chromosome, start in zip(
+                usable.tolist(), self.light_aligner.align(
+                    reads, windows, candidates[usable] - begin),
+                index[usable].tolist(),
+                (begin - reference.offsets[index[usable]]).tolist()):
+            if hit is not None:
+                hits[row] = (hit, names[chromosome], start)
+        return hits
 
     def _dp_align_candidates(self, pending: Sequence[_Pending]) -> list:
         """Banded DP at the filtered candidates (cheap fallback arc): the

@@ -10,9 +10,10 @@ seed hits (Observation 2: ~9.6 locations per 50bp seed on GRCh38).
 Coordinate model.  The seed layer (SeedMap and minimizer hits, the implied
 read starts derived from them, the paired-adjacency filter) works in one
 *linear* space, every chromosome a disjoint region of it (§4.2); everything
-after works inside one chromosome.  :meth:`ReferenceGenome.window` is the
-one crossing — an implied start belongs to the chromosome holding the
-*middle* of the read span — and :meth:`ReferenceGenome.read_boundaries`
+after works inside one chromosome.  :meth:`ReferenceGenome.window` (and
+its array form ``windows``) is the one crossing — an implied start belongs
+to the chromosome holding the *middle* of the read span — and
+:meth:`ReferenceGenome.read_boundaries`
 states the same rule for the filter.  No mapper converts a linear
 coordinate on its own.
 
@@ -65,6 +66,8 @@ class ReferenceGenome:
         self._total = cursor
         self._starts: List[int] = list(self._offsets.values())
         self._boundaries: Dict[int, np.ndarray] = {}
+        self._edges = np.array(self._starts + [cursor], dtype=np.int64)
+        self._linear: Optional[np.ndarray] = None
 
     @classmethod
     def from_linear_codes(cls, names: Sequence[str],
@@ -97,14 +100,18 @@ class ReferenceGenome:
             raise ReferenceError(
                 f"linear codes hold {len(codes)} bases but chromosome "
                 f"lengths sum to {cursor}")
-        return cls(chromosomes)
+        genome = cls(chromosomes)
+        genome._linear = codes
+        return genome
 
     def linear_codes(self) -> np.ndarray:
-        """Every chromosome's codes concatenated in declaration order."""
-        if not self._names:
-            return np.zeros(0, dtype=np.uint8)
-        return np.concatenate([self.chromosomes[name]
-                               for name in self._names])
+        """Every chromosome's codes concatenated in declaration order
+        (what :meth:`from_linear_codes` was given); read-only."""
+        if self._linear is None:
+            self._linear = np.concatenate(
+                [np.zeros(0, dtype=np.uint8)]
+                + [self.chromosomes[name] for name in self._names])
+        return self._linear
 
     # -- introspection -----------------------------------------------------
 
@@ -130,6 +137,12 @@ class ReferenceGenome:
 
     # -- coordinates -------------------------------------------------------
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """Every chromosome's :meth:`linear_offset`, in :attr:`names`
+        order; read-only."""
+        return self._edges[:-1]
+
     def linear_offset(self, name: str) -> int:
         """Global offset of position 0 of ``name``."""
         self._chromosome(name)
@@ -139,7 +152,7 @@ class ReferenceGenome:
         """Sorted linear read *starts* at which a read of ``read_length``
         changes chromosome — every chromosome start moved back by half a
         read: :meth:`window`'s rule as the ``boundaries`` of
-        :func:`repro.core.pairfilter.filter_adjacent`.  Cached per
+        :func:`repro.core.pairfilter.filter_rows`.  Cached per
         half-length; treat the array as read-only.
         """
         half = read_length // 2
@@ -192,6 +205,24 @@ class ReferenceGenome:
         if high - low < max(min_length, 0):
             return None
         return codes[low:high], chromosome, low, start - low
+
+    def windows(self, starts: np.ndarray, read_lengths: np.ndarray,
+                before: int, after: int, min_length=0
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`window` for arrays of linear starts (and lengths):
+        ``(index, low, high)``, each one's chromosome index in
+        :attr:`names` (``-1`` for ``None``) and its window's *linear*
+        ``[low, high)`` in :meth:`linear_codes`."""
+        starts = np.asarray(starts, dtype=np.int64)
+        middle = starts + np.asarray(read_lengths) // 2
+        index = self._edges.searchsorted(middle, side="right") - 1
+        inside = (middle >= 0) & (middle < self._total)
+        index[~inside] = 0
+        low = np.maximum(self._edges[index], starts - before)
+        high = np.minimum(self._edges.take(index + 1, mode="clip"),
+                          starts + read_lengths + after)
+        index[~inside | (high - low < np.maximum(min_length, 0))] = -1
+        return index, low, high
 
     def sequence(self, name: str) -> str:
         """Decode one whole chromosome to a string (tests/examples only)."""

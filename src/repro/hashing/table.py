@@ -23,9 +23,8 @@ import numpy as np
 def ragged_ranges(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``counts[i]`` consecutive items for each owner ``i``, flattened:
     ``(owner, within)`` — whose every item is, and its rank there."""
-    owner = np.repeat(np.arange(counts.size), counts)
-    within = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts,
-                                               counts)
+    owner = np.arange(counts.size).repeat(counts)
+    within = np.arange(owner.size) - (counts.cumsum() - counts).repeat(counts)
     return owner, within
 
 

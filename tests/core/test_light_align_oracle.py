@@ -2,7 +2,8 @@
 
 ``oracles/core.py`` holds the profile-by-profile walk the kernel
 replaced; for every attempt the kernel must return exactly the oracle's
-``LightAlignment`` — score, CIGAR, ``ref_start``, profile — or ``None``.
+``LightAlignment`` — score, CIGAR, ``ref_start``, profile — or ``None``,
+whether the attempt comes alone or stacked with others.
 """
 
 import numpy as np
@@ -24,14 +25,14 @@ def signature(hit):
 
 
 @st.composite
-def attempts(draw):
-    """``(max_edits, threshold, read, window, offset)``: a read cut from
-    a template with mismatches and at most one insertion or deletion run
-    (1-7 bases, at any split including the first and last base), in a
-    window padded 0-8 bases either side — so shifts are clamped on
-    either side — at its true offset or a wrong, possibly negative one.
-    A two-letter alphabet makes shifted frames tie."""
-    length = draw(st.sampled_from(LENGTHS))
+def placed_reads(draw, length):
+    """``(read, window, offset)``: a read cut from a template with
+    mismatches and at most one insertion or deletion run (1-7 bases, at
+    any split including the first and last base), in a window padded
+    0-8 bases either side — so shifts are clamped on either side, as at
+    a chromosome's start or end — at its true offset or a wrong,
+    possibly negative one.  A two-letter alphabet makes shifted frames
+    tie."""
     alphabet = draw(st.sampled_from((4, 4, 2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     template = rng.integers(0, alphabet, size=length + 16, dtype=np.uint8)
@@ -52,6 +53,14 @@ def attempts(draw):
     left, right = draw(st.integers(0, 8)), draw(st.integers(0, 8))
     window = template[8 - left:8 + length + right]
     offset = left + draw(st.sampled_from((0, 0, 0, -1, 1, -left - 3)))
+    return read, window, offset
+
+
+@st.composite
+def attempts(draw):
+    """``(max_edits, threshold, read, window, offset)``: one
+    :func:`placed_reads` attempt and an aligner for it."""
+    read, window, offset = draw(placed_reads(draw(st.sampled_from(LENGTHS))))
     return (draw(st.integers(1, 6)), draw(st.sampled_from(THRESHOLDS)),
             read, window, offset)
 
@@ -94,6 +103,54 @@ class TestKernelEqualsOracle:
                         scalar.align(read, window, 8))
                     hits += got is not None
         assert hits
+
+
+class TestStackedWave:
+    """The stacked form of ``align`` — one call per light-alignment wave
+    of the pipeline — row by row against the scalar oracle: exact,
+    substitution, insertion and deletion rows, windows clamped on
+    either side, reads of two lengths in one call."""
+
+    @settings(deadline=None)
+    @given(st.integers(1, 6), st.sampled_from(THRESHOLDS),
+           st.lists(st.sampled_from(LENGTHS), min_size=2, max_size=2,
+                    unique=True), st.data())
+    def test_rows_of_sequences(self, max_edits, threshold, lengths, data):
+        rows = data.draw(st.lists(
+            st.sampled_from(lengths).flatmap(placed_reads), min_size=1,
+            max_size=12))
+        reads, windows, offsets = map(list, zip(*rows))
+        got = LightAligner(max_edits=max_edits, threshold=threshold).align(
+            reads, windows, np.array(offsets))
+        scalar = oracle.ScalarLightAligner(max_edits=max_edits,
+                                           threshold=threshold)
+        want = [scalar.align(read, window, offset)
+                for read, window, offset in rows]
+        assert list(map(signature, got)) == list(map(signature, want))
+        assert list(map(signature, scalar.align(reads, windows, offsets))) \
+            == list(map(signature, want))
+
+    @settings(deadline=None)
+    @given(st.integers(1, 6), st.sampled_from(LENGTHS), st.data())
+    def test_rows_of_arrays(self, max_edits, length, data):
+        """2-D reads and windows (the pipeline's gathered form): each
+        window padded on the right to one width, so rows that allow
+        every shift and clamped ones share the call."""
+        rows = data.draw(st.lists(placed_reads(length), min_size=1,
+                                  max_size=12))
+        width = max(len(window) for _read, window, _offset in rows)
+        rng = np.random.default_rng(length)
+        windows = np.array([np.concatenate((window, rng.integers(
+            0, 4, size=width - len(window), dtype=np.uint8)))
+            for _read, window, _offset in rows])
+        reads = np.array([read for read, _window, _offset in rows])
+        offsets = np.array([offset for _read, _window, offset in rows])
+        got = LightAligner(max_edits=max_edits).align(reads, windows,
+                                                      offsets)
+        scalar = oracle.ScalarLightAligner(max_edits=max_edits)
+        assert list(map(signature, got)) == [
+            signature(scalar.align(read, window, int(offset)))
+            for read, window, offset in zip(reads, windows, offsets)]
 
 
 class TestLatticeOrder:

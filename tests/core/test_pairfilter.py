@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import core as oracle
 from repro.core import filter_adjacent
+from repro.core.pairfilter import filter_rows
 
 
 def arr(*values):
@@ -128,3 +131,75 @@ class TestChromosomeBoundaries:
         # Documents the raw linear-distance semantics the fix guards.
         result = filter_adjacent(arr(990), arr(1010), delta=500)
         assert result.passed
+
+
+@st.composite
+def chunks(draw):
+    """``(candidates, bounds, pairs, options)``: the four sorted
+    candidate lists of each pair in ``QueryColumns`` layout (fr read 1,
+    fr read 2, rf read 1, rf read 2), with empty lists, lists of one,
+    duplicate starts, read-2 starts at the ``allow_dovetail`` and
+    ``delta`` edges of read-1 ones, chromosome boundaries among the
+    candidates and a ``max_pairs`` small enough to cut a scan short."""
+    delta = draw(st.integers(0, 60))
+    dovetail = draw(st.integers(0, 20))
+    boundaries = draw(st.one_of(st.none(), st.lists(
+        st.integers(0, 300), min_size=1, max_size=4).map(
+            lambda edges: np.array(sorted(set(edges)), dtype=np.int64))))
+    near = st.sampled_from((-dovetail - 1, -dovetail, 0, 1, delta,
+                            delta + 1))
+    lists = []
+    for _pair in range(draw(st.integers(1, 5))):
+        for _orientation in range(2):
+            read1 = draw(st.lists(st.integers(0, 300), max_size=6))
+            read2 = [start + draw(near) for start in read1
+                     if draw(st.booleans())]
+            read2 += draw(st.lists(st.integers(-20, 320), max_size=6))
+            for values in (read1, read2):
+                if values and draw(st.booleans()):
+                    values.append(draw(st.sampled_from(values)))
+            lists += [sorted(read1), sorted(read2)]
+    candidates = np.array([value for values in lists for value in values],
+                          dtype=np.int64)
+    bounds = np.cumsum([0] + [len(values) for values in lists])
+    options = dict(delta=delta, allow_dovetail=dovetail,
+                   max_pairs=draw(st.integers(1, 8)),
+                   boundaries=boundaries)
+    return candidates, bounds, len(lists) // 4, options
+
+
+class TestAgainstTheWalk:
+    """``filter_rows`` against the two-pointer comparator walk of
+    ``oracles/core.py``, list pair by list pair: the joint candidates in
+    walk order and the comparator cycles."""
+
+    @settings(deadline=None)
+    @given(chunks())
+    def test_chunk_equals_the_walk(self, chunk):
+        candidates, bounds, pairs, options = chunk
+        for orientation in range(2):
+            rows = 4 * np.arange(pairs) + 2 * orientation
+            joint = filter_rows(candidates, bounds, rows, **options)
+            for k, row in enumerate(rows.tolist()):
+                want = oracle.filter_walk(
+                    candidates[bounds[row]:bounds[row + 1]],
+                    candidates[bounds[row + 1]:bounds[row + 2]], **options)
+                got = slice(joint.bounds[k], joint.bounds[k + 1])
+                assert tuple(zip(joint.first[got].tolist(),
+                                 joint.second[got].tolist())) == want.pairs
+                assert joint.iterations[k] == want.iterations
+                assert filter_adjacent(
+                    candidates[bounds[row]:bounds[row + 1]],
+                    candidates[bounds[row + 1]:bounds[row + 2]],
+                    **options) == want
+
+    def test_a_chunk_without_candidates(self):
+        joint = filter_rows(np.zeros(0, dtype=np.int64), np.zeros(9),
+                            np.array([0, 4]))
+        assert joint.first.size == joint.second.size == 0
+        assert joint.bounds.tolist() == [0, 0, 0]
+        assert joint.iterations.tolist() == [0, 0]
+
+    def test_max_pairs_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_pairs"):
+            filter_adjacent(arr(1000), arr(1200), max_pairs=0)

@@ -14,11 +14,16 @@ the long-read mode must vote.
 
 The chain imports no hashing or query function from the package — only
 ``SeedMap``, the ``QueryResult`` / ``QueryColumns`` records,
-``seed_offsets`` and ``pair_role_codes`` (plus ``filter_adjacent`` for
-the long-read vote, which is downstream of the chain).  It answers read
+``seed_offsets`` and ``pair_role_codes``.  It answers read
 by read, one ``QueryResult`` each; :func:`as_columns` packs such a list
 into the ``QueryColumns`` the package's resolver returns, for the
 pipeline's own decision.
+
+Paired-adjacency filtering has its scalar form here: :func:`filter_walk`
+is the two-pointer walk of the hardware comparator (§5.3), one cycle at
+a time, which ``repro.core.pairfilter.filter_rows`` computes in closed
+form — the same joint candidates, in the same order, and the same
+comparator cycles.  The long-read vote filters through it.
 
 Light alignment has its scalar form here too: :class:`ScalarLightAligner`
 walks the profile lattice one profile and one frame at a time, an
@@ -27,7 +32,8 @@ mismatch-count test per profile, with the per-base
 :func:`mask_to_cigar` loop.  It shares the lattice (``profiles_for``)
 with the package's ``LightAligner`` and defines what the run-table
 kernel must return for every attempt: ``None``, or the same score,
-CIGAR, ``ref_start`` and profile.
+CIGAR, ``ref_start`` and profile.  Its stacked form is a loop over the
+rows, so the pipeline's light-alignment waves run on it unchanged.
 
 Nothing under ``src/`` imports this module; tests import it as
 ``oracles.core``.
@@ -42,9 +48,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import (EditProfile, LightAligner, LightAlignment,
-                        QueryColumns, QueryResult, SeedMap,
-                        filter_adjacent, pair_role_codes, seed_offsets)
+from repro.core import (EditProfile, FilterResult, LightAligner,
+                        LightAlignment, QueryColumns, QueryResult, SeedMap,
+                        pair_role_codes, seed_offsets)
 from repro.core.longread import CHUNK_LENGTH, VOTE_BIN
 from repro.core.seeding import SEEDS_PER_READ
 from repro.genome.cigar import Cigar
@@ -283,6 +289,53 @@ def map_pairs(pipeline, items) -> list:
     return results
 
 
+# -- paired-adjacency filtering: the comparator walk ------------------------
+
+def filter_walk(candidates1: np.ndarray, candidates2: np.ndarray,
+                delta: int = 500, allow_dovetail: int = 30,
+                max_pairs: int = 64,
+                boundaries: Optional[np.ndarray] = None) -> FilterResult:
+    """Two-pointer sweep over two sorted candidate lists, one comparator
+    cycle per step: ``filter_adjacent``'s arguments and answer."""
+    list1 = candidates1.tolist()
+    list2 = candidates2.tolist()
+    if boundaries is not None:
+        chrom1 = np.searchsorted(boundaries, candidates1,
+                                 side="right").tolist()
+        chrom2 = np.searchsorted(boundaries, candidates2,
+                                 side="right").tolist()
+    else:
+        chrom1 = chrom2 = None
+    pairs: List[Tuple[int, int]] = []
+    iterations = 0
+    i = j = 0
+    n1, n2 = len(list1), len(list2)
+    while i < n1 and j < n2 and len(pairs) < max_pairs:
+        iterations += 1
+        pos1 = list1[i]
+        pos2 = list2[j]
+        gap = pos2 - pos1
+        if gap < -allow_dovetail:
+            j += 1
+        elif gap > delta:
+            i += 1
+        else:
+            # In range: emit, then scan read 2 candidates near this pos1.
+            # The element at ``scan == j`` was already compared by the
+            # outer step above, so it costs no extra comparator cycle.
+            scan = j
+            while (scan < n2 and list2[scan] - pos1 <= delta
+                   and len(pairs) < max_pairs):
+                if scan != j:
+                    iterations += 1
+                if list2[scan] - pos1 >= -allow_dovetail and (
+                        chrom1 is None or chrom1[i] == chrom2[scan]):
+                    pairs.append((pos1, list2[scan]))
+                scan += 1
+            i += 1
+    return FilterResult(pairs=tuple(pairs), iterations=iterations)
+
+
 # -- light alignment: the per-profile lattice walk ---------------------------
 
 def mask_to_cigar(mask: np.ndarray) -> Cigar:
@@ -306,8 +359,11 @@ def mask_to_cigar(mask: np.ndarray) -> Cigar:
 class ScalarLightAligner(LightAligner):
     """``LightAligner`` with the profile-by-profile ``align``."""
 
-    def align(self, read: np.ndarray, window: np.ndarray,
-              offset: int) -> Optional[LightAlignment]:
+    def align(self, read, window, offset):
+        if np.ndim(offset):
+            return [self.align(row_read, row_window, int(row_offset))
+                    for row_read, row_window, row_offset
+                    in zip(read, window, offset)]
         read = np.asarray(read, dtype=np.uint8)
         length = len(read)
         if length == 0:
@@ -419,9 +475,9 @@ def longread_votes(mapper, codes: np.ndarray) -> Tuple[Counter, int]:
             chunk1, mapper.seed_length, SEEDS_PER_READ))
         result2 = query_read(mapper.seedmap, partition_read(
             chunk2, mapper.seed_length, SEEDS_PER_READ))
-        filtered = filter_adjacent(result1.candidates, result2.candidates,
-                                   delta=mapper.delta,
-                                   boundaries=mapper._boundaries)
+        filtered = filter_walk(result1.candidates, result2.candidates,
+                               delta=mapper.delta,
+                               boundaries=mapper._boundaries)
         for cand1, _cand2 in filtered.pairs:
             votes[(cand1 - off1) // VOTE_BIN] += 1
     return votes, pseudo_pairs

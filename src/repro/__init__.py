@@ -27,11 +27,11 @@ Leaves no engine imports, loaded only when imported by name (``import
 repro.hw``), so mapping, serving and every forked worker never load them:
 
 * :mod:`repro.hw` — the GenPairX hardware model (NMSL, sizing, costs);
-* :mod:`repro.variants` — pileup caller, truth comparison, mapeval;
-* :mod:`repro.lint` — the project's static checks (``repro lint``).
+* :mod:`repro.variants` — pileup caller, truth comparison, mapeval.
 
 The §3 profiling and the §8 filter baselines are evaluation, not
-mapping: they live outside the package, in ``benchmarks/paper/``.
+mapping: they live outside the package, in ``benchmarks/paper/``; the
+project's static checks are a development tool, in ``tools/lint/``.
 """
 
 from . import align, api, core, genome, hashing, index, mapper, util

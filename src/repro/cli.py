@@ -617,47 +617,6 @@ def _cmd_design(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from .lint import CODES, run_lint
-
-    if args.list_codes:
-        width = max(len(code) for code in CODES)
-        for code, meaning in sorted(CODES.items()):
-            print(f"{code:<{width}}  {meaning}")
-        return 0
-    if args.paths:
-        roots = [Path(p) for p in args.paths]
-    else:
-        import repro
-        roots = [Path(repro.__file__).parent]
-    select = [s.strip() for s in args.select.split(",")
-              if s.strip()] if args.select else None
-    ignore = [s.strip() for s in args.ignore.split(",")
-              if s.strip()] if args.ignore else None
-    exclude = [s.strip() for s in (args.exclude or []) if s.strip()]
-
-    try:
-        report = run_lint(roots, select=select, ignore=ignore,
-                          exclude=exclude)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        for line in report.render(relative_to=Path.cwd()):
-            print(line)
-        if report.clean:
-            print(f"clean: {len(roots)} root(s), "
-                  f"{len(report.suppressed)} suppressed")
-    if args.strict and not report.clean:
-        return 2
-    return 0
-
-
 def _add_mapper_args(parser: argparse.ArgumentParser) -> None:
     """The flags ``map`` and ``serve`` share (they build one Mapper)."""
     parser.add_argument("--engine", choices=tuple(ENGINES),
@@ -905,30 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=6000)
     design.set_defaults(func=_cmd_design)
 
-    lint_cmd = sub.add_parser(
-        "lint", help="run the project static-analysis gate")
-    lint_cmd.add_argument("paths", nargs="*",
-                          help="directories/files to lint (default: "
-                               "the installed repro package)")
-    lint_cmd.add_argument("--strict", action="store_true",
-                          help="exit 2 on any finding (the CI gate)")
-    lint_cmd.add_argument("--select", default=None,
-                          help="comma-separated code prefixes to "
-                               "report (e.g. RPL2,RPL5); checkers "
-                               "with no selected code are not run")
-    lint_cmd.add_argument("--ignore", default=None,
-                          help="comma-separated code prefixes to "
-                               "drop (wins over --select)")
-    lint_cmd.add_argument("--json", action="store_true",
-                          help="machine-readable report on stdout")
-    lint_cmd.add_argument("--exclude", action="append", default=None,
-                          metavar="FRAGMENT",
-                          help="drop findings whose path contains this "
-                               "fragment (repeatable; e.g. "
-                               "tests/lint/fixtures)")
-    lint_cmd.add_argument("--list-codes", action="store_true",
-                          help="print the finding-code table and exit")
-    lint_cmd.set_defaults(func=_cmd_lint)
     return parser
 
 

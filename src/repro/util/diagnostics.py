@@ -2,9 +2,10 @@
 
 Library modules must never ``print()``: for the serve daemon, stdout
 *is* the wire, and a stray diagnostic interleaved with record output
-corrupts the stream (``repro lint`` enforces this as RPL501).  Every
-human-directed note from below the CLI goes through here instead —
-one format, one stream, one place to redirect in tests.
+corrupts the stream (the project linter, ``tools/lint``, enforces
+this as RPL501).  Every human-directed note from below the CLI goes
+through here instead — one format, one stream, one place to redirect
+in tests.
 
 Verbosity is a single knob with two inputs: the ``REPRO_QUIET``
 environment variable (any value except ``""``/``"0"``/``"false"``/

@@ -1,6 +1,6 @@
 """Runtime lock sanitizer — the dynamic complement to ``RPL1xxx``.
 
-The static concurrency family (:mod:`repro.lint.concurrency`) models
+The static concurrency family (``tools/lint/concurrency.py``) models
 locks from the AST; this module checks the same properties on the
 *live* locks when ``REPRO_SANITIZE=1`` is set (or
 :func:`set_sanitize` is called): every lock built through

@@ -71,9 +71,8 @@ class TestConstruction:
             assert signatures(mapper.map(pairs)) == reference_results
 
 
-#: Packages no engine imports: the hardware model, the variant caller,
-#: the project's linter.
-LEAVES = ("repro.hw", "repro.variants", "repro.lint")
+#: Packages no engine imports: the hardware model, the variant caller.
+LEAVES = ("repro.hw", "repro.variants")
 
 _MAP_AND_LIST_LEAVES = """
 import sys

@@ -98,7 +98,8 @@ class TestEntryContracts:
 class TestPluginSystemIsGone:
     @pytest.mark.parametrize("module", ["repro.filters.stages",
                                         "repro.align.stages",
-                                        "repro.lint.registry_contract"])
+                                        "repro.lint.registry_contract",
+                                        "repro.lint"])
     def test_adapter_modules_cannot_be_imported(self, module):
         with pytest.raises(ImportError):
             importlib.import_module(module)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.lint import run_lint
+from tools.lint import run_lint
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -3,8 +3,8 @@
 import ast
 from pathlib import Path
 
-from repro.lint.callgraph import CallGraph
-from repro.lint.project import Project
+from tools.lint.callgraph import CallGraph
+from tools.lint.project import Project
 
 
 def _graph(root, files):

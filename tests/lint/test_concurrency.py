@@ -3,7 +3,7 @@ fixtures, plus the HEAD-clean guarantee over the real sources."""
 
 from pathlib import Path
 
-from repro.lint import run_lint
+from tools.lint import run_lint
 
 
 def _lint(path, **kwargs):

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import CHECKERS, CODES, run_lint
-from repro.lint.concurrency import ConcurrencyChecker
-from repro.lint.findings import Finding, suppressed_codes
+from tools.lint import CHECKERS, CODES, run_lint
+from tools.lint.concurrency import ConcurrencyChecker
+from tools.lint.findings import Finding, suppressed_codes
 
 _FIXTURE_NAMES = sorted(
     path.name for path in (Path(__file__).parent / "fixtures").iterdir())

@@ -1,6 +1,6 @@
 """Mutable-default checker (RPL201/RPL202) against the fixtures."""
 
-from repro.lint import run_lint
+from tools.lint import run_lint
 
 
 def _lint(path):

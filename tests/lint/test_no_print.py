@@ -1,6 +1,6 @@
 """No-print checker (RPL501) and the diagnostics helper it points to."""
 
-from repro.lint import run_lint
+from tools.lint import run_lint
 from repro.util.diagnostics import note, warn
 
 

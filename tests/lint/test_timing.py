@@ -1,6 +1,6 @@
 """Timing checker (RPL601): time.time() outside tests."""
 
-from repro.lint import run_lint
+from tools.lint import run_lint
 
 
 def _lint(path):

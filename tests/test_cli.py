@@ -100,7 +100,7 @@ class TestParser:
 
     def test_one_spelling_per_subcommand(self):
         assert sorted(_subparsers(build_parser())) == [
-            "call", "client", "design", "index", "lint", "map", "serve",
+            "call", "client", "design", "index", "map", "serve",
             "simulate", "stats", "top"]
 
     def test_version_flag(self, capsys):
@@ -121,6 +121,7 @@ class TestParser:
         ["client", "ping", "--socket", "s", "--bogus"],
         ["call", "--reference", "r", "--sam", "s", "--bogus"],
         ["design", "--bogus"],
+        ["lint", "src/repro"],   # the linter is python -m tools.lint.cli
     ])
     def test_unknown_args_exit_2_with_usage(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:

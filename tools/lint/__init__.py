@@ -1,4 +1,4 @@
-"""`repro lint` — project-specific static analysis for the reproduction.
+"""``tools.lint`` — project-specific static analysis for the reproduction.
 
 The generic linters cannot know this codebase's invariants: that state
 the daemon's threads share is written only under a lock, that library
@@ -71,9 +71,12 @@ Suppressions apply to the physical line of the finding only.
 Running
 -------
 
-``repro lint`` walks ``src/repro`` (or explicit paths), runs the
-checkers, prints findings as ``path:line  CODE  message``, and exits
-0.  ``repro lint --strict`` exits 2 on any finding — the CI gate.
+``python -m tools.lint.cli PATH...`` (from the repository root, with
+nothing on ``PYTHONPATH``) walks the given roots, runs the checkers,
+prints findings as ``path:line  CODE  message``, and exits 0; with
+``--strict`` it exits 2 on any finding — the CI gate.  Paths are
+required, and a root that is missing or holds no ``.py`` file exits
+2, naming it.
 ``--select``/``--ignore`` take comma-separated code prefixes (one
 that matches no code exits 2, naming it), and a
 checker whose codes are all filtered out is not run at all, so

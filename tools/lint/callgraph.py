@@ -3,7 +3,7 @@
 The concurrency checker needs to know which function a call site, or a
 ``threading.Thread(target=...)``, names — across module boundaries.
 This module answers that on top of the
-:class:`~repro.lint.project.Project` model: one :class:`CallGraph` per
+:class:`~tools.lint.project.Project` model: one :class:`CallGraph` per
 project whose nodes are every function and method of the tree, and
 whose call sites *resolve* — followed through relative imports,
 ``__init__`` re-exports, and single-inheritance method tables.

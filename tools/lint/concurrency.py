@@ -7,7 +7,7 @@ item 1 grows that into a fully concurrent serving tier.  This family
 answers the question that growth depends on: *which state is actually
 safe to share between threads, and which lock guards it?*
 
-The analysis runs on the project :class:`~repro.lint.callgraph
+The analysis runs on the project :class:`~tools.lint.callgraph
 .CallGraph` in four stages:
 
 1. **Thread roots.**  Every ``threading.Thread(target=X)`` spawn whose

@@ -2,7 +2,7 @@
 
 :func:`run_lint` is the one entry point the CLI and CI call, and it
 has one path: load each root into a
-:class:`~repro.lint.project.Project`, run each registered checker's
+:class:`~tools.lint.project.Project`, run each registered checker's
 ``check(project)``, drop findings covered by ``# lint: ignore[...]``
 comments on their line, and return a :class:`LintReport` the caller
 renders as text or JSON.
@@ -12,7 +12,8 @@ survives ``select``/``ignore`` — every finding it could produce would
 be filtered otherwise — so ``--select RPL5`` pays for the print walk
 and not for the call graph or the race detector.  The report is the
 same as filtering a full run afterwards.  A prefix that matches no
-code is an error, not an empty selection.
+code is an error, not an empty selection; so is a root that does not
+exist or holds no ``.py`` file.
 
 Files that fail to parse are reported as findings (code ``RPL000``)
 rather than crashing the run — a lint gate that dies on the broken file
@@ -126,6 +127,8 @@ def run_lint(roots: Sequence[Path],
     none of whose codes survive them is not run.  A prefix that
     matches no code at all raises :class:`ValueError` — a typo or a
     deleted family would otherwise select nothing and pass as clean.
+    So does a root with no module to check (missing, or no ``.py``
+    file under it), which would pass as clean the same way.
     ``exclude`` drops findings whose path contains any given posix
     fragment (dirty fixture trees).
     """
@@ -135,8 +138,14 @@ def run_lint(roots: Sequence[Path],
     if unmatched:
         raise ValueError(f"no finding code matches "
                          f"{', '.join(unmatched)} (see --list-codes)")
+    projects = lint_paths(roots)
+    empty = [str(project.root) for project in projects
+             if not project.modules and not project.broken]
+    if empty:
+        raise ValueError(f"no Python file under {', '.join(empty)} "
+                         f"(missing or empty root)")
     report = LintReport()
-    for project in lint_paths(roots):
+    for project in projects:
         findings = [
             Finding(path=str(path), line=exc.lineno or 1,
                     code=_PARSE_ERROR,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Tuple
 
 #: Every finding code with its one-line meaning (the ``--list-codes``
-#: table; the full spec lives in ``repro.lint``'s docstring).
+#: table; the full spec lives in ``tools.lint``'s docstring).
 CODES = {
     "RPL201": "mutable function-parameter default",
     "RPL202": "mutable dataclass field default (use default_factory)",

@@ -8,8 +8,8 @@ window 1024.
 
 import numpy as np
 from conftest import emit
+from paper.hw import NMSLConfig, NMSLSimulator, synthetic_location_counts
 
-from repro.hw import NMSLConfig, NMSLSimulator, synthetic_location_counts
 from repro.util import format_table
 
 WINDOWS = (1, 4, 16, 64, 256, 1024, 4096, None)

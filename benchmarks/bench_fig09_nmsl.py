@@ -7,11 +7,11 @@ CPU implementation; 16.1x / 26.8x better per-area / per-Watt than GPU.
 
 import numpy as np
 from conftest import emit
-
-from repro.hw import (CPU_NMSL_EFFICIENCY, FIG9_CPU_ENVELOPE,
+from paper.hw import (CPU_NMSL_EFFICIENCY, FIG9_CPU_ENVELOPE,
                       FIG9_GPU_ENVELOPE, FIG9_NMSL_ENVELOPE,
                       GPU_NMSL_EFFICIENCY, HBM2, MemoryConfig, NMSLConfig,
                       NMSLSimulator, synthetic_location_counts)
+
 from repro.util import format_table
 
 #: 12-channel DDR5 of a current server CPU (the paper's "maximum

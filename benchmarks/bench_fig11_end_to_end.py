@@ -7,10 +7,10 @@ Paper headline ratios of GenPairX+GenDP versus the baselines:
 """
 
 from conftest import emit
-
-from repro.hw import (ALL_BASELINES, GenPairXDesign,
+from paper.hw import (ALL_BASELINES, GenPairXDesign,
                       PAPER_GENPAIRX_LONGREAD_MBPS, SystemPerf,
                       WorkloadProfile)
+
 from repro.util import format_table
 
 PAPER_RATIOS = {  # (per-area x, per-watt x) vs GenPairX+GenDP

@@ -9,10 +9,10 @@ error and degrades beyond as DP alignment becomes the bottleneck.
 
 import numpy as np
 from conftest import emit
+from paper.hw import GenPairXDesign, WorkloadProfile
 
 from repro.core import GenPairPipeline
 from repro.genome import ErrorModel, ReadSimulator
-from repro.hw import GenPairXDesign, WorkloadProfile
 from repro.util import format_table
 
 ERROR_RATES = (0.0001, 0.0005, 0.001, 0.002, 0.005, 0.01)

@@ -11,9 +11,9 @@ it.
 
 import numpy as np
 from conftest import emit
-
-from repro.hw import GenPairXPipelineSim, PipelineSimConfig, \
+from paper.hw import GenPairXPipelineSim, PipelineSimConfig, \
     sample_workload
+
 from repro.util import format_table
 
 CAPACITIES = (1, 4, 16, 64, 256, 1024, None)

@@ -9,8 +9,8 @@ one from the workload measured by the functional pipeline run.
 """
 
 from conftest import emit
+from paper.hw import GenPairXDesign, WorkloadProfile
 
-from repro.hw import GenPairXDesign, WorkloadProfile
 from repro.util import format_table
 
 PAPER_ROWS = {

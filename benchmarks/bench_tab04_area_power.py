@@ -5,8 +5,8 @@ Paper bottom line: GenPairX 66.80 mm^2 / 881 mW; GenPairX + GenDP
 """
 
 from conftest import emit
+from paper.hw import GenPairXDesign, WorkloadProfile
 
-from repro.hw import GenPairXDesign, WorkloadProfile
 from repro.util import format_table
 
 PAPER_TABLE4 = {

@@ -6,8 +6,8 @@ throughput-per-Watt barely moves because GenDP dominates power.
 """
 
 from conftest import emit
+from paper.hw import (DDR5, GDDR6, GenPairXDesign, HBM2, WorkloadProfile)
 
-from repro.hw import (DDR5, GDDR6, GenPairXDesign, HBM2, WorkloadProfile)
 from repro.util import format_table
 
 PAPER = {

@@ -10,6 +10,10 @@ for the GenPair pipeline.
 Robust estimation: the sample is trimmed to its central 90% before
 computing mean/sd, so chimeric pairs and mismapped outliers cannot
 inflate Δ.
+
+The mapper itself takes Δ as a fixed setting (``GenPairConfig.delta``);
+nothing on the mapping path calibrates it, so this module lives with the
+evaluation code and ``bench_delta_calibration.py`` is its front-end.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..genome.results import MappingResult
-from .pipeline import GenPairPipeline, STAGE_UNMAPPED
+from repro.core.pipeline import GenPairPipeline, STAGE_UNMAPPED
+from repro.genome.results import MappingResult
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ Python: an event-driven NMSL-over-memory-channels simulator (Figs 8-9,
 Table 6), compute-module performance/cost models (Table 3), a CACTI-like
 SRAM surrogate, technology scaling, the GenDP residual-DP sizing (§7.4,
 Table 4), and published baseline systems (Fig 11, Table 5).
+
+It evaluates the mapper and is no part of it: the benches import it as
+``paper.hw``, the tests under ``tests/hw/`` as ``benchmarks.paper.hw``.
 """
 
 from .baselines import (ALL_BASELINES, BWA_MEM_GPU, CPU_NMSL_EFFICIENCY,

@@ -211,6 +211,12 @@ class GenPairXDesign:
                  clock_ghz: float = CLOCK_GHZ,
                  simulated_pairs: int = 20_000,
                  seed: int = 0) -> None:
+        if window_size is not None and window_size < 1:
+            raise ValueError(f"window_size must be None or >= 1, "
+                             f"got {window_size}")
+        if simulated_pairs < 1:
+            raise ValueError(f"simulated_pairs must be >= 1, "
+                             f"got {simulated_pairs}")
         self.workload = workload
         self.memory = memory
         self.window_size = window_size

@@ -1,7 +1,7 @@
 """Bank-level DRAM channel timing model (the Ramulator 2.0 role).
 
 The paper models HBM timing with Ramulator 2.0 and power with DRAMsim3
-(§6).  The coarse :class:`~repro.hw.memory.MemoryConfig` folds everything
+(§6).  The coarse :class:`~paper.hw.memory.MemoryConfig` folds everything
 into one effective random-access interval; this module refines that with
 the first-order DRAM mechanics that actually shape NMSL's service-time
 distribution:
@@ -19,7 +19,7 @@ pushes the Fig 8 saturation knee to larger windows than a fixed service
 time would (see EXPERIMENTS.md deviation note 2).
 
 :class:`DramChannelModel.sample_service_times` is plugged into
-:class:`~repro.hw.nmsl.NMSLSimulator` via ``NMSLConfig.dram_timing``.
+:class:`~paper.hw.nmsl.NMSLSimulator` via ``NMSLConfig.dram_timing``.
 """
 
 from __future__ import annotations

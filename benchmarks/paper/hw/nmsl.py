@@ -45,7 +45,7 @@ class NMSLConfig:
     #: the centralized-buffer FIFO depth (§5.2).
     fifo_depth_cap: int = 500
     #: When true, per-request service times come from the bank-level
-    #: DRAM model (:mod:`repro.hw.dram`) instead of the fixed effective
+    #: DRAM model (:mod:`paper.hw.dram`) instead of the fixed effective
     #: random-access interval — dispersed service times, as Ramulator
     #: would produce.
     dram_timing: bool = False

@@ -23,15 +23,16 @@ Public API layout:
   --index`` memory-maps back in milliseconds, with forked workers
   sharing one physical copy.
 
-Leaves no engine imports, loaded only when imported by name (``import
-repro.hw``), so mapping, serving and every forked worker never load them:
+One leaf no engine imports, loaded only when imported by name (``import
+repro.variants``), so mapping, serving and every forked worker never
+load it:
 
-* :mod:`repro.hw` — the GenPairX hardware model (NMSL, sizing, costs);
 * :mod:`repro.variants` — pileup caller, truth comparison, mapeval.
 
-The §3 profiling and the §8 filter baselines are evaluation, not
-mapping: they live outside the package, in ``benchmarks/paper/``; the
-project's static checks are a development tool, in ``tools/lint/``.
+The §3 profiling, the §4.5 Δ calibration, the §5/§7 hardware model and
+the §8 filter baselines are evaluation, not mapping: they live outside
+the package, in ``benchmarks/paper/``; the project's static checks are a
+development tool, in ``tools/lint/``.
 """
 
 from . import align, api, core, genome, hashing, index, mapper, util

@@ -31,9 +31,7 @@ Subcommands mirror a real read-mapping toolchain:
 * ``top``           — live daemon dashboard: engines, request
   latencies, and worker utilization, refreshed every ``--interval``
   seconds until interrupted;
-* ``call``          — pile up a SAM file and call variants to VCF;
-* ``design``        — compose the GenPairX + GenDP hardware design and
-  print the Table 3/4/5-style report.
+* ``call``          — pile up a SAM file and call variants to VCF.
 
 Example::
 
@@ -48,7 +46,6 @@ Example::
     python -m repro.cli client shutdown --socket demo.rpix.sock
     python -m repro.cli call --reference demo_ref.fa --sam demo.sam \
         --out demo.vcf
-    python -m repro.cli design --memory HBM2
 """
 
 from __future__ import annotations
@@ -583,40 +580,6 @@ def _sam_codes(seq: str, flag: int):
     return codes
 
 
-def _cmd_design(args: argparse.Namespace) -> int:
-    from .hw import (GenPairXDesign, MEMORY_PRESETS, WorkloadProfile,
-                     host_bandwidth, link_feasibility)
-    from .util import format_table
-
-    memory = MEMORY_PRESETS[args.memory]
-    design = GenPairXDesign(WorkloadProfile.paper(), memory=memory,
-                            window_size=args.window,
-                            simulated_pairs=args.simulated_pairs
-                            ).compose()
-    print(format_table(
-        ("module", "MPair/s per inst", "latency cyc", "instances"),
-        [(m.name, f"{m.throughput_mpairs:.1f}",
-          f"{m.latency_cycles:.1f}", m.instances)
-         for m in design.modules],
-        title=f"Module sizing ({memory.name}, window {args.window})"))
-    print()
-    print(format_table(
-        ("component", "area mm2", "power mW"),
-        [(name, f"{area:.3f}", f"{power:,.1f}")
-         for name, area, power in design.area_power_rows()],
-        title="Area / power breakdown"))
-    perf = design.as_system_perf()
-    print(f"\nend-to-end: {perf.throughput_mbps:,.0f} Mbp/s | "
-          f"{perf.per_area:.1f} Mbp/s/mm2 | {perf.per_watt:.1f} Mbp/s/W")
-    report = host_bandwidth(design.target_mpairs)
-    print(f"host interface: in {report.input_gbps:.1f} GB/s, out "
-          f"{report.output_gbps:.1f} GB/s")
-    for link, (headroom, fits) in link_feasibility(report).items():
-        print(f"  {link}: headroom {headroom:.1f}x "
-              f"({'OK' if fits else 'insufficient'})")
-    return 0
-
-
 def _add_mapper_args(parser: argparse.ArgumentParser) -> None:
     """The flags ``map`` and ``serve`` share (they build one Mapper)."""
     parser.add_argument("--engine", choices=tuple(ENGINES),
@@ -852,17 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
     call.add_argument("--sam", required=True)
     call.add_argument("--out", default="calls.vcf")
     call.set_defaults(func=_cmd_call)
-
-    design = sub.add_parser("design",
-                            help="compose the hardware design report")
-    design.add_argument("--memory", choices=("HBM2", "GDDR6", "DDR5"),
-                        default="HBM2")
-    design.add_argument("--window", type=_int_arg("--window", 1),
-                        default=1024)
-    design.add_argument("--simulated-pairs",
-                        type=_int_arg("--simulated-pairs", 1),
-                        default=6000)
-    design.set_defaults(func=_cmd_design)
 
     return parser
 

@@ -39,8 +39,6 @@ are bit-identical.
 
 from .executor import DEFAULT_INFLIGHT_PER_WORKER, StreamExecutor
 from .fingerprint import IndexFingerprint
-from .insert_estimator import (InsertSizeEstimate, InsertSizeEstimator,
-                               calibrate_delta)
 from .light_align import (EditProfile, LightAligner, LightAlignment,
                           enumerate_simple_profiles)
 from .longread import LongReadMapper, LongReadStats
@@ -57,9 +55,8 @@ from .seeding import pair_role_codes, seed_offsets
 __all__ = [
     "DEFAULT_BATCH_SIZE", "DEFAULT_DELTA", "DEFAULT_FILTER_THRESHOLD",
     "DEFAULT_INFLIGHT_PER_WORKER", "StreamExecutor",
-    "EditProfile", "IndexFingerprint", "InsertSizeEstimate",
-    "InsertSizeEstimator",
-    "calibrate_delta", "FilterResult", "GenPairConfig", "GenPairPipeline",
+    "EditProfile", "IndexFingerprint",
+    "FilterResult", "GenPairConfig", "GenPairPipeline",
     "LightAligner", "LightAlignment", "LOCATION_ENTRY_BYTES",
     "LongReadMapper", "LongReadStats",
     "PipelineStats", "QueryColumns", "QueryResult",

@@ -71,8 +71,8 @@ class TestConstruction:
             assert signatures(mapper.map(pairs)) == reference_results
 
 
-#: Packages no engine imports: the hardware model, the variant caller.
-LEAVES = ("repro.hw", "repro.variants")
+#: Packages no engine imports: the variant caller.
+LEAVES = ("repro.variants",)
 
 _MAP_AND_LIST_LEAVES = """
 import sys

@@ -99,7 +99,8 @@ class TestPluginSystemIsGone:
     @pytest.mark.parametrize("module", ["repro.filters.stages",
                                         "repro.align.stages",
                                         "repro.lint.registry_contract",
-                                        "repro.lint"])
+                                        "repro.lint", "repro.hw",
+                                        "repro.core.insert_estimator"])
     def test_adapter_modules_cannot_be_imported(self, module):
         with pytest.raises(ImportError):
             importlib.import_module(module)

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.hw import (ALL_BASELINES, BlockCost, DDR5, GDDR6, GENCACHE,
-                      GENDP_STANDALONE, GenDPSizing, HBM2,
-                      MEMORY_PRESETS, MM2_CPU, PAPER_GENPAIRX_GENDP,
-                      SramModel, centralized_buffer_size, paper_sizing,
-                      residual_mcups)
-from repro.hw.scaling import AREA_SCALE_TO_7NM, POWER_SCALE_TO_7NM
+from benchmarks.paper.hw import (ALL_BASELINES, BlockCost, DDR5, GDDR6,
+                                 GENCACHE, GENDP_STANDALONE, GenDPSizing, HBM2,
+                                 MEMORY_PRESETS, MM2_CPU, PAPER_GENPAIRX_GENDP,
+                                 SramModel, centralized_buffer_size,
+                                 paper_sizing, residual_mcups)
+from benchmarks.paper.hw.scaling import AREA_SCALE_TO_7NM, POWER_SCALE_TO_7NM
 
 
 class TestScaling:

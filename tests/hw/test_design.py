@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.hw import (GenPairXDesign, PAPER_GENPAIRX_GENDP,
-                      WorkloadProfile, DDR5, HBM2)
+from benchmarks.paper.hw import (GenPairXDesign, PAPER_GENPAIRX_GENDP,
+                                 WorkloadProfile, DDR5, HBM2)
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.hw import (GDDR6, GenPairXDesign, NMSLConfig, NMSLSimulator,
-                      WorkloadProfile, host_bandwidth,
-                      synthetic_location_counts)
+from benchmarks.paper.hw import (GDDR6, GenPairXDesign, NMSLConfig,
+                                 NMSLSimulator, WorkloadProfile,
+                                 host_bandwidth, synthetic_location_counts)
 
 
 class TestComposeVariants:
@@ -48,6 +48,17 @@ class TestComposeVariants:
                                   simulated_pairs=2000).compose()
         assert design.modules[2].instances > \
             baseline.modules[2].instances * 1.2
+
+
+class TestOutOfRangeInputs:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"window_size": 0}, "window_size"),
+        ({"window_size": -1}, "window_size"),
+        ({"simulated_pairs": 0}, "simulated_pairs")],
+        ids=["window-zero", "window-negative", "simulated-pairs-zero"])
+    def test_rejected_naming_the_argument(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            GenPairXDesign(WorkloadProfile.paper(), **kwargs)
 
 
 class TestWorkloadClamping:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.hw import (DRAM_TIMINGS, DramChannelModel, HBM2_TIMING,
-                      NMSLConfig, NMSLSimulator,
-                      synthetic_location_counts)
+from benchmarks.paper.hw import (DRAM_TIMINGS, DramChannelModel, HBM2_TIMING,
+                                 NMSLConfig, NMSLSimulator,
+                                 synthetic_location_counts)
 
 
 class TestDramTiming:
@@ -81,7 +81,7 @@ class TestNmslWithDramTiming:
         assert saturation(True) < saturation(False) + 1e-9
 
     def test_unknown_memory_rejected(self):
-        from repro.hw import DDR4
+        from benchmarks.paper.hw import DDR4
         counts = synthetic_location_counts(np.random.default_rng(7), 50)
         with pytest.raises(ValueError):
             NMSLSimulator(NMSLConfig(memory=DDR4,

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.hw import (PCIE_GEN3_X16, PCIE_GEN4_X16, host_bandwidth,
-                      link_feasibility, pair_wire_bytes)
+from benchmarks.paper.hw import (PCIE_GEN3_X16, PCIE_GEN4_X16, host_bandwidth,
+                                 link_feasibility, pair_wire_bytes)
 
 
 class TestWireEncoding:

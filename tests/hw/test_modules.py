@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.hw import (filtering_module, light_alignment_module,
-                      seeding_module)
+from benchmarks.paper.hw import (filtering_module, light_alignment_module,
+                                 seeding_module)
 
 
 class TestTable3:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.hw import (DDR5, GDDR6, HBM2, NMSLConfig, NMSLSimulator,
-                      synthetic_location_counts)
+from benchmarks.paper.hw import (DDR5, GDDR6, HBM2, NMSLConfig, NMSLSimulator,
+                                 synthetic_location_counts)
 
 
 @pytest.fixture(scope="module")

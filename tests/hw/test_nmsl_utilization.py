@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.hw import NMSLConfig, NMSLSimulator, synthetic_location_counts
+from benchmarks.paper.hw import (NMSLConfig, NMSLSimulator,
+                                 synthetic_location_counts)
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.hw import (GenPairXPipelineSim, PairWorkload,
-                      PipelineSimConfig, StageConfig, sample_workload)
+from benchmarks.paper.hw import (GenPairXPipelineSim, PairWorkload,
+                                 PipelineSimConfig, StageConfig,
+                                 sample_workload)
 
 
 @pytest.fixture(scope="module")

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from benchmarks.paper.hw import GenPairXDesign, WorkloadProfile
 from repro.core import GenPairPipeline, STAGE_FULL_DP, STAGE_UNMAPPED
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           plant_variants, write_sam)
-from repro.hw import GenPairXDesign, WorkloadProfile
 from repro.mapper import Mm2LikeMapper
 from repro.variants import (Pileup, call_variants, compare_calls,
                             evaluate_mappings, split_by_kind)

@@ -16,8 +16,7 @@ REPO = Path(__file__).resolve().parents[2]
 
 #: The examples that start no daemon; ``streaming_workers.py`` has its
 #: own test below.
-EXAMPLES = ["hardware_design_space.py", "library_calibration.py",
-            "long_read_mapping.py", "multi_engine.py",
+EXAMPLES = ["long_read_mapping.py", "multi_engine.py",
             "persistent_index.py", "quickstart.py",
             "variant_calling_pipeline.py"]
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import (GenPairConfig, GenPairPipeline,
-                        InsertSizeEstimate, InsertSizeEstimator,
-                        calibrate_delta)
+from benchmarks.paper.calibration import (InsertSizeEstimate,
+                                          InsertSizeEstimator,
+                                          calibrate_delta)
+from repro.core import GenPairConfig, GenPairPipeline
 from repro.genome import ErrorModel, PairedEndProfile, ReadSimulator
 
 

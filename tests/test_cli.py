@@ -83,7 +83,7 @@ class TestParser:
 
     def test_subcommands_registered(self):
         parser = build_parser()
-        for argv in (["simulate"], ["design"],
+        for argv in (["simulate"],
                      ["map", "--reference", "r", "--reads1", "a",
                       "--reads2", "b"],
                      ["map", "--index", "r.rpix", "--reads1", "a",
@@ -100,8 +100,8 @@ class TestParser:
 
     def test_one_spelling_per_subcommand(self):
         assert sorted(_subparsers(build_parser())) == [
-            "call", "client", "design", "index", "map", "serve",
-            "simulate", "stats", "top"]
+            "call", "client", "index", "map", "serve", "simulate",
+            "stats", "top"]
 
     def test_version_flag(self, capsys):
         from repro import __version__
@@ -120,7 +120,7 @@ class TestParser:
         ["serve", "--index", "i", "--bogus"],
         ["client", "ping", "--socket", "s", "--bogus"],
         ["call", "--reference", "r", "--sam", "s", "--bogus"],
-        ["design", "--bogus"],
+        ["design"],   # the hardware report is benchmarks/bench_tab0[3-5]
         ["lint", "src/repro"],   # the linter is python -m tools.lint.cli
     ])
     def test_unknown_args_exit_2_with_usage(self, capsys, argv):
@@ -172,17 +172,13 @@ class TestParser:
         (["simulate", "--chromosomes", "abc"], "--chromosomes"),
         (["simulate", "--chromosomes", "100,0"], "--chromosomes"),
         (["simulate", "--profile", "mason", "--error-rate", "1.5"],
-         "--error-rate"),
-        (["design", "--window", "0"], "--window"),
-        (["design", "--simulated-pairs", "0"], "--simulated-pairs")],
+         "--error-rate")],
         ids=["pairs-negative", "chromosomes-zero", "chromosomes-abc",
-             "chromosomes-one-zero", "error-rate-1.5", "window-zero",
-             "simulated-pairs-zero"])
-    def test_out_of_range_simulate_and_design_values_exit_2(
+             "chromosomes-one-zero", "error-rate-1.5"])
+    def test_out_of_range_simulate_values_exit_2(
             self, tmp_path, capsys, argv, flag):
         with pytest.raises(SystemExit) as excinfo:
-            main(argv + (["--out", str(tmp_path / "sim")]
-                         if argv[0] == "simulate" else []))
+            main(argv + ["--out", str(tmp_path / "sim")])
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         error_lines = [line for line in captured.err.splitlines()
@@ -402,14 +398,6 @@ class TestWorkflow:
         captured = capsys.readouterr()
         assert captured.err == message.format(path=path) + "\n"
         assert not (tmp_path / "ref.rpix").exists()
-
-    def test_design_report(self, capsys):
-        assert main(["design", "--memory", "DDR5",
-                     "--simulated-pairs", "1500"]) == 0
-        out = capsys.readouterr().out
-        assert "Light Alignment" in out
-        assert "GenPairX + GenDP" in out
-        assert "host interface" in out
 
 
 @pytest.mark.skipif(not hasattr(socket, "AF_UNIX"),

@@ -2,9 +2,10 @@
 
 import pytest
 
-from benchmarks.paper.hw import (GDDR6, GenPairXDesign, NMSLConfig,
-                                 NMSLSimulator, WorkloadProfile,
-                                 host_bandwidth, synthetic_location_counts)
+from benchmarks.paper.hw import (GDDR6, MEMORY_PRESETS, GenPairXDesign,
+                                 NMSLConfig, NMSLSimulator, WorkloadProfile,
+                                 host_bandwidth, link_feasibility,
+                                 synthetic_location_counts)
 
 
 class TestComposeVariants:
@@ -48,6 +49,29 @@ class TestComposeVariants:
                                   simulated_pairs=2000).compose()
         assert design.modules[2].instances > \
             baseline.modules[2].instances * 1.2
+
+    @pytest.mark.parametrize("memory", ["HBM2", "GDDR6", "DDR5"])
+    def test_full_report_per_memory(self, memory):
+        """Every section of the Table 3/4/5 + §7.4 report composes."""
+        design = GenPairXDesign(WorkloadProfile.paper(),
+                                memory=MEMORY_PRESETS[memory],
+                                simulated_pairs=1500).compose()
+        assert [m.name for m in design.modules][:3] == [
+            "Partitioned Seeding", "Paired-Adjacency Filtering",
+            "Light Alignment"]
+        assert all(m.instances >= 1 and m.throughput_mpairs > 0
+                   for m in design.modules)
+        rows = design.area_power_rows()
+        assert rows[-1][0] == "GenPairX + GenDP"
+        assert rows[-1][1] == pytest.approx(design.total_cost.area_mm2)
+        perf = design.as_system_perf()
+        assert perf.throughput_mbps > 0
+        assert perf.per_area > 0 and perf.per_watt > 0
+        report = host_bandwidth(design.target_mpairs,
+                                design.workload.read_length)
+        links = link_feasibility(report)
+        assert len(links) == 2
+        assert all(headroom > 0 for headroom, _ in links.values())
 
 
 class TestOutOfRangeInputs:

@@ -8,9 +8,8 @@ the GenDP MCUPS sizing for the residual-chaining workload (§7.4).
 
 :func:`chain_anchors` is the one entry.  Anchors arrive as columns
 (:class:`AnchorColumns`: every anchor of every chaining problem of a
-chunk — one problem per read and strand); a ``Sequence[Anchor]`` is one
-problem through the same sweep, the convention
-:func:`repro.align.banded.align_banded` has for 1-D and 2-D input.
+chunk — one problem per read and strand) and chains leave as columns
+(:class:`ChainColumns`).
 
 **The segment argument.**  Anchors are sorted by ``(problem, ref_pos,
 read_pos)``.  An arc needs ``0 < ref_gap <= max_gap``, so no arc crosses
@@ -47,18 +46,18 @@ sorted-anchor order, an anchor used once, and a tail whose backtrack
 runs into a used anchor is skipped.
 
 **Extraction yields columns.**  The chains of a chunk come out as
-chunk-wide columns on the returned :class:`ChainStack` — problem, rank,
-score and diagonal of every chain — which is all a mapper reads.
-``Chain``/``Anchor`` objects are built only when a result's ``chains``
-is first read, by walking that problem's tails.
+chunk-wide columns — problem, rank, score and diagonal of every chain —
+which is all a mapper reads.  A chain's score is its tail's and its
+diagonal its root's (the backtrack's end, found by pointer doubling), so
+no chain is walked anchor by anchor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable, List, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
@@ -70,19 +69,12 @@ SWEEP_CELL_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
-class Anchor:
-    """An exact match of ``length`` bases: read offset -> reference position."""
-
-    ref_pos: int
-    read_pos: int
-    length: int
-
-
-@dataclass(frozen=True)
 class AnchorColumns:
     """The anchors of ``problems`` independent chaining problems as
     parallel int64 columns; ``problem[i]`` says which one anchor ``i``
-    belongs to (a problem may have none)."""
+    belongs to (a problem may have none).  An anchor is an exact match of
+    ``length`` bases, read offset ``read_pos`` -> reference position
+    ``ref_pos``."""
 
     ref_pos: np.ndarray
     read_pos: np.ndarray
@@ -92,128 +84,33 @@ class AnchorColumns:
 
 
 @dataclass(frozen=True)
-class Chain:
-    """A scored colinear chain of anchors."""
-
-    anchors: Tuple[Anchor, ...]
-    score: float
-
-    @property
-    def ref_start(self) -> int:
-        return self.anchors[0].ref_pos
-
-    @property
-    def ref_end(self) -> int:
-        last = self.anchors[-1]
-        return last.ref_pos + last.length
-
-    @property
-    def read_start(self) -> int:
-        return self.anchors[0].read_pos
-
-    @property
-    def read_end(self) -> int:
-        last = self.anchors[-1]
-        return last.read_pos + last.length
-
-    @property
-    def diagonal(self) -> int:
-        """Reference offset of read position 0 implied by the chain start."""
-        return self.anchors[0].ref_pos - self.anchors[0].read_pos
-
-
-class ChainingResult:
-    """All chains found plus DP accounting.
-
-    ``chains`` may be a zero-argument callable returning them: it is
-    called when they are first read, so a chunk-wide sweep builds no
-    objects nobody reads.  Results compare by ``(chains, cells)``.
-    """
-
-    __slots__ = ("_chains", "cells")
-
-    def __init__(self, chains: Union[Tuple[Chain, ...],
-                                     Callable[[], Tuple[Chain, ...]]],
-                 cells: int) -> None:
-        self._chains = chains
-        self.cells = cells
-
-    @property
-    def chains(self) -> Tuple[Chain, ...]:
-        if callable(self._chains):
-            self._chains = self._chains()
-        return self._chains
-
-    @property
-    def best(self) -> Chain:
-        if not self.chains:
-            raise ValueError("no chains produced")
-        return self.chains[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChainingResult):
-            return NotImplemented
-        return (self.chains, self.cells) == (other.chains, other.cells)
-
-    def __hash__(self) -> int:
-        return hash((self.chains, self.cells))
-
-    def __repr__(self) -> str:
-        return f"ChainingResult(chains={self.chains!r}, cells={self.cells})"
-
-
-class ChainStack(List[ChainingResult]):
-    """Results of one chunk-wide sweep, in problem order, plus every
-    extracted chain of the chunk as columns, in problem then rank order:
+class ChainColumns:
+    """Every chain kept, in problem then rank order, as parallel columns:
     ``problem``, ``rank`` (0 is the problem's best), ``score`` and
     ``diagonal`` (the chain start's ``ref_pos - read_pos``); ``cells``
-    is the DP work of the whole stack."""
+    is the DP work of every problem."""
 
-    def __init__(self, results: Sequence[ChainingResult],
-                 problem: np.ndarray, rank: np.ndarray, score: np.ndarray,
-                 diagonal: np.ndarray) -> None:
-        super().__init__(results)
-        self.problem, self.rank = problem, rank
-        self.score, self.diagonal = score, diagonal
-
-    @property
-    def cells(self) -> int:
-        return sum(result.cells for result in self)
+    problem: np.ndarray
+    rank: np.ndarray
+    score: np.ndarray
+    diagonal: np.ndarray
+    cells: int
 
 
-def chain_anchors(anchors: Union[Sequence[Anchor], AnchorColumns],
-                  max_gap: int = 500, max_lookback: int = 25,
-                  min_score: float = 20.0, max_chains: int = 8
-                  ) -> Union[ChainingResult, ChainStack]:
-    """Chain anchors with the standard O(n * lookback) DP.
+def chain_anchors(anchors: AnchorColumns, max_gap: int = 500,
+                  max_lookback: int = 25, min_score: float = 20.0,
+                  max_chains: int = 8) -> ChainColumns:
+    """Chain each problem's anchors with the standard O(n * lookback) DP.
 
-    Anchors are sorted by (ref_pos, read_pos); for each anchor the DP scans
-    up to ``max_lookback`` predecessors whose reference and read gaps are
-    positive and below ``max_gap``.  Chains scoring below ``min_score`` are
-    dropped; at most ``max_chains`` non-overlapping chains are returned,
-    best first.
-
-    A ``Sequence[Anchor]`` is one problem and returns its
-    :class:`ChainingResult`; :class:`AnchorColumns` returns a
-    :class:`ChainStack`, one result per problem, in problem order.
+    A problem's anchors are sorted by (ref_pos, read_pos); for each anchor
+    the DP scans up to ``max_lookback`` predecessors whose reference and
+    read gaps are positive and below ``max_gap``.  Chains scoring below
+    ``min_score`` are dropped; at most ``max_chains`` non-overlapping
+    chains are kept per problem, best first.
     """
-    if isinstance(anchors, AnchorColumns):
-        return _chain_columns(anchors, max_gap, max_lookback, min_score,
-                              max_chains)
-    table = np.array([(a.ref_pos, a.read_pos, a.length) for a in anchors],
-                     dtype=np.int64).reshape(-1, 3)
-    single = AnchorColumns(table[:, 0], table[:, 1], table[:, 2],
-                           np.zeros(len(table), dtype=np.int64), 1)
-    return _chain_columns(single, max_gap, max_lookback, min_score,
-                          max_chains)[0]
-
-
-def _chain_columns(anchors: AnchorColumns, max_gap: int, max_lookback: int,
-                   min_score: float, max_chains: int) -> ChainStack:
     if not anchors.ref_pos.size:
         none = np.zeros(0, dtype=np.int64)
-        return ChainStack([ChainingResult((), 0)] * anchors.problems,
-                          none, none, np.zeros(0), none)
+        return ChainColumns(none, none, np.zeros(0), none, 0)
     order = np.lexsort((anchors.read_pos, anchors.ref_pos, anchors.problem))
     ref = anchors.ref_pos[order]
     read = anchors.read_pos[order]
@@ -222,8 +119,8 @@ def _chain_columns(anchors: AnchorColumns, max_gap: int, max_lookback: int,
     counts = np.bincount(problem, minlength=anchors.problems)
     # sum(min(i, lookback)) over a problem's anchors i = 0 .. count - 1.
     ramp = np.minimum(counts, max_lookback + 1)
-    cells = (ramp * (ramp - 1) // 2
-             + (counts - ramp) * max_lookback).tolist()
+    cells = int((ramp * (ramp - 1) // 2
+                 + (counts - ramp) * max_lookback).sum())
     average = (np.bincount(problem, weights=length,
                            minlength=anchors.problems)
                / np.maximum(counts, 1))
@@ -233,13 +130,8 @@ def _chain_columns(anchors: AnchorColumns, max_gap: int, max_lookback: int,
                              max_gap, max_lookback)
     tails, rank, roots = _chain_tails(problem, scores, parents, min_score,
                                       max_chains)
-    ends = np.cumsum(np.bincount(problem[tails],
-                                 minlength=anchors.problems)).tolist()
-    walk = partial(_walk_chains, ref, read, length, scores, parents)
-    return ChainStack([ChainingResult(partial(walk, tails[begin:end]), spent)
-                       for begin, end, spent in zip([0] + ends, ends, cells)],
-                      problem[tails], rank, scores[tails],
-                      ref[roots] - read[roots])
+    return ChainColumns(problem[tails], rank, scores[tails],
+                        ref[roots] - read[roots], cells)
 
 
 def _segment_starts(ref: np.ndarray, problem: np.ndarray,
@@ -361,21 +253,3 @@ def _chain_tails(problem: np.ndarray, scores: np.ndarray,
     kept = rank < max_chains
     tails = tails[kept]
     return tails, rank[kept], roots[tails]
-
-
-def _walk_chains(ref: np.ndarray, read: np.ndarray, length: np.ndarray,
-                 scores: np.ndarray, parents: np.ndarray, tails: np.ndarray
-                 ) -> Tuple[Chain, ...]:
-    """The ``Chain`` of each of ``tails``, backtracked from it."""
-    parent_of = parents.item  # a list of every parent would be MBs
-    chains = []
-    for tail, score in zip(tails.tolist(), scores[tails].tolist()):
-        path = []
-        while tail != -1:
-            path.append(tail)
-            tail = parent_of(tail)
-        path.reverse()
-        chains.append(Chain(tuple(map(Anchor, ref[path].tolist(),
-                                      read[path].tolist(),
-                                      length[path].tolist())), score))
-    return tuple(chains)

@@ -5,9 +5,11 @@ The "computationally expensive DP operations" the paper works to avoid
 and the oracle for Light Alignment.  Every result carries ``cells``, the DP
 cells computed, which the hardware model turns into GenDP MCUPS (§7.4).
 
-One numpy kernel, :func:`gotoh_stack`, serves the banded, the unbanded
-semiglobal and the local aligner (which clamps ``H`` at 0).  With ``open =
-gap_open + gap_extend``, ``ext = gap_extend``::
+One numpy kernel, :func:`gotoh_stack`, serves every aligner: a banded
+semiglobal alignment of the whole read that ends in the band's cells of
+the last row (a band over the whole matrix aligns the read anywhere in
+its window).
+With ``open = gap_open + gap_extend``, ``ext = gap_extend``::
 
     E[i][j] = max(H[i][j-1] - open, E[i][j-1] - ext)     gap in the read
     F[i][j] = max(H[i-1][j] - open, F[i-1][j] - ext)     gap in the reference
@@ -51,7 +53,7 @@ comparison into a reused bool plane, scaled to its bit in place.
 ``cells`` at once, and frees ``H``/``E``/``F``; only the uint8 pointer
 plane (``n x diagonals x B`` bytes, ~0.3 MB for 64 problems of 150 x 33)
 stays, shared by the sweep's results.  A result walks its traceback the
-first time ``ref_start`` or ``read_start`` is read, and run-length encodes
+first time ``ref_start`` is read, and run-length encodes
 the walk's op letters into a ``Cigar`` the first time ``cigar`` is:
 the mappers sweep many problems per answer they keep (candidate DP every
 filtered candidate, mm2 every chain and rescue band) and pay the walk
@@ -67,7 +69,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..genome.cigar import Cigar
-from .scoring import DEFAULT_SCHEME, ScoringScheme
+from .scoring import ScoringScheme
 
 #: Effectively minus infinity for DP initialization.
 NEG_INF = -(10 ** 9)
@@ -79,8 +81,7 @@ _H_FROM_F = 2
 _E_EXTENDS = 4
 _F_EXTENDS = 8
 _BASES_EQUAL = 16
-_H_STARTS = 32  # local alignment: the score was clamped at 0 here
-_RUN_STOPS = bytes(bool(code & (_H_FROM_E | _H_FROM_F | _H_STARTS))
+_RUN_STOPS = bytes(bool(code & (_H_FROM_E | _H_FROM_F))
                    for code in range(256))
 _MATCH_OP = bytes(ord("=" if code & _BASES_EQUAL else "X")
                   for code in range(256))
@@ -92,54 +93,46 @@ class _Pointers(NamedTuple):
 
     codes: np.ndarray
     width: int
-    n: int
-    local: bool
 
 
 class AlignmentResult:
-    """Outcome of one pairwise alignment.
+    """Outcome of one pairwise alignment of a whole read.
 
     ``ref_start``/``ref_end`` delimit the reference span consumed (relative
-    to the window passed in); ``read_start``/``read_end`` likewise for the
-    read (non-trivial only for local alignment).  ``cells`` counts DP cells
-    computed and feeds the MCUPS accounting of the hardware model.
+    to the window passed in).  ``cells`` counts DP cells computed and feeds
+    the MCUPS accounting of the hardware model.
 
-    Built with all seven values, a result is eager.  The kernel's results
-    hold their sweep's pointer plane instead of ``ref_start``,
-    ``read_start`` and ``cigar``, and resolve them on first read (module
-    docstring).
+    Built with all five values, a result is eager.  The kernel's results
+    hold their sweep's pointer plane instead of ``ref_start`` and
+    ``cigar``, and resolve them on first read (module docstring).
     """
 
-    __slots__ = ("score", "ref_end", "read_end", "cells", "_ref_start",
-                 "_read_start", "_cigar", "_ops", "_pending")
+    __slots__ = ("score", "ref_end", "cells", "_ref_start", "_cigar",
+                 "_ops", "_pending")
 
     def __init__(self, score: int, cigar: Cigar, ref_start: int,
-                 ref_end: int, read_start: int, read_end: int,
-                 cells: int) -> None:
-        self.score, self.ref_end = score, ref_end
-        self.read_end, self.cells = read_end, cells
-        self._ref_start, self._read_start = ref_start, read_start
+                 ref_end: int, cells: int) -> None:
+        self.score, self.ref_end, self.cells = score, ref_end, cells
+        self._ref_start = ref_start
         self._cigar: Optional[Cigar] = cigar
         self._ops: Optional[bytes] = None
         #: ``(pointers, problem, end column j, end band column c)`` until
-        #: the walk; ``_ref_start`` holds the span's shift till then.
+        #: the walk (which starts in the last row); ``_ref_start`` holds
+        #: the span's shift till then.
         self._pending: Optional[tuple] = None
 
     @classmethod
-    def _traced(cls, score: int, ref_end: int, read_end: int, cells: int,
+    def _traced(cls, score: int, ref_end: int, cells: int,
                 pending: tuple) -> "AlignmentResult":
-        result = cls(score, None, 0, ref_end, 0, read_end, cells)
+        result = cls(score, None, 0, ref_end, cells)
         result._pending = pending
         return result
 
     def _walk(self) -> None:
-        (codes, width, n, local), problem, end_j, end_c = self._pending
+        (codes, width), problem, end_j, end_c = self._pending
         self._pending = None
-        ops, start_i, start_j = _traceback(
-            codes[:, :, problem].tobytes(), width, self.read_end, end_j,
-            end_c, local)
-        self._ops = b"S" * start_i + ops + b"S" * (n - self.read_end)
-        self._read_start = start_i
+        self._ops, start_j = _traceback(codes[:, :, problem].tobytes(),
+                                        width, len(codes), end_j, end_c)
         self._ref_start += start_j
 
     @property
@@ -147,12 +140,6 @@ class AlignmentResult:
         if self._pending is not None:
             self._walk()
         return self._ref_start
-
-    @property
-    def read_start(self) -> int:
-        if self._pending is not None:
-            self._walk()
-        return self._read_start
 
     @property
     def cigar(self) -> Cigar:
@@ -175,7 +162,7 @@ class AlignmentResult:
 
     def _values(self) -> tuple:
         return (self.score, self.cigar, self.ref_start, self.ref_end,
-                self.read_start, self.read_end, self.cells)
+                self.cells)
 
     def __reduce__(self):
         return AlignmentResult, self._values()
@@ -190,33 +177,26 @@ class AlignmentResult:
 
     def __repr__(self) -> str:
         return ("AlignmentResult(score={}, cigar={!r}, ref_start={}, "
-                "ref_end={}, read_start={}, read_end={}, cells={})"
-                .format(*self._values()))
+                "ref_end={}, cells={})".format(*self._values()))
 
 
 def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
-                diagonal: int, bandwidth: int,
-                ends: str = "band") -> List[AlignmentResult]:
+                diagonal: int, bandwidth: int) -> List[AlignmentResult]:
     """Banded Gotoh of ``(B, n)`` reads in ``(B, m)`` windows (method:
     module docstring).  Row ``i`` computes columns ``max(1, i + diagonal -
-    bandwidth)`` to ``min(m, i + diagonal + bandwidth)``.  ``ends`` says
-    where an alignment may end: ``"band"``, the last row's band cells;
-    ``"row"``, also column 0 (the read all inserted: the unbanded
-    aligner's full last row); ``"local"``, anywhere, scores clamped at 0
-    and the read's unaligned ends soft-clipped (Smith-Waterman)."""
-    local = ends == "local"
+    bandwidth)`` to ``min(m, i + diagonal + bandwidth)``; an alignment
+    ends in the leftmost best of the last row's cells."""
     stack, n = reads.shape
     m = refs.shape[1]
-    if n == 0 or (local and m == 0):
-        return [AlignmentResult(0, Cigar(()), 0, 0, 0, 0, 0)] * stack
+    if n == 0:
+        return [AlignmentResult(0, Cigar(()), 0, 0, 0)] * stack
     rows = np.arange(1, n + 1)
     lo = np.maximum(1, rows + (diagonal - bandwidth))
     hi = np.minimum(m, rows + (diagonal + bandwidth))
     dead = np.flatnonzero(lo > hi)
     cells = int((hi - lo + 1)[:dead[0] if dead.size else n].sum())
     if dead.size:  # the band leaves the window: alignment is hopeless
-        return [AlignmentResult(NEG_INF, Cigar(()), 0, 0, 0, n,
-                                cells)] * stack
+        return [AlignmentResult(NEG_INF, Cigar(()), 0, 0, cells)] * stack
 
     # Band coordinates over the diagonals that hold a cell, one pad
     # column each side: column c of row i is matrix column i + shift + c.
@@ -230,14 +210,10 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
     h_all, e_all, f_all = np.full((3, n + 1, width + 2, stack), sentinel,
                                   dtype=dtype)
     h_all[0, max(0, -shift):m - shift + 1] = 0  # free reference prefix
-    # Column 0 where the band reaches it: the read so far inserted, or
-    # (local) not begun.
+    # Column 0 where the band reaches it: the read so far inserted.
     edge = np.arange(1, min(n, -shift) + 1)
-    if local:
-        h_all[edge, -edge - shift] = 0
-    else:
-        h_all[edge, -edge - shift] = f_all[edge, -edge - shift] = \
-            -(gap_open + extend * edge)[:, None]
+    h_all[edge, -edge - shift] = f_all[edge, -edge - shift] = \
+        -(gap_open + extend * edge)[:, None]
 
     # equal[i-1, c-1, b]: read base i against band column c's reference
     # base, the window padded so that every column has one; stored stack
@@ -265,8 +241,6 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
         h = h_row[a:z]  # holds G = max(diag, F) until E is known
         np.add(h_prev[a:z], substitution[i - 1, a - 1:z - 1], out=h)
         np.maximum(h, f, out=h)
-        if local:
-            np.maximum(h, 0, out=h)
         e = e_all[i, a:z]
         np.add(h_row[a - 1:z - 1], ramp[:z - a], out=e)
         np.maximum.accumulate(e, axis=0, out=e)
@@ -288,27 +262,16 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
     _set_bit(codes, np.less(diag, e_all[1:, :width], out=flag), _E_EXTENDS)
     np.subtract(h_all[:-1, 2:], gap_open, out=diag)
     _set_bit(codes, np.less(diag, f_all[:-1, 2:], out=flag), _F_EXTENDS)
-    if local:  # the first best cell, row by row; a clamped cell starts
-        _set_bit(codes, np.less_equal(band, 0, out=flag), _H_STARTS)
-        end_rows, end_cols = np.divmod(
-            band.reshape(n * width, stack).argmax(axis=0), width)
-    else:  # the leftmost best cell of the last row
-        first = max(firsts[-1] - 1 - (ends == "row"), 0)
-        end_rows = np.full(stack, n - 1)
-        end_cols = band[-1, first:stops[-1] - 1].argmax(axis=0) + first
-
-    scores = band[end_rows, end_cols, np.arange(stack)].tolist()
-    end_rows += 1
-    pointers = _Pointers(codes, width, n, local)
+    # The leftmost best cell of the last row.
+    first = firsts[-1] - 1
+    end_cols = band[-1, first:stops[-1] - 1].argmax(axis=0) + first
+    scores = band[-1, end_cols, np.arange(stack)].tolist()
+    pointers = _Pointers(codes, width)
     results = []
-    for b, (score, end_i, end_c) in enumerate(zip(
-            scores, end_rows.tolist(), end_cols.tolist())):
-        if local and score == 0:
-            results.append(AlignmentResult(0, Cigar(()), 0, 0, 0, 0, cells))
-            continue
-        end_j = end_i + low + end_c
+    for b, (score, end_c) in enumerate(zip(scores, end_cols.tolist())):
+        end_j = n + low + end_c
         results.append(AlignmentResult._traced(
-            score, end_j, end_i, cells, (pointers, b, end_j, end_c)))
+            score, end_j, cells, (pointers, b, end_j, end_c)))
     return results
 
 
@@ -351,14 +314,13 @@ def plane_bytes(n: int, m: int, diagonal: int, bandwidth: int,
         + 2 * n * width
 
 
-def _traceback(codes: bytes, width: int, i: int, j: int, c: int,
-               local: bool) -> Tuple[bytes, int, int]:
+def _traceback(codes: bytes, width: int, i: int, j: int, c: int
+               ) -> Tuple[bytes, int]:
     """Walk one problem's pointer bits from cell ``(i, j)``, in band column
-    ``c``, back to row 0 / column 0 (or, ``local``, a clamped cell): the op
-    letters in alignment order and the cell the walk stopped in.  A
-    diagonal move keeps the band column, so a diagonal run is read off
-    that column of ``codes`` in two ``bytes`` operations; gaps walk cell
-    by cell."""
+    ``c``, back to row 0: the op letters in alignment order and the
+    column the walk stopped in.  A diagonal move keeps the band column,
+    so a diagonal run is read off that column of ``codes`` in two
+    ``bytes`` operations; gaps walk cell by cell."""
     pieces: List[bytes] = []  # the alignment's end first
     state = "H"
     while i > 0 and j > 0:
@@ -370,10 +332,7 @@ def _traceback(codes: bytes, width: int, i: int, j: int, c: int,
             i -= run
             j -= run
             if run < reach:
-                bits = column[reach - run - 1]
-                if bits & _H_STARTS:
-                    break
-                state = "F" if bits & _H_FROM_F else "E"
+                state = "F" if column[reach - run - 1] & _H_FROM_F else "E"
             continue
         bits = codes[(i - 1) * width + c]
         if state == "E":
@@ -384,31 +343,5 @@ def _traceback(codes: bytes, width: int, i: int, j: int, c: int,
             i, c, extends = i - 1, c + 1, bits & _F_EXTENDS
         if not extends:
             state = "H"
-    if i > 0 and not j and not local:  # column 0: the rest is inserted
-        pieces.append(b"I" * i)
-        i = 0
-    return b"".join(pieces)[::-1], i, j
-
-
-def align_semiglobal(read: np.ndarray, ref: np.ndarray,
-                     scheme: ScoringScheme = DEFAULT_SCHEME
-                     ) -> AlignmentResult:
-    """Align ``read`` end-to-end against a free-flank reference window:
-    the kernel with a band that covers the whole matrix."""
-    read = np.asarray(read, dtype=np.uint8)
-    ref = np.asarray(ref, dtype=np.uint8)
-    n, m = len(read), len(ref)
-    if n and not m:
-        return AlignmentResult(-scheme.gap_cost(n), Cigar(((n, "I"),)),
-                               0, 0, 0, n, 0)
-    return gotoh_stack(read[None, :], ref[None, :], scheme, diagonal=0,
-                       bandwidth=n + m, ends="row")[0]
-
-
-def align_local(read: np.ndarray, ref: np.ndarray,
-                scheme: ScoringScheme = DEFAULT_SCHEME) -> AlignmentResult:
-    """Smith-Waterman local alignment; unaligned read ends are soft-clipped."""
-    read = np.asarray(read, dtype=np.uint8)
-    ref = np.asarray(ref, dtype=np.uint8)
-    return gotoh_stack(read[None, :], ref[None, :], scheme, diagonal=0,
-                       bandwidth=len(read) + len(ref), ends="local")[0]
+    pieces.append(b"I" * i)  # stopped in column 0: the rest is inserted
+    return b"".join(pieces)[::-1], j

@@ -23,7 +23,7 @@ Subcommands mirror a real read-mapping toolchain:
   the worker pool stay warm, and mapping requests arrive as
   newline-delimited JSON over a UNIX socket;
 * ``client``        — talk to a running daemon (``ping`` / ``map`` /
-  ``stats`` / ``shutdown``);
+  ``shutdown``);
 * ``stats``         — one-shot observability snapshot from a running
   daemon: server totals, per-engine counters, and the full metrics
   registry (counters / gauges / latency histograms) rendered as
@@ -362,8 +362,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_client(args: argparse.Namespace) -> int:
-    import json
-
     from .api import Client, ClientError
 
     single = args.engine == "longread"
@@ -388,9 +386,6 @@ def _cmd_client(args: argparse.Namespace) -> int:
                       f"{reply['index'] or '(in-memory reference)'}, "
                       f"workers={reply['workers']}, engines "
                       f"{','.join(reply.get('engines', []))}")
-            elif args.action == "stats":
-                print(json.dumps(client.stats(), indent=2,
-                                 sort_keys=True))
             elif args.action == "shutdown":
                 client.shutdown()
                 print("daemon shut down")
@@ -539,45 +534,63 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_call(args: argparse.Namespace) -> int:
-    from .genome import AlignmentRecord, Cigar, encode, read_fasta
+    from .genome import read_fasta
     from .variants import Pileup, call_variants, write_vcf
 
     reference = read_fasta(args.reference)
     pileup = Pileup(reference)
     used = 0
     with open(args.sam) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             if line.startswith("@"):
                 continue
-            fields = line.rstrip("\n").split("\t")
-            flag = int(fields[1])
-            if flag & 4 or fields[5] == "*" or fields[9] == "*":
-                continue
-            record = AlignmentRecord(
-                query_name=fields[0], chromosome=fields[2],
-                position=int(fields[3]) - 1,
-                strand="-" if flag & 16 else "+",
-                cigar=Cigar.parse(fields[5]),
-                read_codes=_sam_codes(fields[9], flag),
-                mapped=True)
-            pileup.add_record(record)
-            used += 1
+            try:
+                record = _sam_record(line, reference)
+            except ValueError as exc:
+                print(f"error: {args.sam}:{number}: {exc}", file=sys.stderr)
+                return 1
+            if record is not None:
+                pileup.add_record(record)
+                used += 1
     calls = call_variants(pileup)
     count = write_vcf(args.out, calls, reference=reference)
     print(f"piled up {used} records, wrote {count} calls to {args.out}")
     return 0
 
 
-def _sam_codes(seq: str, flag: int):
-    """SAM stores the reverse-strand read already reverse-complemented;
-    our records store the as-sequenced read, so undo it."""
-    from .genome import encode, reverse_complement
+def _sam_record(line: str, reference):
+    """One SAM line as the mapped record the pileup takes, or ``None``
+    for an unmapped read or one without CIGAR or SEQ; ``ValueError``
+    says what is malformed.  SAM stores a reverse-strand read
+    reverse-complemented; records store it as sequenced, so that is
+    undone."""
+    from .genome import (AlignmentRecord, Cigar, encode,
+                         reverse_complement)
 
-    codes = encode(seq, allow_n=True)
+    fields = line.rstrip("\n").split("\t")
+    if len(fields) < 11:
+        raise ValueError(f"{len(fields)} tab-separated columns; a SAM "
+                         "record has at least 11")
+    for name, column in (("FLAG", 1), ("POS", 3)):
+        if not fields[column].isdigit():
+            raise ValueError(f"{name} {fields[column]!r} is not a "
+                             "non-negative integer")
+    flag = int(fields[1])
+    if flag & 4 or fields[5] == "*" or fields[9] == "*":
+        return None
+    cigar = Cigar.parse(fields[5])
+    codes = encode(fields[9], allow_n=True)
+    if cigar.read_length != len(codes):
+        raise ValueError(f"CIGAR {fields[5]} covers {cigar.read_length} "
+                         f"read bases but SEQ has {len(codes)}")
+    if fields[2] not in reference.chromosomes:
+        raise ValueError(f"RNAME {fields[2]!r} is not in the reference")
     codes[codes == 4] = 0  # N -> arbitrary concrete base
-    if flag & 16:
-        return reverse_complement(codes)
-    return codes
+    return AlignmentRecord(
+        query_name=fields[0], chromosome=fields[2],
+        position=int(fields[3]) - 1, strand="-" if flag & 16 else "+",
+        cigar=cigar, read_codes=reverse_complement(codes) if flag & 16
+        else codes, mapped=True)
 
 
 def _add_mapper_args(parser: argparse.ArgumentParser) -> None:
@@ -757,8 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
     client_cmd = sub.add_parser(
         "client", help="talk to a running `repro serve` daemon")
     client_cmd.add_argument("action",
-                            choices=("ping", "map", "stats",
-                                     "shutdown"))
+                            choices=("ping", "map", "shutdown"))
     client_cmd.add_argument("--socket", required=True,
                             help="the daemon's UNIX socket path or "
                                  "TCP HOST:PORT address")

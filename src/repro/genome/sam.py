@@ -97,8 +97,8 @@ class AlignmentRecord:
 
     def to_sam_line(self, seq: str) -> str:
         """This record's SAM line, given its decoded SEQ (``"*"`` without
-        read codes): the per-line half of :func:`sam_lines`, which
-        decodes a whole batch at once."""
+        read codes or for an empty read): the per-line half of
+        :func:`sam_lines`, which decodes a whole batch at once."""
         mate_chromosome = self.mate_chromosome
         flag = _MATE_FLAGS.get(self.mate, 0)
         if not self.mapped:
@@ -137,8 +137,9 @@ def sam_lines(results: Sequence,
                for record in result_records(result)]
     seqs = iter(decode_all([record.read_codes for record in records
                             if record.read_codes is not None]))
-    return [record.to_sam_line(next(seqs) if record.read_codes is not None
-                               else "*")
+    # SAM has no empty SEQ: a read of no bases is "*" too.
+    return [record.to_sam_line((next(seqs) or "*")
+                               if record.read_codes is not None else "*")
             for record in records]
 
 

@@ -608,7 +608,10 @@ class Mm2LikeMapper:
                        ) -> Optional[tuple]:
         """The mate oriented opposite its anchor and the insert window
         on the anchor's chromosome, as :class:`_RescueSearch` takes them
-        (up to ``scheme``); ``None`` where no window fits."""
+        (up to ``scheme``); ``None`` where no window fits, and for an
+        empty mate, which has no alignment to find."""
+        if not len(mate_codes):
+            return None
         mate_strand = "-" if anchor.strand == "+" else "+"
         oriented = (reverse_complement(mate_codes) if mate_strand == "-"
                     else mate_codes)

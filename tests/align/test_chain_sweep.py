@@ -1,21 +1,21 @@
 """The segment-stacked chaining sweep against the per-anchor loop.
 
-``repro.align.chain_anchors`` sweeps anchor columns; the scalar loop it
-replaced is ``chain_anchors`` of ``tests/oracles/align.py``.  Everything
-must be *equal*, not close: chains (anchors, order), float scores with
-``==`` and ``cells``.
+``repro.align.chain_anchors`` sweeps anchor columns into chain columns;
+the scalar loop it replaced is ``chain_anchors`` of
+``tests/oracles/align.py``.  Everything must be *equal*, not close: each
+chain's problem, rank, float score with ``==`` and diagonal, and
+``cells``.
 """
 
 from unittest import mock
 
 from oracles import align as align_oracle
+from oracles.align import Anchor
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.align import Anchor, AnchorColumns, Chain, chain_anchors, \
-    chaining
-from repro.core import GenPairPipeline
+from repro.align import AnchorColumns, chain_anchors, chaining
 from repro.genome import ErrorModel, ReadSimulator, generate_reference, \
     reverse_complement
 from repro.genome.reference import RepeatProfile
@@ -31,14 +31,26 @@ def columns(problems):
                          table[:, 3], len(problems))
 
 
-def assert_columns_are_the_chains(stack):
-    """A stack's chain columns say what its results' chains say, in
-    problem then rank order."""
-    assert list(zip(stack.problem.tolist(), stack.rank.tolist(),
-                    stack.score.tolist(), stack.diagonal.tolist())) == [
-        (number, rank, chain.score, chain.diagonal)
-        for number, result in enumerate(stack)
-        for rank, chain in enumerate(result.chains)]
+def rows(chains):
+    """A sweep's chain columns as ``(problem, rank, score, diagonal)``
+    rows, and its ``cells``."""
+    assert chains.score.dtype == np.float64
+    return list(zip(chains.problem.tolist(), chains.rank.tolist(),
+                    chains.score.tolist(), chains.diagonal.tolist())), \
+        chains.cells
+
+
+def projected(results):
+    """The oracle's per-problem results as :func:`rows` says a sweep's."""
+    return [(number, rank, chain.score, chain.diagonal)
+            for number, result in enumerate(results)
+            for rank, chain in enumerate(result.chains)], \
+        sum(result.cells for result in results)
+
+
+def oracle_rows(anchors, **options):
+    """One problem through the scalar loop, as :func:`rows`."""
+    return projected([align_oracle.chain_anchors(anchors, **options)])
 
 
 @st.composite
@@ -102,29 +114,24 @@ class TestAgainstScalarOracle:
                     for anchors in problems]
         with mock.patch.object(chaining, "SWEEP_CELL_BUDGET", budget):
             got = chain_anchors(columns(problems), **options)
-        assert len(got) == len(problems)
-        assert_columns_are_the_chains(got)
-        for result, reference in zip(got, expected):
-            assert result.cells == reference.cells
-            assert result.chains == reference.chains
-            for chain, other in zip(result.chains, reference.chains):
-                assert type(chain.score) is float
-                assert chain.score == other.score
-        assert got.cells == sum(reference.cells for reference in expected)
-        # A Sequence[Anchor] is one problem through the same sweep.
-        for anchors, reference in zip(problems, expected):
-            assert chain_anchors(anchors, **options) == reference
+            # Each problem alone: stacking changes nothing.
+            alone = [chain_anchors(columns([anchors]), **options)
+                     for anchors in problems]
+        assert rows(got) == projected(expected)
+        for chains, reference in zip(alone, expected):
+            assert rows(chains) == projected([reference])
 
     def test_zero_lookback_leaves_every_anchor_alone(self):
         """``max_lookback=0`` used to raise in the sweep's ``argmax``
         (an empty row of candidates): no anchor looks back, so each is
         a chain of its own and nothing is charged."""
         anchors = [Anchor(100 + 20 * i, 20 * i, 15) for i in range(4)]
-        result = chain_anchors(anchors, max_lookback=0, min_score=1.0)
-        assert result == align_oracle.chain_anchors(
-            anchors, max_lookback=0, min_score=1.0)
+        result = chain_anchors(columns([anchors]), max_lookback=0,
+                               min_score=1.0)
+        assert rows(result) == oracle_rows(anchors, max_lookback=0,
+                                           min_score=1.0)
         assert result.cells == 0
-        assert [len(chain.anchors) for chain in result.chains] == [1] * 4
+        assert result.score.tolist() == [15.0] * 4
 
     @pytest.mark.parametrize("read_base", [0, 3 * 10 ** 9])
     def test_positions_past_int32(self, read_base):
@@ -133,15 +140,16 @@ class TestAgainstScalarOracle:
         position."""
         anchors = [Anchor(5 * 10 ** 9 + 7 * (i % 30),
                           read_base + 5 * (i // 2), 15) for i in range(60)]
-        assert chain_anchors(anchors) == align_oracle.chain_anchors(anchors)
+        assert rows(chain_anchors(columns([anchors]))) \
+            == oracle_rows(anchors)
 
     def test_gap_past_int32_is_no_arc(self):
         """A read gap of 2**32 + 10 would read as 10 in int32: such
         reads switch the planes to int64, and the gap stays no arc."""
         anchors = [Anchor(1000, 0, 15), Anchor(1010, 2 ** 32 + 10, 15)]
-        result = chain_anchors(anchors, min_score=1.0)
-        assert result == align_oracle.chain_anchors(anchors, min_score=1.0)
-        assert len(result.chains) == 2
+        result = chain_anchors(columns([anchors]), min_score=1.0)
+        assert rows(result) == oracle_rows(anchors, min_score=1.0)
+        assert result.score.size == 2
 
     def test_default_options_cross_the_lookback(self):
         """60 tandem anchors (period 7 on the reference, 5 on the read)
@@ -149,22 +157,24 @@ class TestAgainstScalarOracle:
         segment, ties everywhere."""
         anchors = [Anchor(5000 + 7 * (i % 30), 5 * (i // 2), 15)
                    for i in range(60)]
-        assert chain_anchors(anchors) == align_oracle.chain_anchors(anchors)
-        assert chain_anchors(anchors).cells == 300 + 35 * 25
+        result = chain_anchors(columns([anchors]))
+        assert rows(result) == oracle_rows(anchors)
+        assert result.cells == 300 + 35 * 25
 
     def test_cut_at_exactly_max_gap_plus_one(self):
         near = [Anchor(100, 0, 15), Anchor(100 + 50, 50, 15)]
         far = [Anchor(100, 0, 15), Anchor(100 + 51, 51, 15)]
         for anchors, chains in ((near, 1), (far, 2)):
-            result = chain_anchors(anchors, max_gap=50, min_score=1.0)
-            assert result == align_oracle.chain_anchors(
-                anchors, max_gap=50, min_score=1.0)
-            assert len(result.chains) == chains and result.cells == 1
+            result = chain_anchors(columns([anchors]), max_gap=50,
+                                   min_score=1.0)
+            assert rows(result) == oracle_rows(anchors, max_gap=50,
+                                               min_score=1.0)
+            assert result.score.size == chains and result.cells == 1
 
     def test_no_anchors_at_all(self):
-        assert chain_anchors(columns([[], [], []])) == [
-            align_oracle.chain_anchors([])] * 3
-        assert chain_anchors(columns([])) == []
+        assert rows(chain_anchors(columns([[], [], []]))) == ([], 0) \
+            == projected([align_oracle.chain_anchors([])] * 3)
+        assert rows(chain_anchors(columns([]))) == ([], 0)
 
 
 @pytest.fixture(scope="module")
@@ -198,63 +208,12 @@ def test_real_anchor_sets_match_oracle(repeat_mapper, repeat_pairs, budget,
     assert sizes.max() > 100 and sizes.min() == 0  # both tails present
     monkeypatch.setattr(chaining, "SWEEP_CELL_BUDGET", budget)
     got = chain_anchors(anchors, max_gap=500, min_score=20.0)
-    assert_columns_are_the_chains(got)
-    for number, result in enumerate(got):
+    expected = []
+    for number in range(anchors.problems):
         mine = anchors.problem == number
-        reference = align_oracle.chain_anchors(
+        expected.append(align_oracle.chain_anchors(
             [Anchor(*row) for row in zip(anchors.ref_pos[mine].tolist(),
                                          anchors.read_pos[mine].tolist(),
                                          anchors.length[mine].tolist())],
-            max_gap=500, min_score=20.0)
-        assert result == reference
-
-
-@pytest.fixture()
-def chain_objects_built(monkeypatch):
-    """How many ``Anchor`` and ``Chain`` objects the test builds, counted
-    in their constructors."""
-    built = {Anchor: 0, Chain: 0}
-    for kind in built:
-        def counting(self, *args, _kind=kind, _real=kind.__init__,
-                     **kwargs):
-            built[_kind] += 1
-            _real(self, *args, **kwargs)
-
-        monkeypatch.setattr(kind, "__init__", counting)
-    return built
-
-
-class TestMappersBuildNoChainObjects:
-    """The mappers read chain columns only: mapping a repeat-rich chunk
-    builds not one ``Anchor`` or ``Chain``."""
-
-    def test_mm2_chunk(self, repeat_mapper, repeat_pairs,
-                       chain_objects_built):
-        mapper = Mm2LikeMapper(repeat_mapper.reference,
-                               index=repeat_mapper.index)
-        results = mapper.map_pairs([(pair.read1.codes, pair.read2.codes,
-                                     pair.name) for pair in repeat_pairs])
-        assert mapper.stats.dp_cells_chaining > 0
-        assert sum(result.stage == "proper_pair" for result in results) > 30
-        assert chain_objects_built == {Anchor: 0, Chain: 0}
-        # The count is live: reading ``chains`` builds them.
-        assert chain_anchors([Anchor(100, 0, 15), Anchor(120, 20, 15)]
-                             ).chains
-        assert chain_objects_built[Chain] == 1
-
-    def test_genpair_full_fallback(self, repeat_mapper, repeat_pairs,
-                                   chain_objects_built):
-        fallback = Mm2LikeMapper(repeat_mapper.reference,
-                                 index=repeat_mapper.index)
-        pipeline = GenPairPipeline(repeat_mapper.reference,
-                                   fallback=fallback)
-        junk = np.random.default_rng(43).integers(0, 4, size=150,
-                                                  dtype=np.uint8)
-        pipeline.map_pairs([(pair.read1.codes, pair.read2.codes, pair.name)
-                            for pair in repeat_pairs]
-                           + [(repeat_pairs[0].read1.codes, junk, "junk")])
-        stats = pipeline.stats
-        assert stats.seedmap_fallback + stats.filter_fallback > 0
-        assert fallback.stats.pairs_seen > 0
-        assert fallback.stats.dp_cells_chaining > 0
-        assert chain_objects_built == {Anchor: 0, Chain: 0}
+            max_gap=500, min_score=20.0))
+    assert rows(got) == projected(expected)

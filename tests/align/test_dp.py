@@ -1,10 +1,15 @@
-"""Tests for the Gotoh DP aligners."""
+"""Tests for the Gotoh DP kernel, with a band over the whole matrix."""
 
 import numpy as np
-import pytest
 
-from repro.align import (DEFAULT_SCHEME, align_local, align_semiglobal)
+from repro.align import DEFAULT_SCHEME, align_banded
 from repro.genome import encode, random_sequence
+
+
+def align_full(read, window):
+    """The kernel with a band that covers the whole matrix."""
+    return align_banded(read, window, diagonal=0,
+                        bandwidth=len(read) + len(window))
 
 
 def embed(rng, read, pad_left=20, pad_right=20):
@@ -19,7 +24,7 @@ class TestSemiglobal:
         rng = np.random.default_rng(0)
         read = random_sequence(rng, 80)
         window, offset = embed(rng, read)
-        result = align_semiglobal(read, window)
+        result = align_full(read, window)
         assert result.score == DEFAULT_SCHEME.perfect_score(80)
         assert result.ref_start == offset
         assert str(result.cigar) == "80="
@@ -31,7 +36,7 @@ class TestSemiglobal:
         read = template.copy()
         read[40] = (read[40] + 1) % 4
         window, _ = embed(rng, template)
-        result = align_semiglobal(read, window)
+        result = align_full(read, window)
         assert result.score == DEFAULT_SCHEME.score_profile(100, 1)
         assert result.cigar.count("X") == 1
 
@@ -41,7 +46,7 @@ class TestSemiglobal:
         read = np.concatenate([template[:50],
                                random_sequence(rng, 2), template[50:]])
         window, _ = embed(rng, template)
-        result = align_semiglobal(read, window)
+        result = align_full(read, window)
         assert result.score == DEFAULT_SCHEME.score_profile(
             102, insertion_run=2)
         assert result.cigar.count("I") == 2
@@ -51,7 +56,7 @@ class TestSemiglobal:
         template = random_sequence(rng, 100)
         read = np.concatenate([template[:50], template[53:]])
         window, _ = embed(rng, template)
-        result = align_semiglobal(read, window)
+        result = align_full(read, window)
         assert result.score == DEFAULT_SCHEME.score_profile(
             97, deletion_run=3)
         assert result.cigar.count("D") == 3
@@ -65,14 +70,13 @@ class TestSemiglobal:
                 pos = int(rng.integers(0, len(read)))
                 read[pos] = (read[pos] + 1) % 4
             window, _ = embed(rng, template)
-            result = align_semiglobal(read, window)
+            result = align_full(read, window)
             assert result.cigar.read_length == len(read)
             assert result.ref_end - result.ref_start == \
                 result.cigar.reference_length
 
     def test_empty_read(self):
-        result = align_semiglobal(np.zeros(0, dtype=np.uint8),
-                                  encode("ACGT"))
+        result = align_full(np.zeros(0, dtype=np.uint8), encode("ACGT"))
         assert result.score == 0
         assert result.cigar.ops == ()
 
@@ -82,40 +86,8 @@ class TestSemiglobal:
         read = random_sequence(rng, 50)
         short, _ = embed(rng, read, 5, 5)
         long, _ = embed(rng, read, 60, 60)
-        assert align_semiglobal(read, short).score == \
-            align_semiglobal(read, long).score
-
-
-class TestLocal:
-    def test_exact_substring(self):
-        rng = np.random.default_rng(6)
-        read = random_sequence(rng, 40)
-        window, offset = embed(rng, read)
-        result = align_local(read, window)
-        assert result.score == DEFAULT_SCHEME.perfect_score(40)
-        assert result.ref_start == offset
-
-    def test_soft_clips_unrelated_prefix(self):
-        rng = np.random.default_rng(7)
-        core = random_sequence(rng, 60)
-        junk = random_sequence(rng, 25)
-        read = np.concatenate([junk, core])
-        window, _ = embed(rng, core, 30, 30)
-        result = align_local(read, window)
-        ops = dict((op, length) for length, op in result.cigar.ops)
-        assert "S" in ops
-        assert result.read_start >= 15  # most of the junk clipped
-
-    def test_empty_inputs(self):
-        assert align_local(np.zeros(0, dtype=np.uint8),
-                           encode("ACGT")).score == 0
-        assert align_local(encode("ACGT"),
-                           np.zeros(0, dtype=np.uint8)).score == 0
-
-    def test_no_positive_alignment(self):
-        # Read of all-A against all-T window: best local score is 0.
-        result = align_local(encode("AAAA"), encode("TTTT"))
-        assert result.score == 0
+        assert align_full(read, short).score == \
+            align_full(read, long).score
 
 
 class TestScoreMatchesCigar:
@@ -152,5 +124,5 @@ class TestScoreMatchesCigar:
                                        random_sequence(rng, 1),
                                        read[cut:]])
             window, _ = embed(rng, template)
-            result = align_semiglobal(read, window)
+            result = align_full(read, window)
             assert result.score == self.rescore(result.cigar)

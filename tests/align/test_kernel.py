@@ -16,8 +16,7 @@ from hypothesis import (Phase, assume, find, given, settings,
 
 from oracles import align as oracle
 from repro.align import (DEFAULT_SCHEME, ScoringScheme, align_banded,
-                         align_local, align_problems, align_semiglobal,
-                         banded, dp)
+                         align_problems, banded, dp)
 from repro.api import Mapper
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           plant_variants)
@@ -36,8 +35,7 @@ SCHEMES = (ScoringScheme(), ScoringScheme(2, 8, 0, 2),
 
 def signature(result):
     return (result.score, str(result.cigar), result.ref_start,
-            result.ref_end, result.read_start, result.read_end,
-            result.cells)
+            result.ref_end, result.cells)
 
 
 def bases(draw, length, alphabet):
@@ -73,22 +71,6 @@ class TestKernelEqualsOracle:
                            bandwidth)
         want = oracle.align_banded(reads[0], windows[0], scheme, diagonal,
                                    bandwidth)
-        assert signature(got) == signature(want)
-
-    @settings(deadline=None)
-    @given(problems())
-    def test_semiglobal(self, problem):
-        reads, windows, _diagonal, _bandwidth, scheme = problem
-        got = align_semiglobal(reads[0], windows[0], scheme)
-        want = oracle.align_semiglobal(reads[0], windows[0], scheme)
-        assert signature(got) == signature(want)
-
-    @settings(deadline=None)
-    @given(problems())
-    def test_local(self, problem):
-        reads, windows, _diagonal, _bandwidth, scheme = problem
-        got = align_local(reads[0], windows[0], scheme)
-        want = oracle.align_local(reads[0], windows[0], scheme)
         assert signature(got) == signature(want)
 
     @settings(deadline=None)
@@ -143,19 +125,16 @@ class TestPlaneTypes:
              settings=settings(phases=[Phase.generate], database=None,
                                derandomize=True))
 
-    @pytest.mark.parametrize("ends", ["band", "row", "local"])
-    def test_a_150_base_read_across_the_int16_bound(self, ends):
+    def test_a_150_base_read_across_the_int16_bound(self):
         """Windows of growing length take the bound of a 150-base read
         across ``2**13``: a mutated copy of the window's middle and an
         all-mismatch read (the most negative scores, nearest the
-        sentinel) equal the scalar loops on both sides."""
+        sentinel) equal the scalar loop on both sides."""
         rng = np.random.default_rng(13)
-        # The bound is 2424 + 8m for the full-matrix band of the
-        # unbanded and local aligners, 1856 + 8m for the whole-window
-        # rescue band (diagonal m // 2, half-width m // 2 + 8).
-        lengths = (719, 722) if ends != "band" else (790, 793)
+        # The bound is 1856 + 8m for the whole-window rescue band
+        # (diagonal m // 2, half-width m // 2 + 8).
         seen = set()
-        for m in lengths:
+        for m in (790, 793):
             window = rng.integers(0, 4, m).astype(np.uint8)
             similar = window[m // 2:m // 2 + 150].copy()
             similar[::17] = (similar[::17] + 1) % 4
@@ -163,33 +142,22 @@ class TestPlaneTypes:
                                 [3, 3, 3])
             for read, ref in ((similar, window),
                               (np.zeros(150, np.uint8), np.ones(m, np.uint8))):
-                if ends == "band":
-                    options = (m // 2, m // 2 + 8)
-                    got = align_banded(read, ref, diagonal=options[0],
-                                       bandwidth=options[1])
-                    want = oracle.align_banded(read, ref,
-                                               diagonal=options[0],
-                                               bandwidth=options[1])
-                else:
-                    options = (0, len(read) + m)
-                    kernel = align_semiglobal if ends == "row" \
-                        else align_local
-                    got = kernel(read, ref)
-                    want = getattr(oracle, kernel.__name__)(read, ref)
-                seen.add(plane_type(read, ref, *options, DEFAULT_SCHEME))
+                options = dict(diagonal=m // 2, bandwidth=m // 2 + 8)
+                got = align_banded(read, ref, **options)
+                want = oracle.align_banded(read, ref, **options)
+                seen.add(plane_type(read, ref, *options.values(),
+                                    DEFAULT_SCHEME))
                 assert signature(got) == signature(want)
         assert seen == {np.int16, np.int32}
 
 
 #: The fields a kernel result resolves on first read.
-LAZY_FIELDS = ("cigar", "ref_start", "read_start")
+LAZY_FIELDS = ("cigar", "ref_start")
 
 
 def shifted_signature(result, offset):
-    score, cigar, ref_start, ref_end, read_start, read_end, cells = \
-        signature(result)
-    return (score, cigar, ref_start + offset, ref_end + offset, read_start,
-            read_end, cells)
+    score, cigar, ref_start, ref_end, cells = signature(result)
+    return (score, cigar, ref_start + offset, ref_end + offset, cells)
 
 
 class TestLazyResults:
@@ -243,9 +211,9 @@ class TestLazyResults:
         assert str(stack[7].cigar) == "150="
 
     def test_an_eager_result_is_built_as_given(self):
-        result = dp.AlignmentResult(5, Cigar.parse("2=1I"), 3, 5, 0, 3, 9)
-        assert signature(result) == (5, "2=1I", 3, 5, 0, 3, 9)
-        assert signature(result.shifted(4)) == (5, "2=1I", 7, 9, 0, 3, 9)
+        result = dp.AlignmentResult(5, Cigar.parse("2=1I"), 3, 5, 9)
+        assert signature(result) == (5, "2=1I", 3, 5, 9)
+        assert signature(result.shifted(4)) == (5, "2=1I", 7, 9, 9)
 
 
 @st.composite

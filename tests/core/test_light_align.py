@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.align import DEFAULT_SCHEME, align_semiglobal
+from repro.align import DEFAULT_SCHEME, align_banded
 from repro.core import LightAligner, enumerate_simple_profiles
 from repro.genome import random_sequence
 
@@ -214,7 +214,8 @@ class TestOptimalityAgainstDP:
             hit = aligner.align(read, window, 8)
             if hit is None:
                 continue
-            dp = align_semiglobal(read, window)
+            dp = align_banded(read, window, diagonal=0,
+                              bandwidth=len(read) + len(window))
             assert hit.score == dp.score, \
                 f"trial {trial}: light {hit.score} vs dp {dp.score}"
             checked += 1

@@ -3,20 +3,21 @@
 Two families, both shipped under ``src/`` before a numpy sweep replaced
 them, both kept here one element at a time:
 
-* the pure-Python banded, unbanded semiglobal and local Gotoh aligners
-  (one cell at a time, explicit pointer bytearrays, scalar tracebacks).
-  They define the contract the DP kernel must reproduce exactly: score,
+* the pure-Python banded and unbanded semiglobal Gotoh aligners (one
+  cell at a time, explicit pointer bytearrays, scalar tracebacks).  They
+  define the contract the DP kernel must reproduce exactly: score,
   CIGAR, reference span, ``cells`` and every tie-break (``open >= ext``
   opens a gap; origin priority diag > E > F; the leftmost best end
   column);
 * the traditional path's seed->chain front-end: the monotone-deque
   :func:`extract_minimizers`, the dict-of-lists :func:`build_index` and
   the per-anchor :func:`chain_anchors` loop with its ``_gap_penalty``
-  and greedy ``_extract_chains``.  They define what the array-native
-  front-end must reproduce exactly: minimizer positions and hashes (the
-  rightmost minimum of a window wins), ``IndexStats`` and per-hash
-  positions, and the chains (anchors, float ``score`` with ``==``,
-  order) and ``cells`` of every chaining problem.
+  and greedy ``_extract_chains``, over the :class:`Anchor` /
+  :class:`Chain` objects the product no longer builds.  They define what
+  the array-native front-end must reproduce exactly: minimizer positions
+  and hashes (the rightmost minimum of a window wins), ``IndexStats`` and
+  per-hash positions, and the chains (rank, float ``score`` with ``==``,
+  diagonal) and ``cells`` of every chaining problem.
 
 Beside them, :func:`rescue_mate`: the mm2 mapper's mate rescue before
 its q-gram bound, one band over the whole insert window, which the
@@ -30,12 +31,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.align import banded
-from repro.align.chaining import Anchor, Chain, ChainingResult
 from repro.align.dp import NEG_INF, AlignmentResult
 from repro.align.scoring import DEFAULT_SCHEME, ScoringScheme
 from repro.genome.cigar import Cigar
@@ -62,7 +63,7 @@ def align_banded(read: np.ndarray, ref: np.ndarray,
     ref_list = np.asarray(ref, dtype=np.uint8).tolist()
     n, m = len(read_list), len(ref_list)
     if n == 0:
-        return AlignmentResult(0, Cigar(()), 0, 0, 0, 0, 0)
+        return AlignmentResult(0, Cigar(()), 0, 0, 0)
     if bandwidth <= 0:
         raise ValueError("bandwidth must be positive")
     match, mismatch = scheme.match, scheme.mismatch
@@ -83,7 +84,7 @@ def align_banded(read: np.ndarray, ref: np.ndarray,
         hi = min(m, i + diagonal + bandwidth)
         if lo > hi:
             # The band leaves the window entirely; alignment is hopeless.
-            return AlignmentResult(NEG_INF, Cigar(()), 0, 0, 0, n, cells)
+            return AlignmentResult(NEG_INF, Cigar(()), 0, 0, cells)
         h_row = [NEG_INF] * (m + 1)
         f_row = [NEG_INF] * (m + 1)
         if lo == 1:
@@ -132,12 +133,11 @@ def align_banded(read: np.ndarray, ref: np.ndarray,
     end_j = max(range(prev_lo, prev_hi + 1), key=lambda j: h_prev[j])
     score = h_prev[end_j]
     if score <= NEG_INF // 2:
-        return AlignmentResult(NEG_INF, Cigar(()), 0, 0, 0, n, cells)
+        return AlignmentResult(NEG_INF, Cigar(()), 0, 0, cells)
     cigar, start_j = _traceback(read_list, ref_list, ptr_h, ptr_e, ptr_f,
                                 n, end_j, stop_at_row0=True)
     return AlignmentResult(score=score, cigar=cigar, ref_start=start_j,
-                           ref_end=end_j, read_start=0, read_end=n,
-                           cells=cells)
+                           ref_end=end_j, cells=cells)
 
 
 def align_semiglobal(read: np.ndarray, ref: np.ndarray,
@@ -148,7 +148,7 @@ def align_semiglobal(read: np.ndarray, ref: np.ndarray,
     ref_list = np.asarray(ref, dtype=np.uint8).tolist()
     n, m = len(read_list), len(ref_list)
     if n == 0:
-        return AlignmentResult(0, Cigar(()), 0, 0, 0, 0, 0)
+        return AlignmentResult(0, Cigar(()), 0, 0, 0)
     match, mismatch = scheme.match, scheme.mismatch
     open_cost = scheme.gap_open + scheme.gap_extend
     extend = scheme.gap_extend
@@ -208,8 +208,7 @@ def align_semiglobal(read: np.ndarray, ref: np.ndarray,
     cigar, start_j = _traceback(read_list, ref_list, ptr_h, ptr_e, ptr_f,
                                 n, end_j, stop_at_row0=True)
     return AlignmentResult(score=score, cigar=cigar, ref_start=start_j,
-                           ref_end=end_j, read_start=0, read_end=n,
-                           cells=n * m)
+                           ref_end=end_j, cells=n * m)
 
 
 def _traceback(read_list, ref_list, ptr_h, ptr_e, ptr_f, end_i, end_j,
@@ -244,122 +243,6 @@ def _traceback(read_list, ref_list, ptr_h, ptr_e, ptr_f, end_i, end_j,
                 state = "H"
             i -= 1
     return Cigar.from_pairs(reversed(ops)), j
-
-
-def align_local(read: np.ndarray, ref: np.ndarray,
-                scheme: ScoringScheme = DEFAULT_SCHEME) -> AlignmentResult:
-    """Smith-Waterman local alignment; unaligned read ends are soft-clipped."""
-    read_list = np.asarray(read, dtype=np.uint8).tolist()
-    ref_list = np.asarray(ref, dtype=np.uint8).tolist()
-    n, m = len(read_list), len(ref_list)
-    if n == 0 or m == 0:
-        return AlignmentResult(0, Cigar(()), 0, 0, 0, 0, 0)
-    match, mismatch = scheme.match, scheme.mismatch
-    open_cost = scheme.gap_open + scheme.gap_extend
-    extend = scheme.gap_extend
-
-    h_prev = [0] * (m + 1)
-    f_prev = [NEG_INF] * (m + 1)
-    ptr_h = [bytearray(m + 1) for _ in range(n + 1)]
-    ptr_e = [bytearray(m + 1) for _ in range(n + 1)]
-    ptr_f = [bytearray(m + 1) for _ in range(n + 1)]
-    # A fourth origin meaning "alignment starts here" (score clamped at 0).
-    from_start = 3
-
-    best_score, best_i, best_j = 0, 0, 0
-    for i in range(1, n + 1):
-        base = read_list[i - 1]
-        h_row = [0] * (m + 1)
-        f_row = [NEG_INF] * (m + 1)
-        e_val = NEG_INF
-        row_ptr_h = ptr_h[i]
-        row_ptr_e = ptr_e[i]
-        row_ptr_f = ptr_f[i]
-        for j in range(1, m + 1):
-            open_e = h_row[j - 1] - open_cost
-            ext_e = e_val - extend
-            if open_e >= ext_e:
-                e_val = open_e
-                row_ptr_e[j] = 0
-            else:
-                e_val = ext_e
-                row_ptr_e[j] = 1
-            open_f = h_prev[j] - open_cost
-            ext_f = f_prev[j] - extend
-            if open_f >= ext_f:
-                f_row[j] = open_f
-                row_ptr_f[j] = 0
-            else:
-                f_row[j] = ext_f
-                row_ptr_f[j] = 1
-            diag = h_prev[j - 1] + (match if base == ref_list[j - 1]
-                                    else -mismatch)
-            best = diag
-            origin = _FROM_DIAG
-            if e_val > best:
-                best = e_val
-                origin = _FROM_E
-            if f_row[j] > best:
-                best = f_row[j]
-                origin = _FROM_F
-            if best <= 0:
-                best = 0
-                origin = from_start
-            h_row[j] = best
-            row_ptr_h[j] = origin
-            if best > best_score:
-                best_score, best_i, best_j = best, i, j
-        h_prev = h_row
-        f_prev = f_row
-
-    if best_score == 0:
-        return AlignmentResult(0, Cigar(()), 0, 0, 0, 0, n * m)
-    cigar_core, start_j, start_i = _traceback_local(
-        read_list, ref_list, ptr_h, ptr_e, ptr_f, best_i, best_j,
-        from_start)
-    pairs: List[Tuple[int, str]] = []
-    if start_i > 0:
-        pairs.append((start_i, "S"))
-    pairs.extend(cigar_core.ops)
-    if best_i < n:
-        pairs.append((n - best_i, "S"))
-    return AlignmentResult(score=best_score, cigar=Cigar.from_pairs(pairs),
-                           ref_start=start_j, ref_end=best_j,
-                           read_start=start_i, read_end=best_i,
-                           cells=n * m)
-
-
-def _traceback_local(read_list, ref_list, ptr_h, ptr_e, ptr_f, end_i, end_j,
-                     from_start: int):
-    """Traceback for local alignment: stop at the clamped-to-zero cell."""
-    ops: List[Tuple[int, str]] = []
-    i, j = end_i, end_j
-    state = "H"
-    while i > 0 and j > 0:
-        if state == "H":
-            origin = ptr_h[i][j]
-            if origin == from_start:
-                break
-            if origin == _FROM_DIAG:
-                op = "=" if read_list[i - 1] == ref_list[j - 1] else "X"
-                ops.append((1, op))
-                i -= 1
-                j -= 1
-            elif origin == _FROM_E:
-                state = "E"
-            else:
-                state = "F"
-        elif state == "E":
-            ops.append((1, "D"))
-            if ptr_e[i][j] == 0:
-                state = "H"
-            j -= 1
-        else:
-            ops.append((1, "I"))
-            if ptr_f[i][j] == 0:
-                state = "H"
-            i -= 1
-    return Cigar.from_pairs(reversed(ops)), j, i
 
 
 def rescue_mate(mapper, anchor, mate_codes):
@@ -464,6 +347,36 @@ def build_index(reference, k: int = 15, w: int = 10,
     return table, IndexStats(total_minimizers=total,
                              distinct_hashes=len(table),
                              masked_hashes=masked)
+
+
+@dataclass(frozen=True)
+class Anchor:
+    """An exact match of ``length`` bases: read offset -> reference position."""
+
+    ref_pos: int
+    read_pos: int
+    length: int
+
+
+@dataclass(frozen=True)
+class Chain:
+    """A scored colinear chain of anchors."""
+
+    anchors: Tuple[Anchor, ...]
+    score: float
+
+    @property
+    def diagonal(self) -> int:
+        """Reference offset of read position 0 implied by the chain start."""
+        return self.anchors[0].ref_pos - self.anchors[0].read_pos
+
+
+@dataclass(frozen=True)
+class ChainingResult:
+    """One problem's chains, best first, and the DP cells visited."""
+
+    chains: Tuple[Chain, ...]
+    cells: int
 
 
 def _gap_penalty(ref_gap: int, read_gap: int, average_length: float) -> float:

@@ -185,8 +185,8 @@ def sam_line(record) -> str:
     else:
         rnext = record.mate_chromosome
         pnext = str(record.mate_position + 1)
-    seq = _decode(record.read_codes) if record.read_codes is not None \
-        else "*"
+    seq = (_decode(record.read_codes) if record.read_codes is not None
+           else "") or "*"
     fields = [
         record.query_name, str(flag),
         record.chromosome if record.mapped else "*",

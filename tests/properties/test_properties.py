@@ -11,7 +11,7 @@ import numpy as np
 from oracles.core import xxhash32
 from hypothesis import given, settings, strategies as st
 
-from repro.align import DEFAULT_SCHEME, align_semiglobal
+from repro.align import DEFAULT_SCHEME, align_banded
 from repro.core import LightAligner, filter_adjacent
 from repro.genome import (Cigar, decode, encode, pack_2bit,
                           reverse_complement, unpack_2bit)
@@ -19,6 +19,12 @@ from repro.hashing import xxhash32_rows
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=200)
 dna_nonempty = st.text(alphabet="ACGT", min_size=1, max_size=200)
+
+
+def align_full(read, window):
+    """The DP kernel with a band that covers the whole matrix."""
+    return align_banded(read, window, diagonal=0,
+                        bandwidth=len(read) + len(window))
 
 
 class TestSequenceProperties:
@@ -115,7 +121,7 @@ class TestAlignmentProperties:
         window = np.concatenate([
             rng.integers(0, 4, size=10, dtype=np.uint8), template,
             rng.integers(0, 4, size=10, dtype=np.uint8)])
-        result = align_semiglobal(read, window)
+        result = align_full(read, window)
         assert result.score == _rescore(result.cigar)
         assert result.cigar.read_length == len(read)
 
@@ -134,7 +140,7 @@ class TestAlignmentProperties:
             rng.integers(0, 4, size=8, dtype=np.uint8), template,
             rng.integers(0, 4, size=8, dtype=np.uint8)])
         hit = LightAligner().align(read, window, 8)
-        dp = align_semiglobal(read, window)
+        dp = align_full(read, window)
         if hit is not None:
             assert hit.score == dp.score
             assert _rescore(hit.cigar) == hit.score

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import json
 import os
 import re
 import socket
@@ -535,6 +536,86 @@ class TestEngineWorkflow:
         assert open(vcf).readline().startswith("##fileformat")
         assert "called" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fmt", ["sam", "paf", "jsonl"])
+    @pytest.mark.parametrize("engine", ["genpair", "mm2"])
+    def test_an_empty_read_is_unmapped(self, world, tmp_path, engine, fmt):
+        """A read of no bases (an empty FASTQ record) is never placed:
+        mm2's mate rescue used to accept its score-0 alignment and write
+        a proper pair with MAPQ 60 and an empty SEQ column.  Its mate
+        maps single-end."""
+        lines = open(world + "_2.fq").read().splitlines(True)
+        lines[1] = lines[3] = "\n"
+        reads2 = tmp_path / "empty_2.fq"
+        reads2.write_text("".join(lines))
+        empty = lines[0][1:].split()[0]
+        mate = empty[:-1] + "1"
+        out = tmp_path / f"out.{fmt}"
+        assert main(["map", "--index", world + ".rpix", "--engine", engine,
+                     "--format", fmt, "--reads1", world + "_1.fq",
+                     "--reads2", str(reads2), "--out", str(out)]) == 0
+        body = [line.rstrip("\n") for line in open(out)
+                if not line.startswith("@")]
+        if fmt == "sam":
+            records = {fields[0]: fields for fields in
+                       (line.split("\t") for line in body)}
+            assert all(fields[9] for fields in records.values())
+            assert int(records[empty][1]) & 4
+            assert records[empty][9] == "*"
+            assert int(records[mate][1]) & (4 | 2) == 0
+        elif fmt == "paf":
+            names = [line.split("\t")[0] for line in body]
+            assert empty not in names and mate in names
+        else:
+            records = {record["name"]: record
+                       for record in map(json.loads, body)}
+            assert records[empty]["mapped"] is False
+            assert records[mate]["mapped"] is True
+            assert records[mate]["proper_pair"] is False
+
+    def test_an_empty_long_read_has_no_empty_seq(self, world, tmp_path):
+        lines = open(world + "_long.fq").read().splitlines(True)
+        lines[1] = lines[3] = "\n"
+        reads = tmp_path / "empty_long.fq"
+        reads.write_text("".join(lines))
+        out = tmp_path / "out.sam"
+        assert main(["map", "--index", world + ".rpix", "--engine",
+                     "longread", "--reads", str(reads),
+                     "--out", str(out)]) == 0
+        first = next(line for line in open(out)
+                     if not line.startswith("@")).split("\t")
+        assert int(first[1]) & 4 and first[9] == "*"
+
+    @pytest.mark.parametrize("line,message", [
+        ("r\tx\tchr1\t100\t60\t4M\t*\t0\t0\tACGT\t*",
+         "FLAG 'x' is not a non-negative integer"),
+        ("r\t0\tchr1\t1.5\t60\t4M\t*\t0\t0\tACGT\t*",
+         "POS '1.5' is not a non-negative integer"),
+        ("r\t0\tchr1\t100\t60\t4M\t*\t0\t0",
+         "9 tab-separated columns; a SAM record has at least 11"),
+        ("r\t0\tchr1\t100\t60\t4M\t*\t0\t0\tACRT\t*",
+         "invalid DNA character: 'R'"),
+        ("r\t0\tchr1\t100\t60\t4Q\t*\t0\t0\tACGT\t*",
+         "malformed CIGAR: '4Q'"),
+        ("r\t0\tchr1\t100\t60\t5M\t*\t0\t0\tACGT\t*",
+         "CIGAR 5M covers 5 read bases but SEQ has 4"),
+        ("r\t0\tchrZ\t100\t60\t4M\t*\t0\t0\tACGT\t*",
+         "RNAME 'chrZ' is not in the reference"),
+    ], ids=["flag", "pos", "columns", "iupac", "cigar", "seq-length",
+            "rname"])
+    def test_call_malformed_sam_is_a_one_line_error(
+            self, world, tmp_path, capsys, line, message):
+        """A malformed record names the file and line instead of
+        raising a traceback out of the SAM reader."""
+        sam = tmp_path / "bad.sam"
+        sam.write_text("@HD\tVN:1.6\n"
+                       "ok\t0\tchr1\t100\t60\t4M\t*\t0\t0\tACGT\t*\n"
+                       + line + "\n")
+        capsys.readouterr()
+        assert main(["call", "--reference", world + "_ref.fa",
+                     "--sam", str(sam),
+                     "--out", str(tmp_path / "x.vcf")]) == 1
+        assert capsys.readouterr().err == f"error: {sam}:3: {message}\n"
+
     def test_lazy_engine_config_error_is_clean(self, world, tmp_path,
                                                capsys):
         """Engine-construction errors surface as `error: ...` + exit 1,
@@ -605,7 +686,7 @@ class TestServeWorkflow:
                      "--reads2", prefix + "_2.fq",
                      "--out", served_sam]) == 0
         assert open(served_sam).read() == open(offline_sam).read()
-        assert main(["client", "stats", "--socket", socket_path]) == 0
+        assert main(["stats", "--json", "--socket", socket_path]) == 0
         assert main(["client", "shutdown", "--socket",
                      socket_path]) == 0
         daemon.join(timeout=10)

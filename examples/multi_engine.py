@@ -10,8 +10,9 @@ then maps everything through a single engine-polymorphic
   sharing the facade's SeedMap.
 
 Every engine emits the same ``MappingResult`` record, so the same
-``write``/``lines`` calls produce SAM, PAF, and JSONL for each — and a
-``map_and_call`` pass chains variant calling behind the genpair run.
+``write``/``lines`` calls produce SAM, PAF, and JSONL for each — and
+variants are called from the genpair SAM file through the SAM reader
+``repro call`` uses (``repro.variants.sam_records``).
 
 Run:  python examples/multi_engine.py
 """
@@ -24,6 +25,7 @@ import numpy as np
 from repro.api import Mapper, MappingConfig
 from repro.genome import ReadSimulator, generate_reference
 from repro.util import format_table
+from repro.variants import Pileup, call_variants, sam_records, write_vcf
 
 
 def main() -> None:
@@ -58,12 +60,13 @@ def main() -> None:
             ("engine", "workload", "mapped", "sam", "paf", "jsonl"),
             rows, title="Records written per engine x format"))
 
-        print("\n3. Variant calling as a post-stage (genpair) ...")
-        records, calls = mapper.map_and_call(
-            mapper.map_stream(pairs), out_dir / "calls.sam",
-            out_dir / "calls.vcf")
-        print(f"   {records} records + {calls} variant calls in one "
-              "pass")
+        print("\n3. Variant calling from the genpair SAM ...")
+        pileup = Pileup(reference)
+        records = pileup.add_records(
+            sam_records(out_dir / "genpair.sam", reference))
+        calls = write_vcf(out_dir / "calls.vcf", call_variants(pileup),
+                          reference=reference)
+        print(f"   {records} records piled up, {calls} variant calls")
 
         totals = mapper.engine_stats()
         print(f"\nper-engine cumulative counters: "

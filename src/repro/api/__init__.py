@@ -18,8 +18,9 @@ format (SAM, PAF, JSONL) flows through the same objects:
   needed, with any registered engine per call; the memory-mapped
   index, lazily-built engine instances, and the forked worker pool are
   owned by the facade and **reused across calls**.  All engines emit
-  the common :class:`MappingResult` record, and
-  :meth:`~Mapper.map_and_call` chains variant calling as a post-stage;
+  the common :class:`MappingResult` record, whose reads are oriented
+  as SAM stores them; variant calling reads the written SAM back
+  (``repro call``, :func:`repro.variants.sam_records`);
 * :class:`MapServer` / :func:`serve` — the ``repro serve`` daemon: a
   long-running process holding the warm ``Mapper`` and answering
   newline-delimited JSON mapping requests (with per-request

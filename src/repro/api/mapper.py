@@ -14,10 +14,11 @@ pool, created on first use and reused until :meth:`close`.
 Output is equally pluggable: :meth:`write` and :meth:`lines` resolve
 ``sam`` / ``paf`` / ``jsonl`` through
 :data:`~repro.api.registry.OUTPUT_FORMATS`, with the daemon's wire
-lines byte-identical to file output by construction.
-:meth:`map_and_call` chains :func:`repro.variants.call_variants` as an
-optional post-stage: one pass over the result stream writes the
-alignment file *and* piles up mapped records for variant calling.
+lines byte-identical to file output by construction.  Variant calling
+is not a mapping stage: ``repro call`` (or
+:func:`repro.variants.sam_records` into a
+:class:`~repro.variants.Pileup`) reads the SAM file :meth:`write`
+wrote, whose records pile up exactly as the in-memory ones.
 
 Statistics have an explicit lifecycle: :attr:`last_stats` is the
 just-completed run (typed by the engine that ran), :attr:`stats`
@@ -36,7 +37,7 @@ from ..core.executor import pool_available
 from ..core.pipeline import PipelineStats, merge_stats
 from ..genome.io_fasta import iter_pairs, iter_reads, read_fasta
 from ..genome.reference import ReferenceGenome
-from ..genome.results import MappingResult, result_batches, result_records
+from ..genome.results import MappingResult
 from ..mapper import MinimizerIndex
 from ..obs import get_registry
 from ..util.sync import maybe_sanitize_lock
@@ -360,42 +361,6 @@ class Mapper:
                 close()
             get_registry().counter(
                 f"output.{format_name}.wire_lines").inc(emitted)
-
-    # -- variant-calling post-stage ------------------------------------
-
-    def map_and_call(self, results: Iterable, out: PathLike,
-                     vcf_out: PathLike,
-                     format: Optional[str] = None) -> tuple:
-        """Write results to ``out`` AND call variants to ``vcf_out``.
-
-        One pass over the (possibly lazy) result stream: each batch of
-        results is written in the named output format while its mapped
-        records are piled up; when the stream ends,
-        :func:`repro.variants.call_variants` runs over the pileup and
-        the calls are written as VCF.  Returns ``(record_lines,
-        variant_calls)``.
-        """
-        from ..variants import Pileup, call_variants, write_vcf
-
-        fmt = self._resolve_format(format, results)
-        pileup = Pileup(self.reference)
-        with fmt.open(out, self.reference) as writer:
-            try:
-                for batch in result_batches(results):
-                    writer.write_results(batch)
-                    for result in batch:
-                        for record in result_records(result):
-                            if (record.mapped
-                                    and record.read_codes is not None):
-                                pileup.add_record(record)
-            finally:
-                close = getattr(results, "close", None)
-                if close is not None:
-                    close()
-            records = writer.count
-        calls = call_variants(pileup)
-        count = write_vcf(vcf_out, calls, reference=self.reference)
-        return records, count
 
     # -- statistics lifecycle ------------------------------------------
 

@@ -11,9 +11,8 @@ Subcommands mirror a real read-mapping toolchain:
   :class:`repro.api.Mapper` facade and write SAM/PAF/JSONL;
   ``--engine`` selects the mapping engine (``genpair`` paired-end
   default, ``mm2`` baseline, ``longread`` single-read over one
-  ``--reads`` FASTQ), ``--format`` the output writer,
-  ``--call-variants out.vcf`` chains variant calling as a post-stage;
-  reads stream through in O(batch) memory, ``--batch-size`` pairs per
+  ``--reads`` FASTQ), ``--format`` the output writer; reads stream
+  through in O(batch) memory, ``--batch-size`` pairs per
   chunk, ``--workers N`` streams genpair chunks through a persistent
   pool of forked worker processes, and ``--index`` serves from a
   prebuilt index.  Every :class:`~repro.api.MappingConfig` field has
@@ -31,7 +30,9 @@ Subcommands mirror a real read-mapping toolchain:
 * ``top``           — live daemon dashboard: engines, request
   latencies, and worker utilization, refreshed every ``--interval``
   seconds until interrupted;
-* ``call``          — pile up a SAM file and call variants to VCF.
+* ``call``          — pile up a SAM file and call variants to VCF (SAM
+  stores a ``-`` strand read's SEQ reverse-complemented, as the CIGAR
+  walks it: ``map`` writes it so and ``call`` reads it so).
 
 Example::
 
@@ -292,12 +293,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
         return code
     with mapper:
         try:
-            results = mapper.map_file(paths[0], paths[1])
-            if args.call_variants:
-                count, calls = mapper.map_and_call(
-                    results, args.out, args.call_variants)
-            else:
-                count = mapper.write(results, args.out)
+            count = mapper.write(mapper.map_file(paths[0], paths[1]),
+                                 args.out)
         except (FastaError, MappingConfigError) as exc:
             # Engines build lazily inside map_file, so engine-specific
             # config errors (e.g. longread chunk_length vs the index's
@@ -312,8 +309,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
             return 130
         _print_engine_report(args.engine, mapper.last_stats, count,
                              args.out)
-        if args.call_variants:
-            print(f"  called {calls} variants ({args.call_variants})")
     if args.metrics_json:
         from .obs import write_metrics_json
 
@@ -535,62 +530,20 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_call(args: argparse.Namespace) -> int:
     from .genome import read_fasta
-    from .variants import Pileup, call_variants, write_vcf
+    from .variants import Pileup, call_variants, sam_records, write_vcf
 
-    reference = read_fasta(args.reference)
-    pileup = Pileup(reference)
-    used = 0
-    with open(args.sam) as handle:
-        for number, line in enumerate(handle, start=1):
-            if line.startswith("@"):
-                continue
-            try:
-                record = _sam_record(line, reference)
-            except ValueError as exc:
-                print(f"error: {args.sam}:{number}: {exc}", file=sys.stderr)
-                return 1
-            if record is not None:
-                pileup.add_record(record)
-                used += 1
+    try:
+        reference = read_fasta(args.reference)
+        pileup = Pileup(reference)
+        used = pileup.add_records(sam_records(args.sam, reference))
+    except ValueError as exc:
+        # A malformed FASTA (FastaError) or SAM line, named in ``exc``.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     calls = call_variants(pileup)
     count = write_vcf(args.out, calls, reference=reference)
     print(f"piled up {used} records, wrote {count} calls to {args.out}")
     return 0
-
-
-def _sam_record(line: str, reference):
-    """One SAM line as the mapped record the pileup takes, or ``None``
-    for an unmapped read or one without CIGAR or SEQ; ``ValueError``
-    says what is malformed.  SAM stores a reverse-strand read
-    reverse-complemented; records store it as sequenced, so that is
-    undone."""
-    from .genome import (AlignmentRecord, Cigar, encode,
-                         reverse_complement)
-
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) < 11:
-        raise ValueError(f"{len(fields)} tab-separated columns; a SAM "
-                         "record has at least 11")
-    for name, column in (("FLAG", 1), ("POS", 3)):
-        if not fields[column].isdigit():
-            raise ValueError(f"{name} {fields[column]!r} is not a "
-                             "non-negative integer")
-    flag = int(fields[1])
-    if flag & 4 or fields[5] == "*" or fields[9] == "*":
-        return None
-    cigar = Cigar.parse(fields[5])
-    codes = encode(fields[9], allow_n=True)
-    if cigar.read_length != len(codes):
-        raise ValueError(f"CIGAR {fields[5]} covers {cigar.read_length} "
-                         f"read bases but SEQ has {len(codes)}")
-    if fields[2] not in reference.chromosomes:
-        raise ValueError(f"RNAME {fields[2]!r} is not in the reference")
-    codes[codes == 4] = 0  # N -> arbitrary concrete base
-    return AlignmentRecord(
-        query_name=fields[0], chromosome=fields[2],
-        position=int(fields[3]) - 1, strand="-" if flag & 16 else "+",
-        cigar=cigar, read_codes=reverse_complement(codes) if flag & 16
-        else codes, mapped=True)
 
 
 def _add_mapper_args(parser: argparse.ArgumentParser) -> None:
@@ -708,10 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "i.e. --engine longread)")
     map_cmd.add_argument("--out", default=None,
                          help="output path (default: out.<format>)")
-    map_cmd.add_argument("--call-variants", metavar="VCF", default=None,
-                         help="also pile up the mapped records and "
-                              "call variants to this VCF path "
-                              "(one pass over the stream)")
     map_cmd.add_argument("--metrics-json", metavar="PATH", default=None,
                          help="after the run, dump the process metrics "
                               "registry (stage timings, worker "

@@ -396,7 +396,6 @@ class GenPairPipeline:
                 starts.tolist(), counts.tolist(), perfect,
                 self._light_align_waves(roles, lengths, ups, perfect, joint,
                                         starts, counts)):
-            read1, read2, name = items[index]
             direction = ORIENTATIONS[number]
             if light is None:
                 pending.append((index, _Pending(
@@ -406,7 +405,8 @@ class GenPairPipeline:
                 continue
             stats.light_mapped += 1
             result = results[index] = self._build_result(
-                name, STAGE_LIGHT, direction, read1, read2, light)
+                items[index][2], STAGE_LIGHT, direction, roles[up],
+                roles[up + 1], light)
             if result.joint_score == top:
                 stats.exact_pairs += 1
         if pending:
@@ -418,10 +418,9 @@ class GenPairPipeline:
                     residue.append(index)
                     continue
                 stats.light_fallback += 1
-                read1, read2, name = items[index]
                 results[index] = self._build_result(
-                    name, STAGE_DP_CANDIDATE, work.orientation, read1,
-                    read2, dp_hit)
+                    items[index][2], STAGE_DP_CANDIDATE, work.orientation,
+                    work.oriented1, work.oriented2, dp_hit)
             residue.sort()
         if residue:
             for index, result in zip(residue, self._fall_back(
@@ -630,17 +629,22 @@ class GenPairPipeline:
         return hits
 
     def _build_result(self, name: str, stage: str, orientation: str,
-                      read1: np.ndarray, read2: np.ndarray,
+                      oriented1: np.ndarray, oriented2: np.ndarray,
                       joint) -> MappingResult:
+        """A placed pair's result; ``oriented1``/``oriented2`` are the
+        role sequences its hits aligned, upstream (``+``) then
+        downstream (``-``), which the records keep as their reads."""
         _cand1, _cand2, hit_up, hit_down = joint
         method = METHOD_LIGHT if stage == STAGE_LIGHT else METHOD_DP
         if orientation == "fr":
-            record1 = self._record(name, hit_up, read1, 1, "+", method)
-            record2 = self._record(name, hit_down, read2, 2, "-", method)
+            record1 = self._record(name, hit_up, oriented1, 1, "+", method)
+            record2 = self._record(name, hit_down, oriented2, 2, "-",
+                                   method)
         else:
             # Reverse fragment: physical read 2 is upstream/forward.
-            record1 = self._record(name, hit_down, read1, 1, "-", method)
-            record2 = self._record(name, hit_up, read2, 2, "+", method)
+            record1 = self._record(name, hit_down, oriented2, 1, "-",
+                                   method)
+            record2 = self._record(name, hit_up, oriented1, 2, "+", method)
         record1.set_mate(record2)
         record2.set_mate(record1)
         return MappingResult(name=name, records=(record1, record2),

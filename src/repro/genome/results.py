@@ -3,9 +3,9 @@
 :class:`MappingResult` is what every mapping core of the reproduction —
 the GenPair pipeline, the baseline ``Mm2LikeMapper`` and the
 chunk-voting ``LongReadMapper`` — returns from its chunk call and what
-the engines, output writers, the serving daemon and the variant-calling
-post-stage pass on untouched: a named group of one or two alignment
-records plus the engine/stage provenance.
+the engines, output writers and the serving daemon pass on untouched: a
+named group of one or two alignment records plus the engine/stage
+provenance.
 
 :func:`result_records` is the accessor the writers use: a result's
 ``records``, or a bare :class:`~repro.genome.sam.AlignmentRecord`

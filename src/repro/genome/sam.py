@@ -44,7 +44,10 @@ class AlignmentRecord:
 
     ``position`` is the 0-based leftmost reference coordinate of the
     alignment.  ``mapped`` is false for unmapped reads (all placement fields
-    are then meaningless).
+    are then meaningless).  ``read_codes`` holds the read in the
+    alignment's orientation — reverse-complemented on strand ``-`` —
+    which is what the CIGAR walks and SAM's SEQ stores; an unmapped
+    record keeps the read as sequenced.
     """
 
     query_name: str

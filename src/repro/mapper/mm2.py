@@ -118,13 +118,15 @@ class MapperStats:
 
 @dataclass(frozen=True)
 class _Placement:
-    """Internal: one scored candidate placement of a read."""
+    """Internal: one scored candidate placement of a read; ``oriented``
+    is the read as aligned (reverse-complemented on ``-``)."""
 
     score: int
     chromosome: str
     position: int
     strand: str
     alignment: AlignmentResult
+    oriented: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -303,7 +305,8 @@ class _RescueSearch:
             return None
         return _Placement(score=result.score, chromosome=self.chromosome,
                           position=self.start + result.ref_start,
-                          strand=self.strand, alignment=result)
+                          strand=self.strand, alignment=result,
+                          oriented=self.oriented)
 
 
 class Mm2LikeMapper:
@@ -366,8 +369,8 @@ class Mm2LikeMapper:
             place1, place2 = combo
             self.stats.pairs_proper += 1
             self.stats.reads_mapped += 2
-            record1 = self._to_record(place1, read1, f"{name}/1", 1, 60)
-            record2 = self._to_record(place2, read2, f"{name}/2", 2, 60)
+            record1 = self._to_record(place1, f"{name}/1", 1, 60)
+            record2 = self._to_record(place2, f"{name}/2", 2, 60)
             record1.set_mate(record2)
             record2.set_mate(record1)
             stage = "proper_pair"
@@ -468,10 +471,11 @@ class Mm2LikeMapper:
         for k, result in enumerate(results):
             if result is not None and result.score >= 0:
                 _, chromosome, window_start, _ = windows[k]
+                oriented, strand, _diagonal = chains[k]
                 placements[k] = _Placement(
                     score=result.score, chromosome=chromosome,
                     position=window_start + result.ref_start,
-                    strand=chains[k][1], alignment=result)
+                    strand=strand, alignment=result, oriented=oriented)
         return placements
 
     def _align(self, problems: Sequence[Optional[tuple]]
@@ -640,18 +644,19 @@ class Mm2LikeMapper:
             return AlignmentRecord(query_name=name, mapped=False,
                                    read_codes=codes, mate=mate)
         self.stats.reads_mapped += 1
-        return self._to_record(viable[0], codes, name, mate, 20)
+        return self._to_record(viable[0], name, mate, 20)
 
     def _min_score(self, length: int) -> int:
         """The score floor of a ``length``-base read."""
         return int(MIN_SCORE_FRACTION * self.scheme.perfect_score(length))
 
-    def _to_record(self, placement: _Placement, codes: np.ndarray,
-                   name: str, mate: int, mapq: int) -> AlignmentRecord:
+    def _to_record(self, placement: _Placement, name: str, mate: int,
+                   mapq: int) -> AlignmentRecord:
         return AlignmentRecord(query_name=name,
                                chromosome=placement.chromosome,
                                position=placement.position,
                                strand=placement.strand,
                                mapq=mapq, cigar=placement.alignment.cigar,
-                               score=placement.score, read_codes=codes,
-                               mate=mate, mapped=True, method=METHOD_DP)
+                               score=placement.score,
+                               read_codes=placement.oriented, mate=mate,
+                               mapped=True, method=METHOD_DP)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..genome.sequence import decode
+from ..genome.sequence import ALPHABET_SIZE, decode
 from ..genome.variants import Variant
 from .pileup import Pileup
 
@@ -43,7 +43,8 @@ def call_variants(pileup: Pileup,
             ref_code = int(chrom_codes[position])
             # -- SNPs ----------------------------------------------------
             for code, count in column.base_counts.items():
-                if code == ref_code:
+                # An N read base is no allele.
+                if code == ref_code or code >= ALPHABET_SIZE:
                     continue
                 fraction = count / column.depth
                 if count < config.min_alt_count or \

@@ -5,17 +5,24 @@ output of each mapper.  This module is the first half of that caller: it
 walks every alignment's CIGAR and accumulates, per reference position,
 the base observations (for SNP calling) and the anchored indel
 observations (for INDEL calling).
+
+A record's ``read_codes`` are the bases its CIGAR walks, as SAM's SEQ
+stores them (reverse-complemented on strand ``-``), so the mapped
+records of a SAM file (:func:`sam_records`) pile up exactly as the
+in-memory records they were written from.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from pathlib import Path
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+from ..genome.cigar import Cigar
 from ..genome.reference import ReferenceGenome
 from ..genome.sam import AlignmentRecord
-from ..genome.sequence import decode, reverse_complement
+from ..genome.sequence import decode, encode
 
 
 @dataclass
@@ -65,8 +72,6 @@ class Pileup:
         if not record.mapped or record.read_codes is None:
             return
         codes = record.read_codes
-        if record.strand == "-":
-            codes = reverse_complement(codes)
         ref_pos = record.position
         read_pos = 0
         chromosome = record.chromosome
@@ -109,3 +114,49 @@ class Pileup:
                 self.add_record(record)
                 used += 1
         return used
+
+
+def _sam_record(line: str, reference: ReferenceGenome
+                ) -> Optional[AlignmentRecord]:
+    """One SAM line as the mapped record the pileup takes, or ``None``
+    for an unmapped read or one without CIGAR or SEQ; ``ValueError``
+    says what is malformed."""
+    fields = line.rstrip("\n").split("\t")
+    if len(fields) < 11:
+        raise ValueError(f"{len(fields)} tab-separated columns; a SAM "
+                         "record has at least 11")
+    for name, column in (("FLAG", 1), ("POS", 3)):
+        if not fields[column].isdigit():
+            raise ValueError(f"{name} {fields[column]!r} is not a "
+                             "non-negative integer")
+    flag = int(fields[1])
+    if flag & 4 or fields[5] == "*" or fields[9] == "*":
+        return None
+    cigar = Cigar.parse(fields[5])
+    codes = encode(fields[9], allow_n=True)
+    if cigar.read_length != len(codes):
+        raise ValueError(f"CIGAR {fields[5]} covers {cigar.read_length} "
+                         f"read bases but SEQ has {len(codes)}")
+    if fields[2] not in reference.chromosomes:
+        raise ValueError(f"RNAME {fields[2]!r} is not in the reference")
+    return AlignmentRecord(
+        query_name=fields[0], chromosome=fields[2],
+        position=int(fields[3]) - 1, strand="-" if flag & 16 else "+",
+        cigar=cigar, read_codes=codes, mapped=True)
+
+
+def sam_records(path: Union[str, Path], reference: ReferenceGenome
+                ) -> Iterator[AlignmentRecord]:
+    """The mapped records of a SAM file (:func:`_sam_record` of each
+    record line); a malformed line raises ``ValueError`` prefixed with
+    ``<path>:<line>:``."""
+    with open(path) as handle:
+        for number, line in enumerate(handle, start=1):
+            if line.startswith("@"):
+                continue
+            try:
+                record = _sam_record(line, reference)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
+            if record is not None:
+                yield record

@@ -340,20 +340,3 @@ class TestEngineOptions:
                                      "longread": None})
         with pytest.raises(MappingConfigError, match="max_edits"):
             MappingConfig.from_dict({"max_edits": 3})
-
-
-class TestVariantPostStage:
-    def test_map_and_call_writes_both_outputs(self, tmp_path,
-                                              small_reference, seedmap,
-                                              simulator):
-        pairs = simulator.simulate_pairs(60)
-        with Mapper(small_reference, seedmap,
-                    config=MappingConfig(full_fallback=False)) as facade:
-            out = tmp_path / "out.sam"
-            vcf = tmp_path / "out.vcf"
-            records, calls = facade.map_and_call(
-                facade.map_stream(pairs), out, vcf)
-        assert records == 2 * len(pairs)
-        assert out.read_text().startswith("@HD")
-        assert "##fileformat" in vcf.read_text()
-        assert calls >= 0

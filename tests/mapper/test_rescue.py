@@ -28,7 +28,7 @@ def signature(placement):
     alignment = placement.alignment
     return (placement.score, str(alignment.cigar), alignment.ref_start,
             alignment.ref_end, placement.position, placement.chromosome,
-            placement.strand)
+            placement.strand, placement.oriented.tobytes())
 
 
 def mapper_over(chromosomes):
@@ -38,7 +38,8 @@ def mapper_over(chromosomes):
 
 def anchor_at(chromosome, position, strand):
     return _Placement(score=READ * 2, chromosome=chromosome,
-                      position=position, strand=strand, alignment=None)
+                      position=position, strand=strand, alignment=None,
+                      oriented=None)
 
 
 def check(mapper, jobs):

@@ -273,7 +273,8 @@ def rescue_mate(mapper, anchor, mate_codes):
         return None
     return _Placement(score=result.score, chromosome=chromosome,
                       position=start + result.ref_start,
-                      strand=mate_strand, alignment=result)
+                      strand=mate_strand, alignment=result,
+                      oriented=oriented)
 
 
 # -- seed -> chain front-end -------------------------------------------------

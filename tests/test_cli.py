@@ -194,6 +194,15 @@ class TestParser:
         err = capsys.readouterr().err
         assert err == "error: no chromosome long enough for the fragment\n"
 
+    def test_map_has_no_call_variants_flag(self, capsys):
+        # Variants are called from the SAM (`repro call`), one path.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["map", "--reference", "r", "--reads1", "a", "--reads2",
+                 "b", "--call-variants", "out.vcf"])
+        assert excinfo.value.code == 2
+        assert "--call-variants" in capsys.readouterr().err
+
     def test_map_rejects_zero_batch_size_naming_the_replacement(
             self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -526,16 +535,6 @@ class TestEngineWorkflow:
             assert main(argv) == 0
         assert (tmp_path / "out.sam").stat().st_size > 0
 
-    def test_call_variants_post_stage(self, world, tmp_path, capsys):
-        out = str(tmp_path / "cv.sam")
-        vcf = str(tmp_path / "cv.vcf")
-        assert main(["map", "--index", world + ".rpix",
-                     "--reads1", world + "_1.fq",
-                     "--reads2", world + "_2.fq",
-                     "--out", out, "--call-variants", vcf]) == 0
-        assert open(vcf).readline().startswith("##fileformat")
-        assert "called" in capsys.readouterr().out
-
     @pytest.mark.parametrize("fmt", ["sam", "paf", "jsonl"])
     @pytest.mark.parametrize("engine", ["genpair", "mm2"])
     def test_an_empty_read_is_unmapped(self, world, tmp_path, engine, fmt):
@@ -615,6 +614,21 @@ class TestEngineWorkflow:
                      "--sam", str(sam),
                      "--out", str(tmp_path / "x.vcf")]) == 1
         assert capsys.readouterr().err == f"error: {sam}:3: {message}\n"
+
+    def test_call_malformed_reference_is_a_one_line_error(
+            self, tmp_path, capsys):
+        """A bad base in ``call --reference`` ends in one ``error:``
+        line and exit 1, as it does for ``map`` and ``index build``."""
+        fasta = tmp_path / "bad.fa"
+        fasta.write_text(">chr1\nACGTRACGT\n")
+        sam = tmp_path / "empty.sam"
+        sam.write_text("@HD\tVN:1.6\n")
+        capsys.readouterr()
+        assert main(["call", "--reference", str(fasta), "--sam", str(sam),
+                     "--out", str(tmp_path / "x.vcf")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: FASTA record 'chr1' in {fasta}: invalid base 'R' at "
+            "base 5; only ACGT and N are supported\n")
 
     def test_lazy_engine_config_error_is_clean(self, world, tmp_path,
                                                capsys):

@@ -46,6 +46,16 @@ class TestCaller:
         add_reads(pileup, plain_reference, "chr1", 300, noisy, 1)
         assert call_variants(pileup) == []
 
+    def test_n_read_base_is_no_allele(self, plain_reference):
+        # A SAM SEQ may hold N (the reader keeps it, as the mappers'
+        # records do): it counts toward depth but is never an ALT.
+        pileup = Pileup(plain_reference)
+        codes = plain_reference.fetch("chr1", 400, 430).copy()
+        codes[10] = 4
+        add_reads(pileup, plain_reference, "chr1", 400, codes, 10)
+        assert pileup.column("chr1", 410).depth == 10
+        assert call_variants(pileup) == []
+
     def test_low_depth_not_called(self, plain_reference):
         pileup = Pileup(plain_reference)
         codes = plain_reference.fetch("chr1", 400, 430).copy()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.genome import AlignmentRecord, Cigar, reverse_complement
+from repro.genome import AlignmentRecord, Cigar
 from repro.variants import Pileup
 
 
@@ -23,12 +23,14 @@ class TestPileup:
         assert column.depth == 1
         assert column.base_counts == {int(codes[10]): 1}
 
-    def test_reverse_strand_uses_revcomp(self, plain_reference):
+    def test_reverse_strand_read_is_taken_as_stored(self, plain_reference):
+        # A "-" record stores its read reverse-complemented, as SAM's
+        # SEQ does: the bases the CIGAR walks, piled up unchanged.
         pileup = Pileup(plain_reference)
-        window = plain_reference.fetch("chr1", 200, 230)
-        read = reverse_complement(window)  # stored as sequenced
-        pileup.add_record(record(plain_reference, "chr1", 200, "30=",
-                                 read, strand="-"))
+        window = plain_reference.fetch("chr1", 200, 230).copy()
+        window[5] = (window[5] + 1) % 4
+        pileup.add_record(record(plain_reference, "chr1", 200, "5=1X24=",
+                                 window, strand="-"))
         column = pileup.column("chr1", 205)
         assert column.base_counts == {int(window[5]): 1}
 

@@ -5,7 +5,7 @@ The point of the daemon is to pay startup once.  A cold ``repro map
 
 * interpreter + package import,
 * index open (mmap + checksum verification),
-* full-DP fallback construction and (with workers) pool fork,
+* full-DP fallback construction,
 
 before the first pair maps.  A warm daemon holds all of that ready, so
 a client request pays only the mapping work plus a UNIX-socket round

@@ -53,9 +53,7 @@ def main() -> None:
               "DP-free -> offline.sam")
 
     print("3. Starting the daemon (what `repro serve` runs) ...")
-    # workers=2: the worker pool forks once at startup and stays warm.
-    server = MapServer(Mapper.from_index("serve.rpix", workers=2),
-                       SOCKET)
+    server = MapServer(Mapper.from_index("serve.rpix"), SOCKET)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
 
@@ -80,7 +78,7 @@ def main() -> None:
                                 "served.sam")
         elapsed = time.perf_counter() - start
         print(f"   {reply['pairs']} pairs -> served.sam in "
-              f"{elapsed * 1e3:.0f} ms (no index load, no pool fork)")
+              f"{elapsed * 1e3:.0f} ms (no index load)")
 
         identical = (open("served.sam", "rb").read()
                      == open("offline.sam", "rb").read())

@@ -4,8 +4,8 @@ Public API layout:
 
 * :mod:`repro.api` — **the public entry point**: the unified
   :class:`~repro.api.MappingConfig`, the :class:`~repro.api.Mapper`
-  facade (owns the memory-mapped index and a reused persistent worker
-  pool), the stage registries, and the ``repro serve`` daemon plus its
+  facade (owns the memory-mapped index and the engines built over
+  it), the stage registries, and the ``repro serve`` daemon plus its
   :class:`~repro.api.Client`;
 * :mod:`repro.genome` — sequences, references, simulation, CIGAR, SAM;
 * :mod:`repro.hashing` — xxHash32 (scalar and vectorized);
@@ -15,17 +15,14 @@ Public API layout:
   seeding, paired-adjacency filtering, light alignment, pipeline); the
   pipeline has one chunked dataflow — a whole chunk's seeds hashed in
   one vectorized call and resolved against the array-backed SeedMap
-  in one probe (``map_pair`` is a chunk of one) — and one parallel
-  mode, the persistent forked pool of :mod:`repro.core.executor`;
+  in one probe (``map_pair`` is a chunk of one) — run in one process;
 * :mod:`repro.index` — persistent memory-mapped indexes: one
   ``repro index build`` serializes the SeedMap, the minimizer index and
   the encoded reference to a versioned binary file that ``repro map
-  --index`` memory-maps back in milliseconds, with forked workers
-  sharing one physical copy.
+  --index`` memory-maps back in milliseconds.
 
 One leaf no engine imports, loaded only when imported by name (``import
-repro.variants``), so mapping, serving and every forked worker never
-load it:
+repro.variants``), so mapping and serving never load it:
 
 * :mod:`repro.variants` — pileup caller, truth comparison, mapeval.
 

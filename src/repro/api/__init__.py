@@ -5,22 +5,22 @@ reproduction.  Every workload — the paired-end GenPair pipeline, the
 mm2-like baseline, single-read long-read mapping — and every output
 format (SAM, PAF, JSONL) flows through the same objects:
 
-* :class:`MappingConfig` — the ten values a run sets in one validated,
+* :class:`MappingConfig` — the nine values a run sets in one validated,
   round-trippable object: the canonical :class:`IndexFingerprint`
   shared with :mod:`repro.index`, ``delta``, the
   ``engine``/``output_format`` workload selection, and execution
-  (``batch_size``, ``workers``, ``full_fallback``, ``verify_index``).
+  (``batch_size``, ``full_fallback``, ``verify_index``).
   Algorithm parameters are constants of the core modules, not
   settings here (``GenPairConfig`` keeps the four a caller varies);
 * :class:`Mapper` — the context-manager facade: construct once from an
   index file or a reference, then call :meth:`~Mapper.map`,
   :meth:`~Mapper.map_file`, and :meth:`~Mapper.write` as often as
   needed, with any registered engine per call; the memory-mapped
-  index, lazily-built engine instances, and the forked worker pool are
-  owned by the facade and **reused across calls**.  All engines emit
-  the common :class:`MappingResult` record, whose reads are oriented
-  as SAM stores them; variant calling reads the written SAM back
-  (``repro call``, :func:`repro.variants.sam_records`);
+  index and the lazily-built engine instances are owned by the facade
+  and **reused across calls**; mapping runs in this process.  All
+  engines emit the common :class:`MappingResult` record, whose reads
+  are oriented as SAM stores them; variant calling reads the written
+  SAM back (``repro call``, :func:`repro.variants.sam_records`);
 * :class:`MapServer` / :func:`serve` — the ``repro serve`` daemon: a
   long-running process holding the warm ``Mapper`` and answering
   newline-delimited JSON mapping requests (with per-request

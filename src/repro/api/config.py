@@ -1,9 +1,9 @@
 """The facade's mapping configuration and the canonical index fingerprint.
 
-:class:`MappingConfig` is what a run of the public API sets, ten values:
+:class:`MappingConfig` is what a run of the public API sets, nine values:
 the index fingerprint (``seed_length``, ``filter_threshold``, ``step``),
 the paper's dataset-defined ``delta`` (§4.5), the ``engine`` and
-``output_format`` selectors, and execution (``batch_size``, ``workers``,
+``output_format`` selectors, and execution (``batch_size``,
 ``full_fallback``, ``verify_index``).  A config validates itself eagerly
 (:meth:`MappingConfig.validate`) and round-trips through plain
 dictionaries (:meth:`MappingConfig.to_dict` /
@@ -52,7 +52,7 @@ class MappingConfigError(ValueError):
 
 @dataclass(frozen=True)
 class MappingConfig:
-    """What a mapping run sets, in one validated object: ten values.
+    """What a mapping run sets, in one validated object: nine values.
 
     * **fingerprint** — ``seed_length``, ``filter_threshold``, ``step``:
       what the SeedMap/index must have been built with
@@ -63,9 +63,7 @@ class MappingConfig:
       (``genpair`` | ``mm2`` | ``longread``), ``output_format`` the
       output writer (``sam`` | ``paf`` | ``jsonl``);
     * **execution** — ``batch_size`` (pairs per chunk of the one
-      chunked dataflow; chunk boundaries never change results) and
-      ``workers`` (>1 streams chunks through a persistent forked
-      pool);
+      chunked dataflow; chunk boundaries never change results);
     * **environment** — ``full_fallback`` (map residual pairs with the
       baseline MM2 pipeline) and ``verify_index`` (crc-check arrays on
       index open).
@@ -87,7 +85,6 @@ class MappingConfig:
     output_format: str = "sam"
     # execution
     batch_size: int = 256
-    workers: int = 1
     # environment
     full_fallback: bool = True
     verify_index: bool = True
@@ -105,8 +102,7 @@ class MappingConfig:
                 # 0 used to be a valid batch_size: say what replaced it.
                 ("batch_size", 1, " (the pair-by-pair engine that 0 "
                                   "selected is gone; 1 gives the same "
-                                  "output)"),
-                ("workers", 1)):
+                                  "output)")):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) \
                     or value < minimum:

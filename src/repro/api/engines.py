@@ -12,11 +12,9 @@ algorithm parameter is a constant of the core's module.
 The adapters listed in :data:`~repro.api.registry.ENGINES`:
 
 * :class:`GenPairEngine` (``genpair``) — the paper's
-  :class:`~repro.core.pipeline.GenPairPipeline` plus the persistent
-  :class:`~repro.core.executor.StreamExecutor` worker pool (the only
-  place that constructs one; pooled and in-process output are
-  byte-identical).  With ``full_fallback`` the pipeline's ``fallback=``
-  is an :class:`~repro.mapper.mm2.Mm2LikeMapper`;
+  :class:`~repro.core.pipeline.GenPairPipeline`.  With
+  ``full_fallback`` the pipeline's ``fallback=`` is an
+  :class:`~repro.mapper.mm2.Mm2LikeMapper`;
 * :class:`Mm2Engine` (``mm2``) — the minimizer seed-chain-align
   baseline (:mod:`repro.mapper.mm2`'s constants), over the same
   facade-owned minimizer index as that fallback;
@@ -37,13 +35,11 @@ from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from ..core.executor import StreamExecutor, pool_available
 from ..core.longread import CHUNK_LENGTH, LongReadMapper, LongReadStats
 from ..core.pipeline import (GenPairPipeline, PipelineStats, chunked,
                              normalize_pairs)
 from ..genome.results import MappingResult
 from ..mapper.mm2 import MapperStats, Mm2LikeMapper
-from ..util.diagnostics import note
 from .config import MappingConfig, MappingConfigError
 
 #: ``input_kind`` values: what one workload item is.
@@ -95,10 +91,8 @@ class Engine:
     (the mapper, holder of the per-run ``stats``) and ``map_chunk``
     (the core's chunk call: normalized items in, one
     :class:`~repro.genome.MappingResult` each out).  The facade calls
-    :meth:`begin_run`, :meth:`map_stream`, :meth:`finish_run` (fold
-    deferred counters) and :meth:`run_stats` around every run,
-    :meth:`fresh_stats` for its accumulators, :meth:`warm_up` /
-    :meth:`close` for resources.
+    :meth:`begin_run`, :meth:`map_stream` and :meth:`run_stats` around
+    every run, and :meth:`fresh_stats` for its accumulators.
     """
 
     name: str = ""
@@ -115,40 +109,25 @@ class Engine:
                              self.normalize):
             yield from self.map_chunk(chunk)
 
-    def finish_run(self) -> None:
-        pass
-
     def run_stats(self):
         return self.core.stats
 
     def fresh_stats(self):
         return self.stats_type()
 
-    def warm_up(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
 
 class GenPairEngine(Engine):
     """The paper's paired-end pipeline behind the Engine protocol.
 
-    Owns the :class:`GenPairPipeline` and the lazily-created, **reused**
-    :class:`StreamExecutor` worker pool.  Whether there is a pool is
-    decided once, at construction (:func:`pool_available`); where
-    ``workers > 1`` cannot be honoured the engine says so once and maps
-    in-process — the output is identical either way.
+    With ``full_fallback`` the pipeline's ``fallback=`` is an
+    :class:`~repro.mapper.mm2.Mm2LikeMapper` over the facade's
+    minimizer index.
     """
 
     name = "genpair"
 
     def __init__(self, facade) -> None:
         config: MappingConfig = facade.config
-        self._pooled = pool_available(config.workers)
-        if config.workers > 1 and not self._pooled:
-            note("workers>1 needs os.fork, which this platform lacks; "
-                 "mapping single-process instead")
         self.config = config
         fallback = None
         if config.full_fallback:
@@ -157,42 +136,12 @@ class GenPairEngine(Engine):
         self.core = GenPairPipeline(
             facade.reference, seedmap=facade.seedmap,
             config=config.genpair(), fallback=fallback)
-        self._executor = None
-
-    # -- pool lifecycle ------------------------------------------------
-
-    def _ensure_executor(self):
-        if self._executor is None and self._pooled:
-            self._executor = StreamExecutor(
-                self.core, workers=self.config.workers,
-                chunk_size=self.config.batch_size)
-        return self._executor
-
-    def warm_up(self) -> None:
-        self._ensure_executor()
-
-    # -- runs ----------------------------------------------------------
 
     def map_stream(self, items: Iterable) -> Iterator[MappingResult]:
-        # No loop of its own: the pool and the pipeline each run the
-        # base class's chunk loop over ``GenPairPipeline._map_chunk``.
-        executor = self._ensure_executor()
-        if executor is not None:
-            yield from executor.map(items)
-        else:
-            yield from self.core.map_stream(
-                items, chunk_size=self.config.batch_size)
-
-    def finish_run(self) -> None:
-        if self._executor is not None:
-            self._executor.fold_stats()
-
-    def close(self) -> None:
-        if self._executor is not None:
-            executor, self._executor = self._executor, None
-            # close() folds residual worker stats into the pipeline's
-            # current counters; nothing is lost.
-            executor.close()
+        # The pipeline's own stream, not the base class loop: perf's
+        # ``core.pipeline`` layer times ``GenPairPipeline.map_stream``.
+        yield from self.core.map_stream(
+            items, chunk_size=self.config.batch_size)
 
 
 class Mm2Engine(Engine):

@@ -7,9 +7,7 @@ single-read long-read mapping — through the same ``map`` /
 ``map_stream`` / ``map_file`` surface, emitting the common
 :class:`~repro.genome.MappingResult` record whatever the engine.
 Engine instances are built **lazily, once per engine name**, and reused
-across calls (and daemon requests); the GenPair engine additionally
-owns the persistent :class:`~repro.core.executor.StreamExecutor` worker
-pool, created on first use and reused until :meth:`close`.
+across calls (and daemon requests); every engine maps in this process.
 
 Output is equally pluggable: :meth:`write` and :meth:`lines` resolve
 ``sam`` / ``paf`` / ``jsonl`` through
@@ -33,7 +31,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
-from ..core.executor import pool_available
 from ..core.pipeline import PipelineStats, merge_stats
 from ..genome.io_fasta import iter_pairs, iter_reads, read_fasta
 from ..genome.reference import ReferenceGenome
@@ -49,15 +46,15 @@ PathLike = Union[str, Path]
 
 
 class Mapper:
-    """Context-manager facade over index, engines, and worker pool.
+    """Context-manager facade over an index and its engines.
 
     Construct through :meth:`from_index` or :meth:`from_reference`;
     the plain constructor accepts pre-built objects (the power-user
     seam the classmethods and the daemon share).
 
     One mapping run at a time: :meth:`map`, :meth:`map_file`, and the
-    :meth:`map_stream` generator may be called repeatedly — engines and
-    the worker pool persist between calls — but not concurrently (a
+    :meth:`map_stream` generator may be called repeatedly — engines
+    persist between calls — but not concurrently (a
     second call while a stream is being consumed raises).  Every
     mapping call takes an optional ``engine=`` override; without it the
     config's ``engine`` runs.
@@ -98,7 +95,7 @@ class Mapper:
 
         With ``config=None`` the mapper adopts the index's fingerprint
         (``overrides`` tune the non-fingerprint knobs, e.g.
-        ``workers=4`` or ``engine="longread"``).  An explicit
+        ``batch_size=64`` or ``engine="longread"``).  An explicit
         ``config`` must agree with the index fingerprint exactly — a
         mismatch raises :class:`MappingConfigError` naming every
         conflicting field, so a stale index is rejected loudly instead
@@ -184,14 +181,6 @@ class Mapper:
         """The GenPair engine's pipeline (built on first access)."""
         return self.engine("genpair").core
 
-    @property
-    def _executor(self):
-        """The GenPair worker pool, if it exists yet (tests and the
-        lifecycle assertions peek here; ``None`` until the first
-        pooled run or :meth:`warm_up`)."""
-        engine = self._engines.get("genpair")
-        return engine._executor if engine is not None else None
-
     # -- mapping -------------------------------------------------------
 
     def map(self, items: Iterable,
@@ -210,9 +199,8 @@ class Mapper:
                    ) -> Iterator[MappingResult]:
         """Map a lazy item stream, yielding results as chunks finish.
 
-        The selected engine (and, for ``genpair`` with
-        ``config.workers > 1``, its worker pool) is created on the
-        first call and **reused** by every later one; per-run
+        The selected engine is created on the first call and
+        **reused** by every later one; per-run
         statistics land in :attr:`last_stats` when the returned
         generator is exhausted or closed.
         """
@@ -266,7 +254,6 @@ class Mapper:
             yield None  # handshake consumed by map_stream's prime
             yield from engine.map_stream(items)
         finally:
-            engine.finish_run()
             stats = engine.run_stats()
             self.last_stats = stats
             self.last_engine = engine.name
@@ -280,9 +267,7 @@ class Mapper:
         """Fold one completed run into the metrics registry.
 
         Once per *run* (never per pair), so it costs nothing on the
-        hot path; the counter folds are bit-identical between
-        ``workers=1`` and ``workers=N`` because the stats they mirror
-        already are.
+        hot path.
         """
         obs = get_registry()
         if not obs.enabled:
@@ -312,7 +297,7 @@ class Mapper:
         """Drain mapping results into ``path`` in the named output
         format (default: the config's ``output_format``); returns the
         record-line count.  Closes a generator stream even on error,
-        so the worker pool never leaks in-flight chunks."""
+        so an abandoned run still releases the run slot."""
         fmt = self._resolve_format(format, results)
         obs = get_registry()
         started = time.perf_counter() if obs.enabled else 0.0
@@ -387,27 +372,14 @@ class Mapper:
 
     # -- lifecycle -----------------------------------------------------
 
-    @property
-    def uses_pool(self) -> bool:
-        """Will ``genpair`` mapping runs go through a persistent worker
-        pool?  (The other engines always map in-process.)"""
-        return pool_available(self.config.workers)
-
     def warm_up(self, engine: Optional[str] = None) -> "Mapper":
         """Build the named engine (default: the config's) before the
-        first run — including the GenPair worker pool, if configured.
+        first run.
 
         Mapping calls do this lazily; the daemon calls it at startup
-        instead, so the pool fork happens while the process is still
-        single-threaded and the first request hits a warm engine.
+        instead, so the first request hits a warm engine.
         """
-        self._assert_open()
-        self.engine(engine).warm_up()
-        if self.uses_pool:
-            # Whatever the default engine, a configured pool belongs to
-            # genpair: fork it now, pre-threads, so a later per-request
-            # engine switch doesn't fork inside a threaded daemon.
-            self.engine("genpair").warm_up()
+        self.engine(engine)
         return self
 
     def _assert_open(self) -> None:
@@ -415,18 +387,13 @@ class Mapper:
             raise RuntimeError("Mapper is closed")
 
     def close(self) -> None:
-        """Shut every engine (and the worker pool) down and mark the
-        mapper closed.
+        """Mark the mapper closed.
 
         Idempotent.  The memory-mapped index views stay valid for
         already-returned results; no further mapping calls are
         accepted.
         """
-        if self._closed:
-            return
         self._closed = True
-        for engine in self._engines.values():
-            engine.close()
 
     def __enter__(self) -> "Mapper":
         return self

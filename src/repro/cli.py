@@ -13,13 +13,12 @@ Subcommands mirror a real read-mapping toolchain:
   default, ``mm2`` baseline, ``longread`` single-read over one
   ``--reads`` FASTQ), ``--format`` the output writer; reads stream
   through in O(batch) memory, ``--batch-size`` pairs per
-  chunk, ``--workers N`` streams genpair chunks through a persistent
-  pool of forked worker processes, and ``--index`` serves from a
-  prebuilt index.  Every :class:`~repro.api.MappingConfig` field has
+  chunk, in one process, and ``--index`` serves from a prebuilt
+  index.  Every :class:`~repro.api.MappingConfig` field has
   one flag here (``--seed-length`` / ``--step`` on ``index build``);
   algorithm parameters are not flags;
 * ``serve``         — run the long-lived mapping daemon: the index and
-  the worker pool stay warm, and mapping requests arrive as
+  the engines stay warm, and mapping requests arrive as
   newline-delimited JSON over a UNIX socket;
 * ``client``        — talk to a running daemon (``ping`` / ``map`` /
   ``shutdown``);
@@ -27,8 +26,8 @@ Subcommands mirror a real read-mapping toolchain:
   daemon: server totals, per-engine counters, and the full metrics
   registry (counters / gauges / latency histograms) rendered as
   tables (``--json`` for the raw reply);
-* ``top``           — live daemon dashboard: engines, request
-  latencies, and worker utilization, refreshed every ``--interval``
+* ``top``           — live daemon dashboard: engines and request
+  latencies, refreshed every ``--interval``
   seconds until interrupted;
 * ``call``          — pile up a SAM file and call variants to VCF (SAM
   stores a ``-`` strand read's SEQ reverse-complemented, as the CIGAR
@@ -41,7 +40,7 @@ Example::
         --out demo.rpix
     python -m repro.cli map --index demo.rpix \
         --reads1 demo_1.fq --reads2 demo_2.fq --out demo.sam
-    python -m repro.cli serve --index demo.rpix --workers 4 &
+    python -m repro.cli serve --index demo.rpix &
     python -m repro.cli client map --socket demo.rpix.sock \
         --reads1 demo_1.fq --reads2 demo_2.fq --out demo.sam
     python -m repro.cli client shutdown --socket demo.rpix.sock
@@ -61,21 +60,12 @@ import numpy as np
 
 from . import __version__
 from .api.registry import ENGINES, OUTPUT_FORMATS
-from .util.diagnostics import note, set_quiet
-
-
-def _available_cpus() -> int:
-    """CPUs this process may actually use: the scheduling affinity mask
-    where available (respects cgroup/taskset limits in containers),
-    falling back to the raw core count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) or 1
-    return os.cpu_count() or 1
+from .util.diagnostics import set_quiet
 
 
 def _int_arg(flag: str, minimum: int, note: str = ""):
     """Argparse type: an integer bounded below, with a clear error
-    (``--workers`` and ``--batch-size`` must be positive)."""
+    (``--batch-size`` must be positive)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -175,20 +165,9 @@ def _build_mapper(args: argparse.Namespace):
         print(f"error: {args.command} needs exactly one of "
               "--reference or --index", file=sys.stderr)
         return None, 2
-    engine = args.engine
-    if engine != "genpair" and args.workers > 1:
-        note(f"the worker pool serves the genpair engine; "
-             f"--engine {engine} maps in-process (the pool still "
-             "serves genpair requests of a daemon)")
-    cpus = _available_cpus()
-    if args.workers > cpus:
-        note(f"--workers {args.workers} exceeds the {cpus} "
-             f"available CPU(s); capping at {cpus}")
-        args.workers = cpus
     overrides = dict(delta=args.delta, batch_size=args.batch_size,
-                     workers=args.workers,
                      full_fallback=not args.no_fallback,
-                     engine=engine,
+                     engine=args.engine,
                      output_format=args.format)
     # The fingerprint gate: an explicit --filter-threshold must match
     # what an index was built with (from_fingerprint rejects a
@@ -302,10 +281,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except KeyboardInterrupt:
-            teardown = ("worker pool torn down, " if mapper.uses_pool
-                        else "")
-            print(f"\ninterrupted: {teardown}partial output left at "
-                  f"{args.out}", file=sys.stderr)
+            print(f"\ninterrupted: partial output left at {args.out}",
+                  file=sys.stderr)
             return 130
         _print_engine_report(args.engine, mapper.last_stats, count,
                              args.out)
@@ -337,7 +314,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     endpoints = socket_path if args.tcp is None \
         else f"{socket_path} + tcp {args.tcp.display}"
     print(f"serving {source} on {endpoints} "
-          f"(pid {os.getpid()}, workers={args.workers}, "
+          f"(pid {os.getpid()}, "
           f"batch={args.batch_size}, max-clients={args.max_clients}, "
           f"max-queue={args.max_queue}); stop with `repro client "
           f"shutdown --socket {socket_path}` or SIGTERM",
@@ -379,7 +356,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 print(f"daemon alive: pid {reply['pid']}, up "
                       f"{reply['uptime_s']}s, index "
                       f"{reply['index'] or '(in-memory reference)'}, "
-                      f"workers={reply['workers']}, engines "
+                      f"engines "
                       f"{','.join(reply.get('engines', []))}")
             elif args.action == "shutdown":
                 client.shutdown()
@@ -564,7 +541,7 @@ def _add_mapper_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--index",
                         help="persistent index from `repro index "
                              "build`; memory-mapped, so opening is "
-                             "cheap and forked workers share it")
+                             "cheap")
     parser.add_argument("--no-verify", action="store_true",
                         help="with --index: skip array checksum "
                              "verification (the trusted-file reopen "
@@ -586,13 +563,6 @@ def _add_mapper_args(parser: argparse.ArgumentParser) -> None:
                              "resolved against the SeedMap in one "
                              "call per chunk (results are identical "
                              "whatever the size)")
-    parser.add_argument("--workers", type=_int_arg("--workers", 1),
-                        default=1,
-                        help="stream batches through a persistent "
-                             "pool of N forked worker processes "
-                             "(1 = in-process; capped at the CPU "
-                             "count; worker stats are merged into "
-                             "the final report)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -663,13 +633,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output path (default: out.<format>)")
     map_cmd.add_argument("--metrics-json", metavar="PATH", default=None,
                          help="after the run, dump the process metrics "
-                              "registry (stage timings, worker "
-                              "utilization, host metadata) as JSON")
+                              "registry (stage timings, host "
+                              "metadata) as JSON")
     map_cmd.set_defaults(func=_cmd_map)
 
     serve_cmd = sub.add_parser(
         "serve", help="run the persistent mapping daemon: warm index "
-                      "+ worker pool behind a UNIX socket and/or a "
+                      "+ engines behind a UNIX socket and/or a "
                       "TCP endpoint, serving many clients at once")
     _add_mapper_args(serve_cmd)
     serve_cmd.add_argument("--socket", default=None,
@@ -757,8 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats_cmd.set_defaults(func=_cmd_stats)
 
     top_cmd = sub.add_parser(
-        "top", help="live daemon dashboard: engines, request "
-                    "latencies, worker utilization")
+        "top", help="live daemon dashboard: engines and request "
+                    "latencies")
     top_cmd.add_argument("--socket", required=True,
                          help="the daemon's UNIX socket path or "
                               "TCP HOST:PORT address")

@@ -10,7 +10,6 @@ Subpackages by pipeline stage:
 * :mod:`~repro.core.pairfilter` — Paired-Adjacency Filtering (§4.5);
 * :mod:`~repro.core.light_align` — Light Alignment (§4.6);
 * :mod:`~repro.core.pipeline` — the end-to-end online dataflow + fallbacks;
-* :mod:`~repro.core.executor` — the persistent worker pool;
 * :mod:`~repro.core.longread` — long-read mode via Location Voting (§4.7).
 
 One seed→candidate front-end: :func:`~repro.core.query.resolve_reads`
@@ -30,14 +29,11 @@ read of a chunk.  :meth:`~GenPairPipeline.map_pair` and
 :meth:`~GenPairPipeline.map_stream` the eager / lazy forms.  The
 per-seed scalar chain (one xxHash, one :meth:`SeedMap.query` and one
 ``np.unique`` merge at a time) lives in ``tests/oracles/core.py`` as
-the reference both are tested against.  One parallel mode:
-:class:`~repro.core.executor.StreamExecutor` — a persistent pool of forked workers, double-buffered dispatch,
-ordered merge — folds per-chunk counters back with
-:func:`~repro.core.pipeline.merge_stats`; pooled and in-process output
-are bit-identical.
+the reference both are tested against.  Mapping runs in one process:
+the chunks of a stream go through :meth:`GenPairPipeline._map_chunk`
+one after another.
 """
 
-from .executor import DEFAULT_INFLIGHT_PER_WORKER, StreamExecutor
 from .fingerprint import IndexFingerprint
 from .light_align import (EditProfile, LightAligner, LightAlignment,
                           enumerate_simple_profiles)
@@ -54,7 +50,6 @@ from .seeding import pair_role_codes, seed_offsets
 
 __all__ = [
     "DEFAULT_BATCH_SIZE", "DEFAULT_DELTA", "DEFAULT_FILTER_THRESHOLD",
-    "DEFAULT_INFLIGHT_PER_WORKER", "StreamExecutor",
     "EditProfile", "IndexFingerprint",
     "FilterResult", "GenPairConfig", "GenPairPipeline",
     "LightAligner", "LightAlignment", "LOCATION_ENTRY_BYTES",

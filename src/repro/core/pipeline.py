@@ -39,8 +39,7 @@ Every pair comes out as a
 :meth:`~GenPairPipeline.map_pairs` the eager form and
 :meth:`~GenPairPipeline.map_stream` the lazy one; chunk boundaries never
 change results.  The per-seed scalar reference the chunk seeding is
-tested against lives in ``tests/oracles/core.py``; worker processes are
-:mod:`repro.core.executor`'s business.
+tested against lives in ``tests/oracles/core.py``.
 
 Coordinates: candidates are *linear* implied read starts up to and
 including the adjacency filter, whose chromosome boundaries are
@@ -181,8 +180,7 @@ def merge_stats(total, run) -> None:
 
     Works for any engine's stats dataclass (:class:`PipelineStats`,
     ``MapperStats``, ``LongReadStats``) as long as the fields are
-    numeric: pooled workers' per-chunk counters fold into the parent
-    pipeline with it, per-run counters into the facade's totals.
+    numeric: per-run counters fold into the facade's totals with it.
     """
     for spec in fields(run):
         setattr(total, spec.name,
@@ -227,11 +225,10 @@ def chunked(items: Iterable, chunk_size: int,
             normalize: Callable[[List, int], List]) -> Iterator[List]:
     """Chunk a lazy item stream through ``normalize(chunk, consumed)``.
 
-    The one chunk-and-number loop every engine and the worker pool
-    share: ``consumed`` is the running item count, so unnamed items are
-    numbered globally across the whole stream, and partial tails flush
-    the same way everywhere — which keeps in-process and pooled output
-    bit-identical by construction.
+    The one chunk-and-number loop every engine shares: ``consumed`` is
+    the running item count, so unnamed items are numbered globally
+    across the whole stream, and partial tails flush the same way
+    everywhere.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
@@ -282,11 +279,6 @@ class GenPairPipeline:
         #: GenPair cannot place, or ``None`` to emit them unmapped.
         self.fallback = fallback
         self.stats = PipelineStats()
-        #: Where this pipeline's chunk timings land: the process-wide
-        #: registry by default; a pool worker
-        #: (:mod:`repro.core.executor`) swaps in a fresh per-chunk
-        #: registry whose snapshot ships back with the chunk.
-        self.obs = get_registry()
         self._window_pad = max(self.light_aligner.max_edits, CANDIDATE_PAD)
 
     # -- public API --------------------------------------------------------
@@ -340,7 +332,7 @@ class GenPairPipeline:
         (``pipeline.seed_query_s`` / ``pipeline.filter_align_s``), so
         instrumentation cost is amortized over the whole batch.
         """
-        obs = self.obs
+        obs = get_registry()
         timed = obs.enabled
         start = time.perf_counter() if timed else 0.0
         with span("seed.query_batch"):

@@ -10,8 +10,8 @@ the three output formats.
 from .cigar import Cigar, CigarError
 from .io_fasta import (DEFAULT_PAIR_CHUNK, DEFAULT_READ_CHUNK,
                        FastaError, iter_pairs, iter_pairs_chunked,
-                       iter_reads, iter_reads_chunked, read_ahead,
-                       read_fasta, read_fastq, write_fasta, write_fastq)
+                       iter_reads, iter_reads_chunked, read_fasta,
+                       read_fastq, write_fasta, write_fastq)
 from .jsonl import (JsonlWriter, jsonl_header_lines, jsonl_lines,
                     jsonl_record_lines)
 from .paf import PafWriter, paf_header_lines, paf_lines, paf_record_lines
@@ -40,7 +40,7 @@ __all__ = [
     "iter_pairs", "iter_pairs_chunked", "iter_reads", "iter_reads_chunked",
     "jsonl_header_lines", "jsonl_lines", "jsonl_record_lines", "kmers",
     "pack_2bit", "paf_header_lines", "paf_lines", "paf_record_lines",
-    "plant_variants", "random_sequence", "read_ahead", "read_fasta",
+    "plant_variants", "random_sequence", "read_fasta",
     "read_fastq", "result_records", "reverse_complement",
     "sam_header_lines", "sam_lines", "sam_record_lines", "unpack_2bit",
     "write_fasta", "write_fastq", "write_sam",

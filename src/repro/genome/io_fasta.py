@@ -21,21 +21,14 @@ way ``zip`` would.  Single-read input (long-read workloads) goes through
 :func:`iter_reads_chunked` / :func:`iter_reads`.  The record-by-record
 loop the chunked parser replaced is the test oracle
 (``tests/oracles/genome.py``).
-
-:func:`read_ahead` overlaps parsing with downstream work: it drives any
-iterator from a background thread through a bounded buffer, so the
-streaming pipeline's FASTQ reader stays a few chunks ahead of the
-mapping workers instead of alternating read / map / read / map.
 """
 
 from __future__ import annotations
 
 import itertools
-import queue
-import threading
 from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Tuple, TypeVar, Union)
+                    Tuple, Union)
 
 import numpy as np
 
@@ -44,7 +37,6 @@ from .sequence import SequenceError, decode, encode
 
 PathLike = Union[str, Path]
 OptionalChunk = Union[int, None]
-ItemT = TypeVar("ItemT")
 
 #: Default pairs per chunk of :func:`iter_pairs_chunked` — matches the
 #: pipeline's batched engine granularity a few times over so one chunk
@@ -383,80 +375,6 @@ def iter_pairs(reads1: PathLike, reads2: PathLike,
     """Flat, lazy view of :func:`iter_pairs_chunked` (one pair at a time)."""
     for chunk in iter_pairs_chunked(reads1, reads2, chunk_size=chunk_size):
         yield from chunk
-
-
-#: End-of-stream and failure sentinels for :func:`read_ahead`'s buffer.
-_READ_AHEAD_DONE = object()
-
-
-class _ReadAheadFailure:
-    """Carries an exception from the prefetch thread to the consumer."""
-
-    def __init__(self, exc: BaseException) -> None:
-        self.exc = exc
-
-
-def read_ahead(iterable: Iterable[ItemT],
-               depth: int = 2) -> Iterator[ItemT]:
-    """Iterate ``iterable`` through a background prefetch thread.
-
-    Up to ``depth`` items are pulled ahead of the consumer and held in a
-    bounded buffer, so producing the next item (e.g. parsing the next
-    FASTQ chunk) overlaps with whatever the consumer does with the
-    current one (e.g. dispatching it to mapping workers).  Order is
-    preserved, exceptions raised by the source re-raise at the
-    consumer's ``next()``, and closing the returned generator early
-    stops the thread and joins it (bounded: a producer blocked inside
-    the source's own I/O is abandoned as a daemon rather than allowed
-    to wedge teardown).
-
-    The thread only starts on the first ``next()``, so creating the
-    iterator is free (and fork-safe: a worker pool forked before
-    iteration begins never races the prefetch thread).
-    """
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    buffer: queue.Queue = queue.Queue(maxsize=depth)
-    stop = threading.Event()
-
-    def push(item) -> bool:
-        while not stop.is_set():
-            try:
-                buffer.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def produce() -> None:
-        try:
-            for item in iterable:
-                if not push(item):
-                    return
-        except BaseException as exc:
-            push(_ReadAheadFailure(exc))
-            return
-        push(_READ_AHEAD_DONE)
-
-    thread = threading.Thread(target=produce, name="repro-read-ahead",
-                              daemon=True)
-    thread.start()
-    try:
-        while True:
-            item = buffer.get()
-            if item is _READ_AHEAD_DONE:
-                return
-            if isinstance(item, _ReadAheadFailure):
-                raise item.exc
-            yield item
-    finally:
-        stop.set()
-        # Bounded join: the producer checks ``stop`` between items, but
-        # may be parked inside a blocking read of the source (a stalled
-        # pipe, a network mount).  A daemon thread stuck there cannot be
-        # cancelled — abandon it rather than wedging teardown (it exits
-        # on its own at the next item or at interpreter shutdown).
-        thread.join(timeout=1.0)
 
 
 def write_fastq(path: PathLike,

@@ -80,7 +80,7 @@ class ReferenceGenome:
         :meth:`linear_offset` spans.  Each chromosome becomes a *view*
         into ``codes`` (zero-copy), which is what lets the persistent
         index (:mod:`repro.index`) serve a whole genome out of one
-        ``np.memmap`` that forked workers share physically.
+        ``np.memmap`` without copying it.
         """
         codes = np.asarray(codes)
         if codes.ndim != 1:

@@ -162,10 +162,9 @@ class SamWriter(ResultLineWriter):
     """Incremental SAM writer: header up front, records as they arrive.
 
     The streaming ``map`` path hands each chunk's results straight here,
-    so writing a SAM file needs O(1) memory regardless of input size —
-    with a multi-worker stream, :meth:`drain` writes each chunk the
-    moment the ordered merge releases it, while later chunks are still
-    being mapped.  Use as a context manager::
+    so writing a SAM file needs O(1) memory regardless of input size:
+    :meth:`drain` writes each chunk as soon as it is mapped.  Use as a
+    context manager::
 
         with SamWriter("out.sam", reference=reference) as writer:
             writer.drain(pipeline.map_stream(pairs))

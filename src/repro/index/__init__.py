@@ -8,7 +8,7 @@ serializes a built :class:`~repro.core.seedmap.SeedMap`, the
 into one versioned binary file, and ``repro map --index`` memory-maps
 it back in milliseconds (the ``bowtie2-build`` / ``minimap2 -d``
 split).  The load path is ``np.memmap`` views into one read-only file,
-so forked pool workers share a single physical copy of every table.
+so every mapper over it shares a single physical copy of every table.
 
 File format (version 2)
 =======================

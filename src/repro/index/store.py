@@ -5,8 +5,8 @@
 :class:`~repro.mapper.index.MinimizerIndex` and the reference itself;
 :func:`open_index` maps it back as a :class:`MappingIndex` whose
 ``seedmap``/``minimizers``/``reference`` are backed by ``np.memmap``
-views — opening is O(header) work, and forked workers share the page
-cache copy of the tables.  :func:`inspect_index` reads and verifies a
+views — opening is O(header) work, and every process that opens the
+file shares the page cache copy of the tables.  :func:`inspect_index` reads and verifies a
 file without constructing the mapping objects (the ``repro index
 inspect`` path).
 """
@@ -121,8 +121,8 @@ class MappingIndex:
     Hand :attr:`reference` and :attr:`seedmap` straight to
     :class:`~repro.core.pipeline.GenPairPipeline`, and :attr:`minimizers`
     to :class:`~repro.mapper.mm2.Mm2LikeMapper`; all are views into the
-    index file (read-only), so any number of mappers — including forked
-    pool workers — share one physical copy.
+    index file (read-only), so any number of mappers share one
+    physical copy.
     """
 
     path: str

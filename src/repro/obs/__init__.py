@@ -12,12 +12,6 @@ What is instrumented where:
   and ``pipeline.chunks`` / ``pipeline.pairs`` counters (recorded
   once per chunk, so the hot path stays within 3% of uninstrumented —
   gated in ``benchmarks/bench_batch_throughput.py``);
-* :class:`~repro.core.executor.StreamExecutor` — worker-side
-  ``executor.chunk_s`` / ``executor.w<N>.chunk_s`` /
-  ``executor.queue_wait_s`` histograms recorded with fork-safe plain
-  counters and folded through the ordered-merge path, parent-side
-  ``executor.dispatch_depth`` / ``executor.run_s`` and the
-  ``executor.workers`` gauge;
 * every engine — ``engine.<name>.runs``, ``engine.<name>.run_s``, and
   the engine's stats counters folded as ``engine.<name>.<field>``;
 * the output formats — ``output.<fmt>.records`` /
@@ -39,7 +33,7 @@ from .metrics import (BUCKET_BOUNDS, Counter, Gauge, Histogram,
                       metrics_enabled, set_metrics_enabled,
                       write_metrics_json)
 from .render import (format_seconds, render_metrics, render_top,
-                     snapshot_quantile, worker_utilization)
+                     snapshot_quantile)
 from .trace import (SpanRecord, Tracer, active_tracer, capture_trace,
                     span)
 
@@ -62,6 +56,5 @@ __all__ = [
     "set_metrics_enabled",
     "snapshot_quantile",
     "span",
-    "worker_utilization",
     "write_metrics_json",
 ]

@@ -2,33 +2,19 @@
 
 One :class:`MetricsRegistry` per process (:func:`get_registry`) holds
 every metric the instrumented layers record — pipeline stage timings,
-executor queue waits, per-engine run counters, daemon request
-latencies.  Four properties drive the design:
+per-engine run counters, daemon request latencies.  Three properties
+drive the design:
 
-* **Fork safety.**  Metric *objects* are plain Python ints/floats in
-  plain dicts — no file descriptors, nothing per-registry the forked
-  :func:`~repro.core.executor._stream_worker` children could corrupt
-  or deadlock on.  Workers record into a *fresh per-chunk registry*
-  and ship :meth:`MetricsRegistry.snapshot` dictionaries back through
-  the existing ordered-merge path; the parent folds them with
-  :meth:`MetricsRegistry.merge_snapshot` in chunk order, so counter
-  folds are bit-identical between ``workers=1`` and ``workers=N``.
 * **Thread safety.**  The daemon records from one thread per
   connection, so every mutation — counter increments, histogram
-  observes, get-or-create dict inserts, snapshot/merge/reset — runs
-  under one *module-level* lock (:data:`_REGISTRY_LOCK`).  Module
-  level, not per-registry, keeps the fork story intact: constructing
-  a ``MetricsRegistry`` never constructs a threading primitive in
-  code the forked workers run, and the lock is re-armed in forked
-  children via ``os.register_at_fork`` so a parent thread holding it
-  at fork time cannot deadlock the child.
+  observes, get-or-create dict inserts, snapshot/reset — runs under
+  one *module-level* lock (:data:`_REGISTRY_LOCK`).
   Under ``REPRO_SANITIZE=1`` the lock is a
   :class:`~repro.util.sync.SanitizedLock`, which turns unguarded or
   misordered access into hard errors in the concurrency stress tests.
-* **Deterministic merging.**  Histogram bucket bounds are *fixed*
+* **Fixed buckets.**  Histogram bucket bounds are *fixed*
   (log-spaced, :data:`BUCKET_BOUNDS`) rather than adaptive, so two
-  snapshots merge by elementwise addition — no re-bucketing, no
-  order dependence.
+  snapshots of the same registry compare bucket by bucket.
 * **Near-zero overhead when disabled.**  :func:`set_metrics_enabled`
   flips one module-level flag; instrumented hot paths check
   ``registry.enabled`` once per *chunk* (not per pair) and skip all
@@ -51,8 +37,7 @@ from typing import Dict, Optional, Union
 from ..util.sync import maybe_sanitize_lock, on_sanitize_toggle
 
 #: Fixed histogram bucket upper bounds (seconds): 1/2.5/5 per decade
-#: from 1e-5 up through 5e1, plus an implicit overflow bucket.  Fixed
-#: bounds make merges deterministic elementwise additions.
+#: from 1e-5 up through 5e1, plus an implicit overflow bucket.
 BUCKET_BOUNDS = tuple(
     mantissa * 10.0 ** exponent
     for exponent in range(-5, 2)
@@ -60,7 +45,7 @@ BUCKET_BOUNDS = tuple(
 
 #: Process-wide enable flag.  Consulted through
 #: :attr:`MetricsRegistry.enabled` so instrumented code holds no extra
-#: global reference; forked workers inherit the parent's value.
+#: global reference.
 _ENABLED = True
 
 
@@ -78,11 +63,9 @@ def metrics_enabled() -> bool:
     return _ENABLED
 
 
-#: The one lock guarding every metric mutation in this process.
-#: Module-level by design (see the module docstring): per-registry
-#: locks would put a threading-primitive construction on the forked
-#: worker's path, and a lock captured mid-acquire at fork time would
-#: deadlock the child — so the child re-arms a fresh one instead.
+#: The one lock guarding every metric mutation in this process,
+#: re-armed when ``REPRO_SANITIZE`` is toggled so it becomes (or stops
+#: being) a sanitized lock.
 _REGISTRY_LOCK = maybe_sanitize_lock("metrics_registry")
 
 
@@ -91,8 +74,6 @@ def _rearm_registry_lock() -> None:
     _REGISTRY_LOCK = maybe_sanitize_lock("metrics_registry")
 
 
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_rearm_registry_lock)
 on_sanitize_toggle(_rearm_registry_lock)
 
 
@@ -110,7 +91,7 @@ class Counter:
 
 
 class Gauge:
-    """A last-value-wins float (worker count, queue depth, ...)."""
+    """A last-value-wins float (queue depth, ...)."""
 
     __slots__ = ("value",)
 
@@ -175,10 +156,9 @@ class MetricsRegistry:
     """A named collection of counters, gauges, and histograms.
 
     Metrics are created on first use and reused afterwards; names are
-    dotted paths (``engine.genpair.run_s``, ``executor.queue_wait_s``)
+    dotted paths (``engine.genpair.run_s``, ``serve.request_s.map``)
     so renderers can group by prefix.  The process-wide instance lives
-    behind :func:`get_registry`; workers build private per-chunk
-    instances and ship snapshots.
+    behind :func:`get_registry`.
     """
 
     def __init__(self) -> None:
@@ -221,10 +201,10 @@ class MetricsRegistry:
                     metric = self._histograms[name] = Histogram()
         return metric
 
-    # -- snapshot / merge / reset --------------------------------------
+    # -- snapshot / reset ----------------------------------------------
 
     def snapshot(self) -> Dict[str, Dict]:
-        """Every metric as plain JSON types (the wire/fold form),
+        """Every metric as plain JSON types (the wire form),
         captured atomically with respect to concurrent recording."""
         with _REGISTRY_LOCK:
             histograms = {}
@@ -244,48 +224,6 @@ class MetricsRegistry:
                            for name, g in self._gauges.items()},
                 "histograms": histograms,
             }
-
-    def merge_snapshot(self, snapshot: Dict[str, Dict]) -> None:
-        """Fold a :meth:`snapshot` dictionary into the live metrics.
-
-        Counters and histogram buckets add elementwise (fixed bounds
-        make this exact); gauges are last-write-wins.  Folding worker
-        snapshots in chunk order keeps counter totals bit-identical
-        to a single-process run.
-
-        The whole fold is one critical section.  The get-or-create and
-        add steps are inlined rather than routed through
-        :meth:`counter`/:meth:`Counter.inc` because those take the
-        (non-reentrant) registry lock themselves.
-        """
-        with _REGISTRY_LOCK:
-            for name, value in snapshot.get("counters", {}).items():
-                metric = self._counters.get(name)
-                if metric is None:
-                    metric = self._counters[name] = Counter()
-                metric.value += value
-            for name, value in snapshot.get("gauges", {}).items():
-                gauge = self._gauges.get(name)
-                if gauge is None:
-                    gauge = self._gauges[name] = Gauge()
-                gauge.value = float(value)
-            for name, data in snapshot.get("histograms", {}).items():
-                hist = self._histograms.get(name)
-                if hist is None:
-                    hist = self._histograms[name] = Histogram()
-                if tuple(data["bounds"]) != hist.bounds:
-                    raise ValueError(
-                        f"histogram {name!r}: snapshot bucket bounds "
-                        "do not match this registry's (fixed bounds "
-                        "are what make merges deterministic)")
-                counts = data["counts"]
-                for index, bucket in enumerate(counts):
-                    hist.counts[index] += bucket
-                if data["count"]:
-                    hist.count += data["count"]
-                    hist.sum += data["sum"]
-                    hist.min = min(hist.min, data["min"])
-                    hist.max = max(hist.max, data["max"])
 
     def reset(self) -> None:
         """Drop every metric (tests and long-lived daemons)."""

@@ -8,7 +8,7 @@ the client renders exactly what the server reported.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..util.tables import format_table
 
@@ -90,37 +90,6 @@ def render_metrics(snapshot: Dict[str, Dict]) -> List[str]:
     return lines
 
 
-def worker_utilization(snapshot: Dict[str, Dict]
-                       ) -> Optional[Dict[str, float]]:
-    """Per-worker busy fraction from the executor histograms.
-
-    Busy seconds come from each worker's ``executor.w<N>.chunk_s``
-    sum; the denominator is the total ``executor.run_s`` (wall time
-    the pool spent inside ``map()`` runs).  ``None`` when no pooled
-    run has been recorded yet.
-    """
-    histograms = snapshot.get("histograms", {})
-    run = histograms.get("executor.run_s")
-    if run is None or not run.get("count"):
-        return None
-    wall = run["sum"]
-    if wall <= 0:
-        return None
-    utilization = {}
-    for name in sorted(histograms):
-        if name.startswith("executor.w") \
-                and name.endswith(".chunk_s"):
-            worker = name[len("executor."):-len(".chunk_s")]
-            utilization[worker] = min(
-                1.0, histograms[name]["sum"] / wall)
-    return utilization or None
-
-
-def _bar(fraction: float, width: int = 24) -> str:
-    filled = int(round(fraction * width))
-    return "#" * filled + "." * (width - filled)
-
-
 def render_top(reply: Dict) -> List[str]:
     """One ``repro top`` frame from a daemon ``stats`` reply.
 
@@ -191,12 +160,4 @@ def render_top(reply: Dict) -> List[str]:
         lines.append(format_table(
             ("histogram", "count", "mean", "p50", "p90", "p99", "max"),
             request_rows, title="Request latency"))
-    utilization = worker_utilization(snapshot)
-    if utilization is not None:
-        util_lines = ["Worker utilization"]
-        for worker in sorted(utilization):
-            fraction = utilization[worker]
-            util_lines.append(
-                f"  {worker}  [{_bar(fraction)}] {fraction * 100:5.1f}%")
-        lines.append("\n".join(util_lines))
     return lines

@@ -10,10 +10,7 @@ started_s, elapsed_s)`` into a flat list, nesting tracked by depth.
 
 Tracing is deliberately per-thread-unaware: the daemon captures under
 its ``_map_lock``, where exactly one request maps at a time, and the
-offline CLI is single-threaded.  Spans inside *forked worker
-processes* are not captured — the pooled GenPair engine's per-chunk
-stage breakdown arrives as metrics histograms instead (see
-:mod:`repro.obs.metrics`).
+offline CLI is single-threaded.
 
 Span-name catalog (what instrumented layers emit today):
 

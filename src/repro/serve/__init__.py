@@ -2,7 +2,7 @@
 
 One warm :class:`~repro.api.Mapper`, many simultaneous clients: accept
 threads on a UNIX socket and/or a TCP endpoint feed a bounded queue; a
-scheduler thread drains it onto the one warm engine pool, coalescing
+scheduler thread drains it onto the one warm mapper, coalescing
 compatible small ``map`` requests into shared engine runs and applying
 backpressure (``busy``) and per-request deadlines (``timeout``).  The
 package layers, bottom-up:

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..genome.sequence import encode
+from ..genome.sequence import SequenceError, encode
 from ..util.sync import maybe_sanitize_lock
 
 #: Largest accepted request line (a guard against a runaway client;
@@ -68,6 +68,18 @@ class RequestError(ValueError):
     """A request failed validation before any mapping work."""
 
 
+def _read_codes(read, where: str):
+    """One inline read as codes: an ACGT(N) string or the client's
+    error, named by its entry."""
+    if not isinstance(read, str):
+        raise RequestError(f"{where}: a read must be a string, got "
+                           f"{type(read).__name__}")
+    try:
+        return encode(read, allow_n=True)
+    except SequenceError as exc:
+        raise RequestError(f"{where}: {exc}") from None
+
+
 def decode_pairs(pairs) -> List[Tuple]:
     """Inline ``pairs`` payload entries as ``(codes1, codes2, name)``."""
     if not isinstance(pairs, list):
@@ -75,17 +87,19 @@ def decode_pairs(pairs) -> List[Tuple]:
                            '[read1, read2, name?] entries')
     decoded = []
     for number, entry in enumerate(pairs):
-        if isinstance(entry, dict):
+        where = f"pair {number}"
+        if isinstance(entry, dict) and "read1" in entry \
+                and "read2" in entry:
             read1, read2 = entry["read1"], entry["read2"]
             name = entry.get("name", f"pair{number}")
-        else:
-            if len(entry) not in (2, 3):
-                raise RequestError(f"pair {number}: expected "
-                                   "[read1, read2, name?]")
+        elif isinstance(entry, (list, tuple)) and len(entry) in (2, 3):
             read1, read2 = entry[0], entry[1]
             name = entry[2] if len(entry) > 2 else f"pair{number}"
-        decoded.append((encode(read1, allow_n=True),
-                        encode(read2, allow_n=True), str(name)))
+        else:
+            raise RequestError(f"{where}: expected [read1, read2, name?] "
+                               "or {read1, read2, name?}")
+        decoded.append((_read_codes(read1, where),
+                        _read_codes(read2, where), str(name)))
     return decoded
 
 
@@ -96,18 +110,19 @@ def decode_reads(reads) -> List[Tuple]:
                            "entries")
     decoded = []
     for number, entry in enumerate(reads):
-        if isinstance(entry, dict):
+        where = f"read {number}"
+        if isinstance(entry, dict) and "read" in entry:
             read = entry["read"]
             name = entry.get("name", f"read{number}")
         elif isinstance(entry, str):
             read, name = entry, f"read{number}"
-        else:
-            if len(entry) not in (1, 2):
-                raise RequestError(f"read {number}: expected "
-                                   "[read, name?]")
+        elif isinstance(entry, (list, tuple)) and len(entry) in (1, 2):
             read = entry[0]
             name = entry[1] if len(entry) > 1 else f"read{number}"
-        decoded.append((encode(read, allow_n=True), str(name)))
+        else:
+            raise RequestError(f"{where}: expected [read, name?], a "
+                               "read string or {read, name?}")
+        decoded.append((_read_codes(read, where), str(name)))
     return decoded
 
 

@@ -1,4 +1,4 @@
-"""The request scheduler: one warm engine pool, many concurrent clients.
+"""The request scheduler: one warm mapper, many concurrent clients.
 
 Connection threads never touch the :class:`~repro.api.Mapper`
 directly.  They submit :class:`MapTask` items into a **bounded** queue

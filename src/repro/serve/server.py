@@ -1,9 +1,9 @@
 """The concurrent ``repro serve`` daemon: listeners, ops, scheduler.
 
-``repro map`` pays index open, fallback construction, and worker-pool
-fork on every invocation.  The daemon pays them **once**: a
+``repro map`` pays index open and engine construction (the fallback's
+included) on every invocation.  The daemon pays them **once**: a
 :class:`MapServer` holds a live :class:`~repro.api.Mapper` (memory-
-mapped index + persistent worker pool) and answers mapping requests
+mapped index + warm engines) and answers mapping requests
 over a UNIX-domain socket — and, with ``--tcp``, a TCP endpoint — for
 as long as it runs.
 
@@ -78,7 +78,7 @@ Every response carries ``"ok"``; failures answer ``{"ok": false,
 :mod:`repro.serve.protocol` for the codes) and the connection stays
 usable.  SIGTERM/SIGINT (via :func:`serve`) shut down gracefully:
 in-flight requests finish, queued ones answer ``shutting_down``, the
-socket file is unlinked, worker pools are closed.
+socket file is unlinked, the mapper is closed.
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ class MapServer:
             if not self.listeners:
                 raise ServerError("no endpoint to serve: pass a UNIX "
                                   "socket path and/or a TCP address")
-            # Fork the worker pool now, while still single-threaded,
-            # so the first request finds it warm.
+            # Build the default engine now, so the first request finds
+            # it warm.
             mapper.warm_up()
         except BaseException:
             for listener in self.listeners:
@@ -198,8 +198,8 @@ class MapServer:
             listener.close()
         # The scheduler finishes the in-flight batch, answers queued
         # requests with shutting_down, and closes the mapper under the
-        # map lock — so the mapper (and its worker pool) is never torn
-        # down under an active run.
+        # map lock — so the mapper is never closed under an active
+        # run.
         self.scheduler.close()
         with self._threads_lock:
             threads = list(self._threads)
@@ -360,7 +360,6 @@ class MapServer:
         return {"pid": os.getpid(),
                 "uptime_s": round(self.stats.uptime_s, 3),
                 "index": index.path if index is not None else None,
-                "workers": self.mapper.config.workers,
                 "engine": self.mapper.config.engine,
                 "engines": sorted(ENGINES),
                 "formats": sorted(OUTPUT_FORMATS),

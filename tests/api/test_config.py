@@ -16,7 +16,7 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("seed_length", 0), ("seed_length", "50"), ("step", 0),
         ("delta", 0), ("batch_size", -1), ("batch_size", 0),
-        ("workers", 0), ("filter_threshold", 0),
+        ("filter_threshold", 0),
         ("engine", 7), ("output_format", None),
         ("full_fallback", "false"), ("full_fallback", 0),
         ("verify_index", 1), ("verify_index", None),
@@ -51,9 +51,9 @@ class TestValidation:
 
     def test_multiple_problems_all_reported(self):
         with pytest.raises(MappingConfigError) as excinfo:
-            MappingConfig(workers=0, delta=-5)
+            MappingConfig(batch_size=0, delta=-5)
         message = str(excinfo.value)
-        assert "workers" in message and "delta" in message
+        assert "batch_size" in message and "delta" in message
 
     def test_filter_threshold_none_is_valid(self):
         assert MappingConfig(filter_threshold=None).filter_threshold \
@@ -62,26 +62,27 @@ class TestValidation:
     def test_replace_revalidates(self):
         config = MappingConfig()
         with pytest.raises(MappingConfigError):
-            config.replace(workers=-1)
-        assert config.replace(workers=3).workers == 3
+            config.replace(batch_size=-1)
+        assert config.replace(batch_size=3).batch_size == 3
 
 
 class TestRoundTrip:
     def test_dict_round_trip_is_identity(self):
-        config = MappingConfig(delta=321, workers=2, batch_size=64,
+        config = MappingConfig(delta=321, batch_size=64,
                                output_format="paf",
                                filter_threshold=None)
         assert MappingConfig.from_dict(config.to_dict()) == config
 
-    def test_default_wire_form_has_10_keys(self):
+    def test_default_wire_form_has_9_keys(self):
         payload = MappingConfig().to_dict()
         assert list(payload) == [
             "seed_length", "filter_threshold", "step", "delta", "engine",
-            "output_format", "batch_size", "workers", "full_fallback",
+            "output_format", "batch_size", "full_fallback",
             "verify_index"]
         assert MappingConfig.from_dict(payload) == MappingConfig()
 
-    @pytest.mark.parametrize("stale", ["filter_chain", "aligner"])
+    @pytest.mark.parametrize("stale", ["filter_chain", "aligner",
+                                       "workers"])
     def test_removed_stage_knobs_rejected_by_name(self, stale):
         payload = MappingConfig().to_dict()
         payload[stale] = "none"
@@ -182,10 +183,23 @@ class TestIndexRoundTrip:
             assert mapper.config.filter_threshold \
                 == plain_seedmap.filter_threshold
 
+    @pytest.mark.parametrize("build", ["config", "from_reference",
+                                       "from_index"])
+    def test_workers_is_not_an_option(self, build, index_path,
+                                      small_reference):
+        # Mapping runs in one process: no construction path sizes a pool.
+        with pytest.raises(TypeError, match="workers"):
+            if build == "config":
+                MappingConfig(workers=2)
+            elif build == "from_reference":
+                Mapper.from_reference(small_reference, workers=2)
+            else:
+                Mapper.from_index(index_path, workers=2)
+
     def test_config_and_overrides_are_exclusive(self, index_path):
         with pytest.raises(MappingConfigError):
             Mapper.from_index(index_path, config=MappingConfig(),
-                              workers=2)
+                              batch_size=64)
 
     def test_open_index_uses_the_same_canonical_check(self, index_path):
         with pytest.raises(IndexFormatError) as excinfo:

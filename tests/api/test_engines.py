@@ -1,6 +1,5 @@
 """The engine-polymorphic facade: engines, formats, sub-configs, edges."""
 
-import os
 
 import numpy as np
 import pytest
@@ -66,8 +65,8 @@ class TestPolymorphicSurface:
             self, small_reference, seedmap, pairs, tmp_path, monkeypatch):
         """A facade opened from an index file maps the traditional path
         from the file's minimizer table: GenPair warm-up, a pair that
-        reaches the full fallback, an ``mm2`` run and a forked pool all
-        map without one ``MinimizerIndex.build``."""
+        reaches the full fallback and an ``mm2`` run all map without
+        one ``MinimizerIndex.build``."""
         from repro.genome import random_sequence
         from repro.index import save_index
         from repro.mapper import MinimizerIndex
@@ -92,12 +91,6 @@ class TestPolymorphicSurface:
             assert fallback.index is facade.engine("mm2").core.index
             assert fallback is not facade.engine("mm2").core
             assert isinstance(fallback.index.table.positions, np.memmap)
-        if hasattr(os, "fork"):
-            with Mapper.from_index(path, workers=2) as pooled:
-                pooled.warm_up()
-                assert pooled._executor is not None
-                results = pooled.map([junk] + pairs[:8])
-                assert sum(result.mapped for result in results) >= 8
 
     def test_unknown_engine_names_available(self, mapper, pairs):
         with pytest.raises(RegistryError, match="genpair"):

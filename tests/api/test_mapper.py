@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.api import Mapper, MappingConfig
+from repro.api import Mapper
 from repro.core import GenPairPipeline
 from repro.genome import ReadSimulator, write_fastq
 from repro.index import save_index
@@ -119,76 +119,6 @@ class TestEngines:
                                    full_fallback=False) as mapper:
             assert signatures(mapper.map(pairs)) == reference_results
 
-    @pytest.mark.skipif(not hasattr(os, "fork"),
-                        reason="worker pool needs os.fork")
-    def test_worker_pool_created_once_and_reused(self, small_reference,
-                                                 pairs,
-                                                 reference_results):
-        with Mapper.from_reference(small_reference, workers=2,
-                                   batch_size=16,
-                                   full_fallback=False) as mapper:
-            assert mapper.uses_pool
-            assert mapper._executor is None  # lazy until first run
-            first = signatures(mapper.map(pairs))
-            executor = mapper._executor
-            assert executor is not None
-            second = signatures(mapper.map(pairs))
-            assert mapper._executor is executor  # reused, not re-forked
-            assert first == second == reference_results
-
-    @pytest.mark.skipif(not hasattr(os, "fork"),
-                        reason="worker pool needs os.fork")
-    def test_warm_up_creates_the_pool_eagerly(self, small_reference):
-        with Mapper.from_reference(small_reference, workers=2,
-                                   batch_size=16,
-                                   full_fallback=False) as mapper:
-            mapper.warm_up()
-            assert mapper._executor is not None
-
-
-class TestForkGuard:
-    """Where ``fork`` is missing, ``workers=2`` maps in-process: same
-    output, one note per mapper."""
-
-    def test_no_fork_start_method_degrades(self, monkeypatch, capsys,
-                                           small_reference, pairs,
-                                           reference_results):
-        import multiprocessing
-
-        def no_fork(method=None):
-            raise ValueError("cannot find context for 'fork'")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        with Mapper.from_reference(small_reference, workers=2,
-                                   full_fallback=False) as mapper:
-            assert not mapper.uses_pool
-            assert signatures(mapper.map(pairs)) == reference_results
-            assert mapper._executor is None
-            assert mapper.last_stats.pairs_total == len(pairs)
-        assert "os.fork" in capsys.readouterr().err
-
-    def test_platform_without_os_fork_notes_once(self, monkeypatch,
-                                                 capsys, small_reference,
-                                                 pairs,
-                                                 reference_results):
-        # Regression: a degraded stream used to print the note once per
-        # flushed buffer; it must appear once per mapper.
-        monkeypatch.delattr(os, "fork")
-        with Mapper.from_reference(small_reference, workers=2,
-                                   batch_size=8,
-                                   full_fallback=False) as mapper:
-            mapper.warm_up()
-            assert signatures(mapper.map(pairs)) == reference_results
-            assert signatures(mapper.map_stream(iter(pairs))) \
-                == reference_results
-            assert mapper._executor is None
-        assert capsys.readouterr().err.count("single-process") == 1
-        # A fresh mapper gets its own (single) note.
-        with Mapper.from_reference(small_reference, workers=2,
-                                   full_fallback=False) as other:
-            other.map(pairs[:4])
-        assert capsys.readouterr().err.count("single-process") == 1
-
 
 class TestFiles:
     def test_map_file_and_write_sam_match_offline_pipeline(
@@ -228,22 +158,106 @@ def long_reads(reference, count=2):
         reference, seed=3).simulate_long_reads(count, 1_000, 200)]
 
 
+def workload(engine, reference, pairs, count):
+    """``count`` named items of the kind ``engine`` maps."""
+    if engine == "longread":
+        return long_reads(reference, count)
+    return [(p.read1.codes, p.read2.codes, p.name) for p in pairs[:count]]
+
+
+def item_names(items):
+    return [item[-1] for item in items]
+
+
+class TestPartialRuns:
+    """A run that fails part-way yields every chunk mapped before the
+    failure, then raises it, and gives the run slot back."""
+
+    @pytest.mark.parametrize("engine", ["genpair", "mm2", "longread"])
+    def test_truncated_fastq_yields_mapped_items_then_raises(
+            self, tmp_path, small_reference, pairs, engine):
+        from repro.genome import FastaError
+
+        items = workload(engine, small_reference, pairs, 20)
+        if engine == "longread":
+            paths = [tmp_path / "long.fq"]
+            write_fastq(paths[0], ((name, codes) for codes, name in items))
+        else:
+            paths = [tmp_path / "r_1.fq", tmp_path / "r_2.fq"]
+            write_fastq(paths[0], ((name, r1) for r1, _, name in items))
+            write_fastq(paths[1], ((name, r2) for _, r2, name in items))
+        lines = paths[-1].read_text().splitlines(keepends=True)
+        paths[-1].write_text("".join(lines[:-2]))  # 2 of the 4 lines
+        names = []
+        with Mapper.from_reference(small_reference, engine=engine,
+                                   batch_size=8,
+                                   full_fallback=False) as mapper:
+            with pytest.raises(FastaError, match="truncated"):
+                for result in mapper.map_file(*paths):
+                    names.append(result.name)
+            # Two full chunks of 8; the chunk holding the cut fails.
+            assert names == item_names(items[:16])
+            assert mapper.last_engine == engine
+            assert len(mapper.map(items[:3])) == 3
+
+    @pytest.mark.parametrize("engine", ["genpair", "mm2", "longread"])
+    def test_failing_source_yields_mapped_items_then_raises(
+            self, small_reference, pairs, engine):
+        items = workload(engine, small_reference, pairs, 20)
+
+        def source():
+            yield from items
+            raise ValueError("reader died mid-stream")
+
+        names = []
+        with Mapper.from_reference(small_reference, engine=engine,
+                                   batch_size=8,
+                                   full_fallback=False) as mapper:
+            with pytest.raises(ValueError, match="reader died"):
+                for result in mapper.map_stream(source()):
+                    names.append(result.name)
+            # The partial chunk of 4 never maps.
+            assert names == item_names(items[:16])
+            assert len(mapper.map(items[:3])) == 3
+
+    def test_raising_chunk_surfaces_its_own_error(self, small_reference,
+                                                  pairs):
+        items = workload("genpair", small_reference, pairs, 24)
+        items[13] = items[13][:2] + ("poison",)
+        with Mapper.from_reference(small_reference, batch_size=8,
+                                   full_fallback=False) as mapper:
+            pipeline = mapper.pipeline
+            real = pipeline._map_chunk
+
+            def raising(chunk):
+                if any(name == "poison" for _, _, name in chunk):
+                    raise ValueError("kaput in chunk")
+                return real(chunk)
+
+            pipeline._map_chunk = raising
+            names = []
+            with pytest.raises(ValueError, match="kaput in chunk"):
+                for result in mapper.map_stream(items):
+                    names.append(result.name)
+            assert names == item_names(items[:8])
+            assert mapper.last_stats.pairs_total == 8
+            del pipeline._map_chunk
+            assert len(mapper.map(items)) == 24
+
+
 class TestResourceLifetime:
     """A closed and dropped mapper leaves no fd open and no
-    ``ResourceWarning`` behind: the index mmap, the worker pool's pipes,
-    the FASTQ inputs and every output file are released, whatever
-    engine, format and path (``write`` or ``lines``) a run took."""
+    ``ResourceWarning`` behind: the index mmap, the FASTQ inputs and
+    every output file are released, whatever engine, format and path
+    (``write`` or ``lines``) a run took."""
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_close_returns_every_fd(self, tmp_path, fds_returned,
-                                    small_reference, seedmap, pairs,
-                                    workers):
+                                    small_reference, seedmap, pairs):
         path = tmp_path / "fds.rpix"
         save_index(path, seedmap, small_reference)
         reads = long_reads(small_reference)
         with fds_returned():
-            mapper = Mapper.from_index(path, workers=workers,
-                                       batch_size=8)
+            mapper = Mapper.from_index(path, batch_size=8)
             for engine in ("genpair", "mm2"):
                 for fmt in ("sam", "paf", "jsonl"):
                     mapper.write(mapper.map_stream(pairs[:16], engine),
@@ -263,9 +277,9 @@ class TestResourceLifetime:
     def test_map_file_returns_every_fd(self, tmp_path, fds_returned,
                                        small_reference, pairs, engine,
                                        drained):
-        """The FASTQ handles ``map_file`` opens (read ahead of a
-        two-worker pool for ``genpair``) close with the run, whether
-        it is read to the end or dropped after its first result."""
+        """The FASTQ handles ``map_file`` opens close with the run,
+        whether it is read to the end or dropped after its first
+        result."""
         if engine == "longread":
             inputs = [tmp_path / "long.fq"]
             write_fastq(inputs[0], ((name, codes) for codes, name
@@ -278,7 +292,7 @@ class TestResourceLifetime:
                                     for p in pairs))
         with fds_returned():
             with Mapper.from_reference(small_reference, engine=engine,
-                                       workers=2, batch_size=4,
+                                       batch_size=4,
                                        full_fallback=False) as mapper:
                 stream = mapper.map_file(*inputs)
                 if drained:
@@ -343,6 +357,17 @@ class TestStatsLifecycle:
                 mapper.map_stream(pairs)
             pending.close()  # releases the slot even if never consumed
             assert len(mapper.map(pairs[:3])) == 3
+
+    def test_warm_up_builds_the_named_engine_only(self, small_reference):
+        mapper = Mapper.from_reference(small_reference,
+                                       full_fallback=False)
+        assert mapper.warm_up() is mapper
+        assert list(mapper._engines) == ["genpair"]
+        mapper.warm_up("mm2")
+        assert sorted(mapper._engines) == ["genpair", "mm2"]
+        mapper.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            mapper.warm_up()
 
     def test_closed_mapper_refuses_work(self, small_reference, pairs):
         mapper = Mapper.from_reference(small_reference,

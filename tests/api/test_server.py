@@ -68,6 +68,7 @@ class TestProtocol:
         assert reply["index"] == server.mapper.index.path
         assert reply["config"]["seed_length"] \
             == server.mapper.config.seed_length
+        assert "workers" not in reply and "workers" not in reply["config"]
 
     def test_map_pairs_round_trip_with_per_request_stats(self, server,
                                                          pairs):
@@ -117,6 +118,51 @@ class TestProtocol:
             with pytest.raises(ClientError):
                 client.request({"op": "map", "pairs": "nope"})
             assert client.ping()["ok"]
+
+    @pytest.mark.parametrize("payload", [
+        {"op": "map", "pairs": [5]},
+        {"op": "map", "pairs": [None]},
+        {"op": "map", "pairs": [True]},
+        {"op": "map", "pairs": ["AC"]},
+        {"op": "map", "pairs": [["ACGT"]]},
+        {"op": "map", "pairs": [["ACGT", "ACGT", "n", "x"]]},
+        {"op": "map", "pairs": [[5, "ACGT"]]},
+        {"op": "map", "pairs": [["ACGT", None]]},
+        {"op": "map", "pairs": [[["A", "C"], "ACGT"]]},
+        {"op": "map", "pairs": [["ACGX", "ACGT"]]},
+        {"op": "map", "pairs": [{"read1": "ACGT"}]},
+        {"op": "map", "pairs": [{"read1": 5, "read2": "ACGT"}]},
+        {"op": "map", "engine": "longread", "reads": [5]},
+        {"op": "map", "engine": "longread", "reads": [True]},
+        {"op": "map", "engine": "longread", "reads": [[]]},
+        {"op": "map", "engine": "longread", "reads": [[None]]},
+        {"op": "map", "engine": "longread", "reads": ["ACGX"]},
+        {"op": "map", "engine": "longread", "reads": [{"name": "r"}]},
+        {"op": "map", "engine": "longread", "reads": [{"read": 5}]},
+    ], ids=["pair-number", "pair-null", "pair-bool", "pair-string",
+            "pair-one-read", "pair-four-items", "read-number",
+            "read-null", "read-list", "read-bad-base", "dict-no-read2",
+            "dict-read-number", "long-number", "long-bool", "long-empty",
+            "long-null", "long-bad-base", "long-dict-no-read",
+            "long-dict-number"])
+    def test_wrong_typed_entries_are_bad_requests(self, server, payload):
+        """A malformed entry is the client's error, named by its
+        position, and the connection keeps serving.  A two-letter
+        string is not a pair of one-base reads."""
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.connect(server.socket_path)
+        try:
+            reader = raw.makefile("rb")
+            raw.sendall(json.dumps(payload).encode() + b"\n")
+            reply = json.loads(reader.readline())
+            assert not reply["ok"]
+            assert reply["error_code"] == "bad_request", reply
+            noun = "read" if "reads" in payload else "pair"
+            assert f"{noun} 0: " in reply["error"]
+            raw.sendall(json.dumps({"op": "ping"}).encode() + b"\n")
+            assert json.loads(reader.readline())["ok"]
+        finally:
+            raw.close()
 
     def test_oversized_request_rejected_once_then_disconnected(
             self, server, monkeypatch):
@@ -188,18 +234,17 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             mapper.map([])  # the mapper was closed with the server
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_shutdown_returns_every_fd(self, tmp_path, index_path, pairs,
-                                       fds_returned, workers):
+                                       fds_returned):
         """A daemon that answered UNIX and TCP clients, inline and by
-        file, releases its listeners, connections, index maps and
-        worker pool when it stops."""
+        file, releases its listeners, connections and index maps when
+        it stops."""
         fq1, fq2 = tmp_path / "f_1.fq", tmp_path / "f_2.fq"
         write_fastq(fq1, ((p.read1.name, p.read1.codes) for p in pairs))
         write_fastq(fq2, ((p.read2.name, p.read2.codes) for p in pairs))
         with fds_returned():
-            mapper = Mapper.from_index(index_path, workers=workers,
-                                       batch_size=8, full_fallback=False)
+            mapper = Mapper.from_index(index_path, batch_size=8,
+                                       full_fallback=False)
             server = MapServer(mapper, tmp_path / "fds.sock",
                                tcp="127.0.0.1:0")
             thread = threading.Thread(target=server.serve_forever,

@@ -1,7 +1,5 @@
 """Cumulative stats lifecycle across interleaved multi-engine runs,
-and bit-identical engine metric folds in-process vs pooled."""
-
-import os
+and the per-run engine metric folds."""
 
 import pytest
 
@@ -85,21 +83,3 @@ class TestRunMetrics:
         run_hist = after["histograms"]["engine.genpair.run_s"]
         assert run_hist["count"] > before["histograms"].get(
             "engine.genpair.run_s", {}).get("count", 0)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"),
-                        reason="needs the fork start method")
-    def test_metric_folds_bit_identical_across_worker_counts(
-            self, index_path, sample_pairs):
-        registry = get_registry()
-        items = _pair_items(sample_pairs)
-        deltas = []
-        for workers in (1, 4):
-            with Mapper.from_index(index_path, full_fallback=False,
-                                   workers=workers,
-                                   batch_size=32) as mapper:
-                before = registry.snapshot()
-                mapper.map(items, engine="genpair")
-                after = registry.snapshot()
-            deltas.append(_counter_deltas(
-                before, after, ("engine.genpair.", "pipeline.")))
-        assert deltas[0] == deltas[1]

@@ -2,8 +2,7 @@
 edges, unequal read lengths, chromosome boundaries, stats folding.
 
 Equivalence with the scalar oracle — per query and per result, at every
-chunk size — lives in ``test_dataflow_oracle.py``; the worker pool in
-``test_stream_executor.py``.
+chunk size — lives in ``test_dataflow_oracle.py``.
 """
 
 import dataclasses

@@ -9,8 +9,6 @@ equal the oracle's queries fed one pair at a time through the same
 per-pair decision.
 """
 
-import os
-
 from oracles import core as oracle
 import numpy as np
 import pytest
@@ -228,7 +226,8 @@ class TestScalarPathLeftSrc:
 
     @pytest.mark.parametrize("module", ["repro.hashing.xxhash32",
                                         "repro.mapper.profiler",
-                                        "repro.filters", "repro.analysis"])
+                                        "repro.filters", "repro.analysis",
+                                        "repro.core.executor"])
     def test_modules_are_gone(self, module):
         import importlib
         with pytest.raises(ModuleNotFoundError):
@@ -238,7 +237,10 @@ class TestScalarPathLeftSrc:
         ("repro.core", "partition_read"), ("repro.core", "query_read"),
         ("repro.core", "Seed"), ("repro.hashing", "hash_seed"),
         ("repro.hashing", "hash_seeds"), ("repro.hashing", "xxhash32"),
-        ("repro.mapper", "StageTimer"), ("repro.mapper", "STAGES")])
+        ("repro.mapper", "StageTimer"), ("repro.mapper", "STAGES"),
+        ("repro.core", "StreamExecutor"),
+        ("repro.core", "DEFAULT_INFLIGHT_PER_WORKER"),
+        ("repro.genome", "read_ahead")])
     def test_names_are_gone(self, package, name):
         import importlib
         module = importlib.import_module(package)
@@ -469,15 +471,3 @@ class TestFallbackSeam:
         assert sum(calls) == (stats.seedmap_fallback
                               + stats.filter_fallback
                               + stats.residual_fallback) > 12
-
-    @pytest.mark.skipif(not hasattr(os, "fork"),
-                        reason="needs the fork start method")
-    def test_pool_never_shows(self, small_reference, seedmap, world, want,
-                              result_signature):
-        from repro.core import StreamExecutor
-
-        items, index = world
-        pipeline = self.pipeline(small_reference, seedmap, index)
-        with StreamExecutor(pipeline, workers=2, chunk_size=16) as pool:
-            got = list(pool.map(items))
-        assert (list(map(result_signature, got)), pipeline.stats) == want

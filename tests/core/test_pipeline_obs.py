@@ -1,5 +1,4 @@
-"""Pipeline instrumentation: metrics deltas and spans (the pooled
-folds are ``test_stream_executor.py``'s)."""
+"""Pipeline instrumentation: metrics deltas and spans."""
 
 import pytest
 

@@ -1,5 +1,4 @@
-"""Tests for the streaming execution face of the pipeline (in-process;
-the pooled stream is ``test_stream_executor.py``'s)."""
+"""Tests for the streaming execution face of the pipeline."""
 
 import pytest
 

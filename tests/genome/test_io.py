@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.genome import (decode, encode, generate_reference, iter_pairs,
-                          iter_pairs_chunked, read_ahead, read_fasta,
-                          read_fastq, write_fasta, write_fastq)
+                          iter_pairs_chunked, read_fasta, read_fastq,
+                          write_fasta, write_fastq)
 from repro.genome.io_fasta import FastaError
 
 
@@ -205,84 +205,6 @@ class TestPairedStreaming:
         path1, path2 = _write_pair_files(tmp_path, 2)
         with pytest.raises(ValueError):
             list(iter_pairs_chunked(path1, path2, chunk_size=0))
-
-
-class TestReadAhead:
-    def test_preserves_order_and_content(self):
-        assert list(read_ahead(range(100), depth=3)) == list(range(100))
-
-    def test_empty_source(self):
-        assert list(read_ahead([], depth=2)) == []
-
-    def test_source_exception_propagates(self):
-        def broken():
-            yield 1
-            yield 2
-            raise RuntimeError("parse failed")
-
-        stream = read_ahead(broken(), depth=2)
-        assert next(stream) == 1
-        assert next(stream) == 2
-        with pytest.raises(RuntimeError, match="parse failed"):
-            next(stream)
-
-    def test_early_close_stops_the_thread(self):
-        import itertools
-        import threading
-
-        stream = read_ahead(itertools.count(), depth=2)
-        assert next(stream) == 0
-        stream.close()  # joins the producer thread; must not hang
-        names = [thread.name for thread in threading.enumerate()]
-        assert "repro-read-ahead" not in names
-
-    def test_close_before_first_next_is_safe(self):
-        stream = read_ahead(range(10), depth=2)
-        stream.close()
-
-    def test_close_does_not_hang_on_a_blocked_source(self):
-        # Regression: close() used to join without a timeout, so a
-        # producer parked in the source's own blocking I/O (stalled
-        # pipe, network mount) wedged teardown — e.g. Ctrl-C during a
-        # streaming map.  The blocked daemon thread is abandoned.
-        import threading
-        import time
-
-        release = threading.Event()
-
-        def blocked_source():
-            yield 1
-            release.wait()  # simulates a read that never returns
-            yield 2
-
-        stream = read_ahead(blocked_source(), depth=2)
-        assert next(stream) == 1
-        start = time.perf_counter()
-        stream.close()
-        assert time.perf_counter() - start < 5.0
-        release.set()  # let the abandoned thread exit
-
-    def test_bad_depth_rejected(self):
-        with pytest.raises(ValueError):
-            list(read_ahead(range(3), depth=0))
-
-    def test_prefetches_while_consumer_idles(self, tmp_path):
-        # The producer thread reads chunks ahead of the consumer: after
-        # one next(), more than one chunk may already be parsed, but
-        # never more than depth + 2 (buffer + in-hand + consumed one).
-        path1, path2 = _write_pair_files(tmp_path, 20)
-        pulled = []
-
-        def spy():
-            for chunk in iter_pairs_chunked(path1, path2, chunk_size=2):
-                pulled.append(len(chunk))
-                yield chunk
-
-        stream = read_ahead(spy(), depth=2)
-        first = next(stream)
-        assert len(first) == 2
-        assert len(pulled) <= 4
-        assert sum(len(chunk) for chunk in stream) == 18
 
 
 def _write_reads(path, count=6, length=20, name=None):

@@ -14,8 +14,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[2]
 
-#: The examples that start no daemon; ``streaming_workers.py`` has its
-#: own test below.
+#: The examples that start no daemon.
 EXAMPLES = ["long_read_mapping.py", "multi_engine.py",
             "persistent_index.py", "quickstart.py",
             "variant_calling_pipeline.py"]
@@ -35,17 +34,8 @@ def run_example(tmp_path, name):
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert sorted(cwd.iterdir()) == []
-    return done.stdout, scratch
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_example_leaves_cwd_empty(tmp_path, name):
     run_example(tmp_path, name)
-
-
-def test_streaming_workers_leaves_cwd_empty(tmp_path):
-    stdout, scratch = run_example(tmp_path, "streaming_workers.py")
-    assert "byte-identical: True" in stdout
-    written = {path.name
-               for path in sorted(scratch.glob("repro_stream_*/*"))}
-    assert {"stream_solo.sam", "stream_pool.sam"} <= written

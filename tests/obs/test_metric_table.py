@@ -2,8 +2,8 @@
 
 Every row must name a metric some run records, with the row's kind, and
 every name a run records must fall under a row of its kind.  The runs
-cover each layer that records: a two-worker facade mapping every engine
-into every format, by file and by wire lines, then a daemon answering
+cover each layer that records: a facade mapping every engine into every
+format, by file and by wire lines, then a daemon answering
 an inline map, a ``map_file``, a bad request, a client over its limit
 and a request past its deadline.  ``repro top`` looks metrics up by
 name, so it is checked against the same live snapshot.
@@ -90,7 +90,7 @@ def recorded(tmp_path_factory, small_reference, seedmap, simulator):
     # Process-wide: start it empty so the snapshot holds exactly what
     # these runs record.
     registry.reset()
-    mapper = Mapper.from_index(index, workers=2, batch_size=8)
+    mapper = Mapper.from_index(index, batch_size=8)
     for engine, items in (("genpair", named), ("mm2", named),
                           ("longread", reads)):
         for fmt in ("sam", "paf", "jsonl"):
@@ -160,8 +160,7 @@ def test_recorded_name_is_documented(recorded, section):
 
 def test_top_finds_what_the_runs_recorded(recorded):
     """Each name ``repro top`` looks up resolves in a live reply: the
-    engine rows count their ``engine.<name>.run_s`` observations, both
-    workers' ``executor.w<N>.chunk_s`` feed the utilization bars, and
+    engine rows count their ``engine.<name>.run_s`` observations, and
     the request-latency table lists the ``serve.`` histograms."""
     _, stats = recorded
     histograms = stats["metrics"]["histograms"]
@@ -170,7 +169,5 @@ def test_top_finds_what_the_runs_recorded(recorded):
         runs = histograms[f"engine.{engine}.run_s"]["count"]
         assert runs > 0
         assert re.search(rf"^{engine}\s+{runs:,}\s", text, re.M), engine
-    assert re.search(r"^  w0  \[", text, re.M)
-    assert re.search(r"^  w1  \[", text, re.M)
     assert re.search(r"^serve\.request_s\.map\s", text, re.M)
     assert re.search(r"^serve\.map_s\.mm2\.paf\s", text, re.M)

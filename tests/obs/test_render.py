@@ -1,19 +1,7 @@
 """Snapshot rendering: format_seconds, tables, the top dashboard."""
 
 from repro.obs import (MetricsRegistry, format_seconds, render_metrics,
-                       render_top, snapshot_quantile,
-                       worker_utilization)
-
-
-def _snapshot_with(run_s=None, workers=()):
-    """A registry snapshot with an executor.run_s total and per-worker
-    chunk sums (seconds)."""
-    registry = MetricsRegistry()
-    if run_s is not None:
-        registry.histogram("executor.run_s").observe(run_s)
-    for number, busy in enumerate(workers):
-        registry.histogram(f"executor.w{number}.chunk_s").observe(busy)
-    return registry.snapshot()
+                       render_top, snapshot_quantile)
 
 
 class TestFormatSeconds:
@@ -43,31 +31,15 @@ class TestRenderMetrics:
     def test_tables_cover_every_metric_kind(self):
         registry = MetricsRegistry()
         registry.counter("pipeline.pairs").inc(80)
-        registry.gauge("executor.workers").set(4)
+        registry.gauge("serve.queue_depth").set(4)
         registry.histogram("pipeline.seed_query_s").observe(0.003)
         text = "\n".join(render_metrics(registry.snapshot()))
         assert "Counters" in text and "pipeline.pairs" in text
         assert "80" in text
-        assert "Gauges" in text and "executor.workers" in text
+        assert "Gauges" in text and "serve.queue_depth" in text
         assert "Latency histograms" in text
         assert "pipeline.seed_query_s" in text
         assert "p99" in text
-
-
-class TestWorkerUtilization:
-    def test_none_without_pooled_runs(self):
-        assert worker_utilization(_snapshot_with()) is None
-        assert worker_utilization(_snapshot_with(run_s=1.0)) is None
-
-    def test_busy_fraction_per_worker(self):
-        util = worker_utilization(
-            _snapshot_with(run_s=2.0, workers=(1.0, 0.5)))
-        assert util == {"w0": 0.5, "w1": 0.25}
-
-    def test_clamped_to_one(self):
-        util = worker_utilization(
-            _snapshot_with(run_s=1.0, workers=(1.5,)))
-        assert util == {"w0": 1.0}
 
 
 class TestRenderTop:
@@ -75,8 +47,6 @@ class TestRenderTop:
         registry = MetricsRegistry()
         registry.histogram("engine.genpair.run_s").observe(0.37)
         registry.histogram("serve.request_s.map").observe(0.4)
-        registry.histogram("executor.run_s").observe(1.0)
-        registry.histogram("executor.w0.chunk_s").observe(0.8)
         return {
             "server": {"uptime_s": 12.5, "requests": 3, "errors": 0,
                        "pairs_mapped": 80, "by_op": {"map": 2,
@@ -96,8 +66,7 @@ class TestRenderTop:
         assert "Engines (cumulative)" in text and "genpair" in text
         assert "Request latency" in text
         assert "serve.request_s.map" in text
-        assert "Worker utilization" in text
-        assert "80.0%" in text
+        assert "Worker utilization" not in text
 
     def test_minimal_reply_renders(self):
         lines = render_top({"server": {}, "metrics": {}})

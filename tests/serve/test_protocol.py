@@ -1,0 +1,59 @@
+"""Wire decoding of inline workloads and per-request deadlines."""
+
+import numpy as np
+import pytest
+
+from repro.genome import encode
+from repro.serve.protocol import (RequestError, decode_pairs, decode_reads,
+                                  request_timeout_s)
+
+
+def codes(text):
+    return encode(text, allow_n=True).tolist()
+
+
+def decoded(entries):
+    return [tuple(part.tolist() if isinstance(part, np.ndarray) else part
+                  for part in entry) for entry in entries]
+
+
+@pytest.mark.parametrize("entry, want", [
+    (["ACGT", "TTGA", "p"], (codes("ACGT"), codes("TTGA"), "p")),
+    (["ACGT", "TTGA"], (codes("ACGT"), codes("TTGA"), "pair1")),
+    ({"read1": "ACGT", "read2": "TTGA", "name": "p"},
+     (codes("ACGT"), codes("TTGA"), "p")),
+    ({"read1": "ACGT", "read2": "TTGA"},
+     (codes("ACGT"), codes("TTGA"), "pair1")),
+    (["acgn", "NNTT", 7], (codes("ACGN"), codes("NNTT"), "7")),
+], ids=["list-named", "list-unnamed", "dict-named", "dict-unnamed",
+        "lowercase-n-number-name"])
+def test_pair_entries_decode(entry, want):
+    first = ["AAAA", "CCCC", "first"]
+    assert decoded(decode_pairs([first, entry]))[1] == want
+
+
+@pytest.mark.parametrize("entry, want", [
+    (["ACGT", "r"], (codes("ACGT"), "r")),
+    (["ACGT"], (codes("ACGT"), "read1")),
+    ("ACGT", (codes("ACGT"), "read1")),
+    ({"read": "ACGT", "name": "r"}, (codes("ACGT"), "r")),
+    ({"read": "acgn"}, (codes("ACGN"), "read1")),
+], ids=["list-named", "list-unnamed", "bare-string", "dict-named",
+        "dict-unnamed-lowercase-n"])
+def test_read_entries_decode(entry, want):
+    assert decoded(decode_reads(["AAAA", entry]))[1] == want
+
+
+@pytest.mark.parametrize("request_, want", [
+    ({}, 3.0), ({"timeout_s": None}, None), ({"timeout_s": 0}, None),
+    ({"timeout_s": 2}, 2.0), ({"timeout_s": 0.25}, 0.25)],
+    ids=["absent", "null", "zero", "int", "float"])
+def test_timeout_s_values(request_, want):
+    assert request_timeout_s(request_, default=3.0) == want
+
+
+@pytest.mark.parametrize("value", [-1, True, "5"],
+                         ids=["negative", "bool", "string"])
+def test_timeout_s_rejections(value):
+    with pytest.raises(RequestError, match="timeout_s"):
+        request_timeout_s({"timeout_s": value}, default=3.0)

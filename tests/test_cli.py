@@ -32,7 +32,6 @@ FLAG_OF_FIELD = {
     "engine": ("map", "--engine"),
     "output_format": ("map", "--format"),
     "batch_size": ("map", "--batch-size"),
-    "workers": ("map", "--workers"),
     "full_fallback": ("map", "--no-fallback"),
     "verify_index": ("map", "--no-verify"),
 }
@@ -152,14 +151,10 @@ class TestParser:
         err = capsys.readouterr().err
         assert "unrecognized arguments" in err and flag in err
 
-    @pytest.mark.parametrize("flag,value", [("--workers", "0"),
-                                            ("--workers", "-2"),
-                                            ("--workers", "two"),
-                                            ("--batch-size", "-1"),
+    @pytest.mark.parametrize("flag,value", [("--batch-size", "-1"),
                                             ("--batch-size", "0"),
                                             ("--batch-size", "many")])
-    def test_map_rejects_bad_worker_and_batch_values(self, capsys, flag,
-                                                     value):
+    def test_map_rejects_bad_batch_values(self, capsys, flag, value):
         parser = build_parser()
         with pytest.raises(SystemExit) as excinfo:
             parser.parse_args(["map", "--reference", "r", "--reads1",
@@ -203,6 +198,18 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "--call-variants" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["map", "--reference", "r", "--reads1", "a", "--reads2", "b"],
+        ["serve", "--reference", "r"]], ids=["map", "serve"])
+    def test_workers_flag_is_gone(self, capsys, argv):
+        # Mapping runs in one process: there is no pool to size.
+        build_parser().parse_args(argv)  # valid without the flag
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--workers", "2"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "--workers" in err
+
     def test_map_rejects_zero_batch_size_naming_the_replacement(
             self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -216,11 +223,7 @@ class TestParser:
 
 
 class TestWorkflow:
-    def test_simulate_map_call_roundtrip(self, tmp_path, capsys,
-                                         monkeypatch):
-        # Pretend to have CPUs so --workers 2 exercises the pool even
-        # on single-core test machines (the cap would degrade it).
-        monkeypatch.setattr("repro.cli._available_cpus", lambda: 4)
+    def test_simulate_map_call_roundtrip(self, tmp_path, capsys):
         prefix = str(tmp_path / "demo")
         assert main(["simulate", "--out", prefix, "--pairs", "80",
                      "--chromosomes", "40000", "--seed", "3"]) == 0
@@ -237,14 +240,10 @@ class TestWorkflow:
                 if not line.startswith("@")]
         assert len(body) == 160
 
-        # Chunks of one (--batch-size 1) and the persistent
-        # worker-pool streaming executor (with a small batch size, so
-        # the pool really serves several chunks) write the same
-        # records as the default chunk size.
+        # Chunks of one and of 16 write the same records as the
+        # default chunk size.
         for suffix, extra in (("perpair", ["--batch-size", "1"]),
-                              ("workers", ["--workers", "2"]),
-                              ("stream", ["--workers", "2",
-                                          "--batch-size", "16"])):
+                              ("stream", ["--batch-size", "16"])):
             alt_path = str(tmp_path / f"out_{suffix}.sam")
             assert main(["map", "--reference", prefix + "_ref.fa",
                          "--reads1", prefix + "_1.fq",
@@ -259,9 +258,7 @@ class TestWorkflow:
         out = capsys.readouterr().out
         assert "mapped 80 pairs" in out
 
-    def test_index_build_map_roundtrip(self, tmp_path, capsys,
-                                       monkeypatch):
-        monkeypatch.setattr("repro.cli._available_cpus", lambda: 4)
+    def test_index_build_map_roundtrip(self, tmp_path, capsys):
         prefix = str(tmp_path / "demo")
         assert main(["simulate", "--out", prefix, "--pairs", "40",
                      "--chromosomes", "30000", "--seed", "9"]) == 0
@@ -276,19 +273,18 @@ class TestWorkflow:
         assert "checksums: ok" in out
 
         # map --index must write byte-identical SAM to the
-        # build-per-run path, including with forked workers.
+        # build-per-run path.
         ref_sam = str(tmp_path / "ref.sam")
         assert main(["map", "--reference", prefix + "_ref.fa",
                      "--reads1", prefix + "_1.fq",
                      "--reads2", prefix + "_2.fq",
                      "--out", ref_sam, "--no-fallback"]) == 0
-        for suffix, extra in (("idx", []), ("idxw", ["--workers", "2"])):
-            idx_sam = str(tmp_path / f"{suffix}.sam")
-            assert main(["map", "--index", index_path,
-                         "--reads1", prefix + "_1.fq",
-                         "--reads2", prefix + "_2.fq",
-                         "--out", idx_sam, "--no-fallback"] + extra) == 0
-            assert open(idx_sam).read() == open(ref_sam).read()
+        idx_sam = str(tmp_path / "idx.sam")
+        assert main(["map", "--index", index_path,
+                     "--reads1", prefix + "_1.fq",
+                     "--reads2", prefix + "_2.fq",
+                     "--out", idx_sam, "--no-fallback"]) == 0
+        assert open(idx_sam).read() == open(ref_sam).read()
 
     def test_index_build_default_output_path(self, tmp_path):
         prefix = str(tmp_path / "d")
@@ -297,20 +293,6 @@ class TestWorkflow:
         assert main(["index", "build",
                      "--reference", prefix + "_ref.fa"]) == 0
         assert os.path.exists(prefix + "_ref.fa.rpix")
-
-    def test_map_caps_workers_at_cpu_count(self, tmp_path, capsys,
-                                           monkeypatch):
-        monkeypatch.setattr("repro.cli._available_cpus", lambda: 2)
-        prefix = str(tmp_path / "d")
-        assert main(["simulate", "--out", prefix, "--pairs", "8",
-                     "--chromosomes", "8000", "--seed", "5"]) == 0
-        assert main(["map", "--reference", prefix + "_ref.fa",
-                     "--reads1", prefix + "_1.fq",
-                     "--reads2", prefix + "_2.fq",
-                     "--out", str(tmp_path / "c.sam"),
-                     "--no-fallback", "--workers", "64"]) == 0
-        err = capsys.readouterr().err
-        assert "capping at 2" in err
 
     def test_map_requires_reference_xor_index(self, tmp_path, capsys):
         assert main(["map", "--reads1", "a.fq", "--reads2", "b.fq"]) == 2
@@ -516,18 +498,14 @@ class TestEngineWorkflow:
         assert open(flag).read() == open(api).read()
 
     @pytest.mark.parametrize("engine, reads", [
-        ("genpair", ["--reads1", "_1.fq", "--reads2", "_2.fq",
-                     "--workers", "2"]),
+        ("genpair", ["--reads1", "_1.fq", "--reads2", "_2.fq"]),
         ("mm2", ["--reads1", "_1.fq", "--reads2", "_2.fq"]),
         ("longread", ["--reads", "_long.fq"])],
         ids=["genpair", "mm2", "longread"])
     def test_map_returns_every_fd(self, world, tmp_path, capsys,
-                                  monkeypatch, fds_returned, engine,
-                                  reads):
+                                  fds_returned, engine, reads):
         """One in-process ``repro map`` opens the index, the FASTQ
-        inputs, the output and (for ``--workers 2``) a pool; it must
-        leave none of them open."""
-        monkeypatch.setattr("repro.cli._available_cpus", lambda: 4)
+        inputs and the output; it must leave none of them open."""
         argv = ["map", "--index", world + ".rpix", "--engine", engine,
                 "--out", str(tmp_path / "out.sam")] + [
             world + arg if arg.startswith("_") else arg for arg in reads]

@@ -8,7 +8,7 @@ adjustable wall clock.  This package checks those invariants
 statically, from the AST, so the bug classes previous PRs fixed by hand
 — the ``ServerStats`` / ``MetricsRegistry`` lost-update races, a stray
 pipeline ``print`` — cannot regress silently.  Invariants a behavioural
-test already pins (fork safety, wire byte-identity, resource lifetime,
+test already pins (wire byte-identity, resource lifetime,
 output determinism, the metric catalog) are left to those tests.
 
 Checkers and finding codes

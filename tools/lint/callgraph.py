@@ -26,7 +26,7 @@ name matching:
 Nested ``def``\\ s are indexed as nodes too (qualified as
 ``outer.inner``): they are addressable as **thread roots** when
 passed to ``threading.Thread(target=...)``, which is what the
-concurrency checker needs for ``read_ahead``'s prefetcher.
+concurrency checker needs for a thread whose target is a closure.
 
 A call that does not resolve names no node: the graph is deliberately
 *under*-approximate, and the concurrency checker says so in its

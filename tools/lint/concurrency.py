@@ -1,18 +1,17 @@
 """Concurrency-safety checker (RPL1001–RPL1005).
 
-The daemon already runs one thread per connection
-(``MapServer._serve_connection``) and the FASTA reader runs a
-prefetcher thread (``read_ahead``'s nested ``produce``), and ROADMAP
-item 1 grows that into a fully concurrent serving tier.  This family
-answers the question that growth depends on: *which state is actually
-safe to share between threads, and which lock guards it?*
+The daemon runs one thread per connection
+(``MapServer._serve_connection``), an accept thread per endpoint and a
+scheduler thread.  This family answers the question that design
+depends on: *which state is actually safe to share between threads,
+and which lock guards it?*
 
 The analysis runs on the project :class:`~tools.lint.callgraph
 .CallGraph` in four stages:
 
 1. **Thread roots.**  Every ``threading.Thread(target=X)`` spawn whose
-   target resolves — a module function, a nested ``def`` (the
-   prefetcher), or a bound method on a typed receiver
+   target resolves — a module function, a nested ``def``, or a bound
+   method on a typed receiver
    (``self._serve_connection``) — becomes a root.  A spawn inside a
    loop, or a target spawned from several sites, is *multi-instance*:
    two copies of that root run concurrently with each other.

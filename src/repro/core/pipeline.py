@@ -17,13 +17,14 @@ benches consume: locations fetched, filter iterations, light-alignment
 attempts, and DP cells for the residual work (GenDP MCUPS sizing, §7.4).
 
 There is one dataflow, and it is chunked
-(:meth:`GenPairPipeline._map_chunk`): all seeds of a chunk are hashed
-with one vectorized xxHash call, resolved against the array-backed
-SeedMap in one ``searchsorted`` probe and merged into one flat sorted
-candidate array with per-read bounds, a :class:`~repro.core.query.QueryColumns`
-(:func:`repro.core.query.resolve_reads`, the front-end the long-read
-mode shares); paired-adjacency filtering runs over it in one pass per
-orientation, and light alignment in waves of one stacked
+(:meth:`GenPairPipeline._map_chunk`): the ``fr`` seeds of every pair of a
+chunk, then the ``rf`` seeds of only the pairs ``fr`` left without a joint
+candidate, are each hashed with one vectorized xxHash call, resolved
+against the array-backed SeedMap in one ``searchsorted`` probe and merged
+into one flat sorted candidate array with per-read bounds, a
+:class:`~repro.core.query.QueryColumns` (:func:`repro.core.query.resolve_reads`,
+the front-end the long-read mode shares); paired-adjacency filtering runs
+over each in one pass, and light alignment in waves of one stacked
 :meth:`LightAligner.align` call; the pairs
 light alignment cannot settle meet again in two
 chunk-wide candidate-DP waves (read 1 at every candidate, read 2 where
@@ -69,7 +70,7 @@ from ..align.scoring import DEFAULT_SCHEME, HIGH_QUALITY_THRESHOLD, \
 from ..genome.reference import ReferenceGenome
 from ..genome.results import MappingResult
 from ..genome.sam import (METHOD_DP, METHOD_EXACT, METHOD_LIGHT,
-                          AlignmentRecord)
+                          AlignmentRecord, Mate, mapped_pair)
 from ..obs import get_registry, span
 from .light_align import LightAligner
 from .pairfilter import DEFAULT_DELTA, JointColumns, filter_rows
@@ -254,6 +255,22 @@ class _Pending(NamedTuple):
     #: ``(candidate 1, candidate 2)`` linear starts, at most
     #: :data:`MAX_JOINT_CANDIDATES` of them.
     candidates: Sequence[Tuple[int, int]]
+    #: Joint score of an exact pair, each read at its own length.
+    perfect: int
+
+
+def _placement(hit, read_codes: np.ndarray, strand: str, method: str
+               ) -> Mate:
+    """A hit ``(alignment, chromosome, window_start)`` as a mate of
+    :func:`~repro.genome.sam.mapped_pair`; an edit-free light one is exact."""
+    alignment, chromosome, window_start = hit
+    if method == METHOD_LIGHT:
+        profile = alignment.profile
+        if not (profile.mismatches or profile.insertion_run
+                or profile.deletion_run):
+            method = METHOD_EXACT
+    return (chromosome, int(window_start + alignment.ref_start), strand,
+            alignment.cigar, alignment.score, read_codes, method)
 
 
 class GenPairPipeline:
@@ -325,29 +342,34 @@ class GenPairPipeline:
         (:func:`~repro.core.seeding.pair_role_codes` order: fr read1,
         fr read2, rf read1, rf read2), reverse-complemented once for the
         whole chunk (:func:`~repro.core.seeding.chunk_role_codes`), are
-        resolved in one batched SeedMap probe
-        (:func:`~repro.core.query.resolve_reads`) and the chunk decided
-        from them (:meth:`_map_resolved`).  Stage
-        timings are recorded once per *chunk*
-        (``pipeline.seed_query_s`` / ``pipeline.filter_align_s``), so
-        instrumentation cost is amortized over the whole batch.
+        resolved in batched SeedMap probes as :meth:`_map_resolved` asks
+        for them.  Stage timings are recorded once per *chunk*
+        (``pipeline.seed_query_s`` for the probes,
+        ``pipeline.filter_align_s`` for the rest), so instrumentation
+        cost is amortized over the whole batch.
         """
         obs = get_registry()
         timed = obs.enabled
         start = time.perf_counter() if timed else 0.0
-        with span("seed.query_batch"):
-            roles = chunk_role_codes(items)
-            queries = resolve_reads(self.seedmap, roles,
-                                    self.config.seed_length)
-        queried = time.perf_counter() if timed else 0.0
+        probing = 0.0
+        roles = chunk_role_codes(items)
+
+        def resolve(rows: np.ndarray) -> QueryColumns:
+            nonlocal probing
+            began = time.perf_counter()
+            with span("seed.query_batch"):
+                queries = resolve_reads(
+                    self.seedmap, [roles[row] for row in rows.tolist()],
+                    self.config.seed_length)
+            probing += time.perf_counter() - began
+            return queries
+
         with span("pair.filter_align"):
-            results = self._map_resolved(items, roles, queries)
+            results = self._map_resolved(items, roles, resolve)
         if timed:
-            done = time.perf_counter()
-            obs.histogram("pipeline.seed_query_s").observe(
-                queried - start)
+            obs.histogram("pipeline.seed_query_s").observe(probing)
             obs.histogram("pipeline.filter_align_s").observe(
-                done - queried)
+                time.perf_counter() - start - probing)
             obs.counter("pipeline.chunks").inc()
             obs.counter("pipeline.pairs").inc(len(items))
         return results
@@ -355,11 +377,12 @@ class GenPairPipeline:
     def _map_resolved(self, items: Sequence[Tuple[np.ndarray, np.ndarray,
                                                   str]],
                       roles: Sequence[np.ndarray],
-                      queries: QueryColumns) -> List[MappingResult]:
-        """Query-results-to-mapping decision for a chunk; ``roles`` holds
-        four sequences per pair in
-        :func:`~repro.core.seeding.pair_role_codes` order and
-        ``queries`` their rows.
+                      resolve: Callable[[np.ndarray], QueryColumns]
+                      ) -> List[MappingResult]:
+        """The mapping decision for a chunk; ``roles`` holds four
+        sequences per pair in :func:`~repro.core.seeding.pair_role_codes`
+        order, and ``resolve`` answers the :class:`QueryColumns` of the
+        role rows it is given.
 
         Filtering (:meth:`_filter`) and light alignment
         (:meth:`_light_align_waves`) settle most pairs.  The pairs left
@@ -372,7 +395,7 @@ class GenPairPipeline:
         if not items:
             return []
         lengths = np.fromiter(map(len, roles), np.int64, len(roles))
-        orientation, joint = self._filter(lengths, queries)
+        orientation, joint = self._filter(lengths, resolve)
         placed = (orientation >= 0).nonzero()[0]
         ups = 4 * placed + 2 * orientation[placed]
         starts = joint.bounds[placed]
@@ -393,7 +416,7 @@ class GenPairPipeline:
                 pending.append((index, _Pending(
                     direction, roles[up], roles[up + 1], list(zip(
                         joint.first[start:start + count].tolist(),
-                        joint.second[start:start + count].tolist())))))
+                        joint.second[start:start + count].tolist())), top)))
                 continue
             stats.light_mapped += 1
             result = results[index] = self._build_result(
@@ -422,13 +445,6 @@ class GenPairPipeline:
 
     # -- chunk-wide decision -----------------------------------------------
 
-    def _perfect_joint(self, oriented1: np.ndarray,
-                       oriented2: np.ndarray) -> int:
-        """Joint score of an exact pair — each read at its *own* length
-        (reads of a pair need not be equally long)."""
-        return (self.scheme.perfect_score(len(oriented1))
-                + self.scheme.perfect_score(len(oriented2)))
-
     def _window(self, candidate: int, read_length: int
                 ) -> Optional[Tuple[np.ndarray, str, int, int]]:
         """:meth:`ReferenceGenome.window` around a candidate: room for
@@ -437,13 +453,15 @@ class GenPairPipeline:
         return self.reference.window(candidate, read_length, pad, pad,
                                      min_length=read_length)
 
-    def _filter(self, lengths: np.ndarray, queries: QueryColumns
+    def _filter(self, lengths: np.ndarray,
+                resolve: Callable[[np.ndarray], QueryColumns]
                 ) -> Tuple[np.ndarray, JointColumns]:
         """Each pair's orientation (index into :data:`ORIENTATIONS`, or
         ``-1``) and joint candidates: ``fr`` for all, ``rf`` for those it
-        left empty, one :func:`~repro.core.pairfilter.filter_rows` call
-        per orientation and boundary array (the shorter read's).  Only
-        the orientations tried are charged."""
+        left empty: one ``resolve`` probe of the pairs tried (their two
+        reads adjacent) and one :func:`~repro.core.pairfilter.filter_rows`
+        call per boundary array (the shorter read's) per orientation.
+        Only the orientations tried are resolved and charged."""
         stats = self.stats
         count = len(lengths) // 4
         half = np.minimum(lengths[0::4], lengths[1::4]) // 2
@@ -454,19 +472,18 @@ class GenPairPipeline:
         tried = np.arange(count)
         for number in range(len(ORIENTATIONS)):
             up = 4 * tried + 2 * number
-            both = np.concatenate((up, up + 1))
-            stats.locations_fetched += int(
-                queries.locations_fetched[both].sum())
-            stats.traffic_bytes += int(queries.traffic_bytes[both].sum())
-            hit = queries.seed_hits[both] > 0
-            seeded[tried] |= hit[:tried.size] & hit[tried.size:]
+            queries = resolve(np.stack((up, up + 1), axis=1).ravel())
+            stats.locations_fetched += int(queries.locations_fetched.sum())
+            stats.traffic_bytes += int(queries.traffic_bytes.sum())
+            hit = queries.seed_hits > 0
+            seeded[tried] |= hit[0::2] & hit[1::2]
             groups = sorted(set(half[tried].tolist()))
             for length in groups:
-                pairs = tried if len(groups) == 1 \
-                    else tried[half[tried] == length]
+                local = (half[tried] == length).nonzero()[0]
+                pairs = tried[local]
                 joint = filter_rows(
-                    queries.candidates, queries.bounds,
-                    4 * pairs + 2 * number, self.config.delta,
+                    queries.candidates, queries.bounds, 2 * local,
+                    self.config.delta,
                     boundaries=self.reference.read_boundaries(2 * length))
                 cycles[pairs] += joint.iterations
                 sizes = joint.bounds[1:] - joint.bounds[:-1]
@@ -586,8 +603,7 @@ class GenPairPipeline:
                              in survivors])
         # The joint score a pair's next hit must beat: just under its
         # acceptance floor, then its best so far (the first of equals).
-        bar = [int(MIN_DP_SCORE_FRACTION
-                   * self._perfect_joint(work.oriented1, work.oriented2)) - 1
+        bar = [int(MIN_DP_SCORE_FRACTION * work.perfect) - 1
                for work in pending]
         best: list = [None] * len(pending)
         for (number, (cand1, cand2), hit1), hit2 in zip(survivors, hits2):
@@ -628,39 +644,13 @@ class GenPairPipeline:
         downstream (``-``), which the records keep as their reads."""
         _cand1, _cand2, hit_up, hit_down = joint
         method = METHOD_LIGHT if stage == STAGE_LIGHT else METHOD_DP
-        if orientation == "fr":
-            record1 = self._record(name, hit_up, oriented1, 1, "+", method)
-            record2 = self._record(name, hit_down, oriented2, 2, "-",
-                                   method)
-        else:
-            # Reverse fragment: physical read 2 is upstream/forward.
-            record1 = self._record(name, hit_down, oriented2, 1, "-",
-                                   method)
-            record2 = self._record(name, hit_up, oriented1, 2, "+", method)
-        record1.set_mate(record2)
-        record2.set_mate(record1)
-        return MappingResult(name=name, records=(record1, record2),
-                             engine="genpair", stage=stage,
-                             orientation=orientation,
-                             joint_score=hit_up[0].score
-                             + hit_down[0].score)
-
-    def _record(self, name: str, hit, read_codes: np.ndarray, mate: int,
-                strand: str, method: str) -> AlignmentRecord:
-        alignment, chromosome, window_start = hit
-        if method == METHOD_LIGHT:
-            profile = alignment.profile
-            if not (profile.mismatches or profile.insertion_run
-                    or profile.deletion_run):
-                method = METHOD_EXACT
-        position = int(window_start + alignment.ref_start)
-        return AlignmentRecord(query_name=f"{name}/{mate}",
-                               chromosome=chromosome,
-                               position=position, strand=strand,
-                               mapq=60, cigar=alignment.cigar,
-                               score=alignment.score,
-                               read_codes=read_codes, mate=mate,
-                               mapped=True, method=method)
+        up = _placement(hit_up, oriented1, "+", method)
+        down = _placement(hit_down, oriented2, "-", method)
+        # Reverse fragment: physical read 2 is upstream/forward.
+        first, second = (up, down) if orientation == "fr" else (down, up)
+        return MappingResult(name, mapped_pair(name, 60, first, second),
+                             "genpair", stage, orientation,
+                             hit_up[0].score + hit_down[0].score)
 
     def _fall_back(self, items: Sequence[Tuple[np.ndarray, np.ndarray,
                                                str]]

@@ -21,8 +21,8 @@ from .results import MappingResult, ResultLineWriter, result_records
 from .sam import (METHOD_DP, METHOD_EXACT, METHOD_LIGHT, AlignmentRecord,
                   SamWriter, sam_header_lines, sam_lines,
                   sam_record_lines, write_sam)
-from .sequence import (ALPHABET_SIZE, SequenceError, decode, decode_all,
-                       encode, kmers, pack_2bit, random_sequence,
+from .sequence import (ALPHABET_SIZE, SequenceError, decode, encode,
+                       kmers, pack_2bit, random_sequence,
                        reverse_complement, unpack_2bit)
 from .simulate import (ErrorModel, PairedEndProfile, ReadSimulator,
                        SimulatedPair, SimulatedRead, SimulationError)
@@ -36,7 +36,7 @@ __all__ = [
     "PairedEndProfile", "ReadSimulator", "ReferenceError",
     "ReferenceGenome", "RepeatProfile", "ResultLineWriter", "SamWriter",
     "SequenceError", "SimulatedPair", "SimulatedRead", "SimulationError",
-    "Variant", "decode", "decode_all", "encode", "generate_reference",
+    "Variant", "decode", "encode", "generate_reference",
     "iter_pairs", "iter_pairs_chunked", "iter_reads", "iter_reads_chunked",
     "jsonl_header_lines", "jsonl_lines", "jsonl_record_lines", "kmers",
     "pack_2bit", "paf_header_lines", "paf_lines", "paf_record_lines",

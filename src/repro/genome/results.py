@@ -34,8 +34,8 @@ from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, \
 
 PathLike = Union[str, Path]
 
-#: Results per rendering batch: a renderer decodes a batch's sequences
-#: at once, and a file writer writes its lines with one call.
+#: Results per rendering batch: a file writer writes a batch's lines
+#: with one call.
 RENDER_BATCH = 256
 
 #: A format's renderer: ``(batch of results, reference) -> lines``.

@@ -6,8 +6,7 @@ them, and the examples can serialize them to a SAM-flavoured text file.
 Only the subset of SAM that the reproduction needs is modelled.
 
 :func:`sam_lines` is the one SAM renderer: a batch of results to its
-lines, with one decode for every SEQ of the batch and one
-:meth:`AlignmentRecord.to_sam_line` f-string per record.
+lines, one :meth:`AlignmentRecord.to_sam_line` per record.
 :func:`sam_record_lines` runs it over a lazy stream and
 :class:`SamWriter` writes its lines to a file.
 """
@@ -16,14 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, \
+    Union
 
 import numpy as np
 
 from .cigar import Cigar
 from .reference import ReferenceGenome
 from .results import ResultLineWriter, render_stream, result_records
-from .sequence import decode_all
+from .sequence import decode
 
 PathLike = Union[str, Path]
 
@@ -79,29 +79,11 @@ class AlignmentRecord:
         return (self.mapped and self.chromosome == chromosome
                 and self.position < end and self.reference_end > start)
 
-    def set_mate(self, other: "AlignmentRecord") -> None:
-        """Record the mate's placement and the signed template length.
-
-        Call once per record of a mapped pair; marks the pair proper when
-        both mates are mapped to the same chromosome.
-        """
-        if not other.mapped:
-            return
-        self.mate_chromosome = other.chromosome
-        self.mate_position = other.position
-        self.mate_strand = other.strand
-        if self.mapped and self.chromosome == other.chromosome:
-            self.proper_pair = True
-            left = min(self.position, other.position)
-            right = max(self.reference_end, other.reference_end)
-            span = right - left
-            self.template_length = span if self.position <= \
-                other.position else -span
-
-    def to_sam_line(self, seq: str) -> str:
-        """This record's SAM line, given its decoded SEQ (``"*"`` without
-        read codes or for an empty read): the per-line half of
-        :func:`sam_lines`, which decodes a whole batch at once."""
+    def to_sam_line(self) -> str:
+        """This record's SAM line, the per-record half of :func:`sam_lines`;
+        SEQ is ``*`` without read codes or for an empty read."""
+        codes = self.read_codes
+        seq = "*" if codes is None else decode(codes) or "*"
         mate_chromosome = self.mate_chromosome
         flag = _MATE_FLAGS.get(self.mate, 0)
         if not self.mapped:
@@ -130,20 +112,46 @@ class AlignmentRecord:
                 f"XM:Z:{self.method}")
 
 
+#: One placed mate of :func:`mapped_pair`: ``(chromosome, position,
+#: strand, cigar, score, read_codes, method)``.  A plain tuple: a
+#: ``NamedTuple`` costs five times as much to build, twice per pair.
+Mate = Tuple[str, int, str, Cigar, int, Optional[np.ndarray], str]
+
+
+def mapped_pair(name: str, mapq: int, first: Mate, second: Mate
+                ) -> Tuple[AlignmentRecord, AlignmentRecord]:
+    """The records of a pair with both mates mapped, each carrying the
+    other's placement: ``first`` is read 1, ``second`` read 2.  The pair
+    is proper when both are on one chromosome; TLEN is then the span
+    from the leftmost start to the rightmost end, negative on the
+    record that starts right of its mate."""
+    chromosome1, position1, strand1, cigar1, score1, codes1, method1 = first
+    chromosome2, position2, strand2, cigar2, score2, codes2, method2 = second
+    proper = chromosome1 == chromosome2
+    span = (max(position1 + cigar1.reference_length,
+                position2 + cigar2.reference_length)
+            - min(position1, position2)) if proper else 0
+    length1 = span if position1 <= position2 else -span
+    length2 = span if position2 <= position1 else -span
+    # Positional: keywords cost three times as much per record.
+    return (AlignmentRecord(f"{name}/1", chromosome1, position1, strand1,
+                            mapq, cigar1, score1, codes1, 1, True, method1,
+                            chromosome2, position2, strand2, length1,
+                            proper),
+            AlignmentRecord(f"{name}/2", chromosome2, position2, strand2,
+                            mapq, cigar2, score2, codes2, 2, True, method2,
+                            chromosome1, position1, strand1, length2,
+                            proper))
+
+
 def sam_lines(results: Sequence,
               reference: Optional[ReferenceGenome] = None) -> List[str]:
     """A batch of mapping results (or bare records) as SAM record lines,
     one per record: both mates of a pair, the single record of a long
-    read.  Every SEQ of the batch is decoded at once.  ``reference`` is
-    unused: it is the signature the three formats' renderers share."""
-    records = [record for result in results
-               for record in result_records(result)]
-    seqs = iter(decode_all([record.read_codes for record in records
-                            if record.read_codes is not None]))
-    # SAM has no empty SEQ: a read of no bases is "*" too.
-    return [record.to_sam_line((next(seqs) or "*")
-                               if record.read_codes is not None else "*")
-            for record in records]
+    read.  ``reference`` is unused: it is the signature the three
+    formats' renderers share."""
+    return [record.to_sam_line() for result in results
+            for record in result_records(result)]
 
 
 def sam_record_lines(results: Iterable,

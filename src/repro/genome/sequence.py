@@ -23,7 +23,7 @@ mappers treat ``N`` in reads.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -42,7 +42,7 @@ _ASCII_TO_CODE = np.full(256, 255, dtype=np.uint8)
 for _ch, _code in _BASE_TO_CODE.items():
     _ASCII_TO_CODE[ord(_ch)] = _code
 
-_CODE_TO_ASCII = np.frombuffer(b"ACGTN", dtype=np.uint8)
+_CODE_TO_ASCII = b"ACGTN".ljust(256, b"?")  # translate table, "?": no base
 
 SequenceLike = Union[str, bytes, np.ndarray, Sequence[int]]
 
@@ -86,23 +86,10 @@ def encode(seq: SequenceLike, allow_n: bool = False) -> np.ndarray:
 
 def decode(codes: np.ndarray) -> str:
     """Decode a ``uint8`` code array back into an ``ACGTN`` string."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    if codes.size and codes.max(initial=0) > N_CODE:
+    text = np.asarray(codes, np.uint8).tobytes().translate(_CODE_TO_ASCII)
+    if b"?" in text:
         raise SequenceError("code array contains values outside the alphabet")
-    return _CODE_TO_ASCII[codes].tobytes().decode("ascii")
-
-
-def decode_all(arrays: Sequence[np.ndarray]) -> List[str]:
-    """:func:`decode` of each array, with one decode for all of them."""
-    if not arrays:
-        return []
-    text = decode(np.concatenate(arrays))
-    strings = []
-    end = 0
-    for codes in arrays:
-        start, end = end, end + len(codes)
-        strings.append(text[start:end])
-    return strings
+    return text.decode("ascii")
 
 
 def complement(codes: np.ndarray) -> np.ndarray:

@@ -66,7 +66,7 @@ from ..align.dp import AlignmentResult
 from ..align.scoring import DEFAULT_SCHEME, ScoringScheme
 from ..genome.reference import ReferenceGenome
 from ..genome.results import MappingResult
-from ..genome.sam import METHOD_DP, AlignmentRecord
+from ..genome.sam import METHOD_DP, AlignmentRecord, mapped_pair
 from ..genome.sequence import ALPHABET_SIZE, reverse_complement
 from ..hashing import PositionTable, ragged_ranges
 from ..obs import span
@@ -366,13 +366,12 @@ class Mm2LikeMapper:
             stage = ("mapped" if record1.mapped or record2.mapped
                      else "unmapped")
         else:
-            place1, place2 = combo
             self.stats.pairs_proper += 1
             self.stats.reads_mapped += 2
-            record1 = self._to_record(place1, f"{name}/1", 1, 60)
-            record2 = self._to_record(place2, f"{name}/2", 2, 60)
-            record1.set_mate(record2)
-            record2.set_mate(record1)
+            record1, record2 = mapped_pair(name, 60, *(
+                (place.chromosome, place.position, place.strand,
+                 place.alignment.cigar, place.score, place.oriented,
+                 METHOD_DP) for place in combo))
             stage = "proper_pair"
         return MappingResult(name=name, records=(record1, record2),
                              engine="mm2", stage=stage,
@@ -644,19 +643,13 @@ class Mm2LikeMapper:
             return AlignmentRecord(query_name=name, mapped=False,
                                    read_codes=codes, mate=mate)
         self.stats.reads_mapped += 1
-        return self._to_record(viable[0], name, mate, 20)
+        best = viable[0]
+        return AlignmentRecord(name, best.chromosome, best.position,
+                               best.strand, 20, best.alignment.cigar,
+                               best.score, best.oriented, mate, True,
+                               METHOD_DP)
 
     def _min_score(self, length: int) -> int:
         """The score floor of a ``length``-base read."""
         return int(MIN_SCORE_FRACTION * self.scheme.perfect_score(length))
 
-    def _to_record(self, placement: _Placement, name: str, mate: int,
-                   mapq: int) -> AlignmentRecord:
-        return AlignmentRecord(query_name=name,
-                               chromosome=placement.chromosome,
-                               position=placement.position,
-                               strand=placement.strand,
-                               mapq=mapq, cigar=placement.alignment.cigar,
-                               score=placement.score,
-                               read_codes=placement.oriented, mate=mate,
-                               mapped=True, method=METHOD_DP)

@@ -17,8 +17,8 @@ Span-name catalog (what instrumented layers emit today):
 ======================  ================================================
 ``serve.map``           one daemon map request's mapping phase
 ``serve.render``        one daemon map request's output rendering
-``seed.query_batch``    one chunk's batched seeding + SeedMap probe
-``pair.filter_align``   one chunk's per-pair filtering + alignment
+``pair.filter_align``   one chunk's seeding, filtering + alignment
+``seed.query_batch``    in it, each SeedMap probe (``fr``, then ``rf``)
 ``mm2.seeding``         one chunk's minimizer extraction + index probe
 ``mm2.chaining``        one chunk's chaining sweep (every read and strand)
 ``mm2.alignment``       one chunk's chain alignment (every chain of every read)

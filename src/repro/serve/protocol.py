@@ -80,6 +80,14 @@ def _read_codes(read, where: str):
         raise RequestError(f"{where}: {exc}") from None
 
 
+def _entry_name(name, where: str) -> str:
+    """An inline entry's name, which must not split a record line."""
+    if not isinstance(name, str) or any(c in name for c in "\t\r\n"):
+        raise RequestError(f"{where}: a name must be a string with no tab, "
+                           f"CR or LF, got {name!r:.60}")
+    return name
+
+
 def decode_pairs(pairs) -> List[Tuple]:
     """Inline ``pairs`` payload entries as ``(codes1, codes2, name)``."""
     if not isinstance(pairs, list):
@@ -99,7 +107,7 @@ def decode_pairs(pairs) -> List[Tuple]:
             raise RequestError(f"{where}: expected [read1, read2, name?] "
                                "or {read1, read2, name?}")
         decoded.append((_read_codes(read1, where),
-                        _read_codes(read2, where), str(name)))
+                        _read_codes(read2, where), _entry_name(name, where)))
     return decoded
 
 
@@ -122,7 +130,7 @@ def decode_reads(reads) -> List[Tuple]:
         else:
             raise RequestError(f"{where}: expected [read, name?], a "
                                "read string or {read, name?}")
-        decoded.append((_read_codes(read, where), str(name)))
+        decoded.append((_read_codes(read, where), _entry_name(name, where)))
     return decoded
 
 

@@ -224,10 +224,9 @@ class MapServer:
                 target=self._serve_connection, args=(conn,),
                 name="repro-serve-conn", daemon=True)
             with self._threads_lock:
-                self._threads.append(thread)
+                thread.start()  # before close() can find it and join it
                 self._threads = [t for t in self._threads
-                                 if t.is_alive() or t is thread]
-            thread.start()
+                                 if t.is_alive()] + [thread]
 
     def _refuse_connection(self, conn) -> None:
         """Over the client limit: one ``busy`` line, then close."""

@@ -139,12 +139,21 @@ class TestProtocol:
         {"op": "map", "engine": "longread", "reads": ["ACGX"]},
         {"op": "map", "engine": "longread", "reads": [{"name": "r"}]},
         {"op": "map", "engine": "longread", "reads": [{"read": 5}]},
+        {"op": "map", "pairs": [["ACGT", "ACGT", 7]]},
+        {"op": "map", "pairs": [{"read1": "ACGT", "read2": "ACGT",
+                                 "name": {"a": 1}}]},
+        {"op": "map", "pairs": [["ACGT", "ACGT", "p\tq"]]},
+        {"op": "map", "pairs": [["ACGT", "ACGT", "p\nq"]]},
+        {"op": "map", "engine": "longread", "reads": [["ACGT", None]]},
+        {"op": "map", "engine": "longread",
+         "reads": [{"read": "ACGT", "name": "r\rs"}]},
     ], ids=["pair-number", "pair-null", "pair-bool", "pair-string",
             "pair-one-read", "pair-four-items", "read-number",
             "read-null", "read-list", "read-bad-base", "dict-no-read2",
             "dict-read-number", "long-number", "long-bool", "long-empty",
             "long-null", "long-bad-base", "long-dict-no-read",
-            "long-dict-number"])
+            "long-dict-number", "name-number", "name-dict", "name-tab",
+            "name-lf", "long-name-null", "long-name-cr"])
     def test_wrong_typed_entries_are_bad_requests(self, server, payload):
         """A malformed entry is the client's error, named by its
         position, and the connection keeps serving.  A two-letter

@@ -129,3 +129,43 @@ class TestConcurrentClients:
             == threads_n * each
         assert sum(snap["histograms"]["hammer.lat"]["counts"]) \
             == threads_n * each
+
+
+class TestCloseDuringAccept:
+    def test_close_when_the_accept_loop_lets_go_of_its_lock(
+            self, tmp_path, index_path):
+        """``close()`` runs at the exact moment the accept loop releases
+        the connection-thread lock after publishing a connection: every
+        thread it finds there has started, so it joins them all."""
+        mapper = Mapper.from_index(index_path, full_fallback=False)
+        server = MapServer(mapper, tmp_path / "race.sock")
+        ours, theirs = socket.socketpair()
+        theirs.close()  # the connection ends as soon as it is read
+        connections = iter([ours])
+
+        class OneConnection:
+            def accept(self):
+                conn = next(connections, None)
+                if conn is None:
+                    raise OSError("listener closed")
+                return conn
+
+        lock = server._threads_lock
+        closes = []
+
+        class CloseOnRelease:
+            def __enter__(self):
+                lock.acquire()
+
+            def __exit__(self, *exc_info):
+                lock.release()
+                if not closes:
+                    closes.append(threading.current_thread())
+                    server.close()
+
+        server._threads_lock = CloseOnRelease()
+        server._accept_loop(OneConnection())
+        assert closes == [threading.current_thread()]
+        assert len(server._threads) == 1
+        assert not server._threads[0].is_alive()
+        assert server.stats.active_connections == 0

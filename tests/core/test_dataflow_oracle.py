@@ -172,14 +172,32 @@ class TestResolveReads:
 
 
 class TestOneProbePerChunk:
-    """Every engine's reads enter through ``resolve_reads``: one
-    ``query_hash_groups`` call per chunk, whatever the chunk holds."""
+    """Every engine's reads enter through ``resolve_reads``.  GenPair
+    makes one ``query_hash_groups`` call per chunk for the ``fr`` roles
+    of every pair (two per pair) and, only when ``fr`` left ``k`` pairs
+    without a joint candidate, one more for their ``2k`` ``rf`` roles."""
 
     def test_genpair_chunk(self, plain_reference, plain_seedmap,
                            clean_items, seedmap_probes):
         pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
         pipeline.map_pairs(clean_items[:10], chunk_size=4)
-        assert seedmap_probes == [16, 16, 8]
+        assert seedmap_probes == [8, 8, 4]
+
+    def test_rf_probe_holds_only_the_pairs_fr_left(
+            self, plain_reference, plain_seedmap, clean_items,
+            seedmap_probes):
+        # A pair with its reads swapped is a reverse fragment: fr finds
+        # no joint candidate for it, rf places it.
+        swapped = {1, 2, 9}
+        items = [(read2, read1, name) if k in swapped
+                 else (read1, read2, name)
+                 for k, (read1, read2, name) in enumerate(clean_items[:10])]
+        pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
+        results = pipeline.map_pairs(items, chunk_size=4)
+        assert seedmap_probes == [8, 4, 8, 4, 2]
+        assert [k for k, result in enumerate(results)
+                if result.orientation == "rf"] == sorted(swapped)
+        assert pipeline.stats.light_mapped == len(items)
 
 
 class TestNoQueryRowsWhileMapping:
@@ -249,31 +267,20 @@ class TestScalarPathLeftSrc:
 
 
 class TestOraclePartition:
-    """The oracle's own seeding honours the role contract (what
-    ``partition_pair``'s tests pinned while it lived under ``src/``)."""
+    """The role rows the oracle seeds, orientation by orientation."""
 
     def test_orientations_and_roles(self):
         rng = np.random.default_rng(6)
         read1 = rng.integers(0, 4, size=150, dtype=np.uint8)
         read2 = rng.integers(0, 4, size=150, dtype=np.uint8)
-        fr, rf = oracle.partition_pair(read1, read2)
-        assert (fr.orientation, rf.orientation) == ("fr", "rf")
-        assert len(fr.read1) + len(fr.read2) == 6
+        fr1, fr2, rf1, rf2 = pair_role_codes(read1, read2)
         rc1, rc2 = reverse_complement(read1), reverse_complement(read2)
-        assert np.array_equal(fr.read1[0].codes, read1[:50])
-        assert np.array_equal(fr.read2[0].codes, rc2[:50])
-        assert np.array_equal(rf.read1[0].codes, read2[:50])
-        assert np.array_equal(rf.read2[0].codes, rc1[:50])
-
-    def test_query_pair_queries_both_reads(self, plain_reference,
-                                           plain_seedmap):
-        codes1 = plain_reference.fetch("chr1", 1000, 1150)
-        codes2 = plain_reference.fetch("chr1", 1200, 1350)
-        fr = oracle.partition_pair(codes1, reverse_complement(codes2))[0]
-        result1, result2 = oracle.query_pair(plain_seedmap, fr.read1,
-                                             fr.read2)
-        assert 1000 in result1.candidates.tolist()
-        assert 1200 in result2.candidates.tolist()
+        for role, want in ((fr1, read1), (fr2, rc2), (rf1, read2),
+                           (rf2, rc1)):
+            assert np.array_equal(role, want)
+            seeds = oracle.partition_read(role, 50)
+            assert len(seeds) == 3
+            assert np.array_equal(seeds[0].codes, want[:50])
 
 
 class TestChunkSizeEquivalence:

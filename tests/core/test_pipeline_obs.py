@@ -46,10 +46,15 @@ class TestChunkMetrics:
         assert before == after
 
     def test_trace_captures_per_chunk_stage_spans(
-            self, small_reference, seedmap, named_tuples):
+            self, small_reference, seedmap, named_tuples, seedmap_probes):
         pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
         with capture_trace() as tracer:
             pipeline.map_pairs(named_tuples[:32], chunk_size=16)
+        depths = {(record.name, record.depth) for record in tracer.records}
         names = [record.name for record in tracer.records]
-        assert names.count("seed.query_batch") == 2
+        # One span per chunk, and one per SeedMap probe inside it: the
+        # fr roles, then the rf roles of the pairs fr left, if any.
         assert names.count("pair.filter_align") == 2
+        assert names.count("seed.query_batch") == len(seedmap_probes)
+        assert seedmap_probes[0] == 32 and 2 <= len(seedmap_probes) <= 4
+        assert depths == {("pair.filter_align", 0), ("seed.query_batch", 1)}

@@ -8,8 +8,9 @@ of the 2-bit packed window, :func:`hash_seed`), looked up on its own
 (:func:`query_read`).  It defines what ``resolve_reads`` must reproduce
 exactly — candidates (values and dtype), seed hits, locations fetched,
 Seed Table accesses — read by read; fed through the pipeline's own
-decision on a chunk of one (``_map_resolved``), what every GenPair chunk
-size must map to; and, through the scalar :func:`longread_votes`, what
+decision on a chunk of one (``_map_resolved``, which asks it for the
+role rows of each orientation it tries), what every GenPair chunk size
+must map to; and, through the scalar :func:`longread_votes`, what
 the long-read mode must vote.
 
 The chain imports no hashing or query function from the package — only
@@ -223,69 +224,21 @@ def resolve_reads(seedmap: SeedMap, reads: Sequence[np.ndarray],
 
 # -- GenPair: the pair-by-pair path ------------------------------------------
 
-@dataclass(frozen=True)
-class PairSeeds:
-    """The six seeds of a read-pair in one fragment orientation.
-
-    ``orientation`` is ``"fr"`` when read 1 is forward / read 2 reverse
-    (read 2's seeds are extracted from its reverse complement), ``"rf"``
-    for the opposite fragment strand.
-    """
-
-    read1: Tuple[Seed, ...]
-    read2: Tuple[Seed, ...]
-    orientation: str
-
-
-def partition_pair(read1_codes: np.ndarray, read2_codes: np.ndarray,
-                   seed_length: int = 50,
-                   seeds_per_read: int = 3) -> List[PairSeeds]:
-    """Seeds for both fragment orientations of a read-pair, FR first."""
-    fr1, fr2, rf1, rf2 = pair_role_codes(read1_codes, read2_codes)
-    return [
-        PairSeeds(
-            read1=tuple(partition_read(fr1, seed_length, seeds_per_read)),
-            read2=tuple(partition_read(fr2, seed_length, seeds_per_read)),
-            orientation="fr"),
-        PairSeeds(
-            read1=tuple(partition_read(rf1, seed_length, seeds_per_read)),
-            read2=tuple(partition_read(rf2, seed_length, seeds_per_read)),
-            orientation="rf"),
-    ]
-
-
-def query_pair(seedmap: SeedMap, read1_seeds: Sequence[Seed],
-               read2_seeds: Sequence[Seed]
-               ) -> Tuple[QueryResult, QueryResult]:
-    """Query both reads of a pair (six seed lookups)."""
-    return query_read(seedmap, read1_seeds), query_read(seedmap, read2_seeds)
-
-
-def prepare_pair(pipeline, read1: np.ndarray, read2: np.ndarray
-                 ) -> List[QueryResult]:
-    """One pair's four queries in ``pair_role_codes`` order (fr read 1,
-    fr read 2, rf read 1, rf read 2) — packed with :func:`as_columns`,
-    the ``queries`` argument of ``GenPairPipeline._map_resolved`` for a
-    chunk of one."""
-    return [result
-            for seeds in partition_pair(read1, read2,
-                                        pipeline.config.seed_length,
-                                        SEEDS_PER_READ)
-            for result in query_pair(pipeline.seedmap, seeds.read1,
-                                     seeds.read2)]
-
-
 def map_pairs(pipeline, items) -> list:
-    """Map ``(read1, read2, name)`` items one pair at a time: scalar
-    seeding and querying, then the pipeline's own decision on a chunk of
-    one — so candidate DP stacks and the traditional pipeline are
-    entered once per pair that needs them."""
+    """Map ``(read1, read2, name)`` items one pair at a time: the
+    pipeline's own decision on a chunk of one, resolving the role rows it
+    asks for with the per-seed :func:`resolve_reads` — so candidate DP
+    stacks and the traditional pipeline are entered once per pair that
+    needs them."""
+    seed_length = pipeline.config.seed_length
     results = []
     for item in items:
-        read1, read2, _name = item
+        roles = pair_role_codes(item[0], item[1])
         results.extend(pipeline._map_resolved(
-            [item], pair_role_codes(read1, read2),
-            as_columns(prepare_pair(pipeline, read1, read2))))
+            [item], roles, lambda rows: as_columns(
+                resolve_reads(pipeline.seedmap,
+                              [roles[row] for row in rows.tolist()],
+                              seed_length, SEEDS_PER_READ))))
     return results
 
 

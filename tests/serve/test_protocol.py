@@ -24,9 +24,9 @@ def decoded(entries):
      (codes("ACGT"), codes("TTGA"), "p")),
     ({"read1": "ACGT", "read2": "TTGA"},
      (codes("ACGT"), codes("TTGA"), "pair1")),
-    (["acgn", "NNTT", 7], (codes("ACGN"), codes("NNTT"), "7")),
+    (["acgn", "NNTT", "p q"], (codes("ACGN"), codes("NNTT"), "p q")),
 ], ids=["list-named", "list-unnamed", "dict-named", "dict-unnamed",
-        "lowercase-n-number-name"])
+        "lowercase-n-spaced-name"])
 def test_pair_entries_decode(entry, want):
     first = ["AAAA", "CCCC", "first"]
     assert decoded(decode_pairs([first, entry]))[1] == want
@@ -42,6 +42,28 @@ def test_pair_entries_decode(entry, want):
         "dict-unnamed-lowercase-n"])
 def test_read_entries_decode(entry, want):
     assert decoded(decode_reads(["AAAA", entry]))[1] == want
+
+
+BAD_NAMES = [7, None, True, {"a": 1}, ["p"], "p\tq", "p\rq", "p\nq"]
+BAD_NAME_IDS = ["number", "null", "bool", "dict", "list", "tab", "cr", "lf"]
+
+
+@pytest.mark.parametrize("name", BAD_NAMES, ids=BAD_NAME_IDS)
+@pytest.mark.parametrize("shape", ["list", "dict"])
+def test_pair_names_must_be_one_field_strings(name, shape):
+    entry = (["ACGT", "TTGA", name] if shape == "list"
+             else {"read1": "ACGT", "read2": "TTGA", "name": name})
+    with pytest.raises(RequestError, match=r"^pair 1: a name must"):
+        decode_pairs([["AAAA", "CCCC", "first"], entry])
+
+
+@pytest.mark.parametrize("name", BAD_NAMES, ids=BAD_NAME_IDS)
+@pytest.mark.parametrize("shape", ["list", "dict"])
+def test_read_names_must_be_one_field_strings(name, shape):
+    entry = (["ACGT", name] if shape == "list"
+             else {"read": "ACGT", "name": name})
+    with pytest.raises(RequestError, match=r"^read 1: a name must"):
+        decode_reads(["AAAA", entry])
 
 
 @pytest.mark.parametrize("request_, want", [

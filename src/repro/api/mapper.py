@@ -9,10 +9,10 @@ single-read long-read mapping — through the same ``map`` /
 Engine instances are built **lazily, once per engine name**, and reused
 across calls (and daemon requests); every engine maps in this process.
 
-Output is equally pluggable: :meth:`write` and :meth:`lines` resolve
-``sam`` / ``paf`` / ``jsonl`` through
-:data:`~repro.api.registry.OUTPUT_FORMATS`, with the daemon's wire
-lines byte-identical to file output by construction.  Variant calling
+Output is equally pluggable: :meth:`write` and :meth:`lines` run the
+named row of :data:`~repro.api.registry.OUTPUT_FORMATS` through one
+line stream, so the daemon's wire lines are byte-identical to file
+output by construction.  Variant calling
 is not a mapping stage: ``repro call`` (or
 :func:`repro.variants.sam_records` into a
 :class:`~repro.variants.Pileup`) reads the SAM file :meth:`write`
@@ -34,7 +34,8 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 from ..core.pipeline import PipelineStats, merge_stats
 from ..genome.io_fasta import iter_pairs, iter_reads, read_fasta
 from ..genome.reference import ReferenceGenome
-from ..genome.results import MappingResult
+from ..genome.results import (MappingResult, OutputFormat,
+                              ResultLineWriter, line_batches)
 from ..mapper import MinimizerIndex
 from ..obs import get_registry
 from ..util.sync import maybe_sanitize_lock
@@ -279,73 +280,55 @@ class Mapper:
 
     # -- output --------------------------------------------------------
 
-    def _resolve_format(self, name: Optional[str], results):
-        """The named output format — closing a ``results`` generator
-        first if the name doesn't resolve, so a bad format never
-        leaves a primed run claiming the one-run-at-a-time slot."""
-        try:
-            return output_format(name if name is not None
-                                 else self.config.output_format)
-        except Exception:
-            close = getattr(results, "close", None)
-            if close is not None:
-                close()
-            raise
-
     def write(self, results: Iterable, path: PathLike,
               format: Optional[str] = None) -> int:
         """Drain mapping results into ``path`` in the named output
         format (default: the config's ``output_format``); returns the
-        record-line count.  Closes a generator stream even on error,
-        so an abandoned run still releases the run slot."""
-        fmt = self._resolve_format(format, results)
+        record-line count.  Closes a generator stream whatever happens
+        (an unknown format, an output that cannot be opened), so an
+        abandoned run still releases the run slot."""
         obs = get_registry()
         started = time.perf_counter() if obs.enabled else 0.0
-        with fmt.open(path, self.reference) as writer:
-            try:
+        try:
+            fmt = self._format(format)
+            with ResultLineWriter(path, fmt, self.reference) as writer:
                 writer.drain(results)
-            finally:
-                close = getattr(results, "close", None)
-                if close is not None:
-                    close()
-            count = writer.count
+        finally:
+            _close(results)
         if obs.enabled:
             obs.histogram(f"output.{fmt.name}.write_s").observe(
                 time.perf_counter() - started)
-            obs.counter(f"output.{fmt.name}.records").inc(count)
-        return count
+            obs.counter(f"output.{fmt.name}.records").inc(writer.count)
+        return writer.count
 
     def lines(self, results: Iterable, format: Optional[str] = None,
               header: bool = True) -> Iterator[str]:
-        """Render results as text lines (the daemon's wire form).
-
-        With ``header=True`` the format's header lines come first, so
-        concatenating the lines with newlines reproduces :meth:`write`
-        output byte for byte — for every registered format.
-        """
-        fmt = self._resolve_format(format, results)
-        stream = fmt.lines(results, self.reference, header=header)
-        if not get_registry().enabled:
-            return stream
-        return self._counted_lines(stream, fmt.name)
-
-    @staticmethod
-    def _counted_lines(stream: Iterator[str],
-                       format_name: str) -> Iterator[str]:
-        """Yield ``stream`` unchanged while counting wire lines; the
-        counter lands even when the consumer abandons the stream early
-        (the underlying generator is closed in the same finally)."""
-        emitted = 0
+        """Render results as text lines (the daemon's wire form): the
+        lists :meth:`write` writes, flattened, so with ``header=True``
+        the lines joined with newlines are :meth:`write`'s file.  An
+        unknown format raises here, after closing a ``results``
+        generator."""
         try:
-            for line in stream:
-                emitted += 1
-                yield line
-        finally:
-            close = getattr(stream, "close", None)
-            if close is not None:
-                close()
-            get_registry().counter(
-                f"output.{format_name}.wire_lines").inc(emitted)
+            fmt = self._format(format)
+        except Exception:
+            _close(results)
+            raise
+        obs = get_registry()
+        wire = (obs.counter(f"output.{fmt.name}.wire_lines")
+                if obs.enabled else None)
+
+        def flattened() -> Iterator[str]:
+            for batch in line_batches(fmt, results, self.reference,
+                                      header):
+                if wire is not None:
+                    wire.inc(len(batch))
+                yield from batch
+
+        return flattened()
+
+    def _format(self, name: Optional[str]) -> OutputFormat:
+        return output_format(name if name is not None
+                             else self.config.output_format)
 
     # -- statistics lifecycle ------------------------------------------
 
@@ -400,3 +383,10 @@ class Mapper:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+def _close(results) -> None:
+    """Close ``results`` if it is a generator (a no-op on a list)."""
+    close = getattr(results, "close", None)
+    if close is not None:
+        close()

@@ -12,11 +12,10 @@ here.  Both tables are closed module-level literals:
   reads).  ``engine_class(name)(facade)`` builds an
   :class:`~repro.api.engines.Engine` sharing the facade's
   reference/SeedMap;
-* :data:`OUTPUT_FORMATS` — the writers every engine's results flow
-  through: ``sam`` (default), ``paf``, and ``jsonl``.  Each
-  :class:`OutputFormat` bundles header/record line renderers with a
-  file writer built on the *same* renderers, so daemon wire output is
-  byte-identical to file output by construction.
+* :data:`OUTPUT_FORMATS` — the formats every engine's results are
+  rendered in: ``sam`` (default), ``paf``, and ``jsonl``, each one
+  :class:`~repro.genome.results.OutputFormat` row (name, batch
+  renderer, header) defined next to its renderer.
 
 :func:`engine_class` and :func:`output_format` are the lookups; an
 unknown name raises :class:`RegistryError` listing the available ones.
@@ -24,59 +23,18 @@ unknown name raises :class:`RegistryError` listing the available ones.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Type
+from typing import Dict, Type
 
-from ..genome.jsonl import (JsonlWriter, jsonl_header_lines,
-                            jsonl_record_lines)
-from ..genome.paf import PafWriter, paf_header_lines, paf_record_lines
-from ..genome.results import ResultLineWriter
-from ..genome.sam import SamWriter, sam_header_lines, sam_record_lines
+from ..genome.jsonl import JSONL
+from ..genome.paf import PAF
+from ..genome.results import OutputFormat
+from ..genome.sam import SAM
 from .engines import Engine, GenPairEngine, LongReadEngine, Mm2Engine
 
 
 class RegistryError(LookupError):
     """An unknown engine or output format name was requested; names
     the available ones."""
-
-
-class OutputFormat:
-    """One named output format: line renderers plus a file writer.
-
-    ``header_lines``/``record_lines`` are the wire form the daemon
-    streams; :meth:`open` returns an incremental file writer built on
-    the *same* renderers, so a file reassembled from wire lines is
-    byte-identical to one written directly.
-    """
-
-    def __init__(self, name: str, suffix: str,
-                 header: Callable[..., List[str]],
-                 records: Callable[..., Iterable[str]],
-                 writer: Type[ResultLineWriter]) -> None:
-        self.name = name
-        self.suffix = suffix
-        self._header = header
-        self._records = records
-        self._writer = writer
-
-    def header_lines(self, reference=None) -> List[str]:
-        """Lines written once, before any record (may be empty)."""
-        return list(self._header(reference))
-
-    def record_lines(self, results, reference=None) -> Iterable[str]:
-        """Lazy record lines for a result stream."""
-        return self._records(results, reference)
-
-    def lines(self, results, reference=None,
-              header: bool = True) -> Iterator[str]:
-        """Wire form: optional header lines, then record lines."""
-        if header:
-            yield from self.header_lines(reference)
-        yield from self.record_lines(results, reference)
-
-    def open(self, path, reference=None) -> ResultLineWriter:
-        """An incremental writer (context manager with ``count``/
-        ``write_result``/``drain``) for ``path``."""
-        return self._writer(path, reference)
 
 
 #: Mapping engines, selected by ``engine``.
@@ -88,13 +46,7 @@ ENGINES: Dict[str, Type[Engine]] = {
 
 #: Output formats, selected by ``output_format``.
 OUTPUT_FORMATS: Dict[str, OutputFormat] = {
-    "sam": OutputFormat("sam", ".sam", sam_header_lines,
-                        sam_record_lines, SamWriter),
-    "paf": OutputFormat("paf", ".paf", paf_header_lines,
-                        paf_record_lines, PafWriter),
-    "jsonl": OutputFormat("jsonl", ".jsonl", jsonl_header_lines,
-                          jsonl_record_lines, JsonlWriter),
-}
+    fmt.name: fmt for fmt in (SAM, PAF, JSONL)}
 
 
 def _require(kind: str, table: dict, name: str):

@@ -12,15 +12,14 @@ from .io_fasta import (DEFAULT_PAIR_CHUNK, DEFAULT_READ_CHUNK,
                        FastaError, iter_pairs, iter_pairs_chunked,
                        iter_reads, iter_reads_chunked, read_fasta,
                        read_fastq, write_fasta, write_fastq)
-from .jsonl import (JsonlWriter, jsonl_header_lines, jsonl_lines,
-                    jsonl_record_lines)
-from .paf import PafWriter, paf_header_lines, paf_lines, paf_record_lines
+from .jsonl import jsonl_lines
+from .paf import paf_lines
 from .reference import (ReferenceError, ReferenceGenome, RepeatProfile,
                         generate_reference)
-from .results import MappingResult, ResultLineWriter, result_records
+from .results import (MappingResult, OutputFormat, ResultLineWriter,
+                      line_batches, result_records)
 from .sam import (METHOD_DP, METHOD_EXACT, METHOD_LIGHT, AlignmentRecord,
-                  SamWriter, sam_header_lines, sam_lines,
-                  sam_record_lines, write_sam)
+                  SamWriter, sam_header_lines, sam_lines, write_sam)
 from .sequence import (ALPHABET_SIZE, SequenceError, decode, encode,
                        kmers, pack_2bit, random_sequence,
                        reverse_complement, unpack_2bit)
@@ -31,17 +30,16 @@ from .variants import DiploidDonor, Haplotype, Variant, plant_variants
 __all__ = [
     "ALPHABET_SIZE", "AlignmentRecord", "Cigar", "CigarError",
     "DEFAULT_PAIR_CHUNK", "DEFAULT_READ_CHUNK", "DiploidDonor",
-    "ErrorModel", "FastaError", "Haplotype", "JsonlWriter", "METHOD_DP",
-    "METHOD_EXACT", "METHOD_LIGHT", "MappingResult", "PafWriter",
+    "ErrorModel", "FastaError", "Haplotype", "METHOD_DP",
+    "METHOD_EXACT", "METHOD_LIGHT", "MappingResult", "OutputFormat",
     "PairedEndProfile", "ReadSimulator", "ReferenceError",
     "ReferenceGenome", "RepeatProfile", "ResultLineWriter", "SamWriter",
     "SequenceError", "SimulatedPair", "SimulatedRead", "SimulationError",
     "Variant", "decode", "encode", "generate_reference",
     "iter_pairs", "iter_pairs_chunked", "iter_reads", "iter_reads_chunked",
-    "jsonl_header_lines", "jsonl_lines", "jsonl_record_lines", "kmers",
-    "pack_2bit", "paf_header_lines", "paf_lines", "paf_record_lines",
+    "jsonl_lines", "kmers", "line_batches", "pack_2bit", "paf_lines",
     "plant_variants", "random_sequence", "read_fasta",
     "read_fastq", "result_records", "reverse_complement",
-    "sam_header_lines", "sam_lines", "sam_record_lines", "unpack_2bit",
+    "sam_header_lines", "sam_lines", "unpack_2bit",
     "write_fasta", "write_fastq", "write_sam",
 ]

@@ -4,9 +4,9 @@ One JSON object per alignment record, one line per object — the format
 downstream data pipelines (and the serving daemon's structured
 consumers) ingest without a SAM parser.  Rendering is deterministic:
 fixed key order, compact separators, no floats — so the same results
-always serialize to the same bytes, and the daemon's wire lines are
-byte-identical to :class:`JsonlWriter` file output (both render
-through :func:`jsonl_lines`, a batch of results to its lines).
+always serialize to the same bytes.  :func:`jsonl_lines` is the
+renderer (a batch of results to its lines) and :data:`JSONL` its row
+of the output table, behind file and wire output alike.
 
 Unlike PAF, unmapped records ARE emitted (``"mapped": false`` with
 placement fields nulled), so a JSONL file accounts for every read of a
@@ -17,16 +17,11 @@ each record line.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, List, Sequence
+from typing import List, Sequence
 
-from .results import ResultLineWriter, render_stream, result_records
+from .results import OutputFormat, result_records
 
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def jsonl_header_lines(reference=None) -> List[str]:
-    """JSONL has no header; one definition keeps the format table uniform."""
-    return []
 
 
 def jsonl_lines(results: Sequence, reference=None) -> List[str]:
@@ -56,16 +51,5 @@ def jsonl_lines(results: Sequence, reference=None) -> List[str]:
     return lines
 
 
-def jsonl_record_lines(results: Iterable, reference=None) -> Iterator[str]:
-    """Render a result stream as JSONL lines (the daemon's wire form).
-
-    Lazy: :func:`jsonl_lines` over batches of results as the stream
-    yields them.
-    """
-    return render_stream(jsonl_lines, results, reference)
-
-
-class JsonlWriter(ResultLineWriter):
-    """Incremental JSONL file writer over :func:`jsonl_lines`."""
-
-    render = staticmethod(jsonl_lines)
+#: JSONL's row of the output table: no header.
+JSONL = OutputFormat("jsonl", jsonl_lines)

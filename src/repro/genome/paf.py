@@ -4,12 +4,11 @@ PAF is the line-per-alignment interchange format of the long-read
 ecosystem: twelve mandatory tab-separated columns (query name/length/
 start/end, strand, target name/length/start/end, residue matches,
 alignment block length, mapping quality) followed by SAM-style typed
-tags.  This module renders the reproduction's alignment records as PAF,
-factored exactly like the SAM path — :func:`paf_lines` is the one
-renderer (a batch of results to its lines), :func:`paf_record_lines`
-runs it over a lazy stream, and :class:`PafWriter` writes those same
-lines to a file — so the daemon's wire output is byte-identical to
-offline file output.
+tags.  This module renders the reproduction's alignment records as PAF:
+:func:`paf_lines` is the renderer (a batch of results to its lines)
+and :data:`PAF` its row of the output table, so a file written by
+:class:`~repro.genome.results.ResultLineWriter` and the daemon's wire
+lines are the same lines.
 
 Differences from SAM worth knowing:
 
@@ -23,9 +22,9 @@ Differences from SAM worth knowing:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import List, Sequence
 
-from .results import ResultLineWriter, render_stream, result_records
+from .results import OutputFormat, result_records
 
 #: CIGAR ops that consume query bases / reference bases / count as
 #: aligned block columns, per the PAF column definitions.
@@ -83,25 +82,5 @@ def paf_lines(results: Sequence, reference=None) -> List[str]:
     return lines
 
 
-def paf_header_lines(reference=None) -> List[str]:
-    """PAF has no header; one definition keeps the format table uniform."""
-    return []
-
-
-def paf_record_lines(results: Iterable, reference=None) -> Iterator[str]:
-    """Render a result stream as PAF lines (the daemon's wire form).
-
-    Lazy: :func:`paf_lines` over batches of results as the stream
-    yields them.
-    """
-    return render_stream(paf_lines, results, reference)
-
-
-class PafWriter(ResultLineWriter):
-    """Incremental PAF file writer over :func:`paf_record_lines`.
-
-    :attr:`count` is the number of PAF lines written — mapped records
-    only, so it can be lower than the SAM record count of the same run.
-    """
-
-    render = staticmethod(paf_lines)
+#: PAF's row of the output table: no header.
+PAF = OutputFormat("paf", paf_lines)

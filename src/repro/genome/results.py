@@ -1,4 +1,4 @@
-"""The one mapping result record and the writer substrate.
+"""The one mapping result record and the one output table.
 
 :class:`MappingResult` is what every mapping core of the reproduction —
 the GenPair pipeline, the baseline ``Mm2LikeMapper`` and the
@@ -12,16 +12,15 @@ provenance.
 wrapped in a tuple (``write_sam(path, records)`` takes records
 directly).
 
-Output is rendered in batches: each format (SAM, PAF, JSONL) has one
-renderer, a function from a batch of results to its lines, and
-:func:`render_stream` runs it over a lazy stream
-:data:`RENDER_BATCH` results at a time (:func:`result_batches`).
-:class:`ResultLineWriter` is the shared incremental file writer behind
-the three formats: it writes each batch's lines with one ``write``, so
-the file is exactly the rendered lines joined with newlines — the same
-lines the daemon streams over its socket, so wire output and file
-output cannot drift apart.  The one-record-at-a-time renderers the
-batch ones replaced are the test oracles (``tests/oracles/genome.py``).
+Each output format is one :class:`OutputFormat` row — a name, a batch
+renderer (results to lines) and a header — defined next to its
+renderer (``SAM``, ``PAF``, ``JSONL``).  :func:`line_batches` is the
+one rendering loop: the header, then the lines of each
+:data:`RENDER_BATCH` results of a lazy stream.  :class:`ResultLineWriter`
+writes each of its lists with one ``write`` and the daemon's wire lines
+are the same lists flattened, so file and wire output cannot drift
+apart.  The one-record-at-a-time renderers the batch ones replaced are
+the test oracles (``tests/oracles/genome.py``).
 """
 
 from __future__ import annotations
@@ -29,17 +28,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, \
-    Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, \
+    Sequence, Tuple, Union
 
 PathLike = Union[str, Path]
 
 #: Results per rendering batch: a file writer writes a batch's lines
 #: with one call.
 RENDER_BATCH = 256
-
-#: A format's renderer: ``(batch of results, reference) -> lines``.
-Renderer = Callable[[Sequence, object], List[str]]
 
 
 @dataclass
@@ -86,80 +82,76 @@ def result_records(result) -> Tuple:
     )
 
 
-def result_batches(results: Iterable) -> Iterator[list]:
-    """``results`` as lists of up to :data:`RENDER_BATCH`, pulled as the
-    stream yields them."""
+def no_header(reference=None) -> List[str]:
+    """The header of a format that has none (PAF, JSONL)."""
+    return []
+
+
+class OutputFormat(NamedTuple):
+    """One output format: its name, its batch renderer ``(results,
+    reference) -> lines`` and its header, a function from the reference
+    to the lines written once before any record."""
+
+    name: str
+    render: Callable[[Sequence, object], List[str]]
+    header: Callable[[object], List[str]] = no_header
+
+
+def line_batches(fmt: OutputFormat, results: Iterable, reference=None,
+                 header: bool = True) -> Iterator[List[str]]:
+    """``results`` as lists of ``fmt`` lines: the header lines (when
+    ``header``), then the lines of each :data:`RENDER_BATCH` results,
+    rendered as the stream yields them."""
+    if header:
+        yield fmt.header(reference)
     iterator = iter(results)
     while True:
         batch = list(itertools.islice(iterator, RENDER_BATCH))
         if not batch:
             return
-        yield batch
-
-
-def render_stream(render: Renderer, results: Iterable,
-                  reference=None) -> Iterator[str]:
-    """The lines of a lazy result stream, rendered batch by batch."""
-    for batch in result_batches(results):
-        yield from render(batch, reference)
+        yield fmt.render(batch, reference)
 
 
 class ResultLineWriter:
-    """Incremental line-oriented result writer (SAM/PAF/JSONL base).
+    """The incremental result file writer, for any :class:`OutputFormat`.
 
-    Header up front, records as they arrive, ``count``/``drain``/
-    ``flush``/context manager — over a subclass-provided batch renderer
-    (:attr:`render`).  ``count`` is the number of record lines written
-    (header lines excluded).
+    Writes the header on open, then each list :func:`line_batches`
+    yields with one ``write``.  ``count`` is the number of record lines
+    written (header lines excluded).
     """
 
-    #: The format's renderer (a :data:`Renderer`), as a staticmethod.
-    render: Renderer
-
-    def __init__(self, path: PathLike, reference=None) -> None:
-        self.path = str(path)
+    def __init__(self, path: PathLike, fmt: OutputFormat,
+                 reference=None) -> None:
+        self.fmt = fmt
         self.reference = reference
         self.count = 0
         self._handle = open(path, "w")
         try:
-            for line in self.header_lines():
-                self._handle.write(line + "\n")
+            self._write(fmt.header(reference))
         except Exception:
             self._handle.close()
             raise
 
-    # -- subclass surface ----------------------------------------------
-
-    def header_lines(self) -> List[str]:
-        """Lines written once, before any record (default: none)."""
-        return []
-
-    # -- writing -------------------------------------------------------
-
-    def write_results(self, results: Sequence) -> None:
-        """Append a batch of mapping results with one write."""
-        lines = self.render(results, self.reference)
+    def _write(self, lines: List[str]) -> int:
         if lines:
             self._handle.write("\n".join(lines) + "\n")
-            self.count += len(lines)
+        return len(lines)
 
     def write_result(self, result) -> None:
         """Append one mapping result (however many lines it renders)."""
-        self.write_results((result,))
+        self.count += self._write(self.fmt.render((result,),
+                                                  self.reference))
 
     def drain(self, results: Iterable) -> int:
         """Write a lazy result stream batch by batch as it arrives;
-        returns the number of results drained by this call (flushes at
+        returns the number of record lines this call wrote (flushes at
         stream end)."""
-        drained = 0
-        for batch in result_batches(results):
-            self.write_results(batch)
-            drained += len(batch)
-        self.flush()
-        return drained
-
-    def flush(self) -> None:
+        before = self.count
+        for lines in line_batches(self.fmt, results, self.reference,
+                                  header=False):
+            self.count += self._write(lines)
         self._handle.flush()
+        return self.count - before
 
     def close(self) -> None:
         self._handle.close()

@@ -5,27 +5,24 @@ Both the GenPair pipeline and the baseline mapper emit
 them, and the examples can serialize them to a SAM-flavoured text file.
 Only the subset of SAM that the reproduction needs is modelled.
 
-:func:`sam_lines` is the one SAM renderer: a batch of results to its
-lines, one :meth:`AlignmentRecord.to_sam_line` per record.
-:func:`sam_record_lines` runs it over a lazy stream and
-:class:`SamWriter` writes its lines to a file.
+:func:`sam_lines` is the SAM renderer — a batch of results to its
+lines, one :meth:`AlignmentRecord.to_sam_line` per record — and
+:data:`SAM` its row of the output table; :class:`SamWriter` is the
+result writer bound to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, \
-    Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .cigar import Cigar
 from .reference import ReferenceGenome
-from .results import ResultLineWriter, render_stream, result_records
+from .results import (OutputFormat, PathLike, ResultLineWriter,
+                      result_records)
 from .sequence import decode
-
-PathLike = Union[str, Path]
 
 #: FLAG bits of a record's mate number: paired, and first or second.
 _MATE_FLAGS = {1: 64 | 1, 2: 128 | 1}
@@ -154,36 +151,33 @@ def sam_lines(results: Sequence,
             for record in result_records(result)]
 
 
-def sam_record_lines(results: Iterable,
-                     reference: Optional[ReferenceGenome] = None
-                     ) -> Iterator[str]:
-    """Render a stream of mapping results as SAM record lines.
+def sam_header_lines(
+        reference: Optional[ReferenceGenome] = None) -> List[str]:
+    """The SAM header: ``@HD``, then one ``@SQ`` per chromosome of
+    ``reference``."""
+    lines = ["@HD\tVN:1.6\tSO:unknown"]
+    if reference is not None:
+        for name in reference.names:
+            lines.append(f"@SQ\tSN:{name}\tLN:{reference.length(name)}")
+    return lines
 
-    Lazy: :func:`sam_lines` over batches of results as the stream
-    yields them — exactly the body :meth:`SamWriter.drain` would write.
-    Accepts mapping results and bare records alike.
-    """
-    return render_stream(sam_lines, results, reference)
+
+#: SAM's row of the output table.
+SAM = OutputFormat("sam", sam_lines, sam_header_lines)
 
 
 class SamWriter(ResultLineWriter):
-    """Incremental SAM writer: header up front, records as they arrive.
-
-    The streaming ``map`` path hands each chunk's results straight here,
-    so writing a SAM file needs O(1) memory regardless of input size:
-    :meth:`drain` writes each chunk as soon as it is mapped.  Use as a
+    """The result writer bound to :data:`SAM`: header up front, records
+    as they arrive, in O(1) memory whatever the input size.  Use as a
     context manager::
 
         with SamWriter("out.sam", reference=reference) as writer:
             writer.drain(pipeline.map_stream(pairs))
-
-    :attr:`count` tracks records written so far.
     """
 
-    render = staticmethod(sam_lines)
-
-    def header_lines(self) -> list:
-        return sam_header_lines(self.reference)
+    def __init__(self, path: PathLike,
+                 reference: Optional[ReferenceGenome] = None) -> None:
+        super().__init__(path, SAM, reference)
 
 
 def write_sam(path: PathLike, records: Iterable[AlignmentRecord],
@@ -192,18 +186,3 @@ def write_sam(path: PathLike, records: Iterable[AlignmentRecord],
     with SamWriter(path, reference=reference) as writer:
         writer.drain(records)
         return writer.count
-
-
-def sam_header_lines(
-        reference: Optional[ReferenceGenome] = None) -> list:
-    """The header lines :class:`SamWriter` writes, without the newlines.
-
-    One definition of the header keeps every output path — the
-    incremental writer, the serving daemon's JSON responses, and a
-    client reassembling a file from them — byte-identical.
-    """
-    lines = ["@HD\tVN:1.6\tSO:unknown"]
-    if reference is not None:
-        for name in reference.names:
-            lines.append(f"@SQ\tSN:{name}\tLN:{reference.length(name)}")
-    return lines

@@ -14,12 +14,15 @@ response carries ``"ok"``; a failure answers ``{"ok": false, "error":
     still queued or already executing); the work was dropped or its
     result discarded.  Retryable with a larger ``timeout_s``.
 ``bad_request`` / ``unknown_op`` / ``oversized``
-    The request itself is malformed; retrying identical bytes fails
-    identically.
+    The request itself is at fault — malformed, naming an unknown
+    engine or format, or (``map_file``) naming an input that is
+    missing or not FASTQ or an output that cannot be written; retrying
+    identical bytes fails identically (:func:`error_code`).
 ``shutting_down``
     The daemon is draining its queue on the way down.
 ``internal``
-    The handler raised; the message carries the exception.
+    The handler raised for a reason other than the request; the
+    message carries the exception.
 
 Requests are decoded *before* they are queued, so a malformed request
 is answered in microseconds and never occupies a scheduler slot.
@@ -66,6 +69,25 @@ def error_reply(code: str, message: str,
 
 class RequestError(ValueError):
     """A request failed validation before any mapping work."""
+
+
+def error_code(exc: BaseException) -> str:
+    """``bad_request`` when the request caused ``exc`` (a malformed
+    value, an unknown name, a path that does not work), else
+    ``internal``."""
+    return E_BAD_REQUEST if isinstance(exc, (
+        ValueError, LookupError, FileNotFoundError, IsADirectoryError,
+        NotADirectoryError, PermissionError)) else E_INTERNAL
+
+
+def request_flag(request: Dict[str, Any], key: str) -> bool:
+    """An optional boolean field: ``False`` when absent, else it must
+    be a JSON boolean (``"false"`` is not one)."""
+    value = request.get(key, False)
+    if not isinstance(value, bool):
+        raise RequestError(f'"{key}" must be true or false, got '
+                           f"{value!r:.40}")
+    return value
 
 
 def _read_codes(read, where: str):

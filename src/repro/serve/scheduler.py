@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional
 
 from ..obs import capture_trace, get_registry, span
 from ..util.sync import maybe_sanitize_lock
-from .protocol import (E_INTERNAL, E_SHUTTING_DOWN, E_TIMEOUT,
+from .protocol import (E_SHUTTING_DOWN, E_TIMEOUT, error_code,
                        error_reply)
 
 #: ``MapTask.state`` values (guarded by the task lock).
@@ -426,7 +426,7 @@ class Scheduler:
         except Exception as exc:  # keep serving after a bad batch
             message = f"{type(exc).__name__}: {exc}"
             for task in live:
-                self._deliver(task, error_reply(E_INTERNAL, message,
+                self._deliver(task, error_reply(error_code(exc), message,
                                                 op=task.op))
             return
         for task, reply in zip(live, replies):

@@ -53,7 +53,8 @@ requests.  Operations:
     heavy-duty path: no reads cross the socket, and the output is
     byte-identical to an offline ``repro map`` with the same config
     (asserted in the test suite and the CI smoke job).  Never
-    coalesced.
+    coalesced.  An input that is missing or not FASTQ, or an ``out``
+    that cannot be written, answers ``bad_request``.
 ``stats``
     Cumulative mapper counters (GenPair-compatible ``mapper`` plus
     per-engine ``engines``), server totals (requests served, pairs
@@ -68,8 +69,10 @@ requests.  Operations:
 Mapping requests additionally accept ``"trace": true``, which returns
 a per-stage span breakdown alongside the normal response (traced
 requests run solo, never coalesced, so the spans cover exactly their
-own work).  Request counts and latencies are recorded per op into the
-metrics registry (``serve.requests.<op>`` / ``serve.request_s.<op>``,
+own work).  ``"header"`` and ``"trace"`` are JSON booleans when
+present; any other value is a ``bad_request``.  Request counts and
+latencies are recorded per op into the metrics registry
+(``serve.requests.<op>`` / ``serve.request_s.<op>``,
 ``serve.map_s.<engine>.<format>`` for mapping work, plus the
 scheduler's queue/batch metrics).
 
@@ -95,10 +98,11 @@ from . import protocol
 from .address import TCP, Address, parse_address
 from .listeners import (ServerError, TcpListener, UnixListener,
                         bound_endpoints)
-from .protocol import (E_BAD_REQUEST, E_BUSY, E_INTERNAL, E_OVERSIZED,
+from .protocol import (E_BAD_REQUEST, E_BUSY, E_OVERSIZED,
                        E_SHUTTING_DOWN, E_TIMEOUT, E_UNKNOWN_OP,
                        RequestError, ServerStats, decode_pairs,
-                       decode_reads, error_reply, request_timeout_s)
+                       decode_reads, error_code, error_reply,
+                       request_flag, request_timeout_s)
 from .scheduler import MapTask, Scheduler, ServeSettings
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -330,11 +334,8 @@ class MapServer:
             response = handler(request)
         except Exception as exc:  # keep serving after a bad request
             self._count_error()
-            code = E_BAD_REQUEST \
-                if isinstance(exc, (ValueError, LookupError)) \
-                else E_INTERNAL
-            return error_reply(code, f"{type(exc).__name__}: {exc}",
-                               op=op)
+            return error_reply(error_code(exc),
+                               f"{type(exc).__name__}: {exc}", op=op)
         if not response.get("ok", True):
             self._count_error()
             response.setdefault("op", op)
@@ -429,8 +430,8 @@ class MapServer:
             else self.mapper.config.output_format
         task = MapTask(
             "map", engine.name, format_name, decoded, len(decoded),
-            header=bool(request.get("header", False)),
-            trace=bool(request.get("trace")),
+            header=request_flag(request, "header"),
+            trace=request_flag(request, "trace"),
             timeout_s=request_timeout_s(
                 request, self.settings.request_timeout_s))
         return self._submit_and_wait(task)
@@ -450,7 +451,7 @@ class MapServer:
         task = MapTask(
             "map_file", engine.name, format_name,
             (request["reads1"], reads2, request["out"]), 0,
-            trace=bool(request.get("trace")),
+            trace=request_flag(request, "trace"),
             timeout_s=request_timeout_s(
                 request, self.settings.request_timeout_s))
         return self._submit_and_wait(task)

@@ -270,7 +270,9 @@ class TestOutputFormats:
             list(mapper.lines(results, format="bam"))
 
     def test_output_format_helper_resolves(self):
-        assert output_format("paf").suffix == ".paf"
+        from repro.genome.paf import PAF
+
+        assert output_format("paf") is PAF
 
 
 class TestMapFileArity:

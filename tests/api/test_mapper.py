@@ -169,6 +169,18 @@ def item_names(items):
     return [item[-1] for item in items]
 
 
+def fastq_inputs(tmp_path, engine, items):
+    """``items`` written as the FASTQ file(s) ``engine`` maps."""
+    if engine == "longread":
+        paths = [tmp_path / "long.fq"]
+        write_fastq(paths[0], ((name, codes) for codes, name in items))
+    else:
+        paths = [tmp_path / "r_1.fq", tmp_path / "r_2.fq"]
+        write_fastq(paths[0], ((name, r1) for r1, _, name in items))
+        write_fastq(paths[1], ((name, r2) for _, r2, name in items))
+    return paths
+
+
 class TestPartialRuns:
     """A run that fails part-way yields every chunk mapped before the
     failure, then raises it, and gives the run slot back."""
@@ -179,13 +191,7 @@ class TestPartialRuns:
         from repro.genome import FastaError
 
         items = workload(engine, small_reference, pairs, 20)
-        if engine == "longread":
-            paths = [tmp_path / "long.fq"]
-            write_fastq(paths[0], ((name, codes) for codes, name in items))
-        else:
-            paths = [tmp_path / "r_1.fq", tmp_path / "r_2.fq"]
-            write_fastq(paths[0], ((name, r1) for r1, _, name in items))
-            write_fastq(paths[1], ((name, r2) for _, r2, name in items))
+        paths = fastq_inputs(tmp_path, engine, items)
         lines = paths[-1].read_text().splitlines(keepends=True)
         paths[-1].write_text("".join(lines[:-2]))  # 2 of the 4 lines
         names = []
@@ -219,6 +225,26 @@ class TestPartialRuns:
             # The partial chunk of 4 never maps.
             assert names == item_names(items[:16])
             assert len(mapper.map(items[:3])) == 3
+
+    @pytest.mark.parametrize("engine", ["genpair", "mm2", "longread"])
+    def test_unopenable_output_gives_the_run_slot_back(
+            self, tmp_path, small_reference, pairs, engine):
+        """``write`` closes the primed run when the output cannot be
+        opened, even while the caller keeps the exception (and with it
+        the frame that holds the run)."""
+        items = workload(engine, small_reference, pairs, 20)
+        paths = fastq_inputs(tmp_path, engine, items)
+        saved = None
+        with Mapper.from_reference(small_reference, engine=engine,
+                                   batch_size=8,
+                                   full_fallback=False) as mapper:
+            try:
+                mapper.write(mapper.map_file(*paths),
+                             tmp_path / "missing" / "out.sam")
+            except FileNotFoundError as exc:
+                saved = exc
+            assert saved is not None
+            assert len(list(mapper.map_file(*paths))) == 20
 
     def test_raising_chunk_surfaces_its_own_error(self, small_reference,
                                                   pairs):

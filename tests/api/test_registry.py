@@ -9,7 +9,7 @@ import repro.api
 from repro.api import (ENGINES, OUTPUT_FORMATS, Engine, Mapper,
                        MappingConfig, RegistryError, output_format)
 from repro.api.registry import engine_class
-from repro.genome import ResultLineWriter
+from repro.genome import ResultLineWriter, line_batches
 
 
 class TestLookup:
@@ -75,16 +75,16 @@ class TestEntryContracts:
     def test_formats_carry_header_records_and_writer(self, name,
                                                      tmp_path):
         fmt = OUTPUT_FORMATS[name]
-        assert fmt.name == name and fmt.suffix == f".{name}"
-        assert isinstance(fmt.header_lines(None), list)
-        assert list(fmt.record_lines((), None)) == []
-        path = tmp_path / f"empty{fmt.suffix}"
-        with fmt.open(path, None) as writer:
-            assert isinstance(writer, ResultLineWriter)
+        assert fmt.name == name
+        assert isinstance(fmt.header(None), list)
+        assert fmt.render((), None) == []
+        path = tmp_path / f"empty.{name}"
+        with ResultLineWriter(path, fmt) as writer:
             assert writer.drain(()) == 0
         # One definition: the file is the wire lines joined by newlines.
         assert path.read_text() == "".join(
-            line + "\n" for line in fmt.lines((), None))
+            line + "\n" for lines in line_batches(fmt, ())
+            for line in lines)
 
     def test_every_options_field_names_an_engine(self):
         # None is left: no config field is a per-engine sub-config, so

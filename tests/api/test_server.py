@@ -46,6 +46,22 @@ def wire_pairs(pairs):
             for p in pairs]
 
 
+def exchange(socket_path, payload):
+    """``payload``'s reply on a fresh connection, and the ``ping`` reply
+    the same connection gives after it."""
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.connect(str(socket_path))
+    try:
+        reader = raw.makefile("rb")
+        replies = []
+        for request in (payload, {"op": "ping"}):
+            raw.sendall(json.dumps(request).encode() + b"\n")
+            replies.append(json.loads(reader.readline()))
+        return replies
+    finally:
+        raw.close()
+
+
 class TestExports:
     def test_api_names_are_the_serve_package_objects(self):
         # repro.api re-exports the daemon lazily, straight from
@@ -158,20 +174,60 @@ class TestProtocol:
         """A malformed entry is the client's error, named by its
         position, and the connection keeps serving.  A two-letter
         string is not a pair of one-base reads."""
-        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        raw.connect(server.socket_path)
-        try:
-            reader = raw.makefile("rb")
-            raw.sendall(json.dumps(payload).encode() + b"\n")
-            reply = json.loads(reader.readline())
-            assert not reply["ok"]
-            assert reply["error_code"] == "bad_request", reply
-            noun = "read" if "reads" in payload else "pair"
-            assert f"{noun} 0: " in reply["error"]
-            raw.sendall(json.dumps({"op": "ping"}).encode() + b"\n")
-            assert json.loads(reader.readline())["ok"]
-        finally:
-            raw.close()
+        reply, ping = exchange(server.socket_path, payload)
+        assert not reply["ok"]
+        assert reply["error_code"] == "bad_request", reply
+        noun = "read" if "reads" in payload else "pair"
+        assert f"{noun} 0: " in reply["error"]
+        assert ping["ok"]
+
+    @pytest.mark.parametrize("op, field, value", [
+        ("map", "header", "false"), ("map", "header", 0),
+        ("map", "header", None), ("map", "trace", "false"),
+        ("map", "trace", 1), ("map_file", "trace", "true")],
+        ids=["header-string", "header-zero", "header-null",
+             "trace-string", "trace-one", "map-file-trace-string"])
+    def test_non_boolean_flags_are_bad_requests(self, server, tmp_path,
+                                                 op, field, value):
+        """``"header": "false"`` must not answer with the header: a
+        flag is a JSON boolean or absent."""
+        payload = ({"op": "map", "pairs": [["ACGT", "ACGT"]]}
+                   if op == "map" else
+                   {"op": "map_file", "reads1": str(tmp_path / "r_1.fq"),
+                    "reads2": str(tmp_path / "r_2.fq"),
+                    "out": str(tmp_path / "out.sam")})
+        payload[field] = value
+        reply, ping = exchange(server.socket_path, payload)
+        assert not reply["ok"]
+        assert reply["error_code"] == "bad_request", reply
+        assert f'"{field}" must be true or false' in reply["error"]
+        assert ping["ok"]
+
+    @pytest.mark.parametrize("fault", ["missing-input", "fasta-input",
+                                       "directory-out", "missing-dir-out"])
+    def test_map_file_faults_of_the_request_are_bad_requests(
+            self, server, tmp_path, pairs, fault):
+        """Paths the request names that do not work are the client's
+        error, answered ``bad_request``; the daemon keeps serving."""
+        fq1, fq2 = tmp_path / "m_1.fq", tmp_path / "m_2.fq"
+        write_fastq(fq1, ((p.read1.name, p.read1.codes) for p in pairs))
+        write_fastq(fq2, ((p.read2.name, p.read2.codes) for p in pairs))
+        out = tmp_path / "out.sam"
+        if fault == "missing-input":
+            fq1 = tmp_path / "absent_1.fq"
+        elif fault == "fasta-input":
+            fq1.write_text(">chr1\nACGTACGT\n")
+            fq2.write_text(">chr1\nACGTACGT\n")
+        elif fault == "directory-out":
+            out = tmp_path
+        else:
+            out = tmp_path / "absent" / "out.sam"
+        reply, ping = exchange(server.socket_path, {
+            "op": "map_file", "reads1": str(fq1), "reads2": str(fq2),
+            "out": str(out)})
+        assert not reply["ok"]
+        assert reply["error_code"] == "bad_request", reply
+        assert ping["ok"]
 
     def test_oversized_request_rejected_once_then_disconnected(
             self, server, monkeypatch):

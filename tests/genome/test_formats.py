@@ -1,4 +1,4 @@
-"""Output-format substrate: MappingResult, PAF and JSONL writers."""
+"""Output-format substrate: MappingResult and the one output table."""
 
 import json
 
@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from oracles.genome import jsonl_line, paf_line, sam_line
-from repro.genome import (AlignmentRecord, Cigar, JsonlWriter,
-                          MappingResult, PafWriter, encode,
-                          jsonl_record_lines, paf_lines,
-                          paf_record_lines, result_records,
-                          sam_record_lines)
-from repro.genome.paf import paf_header_lines
+from repro.api.registry import OUTPUT_FORMATS
+from repro.genome import (AlignmentRecord, Cigar, MappingResult,
+                          OutputFormat, ResultLineWriter, encode,
+                          jsonl_lines, line_batches, paf_lines,
+                          result_records, sam_lines)
+from repro.genome.jsonl import JSONL
+from repro.genome.paf import PAF
 
 
 def make_record(name="r1", position=100, strand="+", mapped=True,
@@ -53,11 +54,11 @@ class TestMappingResult:
         with pytest.raises(TypeError):
             result_records("not a result")
 
-    def test_sam_record_lines_accept_any_shape(self):
+    def test_sam_lines_accept_any_shape(self):
         record = make_record()
         paired = MappingResult(name="p", records=(record, record))
         single = MappingResult(name="s", records=(record,))
-        lines = list(sam_record_lines([paired, single, record]))
+        lines = sam_lines([paired, single, record])
         assert len(lines) == 4
         assert all(line == sam_line(record) for line in lines)
 
@@ -109,10 +110,10 @@ class TestPaf:
         assert paf_lines([make_record(mapped=False)]) == []
         result = MappingResult(name="p",
                                records=(make_record(mapped=False),))
-        assert list(paf_record_lines([result])) == []
+        assert paf_lines([result]) == []
 
     def test_no_header(self):
-        assert paf_header_lines() == []
+        assert PAF.header(None) == []
 
     def test_writer_output_is_rendered_lines(self, tmp_path,
                                              small_reference):
@@ -121,12 +122,11 @@ class TestPaf:
                                           make_record(mapped=False,
                                                       mate=2)))]
         path = tmp_path / "out.paf"
-        with PafWriter(path, reference=small_reference) as writer:
+        with ResultLineWriter(path, PAF, small_reference) as writer:
             writer.drain(results)
             assert writer.count == 1  # unmapped mate skipped
-        expected = "".join(
-            line + "\n"
-            for line in paf_record_lines(results, small_reference))
+        expected = "".join(line + "\n"
+                           for line in paf_lines(results, small_reference))
         assert path.read_text() == expected
 
 
@@ -135,7 +135,7 @@ class TestJsonl:
         result = MappingResult(name="p",
                                records=(make_record(mate=1),),
                                engine="genpair", stage="light")
-        (line,) = jsonl_record_lines([result])
+        (line,) = jsonl_lines([result])
         payload = json.loads(line)
         assert payload["name"] == "r1"
         assert payload["engine"] == "genpair"
@@ -146,7 +146,7 @@ class TestJsonl:
     def test_unmapped_records_emitted_with_null_placement(self):
         result = MappingResult(name="p",
                                records=(make_record(mapped=False),))
-        (line,) = jsonl_record_lines([result])
+        (line,) = jsonl_lines([result])
         payload = json.loads(line)
         assert payload["mapped"] is False
         assert payload["chrom"] is None
@@ -158,17 +158,15 @@ class TestJsonl:
                                  records=(make_record(mate=1),
                                           make_record(mate=2)))]
         path = tmp_path / "out.jsonl"
-        with JsonlWriter(path) as writer:
+        with ResultLineWriter(path, JSONL) as writer:
             writer.drain(results)
             assert writer.count == 2
-        expected = "".join(line + "\n"
-                           for line in jsonl_record_lines(results))
+        expected = "".join(line + "\n" for line in jsonl_lines(results))
         assert path.read_text() == expected
 
     def test_deterministic_rendering(self):
         result = MappingResult(name="p", records=(make_record(),))
-        assert list(jsonl_record_lines([result])) \
-            == list(jsonl_record_lines([result]))
+        assert jsonl_lines([result]) == jsonl_lines([result])
 
 
 class TestThreeEnginesThreeFormats:
@@ -214,8 +212,6 @@ class TestThreeEnginesThreeFormats:
     @pytest.mark.parametrize("engine", ["genpair", "mm2", "longread"])
     def test_file_wire_and_records_walk_agree(self, results, engine,
                                               small_reference, tmp_path):
-        from repro.genome import SamWriter
-
         mapped = results[engine]
         walks = {
             "sam": [sam_line(record) for result in mapped
@@ -224,16 +220,48 @@ class TestThreeEnginesThreeFormats:
                     for record in result.records if record.mapped],
             "jsonl": [jsonl_line(record, result)
                       for result in mapped for record in result.records]}
-        formats = {"sam": (SamWriter, sam_record_lines),
-                   "paf": (PafWriter, paf_record_lines),
-                   "jsonl": (JsonlWriter, jsonl_record_lines)}
-        for name, (writer_type, record_lines) in formats.items():
-            wire = list(record_lines(mapped, small_reference))
-            assert wire == walks[name]
+        assert sorted(OUTPUT_FORMATS) == sorted(walks)
+        for name, fmt in OUTPUT_FORMATS.items():
+            header = fmt.header(small_reference)
+            wire = [line for lines in line_batches(fmt, mapped,
+                                                   small_reference)
+                    for line in lines]
+            assert wire == header + walks[name]
             path = tmp_path / f"{engine}.{name}"
-            with writer_type(path, small_reference) as writer:
-                header = writer.header_lines()
-                assert writer.drain(mapped) == len(mapped)
-                assert writer.count == len(wire)
+            with ResultLineWriter(path, fmt, small_reference) as writer:
+                assert writer.drain(mapped) == len(walks[name])
+                assert writer.count == len(walks[name])
             assert path.read_text() == "".join(line + "\n"
-                                               for line in header + wire)
+                                               for line in wire)
+
+
+class TestOneOutputTable:
+    """Each format is one :class:`OutputFormat` row behind one writer
+    and one line stream: the per-format wrappers, writers and the
+    format class with its own methods are gone from the package."""
+
+    GONE = ("sam_record_lines", "paf_record_lines", "jsonl_record_lines",
+            "paf_header_lines", "jsonl_header_lines", "PafWriter",
+            "JsonlWriter", "render_stream", "result_batches")
+
+    @pytest.mark.parametrize("module", [
+        "repro.genome", "repro.genome.results", "repro.genome.sam",
+        "repro.genome.paf", "repro.genome.jsonl", "repro.api.registry"])
+    def test_names_are_gone(self, module):
+        import importlib
+        namespace = importlib.import_module(module)
+        for name in self.GONE:
+            assert not hasattr(namespace, name), name
+            assert name not in getattr(namespace, "__all__", ())
+
+    @pytest.mark.parametrize("attr", ["open", "lines", "record_lines",
+                                      "header_lines", "suffix"])
+    def test_output_format_is_a_plain_row(self, attr):
+        assert not hasattr(OutputFormat, attr)
+        assert OutputFormat._fields == ("name", "render", "header")
+
+    def test_api_reexports_the_row(self):
+        import repro.api
+        assert repro.api.OutputFormat is OutputFormat
+        assert all(type(fmt) is OutputFormat
+                   for fmt in OUTPUT_FORMATS.values())

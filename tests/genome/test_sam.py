@@ -100,7 +100,7 @@ class TestSamWriter:
         assert lines[0].startswith("@HD")
         assert lines[1].startswith("@SQ")
 
-    def test_drain_writes_lazily_and_counts_pairs(self, tmp_path):
+    def test_drain_writes_lazily_and_counts_lines(self, tmp_path):
         def fake_result(name):
             return MappingResult(name=name, records=(
                 AlignmentRecord(f"{name}/1", "chr1", 0,
@@ -119,7 +119,7 @@ class TestSamWriter:
         with SamWriter(path) as writer:
             results = stream()
             assert served == []  # drain pulls, it does not pre-buffer
-            assert writer.drain(results) == 5
+            assert writer.drain(results) == 10
             assert writer.count == 10
         body = [line.split("\t")[0]
                 for line in path.read_text().splitlines()

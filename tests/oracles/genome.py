@@ -12,8 +12,8 @@ line at a time.
   the same message, at every chunk size.
 * :func:`sam_line`, :func:`paf_line` and :func:`jsonl_line` — one
   :class:`~repro.genome.AlignmentRecord` rendered on its own, the form
-  the bulk renderers (``sam_record_lines`` and its PAF/JSONL peers)
-  must reproduce byte for byte.
+  the batch renderers of the output table's rows (``sam_lines``,
+  ``paf_lines``, ``jsonl_lines``) must reproduce byte for byte.
 
 Nothing under ``src/`` imports this module; tests import it as
 ``oracles.genome``.

@@ -1,10 +1,13 @@
-"""Wire decoding of inline workloads and per-request deadlines."""
+"""Wire decoding of inline workloads, flags, per-request deadlines and
+error codes."""
 
 import numpy as np
 import pytest
 
 from repro.genome import encode
+from repro.genome import FastaError
 from repro.serve.protocol import (RequestError, decode_pairs, decode_reads,
+                                  error_code, request_flag,
                                   request_timeout_s)
 
 
@@ -79,3 +82,35 @@ def test_timeout_s_values(request_, want):
 def test_timeout_s_rejections(value):
     with pytest.raises(RequestError, match="timeout_s"):
         request_timeout_s({"timeout_s": value}, default=3.0)
+
+
+@pytest.mark.parametrize("request_, want", [
+    ({}, False), ({"header": True}, True), ({"header": False}, False)],
+    ids=["absent", "true", "false"])
+def test_flag_values(request_, want):
+    assert request_flag(request_, "header") is want
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [], {}],
+                         ids=["string-false", "string-true", "zero", "one",
+                              "null", "list", "dict"])
+def test_flag_rejections(value):
+    with pytest.raises(RequestError, match='^"trace" must be true or false'):
+        request_flag({"trace": value}, "trace")
+
+
+@pytest.mark.parametrize("exc, want", [
+    (RequestError("bad"), "bad_request"),
+    (FastaError("not FASTQ"), "bad_request"),
+    (KeyError("engine"), "bad_request"),
+    (FileNotFoundError("reads1"), "bad_request"),
+    (IsADirectoryError("out"), "bad_request"),
+    (NotADirectoryError("out"), "bad_request"),
+    (PermissionError("out"), "bad_request"),
+    (RuntimeError("kaput"), "internal"),
+    (OSError("disk"), "internal"),
+    (MemoryError(), "internal")],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception)
+    else value)
+def test_error_codes(exc, want):
+    assert error_code(exc) == want

@@ -310,6 +310,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         request_timeout_s=args.request_timeout,
         coalesce_requests=args.coalesce_max,
         coalesce_wait_s=args.coalesce_wait_ms / 1000.0)
+    try:
+        settings.validate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        mapper.close()
+        return 2
     source = args.index if args.index is not None else args.reference
     endpoints = socket_path if args.tcp is None \
         else f"{socket_path} + tcp {args.tcp.display}"

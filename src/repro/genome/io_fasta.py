@@ -33,7 +33,7 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
 import numpy as np
 
 from .reference import ReferenceGenome
-from .sequence import SequenceError, decode, encode
+from .sequence import SequenceError, decode, encode, encode_many
 
 PathLike = Union[str, Path]
 OptionalChunk = Union[int, None]
@@ -176,19 +176,13 @@ def _parse_records(stripped: List[bytes]) -> Optional[_Chunk]:
             for plus, name, header in zip(pluses, raw_names, headers)
             if plus != b"+"):
         return None
-    try:
-        names = b" ".join(raw_names).decode("utf-8").split(" ")
-        codes = encode(b"".join(seqs), allow_n=True)
-    except (UnicodeDecodeError, SequenceError):
-        return None
     if not headers:
         return _Chunk([], [], None)
-    if min(lengths) == max(lengths):
-        return _Chunk(names, list(codes.reshape(len(seqs), lengths[0])),
-                      None)
-    ends = np.cumsum(lengths).tolist()
-    return _Chunk(names, [codes[end - length:end]
-                          for end, length in zip(ends, lengths)], None)
+    try:
+        names = b" ".join(raw_names).decode("utf-8").split(" ")
+        return _Chunk(names, encode_many(seqs, allow_n=True), None)
+    except (UnicodeDecodeError, SequenceError):
+        return None
 
 
 def _text(line: bytes) -> str:

@@ -23,7 +23,7 @@ mappers treat ``N`` in reads.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Union
+from typing import Iterator, List, Sequence, Union
 
 import numpy as np
 
@@ -37,10 +37,9 @@ _BASES = "ACGT"
 _BASE_TO_CODE = {"A": 0, "C": 1, "G": 2, "T": 3, "N": N_CODE,
                  "a": 0, "c": 1, "g": 2, "t": 3, "n": N_CODE}
 
-# Lookup table from ASCII byte to code (255 = invalid).
-_ASCII_TO_CODE = np.full(256, 255, dtype=np.uint8)
-for _ch, _code in _BASE_TO_CODE.items():
-    _ASCII_TO_CODE[ord(_ch)] = _code
+# Translate table from ASCII byte to code (255 = invalid).
+_ASCII_TO_CODE = bytes(_BASE_TO_CODE.get(chr(byte), 255)
+                       for byte in range(256))
 
 _CODE_TO_ASCII = b"ACGTN".ljust(256, b"?")  # translate table, "?": no base
 
@@ -66,22 +65,50 @@ def encode(seq: SequenceLike, allow_n: bool = False) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        1-D ``uint8`` array of base codes.
+        1-D ``uint8`` array of base codes; for text, a fresh writable
+        array made by one ``translate`` through a byte-to-code table.  Any character outside ``ACGTN``, a non-ASCII one
+        included, raises :class:`SequenceError` naming it.
     """
+    if isinstance(seq, (str, bytes)):
+        # "replace" makes each non-ASCII character one invalid "?", so
+        # a byte's position is its character's position in ``seq``.
+        raw = seq.encode("ascii", "replace") if isinstance(seq, str) \
+            else seq
+        text = bytearray(raw).translate(_ASCII_TO_CODE)
+        if 255 in text:
+            bad = text.index(255)
+            char = seq[bad] if isinstance(seq, str) else chr(seq[bad])
+            raise SequenceError(f"invalid DNA character: {char!r}")
+        if not allow_n and N_CODE in text:
+            raise SequenceError("sequence contains codes outside the "
+                                "alphabet")
+        return np.frombuffer(text, dtype=np.uint8)
     if isinstance(seq, np.ndarray):
         codes = seq.astype(np.uint8, copy=False)
-    elif isinstance(seq, (str, bytes)):
-        raw = seq.encode("ascii") if isinstance(seq, str) else seq
-        codes = _ASCII_TO_CODE[np.frombuffer(raw, dtype=np.uint8)]
-        if codes.size and codes.max(initial=0) == 255:
-            bad = chr(raw[int(np.argmax(codes == 255))])
-            raise SequenceError(f"invalid DNA character: {bad!r}")
     else:
         codes = np.asarray(list(seq), dtype=np.uint8)
     limit = N_CODE if allow_n else ALPHABET_SIZE - 1
     if codes.size and codes.max(initial=0) > limit:
         raise SequenceError("sequence contains codes outside the alphabet")
     return codes
+
+
+def encode_many(seqs: Sequence[Union[str, bytes]],
+                allow_n: bool = False) -> List[np.ndarray]:
+    """:func:`encode` of every sequence, from one ``encode`` of them all
+    joined: per-sequence views of one code array (rows of a
+    ``reshape`` when every length agrees, slices otherwise).  ``seqs``
+    are all ``str`` or all ``bytes``; any bad character raises as
+    :func:`encode` does, naming the character but not its sequence.
+    """
+    if not seqs:
+        return []
+    codes = encode(seqs[0][:0].join(seqs), allow_n)
+    lengths = list(map(len, seqs))
+    if min(lengths) == max(lengths):
+        return list(codes.reshape(len(seqs), lengths[0]))
+    ends = np.cumsum(lengths).tolist()
+    return [codes[end - length:end] for end, length in zip(ends, lengths)]
 
 
 def decode(codes: np.ndarray) -> str:

@@ -7,31 +7,28 @@ with numpy, producing bit-identical results to the scalar reference
 implementation in ``tests/oracles/core.py`` (spec vectors and property
 tests in the suite).
 
-All arithmetic runs in ``uint64`` and is masked back to 32 bits; this is
-exact because ``(a * b) mod 2**64 mod 2**32 == (a * b) mod 2**32``.
+All arithmetic runs on ``uint32`` arrays, whose wrap-around on overflow
+is XXH32's arithmetic mod 2**32, so no step needs a mask.  The rows are
+read as little-endian 32-bit words (a ``<u4`` view of their bytes), the
+byte order XXH32 specifies, whatever the host's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_PRIME32_1 = np.uint64(0x9E3779B1)
-_PRIME32_2 = np.uint64(0x85EBCA77)
-_PRIME32_3 = np.uint64(0xC2B2AE3D)
-_PRIME32_4 = np.uint64(0x27D4EB2F)
-_PRIME32_5 = np.uint64(0x165667B1)
-_MASK32 = np.uint64(0xFFFFFFFF)
+_PRIME32_1 = 0x9E3779B1
+_PRIME32_2 = 0x85EBCA77
+_PRIME32_3 = 0xC2B2AE3D
+_PRIME32_4 = 0x27D4EB2F
+_PRIME32_5 = 0x165667B1
+
+#: The four stripe accumulators' merge rotations, one per lane column.
+_MERGE_ROTATIONS = np.array([1, 7, 12, 18], dtype=np.uint32)
 
 
-def _rotl32(values: np.ndarray, count: int) -> np.ndarray:
-    values = values & _MASK32
-    return ((values << np.uint64(count))
-            | (values >> np.uint64(32 - count))) & _MASK32
-
-
-def _round(acc: np.ndarray, lane: np.ndarray) -> np.ndarray:
-    acc = (acc + lane * _PRIME32_2) & _MASK32
-    return (_rotl32(acc, 13) * _PRIME32_1) & _MASK32
+def _rotl32(values: np.ndarray, count) -> np.ndarray:
+    return (values << count) | (values >> (32 - count))
 
 
 def xxhash32_rows(rows: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -44,55 +41,46 @@ def xxhash32_rows(rows: np.ndarray, seed: int = 0) -> np.ndarray:
     if rows.ndim != 2:
         raise ValueError("xxhash32_rows expects a 2-D byte array")
     count, length = rows.shape
-    seed64 = np.uint64(seed & 0xFFFFFFFF)
-    index = 0
+    seed &= 0xFFFFFFFF
+    words = np.ascontiguousarray(rows[:, :length // 4 * 4]).view(
+        "<u4").astype(np.uint32, copy=False)
+    stripes = length // 16
 
-    if length >= 16:
-        base = seed & 0xFFFFFFFF
-        acc1 = np.full(count, np.uint64((base + 0x9E3779B1 + 0x85EBCA77)
-                                        & 0xFFFFFFFF))
-        acc2 = np.full(count, np.uint64((base + 0x85EBCA77) & 0xFFFFFFFF))
-        acc3 = np.full(count, seed64)
-        acc4 = np.full(count, np.uint64((base - 0x9E3779B1) & 0xFFFFFFFF))
-        while index + 16 <= length:
-            block = rows[:, index:index + 16]
-            lanes = block.reshape(count, 4, 4).astype(np.uint64)
-            words = (lanes[:, :, 0] | (lanes[:, :, 1] << np.uint64(8))
-                     | (lanes[:, :, 2] << np.uint64(16))
-                     | (lanes[:, :, 3] << np.uint64(24)))
-            acc1 = _round(acc1, words[:, 0])
-            acc2 = _round(acc2, words[:, 1])
-            acc3 = _round(acc3, words[:, 2])
-            acc4 = _round(acc4, words[:, 3])
-            index += 16
-        digest = (_rotl32(acc1, 1) + _rotl32(acc2, 7)
-                  + _rotl32(acc3, 12) + _rotl32(acc4, 18)) & _MASK32
+    if stripes:
+        # The four accumulators side by side, one column per lane.
+        acc = np.empty((count, 4), dtype=np.uint32)
+        acc[:] = [(seed + _PRIME32_1 + _PRIME32_2) & 0xFFFFFFFF,
+                  (seed + _PRIME32_2) & 0xFFFFFFFF, seed,
+                  (seed - _PRIME32_1) & 0xFFFFFFFF]
+        for stripe in range(stripes):
+            acc += words[:, 4 * stripe:4 * stripe + 4] * np.uint32(
+                _PRIME32_2)
+            acc = _rotl32(acc, np.uint32(13))
+            acc *= np.uint32(_PRIME32_1)
+        digest = _rotl32(acc, _MERGE_ROTATIONS).sum(axis=1,
+                                                    dtype=np.uint32)
     else:
-        digest = np.full(count, (seed64 + _PRIME32_5) & _MASK32)
+        digest = np.full(count, (seed + _PRIME32_5) & 0xFFFFFFFF,
+                         dtype=np.uint32)
 
-    digest = (digest + np.uint64(length)) & _MASK32
+    digest += np.uint32(length & 0xFFFFFFFF)
 
-    while index + 4 <= length:
-        block = rows[:, index:index + 4].astype(np.uint64)
-        word = (block[:, 0] | (block[:, 1] << np.uint64(8))
-                | (block[:, 2] << np.uint64(16))
-                | (block[:, 3] << np.uint64(24)))
-        digest = (digest + word * _PRIME32_3) & _MASK32
-        digest = (_rotl32(digest, 17) * _PRIME32_4) & _MASK32
-        index += 4
+    for word in range(4 * stripes, length // 4):
+        digest += words[:, word] * np.uint32(_PRIME32_3)
+        digest = _rotl32(digest, np.uint32(17))
+        digest *= np.uint32(_PRIME32_4)
 
-    while index < length:
-        digest = (digest + rows[:, index].astype(np.uint64)
-                  * _PRIME32_5) & _MASK32
-        digest = (_rotl32(digest, 11) * _PRIME32_1) & _MASK32
-        index += 1
+    for index in range(length // 4 * 4, length):
+        digest += rows[:, index] * np.uint32(_PRIME32_5)
+        digest = _rotl32(digest, np.uint32(11))
+        digest *= np.uint32(_PRIME32_1)
 
-    digest ^= digest >> np.uint64(15)
-    digest = (digest * _PRIME32_2) & _MASK32
-    digest ^= digest >> np.uint64(13)
-    digest = (digest * _PRIME32_3) & _MASK32
-    digest ^= digest >> np.uint64(16)
-    return digest.astype(np.uint32)
+    digest ^= digest >> np.uint32(15)
+    digest *= np.uint32(_PRIME32_2)
+    digest ^= digest >> np.uint32(13)
+    digest *= np.uint32(_PRIME32_3)
+    digest ^= digest >> np.uint32(16)
+    return digest
 
 
 def pack_rows_2bit(windows: np.ndarray) -> np.ndarray:

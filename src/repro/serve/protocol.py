@@ -25,7 +25,11 @@ response carries ``"ok"``; a failure answers ``{"ok": false, "error":
     message carries the exception.
 
 Requests are decoded *before* they are queued, so a malformed request
-is answered in microseconds and never occupies a scheduler slot.
+is answered in microseconds and never occupies a scheduler slot.  An
+inline request's reads are encoded together: one ``encode`` of all of
+them joined, split into per-read views.  Only a request that fails
+walks its entries one by one, so the error names the first faulty
+entry (``pair 3: invalid DNA character: 'X'``), as it would alone.
 """
 
 from __future__ import annotations
@@ -35,12 +39,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..genome.sequence import SequenceError, encode
+from ..genome.sequence import SequenceError, encode, encode_many
 from ..util.sync import maybe_sanitize_lock
 
 #: Largest accepted request line (a guard against a runaway client;
 #: ~64 MiB comfortably holds a few hundred thousand inline pairs).
 MAX_REQUEST_BYTES = 64 * 1024 * 1024
+
+#: Longest wait a deadline may ask for: ``threading``'s lock-wait limit
+#: (about 292 years), past which waiting raises ``OverflowError``.
+MAX_WAIT_S = threading.TIMEOUT_MAX
 
 #: Machine-matchable ``error_code`` values.
 E_BUSY = "busy"
@@ -110,27 +118,69 @@ def _entry_name(name, where: str) -> str:
     return name
 
 
+def _pair_parts(number: int, entry) -> Tuple[str, tuple, Any]:
+    """A ``pairs`` entry's ``(where, reads, name)``, its reads and name
+    not yet checked, or the error of its shape."""
+    where = f"pair {number}"
+    if isinstance(entry, dict) and "read1" in entry and "read2" in entry:
+        return (where, (entry["read1"], entry["read2"]),
+                entry.get("name", f"pair{number}"))
+    if isinstance(entry, (list, tuple)) and len(entry) in (2, 3):
+        return (where, (entry[0], entry[1]),
+                entry[2] if len(entry) > 2 else f"pair{number}")
+    raise RequestError(f"{where}: expected [read1, read2, name?] "
+                       "or {read1, read2, name?}")
+
+
+def _read_parts(number: int, entry) -> Tuple[str, tuple, Any]:
+    """A ``reads`` entry's ``(where, reads, name)``, as
+    :func:`_pair_parts`."""
+    where = f"read {number}"
+    if isinstance(entry, dict) and "read" in entry:
+        return where, (entry["read"],), entry.get("name", f"read{number}")
+    if isinstance(entry, str):
+        return where, (entry,), f"read{number}"
+    if isinstance(entry, (list, tuple)) and len(entry) in (1, 2):
+        return (where, (entry[0],),
+                entry[1] if len(entry) > 1 else f"read{number}")
+    raise RequestError(f"{where}: expected [read, name?], a "
+                       "read string or {read, name?}")
+
+
+def _decode_entries(entries: list, parts, width: int) -> List[Tuple]:
+    """``entries`` as ``(codes, ..., name)`` tuples of ``width`` reads.
+
+    Every entry's shape, read types and name are checked first; then all
+    the request's reads are encoded as one string
+    (:func:`~repro.genome.sequence.encode_many`).  Only a request that
+    fails somewhere takes the per-entry walk, which raises at the first
+    faulty entry with the error that entry gives alone.
+    """
+    try:
+        split = [parts(number, entry)
+                 for number, entry in enumerate(entries)]
+        texts = [read for _, reads, _ in split for read in reads]
+        names = [_entry_name(name, where) for where, _, name in split]
+        if all(isinstance(read, str) for read in texts):
+            codes = encode_many(texts, allow_n=True)
+            return list(zip(*(codes[lane::width] for lane in range(width)),
+                            names))
+    except (RequestError, SequenceError):
+        pass
+    decoded = []
+    for number, entry in enumerate(entries):
+        where, reads, name = parts(number, entry)
+        decoded.append((*(_read_codes(read, where) for read in reads),
+                        _entry_name(name, where)))
+    return decoded
+
+
 def decode_pairs(pairs) -> List[Tuple]:
     """Inline ``pairs`` payload entries as ``(codes1, codes2, name)``."""
     if not isinstance(pairs, list):
         raise RequestError('"pairs" must be a list of '
                            '[read1, read2, name?] entries')
-    decoded = []
-    for number, entry in enumerate(pairs):
-        where = f"pair {number}"
-        if isinstance(entry, dict) and "read1" in entry \
-                and "read2" in entry:
-            read1, read2 = entry["read1"], entry["read2"]
-            name = entry.get("name", f"pair{number}")
-        elif isinstance(entry, (list, tuple)) and len(entry) in (2, 3):
-            read1, read2 = entry[0], entry[1]
-            name = entry[2] if len(entry) > 2 else f"pair{number}"
-        else:
-            raise RequestError(f"{where}: expected [read1, read2, name?] "
-                               "or {read1, read2, name?}")
-        decoded.append((_read_codes(read1, where),
-                        _read_codes(read2, where), _entry_name(name, where)))
-    return decoded
+    return _decode_entries(pairs, _pair_parts, 2)
 
 
 def decode_reads(reads) -> List[Tuple]:
@@ -138,22 +188,14 @@ def decode_reads(reads) -> List[Tuple]:
     if not isinstance(reads, list):
         raise RequestError('"reads" must be a list of [read, name?] '
                            "entries")
-    decoded = []
-    for number, entry in enumerate(reads):
-        where = f"read {number}"
-        if isinstance(entry, dict) and "read" in entry:
-            read = entry["read"]
-            name = entry.get("name", f"read{number}")
-        elif isinstance(entry, str):
-            read, name = entry, f"read{number}"
-        elif isinstance(entry, (list, tuple)) and len(entry) in (1, 2):
-            read = entry[0]
-            name = entry[1] if len(entry) > 1 else f"read{number}"
-        else:
-            raise RequestError(f"{where}: expected [read, name?], a "
-                               "read string or {read, name?}")
-        decoded.append((_read_codes(read, where), _entry_name(name, where)))
-    return decoded
+    return _decode_entries(reads, _read_parts, 1)
+
+
+def finite_seconds(value: float) -> bool:
+    """Whether a number is a wait the daemon can keep: from 0 to
+    :data:`MAX_WAIT_S`, which NaN and infinity both fail.  The one rule
+    for ``timeout_s`` and the :class:`~repro.serve.ServeSettings` waits."""
+    return 0 <= value <= MAX_WAIT_S
 
 
 def request_timeout_s(request: Dict[str, Any],
@@ -161,8 +203,9 @@ def request_timeout_s(request: Dict[str, Any],
     """The effective per-request deadline in seconds.
 
     ``"timeout_s"`` overrides the server default; ``0`` (or ``null``)
-    explicitly disables the deadline for this request.  Negative or
-    non-numeric values are rejected.
+    explicitly disables the deadline for this request.  Negative,
+    non-finite (``NaN``, ``Infinity``, ``1e309``), too long or
+    non-numeric values are rejected before any work is queued.
     """
     if "timeout_s" not in request:
         return default
@@ -175,6 +218,9 @@ def request_timeout_s(request: Dict[str, Any],
     if value < 0:
         raise RequestError('"timeout_s" must be >= 0 '
                            "(0 disables the deadline)")
+    if not finite_seconds(value):
+        raise RequestError('"timeout_s" must be a finite number of '
+                           f"seconds, at most {MAX_WAIT_S:.0f}")
     return float(value) if value else None
 
 

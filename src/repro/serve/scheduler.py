@@ -46,8 +46,8 @@ from typing import Any, Dict, List, Optional
 
 from ..obs import capture_trace, get_registry, span
 from ..util.sync import maybe_sanitize_lock
-from .protocol import (E_SHUTTING_DOWN, E_TIMEOUT, error_code,
-                       error_reply)
+from .protocol import (E_SHUTTING_DOWN, E_TIMEOUT, MAX_WAIT_S,
+                       error_code, error_reply, finite_seconds)
 
 #: ``MapTask.state`` values (guarded by the task lock).
 QUEUED = "queued"
@@ -84,13 +84,16 @@ class ServeSettings:
         if self.max_clients < 1:
             raise ValueError("max_clients must be >= 1")
         if self.request_timeout_s is not None \
-                and self.request_timeout_s <= 0:
-            raise ValueError("request_timeout_s must be > 0 "
-                             "(None disables the default deadline)")
+                and not (self.request_timeout_s > 0
+                         and finite_seconds(self.request_timeout_s)):
+            raise ValueError(f"request_timeout_s must be > 0 and at most "
+                             f"{MAX_WAIT_S:.0f} (None disables the "
+                             "default deadline)")
         if self.coalesce_requests < 1:
             raise ValueError("coalesce_requests must be >= 1")
-        if self.coalesce_wait_s < 0:
-            raise ValueError("coalesce_wait_s must be >= 0")
+        if not finite_seconds(self.coalesce_wait_s):
+            raise ValueError("coalesce_wait_s must be >= 0 and at most "
+                             f"{MAX_WAIT_S:.0f}")
         return self
 
 

@@ -181,6 +181,59 @@ class TestProtocol:
         assert f"{noun} 0: " in reply["error"]
         assert ping["ok"]
 
+    @pytest.mark.parametrize("noun, payload", [
+        ("pair", {"op": "map", "pairs": [["ACGé", "ACGT"], ["ACGT"]]}),
+        ("pair", {"op": "map", "pairs": [{"read1": "ACGT",
+                                          "read2": "ACGé"}]}),
+        ("read", {"op": "map", "engine": "longread",
+                  "reads": ["ACGé", 5]}),
+        ("read", {"op": "map", "engine": "longread",
+                  "reads": [{"read": "ACGé"}]})],
+        ids=["pair-list", "pair-dict", "read-string", "read-dict"])
+    def test_non_ascii_read_names_its_entry(self, server, noun, payload):
+        reply, ping = exchange(server.socket_path, payload)
+        assert reply["error_code"] == "bad_request", reply
+        assert reply["error"].endswith(
+            f": {noun} 0: invalid DNA character: 'é'"), reply
+        assert ping["ok"]
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity",
+                                      "1e309", "1e300"])
+    @pytest.mark.parametrize("op", ["map", "map_file"])
+    def test_non_finite_timeout_is_a_bad_request_and_no_work(
+            self, server, tmp_path, pairs, op, text):
+        """``json.loads`` reads ``NaN``, ``Infinity`` and ``1e309``; none
+        is a deadline, so the request is refused before the queue: no
+        batch runs and nothing is discarded."""
+        if op == "map":
+            payload = ('{"op": "map", "pairs": '
+                       + json.dumps(wire_pairs(pairs[:2])))
+        else:
+            fq1, fq2 = tmp_path / "t_1.fq", tmp_path / "t_2.fq"
+            write_fastq(fq1, ((p.read1.name, p.read1.codes) for p in pairs))
+            write_fastq(fq2, ((p.read2.name, p.read2.codes) for p in pairs))
+            payload = ('{"op": "map_file", "reads1": ' + json.dumps(str(fq1))
+                       + ', "reads2": ' + json.dumps(str(fq2))
+                       + ', "out": ' + json.dumps(str(tmp_path / "t.sam")))
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.connect(server.socket_path)
+        try:
+            reader = raw.makefile("rb")
+            raw.sendall(f'{payload}, "timeout_s": {text}}}\n'.encode())
+            reply = json.loads(reader.readline())
+        finally:
+            raw.close()
+        assert not reply["ok"]
+        assert reply["error_code"] == "bad_request", reply
+        assert '"timeout_s" must be' in reply["error"]
+        with Client(server.socket_path) as client:
+            report = client.stats()
+        assert report["scheduler"]["batches"] == 0, report["scheduler"]
+        assert report["scheduler"]["discarded"] == 0
+        assert report["scheduler"]["timeouts"] == 0
+        assert report["server"]["errors"] == 1
+        assert not (tmp_path / "t.sam").exists()
+
     @pytest.mark.parametrize("op, field, value", [
         ("map", "header", "false"), ("map", "header", 0),
         ("map", "header", None), ("map", "trace", "false"),

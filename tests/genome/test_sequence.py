@@ -5,6 +5,7 @@ import pytest
 
 from repro.genome.sequence import (ALPHABET_SIZE, N_CODE, SequenceError,
                                    complement, decode, encode,
+                                   encode_many,
                                    kmers, pack_2bit, random_sequence,
                                    reverse_complement, unpack_2bit)
 
@@ -26,6 +27,27 @@ class TestEncodeDecode:
     def test_invalid_character_rejected(self):
         with pytest.raises(SequenceError):
             encode("ACGU")
+
+    @pytest.mark.parametrize("text, bad", [
+        ("ACGé", "é"), ("AXé", "X"), ("NAé", "é"),
+        ("A\U0001F600C", "\U0001F600"), (b"ACG\xe9", "é"),
+        ("ACGT?", "?")],
+        ids=["latin", "ascii-first", "after-n", "astral", "bytes",
+             "question"])
+    def test_invalid_character_named(self, text, bad):
+        """The first character outside ACGTN is named, a non-ASCII one
+        included (never a codec error)."""
+        for allow_n in (False, True):
+            with pytest.raises(SequenceError) as excinfo:
+                encode(text, allow_n=allow_n)
+            assert str(excinfo.value) == f"invalid DNA character: {bad!r}"
+
+    def test_text_codes_are_fresh_and_writable(self):
+        text = "ACGT"
+        first, second = encode(text), encode(text)
+        first[0] = 3
+        assert first.flags.writeable and first.dtype == np.uint8
+        assert second.tolist() == [0, 1, 2, 3]
 
     def test_n_rejected_by_default(self):
         with pytest.raises(SequenceError):
@@ -54,6 +76,24 @@ class TestEncodeDecode:
         for code in (5, 7, 63, 255):
             with pytest.raises(SequenceError):
                 decode(np.array([0, code], dtype=np.uint8))
+
+
+class TestEncodeMany:
+    @pytest.mark.parametrize("seqs", [
+        [], ["ACGT", "TTGA", "nnac"], ["A", "", "CGTAN", "g"], [""],
+        [b"ACG", b"T"]],
+        ids=["none", "equal-lengths", "mixed-lengths", "one-empty",
+             "bytes"])
+    def test_each_sequence_as_encode_gives_it(self, seqs):
+        got = encode_many(seqs, allow_n=True)
+        assert [codes.tolist() for codes in got] \
+            == [encode(seq, allow_n=True).tolist() for seq in seqs]
+
+    def test_bad_character_and_n_raise_as_encode(self):
+        with pytest.raises(SequenceError, match="'X'"):
+            encode_many(["ACGT", "AXG"], allow_n=True)
+        with pytest.raises(SequenceError, match="outside the alphabet"):
+            encode_many(["ACGT", "ANG"])
 
 
 class TestComplement:

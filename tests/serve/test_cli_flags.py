@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import build_parser
+from repro.cli import build_parser, main
+from repro.index import save_index
 
 SERVE_BASE = ["serve", "--index", "demo.rpix", "--socket", "d.sock"]
 
@@ -17,6 +18,8 @@ class TestServeFlagValidation:
         ("--request-timeout", "0"),
         ("--request-timeout", "-2.5"),
         ("--request-timeout", "soon"),
+        ("--request-timeout", "nan"),
+        ("--request-timeout", "inf"),
         ("--coalesce-max", "0"),
         ("--coalesce-wait-ms", "-1"),
         ("--tcp", "host:notaport"),
@@ -65,3 +68,20 @@ class TestServeFlagValidation:
             assert flag in help_text
         assert "default: 64" in help_text
         assert "default: 300" in help_text
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--coalesce-wait-ms", str(10 ** 13), "coalesce_wait_s"),
+    ("--request-timeout", "1e12", "request_timeout_s")])
+def test_a_wait_the_daemon_cannot_keep_exits_2_before_serving(
+        tmp_path, capsys, small_reference, seedmap, flag, value, field):
+    """A finite wait past the lock-wait limit passes argparse; the
+    settings check refuses it with a one-line error, not a traceback
+    (or a daemon whose every request fails), and binds no socket."""
+    index = tmp_path / "i.rpix"
+    save_index(index, seedmap, small_reference)
+    code = main(["serve", "--index", str(index), "--socket",
+                 str(tmp_path / "d.sock"), flag, value])
+    assert code == 2
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "d.sock").exists()

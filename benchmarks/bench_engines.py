@@ -20,6 +20,7 @@ from conftest import emit
 
 from repro.api import Mapper, MappingConfig
 from repro.genome import ReadSimulator
+from repro.index import MappingIndex
 from repro.util import format_table
 
 PAIRS = 200
@@ -27,7 +28,7 @@ LONG_READS = 10
 LONG_READ_LENGTH = 3000.0
 
 
-def test_engine_throughput(bench_reference, bench_seedmap,
+def test_engine_throughput(bench_reference, bench_seedmap, bench_index,
                            bench_datasets):
     pairs = bench_datasets["dataset1"][:PAIRS]
     simulator = ReadSimulator(bench_reference, seed=401)
@@ -35,8 +36,8 @@ def test_engine_throughput(bench_reference, bench_seedmap,
         LONG_READS, length_mean=LONG_READ_LENGTH, length_sd=400.0)
 
     rows = []
-    with Mapper(bench_reference, bench_seedmap,
-                config=MappingConfig(full_fallback=False)) as mapper:
+    index = MappingIndex(None, bench_reference, bench_seedmap, bench_index)
+    with Mapper(index, MappingConfig(full_fallback=False)) as mapper:
         for engine, items, unit in (("genpair", pairs, "pairs"),
                                     ("mm2", pairs, "pairs"),
                                     ("longread", long_reads, "reads")):

@@ -32,9 +32,8 @@ from pathlib import Path
 
 from conftest import emit
 
-from repro.core import SeedMap
 from repro.genome import write_fasta, write_fastq
-from repro.index import save_index
+from repro.index import build_index, save_index
 from repro.util import format_table
 
 COLD_RUNS = 3
@@ -87,8 +86,7 @@ def test_serve_latency(bench_reference, bench_datasets, tmp_path):
     full1, full2 = _write_pair_files(tmp_path / "full", pairs)
     req1, req2 = _write_pair_files(tmp_path / "req", request_pairs)
     index_path = tmp_path / "bench.rpix"
-    save_index(index_path,
-               SeedMap.build(bench_reference), bench_reference)
+    save_index(index_path, build_index(bench_reference))
 
     # -- cold path: full `repro map --index` subprocesses --------------
     cold_full_sam = tmp_path / "cold_full.sam"

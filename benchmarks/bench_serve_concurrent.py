@@ -36,9 +36,8 @@ from pathlib import Path
 
 from conftest import emit
 
-from repro.core import SeedMap
 from repro.genome import decode, write_fasta
-from repro.index import save_index
+from repro.index import build_index, save_index
 from repro.util import format_table
 
 CLIENTS = 8
@@ -78,8 +77,7 @@ def test_serve_concurrent_throughput(bench_reference, bench_datasets,
     fasta = tmp_path / "bench_ref.fa"
     write_fasta(fasta, bench_reference)
     index_path = tmp_path / "bench.rpix"
-    save_index(index_path,
-               SeedMap.build(bench_reference), bench_reference)
+    save_index(index_path, build_index(bench_reference))
     payload = _wire_pairs(
         bench_datasets["dataset1"][:PAIRS_PER_REQUEST])
 

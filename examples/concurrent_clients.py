@@ -24,10 +24,9 @@ import numpy as np
 
 from repro.api import Client, Mapper, MapServer, ServeSettings
 from repro.api.client import RequestTimeoutError
-from repro.core import SeedMap
 from repro.genome import (ErrorModel, ReadSimulator, decode,
                           generate_reference)
-from repro.index import save_index
+from repro.index import build_index, save_index
 
 SOCKET = "concurrent_demo.sock"
 CLIENTS = 8
@@ -43,7 +42,7 @@ def main() -> None:
                               error_model=ErrorModel.giab_like(),
                               seed=7)
     pairs = simulator.simulate_pairs(40)
-    save_index("concurrent.rpix", SeedMap.build(reference), reference)
+    save_index("concurrent.rpix", build_index(reference))
     wire = [(decode(p.read1.codes), decode(p.read2.codes), p.name)
             for p in pairs[:4]]
 

@@ -22,10 +22,9 @@ import threading
 import numpy as np
 
 from repro.api import Client, Mapper, MapServer
-from repro.core import SeedMap
 from repro.genome import (ErrorModel, ReadSimulator, decode,
                           generate_reference, write_fastq)
-from repro.index import save_index
+from repro.index import build_index, save_index
 from repro.obs import (capture_trace, get_registry, render_metrics,
                        render_top, write_metrics_json)
 
@@ -45,7 +44,7 @@ def main() -> None:
                 ((p.read1.name, p.read1.codes) for p in pairs))
     write_fastq("metrics_2.fq",
                 ((p.read2.name, p.read2.codes) for p in pairs))
-    save_index("metrics.rpix", SeedMap.build(reference), reference)
+    save_index("metrics.rpix", build_index(reference))
 
     print("2. Mapping offline; every layer records into one "
           "process-wide registry ...")

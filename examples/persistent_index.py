@@ -1,7 +1,7 @@
 """Persistent index workflow: build once, memory-map and stream forever.
 
-Simulates a dataset to disk, builds the SeedMap into a persistent
-``.rpix`` index, then serves a mapping run the production way — the
+Simulates a dataset to disk, builds its index and saves it as a
+``.rpix`` file, then serves a mapping run the production way — the
 index is opened with ``np.memmap`` (milliseconds, no FASTA rebuild),
 the paired FASTQ files stream through the pipeline in O(batch) memory,
 and the SAM file is written incrementally — all in a fresh temporary
@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import GenPairPipeline, GenPairConfig, SeedMap
+from repro.core import GenPairPipeline, GenPairConfig
 from repro.genome import (ErrorModel, ReadSimulator, SamWriter,
                           generate_reference, iter_pairs, write_fasta,
                           write_fastq)
-from repro.index import inspect_index, open_index, save_index
+from repro.index import build_index, inspect_index, open_index, save_index
 
 
 def main() -> None:
@@ -39,11 +39,11 @@ def main() -> None:
     write_fastq(reads1, ((p.read1.name, p.read1.codes) for p in pairs))
     write_fastq(reads2, ((p.read2.name, p.read2.codes) for p in pairs))
 
-    print("2. Building the SeedMap and saving the persistent index ...")
+    print("2. Building the SeedMap + minimizer index and saving them ...")
     start = time.perf_counter()
-    seedmap = SeedMap.build(reference)
+    built = build_index(reference)
     build_s = time.perf_counter() - start
-    total = save_index(index_path, seedmap, reference)
+    total = save_index(index_path, built)
     print(f"   built in {build_s * 1e3:.0f} ms, "
           f"wrote {index_path} ({total:,} bytes)")
 

@@ -20,10 +20,9 @@ import time
 import numpy as np
 
 from repro.api import Client, Mapper, MapServer
-from repro.core import SeedMap
 from repro.genome import (ErrorModel, ReadSimulator, decode,
                           generate_reference, write_fasta, write_fastq)
-from repro.index import save_index
+from repro.index import build_index, save_index
 
 SOCKET = "serve_demo.sock"
 
@@ -42,7 +41,7 @@ def main() -> None:
                 ((p.read1.name, p.read1.codes) for p in pairs))
     write_fastq("serve_2.fq",
                 ((p.read2.name, p.read2.codes) for p in pairs))
-    save_index("serve.rpix", SeedMap.build(reference), reference)
+    save_index("serve.rpix", build_index(reference))
 
     print("2. The 5-line Python API hello-world ...")
     with Mapper.from_index("serve.rpix") as mapper:

@@ -5,15 +5,17 @@ reproduction.  Every workload — the paired-end GenPair pipeline, the
 mm2-like baseline, single-read long-read mapping — and every output
 format (SAM, PAF, JSONL) flows through the same objects:
 
-* :class:`MappingConfig` — the nine values a run sets in one validated,
+* :class:`MappingConfig` — the eight values a run sets in one validated,
   round-trippable object: the canonical :class:`IndexFingerprint`
   shared with :mod:`repro.index`, ``delta``, the
   ``engine``/``output_format`` workload selection, and execution
   (``batch_size``, ``full_fallback``, ``verify_index``).
   Algorithm parameters are constants of the core modules, not
   settings here (``GenPairConfig`` keeps the four a caller varies);
-* :class:`Mapper` — the context-manager facade: construct once from an
-  index file or a reference, then call :meth:`~Mapper.map`,
+* :class:`Mapper` — the context-manager facade over one
+  :class:`~repro.index.MappingIndex` (opened from an index file or
+  built from a reference; its fingerprint is checked against the
+  config once, on construction), then call :meth:`~Mapper.map`,
   :meth:`~Mapper.map_file`, and :meth:`~Mapper.write` as often as
   needed, with any registered engine per call; the memory-mapped
   index and the lazily-built engine instances are owned by the facade
@@ -44,9 +46,8 @@ Engine and output format are selected by name from the two tables of
     with Mapper.from_index("demo.rpix", config=config) as mapper:
         mapper.write(mapper.map_file("long.fq"), "long.paf")
 
-Attributes resolve lazily (PEP 562) so low-level modules —
-``repro.index`` imports the canonical fingerprint from
-:mod:`repro.api.config` — can depend on this package without cycles.
+Attributes resolve lazily (PEP 562), so importing this package loads
+only the modules a caller touches.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ _EXPORTS = {
     "MappingConfig": ".config",
     "MappingConfigError": ".config",
     "IndexFingerprint": ".config",
-    "UNSET": ".config",
     "ENGINES": ".registry",
     "OUTPUT_FORMATS": ".registry",
     "OutputFormat": ".registry",
@@ -87,7 +87,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from ..genome.results import MappingResult
     from .client import (Client, ClientError, RequestTimeoutError,
                          ServerBusyError)
-    from .config import (UNSET, IndexFingerprint, MappingConfig,
+    from .config import (IndexFingerprint, MappingConfig,
                          MappingConfigError)
     from .engines import (Engine, GenPairEngine, LongReadEngine,
                           Mm2Engine)

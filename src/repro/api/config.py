@@ -1,7 +1,7 @@
 """The facade's mapping configuration and the canonical index fingerprint.
 
-:class:`MappingConfig` is what a run of the public API sets, nine values:
-the index fingerprint (``seed_length``, ``filter_threshold``, ``step``),
+:class:`MappingConfig` is what a run of the public API sets, eight values:
+the index fingerprint (``seed_length``, ``filter_threshold``),
 the paper's dataset-defined ``delta`` (§4.5), the ``engine`` and
 ``output_format`` selectors, and execution (``batch_size``,
 ``full_fallback``, ``verify_index``).  A config validates itself eagerly
@@ -20,15 +20,15 @@ arguments of the cores: :class:`~repro.core.pipeline.GenPairConfig`'s
 ``seed_length`` and ``delta``.
 
 :class:`IndexFingerprint` is the **single canonical fingerprint** of an
-index-compatible configuration: the ``(seed_length, filter_threshold,
-step)`` triple a SeedMap was built with.  It is defined once, in
+index-compatible configuration: the ``(seed_length, filter_threshold)``
+pair a SeedMap was built with.  It is defined once, in
 :mod:`repro.core.fingerprint` (below both this package and
 ``repro.index``, so either can import it without layering cycles), and
-re-exported here: ``repro.index`` persists it in every index header and
-validates it on open, and :meth:`MappingConfig.fingerprint` produces
-the same object — so "does this config match that index?" is one
-comparison with one definition, not two copies of the logic drifting
-apart.
+re-exported here: :attr:`repro.index.MappingIndex.fingerprint` reads it
+from the SeedMap, :meth:`MappingConfig.fingerprint` produces the same
+object, and :class:`~repro.api.Mapper` compares the two once, on
+construction — so "does this config match that index?" is one
+comparison with one definition.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from ..core.fingerprint import UNSET, IndexFingerprint
+from ..core.fingerprint import IndexFingerprint
 from ..core.pairfilter import DEFAULT_DELTA
 from ..core.seedmap import DEFAULT_FILTER_THRESHOLD
 
-__all__ = ["UNSET", "IndexFingerprint", "MappingConfig",
-           "MappingConfigError"]
+__all__ = ["IndexFingerprint", "MappingConfig", "MappingConfigError"]
 
 
 class MappingConfigError(ValueError):
@@ -52,10 +51,10 @@ class MappingConfigError(ValueError):
 
 @dataclass(frozen=True)
 class MappingConfig:
-    """What a mapping run sets, in one validated object: nine values.
+    """What a mapping run sets, in one validated object: eight values.
 
-    * **fingerprint** — ``seed_length``, ``filter_threshold``, ``step``:
-      what the SeedMap/index must have been built with
+    * **fingerprint** — ``seed_length``, ``filter_threshold``: what the
+      SeedMap/index must have been built with
       (:meth:`fingerprint`);
     * **dataset** — ``delta``, the paired-adjacency distance the paper
       leaves "dataset-defined" (§4.5);
@@ -77,7 +76,6 @@ class MappingConfig:
     # fingerprint
     seed_length: int = 50
     filter_threshold: Optional[int] = DEFAULT_FILTER_THRESHOLD
-    step: int = 1
     # dataset
     delta: int = DEFAULT_DELTA
     # workload
@@ -98,7 +96,7 @@ class MappingConfig:
         """Raise :class:`MappingConfigError` listing every bad field."""
         problems: List[str] = []
         for name, minimum, *hint in (
-                ("seed_length", 1), ("step", 1), ("delta", 1),
+                ("seed_length", 1), ("delta", 1),
                 # 0 used to be a valid batch_size: say what replaced it.
                 ("batch_size", 1, " (the pair-by-pair engine that 0 "
                                   "selected is gone; 1 gives the same "
@@ -146,8 +144,7 @@ class MappingConfig:
     def fingerprint(self) -> IndexFingerprint:
         """The canonical index fingerprint this config requires."""
         return IndexFingerprint(seed_length=self.seed_length,
-                                filter_threshold=self.filter_threshold,
-                                step=self.step)
+                                filter_threshold=self.filter_threshold)
 
     def genpair(self):
         """The :class:`~repro.core.pipeline.GenPairConfig` of this run:
@@ -181,26 +178,3 @@ class MappingConfig:
             raise MappingConfigError(
                 f"unknown MappingConfig field(s): {', '.join(unknown)}")
         return cls(**payload)
-
-    @classmethod
-    def from_fingerprint(cls, fingerprint: IndexFingerprint,
-                         **overrides: Any) -> "MappingConfig":
-        """A config adopting an index's fingerprint (plus overrides).
-
-        A fingerprint field passed in ``overrides`` is an
-        *expectation*, not an override: the fingerprint is the ground
-        truth, so a conflicting value raises
-        :class:`MappingConfigError` (the ``map --index
-        --filter-threshold`` gate) instead of silently reconfiguring.
-        """
-        problems = fingerprint.conflicts(
-            seed_length=overrides.pop("seed_length", None),
-            filter_threshold=overrides.pop("filter_threshold", UNSET),
-            step=overrides.pop("step", None))
-        if problems:
-            raise MappingConfigError(
-                "index fingerprint mismatch: built with "
-                f"{'; '.join(problems)}")
-        return cls(seed_length=fingerprint.seed_length,
-                   filter_threshold=fingerprint.filter_threshold,
-                   step=fingerprint.step, **overrides)

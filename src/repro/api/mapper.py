@@ -1,7 +1,7 @@
 """The :class:`Mapper` facade: one object that owns a whole mapping setup.
 
-:class:`Mapper` is **engine-polymorphic**: one facade (one reference,
-one memory-mapped SeedMap index, one config) serves every registered
+:class:`Mapper` is **engine-polymorphic**: one facade (one
+:class:`~repro.index.MappingIndex`, one config) serves every registered
 workload — the paired-end GenPair pipeline, the mm2-like baseline, and
 single-read long-read mapping — through the same ``map`` /
 ``map_stream`` / ``map_file`` surface, emitting the common
@@ -27,6 +27,7 @@ accumulates GenPair runs (the historical counters), and
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
@@ -36,7 +37,7 @@ from ..genome.io_fasta import iter_pairs, iter_reads, read_fasta
 from ..genome.reference import ReferenceGenome
 from ..genome.results import (MappingResult, OutputFormat,
                               ResultLineWriter, line_batches)
-from ..mapper import MinimizerIndex
+from ..index import MappingIndex, build_index, open_index
 from ..obs import get_registry
 from ..util.sync import maybe_sanitize_lock
 from .config import MappingConfig, MappingConfigError
@@ -47,11 +48,11 @@ PathLike = Union[str, Path]
 
 
 class Mapper:
-    """Context-manager facade over an index and its engines.
+    """Context-manager facade over one index and its engines.
 
-    Construct through :meth:`from_index` or :meth:`from_reference`;
-    the plain constructor accepts pre-built objects (the power-user
-    seam the classmethods and the daemon share).
+    Stands on a :class:`~repro.index.MappingIndex`: opened from a file
+    by :meth:`from_index`, built from a reference by
+    :meth:`from_reference`, or handed in directly.
 
     One mapping run at a time: :meth:`map`, :meth:`map_file`, and the
     :meth:`map_stream` generator may be called repeatedly — engines
@@ -61,20 +62,35 @@ class Mapper:
     config's ``engine`` runs.
     """
 
-    def __init__(self, reference: ReferenceGenome, seedmap,
-                 config: Optional[MappingConfig] = None,
-                 index=None) -> None:
-        self.config = (config if config is not None
-                       else MappingConfig()).validate()
+    def __init__(self, index: MappingIndex,
+                 config: Optional[MappingConfig] = None) -> None:
+        """Map over ``index`` under ``config`` (default: the defaults
+        under the index's fingerprint).
+
+        The one check that the config suits the index: a fingerprint
+        mismatch raises :class:`MappingConfigError` naming each field,
+        so a stale index is rejected loudly instead of silently serving
+        a differently-configured pipeline.
+        """
+        if config is None:
+            config = MappingConfig(**dataclasses.asdict(index.fingerprint))
+        self.config = config.validate()
         self.config.resolve_stages()
-        self.reference = reference
-        self.seedmap = seedmap
+        problems = index.fingerprint.conflicts(self.config.fingerprint())
+        if problems:
+            source = ("the in-memory index" if index.path is None
+                      else f"index {index.path!r}")
+            raise MappingConfigError(
+                f"index fingerprint mismatch: {source} was built with "
+                f"{'; '.join(problems)}; rebuild the index or adopt its "
+                "fingerprint (Mapper.from_index)")
         self.index = index
-        #: The traditional path's minimizer index, shared — like
-        #: :attr:`seedmap` — by the ``mm2`` engine and the GenPair
-        #: fallback: mapped from the index file, or built here once.
-        self.minimizers = (index.minimizers if index is not None
-                           else MinimizerIndex.build(reference))
+        self.reference = index.reference
+        #: The two tables every engine shares: GenPair's SeedMap and the
+        #: traditional path's minimizer index (the ``mm2`` engine and
+        #: the GenPair fallback).
+        self.seedmap = index.seedmap
+        self.minimizers = index.minimizers
         self._engines: Dict[str, Engine] = {}
         # The serving tier resolves engines from connection threads
         # while the scheduler maps; the cache get-or-create below must
@@ -94,16 +110,11 @@ class Mapper:
                    **overrides: Any) -> "Mapper":
         """Open a persistent index and build a mapper over it.
 
-        With ``config=None`` the mapper adopts the index's fingerprint
-        (``overrides`` tune the non-fingerprint knobs, e.g.
-        ``batch_size=64`` or ``engine="longread"``).  An explicit
-        ``config`` must agree with the index fingerprint exactly — a
-        mismatch raises :class:`MappingConfigError` naming every
-        conflicting field, so a stale index is rejected loudly instead
-        of silently serving a differently-configured pipeline.
+        With ``config=None`` the mapper adopts the index's fingerprint,
+        and ``overrides`` tune the other knobs (e.g. ``batch_size=64``
+        or ``engine="longread"``); a fingerprint field among them is an
+        expectation the index must meet.
         """
-        from ..index import open_index
-
         if config is not None and overrides:
             raise MappingConfigError(
                 "pass either a full MappingConfig or keyword "
@@ -113,21 +124,9 @@ class Mapper:
                                else True)
         index = open_index(path, verify=verify)
         if config is None:
-            config = MappingConfig.from_fingerprint(index.fingerprint,
-                                                    **overrides)
-        else:
-            problems = index.fingerprint.conflicts(
-                seed_length=config.seed_length,
-                filter_threshold=config.filter_threshold,
-                step=config.step)
-            if problems:
-                raise MappingConfigError(
-                    f"config does not match index {str(path)!r}: index "
-                    f"was built with {'; '.join(problems)}; rebuild "
-                    "the index or adopt its fingerprint with "
-                    "MappingConfig.from_fingerprint")
-        return cls(index.reference, index.seedmap, config=config,
-                   index=index)
+            config = MappingConfig(**{**dataclasses.asdict(
+                index.fingerprint), **overrides})
+        return cls(index, config)
 
     @classmethod
     def from_reference(cls, reference: Union[PathLike, ReferenceGenome],
@@ -135,13 +134,10 @@ class Mapper:
                        **overrides: Any) -> "Mapper":
         """Build a mapper from a FASTA path or an in-memory reference.
 
-        The SeedMap (with the config's fingerprint parameters) and the
-        minimizer index are built in-process — the pay-per-run path;
-        prefer :meth:`from_index` + ``repro index build`` for repeated
-        runs.
+        The index is built in-process under the config's fingerprint —
+        the pay-per-run path; prefer :meth:`from_index` + ``repro index
+        build`` for repeated runs.
         """
-        from ..core.seedmap import SeedMap
-
         if config is not None and overrides:
             raise MappingConfigError(
                 "pass either a full MappingConfig or keyword "
@@ -150,11 +146,8 @@ class Mapper:
             config = MappingConfig(**overrides)
         if not isinstance(reference, ReferenceGenome):
             reference = read_fasta(reference)
-        seedmap = SeedMap.build(reference,
-                                seed_length=config.seed_length,
-                                filter_threshold=config.filter_threshold,
-                                step=config.step)
-        return cls(reference, seedmap, config=config)
+        return cls(build_index(reference, config.seed_length,
+                               config.filter_threshold), config)
 
     # -- engines -------------------------------------------------------
 

@@ -4,8 +4,10 @@ Subcommands mirror a real read-mapping toolchain:
 
 * ``simulate``      — generate a synthetic reference (FASTA), a diploid
   donor truth set (VCF), and paired-end reads (FASTQ x2);
-* ``index build``   — precompute the SeedMap + encoded reference into a
-  persistent memory-mapped index file (the ``bowtie2-build`` split);
+* ``index build``   — build the SeedMap + minimizer index of a
+  reference (:func:`repro.index.build_index`) and save them with the
+  encoded reference into a persistent memory-mapped index file (the
+  ``bowtie2-build`` split);
 * ``index inspect`` — print an index's fingerprint, tables, checksums;
 * ``map``           — map FASTQ files through the engine-polymorphic
   :class:`repro.api.Mapper` facade and write SAM/PAF/JSONL;
@@ -15,7 +17,7 @@ Subcommands mirror a real read-mapping toolchain:
   through in O(batch) memory, ``--batch-size`` pairs per
   chunk, in one process, and ``--index`` serves from a prebuilt
   index.  Every :class:`~repro.api.MappingConfig` field has
-  one flag here (``--seed-length`` / ``--step`` on ``index build``);
+  one flag here (``--seed-length`` on ``index build``);
   algorithm parameters are not flags;
 * ``serve``         — run the long-lived mapping daemon: the index and
   the engines stay warm, and mapping requests arrive as
@@ -170,8 +172,8 @@ def _build_mapper(args: argparse.Namespace):
                      engine=args.engine,
                      output_format=args.format)
     # The fingerprint gate: an explicit --filter-threshold must match
-    # what an index was built with (from_fingerprint rejects a
-    # conflict); against FASTA it configures the in-process build.
+    # what an index was built with (the Mapper rejects a conflict);
+    # against FASTA it configures the in-process build.
     if args.filter_threshold is not None:
         overrides["filter_threshold"] = args.filter_threshold
     try:
@@ -442,25 +444,21 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_index_build(args: argparse.Namespace) -> int:
     import time
 
-    from .core import SeedMap
     from .genome import FastaError, SequenceError, read_fasta
-    from .index import INDEX_SUFFIX, save_index
-    from .mapper import MinimizerIndex
+    from .index import INDEX_SUFFIX, build_index, save_index
 
     threshold = None if args.no_filter else args.filter_threshold
     try:
         reference = read_fasta(args.reference)
         start = time.perf_counter()
-        seedmap = SeedMap.build(reference, seed_length=args.seed_length,
-                                filter_threshold=threshold, step=args.step)
+        index = build_index(reference, args.seed_length, threshold)
     except (FastaError, SequenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    minimizers = MinimizerIndex.build(reference)
     build_seconds = time.perf_counter() - start
     out = args.out if args.out else args.reference + INDEX_SUFFIX
-    total = save_index(out, seedmap, reference, minimizers)
-    stats = seedmap.stats
+    total = save_index(out, index)
+    stats, minimizers = index.seedmap.stats, index.minimizers
     print(f"indexed {reference.total_length:,} bp "
           f"({len(reference.names)} chromosomes) in {build_seconds:.2f}s")
     print(f"  {stats.distinct_seeds:,} seeds, "
@@ -488,8 +486,7 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
           f"(format v{meta['format_version']}, "
           f"{report['file_bytes']:,} bytes)")
     print(f"  fingerprint: seed length {meta['seed_length']}, filter "
-          f"threshold {'none' if threshold is None else threshold}, "
-          f"step {meta['step']}")
+          f"threshold {'none' if threshold is None else threshold}")
     table, stats = meta["minimizers"], meta["minimizers"]["stats"]
     print(f"  minimizers: k {table['k']}, w {table['w']}, max occurrences "
           f"{table['max_occurrences']}, {stats['distinct_hashes']:,} keys, "
@@ -542,8 +539,9 @@ def _add_mapper_args(parser: argparse.ArgumentParser) -> None:
                         help="output format (every engine writes "
                              "every format)")
     parser.add_argument("--reference",
-                        help="FASTA reference (SeedMap is rebuilt per "
-                             "run; use --index to skip that)")
+                        help="FASTA reference (its index is built "
+                             "per run, as `index build` builds it; "
+                             "use --index to skip that)")
     parser.add_argument("--index",
                         help="persistent index from `repro index "
                              "build`; memory-mapped, so opening is "
@@ -611,14 +609,15 @@ def build_parser() -> argparse.ArgumentParser:
     index_build.add_argument("--out", default=None,
                              help="output path (default: "
                                   "<reference>.rpix)")
-    index_build.add_argument("--seed-length", type=int, default=50)
-    index_build.add_argument("--filter-threshold", type=int, default=500)
+    index_build.add_argument("--seed-length",
+                             type=_int_arg("--seed-length", 1),
+                             default=50)
+    index_build.add_argument("--filter-threshold",
+                             type=_int_arg("--filter-threshold", 1),
+                             default=500)
     index_build.add_argument("--no-filter", action="store_true",
                              help="keep every seed (Table 7 'no filter' "
                                   "configuration)")
-    index_build.add_argument("--step", type=int, default=1,
-                             help="stride between indexed reference "
-                                  "positions")
     index_build.set_defaults(func=_cmd_index_build)
     index_inspect = index_sub.add_parser(
         "inspect", help="print an index's fingerprint and tables")

@@ -1,12 +1,12 @@
 """The canonical SeedMap/index build fingerprint.
 
 One definition of "what configuration was this index built with" —
-the ``(seed_length, filter_threshold, step)`` triple — shared by every
-layer that answers the question: :class:`~repro.core.seedmap.SeedMap`
-carries the fields, :mod:`repro.index` persists them in every index
-header and validates them on open, and
-:meth:`repro.api.MappingConfig.fingerprint` derives the same object
-from a config.  Living here, below both ``repro.index`` and
+the ``(seed_length, filter_threshold)`` pair — shared by every layer
+that answers the question: :class:`~repro.core.seedmap.SeedMap`
+carries the fields, :attr:`repro.index.MappingIndex.fingerprint` reads
+them from it, and :meth:`repro.api.MappingConfig.fingerprint` derives
+the same object from a config, so :class:`repro.api.Mapper` compares
+the two in one place.  Living here, below both ``repro.index`` and
 ``repro.api``, the definition can be imported by either without
 layering cycles; the public API re-exports it as
 ``repro.api.IndexFingerprint``.
@@ -14,12 +14,9 @@ layering cycles; the public API re-exports it as
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
-
-#: Sentinel distinguishing "no expectation" from a meaningful ``None``
-#: (``filter_threshold=None`` is the unfiltered configuration).
-UNSET = object()
+from typing import List, Optional
 
 
 @dataclass(frozen=True)
@@ -28,48 +25,23 @@ class IndexFingerprint:
 
     Two components are compatible exactly when their fingerprints are
     equal.  ``filter_threshold=None`` means the unfiltered
-    configuration (Table 7's "no filter"), which is why per-field
-    expectation checks use the :data:`UNSET` sentinel rather than
-    ``None``.
+    configuration (Table 7's "no filter").
     """
 
     seed_length: int
     filter_threshold: Optional[int]
-    step: int = 1
-
-    @classmethod
-    def from_meta(cls, meta: Dict[str, Any]) -> "IndexFingerprint":
-        """Fingerprint recorded in a persistent index's JSON header."""
-        return cls(seed_length=int(meta["seed_length"]),
-                   filter_threshold=(None
-                                     if meta["filter_threshold"] is None
-                                     else int(meta["filter_threshold"])),
-                   step=int(meta.get("step", 1)))
 
     def describe(self) -> str:
         threshold = ("none" if self.filter_threshold is None
                      else self.filter_threshold)
         return (f"seed length {self.seed_length}, filter threshold "
-                f"{threshold}, step {self.step}")
+                f"{threshold}")
 
-    def conflicts(self, seed_length: Optional[int] = None,
-                  filter_threshold: Any = UNSET,
-                  step: Optional[int] = None) -> List[str]:
-        """Human-readable mismatches against per-field expectations.
-
-        ``None`` / :data:`UNSET` fields mean "accept whatever the
-        fingerprint holds"; the returned list is empty when every given
-        expectation matches.
-        """
-        problems: List[str] = []
-        if seed_length is not None and seed_length != self.seed_length:
-            problems.append(f"seed length {self.seed_length}, expected "
-                            f"{seed_length}")
-        if filter_threshold is not UNSET \
-                and filter_threshold != self.filter_threshold:
-            problems.append(
-                f"filter threshold {self.filter_threshold}, expected "
-                f"{filter_threshold}")
-        if step is not None and step != self.step:
-            problems.append(f"step {self.step}, expected {step}")
-        return problems
+    def conflicts(self, expected: "IndexFingerprint") -> List[str]:
+        """One ``"<field> <ours>, expected <theirs>"`` per field that
+        differs from ``expected``; empty when the two are equal."""
+        return [f"{spec.name} {getattr(self, spec.name)}, expected "
+                f"{getattr(expected, spec.name)}"
+                for spec in dataclasses.fields(self)
+                if getattr(self, spec.name) != getattr(expected,
+                                                       spec.name)]

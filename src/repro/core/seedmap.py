@@ -89,25 +89,24 @@ class SeedMap:
 
     def __init__(self, seed_length: int, table: PositionTable,
                  stats: SeedMapStats,
-                 filter_threshold: Optional[int] = DEFAULT_FILTER_THRESHOLD,
-                 step: int = 1) -> None:
+                 filter_threshold: Optional[int] = DEFAULT_FILTER_THRESHOLD
+                 ) -> None:
         self.seed_length = seed_length
         self.table = table
         self.stats = stats
-        #: Build fingerprint: the configuration this index answers for.
-        #: Persisted by :mod:`repro.index` and validated on open so a
-        #: stale index cannot silently serve a reconfigured pipeline.
+        #: With :attr:`seed_length`, the build fingerprint: the
+        #: configuration this index answers for (checked by
+        #: :class:`~repro.api.Mapper` against its config).
         self.filter_threshold = filter_threshold
-        self.step = step
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def build(cls, reference: ReferenceGenome,
               seed_length: int = DEFAULT_SEED_LENGTH,
-              filter_threshold: Optional[int] = DEFAULT_FILTER_THRESHOLD,
-              step: int = 1) -> "SeedMap":
-        """Build SeedMap from a reference genome.
+              filter_threshold: Optional[int] = DEFAULT_FILTER_THRESHOLD
+              ) -> "SeedMap":
+        """Build SeedMap over every position of a reference genome.
 
         Parameters
         ----------
@@ -117,22 +116,18 @@ class SeedMap:
             Seeds with more reference locations than this are dropped
             entirely; ``None`` disables filtering (the "no filter"
             configuration of Table 7).
-        step:
-            Stride between indexed reference positions.  The hardware
-            indexes every position (stride 1); larger strides trade recall
-            for index size and are exposed for experimentation.
 
         A reference holding an ``N`` raises
         :class:`~repro.genome.sequence.SequenceError` naming the record
-        and the base.
+        and the base.  :func:`repro.index.build_index` builds this
+        table and the minimizer index together.
         """
         hash_chunks = [np.zeros(0, dtype=np.uint64)]
         position_chunks = [np.zeros(0, dtype=np.int64)]
         for name in reference.names:
             codes = reference.fetch(name, 0, reference.length(name))
             try:
-                hashes = hash_reference_windows(codes, seed_length,
-                                                step=step)
+                hashes = hash_reference_windows(codes, seed_length)
             except SequenceError:
                 offset = int(np.argmax(codes >= ALPHABET_SIZE)) + 1
                 raise SequenceError(
@@ -141,7 +136,7 @@ class SeedMap:
                 ) from None
             hash_chunks.append(hashes)
             position_chunks.append(
-                np.arange(len(hashes), dtype=np.int64) * step
+                np.arange(len(hashes), dtype=np.int64)
                 + reference.linear_offset(name))
         hashes = np.concatenate(hash_chunks)
         table, dropped = PositionTable.build(
@@ -156,7 +151,7 @@ class SeedMap:
             max_locations=int(np.diff(table.offsets).max(initial=0)),
         )
         return cls(seed_length, table, stats,
-                   filter_threshold=filter_threshold, step=step)
+                   filter_threshold=filter_threshold)
 
     # -- querying --------------------------------------------------------
 

@@ -45,28 +45,26 @@ def hash_reads_batch(windows: np.ndarray, seed: int = 0) -> np.ndarray:
 
 
 def hash_reference_windows(codes: np.ndarray, seed_length: int,
-                           step: int = 1, seed: int = 0) -> np.ndarray:
-    """Hash every window of ``codes`` of ``seed_length`` at ``step`` stride.
+                           seed: int = 0) -> np.ndarray:
+    """Hash every ``seed_length`` window of ``codes``.
 
-    This is the hot loop of offline SeedMap construction (§4.2).  The
-    windows are materialized with a strided view and packed row-wise so the
-    per-window Python work is just the xxHash core.
+    This is the hot loop of offline SeedMap construction (§4.2), which
+    indexes every reference position.  The windows are a strided view
+    of ``codes`` (no copy) packed row-wise, so the per-window Python
+    work is just the xxHash core.
 
     Returns a ``uint64`` array of hash values, one per window start
-    ``0, step, 2*step, ...``.  An ambiguous base anywhere in ``codes``
-    raises :class:`~repro.genome.sequence.SequenceError`.
+    ``0, 1, 2, ...``.  An ambiguous base anywhere in ``codes`` raises
+    :class:`~repro.genome.sequence.SequenceError`.
     """
-    if seed_length <= 0 or step <= 0:
-        raise ValueError("seed_length and step must be positive")
-    count = (len(codes) - seed_length) // step + 1
-    if count <= 0:
+    if seed_length <= 0:
+        raise ValueError("seed_length must be positive")
+    if len(codes) < seed_length:
         return np.zeros(0, dtype=np.uint64)
-    if codes.size and codes.max(initial=0) >= ALPHABET_SIZE:
+    if codes.max(initial=0) >= ALPHABET_SIZE:
         raise SequenceError("reference windows must be concrete bases")
     from .vectorized import pack_rows_2bit, xxhash32_rows
 
-    starts = np.arange(count) * step
-    windows = np.lib.stride_tricks.sliding_window_view(
-        codes, seed_length)[starts]
+    windows = np.lib.stride_tricks.sliding_window_view(codes, seed_length)
     packed = pack_rows_2bit(windows)
     return xxhash32_rows(packed, seed=seed).astype(np.uint64)

@@ -2,13 +2,17 @@
 
 The paper's SeedMap is an *offline* structure (§4.2), and so is the
 minimizer index the traditional seed-chain-align path (the ``mm2``
-engine, GenPair's full fallback) seeds from.  ``repro index build``
-serializes a built :class:`~repro.core.seedmap.SeedMap`, the
-:class:`~repro.mapper.index.MinimizerIndex` *and* the encoded reference
-into one versioned binary file, and ``repro map --index`` memory-maps
+engine, GenPair's full fallback) seeds from.  :func:`build_index` is
+the one place both are built from a reference, into a
+:class:`MappingIndex` — the reference, its
+:class:`~repro.core.seedmap.SeedMap` and its
+:class:`~repro.mapper.index.MinimizerIndex`, what
+:class:`repro.api.Mapper` stands on.  ``repro index build`` serializes
+one into a versioned binary file, and ``repro map --index`` memory-maps
 it back in milliseconds (the ``bowtie2-build`` / ``minimap2 -d``
-split).  The load path is ``np.memmap`` views into one read-only file,
-so every mapper over it shares a single physical copy of every table.
+split) as the same type.  The load path is ``np.memmap`` views into
+one read-only file, so every mapper over it shares a single physical
+copy of every table.
 
 File format (version 2)
 =======================
@@ -33,10 +37,13 @@ The JSON header carries:
 * ``format_version`` — bumped on any incompatible layout change; only
   the current version is read, and any other is refused with a message
   naming ``repro index build``;
-* the **config fingerprint** — ``seed_length``, ``filter_threshold``
-  (``null`` = unfiltered) and ``step`` the SeedMap was built with;
-  opening with mismatching expectations is rejected, so a stale index
-  can never silently serve a differently-configured pipeline;
+* the **config fingerprint** — ``seed_length`` and
+  ``filter_threshold`` (``null`` = unfiltered) the SeedMap was built
+  with; :class:`repro.api.Mapper` rejects a config that disagrees, so
+  a stale index can never silently serve a differently-configured
+  pipeline;
+* ``step`` — always ``1``: the SeedMap indexes every reference
+  position, and a file carrying any other value is refused;
 * ``reference`` — chromosome ``names`` + ``lengths`` (declaration
   order), from which the zero-copy
   :meth:`~repro.genome.ReferenceGenome.from_linear_codes` views are cut;
@@ -76,8 +83,9 @@ mapping output.
 
 from .format import (ARRAY_ALIGNMENT, FORMAT_VERSION, INDEX_SUFFIX, MAGIC,
                      IndexFormatError)
-from .store import MappingIndex, inspect_index, open_index, save_index
+from .store import (MappingIndex, build_index, inspect_index, open_index,
+                    save_index)
 
 __all__ = ["ARRAY_ALIGNMENT", "FORMAT_VERSION", "INDEX_SUFFIX",
-           "IndexFormatError", "MAGIC", "MappingIndex", "inspect_index",
-           "open_index", "save_index"]
+           "IndexFormatError", "MAGIC", "MappingIndex", "build_index",
+           "inspect_index", "open_index", "save_index"]

@@ -1,14 +1,15 @@
-"""Saving and memory-mapped opening of persistent indexes.
+"""Building, saving and memory-mapped opening of a :class:`MappingIndex`.
 
-:func:`save_index` writes one self-describing file from a built
-:class:`~repro.core.seedmap.SeedMap`, the reference's
-:class:`~repro.mapper.index.MinimizerIndex` and the reference itself;
-:func:`open_index` maps it back as a :class:`MappingIndex` whose
+:func:`build_index` builds a reference's
+:class:`~repro.core.seedmap.SeedMap` and
+:class:`~repro.mapper.index.MinimizerIndex`; :func:`save_index` writes
+the index, reference included, as one self-describing file;
+:func:`open_index` maps it back as the same type, whose
 ``seedmap``/``minimizers``/``reference`` are backed by ``np.memmap``
 views — opening is O(header) work, and every process that opens the
-file shares the page cache copy of the tables.  :func:`inspect_index` reads and verifies a
-file without constructing the mapping objects (the ``repro index
-inspect`` path).
+file shares the page cache copy of the tables.  :func:`inspect_index`
+reads and verifies a file without constructing the mapping objects
+(the ``repro index inspect`` path).
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.fingerprint import UNSET, IndexFingerprint
-from ..core.seedmap import SeedMap, SeedMapStats
+from ..core.fingerprint import IndexFingerprint
+from ..core.seedmap import DEFAULT_FILTER_THRESHOLD, SeedMap, SeedMapStats
 from ..genome.reference import ReferenceGenome
-from ..hashing import PositionTable
+from ..hashing import DEFAULT_SEED_LENGTH, PositionTable
 from ..mapper.index import IndexStats, MinimizerIndex
 from .format import (ARRAY_DTYPES, FORMAT_VERSION, TABLE_COLUMNS,
                      IndexFormatError, align_up, crc32, pack_header,
@@ -53,17 +54,58 @@ def _mapped_table(name: str, arrays: Dict[str, np.ndarray]
     return PositionTable(keys, offsets, positions)
 
 
-def save_index(path: PathLike, seedmap: SeedMap,
-               reference: ReferenceGenome,
-               minimizers: Optional[MinimizerIndex] = None) -> int:
-    """Serialize a built SeedMap, a minimizer index (by default
-    ``MinimizerIndex.build(reference)``, the ``mm2`` defaults) and the
-    reference both were built from to ``path``.
+@dataclasses.dataclass(eq=False)
+class MappingIndex:
+    """Everything a mapper stands on: a reference, its SeedMap and its
+    minimizer index.
+
+    :func:`build_index` builds one in memory (``path`` is ``None``);
+    :func:`open_index` maps one from a file, whose tables are then
+    read-only ``np.memmap`` views, so any number of mappers share one
+    physical copy.  Hand :attr:`reference` and :attr:`seedmap` to
+    :class:`~repro.core.pipeline.GenPairPipeline`, and
+    :attr:`minimizers` to :class:`~repro.mapper.mm2.Mm2LikeMapper`.
+    """
+
+    path: Optional[str]
+    reference: ReferenceGenome
+    seedmap: SeedMap
+    minimizers: MinimizerIndex
+
+    @property
+    def fingerprint(self) -> IndexFingerprint:
+        """The canonical config fingerprint the SeedMap was built with."""
+        return IndexFingerprint(self.seedmap.seed_length,
+                                self.seedmap.filter_threshold)
+
+
+def build_index(reference: ReferenceGenome,
+                seed_length: int = DEFAULT_SEED_LENGTH,
+                filter_threshold: Optional[int] = DEFAULT_FILTER_THRESHOLD
+                ) -> MappingIndex:
+    """Build a reference's SeedMap (every position, under the given
+    fingerprint) and its minimizer index (the ``mm2`` defaults).
+
+    The one place index tables are built from a reference: ``repro
+    index build`` saves what this returns, and
+    :meth:`repro.api.Mapper.from_reference` maps over it in memory.
+    A reference holding an ``N`` raises
+    :class:`~repro.genome.sequence.SequenceError`.
+    """
+    return MappingIndex(None, reference,
+                        SeedMap.build(reference, seed_length,
+                                      filter_threshold),
+                        MinimizerIndex.build(reference))
+
+
+def save_index(path: PathLike, index: MappingIndex) -> int:
+    """Serialize an index — its reference, SeedMap and minimizer
+    index — to ``path``.
 
     Returns the total number of bytes written.
     """
-    if minimizers is None:
-        minimizers = MinimizerIndex.build(reference)
+    reference, seedmap, minimizers = (index.reference, index.seedmap,
+                                      index.minimizers)
     source = {"ref_codes": reference.linear_codes(),
               **_table_sections("seedmap", seedmap.table),
               **_table_sections("minimizers", minimizers.table)}
@@ -87,7 +129,8 @@ def save_index(path: PathLike, seedmap: SeedMap,
         "seed_length": int(seedmap.seed_length),
         "filter_threshold": (None if seedmap.filter_threshold is None
                              else int(seedmap.filter_threshold)),
-        "step": int(seedmap.step),
+        # Every position is indexed; the key stays so the bytes do.
+        "step": 1,
         "reference": {
             "names": list(reference.names),
             "lengths": [int(reference.length(name))
@@ -113,54 +156,14 @@ def save_index(path: PathLike, seedmap: SeedMap,
     return len(header) + cursor
 
 
-@dataclasses.dataclass(eq=False)
-class MappingIndex:
-    """An opened persistent index: memory-mapped SeedMap, minimizer
-    index and reference.
+def open_index(path: PathLike, verify: bool = True) -> MappingIndex:
+    """Memory-map a persistent index written by :func:`save_index`.
 
-    Hand :attr:`reference` and :attr:`seedmap` straight to
-    :class:`~repro.core.pipeline.GenPairPipeline`, and :attr:`minimizers`
-    to :class:`~repro.mapper.mm2.Mm2LikeMapper`; all are views into the
-    index file (read-only), so any number of mappers share one
-    physical copy.
-    """
-
-    path: str
-    meta: dict
-    seedmap: SeedMap
-    minimizers: MinimizerIndex
-    reference: ReferenceGenome
-
-    @property
-    def fingerprint(self) -> IndexFingerprint:
-        """The canonical config fingerprint this index was built with."""
-        return IndexFingerprint.from_meta(self.meta)
-
-
-def open_index(path: PathLike, mmap: bool = True, verify: bool = True,
-               expect_seed_length: Optional[int] = None,
-               expect_filter_threshold=UNSET,
-               expect_step: Optional[int] = None) -> MappingIndex:
-    """Open a persistent index written by :func:`save_index`.
-
-    Parameters
-    ----------
-    mmap:
-        Map array regions with ``np.memmap`` (the zero-copy default);
-        ``False`` reads them into process-private memory instead.
-    verify:
-        Check every array's crc32 against the manifest (the header crc
-        and each table's offsets check always run).  Verification reads
-        the file once; pass ``False`` for latency-critical reopen paths
-        that trust the file.
-    expect_seed_length / expect_filter_threshold / expect_step:
-        Config-fingerprint expectations, checked through the canonical
-        :class:`~repro.core.fingerprint.IndexFingerprint`; a mismatch
-        raises
-        :class:`IndexFormatError` so a stale index is rejected instead
-        of silently serving a differently-configured pipeline.
-        ``expect_filter_threshold=None`` means "expect unfiltered";
-        leave the argument out to accept whatever the index holds.
+    ``verify`` checks every array's crc32 against the manifest (the
+    header crc and each table's offsets check always run).
+    Verification reads the file once; pass ``False`` for
+    latency-critical reopen paths that trust the file.  Whether the
+    index suits a config is :class:`repro.api.Mapper`'s check.
     """
     path = str(path)
     try:
@@ -170,28 +173,24 @@ def open_index(path: PathLike, mmap: bool = True, verify: bool = True,
             from None
     with handle:
         meta, data_start = read_header(handle)
-    fingerprint = IndexFingerprint.from_meta(meta)
-    problems = fingerprint.conflicts(
-        seed_length=expect_seed_length,
-        filter_threshold=expect_filter_threshold, step=expect_step)
-    if problems:
+    if meta.get("step") != 1:
         raise IndexFormatError(
-            f"index fingerprint mismatch: {path!r} was built with "
-            f"{'; '.join(problems)}; rebuild with `repro index build`")
-    arrays = _map_arrays(path, meta, data_start, mmap=mmap, verify=verify)
+            f"index {path!r} has step {meta.get('step')!r}, but only "
+            "indexes of every position (step 1) are supported; rebuild "
+            "with `repro index build`")
+    arrays = _map_arrays(path, meta, data_start, verify=verify)
     ref_meta = meta["reference"]
     reference = ReferenceGenome.from_linear_codes(
         ref_meta["names"], ref_meta["lengths"], arrays["ref_codes"])
     seedmap = SeedMap(meta["seed_length"], _mapped_table("seedmap", arrays),
                       SeedMapStats(**meta["stats"]),
-                      filter_threshold=meta["filter_threshold"],
-                      step=meta["step"])
+                      filter_threshold=meta["filter_threshold"])
     table = meta["minimizers"]
     minimizers = MinimizerIndex(table["k"], table["w"],
                                 table["max_occurrences"],
                                 _mapped_table("minimizers", arrays),
                                 IndexStats(**table["stats"]))
-    return MappingIndex(path, meta, seedmap, minimizers, reference)
+    return MappingIndex(path, reference, seedmap, minimizers)
 
 
 def _manifest(meta: dict) -> Iterator[Tuple[str, dict]]:
@@ -203,9 +202,9 @@ def _manifest(meta: dict) -> Iterator[Tuple[str, dict]]:
         yield name, spec
 
 
-def _map_arrays(path: str, meta: dict, data_start: int, mmap: bool,
+def _map_arrays(path: str, meta: dict, data_start: int,
                 verify: bool) -> Dict[str, np.ndarray]:
-    """Map (or read) every manifest array, optionally crc-checking it."""
+    """Map every manifest array, optionally crc-checking it."""
     file_size = os.path.getsize(path)
     arrays: Dict[str, np.ndarray] = {}
     for name, spec in _manifest(meta):
@@ -219,14 +218,9 @@ def _map_arrays(path: str, meta: dict, data_start: int, mmap: bool,
                 f"[{start}, {end}) but the file has {file_size}")
         if count == 0:
             array = np.zeros(0, dtype=dtype)
-        elif mmap:
+        else:
             array = np.memmap(path, dtype=dtype, mode="r",
                               offset=start, shape=(count,))
-        else:
-            with open(path, "rb") as handle:
-                handle.seek(start)
-                array = np.frombuffer(
-                    handle.read(count * dtype.itemsize), dtype=dtype)
         if verify and crc32(array if count else b"") != spec["crc32"]:
             raise IndexFormatError(
                 f"array {name!r} checksum mismatch (corrupted index); "
@@ -247,7 +241,7 @@ def inspect_index(path: PathLike, verify: bool = True) -> dict:
         meta, data_start = read_header(handle)
     checksums_ok = None
     if verify:
-        _map_arrays(path, meta, data_start, mmap=True, verify=True)
+        _map_arrays(path, meta, data_start, verify=True)
         checksums_ok = True
     array_rows = [{"name": name, "dtype": spec["dtype"],
                    "count": int(spec["count"]),

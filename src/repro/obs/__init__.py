@@ -33,7 +33,7 @@ from .metrics import (BUCKET_BOUNDS, Counter, Gauge, Histogram,
                       metrics_enabled, set_metrics_enabled,
                       write_metrics_json)
 from .render import (format_seconds, render_metrics, render_top,
-                     snapshot_quantile)
+                     snapshot_quantile, stat_units)
 from .trace import (SpanRecord, Tracer, active_tracer, capture_trace,
                     span)
 
@@ -56,5 +56,6 @@ __all__ = [
     "set_metrics_enabled",
     "snapshot_quantile",
     "span",
+    "stat_units",
     "write_metrics_json",
 ]

@@ -27,6 +27,15 @@ def format_seconds(value: float) -> str:
     return f"{value:.2f}s"
 
 
+def stat_units(stats: Dict[str, int]) -> int:
+    """How many workload items an engine's stats dict accounts for
+    (pairs for the paired engines, reads for single-read ones)."""
+    for key in ("pairs_total", "pairs_seen", "reads_total"):
+        if key in stats:
+            return stats[key]
+    return 0
+
+
 def snapshot_quantile(hist: Dict, q: float) -> float:
     """Approximate quantile of a snapshot histogram dict: the bucket
     upper bound the q-th observation falls in (exact ``max`` for the
@@ -135,8 +144,7 @@ def render_top(reply: Dict) -> List[str]:
         histograms = snapshot.get("histograms", {})
         for name in sorted(engines):
             stats = engines[name]
-            units = stats.get("pairs_total", stats.get(
-                "pairs_seen", stats.get("reads_total", 0)))
+            units = stat_units(stats)
             run = histograms.get(f"engine.{name}.run_s", {})
             count = run.get("count", 0)
             mean = run["sum"] / count if count else 0.0

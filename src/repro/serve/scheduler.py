@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from ..obs import capture_trace, get_registry, span
+from ..obs import capture_trace, get_registry, span, stat_units
 from ..util.sync import maybe_sanitize_lock
 from .protocol import (E_SHUTTING_DOWN, E_TIMEOUT, MAX_WAIT_S,
                        error_code, error_reply, finite_seconds)
@@ -542,7 +542,7 @@ class Scheduler:
         self._record_map_metrics(task.engine, task.format,
                                  time.perf_counter() - started)
         stats = self._stats_dict(self.mapper.last_stats)
-        units = _stat_units(stats)
+        units = stat_units(stats)
         task.items = units  # server-side totals count what really ran
         reply = {"pairs": units, "records": records, "out": out,
                  "engine": task.engine, "format": task.format,
@@ -565,12 +565,3 @@ class Scheduler:
             obs.histogram(
                 f"serve.map_s.{engine_name}.{format_name}"
             ).observe(elapsed)
-
-
-def _stat_units(stats: Dict[str, int]) -> int:
-    """How many workload items a per-run stats dict accounts for
-    (pairs for the paired engines, reads for single-read ones)."""
-    for key in ("pairs_total", "pairs_seen", "reads_total"):
-        if key in stats:
-            return stats[key]
-    return 0

@@ -30,8 +30,10 @@ requests.  Operations:
 
 ``ping``
     Liveness probe.  Response carries ``pid``, ``uptime_s``, the index
-    path, the config snapshot, the registered engines/formats, and the
-    listening endpoints (``listeners``).
+    path (``null`` for an index built from ``--reference``), the config
+    snapshot (the eight :class:`~repro.api.MappingConfig` values), the
+    registered engines/formats, and the listening endpoints
+    (``listeners``).
 ``map``
     Map workload items shipped inline.  Paired engines:
     ``{"op": "map", "pairs": [[read1, read2, name?], ...]}``;
@@ -356,10 +358,9 @@ class MapServer:
         from ..api.registry import ENGINES, OUTPUT_FORMATS
 
         self.stats.record("ping")
-        index = self.mapper.index
         return {"pid": os.getpid(),
                 "uptime_s": round(self.stats.uptime_s, 3),
-                "index": index.path if index is not None else None,
+                "index": self.mapper.index.path,
                 "engine": self.mapper.config.engine,
                 "engines": sorted(ENGINES),
                 "formats": sorted(OUTPUT_FORMATS),

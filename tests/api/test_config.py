@@ -4,8 +4,8 @@ import pytest
 
 from repro.api import (IndexFingerprint, Mapper, MappingConfig,
                        MappingConfigError)
-from repro.core import GenPairConfig, SeedMap
-from repro.index import IndexFormatError, open_index, save_index
+from repro.core import GenPairConfig
+from repro.index import build_index, save_index
 
 
 class TestValidation:
@@ -14,7 +14,7 @@ class TestValidation:
         assert config.validate() is config
 
     @pytest.mark.parametrize("field,value", [
-        ("seed_length", 0), ("seed_length", "50"), ("step", 0),
+        ("seed_length", 0), ("seed_length", "50"),
         ("delta", 0), ("batch_size", -1), ("batch_size", 0),
         ("filter_threshold", 0),
         ("engine", 7), ("output_format", None),
@@ -73,16 +73,16 @@ class TestRoundTrip:
                                filter_threshold=None)
         assert MappingConfig.from_dict(config.to_dict()) == config
 
-    def test_default_wire_form_has_9_keys(self):
+    def test_default_wire_form_has_8_keys(self):
         payload = MappingConfig().to_dict()
         assert list(payload) == [
-            "seed_length", "filter_threshold", "step", "delta", "engine",
+            "seed_length", "filter_threshold", "delta", "engine",
             "output_format", "batch_size", "full_fallback",
             "verify_index"]
         assert MappingConfig.from_dict(payload) == MappingConfig()
 
     @pytest.mark.parametrize("stale", ["filter_chain", "aligner",
-                                       "workers"])
+                                       "workers", "step"])
     def test_removed_stage_knobs_rejected_by_name(self, stale):
         payload = MappingConfig().to_dict()
         payload[stale] = "none"
@@ -108,55 +108,43 @@ class TestRoundTrip:
 
 
 class TestFingerprint:
-    def test_config_and_seedmap_agree(self, plain_reference):
-        config = MappingConfig(seed_length=32, filter_threshold=None,
-                               step=2)
-        seedmap = SeedMap.build(plain_reference,
-                                seed_length=config.seed_length,
-                                filter_threshold=config.filter_threshold,
-                                step=config.step)
-        assert IndexFingerprint(seedmap.seed_length,
-                                seedmap.filter_threshold,
-                                seedmap.step) == config.fingerprint()
+    def test_config_and_index_agree(self, plain_reference):
+        config = MappingConfig(seed_length=32, filter_threshold=None)
+        index = build_index(plain_reference,
+                            seed_length=config.seed_length,
+                            filter_threshold=config.filter_threshold)
+        assert index.fingerprint == config.fingerprint()
 
     def test_conflicts_name_each_field(self):
         fingerprint = IndexFingerprint(seed_length=50,
-                                       filter_threshold=500, step=1)
-        problems = fingerprint.conflicts(seed_length=32,
-                                         filter_threshold=None, step=2)
-        assert len(problems) == 3
-        text = "; ".join(problems)
-        assert "seed length" in text and "filter threshold" in text \
-            and "step" in text
-        assert fingerprint.conflicts() == []
-        assert fingerprint.conflicts(seed_length=50,
-                                     filter_threshold=500) == []
+                                       filter_threshold=500)
+        assert fingerprint.conflicts(IndexFingerprint(32, None)) == [
+            "seed_length 50, expected 32",
+            "filter_threshold 500, expected None"]
+        assert fingerprint.conflicts(IndexFingerprint(50, 500)) == []
 
     def test_unfiltered_none_is_a_meaningful_expectation(self):
         fingerprint = IndexFingerprint(seed_length=50,
                                        filter_threshold=None)
-        assert fingerprint.conflicts(filter_threshold=None) == []
-        assert fingerprint.conflicts(filter_threshold=500) != []
+        assert fingerprint.conflicts(IndexFingerprint(50, None)) == []
+        assert fingerprint.conflicts(IndexFingerprint(50, 500)) != []
 
 
 class TestIndexRoundTrip:
     """config -> fingerprint -> index build -> Mapper.from_index."""
 
     @pytest.fixture(scope="class")
-    def index_path(self, tmp_path_factory, plain_reference,
-                   plain_seedmap):
+    def index_path(self, tmp_path_factory, plain_index):
         path = tmp_path_factory.mktemp("cfg") / "roundtrip.rpix"
-        save_index(path, plain_seedmap, plain_reference)
+        save_index(path, plain_index)
         return path
 
     def test_from_index_adopts_the_fingerprint(self, index_path,
-                                               plain_seedmap):
+                                               plain_index):
         with Mapper.from_index(index_path, full_fallback=False) \
                 as mapper:
-            assert mapper.config.fingerprint() == IndexFingerprint(
-                plain_seedmap.seed_length, plain_seedmap.filter_threshold,
-                plain_seedmap.step)
-            assert mapper.index is not None
+            assert mapper.config.fingerprint() == plain_index.fingerprint
+            assert mapper.index.path == str(index_path)
             assert mapper.index.fingerprint \
                 == mapper.config.fingerprint()
 
@@ -165,14 +153,15 @@ class TestIndexRoundTrip:
         with pytest.raises(MappingConfigError) as excinfo:
             Mapper.from_index(index_path, config=stale)
         message = str(excinfo.value)
-        assert "seed length" in message
+        assert "seed_length 50, expected 32" in message
         assert str(index_path) in message
 
     def test_mismatched_override_expectation_rejected(self, index_path):
         with pytest.raises(MappingConfigError) as excinfo:
             Mapper.from_index(index_path, filter_threshold=123,
                               full_fallback=False)
-        assert "filter threshold" in str(excinfo.value)
+        assert "filter_threshold 500, expected 123" \
+            in str(excinfo.value)
 
     def test_matching_override_expectation_accepted(self, index_path,
                                                     plain_seedmap):
@@ -200,10 +189,3 @@ class TestIndexRoundTrip:
         with pytest.raises(MappingConfigError):
             Mapper.from_index(index_path, config=MappingConfig(),
                               batch_size=64)
-
-    def test_open_index_uses_the_same_canonical_check(self, index_path):
-        with pytest.raises(IndexFormatError) as excinfo:
-            open_index(index_path, expect_seed_length=32,
-                       expect_step=9)
-        message = str(excinfo.value)
-        assert "seed length" in message and "step" in message

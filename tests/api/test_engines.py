@@ -13,8 +13,8 @@ from repro.mapper import K, MAX_OCCURRENCES, W, MapperStats
 
 
 @pytest.fixture(scope="module")
-def mapper(small_reference, seedmap):
-    with Mapper(small_reference, seedmap,
+def mapper(small_index):
+    with Mapper(small_index,
                 config=MappingConfig(full_fallback=False)) as facade:
         yield facade
 
@@ -53,8 +53,8 @@ class TestPolymorphicSurface:
         assert got == expected
 
     def test_engine_instances_built_lazily_and_reused(
-            self, small_reference, seedmap, pairs):
-        with Mapper(small_reference, seedmap,
+            self, small_index, pairs):
+        with Mapper(small_index,
                     config=MappingConfig(full_fallback=False)) as facade:
             assert facade._engines == {}
             first = facade.engine("mm2")
@@ -62,7 +62,7 @@ class TestPolymorphicSurface:
             assert facade.engine("mm2") is first
 
     def test_no_minimizer_build_from_an_index_file(
-            self, small_reference, seedmap, pairs, tmp_path, monkeypatch):
+            self, small_index, pairs, tmp_path, monkeypatch):
         """A facade opened from an index file maps the traditional path
         from the file's minimizer table: GenPair warm-up, a pair that
         reaches the full fallback and an ``mm2`` run all map without
@@ -72,7 +72,7 @@ class TestPolymorphicSurface:
         from repro.mapper import MinimizerIndex
 
         path = tmp_path / "small.rpix"
-        save_index(path, seedmap, small_reference)
+        save_index(path, small_index)
 
         def refuse(*args, **kwargs):
             raise AssertionError("MinimizerIndex.build called")
@@ -110,8 +110,8 @@ class TestPolymorphicSurface:
         assert mapper.last_engine == "longread"
 
     def test_engine_stats_accumulate_per_engine(
-            self, small_reference, seedmap, pairs):
-        with Mapper(small_reference, seedmap,
+            self, small_index, pairs):
+        with Mapper(small_index,
                     config=MappingConfig(full_fallback=False)) as facade:
             facade.map(pairs[:4], engine="genpair")
             facade.map(pairs[:6], engine="mm2")
@@ -132,15 +132,14 @@ class TestPolymorphicSurface:
 
 
 class TestParityEdges:
-    def test_mm2_pair_spanning_chromosome_boundary(self,
-                                                   small_reference,
-                                                   seedmap):
+    def test_mm2_pair_spanning_chromosome_boundary(self, small_index,
+                                                   small_reference):
         # read1 from the tail of chr1, read2 from the head of chr2:
         # adjacent in linear coordinates but on different chromosomes.
         len1 = small_reference.length("chr1")
         read1 = small_reference.fetch("chr1", len1 - 150, len1)
         read2 = reverse_complement(small_reference.fetch("chr2", 0, 150))
-        with Mapper(small_reference, seedmap,
+        with Mapper(small_index,
                     config=MappingConfig(full_fallback=False)) as facade:
             (result,) = facade.map([(read1, read2, "straddle")],
                                    engine="mm2")
@@ -206,10 +205,10 @@ class TestMalformedItems:
                                 "genpair", self.PAIRS)
         assert message.startswith("pair 0 of the stream")
 
-    def test_position_counts_across_chunks(self, small_reference, seedmap,
+    def test_position_counts_across_chunks(self, small_index,
                                            pairs):
         config = MappingConfig(full_fallback=False, batch_size=2)
-        with Mapper(small_reference, seedmap, config=config) as facade:
+        with Mapper(small_index, config=config) as facade:
             items = [pairs[0], pairs[1], pairs[2], ("x", "y", "bad")]
             message = self.rejected(facade, items, "genpair", self.PAIRS)
         assert message.startswith("pair 3 of the stream")
@@ -221,8 +220,7 @@ class TestLongReadChunkSize:
     size must never show in the output."""
 
     @pytest.mark.parametrize("batch_size", [1, 7, 256])
-    def test_batch_size_never_changes_output(self, small_reference,
-                                             seedmap, simulator,
+    def test_batch_size_never_changes_output(self, small_index, simulator,
                                              batch_size):
         reads = simulator.simulate_long_reads(9, length_mean=1500,
                                               length_sd=400)
@@ -230,7 +228,7 @@ class TestLongReadChunkSize:
         for size in (2, batch_size):
             config = MappingConfig(engine="longread", batch_size=size,
                                    full_fallback=False)
-            with Mapper(small_reference, seedmap, config=config) as facade:
+            with Mapper(small_index, config=config) as facade:
                 results = facade.map(reads)
                 lines = {fmt: list(facade.lines(results, format=fmt))
                          for fmt in ("sam", "paf", "jsonl")}
@@ -254,11 +252,11 @@ class TestOutputFormats:
                 assert path.read_text() == wire
                 assert count >= 0
 
-    def test_default_format_comes_from_config(self, small_reference,
-                                              seedmap, pairs, tmp_path):
+    def test_default_format_comes_from_config(self, small_index, pairs,
+                                              tmp_path):
         config = MappingConfig(full_fallback=False,
                                output_format="jsonl")
-        with Mapper(small_reference, seedmap, config=config) as facade:
+        with Mapper(small_index, config=config) as facade:
             results = facade.map(pairs[:3])
             path = tmp_path / "default.out"
             facade.write(results, path)
@@ -300,29 +298,27 @@ class TestEngineOptions:
     """What the facade hands each core: the core's own defaults, plus
     ``seed_length``/``delta`` where the core shares the SeedMap."""
 
-    def test_mm2_engine_runs_the_core_defaults(self, small_reference,
-                                               seedmap):
+    def test_mm2_engine_runs_the_core_defaults(self, small_index):
         config = MappingConfig(engine="mm2", full_fallback=False)
-        with Mapper(small_reference, seedmap, config=config) as facade:
+        with Mapper(small_index, config=config) as facade:
             index = facade.engine("mm2").core.index
             assert index is facade.minimizers
             assert (index.k, index.w, index.max_occurrences) \
                 == (K, W, MAX_OCCURRENCES)
 
     def test_longread_engine_gets_seed_length_and_delta(
-            self, small_reference, seedmap):
+            self, small_index, seedmap):
         config = MappingConfig(engine="longread", full_fallback=False,
                                delta=321)
-        with Mapper(small_reference, seedmap, config=config) as facade:
+        with Mapper(small_index, config=config) as facade:
             core = facade.engine("longread").core
             assert (core.seed_length, core.delta) \
                 == (seedmap.seed_length, 321)
 
-    def test_chunk_shorter_than_seed_rejected(self, small_reference,
-                                              seedmap):
+    def test_chunk_shorter_than_seed_rejected(self, small_reference):
         config = MappingConfig(engine="longread", full_fallback=False,
                                seed_length=200)
-        with Mapper(small_reference, seedmap, config=config) as facade:
+        with Mapper.from_reference(small_reference, config) as facade:
             with pytest.raises(MappingConfigError, match="chunk_length"):
                 facade.engine("longread")
 

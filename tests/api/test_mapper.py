@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.api import Mapper
+from repro.api import Mapper, MappingConfig, MappingConfigError
 from repro.core import GenPairPipeline
 from repro.genome import ReadSimulator, write_fastq
-from repro.index import save_index
+from repro.index import build_index, save_index
 
 
 def record_signature(record):
@@ -62,13 +62,40 @@ class TestConstruction:
                 as mapper:
             assert signatures(mapper.map(pairs)) == reference_results
 
+    @pytest.mark.parametrize("engine", ["genpair", "mm2", "longread"])
     def test_from_index_serves_identical_results(
-            self, tmp_path, small_reference, seedmap, pairs,
-            reference_results):
+            self, tmp_path, small_reference, small_index, pairs, engine):
+        """Both constructors stand on one kind of index, so every
+        engine, the fallback on, writes the same lines in every
+        format."""
         path = tmp_path / "facade.rpix"
-        save_index(path, seedmap, small_reference)
-        with Mapper.from_index(path, full_fallback=False) as mapper:
-            assert signatures(mapper.map(pairs)) == reference_results
+        save_index(path, small_index)
+        items = workload(engine, small_reference, pairs, len(pairs))
+        outputs = []
+        for build in (lambda: Mapper.from_reference(small_reference,
+                                                    engine=engine),
+                      lambda: Mapper.from_index(path, engine=engine)):
+            with build() as mapper:
+                results = mapper.map(items)
+                outputs.append({fmt: list(mapper.lines(results,
+                                                       format=fmt))
+                                for fmt in ("sam", "paf", "jsonl")})
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]["jsonl"]) >= len(items)
+
+    def test_index_built_with_another_seed_length_is_refused(
+            self, plain_reference, clean_pairs):
+        index = build_index(plain_reference, seed_length=32)
+        with pytest.raises(MappingConfigError) as excinfo:
+            Mapper(index, MappingConfig())
+        message = str(excinfo.value)
+        assert "seed_length 32, expected 50" in message
+        assert "filter_threshold" not in message
+        # Without a config the mapper adopts the index's fingerprint.
+        with Mapper(index) as mapper:
+            assert mapper.config.seed_length == 32
+            results = mapper.map(clean_pairs[:50])
+        assert sum(result.mapped for result in results) == 50
 
 
 #: Packages no engine imports: the variant caller.
@@ -77,7 +104,7 @@ LEAVES = ("repro.variants",)
 _MAP_AND_LIST_LEAVES = """
 import sys
 import numpy as np
-from repro.api import Mapper
+from repro.api import Mapper, MappingConfig, MappingConfigError
 from repro.genome import random_sequence
 rng = np.random.default_rng(5)
 items = [(random_sequence(rng, 150), random_sequence(rng, 150), f"p{i}")
@@ -91,13 +118,12 @@ print(" ".join(name for name in sys.modules for leaf in sys.argv[2:]
 
 
 class TestImportFootprint:
-    def test_mapping_loads_no_leaf_package(self, tmp_path, small_reference,
-                                           seedmap):
+    def test_mapping_loads_no_leaf_package(self, tmp_path, small_index):
         """``import repro.api``, open an index, map through both paired
         engines (GenPair with its mm2 fallback): none of the leaves is
         loaded."""
         path = tmp_path / "leaves.rpix"
-        save_index(path, seedmap, small_reference)
+        save_index(path, small_index)
         source = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [source] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
@@ -278,9 +304,9 @@ class TestResourceLifetime:
     (``write`` or ``lines``) a run took."""
 
     def test_close_returns_every_fd(self, tmp_path, fds_returned,
-                                    small_reference, seedmap, pairs):
+                                    small_reference, small_index, pairs):
         path = tmp_path / "fds.rpix"
-        save_index(path, seedmap, small_reference)
+        save_index(path, small_index)
         reads = long_reads(small_reference)
         with fds_returned():
             mapper = Mapper.from_index(path, batch_size=8)

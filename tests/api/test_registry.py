@@ -42,8 +42,8 @@ class TestEntryContracts:
     """What the deleted RPL301/RPL302 lint checks guaranteed."""
 
     @pytest.fixture(scope="class")
-    def facade(self, small_reference, seedmap):
-        with Mapper(small_reference, seedmap,
+    def facade(self, small_index):
+        with Mapper(small_index,
                     config=MappingConfig(full_fallback=False)) as mapper:
             yield mapper
 

@@ -33,9 +33,9 @@ def pairs(simulator):
 
 
 @pytest.fixture(scope="module")
-def index_path(tmp_path_factory, small_reference, seedmap):
+def index_path(tmp_path_factory, small_index):
     path = tmp_path_factory.mktemp("csrv") / "serve.rpix"
-    save_index(path, seedmap, small_reference)
+    save_index(path, small_index)
     return path
 
 

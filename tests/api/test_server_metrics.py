@@ -22,9 +22,9 @@ def pairs(simulator):
 
 
 @pytest.fixture(scope="module")
-def index_path(tmp_path_factory, small_reference, seedmap):
+def index_path(tmp_path_factory, small_index):
     path = tmp_path_factory.mktemp("obs_srv") / "serve.rpix"
-    save_index(path, seedmap, small_reference)
+    save_index(path, small_index)
     return path
 
 

@@ -9,9 +9,9 @@ from repro.obs import get_registry
 
 
 @pytest.fixture(scope="module")
-def index_path(tmp_path_factory, small_reference, seedmap):
+def index_path(tmp_path_factory, small_index):
     path = tmp_path_factory.mktemp("lifecycle") / "lifecycle.rpix"
-    save_index(path, seedmap, small_reference)
+    save_index(path, small_index)
     return path
 
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: a small reference, donor, simulator, and SeedMap.
+"""Shared fixtures: a small reference, donor, simulator, and index.
 
 Session-scoped so the (relatively) expensive builds happen once; tests
 must treat these as read-only.
@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro.core import SeedMap
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           plant_variants)
 from repro.genome.reference import RepeatProfile
 from repro.genome.sequence import N_CODE
+from repro.index import build_index
 
 # ``pytest --hypothesis-profile ci``: property tests that leave
 # ``max_examples`` to the profile (the DP kernel against its scalar
@@ -65,13 +65,24 @@ def clean_simulator(plain_reference):
 
 
 @pytest.fixture(scope="session")
-def seedmap(small_reference):
-    return SeedMap.build(small_reference)
+def small_index(small_reference):
+    """The :class:`~repro.index.MappingIndex` of ``small_reference``."""
+    return build_index(small_reference)
 
 
 @pytest.fixture(scope="session")
-def plain_seedmap(plain_reference):
-    return SeedMap.build(plain_reference)
+def seedmap(small_index):
+    return small_index.seedmap
+
+
+@pytest.fixture(scope="session")
+def plain_index(plain_reference):
+    return build_index(plain_reference)
+
+
+@pytest.fixture(scope="session")
+def plain_seedmap(plain_index):
+    return plain_index.seedmap
 
 
 @pytest.fixture(scope="session")

@@ -108,12 +108,6 @@ class TestStatsAndMemory:
         assert plain_seedmap.memory_bytes == \
             stats.distinct_seeds * 8 + stats.stored_locations * 5
 
-    def test_stride_reduces_index(self, plain_reference):
-        dense = SeedMap.build(plain_reference)
-        sparse = SeedMap.build(plain_reference, step=5)
-        assert sparse.stats.total_positions < \
-            dense.stats.total_positions / 4
-
     def test_empty_reference(self):
         genome = ReferenceGenome({"tiny": encode("ACGT")})
         seedmap = SeedMap.build(genome, seed_length=50)

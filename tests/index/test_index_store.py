@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import GenPairPipeline, SeedMap
+from repro.core import GenPairPipeline
 from repro.genome import generate_reference
 from repro.genome.reference import RepeatProfile
 from repro.index import (FORMAT_VERSION, IndexFormatError, MappingIndex,
-                         inspect_index, open_index, save_index)
+                         build_index, inspect_index, open_index, save_index)
 from repro.index.format import (PREAMBLE_BYTES, TABLE_COLUMNS, pack_header,
                                 read_header)
 from repro.mapper import K, MAX_OCCURRENCES, W, MinimizerIndex
@@ -21,9 +21,9 @@ TABLE_SECTIONS = [f"{table}.{column}" for table in ("seedmap", "minimizers")
 
 
 @pytest.fixture(scope="module")
-def index_path(tmp_path_factory, small_reference, seedmap):
+def index_path(tmp_path_factory, small_index):
     path = tmp_path_factory.mktemp("index") / "small.rpix"
-    save_index(path, seedmap, small_reference)
+    save_index(path, small_index)
     return path
 
 
@@ -57,7 +57,7 @@ class TestRoundTrip:
                                             small_reference, seedmap):
         index = open_index(index_path)
         assert index.fingerprint.describe() == "seed length 50, filter " \
-            "threshold 500, step 1"
+            "threshold 500"
         assert index.seedmap.stats == seedmap.stats
         assert_same_table(index.seedmap.table, seedmap.table)
         assert index.reference.names == small_reference.names
@@ -75,12 +75,6 @@ class TestRoundTrip:
         while not isinstance(base, np.memmap) and base.base is not None:
             base = base.base
         assert isinstance(base, np.memmap)
-
-    def test_in_memory_mode(self, index_path, seedmap):
-        index = open_index(index_path, mmap=False)
-        assert not isinstance(index.seedmap.location_table, np.memmap)
-        assert np.array_equal(index.seedmap.location_table,
-                              seedmap.location_table)
 
     def test_map_pairs_bit_identical(self, index_path, small_reference,
                                      seedmap, sample_pairs,
@@ -104,35 +98,41 @@ class TestRoundTrip:
     def test_format_version_recorded(self, index_path):
         index = open_index(index_path, verify=False)
         assert isinstance(index, MappingIndex)
-        assert index.meta["format_version"] == FORMAT_VERSION
+        assert index.path == str(index_path)
+        meta = inspect_index(index_path, verify=False)["meta"]
+        assert (meta["format_version"], meta["step"]) == (FORMAT_VERSION, 1)
 
-    def test_save_returns_file_size(self, tmp_path, small_reference,
-                                    seedmap):
+    def test_built_index_is_in_memory(self, small_index):
+        assert small_index.path is None
+        assert small_index.fingerprint.describe() \
+            == "seed length 50, filter threshold 500"
+
+    def test_save_returns_file_size(self, tmp_path, small_index):
         path = tmp_path / "sized.rpix"
-        written = save_index(path, seedmap, small_reference)
+        written = save_index(path, small_index)
         assert written == path.stat().st_size
 
 
 class TestMinimizerTable:
     """The file's minimizer table is the one ``MinimizerIndex.build``
-    makes from the reference, however it is opened."""
+    makes from the reference, mapped back."""
 
-    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
     @pytest.mark.parametrize("max_occurrences", [2, None],
                              ids=["filtered", "unfiltered"])
     def test_mapped_table_equals_build(self, tmp_path, small_reference,
-                                       seedmap, mmap, max_occurrences):
+                                       seedmap, max_occurrences):
         built = MinimizerIndex.build(small_reference,
                                      max_occurrences=max_occurrences)
         assert (built.stats.masked_hashes > 0) == (max_occurrences == 2)
         path = tmp_path / "minimizers.rpix"
-        save_index(path, seedmap, small_reference, built)
-        mapped = open_index(path, mmap=mmap).minimizers
+        save_index(path, MappingIndex(None, small_reference, seedmap,
+                                      built))
+        mapped = open_index(path).minimizers
         assert_same_table(mapped.table, built.table)
         assert mapped.stats == built.stats
         assert (mapped.k, mapped.w, mapped.max_occurrences) \
             == (built.k, built.w, max_occurrences)
-        assert isinstance(mapped.table.positions, np.memmap) == mmap
+        assert isinstance(mapped.table.positions, np.memmap)
 
     def test_default_table_is_the_mappers(self, index_path,
                                           small_reference):
@@ -146,33 +146,25 @@ class TestMinimizerTable:
 class TestEdgeConfigurations:
     def test_unfiltered_round_trip(self, tmp_path):
         genome = generate_reference(np.random.default_rng(3), (2_000,))
-        seedmap = SeedMap.build(genome, filter_threshold=None)
+        built = build_index(genome, filter_threshold=None)
         path = tmp_path / "nofilter.rpix"
-        save_index(path, seedmap, genome)
-        index = open_index(path, expect_filter_threshold=None)
+        save_index(path, built)
+        index = open_index(path)
+        assert index.fingerprint == built.fingerprint
         assert index.seedmap.filter_threshold is None
-        assert index.seedmap.stats == seedmap.stats
+        assert index.seedmap.stats == built.seedmap.stats
 
     def test_tiny_genome_with_empty_tables(self, tmp_path):
         genome = generate_reference(np.random.default_rng(4), (20,),
                                     repeats=None)
-        seedmap = SeedMap.build(genome)  # shorter than one seed
         path = tmp_path / "tiny.rpix"
-        save_index(path, seedmap, genome)
+        save_index(path, build_index(genome))  # shorter than one seed
         index = open_index(path)
         assert index.seedmap.location_table.size == 0
         assert index.reference.total_length == 20
         assert index.seedmap.query(123).size == 0
         assert len(index.minimizers) == 1  # 20 bases: one window
         assert index.minimizers.lookup(123).size == 0
-
-    def test_step_recorded(self, tmp_path):
-        genome = generate_reference(np.random.default_rng(5), (3_000,),
-                                    repeats=None)
-        seedmap = SeedMap.build(genome, step=5)
-        path = tmp_path / "step.rpix"
-        save_index(path, seedmap, genome)
-        assert open_index(path).seedmap.step == 5
 
 
 class TestFileBytesPinned:
@@ -197,9 +189,9 @@ class TestFileBytesPinned:
     def test_save_index_bytes(self, tmp_path, giab_reference,
                               filter_threshold, size, digest):
         path = tmp_path / "giab.rpix"
-        built = SeedMap.build(giab_reference,
-                              filter_threshold=filter_threshold)
-        assert save_index(path, built, giab_reference) == size
+        built = build_index(giab_reference,
+                            filter_threshold=filter_threshold)
+        assert save_index(path, built) == size
         assert FORMAT_VERSION == 2
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
 
@@ -321,19 +313,21 @@ class TestRejection:
         with pytest.raises(IndexFormatError, match=f"{table}.*inconsistent"):
             open_index(bad, verify=False)
 
-    def test_stale_seed_length_fingerprint(self, index_path):
-        with pytest.raises(IndexFormatError, match="fingerprint"):
-            open_index(index_path, expect_seed_length=32)
+    @pytest.mark.parametrize("step", [5, None])
+    def test_a_stride_other_than_1_is_refused(self, index_path, tmp_path,
+                                              step):
+        def stride(meta):
+            meta["step"] = step
+            if step is None:
+                del meta["step"]
 
-    def test_stale_filter_threshold_fingerprint(self, index_path):
-        with pytest.raises(IndexFormatError, match="fingerprint"):
-            open_index(index_path, expect_filter_threshold=None)
-
-    def test_matching_fingerprint_accepted(self, index_path, seedmap):
-        index = open_index(index_path,
-                           expect_seed_length=seedmap.seed_length,
-                           expect_filter_threshold=500)
-        assert index.seedmap.seed_length == seedmap.seed_length
+        bad = rewrite_header(index_path, tmp_path / "step.rpix", stride)
+        with pytest.raises(IndexFormatError) as excinfo:
+            open_index(bad, verify=False)
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert f"step {step}," in message
+        assert "`repro index build`" in message
 
 
 class TestInspect:
@@ -378,14 +372,13 @@ class TestInspect:
 class TestResourceLifetime:
     """An opened index holds its file only through the arrays it hands
     out: once the index and whatever was mapped through it are dropped,
-    every fd is released — mapped or read, verified or rejected."""
+    every fd is released — verified or rejected."""
 
-    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
     def test_dropped_index_returns_every_fd(self, index_path, simulator,
-                                            fds_returned, mmap):
+                                            fds_returned):
         pairs = simulator.simulate_pairs(8)
         with fds_returned():
-            index = open_index(index_path, mmap=mmap)
+            index = open_index(index_path)
             pipeline = GenPairPipeline(index.reference,
                                        seedmap=index.seedmap)
             results = pipeline.map_pairs(pairs)

@@ -45,10 +45,10 @@ import repro
 from repro.api import Mapper, MappingConfig
 from repro.api.engines import stats_dict
 from repro.api.registry import OUTPUT_FORMATS
-from repro.core import SeedMap
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           plant_variants, reverse_complement)
 from repro.genome.reference import RepeatProfile
+from repro.index import build_index
 
 LEDGER = Path(__file__).resolve().parent.parent / "data" / "work_ledger.json"
 SEED = 7
@@ -142,10 +142,10 @@ def digest(lines) -> str:
     return hasher.hexdigest()
 
 
-def run(reference, seedmap, items, engine, chunk_size) -> dict:
+def run(index, items, engine, chunk_size) -> dict:
     """One fresh facade mapping ``items``: the ledger entry."""
-    mapper = Mapper(reference, seedmap, config=MappingConfig(
-        engine=engine, batch_size=chunk_size))
+    mapper = Mapper(index, MappingConfig(engine=engine,
+                                         batch_size=chunk_size))
     with counting_banded() as banded:
         results = mapper.map(items)
     entry = {f"{name}_sha256": digest(mapper.lines(results, format=name))
@@ -161,17 +161,14 @@ def measure() -> dict:
     """Every ledger entry, keyed ``set/engine/chunk``."""
     giab_reference, giab_pairs = giab_set()
     clean_reference, clean_pairs = clean_set()
-    giab_seedmap = SeedMap.build(giab_reference)
-    clean_seedmap = SeedMap.build(clean_reference)
-    runs = [("giab", "genpair", giab_reference, giab_seedmap, giab_pairs),
-            ("giab", "mm2", giab_reference, giab_seedmap, giab_pairs),
-            ("clean", "genpair", clean_reference, clean_seedmap,
-             clean_pairs),
-            ("long", "longread", giab_reference, giab_seedmap,
-             long_set(giab_reference))]
-    return {f"{name}/{engine}/{chunk}": run(reference, seedmap, items,
-                                            engine, chunk)
-            for name, engine, reference, seedmap, items in runs
+    giab_index = build_index(giab_reference)
+    clean_index = build_index(clean_reference)
+    runs = [("giab", "genpair", giab_index, giab_pairs),
+            ("giab", "mm2", giab_index, giab_pairs),
+            ("clean", "genpair", clean_index, clean_pairs),
+            ("long", "longread", giab_index, long_set(giab_reference))]
+    return {f"{name}/{engine}/{chunk}": run(index, items, engine, chunk)
+            for name, engine, index, items in runs
             for chunk in CHUNK_SIZES}
 
 

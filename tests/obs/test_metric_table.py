@@ -70,12 +70,12 @@ def owner(name, kind):
 
 
 @pytest.fixture(scope="module")
-def recorded(tmp_path_factory, small_reference, seedmap, simulator):
+def recorded(tmp_path_factory, small_reference, small_index, simulator):
     """The registry snapshot after the runs, and the daemon's last
     ``stats`` reply."""
     root = tmp_path_factory.mktemp("metric_table")
     index = root / "table.rpix"
-    save_index(index, seedmap, small_reference)
+    save_index(index, small_index)
     pairs = simulator.simulate_pairs(16)
     named = [(p.read1.codes, p.read2.codes, p.name) for p in pairs]
     wire = [(decode(p.read1.codes), decode(p.read2.codes), p.name)

@@ -74,12 +74,12 @@ class TestServeFlagValidation:
     ("--coalesce-wait-ms", str(10 ** 13), "coalesce_wait_s"),
     ("--request-timeout", "1e12", "request_timeout_s")])
 def test_a_wait_the_daemon_cannot_keep_exits_2_before_serving(
-        tmp_path, capsys, small_reference, seedmap, flag, value, field):
+        tmp_path, capsys, small_index, flag, value, field):
     """A finite wait past the lock-wait limit passes argparse; the
     settings check refuses it with a one-line error, not a traceback
     (or a daemon whose every request fails), and binds no socket."""
     index = tmp_path / "i.rpix"
-    save_index(index, seedmap, small_reference)
+    save_index(index, small_index)
     code = main(["serve", "--index", str(index), "--socket",
                  str(tmp_path / "d.sock"), flag, value])
     assert code == 2

@@ -27,7 +27,6 @@ def _subparsers(parser):
 FLAG_OF_FIELD = {
     "seed_length": ("index build", "--seed-length"),
     "filter_threshold": ("map", "--filter-threshold"),
-    "step": ("index build", "--step"),
     "delta": ("map", "--delta"),
     "engine": ("map", "--engine"),
     "output_format": ("map", "--format"),
@@ -72,8 +71,7 @@ class TestConfigDriftGuard:
         fields = {spec.name for spec in dataclasses.fields(MappingConfig)}
         assert seen and set(seen) <= fields
         # Everything but the fingerprint the source fixes is passed.
-        assert fields - set(seen) <= {"seed_length", "step",
-                                      "verify_index"}
+        assert fields - set(seen) <= {"seed_length", "verify_index"}
 
 
 class TestParser:
@@ -220,6 +218,37 @@ class TestParser:
         err = capsys.readouterr().err
         assert "--batch-size" in err and "pair-by-pair" in err
         assert "1 gives the same output" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed-length", "0"), ("--seed-length", "-5"),
+        ("--filter-threshold", "0"), ("--filter-threshold", "-1")])
+    def test_index_build_rejects_out_of_range_values(self, tmp_path,
+                                                     capsys, flag, value):
+        # A bad seed length used to end in a traceback, and a bad
+        # threshold wrote an index that map and serve then refused.
+        fasta, out = tmp_path / "r.fa", tmp_path / "r.rpix"
+        fasta.write_text(">chr1\n" + "ACGT" * 100 + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["index", "build", "--reference", str(fasta),
+                  "--out", str(out), flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        error_lines = [line for line in captured.err.splitlines()
+                       if "error:" in line]
+        assert len(error_lines) == 1
+        assert f"{flag} must be >= 1, got {value}" in error_lines[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_index_build_has_no_step_flag(self, capsys):
+        # Every reference position is indexed: there is no stride.
+        argv = ["index", "build", "--reference", "r"]
+        build_parser().parse_args(argv)  # valid without the flag
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--step", "2"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "--step" in err
 
 
 class TestWorkflow:

@@ -30,7 +30,6 @@ per-engine totals with :func:`~repro.core.pipeline.merge_stats`.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
@@ -48,9 +47,9 @@ INPUT_SINGLE = "single"    # (codes, name) tuples / single-read FASTQ
 
 
 def stats_dict(stats) -> dict:
-    """A stats dataclass as plain JSON types (the wire/report form)."""
-    return {spec.name: int(getattr(stats, spec.name))
-            for spec in dataclasses.fields(stats)}
+    """A stats dataclass as plain JSON types (the wire/report form),
+    in field order: its instance dictionary holds exactly the fields."""
+    return {name: int(value) for name, value in vars(stats).items()}
 
 
 def _normalize_reads(items: Iterable, first_index: int = 0

@@ -23,8 +23,6 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..hashing.table import ragged_ranges
-
 #: Paper guidance: Δ is dataset-defined, "usually 200 to 500 bp".
 DEFAULT_DELTA = 500
 
@@ -63,7 +61,8 @@ class JointColumns(NamedTuple):
 def filter_rows(candidates: np.ndarray, bounds: np.ndarray,
                 rows: np.ndarray, delta: int = DEFAULT_DELTA,
                 allow_dovetail: int = 30, max_pairs: int = 64,
-                boundaries: Optional[np.ndarray] = None) -> JointColumns:
+                boundaries: Optional[np.ndarray] = None,
+                shifts: Optional[np.ndarray] = None) -> JointColumns:
     """The two-pointer walk over many list pairs, as array passes.
 
     Sorted list ``r`` is ``candidates[bounds[r]:bounds[r + 1]]``; list
@@ -74,22 +73,32 @@ def filter_rows(candidates: np.ndarray, bounds: np.ndarray,
     with ``boundaries`` (``ReferenceGenome.read_boundaries``) both
     starts must be on one chromosome: the linear space concatenates
     chromosomes, so a gap within Δ can cross from one to the next.
+    With ``shifts`` too, list pair ``k``'s boundaries are ``boundaries
+    - shifts[k]`` (each pair's own read length, in one call).
 
     At read-1 candidate ``x`` the walk steps read 2's pointer to ``lo``
-    (the first partner ``>= x - allow_dovetail``), then spends a cycle
-    on ``x`` and one per further partner below ``hi`` (the first ``> x
-    + delta``).  It stops when read 2 runs out or the cap is met, so it
-    costs ``j_final + i_final + Σ max(0, hi − lo − 1)`` over the
-    candidates it reached, the last scan cut where the cap falls.
+    (the first partner ``>= x - allow_dovetail``), a cycle a step, then
+    spends a cycle on ``x`` (unless read 2 ran out) and one per further
+    partner below ``hi`` (the first ``> x + delta``), the last scan cut
+    where the cap falls.  It visits candidates until the cap is met, so
+    a list pair costs the sum of what each candidate it visits costs.
     """
     if max_pairs < 1:
         raise ValueError("max_pairs must be positive")
     candidates = np.asarray(candidates, dtype=np.int64)
     bounds = np.asarray(bounds, dtype=np.int64)
     rows = np.asarray(rows, dtype=np.int64)
-    begin, start2, end2 = bounds[rows], bounds[rows + 1], bounds[rows + 2]
-    size1, size2 = start2 - begin, end2 - start2
-    pair, rank = ragged_ranges(size1)
+    begin, start2 = bounds[rows], bounds[rows + 1]
+    size1, size2 = start2 - begin, bounds[rows + 2] - start2
+    # ends[k]: the read-1 candidates of list pairs before k, so list pair
+    # k's are the flat [ends[k], ends[k + 1]); candidate x is number
+    # rank[x] of list pair pair[x], whose first is head[x].
+    ends = np.zeros(rows.size + 1, dtype=np.int64)
+    np.add.accumulate(size1, out=ends[1:])
+    pair = np.arange(rows.size).repeat(size1)
+    flat = np.arange(pair.size)
+    head = ends[pair]
+    rank = flat - head
     value = candidates[begin[pair] + rank]
     # One sorted key over every list, and one search for every bound of a
     # read-1 candidate x: lo (the first partner >= x - allow_dovetail), hi
@@ -97,44 +106,51 @@ def filter_rows(candidates: np.ndarray, bounds: np.ndarray,
     # chromosome.
     keyed = np.arange(bounds.size - 1).repeat(bounds[1:] - bounds[:-1]) \
         * _SPAN + candidates
-    boundaries = np.asarray(() if boundaries is None else boundaries,
-                            dtype=np.int64)
-    edges = np.concatenate(([-_FAR], boundaries, [_FAR]))
-    chromosome = boundaries.searchsorted(value, "right")
-    ahead, behind = value - allow_dovetail, value + delta + 1
-    targets = np.array((ahead, behind,
-                        np.maximum(ahead, edges[chromosome]),
-                        np.minimum(behind, edges[chromosome + 1])))
-    lo, hi, first, last = keyed.searchsorted(
-        (rows[pair] + 1) * _SPAN + targets) - start2[pair]
+    targets = np.empty((4, value.size), dtype=np.int64)
+    np.subtract(value, allow_dovetail, out=targets[0])
+    np.add(value, delta + 1, out=targets[1])
+    if boundaries is None:
+        targets[2:] = targets[:2]
+    else:
+        boundaries = np.asarray(boundaries, dtype=np.int64)
+        edges = np.empty(boundaries.size + 2, dtype=np.int64)
+        edges[0], edges[1:-1], edges[-1] = -_FAR, boundaries, _FAR
+        shift = 0 if shifts is None else np.asarray(shifts)[pair]
+        chromosome = boundaries.searchsorted(value + shift, "right")
+        np.maximum(targets[0], edges[chromosome] - shift, out=targets[2])
+        np.minimum(targets[1], edges[1:][chromosome] - shift,
+                   out=targets[3])
+    start2 = start2[pair]
+    targets += ((rows + 1) * _SPAN)[pair]
+    found = keyed.searchsorted(targets)
+    found -= start2
+    lo, hi, first, last = found[0], found[1], found[2], found[3]
     emitted = np.maximum(last - first, 0)
-    # What the list emitted before each candidate, and what it may add.
-    running = emitted.cumsum() - emitted
-    head = size1.cumsum() - size1
-    earlier = running - running[head[pair]]
-    take = np.minimum(np.maximum(max_pairs - earlier, 0), emitted)
-    capped = earlier + emitted >= max_pairs
-
-    def per_pair(column: np.ndarray) -> np.ndarray:
-        return np.bincount(pair, column, rows.size).astype(np.int64)
-
-    # The walk reaches candidates [0, reached): up to the one before
-    # read 2 runs out (``stop``), or the one whose scan meets the cap.
-    stop = per_pair(lo < size2[pair])
-    cap = size1 - per_pair(capped)
-    reached = np.minimum(stop, cap + 1)
-    scanned = np.where(capped, first + take - 1, np.maximum(hi - 1, lo)) \
-        - lo
-    extra = per_pair(scanned * (rank < reached[pair]))
-    last_lo = np.where(reached > 0,
-                       np.concatenate(([0], lo))[head + reached], 0)
-    j_final = np.where((stop < size1) & (stop <= cap), size2, last_lo)
-    owner, within = ragged_ranges(take)
+    # What the list emitted before each candidate leaves room for; the
+    # candidate whose scan fills it is the last one the walk visits.
+    before = np.add.accumulate(emitted) - emitted
+    room = max_pairs - (before - before[head])
+    take = np.minimum(np.maximum(room, 0), emitted)
+    # The cycles x costs, if the walk visits it: one per step of the
+    # read-2 pointer from the previous candidate's lo to x's, one for x
+    # itself unless read 2 ran out, and one per further partner it scans
+    # (up to the one that fills the room, on the candidate that does).
+    steps = lo - np.concatenate(([0], lo[:-1]))
+    steps = np.where(rank == 0, lo, steps)
+    scanned = np.where(room <= emitted, first + take - 1,
+                       np.maximum(hi - 1, lo)) - lo
+    cycles = steps + scanned + (lo < size2[pair])
+    cycles *= room > 0
+    # Emitted pairs, candidate by candidate: x's take[x] partners from
+    # start2 + first[x].
+    taken = np.zeros(take.size + 1, dtype=np.int64)
+    np.add.accumulate(take, out=taken[1:])
+    partner = (start2 + first - taken[:-1]).repeat(take)
+    partner += np.arange(partner.size)
     return JointColumns(
-        first=value[owner],
-        second=candidates[(start2[pair] + first)[owner] + within],
-        bounds=np.concatenate(([0], per_pair(take).cumsum())),
-        iterations=j_final + reached + extra)
+        first=value.repeat(take), second=candidates[partner],
+        bounds=taken[ends],
+        iterations=np.bincount(pair, cycles, rows.size).astype(np.int64))
 
 
 def filter_adjacent(candidates1: np.ndarray, candidates2: np.ndarray,

@@ -55,12 +55,11 @@ position)``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Iterator, List, NamedTuple, \
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, \
     Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 # ``align_banded`` is not called here but stays importable: perf's shim
 # test reads this copy to check that importers' copies are rebound.
@@ -71,6 +70,7 @@ from ..genome.reference import ReferenceGenome
 from ..genome.results import MappingResult
 from ..genome.sam import (METHOD_DP, METHOD_EXACT, METHOD_LIGHT,
                           AlignmentRecord, Mate, mapped_pair)
+from ..genome.sequence import window_view
 from ..obs import get_registry, span
 from .light_align import LightAligner
 from .pairfilter import DEFAULT_DELTA, JointColumns, filter_rows
@@ -182,10 +182,11 @@ def merge_stats(total, run) -> None:
     Works for any engine's stats dataclass (:class:`PipelineStats`,
     ``MapperStats``, ``LongReadStats``) as long as the fields are
     numeric: per-run counters fold into the facade's totals with it.
+    Their instance dictionaries hold exactly the fields.
     """
-    for spec in fields(run):
-        setattr(total, spec.name,
-                getattr(total, spec.name) + getattr(run, spec.name))
+    values = vars(total)
+    for name, value in vars(run).items():
+        values[name] += value
 
 
 def normalize_pairs(pairs: Iterable, first_index: int = 0
@@ -297,6 +298,7 @@ class GenPairPipeline:
         self.fallback = fallback
         self.stats = PipelineStats()
         self._window_pad = max(self.light_aligner.max_edits, CANDIDATE_PAD)
+        self._span_views: Dict[int, np.ndarray] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -367,11 +369,10 @@ class GenPairPipeline:
         with span("pair.filter_align"):
             results = self._map_resolved(items, roles, resolve)
         if timed:
-            obs.histogram("pipeline.seed_query_s").observe(probing)
-            obs.histogram("pipeline.filter_align_s").observe(
-                time.perf_counter() - start - probing)
-            obs.counter("pipeline.chunks").inc()
-            obs.counter("pipeline.pairs").inc(len(items))
+            obs.fold((("pipeline.chunks", 1), ("pipeline.pairs", len(items))),
+                     (("pipeline.seed_query_s", probing),
+                      ("pipeline.filter_align_s",
+                       time.perf_counter() - start - probing)))
         return results
 
     def _map_resolved(self, items: Sequence[Tuple[np.ndarray, np.ndarray,
@@ -396,16 +397,17 @@ class GenPairPipeline:
             return []
         lengths = np.fromiter(map(len, roles), np.int64, len(roles))
         orientation, joint = self._filter(lengths, resolve)
-        placed = (orientation >= 0).nonzero()[0]
+        # A pair is placed exactly when it has joint candidates.
+        sizes = joint.bounds[1:] - joint.bounds[:-1]
+        placed = sizes.nonzero()[0]
         ups = 4 * placed + 2 * orientation[placed]
         starts = joint.bounds[placed]
-        counts = np.minimum(joint.bounds[placed + 1] - starts,
-                            MAX_JOINT_CANDIDATES)
+        counts = np.minimum(sizes[placed], MAX_JOINT_CANDIDATES)
         perfect = (self.scheme.perfect_score(lengths[ups])
                    + self.scheme.perfect_score(lengths[ups + 1])).tolist()
         results: list = [None] * len(items)
         pending = []
-        residue = (orientation < 0).nonzero()[0].tolist()
+        residue = (sizes == 0).nonzero()[0].tolist()
         for index, number, up, start, count, top, light in zip(
                 placed.tolist(), orientation[placed].tolist(), ups.tolist(),
                 starts.tolist(), counts.tolist(), perfect,
@@ -460,53 +462,58 @@ class GenPairPipeline:
         ``-1``) and joint candidates: ``fr`` for all, ``rf`` for those it
         left empty: one ``resolve`` probe of the pairs tried (their two
         reads adjacent) and one :func:`~repro.core.pairfilter.filter_rows`
-        call per boundary array (the shorter read's) per orientation.
-        Only the orientations tried are resolved and charged."""
+        call per orientation, each pair's chromosome boundaries those of
+        its shorter read.  Only the orientations tried are resolved and
+        charged."""
         stats = self.stats
         count = len(lengths) // 4
         half = np.minimum(lengths[0::4], lengths[1::4]) // 2
         orientation = np.full(count, -1)
-        seeded = np.zeros(count, dtype=bool)
-        cycles = np.zeros(count, dtype=np.int64)
         found = []
         tried = np.arange(count)
         for number in range(len(ORIENTATIONS)):
-            up = 4 * tried + 2 * number
-            queries = resolve(np.stack((up, up + 1), axis=1).ravel())
+            # Each tried pair's two reads in this orientation, adjacent.
+            rows = (4 * tried + 2 * number).repeat(2)
+            rows[1::2] += 1
+            queries = resolve(rows)
             stats.locations_fetched += int(queries.locations_fetched.sum())
             stats.traffic_bytes += int(queries.traffic_bytes.sum())
-            hit = queries.seed_hits > 0
-            seeded[tried] |= hit[0::2] & hit[1::2]
-            groups = sorted(set(half[tried].tolist()))
-            for length in groups:
-                local = (half[tried] == length).nonzero()[0]
-                pairs = tried[local]
-                joint = filter_rows(
-                    queries.candidates, queries.bounds, 2 * local,
-                    self.config.delta,
-                    boundaries=self.reference.read_boundaries(2 * length))
-                cycles[pairs] += joint.iterations
-                sizes = joint.bounds[1:] - joint.bounds[:-1]
-                orientation[pairs[sizes > 0]] = number
-                found.append((pairs.repeat(sizes), joint))
-            tried = (orientation < 0).nonzero()[0]
+            joint = filter_rows(
+                queries.candidates, queries.bounds,
+                np.arange(0, 2 * tried.size, 2),
+                self.config.delta, boundaries=self.reference.offsets,
+                shifts=half[tried])
+            stats.filter_iterations += int(joint.iterations.sum())
+            found.append((tried, joint, queries.seed_hits))
+            sizes = joint.bounds[1:] - joint.bounds[:-1]
+            orientation[tried[sizes > 0]] = number
+            tried = tried[sizes == 0]
             if not tried.size:
                 break
         else:
-            stats.seedmap_fallback += int((~seeded[tried]).sum())
-            stats.filter_fallback += int(seeded[tried].sum())
-        stats.filter_iterations += int(cycles.sum())
+            # Seeded: both reads hit a seed in some orientation tried.
+            seeded = np.zeros(count, dtype=bool)
+            for pairs, _joint, hits in found:
+                seeded[pairs] |= (hits[0::2] > 0) & (hits[1::2] > 0)
+            seeded = seeded[tried]
+            stats.seedmap_fallback += int((~seeded).sum())
+            stats.filter_fallback += int(seeded.sum())
         if len(found) == 1:  # one call, over every pair in order
             return orientation, found[0][1]
         # A pair's joint candidates all come from the call it passed in.
-        owners, joints = zip(*found)
-        owner = np.concatenate(owners)
+        pairs, joints, _hits = zip(*found)
+        owner = np.concatenate([members.repeat(joint.bounds[1:]
+                                               - joint.bounds[:-1])
+                                for members, joint in zip(pairs, joints)])
         order = owner.argsort(kind="stable")
         return orientation, JointColumns(
             np.concatenate([joint.first for joint in joints])[order],
             np.concatenate([joint.second for joint in joints])[order],
             np.concatenate(([0], np.bincount(owner, minlength=count)
-                            .cumsum())), cycles)
+                            .cumsum())),
+            np.bincount(np.concatenate(pairs), np.concatenate(
+                [joint.iterations for joint in joints]), count)
+            .astype(np.int64))
 
     def _light_align_waves(self, roles: Sequence[np.ndarray],
                            lengths: np.ndarray, ups: np.ndarray,
@@ -525,14 +532,14 @@ class GenPairPipeline:
                 break
             self.stats.light_attempts += 2 * live.size
             at = starts[live] + wave
-            rows = np.concatenate((ups[live], ups[live] + 1))
-            hits = self._light_wave(
-                roles, rows, lengths[rows],
-                np.concatenate((joint.first[at], joint.second[at])))
+            first, second, up = joint.first[at], joint.second[at], ups[live]
+            rows = np.concatenate((up, up + 1))
+            hits = self._light_wave(roles, rows, lengths[rows],
+                                    np.concatenate((first, second)))
             done = np.zeros(live.size, dtype=bool)
             for k, number, cand1, cand2 in zip(
-                    range(live.size), live.tolist(),
-                    joint.first[at].tolist(), joint.second[at].tolist()):
+                    range(live.size), live.tolist(), first.tolist(),
+                    second.tolist()):
                 hit1, hit2 = hits[k], hits[live.size + k]
                 if hit1 is None or hit2 is None:
                     continue
@@ -547,41 +554,49 @@ class GenPairPipeline:
                     lengths: np.ndarray, candidates: np.ndarray) -> list:
         """``(hit, chromosome, window_start)`` or ``None`` per
         ``roles[rows[k]]`` at ``candidates[k]``, in one stacked
-        :meth:`LightAligner.align` call on :meth:`_window`'s windows.
-        Unless one is clamped, only the span the shifts read is passed:
-        rows of a strided view of the linear reference, gathered once."""
+        :meth:`LightAligner.align` call on the spans the shifts read:
+        the read's span and ``max_edits`` either side, cut to its
+        chromosome (a span shorter than the read can fit no shift).
+        Unless one is cut, those are rows of a strided view of the
+        linear reference (one per span, built once), gathered once."""
         reference, edits = self.reference, self.light_aligner.max_edits
-        index, low, high = reference.windows(
-            candidates, lengths, self._window_pad, self._window_pad,
-            lengths)
+        index, begin, end = reference.windows(candidates, lengths, edits,
+                                              edits, lengths)
         usable = (index >= 0).nonzero()[0]
         hits: list = [None] * len(rows)
         if not usable.size:
             return hits
-        full = (candidates - low >= edits) \
-            & (high - candidates - lengths >= edits)
-        begin = np.where(full, candidates - edits, low)[usable]
-        codes = reference.linear_codes()
-        reads = [roles[row] for row in rows[usable].tolist()]
-        length = int(lengths[usable[0]])
-        if full[usable].all() and (lengths[usable] == length).all():
-            span = length + 2 * edits
-            reads, windows = np.array(reads), as_strided(
-                codes, (codes.size - span + 1, span), codes.strides * 2,
-                writeable=False)[begin]
+        if usable.size < rows.size:
+            rows, candidates, lengths = (rows[usable], candidates[usable],
+                                         lengths[usable])
+            index, begin, end = index[usable], begin[usable], end[usable]
+        reads = [roles[row] for row in rows.tolist()]
+        length = int(lengths[0])
+        span = length + 2 * edits
+        if ((end - begin == span) & (lengths == length)).all():
+            reads, windows = np.array(reads), self._spans(span)[begin]
         else:
-            windows = [codes[start:end] for start, end in zip(
-                begin.tolist(), np.where(full, candidates + lengths + edits,
-                                         high)[usable].tolist())]
+            codes = reference.linear_codes()
+            windows = [codes[start:stop] for start, stop in zip(
+                begin.tolist(), end.tolist())]
         names = reference.names
         for row, hit, chromosome, start in zip(
                 usable.tolist(), self.light_aligner.align(
-                    reads, windows, candidates[usable] - begin),
-                index[usable].tolist(),
-                (begin - reference.offsets[index[usable]]).tolist()):
+                    reads, windows, candidates - begin),
+                index.tolist(),
+                (begin - reference.offsets[index]).tolist()):
             if hit is not None:
                 hits[row] = (hit, names[chromosome], start)
         return hits
+
+    def _spans(self, span: int) -> np.ndarray:
+        """Every ``span``-long window of the linear reference, as the rows
+        of a read-only strided view (built once per span)."""
+        view = self._span_views.get(span)
+        if view is None:
+            view = self._span_views[span] = window_view(
+                self.reference.linear_codes(), span)
+        return view
 
     def _dp_align_candidates(self, pending: Sequence[_Pending]) -> list:
         """Banded DP at the filtered candidates (cheap fallback arc): the

@@ -24,14 +24,19 @@ chain it replaced is the test oracle (``tests/oracles/core.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from ..genome.sequence import ALPHABET_SIZE
-from ..hashing import hash_reads_batch, ragged_ranges
+from ..genome.sequence import ALPHABET_SIZE, window_view
+from ..hashing import hash_reads_batch
 from .seedmap import LOCATION_ENTRY_BYTES, SEED_TABLE_ENTRY_BYTES, SeedMap
 from .seeding import SEEDS_PER_READ, seed_offsets
+
+#: :func:`query_hash_groups` keys read ``g``'s implied starts ``g *
+#: _SPAN + start``; a start lies within ``±_HALF`` of the reference.
+_SPAN, _HALF = 2 ** 40, 2 ** 39
 
 
 @dataclass(frozen=True)
@@ -109,38 +114,45 @@ def query_hash_groups(seedmap: SeedMap, hashes: np.ndarray,
     merging each read's hits with ``np.unique`` (the scalar reference in
     ``tests/oracles/core.py``).
 
-    ``hashes`` / ``offsets`` / ``groups`` are parallel per-seed arrays;
-    ``groups[i]`` assigns seed ``i`` to one of ``group_count`` reads and
-    ``group_sizes[g]`` is the number of seeds queried for group ``g``
-    (its Seed Table access count, even when a seed resolves to nothing).
+    ``hashes`` / ``offsets`` / ``groups`` are parallel per-seed arrays,
+    in any order; ``groups[i]`` assigns seed ``i`` to one of
+    ``group_count`` reads and ``group_sizes[g]`` is the number of seeds
+    queried for group ``g`` (its Seed Table access count, even when a
+    seed resolves to nothing).
     """
-    candidates = np.zeros(0, dtype=np.int64)
-    bounds = np.zeros(group_count + 1, dtype=np.int64)
-    fetched = hits = np.zeros(group_count, dtype=np.int64)
-    if hashes.size:
-        starts, ends = seedmap.query_batch(hashes)
-        counts = ends - starts
-        fetched = np.bincount(groups, weights=counts,
-                              minlength=group_count).astype(np.int64)
-        hits = np.bincount(groups[counts > 0], minlength=group_count)
-        if fetched.any():
-            # Gather every location of every seed into one flat array:
-            # seed i contributes counts[i] consecutive elements.
-            seed_index, within = ragged_ranges(counts)
-            flat = seedmap.location_table[starts[seed_index] + within]
-            candidates = flat - offsets[seed_index]
-            flat_groups = groups[seed_index]
-            order = np.lexsort((candidates, flat_groups))
-            sorted_groups = flat_groups[order]
-            candidates = candidates[order]
-            keep = np.ones(candidates.size, dtype=bool)
-            keep[1:] = ((sorted_groups[1:] != sorted_groups[:-1])
-                        | (candidates[1:] != candidates[:-1]))
-            candidates = candidates[keep]
-            bounds = np.searchsorted(sorted_groups[keep],
-                                     np.arange(group_count + 1))
+    starts, ends = seedmap.query_batch(hashes)
+    counts = ends - starts
+    fetched = np.bincount(groups, counts, group_count).astype(np.int64)
+    hits = np.bincount(groups[counts > 0], minlength=group_count)
+    # Every location of every seed in one flat array (seed i gives
+    # counts[i] consecutive ones), keyed ``group * _SPAN + implied
+    # start``: one sort orders the reads and each read's starts.
+    at = (starts - np.add.accumulate(counts) + counts).repeat(counts)
+    at += np.arange(at.size)
+    keys = (groups * _SPAN - offsets).repeat(counts)
+    keys += seedmap.location_table[at]
+    keys.sort()
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
+    # The key below every start of read g is g * _SPAN - _HALF.
+    bounds = keys.searchsorted(np.arange(-_HALF, group_count * _SPAN,
+                                         _SPAN))
+    candidates = ((keys + _HALF) & (_SPAN - 1)) - _HALF
     return QueryColumns(candidates, bounds, hits, fetched,
                         np.asarray(group_sizes, dtype=np.int64))
+
+
+@lru_cache(maxsize=64)
+def _read_offsets(length: int, seed_length: int,
+                  seeds_per_read: int) -> np.ndarray:
+    """:func:`~repro.core.seeding.seed_offsets` as a read-only array,
+    kept per read length."""
+    offsets = np.array(seed_offsets(length, seed_length, seeds_per_read),
+                       dtype=np.int64)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def resolve_reads(seedmap: SeedMap, reads: Sequence[np.ndarray],
@@ -158,26 +170,27 @@ def resolve_reads(seedmap: SeedMap, reads: Sequence[np.ndarray],
     (``N``): it cannot be an exact 2-bit match, so the read keeps its
     other seeds.
     """
-    offsets_by_length = {}
-    read_offsets = []
-    for codes in reads:
-        length = len(codes)
-        offsets = offsets_by_length.get(length)
-        if offsets is None:
-            offsets = seed_offsets(length, seed_length, seeds_per_read)
-            offsets_by_length[length] = offsets
-        read_offsets.append(offsets)
-    sizes = [len(offsets) for offsets in read_offsets]
-    flat_offsets = np.array(
-        [offset for offsets in read_offsets for offset in offsets],
-        dtype=np.int64)
-    groups = np.repeat(np.arange(len(reads)), sizes)
+    count = len(reads)
+    lengths = np.fromiter(map(len, reads), np.int64, count)
+    # Each seed's read and offset, grouped by read length: the reads of
+    # one length and their seeds are a (reads, seeds) grid.
+    distinct = set(lengths.tolist())
+    pieces = [(np.zeros(0, dtype=np.int64),) * 2]  # no reads, no seeds
+    for length in distinct:
+        offsets = _read_offsets(length, seed_length, seeds_per_read)
+        members = (np.arange(count) if len(distinct) == 1
+                   else (lengths == length).nonzero()[0])
+        grid = np.empty((members.size, offsets.size), dtype=np.int64)
+        grid[:] = offsets
+        pieces.append((members.repeat(offsets.size), grid.ravel()))
+    # At most one length: its piece (or the empty one); else them all.
+    groups, flat_offsets = (pieces[-1] if len(distinct) < 2 else
+                            map(np.concatenate, zip(*pieces)))
     hashes = np.zeros(0, dtype=np.uint64)
     if flat_offsets.size:
-        lengths = np.array([len(codes) for codes in reads], dtype=np.int64)
-        bases = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        windows = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate(reads), seed_length)[bases[groups] + flat_offsets]
+        codes = np.concatenate(reads)
+        windows = window_view(codes, seed_length)[
+            (lengths.cumsum() - lengths)[groups] + flat_offsets]
         try:
             hashes = hash_reads_batch(windows)
         except ValueError:
@@ -186,7 +199,6 @@ def resolve_reads(seedmap: SeedMap, reads: Sequence[np.ndarray],
             concrete = (windows < ALPHABET_SIZE).all(axis=1)
             flat_offsets = flat_offsets[concrete]
             groups = groups[concrete]
-            sizes = np.bincount(groups, minlength=len(reads))
             hashes = hash_reads_batch(windows[concrete])
     return query_hash_groups(seedmap, hashes, flat_offsets, groups,
-                             len(reads), sizes)
+                             count, np.bincount(groups, minlength=count))

@@ -19,7 +19,7 @@ from .reference import (ReferenceError, ReferenceGenome, RepeatProfile,
 from .results import (MappingResult, OutputFormat, ResultLineWriter,
                       line_batches, result_records)
 from .sam import (METHOD_DP, METHOD_EXACT, METHOD_LIGHT, AlignmentRecord,
-                  SamWriter, sam_header_lines, sam_lines, write_sam)
+                  SamWriter, sam_lines, write_sam)
 from .sequence import (ALPHABET_SIZE, SequenceError, decode, encode,
                        kmers, pack_2bit, random_sequence,
                        reverse_complement, unpack_2bit)
@@ -40,6 +40,6 @@ __all__ = [
     "jsonl_lines", "kmers", "line_batches", "pack_2bit", "paf_lines",
     "plant_variants", "random_sequence", "read_fasta",
     "read_fastq", "result_records", "reverse_complement",
-    "sam_header_lines", "sam_lines", "unpack_2bit",
+    "sam_lines", "unpack_2bit",
     "write_fasta", "write_fastq", "write_sam",
 ]

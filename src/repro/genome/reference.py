@@ -211,17 +211,19 @@ class ReferenceGenome:
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`window` for arrays of linear starts (and lengths):
         ``(index, low, high)``, each one's chromosome index in
-        :attr:`names` (``-1`` for ``None``) and its window's *linear*
-        ``[low, high)`` in :meth:`linear_codes`."""
+        :attr:`names` (``-1`` for ``None``, whose ``low`` and ``high``
+        mean nothing) and its window's *linear* ``[low, high)`` in
+        :meth:`linear_codes`."""
         starts = np.asarray(starts, dtype=np.int64)
         middle = starts + np.asarray(read_lengths) // 2
+        # -1 before the first chromosome, len(names) past the last.
         index = self._edges.searchsorted(middle, side="right") - 1
-        inside = (middle >= 0) & (middle < self._total)
-        index[~inside] = 0
-        low = np.maximum(self._edges[index], starts - before)
+        low = np.maximum(self._edges.take(index, mode="clip"),
+                         starts - before)
         high = np.minimum(self._edges.take(index + 1, mode="clip"),
                           starts + read_lengths + after)
-        index[~inside | (high - low < np.maximum(min_length, 0))] = -1
+        index[(index < 0) | (index >= len(self._names))
+              | (high - low < np.maximum(min_length, 0))] = -1
         return index, low, high
 
     def sequence(self, name: str) -> str:

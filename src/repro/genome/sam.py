@@ -22,7 +22,7 @@ from .cigar import Cigar
 from .reference import ReferenceGenome
 from .results import (OutputFormat, PathLike, ResultLineWriter,
                       result_records)
-from .sequence import decode
+from .sequence import decode, decode_many
 
 #: FLAG bits of a record's mate number: paired, and first or second.
 _MATE_FLAGS = {1: 64 | 1, 2: 128 | 1}
@@ -76,11 +76,17 @@ class AlignmentRecord:
         return (self.mapped and self.chromosome == chromosome
                 and self.position < end and self.reference_end > start)
 
-    def to_sam_line(self) -> str:
+    def to_sam_line(self, batch: Optional[SeqBatch] = None,
+                    index: int = 0) -> str:
         """This record's SAM line, the per-record half of :func:`sam_lines`;
-        SEQ is ``*`` without read codes or for an empty read."""
-        codes = self.read_codes
-        seq = "*" if codes is None else decode(codes) or "*"
+        SEQ is entry ``index`` of ``batch`` when given (:func:`sam_lines`
+        decodes a whole batch at once), else the record's own decoded
+        read codes; ``*`` without read codes or for an empty read."""
+        if batch is None:
+            codes = self.read_codes
+            seq = "*" if codes is None else decode(codes) or "*"
+        else:
+            seq = batch[index]
         mate_chromosome = self.mate_chromosome
         flag = _MATE_FLAGS.get(self.mate, 0)
         if not self.mapped:
@@ -146,9 +152,34 @@ def sam_lines(results: Sequence,
     """A batch of mapping results (or bare records) as SAM record lines,
     one per record: both mates of a pair, the single record of a long
     read.  ``reference`` is unused: it is the signature the three
-    formats' renderers share."""
-    return [record.to_sam_line() for result in results
-            for record in result_records(result)]
+    formats' renderers share.  The SEQ of every record is decoded with
+    one ``translate`` (:class:`SeqBatch`) and each record's
+    :meth:`~AlignmentRecord.to_sam_line` reads its slice."""
+    records = [record for result in results
+               for record in result_records(result)]
+    batch = SeqBatch([record.read_codes for record in records])
+    return [record.to_sam_line(batch, index)
+            for index, record in enumerate(records)]
+
+
+class SeqBatch:
+    """The SEQ fields of a rendering batch: every record's read codes
+    decoded with one ``translate`` (:func:`decode_many`) on the first
+    lookup, which the first record's
+    :meth:`AlignmentRecord.to_sam_line` makes — so the decode is timed
+    with the lines it renders.  Entry ``k`` is ``*`` for missing or
+    empty codes."""
+
+    __slots__ = ("codes", "seqs")
+
+    def __init__(self, codes: Sequence[Optional[np.ndarray]]) -> None:
+        self.codes = codes
+        self.seqs: Optional[List[str]] = None
+
+    def __getitem__(self, index: int) -> str:
+        if self.seqs is None:
+            self.seqs = decode_many(self.codes)
+        return self.seqs[index] or "*"
 
 
 def sam_header_lines(

@@ -23,7 +23,8 @@ mappers treat ``N`` in reads.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Union
+import itertools
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -119,10 +120,31 @@ def decode(codes: np.ndarray) -> str:
     return text.decode("ascii")
 
 
+def decode_many(arrays: Sequence[Optional[np.ndarray]]) -> List[str]:
+    """:func:`decode` of every array, with one ``translate`` of them all
+    laid end to end; ``None`` decodes to ``""`` like an empty array."""
+    present = [codes for codes in arrays if codes is not None]
+    text = decode(np.concatenate(present)) if present else ""
+    lengths = [0 if codes is None else len(codes) for codes in arrays]
+    ends = list(itertools.accumulate(lengths))
+    return [text[end - length:end] for end, length in zip(ends, lengths)]
+
+
+def window_view(codes: np.ndarray, width: int) -> np.ndarray:
+    """Every ``width``-long window of a contiguous 1-D array, as the
+    rows of a read-only 2-D view: row ``i`` is ``codes[i:i + width]``.
+    What ``sliding_window_view`` returns, built directly (it costs a
+    few microseconds of argument checks per call)."""
+    view = np.ndarray((codes.size - width + 1, width), codes.dtype, codes,
+                      0, codes.strides * 2)
+    view.flags.writeable = False
+    return view
+
+
 def complement(codes: np.ndarray) -> np.ndarray:
     """Return the base-wise complement (A<->T, C<->G); ``N`` maps to itself."""
     codes = np.asarray(codes, dtype=np.uint8)
-    out = (3 - codes).astype(np.uint8)
+    out = 3 - codes  # uint8, like codes
     out[codes == N_CODE] = N_CODE
     return out
 

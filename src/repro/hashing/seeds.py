@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..genome.sequence import ALPHABET_SIZE, SequenceError
+from ..genome.sequence import ALPHABET_SIZE, SequenceError, window_view
+from .vectorized import pack_rows_2bit, xxhash32_rows
 
 #: Seed length used throughout the paper (Observation 1 fixes 50bp).
 DEFAULT_SEED_LENGTH = 50
@@ -38,8 +39,6 @@ def hash_reads_batch(windows: np.ndarray, seed: int = 0) -> np.ndarray:
         return np.zeros(windows.shape[0], dtype=np.uint64)
     if windows.max(initial=0) >= ALPHABET_SIZE:
         raise ValueError("seed windows must be concrete bases")
-    from .vectorized import pack_rows_2bit, xxhash32_rows
-
     packed = pack_rows_2bit(windows)
     return xxhash32_rows(packed, seed=seed).astype(np.uint64)
 
@@ -63,8 +62,6 @@ def hash_reference_windows(codes: np.ndarray, seed_length: int,
         return np.zeros(0, dtype=np.uint64)
     if codes.max(initial=0) >= ALPHABET_SIZE:
         raise SequenceError("reference windows must be concrete bases")
-    from .vectorized import pack_rows_2bit, xxhash32_rows
-
-    windows = np.lib.stride_tricks.sliding_window_view(codes, seed_length)
+    windows = window_view(np.ascontiguousarray(codes), seed_length)
     packed = pack_rows_2bit(windows)
     return xxhash32_rows(packed, seed=seed).astype(np.uint64)

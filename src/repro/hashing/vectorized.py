@@ -23,19 +23,43 @@ _PRIME32_3 = 0xC2B2AE3D
 _PRIME32_4 = 0x27D4EB2F
 _PRIME32_5 = 0x165667B1
 
+#: ``np.uint32`` scalars of the constants the rounds use, built once: a
+#: round is a handful of ufunc calls on a small column, where making the
+#: scalar operands each time would be a measurable share.
+_U32 = {value: np.uint32(value) for value in (
+    _PRIME32_1, _PRIME32_2, _PRIME32_3, _PRIME32_4, _PRIME32_5,
+    *range(33))}
+
 #: The four stripe accumulators' merge rotations, one per lane column.
 _MERGE_ROTATIONS = np.array([1, 7, 12, 18], dtype=np.uint32)
 
 
-def _rotl32(values: np.ndarray, count) -> np.ndarray:
-    return (values << count) | (values >> (32 - count))
+#: ``word * _PACK_MULTIPLIER >> 18`` gathers the 2-bit codes held in the
+#: four bytes of a little-endian ``uint32`` word into its low byte: code
+#: ``i`` (bits ``8i``) lands at bit ``18 + 2i``, and no other of the
+#: sixteen partial products reaches bits 18-25 or carries into them.
+_PACK_MULTIPLIER = np.uint32(1 + (1 << 6) + (1 << 12) + (1 << 18))
+
+
+def _round(digest: np.ndarray, lane: np.ndarray, prime: int, count: int,
+           prime_after: int, scratch: np.ndarray) -> None:
+    """``digest = rotl(digest + lane * prime, count) * prime_after`` in
+    place: one XXH32 input round (``rotl``: rotate left by ``count``
+    bits)."""
+    np.multiply(lane, _U32[prime], out=scratch)
+    digest += scratch
+    np.left_shift(digest, _U32[count], out=scratch)
+    digest >>= _U32[32 - count]
+    digest |= scratch
+    digest *= _U32[prime_after]
 
 
 def xxhash32_rows(rows: np.ndarray, seed: int = 0) -> np.ndarray:
     """XXH32 of every row of a ``(count, length)`` uint8 array.
 
     Returns a ``uint32`` array of ``count`` digests, bit-identical to the
-    scalar implementation applied row by row.
+    scalar implementation applied row by row.  Every round runs in place
+    on the digest column and one scratch column.
     """
     rows = np.ascontiguousarray(rows, dtype=np.uint8)
     if rows.ndim != 2:
@@ -52,34 +76,29 @@ def xxhash32_rows(rows: np.ndarray, seed: int = 0) -> np.ndarray:
         acc[:] = [(seed + _PRIME32_1 + _PRIME32_2) & 0xFFFFFFFF,
                   (seed + _PRIME32_2) & 0xFFFFFFFF, seed,
                   (seed - _PRIME32_1) & 0xFFFFFFFF]
+        lanes = np.empty_like(acc)
         for stripe in range(stripes):
-            acc += words[:, 4 * stripe:4 * stripe + 4] * np.uint32(
-                _PRIME32_2)
-            acc = _rotl32(acc, np.uint32(13))
-            acc *= np.uint32(_PRIME32_1)
-        digest = _rotl32(acc, _MERGE_ROTATIONS).sum(axis=1,
-                                                    dtype=np.uint32)
+            _round(acc, words[:, 4 * stripe:4 * stripe + 4], _PRIME32_2,
+                   13, _PRIME32_1, lanes)
+        digest = ((acc << _MERGE_ROTATIONS)
+                  | (acc >> (32 - _MERGE_ROTATIONS))).sum(axis=1,
+                                                          dtype=np.uint32)
+        digest += np.uint32(length & 0xFFFFFFFF)
     else:
-        digest = np.full(count, (seed + _PRIME32_5) & 0xFFFFFFFF,
-                         dtype=np.uint32)
+        digest = np.empty(count, dtype=np.uint32)
+        digest.fill((seed + _PRIME32_5 + length) & 0xFFFFFFFF)
 
-    digest += np.uint32(length & 0xFFFFFFFF)
-
+    scratch = np.empty_like(digest)
     for word in range(4 * stripes, length // 4):
-        digest += words[:, word] * np.uint32(_PRIME32_3)
-        digest = _rotl32(digest, np.uint32(17))
-        digest *= np.uint32(_PRIME32_4)
-
+        _round(digest, words[:, word], _PRIME32_3, 17, _PRIME32_4, scratch)
     for index in range(length // 4 * 4, length):
-        digest += rows[:, index] * np.uint32(_PRIME32_5)
-        digest = _rotl32(digest, np.uint32(11))
-        digest *= np.uint32(_PRIME32_1)
+        _round(digest, rows[:, index], _PRIME32_5, 11, _PRIME32_1, scratch)
 
-    digest ^= digest >> np.uint32(15)
-    digest *= np.uint32(_PRIME32_2)
-    digest ^= digest >> np.uint32(13)
-    digest *= np.uint32(_PRIME32_3)
-    digest ^= digest >> np.uint32(16)
+    for shift, prime in ((15, _PRIME32_2), (13, _PRIME32_3), (16, None)):
+        np.right_shift(digest, _U32[shift], out=scratch)
+        digest ^= scratch
+        if prime is not None:
+            digest *= _U32[prime]
     return digest
 
 
@@ -88,12 +107,13 @@ def pack_rows_2bit(windows: np.ndarray) -> np.ndarray:
 
     Equivalent to :func:`repro.genome.sequence.pack_2bit` applied per row;
     the packed rows are what gets hashed, matching the hardware which hashes
-    the 2-bit wire encoding of each seed.
+    the 2-bit wire encoding of each seed.  Four codes at a time: each
+    little-endian ``uint32`` of the zero-padded rows is packed into one
+    byte with a multiply and a shift (:data:`_PACK_MULTIPLIER`).
     """
     count, seed_length = windows.shape
-    padded_len = (seed_length + 3) // 4 * 4
-    padded = np.zeros((count, padded_len), dtype=np.uint8)
+    padded = np.zeros((count, (seed_length + 3) // 4 * 4), dtype=np.uint8)
     padded[:, :seed_length] = windows
-    quads = padded.reshape(count, -1, 4)
-    return (quads[:, :, 0] | (quads[:, :, 1] << 2)
-            | (quads[:, :, 2] << 4) | (quads[:, :, 3] << 6)).astype(np.uint8)
+    quads = padded.view("<u4") * _PACK_MULTIPLIER
+    quads >>= _U32[18]
+    return quads.astype(np.uint8)

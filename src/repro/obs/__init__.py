@@ -28,23 +28,18 @@ views, ``repro map --metrics-json PATH``, and the per-request
 
 from __future__ import annotations
 
-from .metrics import (BUCKET_BOUNDS, Counter, Gauge, Histogram,
-                      MetricsRegistry, get_registry, host_metadata,
-                      metrics_enabled, set_metrics_enabled,
-                      write_metrics_json)
+from .metrics import (BUCKET_BOUNDS, Counter, Histogram, MetricsRegistry,
+                      get_registry, host_metadata, metrics_enabled,
+                      set_metrics_enabled, write_metrics_json)
 from .render import (format_seconds, render_metrics, render_top,
                      snapshot_quantile, stat_units)
-from .trace import (SpanRecord, Tracer, active_tracer, capture_trace,
-                    span)
+from .trace import active_tracer, capture_trace, span
 
 __all__ = [
     "BUCKET_BOUNDS",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SpanRecord",
-    "Tracer",
     "active_tracer",
     "capture_trace",
     "format_seconds",

@@ -406,13 +406,12 @@ class Scheduler:
         if not live:
             return
         if obs.enabled:
-            obs.histogram("serve.batch_requests").observe(len(live))
-            obs.histogram("serve.batch_items").observe(
-                sum(task.items for task in live))
             now = time.monotonic()
-            for task in live:
-                obs.histogram("serve.queue_wait_s").observe(
-                    now - task.enqueued)
+            obs.fold(observations=[
+                ("serve.batch_requests", len(live)),
+                ("serve.batch_items", sum(task.items for task in live)),
+                *(("serve.queue_wait_s", now - task.enqueued)
+                  for task in live)])
         with self._totals_lock:
             self._totals.batches += 1
             if len(live) > 1:

@@ -345,8 +345,8 @@ class MapServer:
         elapsed = time.perf_counter() - start
         obs = get_registry()
         if obs.enabled:
-            obs.counter(f"serve.requests.{op}").inc()
-            obs.histogram(f"serve.request_s.{op}").observe(elapsed)
+            obs.fold(((f"serve.requests.{op}", 1),),
+                     ((f"serve.request_s.{op}", elapsed),))
         response.setdefault("ok", True)
         response["op"] = op
         response["elapsed_s"] = round(elapsed, 6)

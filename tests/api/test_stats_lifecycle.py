@@ -83,3 +83,69 @@ class TestRunMetrics:
         run_hist = after["histograms"]["engine.genpair.run_s"]
         assert run_hist["count"] > before["histograms"].get(
             "engine.genpair.run_s", {}).get("count", 0)
+
+
+class TestOneFoldPerRun:
+    """A finished run lands in the registry in one
+    ``MetricsRegistry.fold``: ``engine.<name>.<field>`` is the sum of
+    the runs' stats, ``engine.<name>.runs`` their count, and no stats
+    field costs a ``Counter.inc`` of its own."""
+
+    @staticmethod
+    def _runs(mapper, sample_pairs):
+        pairs = _pair_items(sample_pairs)
+        reads = [(codes, name) for codes, _codes2, name in pairs]
+        return [("genpair", pairs[:7]), ("genpair", pairs[7:40]),
+                ("genpair", []), ("mm2", pairs[40:45]),
+                ("mm2", pairs[45:46]), ("longread", reads[:3]),
+                ("longread", reads[3:12])]
+
+    def test_engine_counters_are_the_summed_runs(self, mapper, sample_pairs,
+                                                 counter_deltas):
+        from repro.api.engines import stats_dict
+
+        registry = get_registry()
+        before = registry.snapshot()
+        runs, summed = {}, {}
+        for engine, items in self._runs(mapper, sample_pairs):
+            mapper.map(items, engine=engine)
+            runs[engine] = runs.get(engine, 0) + 1
+            total = summed.setdefault(engine, {})
+            for field, value in stats_dict(mapper.last_stats).items():
+                total[field] = total.get(field, 0) + value
+        deltas = counter_deltas(before, registry.snapshot(), "engine.")
+        for engine, fields in summed.items():
+            assert deltas[f"engine.{engine}.runs"] == runs[engine]
+            for field, value in fields.items():
+                assert deltas.get(f"engine.{engine}.{field}", 0) == value, \
+                    (engine, field)
+            assert set(registry.snapshot()["counters"]) >= {
+                f"engine.{engine}.{field}" for field in fields}
+
+    def test_stats_fields_cost_no_increment_of_their_own(
+            self, mapper, sample_pairs, monkeypatch):
+        from repro.obs import Counter, MetricsRegistry
+
+        increments, folds = [], []
+        real_inc, real_fold = Counter.inc, MetricsRegistry.fold
+
+        def counting_inc(self, amount=1):
+            increments.append(amount)
+            real_inc(self, amount)
+
+        def recording_fold(self, counts=(), observations=()):
+            counts, observations = list(counts), list(observations)
+            folds.append([name for name, _amount in counts])
+            real_fold(self, counts, observations)
+
+        monkeypatch.setattr(Counter, "inc", counting_inc)
+        monkeypatch.setattr(MetricsRegistry, "fold", recording_fold)
+        for engine, items in self._runs(mapper, sample_pairs):
+            del increments[:], folds[:]
+            mapper.map(items, engine=engine)
+            assert increments == [], engine
+            run_folds = [names for names in folds
+                         if f"engine.{engine}.runs" in names]
+            assert len(run_folds) == 1, engine
+            assert {f"engine.{engine}.{field}" for field in
+                    mapper.engine_stats()[engine]} <= set(run_folds[0])

@@ -140,7 +140,8 @@ def chunks(draw):
     fr read 2, rf read 1, rf read 2), with empty lists, lists of one,
     duplicate starts, read-2 starts at the ``allow_dovetail`` and
     ``delta`` edges of read-1 ones, chromosome boundaries among the
-    candidates and a ``max_pairs`` small enough to cut a scan short."""
+    candidates (moved by a per-pair shift, or not) and a ``max_pairs``
+    small enough to cut a scan short."""
     delta = draw(st.integers(0, 60))
     dovetail = draw(st.integers(0, 20))
     boundaries = draw(st.one_of(st.none(), st.lists(
@@ -162,10 +163,15 @@ def chunks(draw):
     candidates = np.array([value for values in lists for value in values],
                           dtype=np.int64)
     bounds = np.cumsum([0] + [len(values) for values in lists])
+    pairs = len(lists) // 4
+    shifts = None
+    if boundaries is not None and draw(st.booleans()):
+        shifts = np.array(draw(st.lists(st.integers(-10, 40),
+                                        min_size=pairs, max_size=pairs)))
     options = dict(delta=delta, allow_dovetail=dovetail,
                    max_pairs=draw(st.integers(1, 8)),
-                   boundaries=boundaries)
-    return candidates, bounds, len(lists) // 4, options
+                   boundaries=boundaries, shifts=shifts)
+    return candidates, bounds, pairs, options
 
 
 class TestAgainstTheWalk:
@@ -177,13 +183,18 @@ class TestAgainstTheWalk:
     @given(chunks())
     def test_chunk_equals_the_walk(self, chunk):
         candidates, bounds, pairs, options = chunk
+        shifts, boundaries = options.pop("shifts"), options["boundaries"]
         for orientation in range(2):
             rows = 4 * np.arange(pairs) + 2 * orientation
-            joint = filter_rows(candidates, bounds, rows, **options)
+            joint = filter_rows(candidates, bounds, rows, shifts=shifts,
+                                **options)
             for k, row in enumerate(rows.tolist()):
+                walked = dict(options)
+                if shifts is not None:
+                    walked["boundaries"] = boundaries - shifts[k]
                 want = oracle.filter_walk(
                     candidates[bounds[row]:bounds[row + 1]],
-                    candidates[bounds[row + 1]:bounds[row + 2]], **options)
+                    candidates[bounds[row + 1]:bounds[row + 2]], **walked)
                 got = slice(joint.bounds[k], joint.bounds[k + 1])
                 assert tuple(zip(joint.first[got].tolist(),
                                  joint.second[got].tolist())) == want.pairs
@@ -191,7 +202,7 @@ class TestAgainstTheWalk:
                 assert filter_adjacent(
                     candidates[bounds[row]:bounds[row + 1]],
                     candidates[bounds[row + 1]:bounds[row + 2]],
-                    **options) == want
+                    **walked) == want
 
     def test_a_chunk_without_candidates(self):
         joint = filter_rows(np.zeros(0, dtype=np.int64), np.zeros(9),

@@ -1,10 +1,14 @@
 """Unit tests for SAM-like records."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.genome import (AlignmentRecord, Cigar, MappingResult, SamWriter,
-                          encode, sam_lines, write_sam)
+                          SequenceError, encode, sam_lines, write_sam)
 from repro.genome.sam import METHOD_LIGHT
+from repro.genome.sequence import N_CODE
 
 
 class TestAlignmentRecord:
@@ -126,3 +130,52 @@ class TestSamWriter:
                 if not line.startswith("@")]
         assert body == [f"p{i}/{mate}" for i in range(5)
                         for mate in (1, 2)]
+
+
+@st.composite
+def read_codes(draw):
+    """A record's ``read_codes``: ``None``, empty, a plain read, one
+    holding ``N``, or a negative-stride view (a strand ``-`` read)."""
+    kind = draw(st.sampled_from(("none", "empty", "plain", "n", "view")))
+    if kind == "none":
+        return None
+    if kind == "empty":
+        return np.zeros(0, dtype=np.uint8)
+    codes = np.array(draw(st.lists(st.integers(0, 3), min_size=1,
+                                   max_size=40)), dtype=np.uint8)
+    if kind == "n":
+        codes[draw(st.integers(0, codes.size - 1))] = N_CODE
+    if kind == "view":
+        codes = np.concatenate((codes, codes))[::-2]
+    return codes
+
+
+class TestBatchDecode:
+    """``sam_lines`` decodes a batch's SEQ in one ``translate``; every
+    line is the record's own ``to_sam_line()``, which decodes its SEQ
+    by itself."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.lists(read_codes(), min_size=1, max_size=2),
+                    max_size=6))
+    def test_lines_equal_per_record_decode(self, groups):
+        results = [MappingResult(f"p{index}", tuple(
+            AlignmentRecord(f"p{index}/{mate}", "chr1", 10 * mate,
+                            strand="-" if mate == 2 else "+",
+                            cigar=Cigar.parse("4="), read_codes=codes,
+                            mate=mate)
+            for mate, codes in enumerate(group, start=1)))
+            for index, group in enumerate(groups)]
+        assert sam_lines(results) == [record.to_sam_line()
+                                      for result in results
+                                      for record in result.records]
+
+    def test_out_of_alphabet_code_raises_the_same_error(self):
+        bad = AlignmentRecord("r", read_codes=np.array([0, 7, 1],
+                                                        dtype=np.uint8))
+        good = AlignmentRecord("g", read_codes=encode("ACGT"))
+        with pytest.raises(SequenceError) as single:
+            bad.to_sam_line()
+        with pytest.raises(SequenceError) as batch:
+            sam_lines([good, bad])
+        assert str(batch.value) == str(single.value)

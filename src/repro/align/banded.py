@@ -12,15 +12,16 @@ recurrence, the prefix-max scan, the plane types and the derived
 traceback).  A row costs it a fixed number of numpy calls however many
 problems it sweeps, so the cost of a problem falls with the stack it
 rides in until the planes leave the cache.  Measured for the 150 x
-33-cell band of a chain or candidate alignment with int32 planes, ms per
-problem on one CPU: 2.27 alone, 1.54 at B=2, 0.46 at B=8, 0.28 at B=16,
-0.21 at B=32, 0.17 at B=64, 0.14 at B=128 — and no better beyond, at
-~120 KB of transient planes per problem (~66 KB in int16).
+33-cell band of a chain or candidate alignment with int16 planes, ms per
+problem on one CPU of a 2-vCPU x86-64 host (medians): 1.08 alone, 0.75
+at B=2, 0.30 at B=8, 0.23 at B=16, 0.14 at B=32, 0.066 at B=64, 0.063
+at B=128 — and no better beyond, at ~52 KB of transient planes per
+problem (~93 KB in int32).
 :func:`align_banded` takes one problem (1-D arrays) or a stack of equal
 shape (2-D) and is the only way into the kernel.
 
 :func:`align_problems` is how the mappers call it: every problem of a
-chunk or wave at once, in as few sweeps as the shapes allow.
+chunk or rescue wave at once, in as few sweeps as the shapes allow.
 
 * *The cut.*  A band that lies inside its window (diagonals ``d - w`` to
   ``d + w`` of an ``n``-base read, ``0 <= d - w`` and ``d + w + n <=

@@ -20,7 +20,13 @@ With ``open = gap_open + gap_extend``, ``ext = gap_extend``::
 a row's interpreter cost is paid once per stack.  In band coordinates
 (column ``c`` of row ``i`` is matrix column ``i + shift + c``) the diagonal
 and ``F`` terms are slices of the previous row, and storage is
-``(n + 1) x (diagonals + 2) x B`` whatever the window.
+``(n + 1) x (diagonals + 2) x B`` whatever the window.  Every row runs to
+the band's last column, past column ``m`` where the band outruns the
+window: a cell there feeds only cells right of ``m``, never a matrix cell
+or its traceback bits.  So rows differ only where column 0 clips their
+start, and each run of rows that start alike is sliced once per plane
+into 3-D views that the row loop walks in step (``zip`` along axis 0):
+a row pays for its ufunc calls, not for cutting views.
 
 *E as a scan.*  Unrolled, ``E[j] = max_{k<j}(H[k] - open - ext*(j-1-k))``.
 Opening from a cell whose ``H`` came from ``E`` never beats extending that
@@ -46,8 +52,9 @@ whole-window rescue band), int64 beyond.  A sentinel-derived value stays
 below every real score and above the type's minimum, so the type never
 shows in a result; int16 halves the planes' bytes, and so doubles the
 problems one sweep holds at the same memory.  The substitution plane is
-the equality plane scaled in place, and each pointer bit is one
-comparison into a reused bool plane, scaled to its bit in place.
+the equality plane scaled in place, and after the sweep holds the
+diagonal sums; each pointer bit is one comparison into a reused bool
+plane, scaled to its bit in place.
 
 *Traceback on demand.*  A sweep returns each result's score, end cell and
 ``cells`` at once, and frees ``H``/``E``/``F``; only the uint8 pointer
@@ -183,9 +190,10 @@ class AlignmentResult:
 def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
                 diagonal: int, bandwidth: int) -> List[AlignmentResult]:
     """Banded Gotoh of ``(B, n)`` reads in ``(B, m)`` windows (method:
-    module docstring).  Row ``i`` computes columns ``max(1, i + diagonal -
-    bandwidth)`` to ``min(m, i + diagonal + bandwidth)``; an alignment
-    ends in the leftmost best of the last row's cells."""
+    module docstring).  Row ``i``'s cells, the ones ``cells`` counts, are
+    columns ``max(1, i + diagonal - bandwidth)`` to ``min(m, i + diagonal
+    + bandwidth)``; an alignment ends in the leftmost best of the last
+    row's cells."""
     stack, n = reads.shape
     m = refs.shape[1]
     if n == 0:
@@ -203,7 +211,6 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
     low, width = _band_span(n, m, diagonal, bandwidth)
     shift = low - 1
     firsts = (lo - rows - shift).tolist()
-    stops = (hi - rows - shift + 1).tolist()
     gap_open, extend = scheme.gap_open, scheme.gap_extend
     dtype, sentinel = _plane_type(n, m, width, scheme)
     # Stack innermost: a row's band is one contiguous block.
@@ -231,25 +238,34 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
 
     ramp = (extend * np.arange(width, dtype=dtype))[:, None]
     open_ramp = ramp + (gap_open + extend)
-    for i in range(1, n + 1):
-        a, z = firsts[i - 1], stops[i - 1]
-        h_prev, h_row = h_all[i - 1], h_all[i]
-        f = f_all[i, a:z]
-        np.subtract(h_prev[a + 1:z + 1], gap_open, out=f)
-        np.maximum(f, f_all[i - 1, a + 1:z + 1], out=f)
-        f -= extend
-        h = h_row[a:z]  # holds G = max(diag, F) until E is known
-        np.add(h_prev[a:z], substitution[i - 1, a - 1:z - 1], out=h)
-        np.maximum(h, f, out=h)
-        e = e_all[i, a:z]
-        np.add(h_row[a - 1:z - 1], ramp[:z - a], out=e)
-        np.maximum.accumulate(e, axis=0, out=e)
-        e -= open_ramp[:z - a]
-        np.maximum(h, e, out=h)
+    # Rows run to the band's last column, z - 1 (module docstring).  The
+    # gap costs are scalars of the plane type: a Python int would cost
+    # each ufunc call a conversion.
+    row_open, row_extend = dtype(gap_open), dtype(extend)
+    z = width + 1
+    for top, end in _runs(firsts):
+        a = firsts[top - 1]
+        gaps, opens = ramp[:z - a], open_ramp[:z - a]
+        for f, f_up, h_up, h_up_right, sub, h, h_left, e in zip(
+                f_all[top:end, a:z], f_all[top - 1:end - 1, a + 1:z + 1],
+                h_all[top - 1:end - 1, a:z],
+                h_all[top - 1:end - 1, a + 1:z + 1],
+                substitution[top - 1:end - 1, a - 1:z - 1],
+                h_all[top:end, a:z], h_all[top:end, a - 1:z - 1],
+                e_all[top:end, a:z]):
+            np.subtract(h_up_right, row_open, out=f)
+            np.maximum(f, f_up, out=f)
+            f -= row_extend
+            np.add(h_up, sub, out=h)  # G = max(diag, F) until E is known
+            np.maximum(h, f, out=h)
+            np.add(h_left, gaps, out=e)
+            np.maximum.accumulate(e, axis=0, out=e)
+            e -= opens
+            np.maximum(h, e, out=h)
 
     # Traceback bits, rows 1..n; H - (gap_open + ext) >= X - ext opens.
     band = h_all[1:, 1:width + 1]
-    diag = h_all[:-1, 1:width + 1] + substitution
+    diag = np.add(h_all[:-1, 1:width + 1], substitution, out=substitution)
     e = e_all[1:, 1:width + 1]
     codes = np.empty((n, width, stack), dtype=np.uint8)
     np.greater(e, diag, out=codes.view(bool))  # _H_FROM_E is 1
@@ -262,9 +278,10 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
     _set_bit(codes, np.less(diag, e_all[1:, :width], out=flag), _E_EXTENDS)
     np.subtract(h_all[:-1, 2:], gap_open, out=diag)
     _set_bit(codes, np.less(diag, f_all[:-1, 2:], out=flag), _F_EXTENDS)
-    # The leftmost best cell of the last row.
+    # The leftmost best of the last row's cells (columns up to m).
     first = firsts[-1] - 1
-    end_cols = band[-1, first:stops[-1] - 1].argmax(axis=0) + first
+    end_cols = band[-1, first:int(hi[-1]) - n - shift].argmax(axis=0) \
+        + first
     scores = band[-1, end_cols, np.arange(stack)].tolist()
     pointers = _Pointers(codes, width)
     results = []
@@ -273,6 +290,18 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
         results.append(AlignmentResult._traced(
             score, end_j, cells, (pointers, b, end_j, end_c)))
     return results
+
+
+def _runs(firsts: List[int]) -> List[Tuple[int, int]]:
+    """``(top, end)`` of each run of consecutive rows ``top..end - 1``
+    (1-based) whose first band columns are equal."""
+    runs, top = [], 1
+    for row in range(1, len(firsts)):
+        if firsts[row] != firsts[row - 1]:
+            runs.append((top, row + 1))
+            top = row + 1
+    runs.append((top, len(firsts) + 1))
+    return runs
 
 
 def _set_bit(codes: np.ndarray, flag: np.ndarray, bit: int) -> None:
@@ -305,8 +334,12 @@ def _plane_type(n: int, m: int, width: int, scheme: ScoringScheme
 def plane_bytes(n: int, m: int, diagonal: int, bandwidth: int,
                 scheme: ScoringScheme) -> int:
     """Bytes of the planes one problem adds to a :func:`gotoh_stack`
-    sweep at its peak: ``H``/``E``/``F``, substitution and one diagonal
-    temporary in the plane type, the bool and pointer planes."""
+    sweep, as the sweep budget counts them: ``H``/``E``/``F`` and
+    substitution (which then holds the diagonal sums) in the plane type,
+    the bool and pointer planes, and one more plane-type plane.  That
+    last plane is margin, not memory the sweep takes: the sweep sizes
+    of :data:`~repro.align.banded.STACK_BYTE_BUDGET` were measured with
+    it counted."""
     _low, width = _band_span(n, m, diagonal, bandwidth)
     width = max(width, 1)
     itemsize = np.dtype(_plane_type(n, m, width, scheme)[0]).itemsize

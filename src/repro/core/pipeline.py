@@ -24,13 +24,18 @@ against the array-backed SeedMap in one ``searchsorted`` probe and merged
 into one flat sorted candidate array with per-read bounds, a
 :class:`~repro.core.query.QueryColumns` (:func:`repro.core.query.resolve_reads`,
 the front-end the long-read mode shares); paired-adjacency filtering runs
-over each in one pass, and light alignment in waves of one stacked
-:meth:`LightAligner.align` call; the pairs
-light alignment cannot settle meet again in two
-chunk-wide candidate-DP waves (read 1 at every candidate, read 2 where
-read 1 survived: one :func:`~repro.align.banded.align_problems` call per
-wave, which cuts each band to its span and sweeps each distinct problem
-once), and the chunk's residue goes to the fallback mapper's ``map_pairs`` in one call.
+over each in one pass, and light alignment in one stacked
+:meth:`LightAligner.align` call over every joint candidate of the chunk,
+each pair then replaying the candidate-by-candidate rule on the results;
+the pairs light alignment cannot settle meet again in one chunk-wide
+candidate-DP call (both reads at every candidate: one
+:func:`~repro.align.banded.align_problems` call, which cuts each band to
+its span and sweeps each distinct problem once), and the chunk's residue
+goes to the fallback mapper's ``map_pairs`` in one call.  Both stacked
+calls align some attempts the candidate-by-candidate rule would have
+skipped (after a pair's perfect candidate; read 2 where read 1 failed),
+which costs less than a kernel call per round; the counters charge only
+the attempts and cells the rule makes.
 Candidate DP picks each pair's winner by score alone; a hit carries its
 window's start, and only the two winning hits of a pair walk their
 tracebacks (for the position and CIGAR of the records).
@@ -45,8 +50,8 @@ tested against lives in ``tests/oracles/core.py``.
 Coordinates: candidates are *linear* implied read starts up to and
 including the adjacency filter, whose chromosome boundaries are
 :meth:`~repro.genome.ReferenceGenome.read_boundaries`; from the windows
-on — :meth:`~repro.genome.ReferenceGenome.windows` for a light-alignment
-wave, :meth:`GenPairPipeline._window` (one
+on — :meth:`~repro.genome.ReferenceGenome.windows` for light
+alignment, :meth:`GenPairPipeline._window` (one
 :meth:`~repro.genome.ReferenceGenome.window` call) for candidate DP —
 light alignment, candidate DP and the records speak ``(chromosome,
 position)``.
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, \
     Optional, Sequence, Tuple
 
@@ -386,7 +392,7 @@ class GenPairPipeline:
         role rows it is given.
 
         Filtering (:meth:`_filter`) and light alignment
-        (:meth:`_light_align_waves`) settle most pairs.  The pairs left
+        (:meth:`_light_align`) settle most pairs.  The pairs left
         with candidates but no light alignment get candidate DP together
         (:meth:`_dp_align_candidates`), and what neither places goes on
         together too (:meth:`_fall_back`).
@@ -411,8 +417,8 @@ class GenPairPipeline:
         for index, number, up, start, count, top, light in zip(
                 placed.tolist(), orientation[placed].tolist(), ups.tolist(),
                 starts.tolist(), counts.tolist(), perfect,
-                self._light_align_waves(roles, lengths, ups, perfect, joint,
-                                        starts, counts)):
+                self._light_align(roles, lengths, ups, perfect, joint,
+                                  starts, counts)):
             direction = ORIENTATIONS[number]
             if light is None:
                 pending.append((index, _Pending(
@@ -515,43 +521,53 @@ class GenPairPipeline:
                 [joint.iterations for joint in joints]), count)
             .astype(np.int64))
 
-    def _light_align_waves(self, roles: Sequence[np.ndarray],
-                           lengths: np.ndarray, ups: np.ndarray,
-                           perfect: List[int], joint: JointColumns,
-                           starts: np.ndarray, counts: np.ndarray) -> list:
+    def _light_align(self, roles: Sequence[np.ndarray], lengths: np.ndarray,
+                     ups: np.ndarray, perfect: List[int], joint: JointColumns,
+                     starts: np.ndarray, counts: np.ndarray) -> list:
         """Each placed pair's best light joint hit or ``None`` (reads
         ``roles[ups[k]:ups[k] + 2]``; the ``counts[k]`` joint candidates
-        from ``starts[k]``): wave ``w`` aligns every open pair at its
-        ``w``-th, and a pair closes at ``perfect[k]``.  The first of
-        equal scores wins."""
-        best: list = [None] * len(ups)
-        live = np.arange(len(ups))
-        for wave in range(MAX_JOINT_CANDIDATES):
-            live = live[counts[live] > wave]
-            if not live.size:
-                break
-            self.stats.light_attempts += 2 * live.size
-            at = starts[live] + wave
-            first, second, up = joint.first[at], joint.second[at], ups[live]
-            rows = np.concatenate((up, up + 1))
-            hits = self._light_wave(roles, rows, lengths[rows],
-                                    np.concatenate((first, second)))
-            done = np.zeros(live.size, dtype=bool)
-            for k, number, cand1, cand2 in zip(
-                    range(live.size), live.tolist(), first.tolist(),
-                    second.tolist()):
-                hit1, hit2 = hits[k], hits[live.size + k]
+        from ``starts[k]``).  Both reads of every pair at every candidate
+        go in one :meth:`_light_stack` call; then each pair walks its
+        candidates in order: a strictly better score replaces the best
+        (the first of equal scores wins), and the pair stops at
+        ``perfect[k]``.  ``light_attempts`` charges only the attempts up
+        to that stop."""
+        total = int(counts.sum())
+        if not total:
+            return []
+        # at[t]: the joint row of flat attempt t, pair by pair.
+        at = np.arange(total) + (starts - (counts.cumsum() - counts)) \
+            .repeat(counts)
+        first, second = joint.first[at], joint.second[at]
+        up = ups.repeat(counts)
+        rows = np.concatenate((up, up + 1))
+        hits = self._light_stack(roles, rows, lengths[rows],
+                                 np.concatenate((first, second)))
+        # One pass over the flat attempts, pair by pair; ``count`` ends as
+        # the pair's attempts after its stop, and ``total`` as the
+        # attempts made.
+        attempt = zip(first.tolist(), second.tolist(), hits, hits[total:])
+        best: list = []
+        for count, top in zip(counts.tolist(), perfect):
+            found = None
+            for cand1, cand2, hit1, hit2 in islice(attempt, count):
+                count -= 1
                 if hit1 is None or hit2 is None:
                     continue
                 score = hit1[0].score + hit2[0].score
-                if best[number] is None or score > best[number][0]:
-                    best[number] = (score, (cand1, cand2, hit1, hit2))
-                done[k] = score == perfect[number]
-            live = live[~done]
-        return [None if found is None else found[1] for found in best]
+                if found is None or score > bar:
+                    found, bar = (cand1, cand2, hit1, hit2), score
+                if score == top:
+                    break
+            if count:
+                total -= count
+                next(islice(attempt, count - 1, None), None)
+            best.append(found)
+        self.stats.light_attempts += 2 * total
+        return best
 
-    def _light_wave(self, roles: Sequence[np.ndarray], rows: np.ndarray,
-                    lengths: np.ndarray, candidates: np.ndarray) -> list:
+    def _light_stack(self, roles: Sequence[np.ndarray], rows: np.ndarray,
+                     lengths: np.ndarray, candidates: np.ndarray) -> list:
         """``(hit, chromosome, window_start)`` or ``None`` per
         ``roles[rows[k]]`` at ``candidates[k]``, in one stacked
         :meth:`LightAligner.align` call on the spans the shifts read:
@@ -602,38 +618,44 @@ class GenPairPipeline:
         """Banded DP at the filtered candidates (cheap fallback arc): the
         best joint hit or ``None`` per pending pair, in order.
 
-        Two chunk-wide waves: read 1 of every pair at every candidate,
-        then read 2 where read 1 survived — the same problems, and so
-        the same ``dp_cells_candidate``, as one candidate at a time.
+        One chunk-wide call aligns both reads of every pair at every
+        candidate; ``dp_cells_candidate`` charges read 2's cells only
+        where read 1 survived, as one candidate at a time would.
         """
         first = [(number, pair) for number, work in enumerate(pending)
                  for pair in work.candidates]
-        hits1 = self._dp_at([(pending[number].oriented1, cand1)
-                             for number, (cand1, _cand2) in first])
-        survivors = [(number, pair, hit1)
-                     for (number, pair), hit1 in zip(first, hits1)
-                     if hit1 is not None]
-        hits2 = self._dp_at([(pending[number].oriented2, cand2)
-                             for number, (_cand1, cand2), _hit1
-                             in survivors])
+        hits = self._dp_at(
+            [(pending[number].oriented1, cand1)
+             for number, (cand1, _cand2) in first]
+            + [(pending[number].oriented2, cand2)
+               for number, (_cand1, cand2) in first])
         # The joint score a pair's next hit must beat: just under its
         # acceptance floor, then its best so far (the first of equals).
         bar = [int(MIN_DP_SCORE_FRACTION * work.perfect) - 1
                for work in pending]
         best: list = [None] * len(pending)
-        for (number, (cand1, cand2), hit1), hit2 in zip(survivors, hits2):
+        cells = 0
+        for (number, (cand1, cand2)), (hit1, cells1), (hit2, cells2) in zip(
+                first, hits, hits[len(first):]):
+            cells += cells1
+            if hit1 is None:
+                continue
+            cells += cells2
             if hit2 is None:
                 continue
             score = hit1[0].score + hit2[0].score
             if score > bar[number]:
                 bar[number] = score
                 best[number] = (cand1, cand2, hit1, hit2)
+        self.stats.dp_cells_candidate += cells
         return best
 
     def _dp_at(self, problems: Sequence[Tuple[np.ndarray, int]]) -> list:
-        """Banded DP of each ``(read, candidate)``: a hit or ``None``
-        per problem, in order.  A hit carries its window's start, not
-        its position: only the winners' tracebacks are ever walked."""
+        """Banded DP of each ``(read, candidate)`` in one
+        :func:`~repro.align.banded.align_problems` call: ``(hit or None,
+        cells)`` per problem, in order (no window: no cells).  A hit
+        carries its window's start, not its position: only the winners'
+        tracebacks are ever walked."""
         contexts = [self._window(candidate, len(codes))
                     for codes, candidate in problems]
         results = align_problems(
@@ -641,14 +663,14 @@ class GenPairPipeline:
              (codes, ctx[0], ctx[3], CANDIDATE_BANDWIDTH)
              for (codes, _candidate), ctx in zip(problems, contexts)],
             self.scheme)
-        hits: list = [None] * len(contexts)
-        for k, result in enumerate(results):
+        hits: list = []
+        for result, ctx in zip(results, contexts):
             if result is None:
-                continue
-            self.stats.dp_cells_candidate += result.cells
-            if result.score >= 0:
-                _, chromosome, window_start, _ = contexts[k]
-                hits[k] = (result, chromosome, window_start)
+                hits.append((None, 0))
+            elif result.score >= 0:
+                hits.append(((result, ctx[1], ctx[2]), result.cells))
+            else:
+                hits.append((None, result.cells))
         return hits
 
     def _build_result(self, name: str, stage: str, orientation: str,

@@ -224,7 +224,7 @@ class _RescueSearch:
 
     *The first band.*  :data:`RESCUE_BAND` = 16 is the band of every
     chain alignment (:data:`BANDWIDTH`): a 150 x 33-cell
-    problem that costs ~0.28 ms in a stack of 16 against ~4 ms for the
+    problem that costs ~0.23 ms in a stack of 16 against ~3.8 ms for the
     whole 150 x 1150 window alone, and wide enough to hold every hot
     window of a mate drifting up to 16 diagonals (``P <= 44``, every
     Table 1 profile) around the most-voted diagonal.

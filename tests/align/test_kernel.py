@@ -106,6 +106,75 @@ class TestKernelEqualsOracle:
         assert got.score <= -(2 ** 28)
 
 
+def mutated(rng, piece, every):
+    """``piece`` with a mismatch every ``every`` bases, 3 bases deleted
+    and 2 inserted."""
+    read = piece.copy()
+    read[::every] = (read[::every] + 1) % 4
+    read = np.delete(read, slice(40, 43))
+    return np.insert(read, 90, rng.integers(0, 4, 2).astype(np.uint8))
+
+
+class TestMapperScale:
+    """150-base reads, stacked, against the scalar loop: the hypothesis
+    draw above stops at 24 bases, short of the shapes the mappers
+    sweep."""
+
+    def test_whole_window_band_clipped_at_both_ends(self):
+        """The whole-window rescue band (diagonal ``m // 2``, half-width
+        ``m // 2 + 8``): column 0 clips its first rows and column ``m``
+        every row, so each row's first and last band columns move;
+        reads hang off either end of the window, carry edits, or
+        mismatch everywhere."""
+        rng = np.random.default_rng(47)
+        m, n = 260, 150
+        diagonal, bandwidth = m // 2, m // 2 + 8
+        rows = np.arange(1, n + 1)
+        lo = np.maximum(1, rows + diagonal - bandwidth)
+        hi = np.minimum(m, rows + diagonal + bandwidth)
+        assert len(set((lo - rows).tolist())) > 1
+        assert len(set((hi - rows).tolist())) > 1
+        windows = rng.integers(0, 4, (5, m)).astype(np.uint8)
+        windows[3] = 1
+        reads = np.stack([
+            np.concatenate([rng.integers(0, 4, 6).astype(np.uint8),
+                            windows[0, :144]]),
+            np.concatenate([windows[1, m - 141:],
+                            rng.integers(0, 4, 9).astype(np.uint8)]),
+            mutated(rng, windows[2, 60:211], 29),
+            np.zeros(n, np.uint8),
+            rng.integers(0, 4, n).astype(np.uint8)])
+        got = align_banded(reads, windows, diagonal=diagonal,
+                           bandwidth=bandwidth)
+        want = oracle.align_banded(reads, windows, diagonal=diagonal,
+                                   bandwidth=bandwidth)
+        assert [signature(result) for result in got] \
+            == [signature(result) for result in want]
+
+    def test_cut_band(self, sweeps):
+        """Candidate-DP problems (a 16-diagonal band at diagonal 24 of a
+        198-base window) go through :func:`align_problems` cut to the
+        band's span, in one stacked sweep; each equals the scalar loop
+        on its whole window, read drifting to either band edge
+        included."""
+        rng = np.random.default_rng(48)
+        problems = []
+        for start, every in ((24, 31), (8, 0), (40, 0), (20, 17), (30, 0)):
+            window = rng.integers(0, 4, 198).astype(np.uint8)
+            piece = window[start:start + 151]
+            read = mutated(rng, piece, every) if every else piece[:150]
+            problems.append((read, window, 24, 16))
+        problems.append((rng.integers(0, 4, 150).astype(np.uint8),
+                         rng.integers(0, 4, 198).astype(np.uint8), 24, 16))
+        results = align_problems(problems)
+        assert [len(reads) for reads, *_ in sweeps] == [len(problems)]
+        assert sweeps[0][1].shape[1] < 198  # cut
+        for (read, window, diagonal, bandwidth), result in zip(problems,
+                                                               results):
+            assert signature(result) == signature(oracle.align_banded(
+                read, window, diagonal=diagonal, bandwidth=bandwidth))
+
+
 def plane_type(read, window, diagonal, bandwidth, scheme):
     """The plane type the kernel picks for a problem."""
     n, m = len(read), len(window)

@@ -329,21 +329,19 @@ class TestChunkSizeEquivalence:
 
 class TestCandidateDpWaves:
     """Candidate DP is chunk-wide: the pairs light alignment leaves meet
-    in two waves (read 1 at every candidate, read 2 where read 1
-    survived), one kernel sweep per cut shape and wave."""
+    in one :func:`~repro.align.banded.align_problems` call (both reads at
+    every candidate), one kernel sweep per cut shape.  Read 2's cells
+    are charged only where read 1 survived: ``TestCandidateDpCells`` in
+    ``test_pipeline_edges.py`` and the work ledger pin that."""
 
     def test_one_sweep_per_shape_and_wave(self, small_reference, seedmap,
-                                          giab_items, banded_calls):
-        def totals():
-            problems = {}
-            for shape, size in banded_calls:
-                problems[shape] = problems.get(shape, 0) + size
-            return problems
-
+                                          giab_items, banded_calls,
+                                          result_signature):
         items = giab_items[:64]
-        GenPairPipeline(small_reference, seedmap=seedmap).map_pairs(
-            items, chunk_size=1)
-        pair_calls, pair_problems = len(banded_calls), totals()
+        alone = GenPairPipeline(small_reference, seedmap=seedmap)
+        want = list(map(result_signature,
+                        alone.map_pairs(items, chunk_size=1)))
+        pair_calls = len(banded_calls)
         banded_calls.clear()
 
         pipeline = GenPairPipeline(small_reference, seedmap=seedmap)
@@ -357,14 +355,16 @@ class TestCandidateDpWaves:
             return hits
 
         pipeline._dp_at = wave
-        pipeline.map_pairs(items, chunk_size=64)
+        got = list(map(result_signature,
+                       pipeline.map_pairs(items, chunk_size=64)))
         assert pipeline.stats.light_fallback > 5
-        assert totals() == pair_problems  # the same problems
-        assert len(waves) == 2
-        for calls in waves:
-            shapes = [shape for shape, _size in calls]
-            assert len(set(shapes)) == len(shapes)  # one sweep a shape
-            assert None not in [size for _shape, size in calls]
+        assert got == want
+        assert pipeline.stats.dp_cells_candidate == \
+            alone.stats.dp_cells_candidate
+        assert len(waves) == 1  # one call for the chunk
+        shapes = [shape for shape, _size in waves[0]]
+        assert len(set(shapes)) == len(shapes)  # one sweep a shape
+        assert None not in [size for _shape, size in waves[0]]
         assert len(banded_calls) < pair_calls / 3
 
 

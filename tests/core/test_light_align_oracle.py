@@ -106,8 +106,8 @@ class TestKernelEqualsOracle:
 
 
 class TestStackedWave:
-    """The stacked form of ``align`` — one call per light-alignment wave
-    of the pipeline — row by row against the scalar oracle: exact,
+    """The stacked form of ``align`` — one call per chunk in the
+    pipeline — row by row against the scalar oracle: exact,
     substitution, insertion and deletion rows, windows clamped on
     either side, reads of two lengths in one call."""
 

@@ -69,6 +69,100 @@ class TestCandidateCap:
         assert gap == 200
 
 
+class TestLightReplay:
+    """A chunk's joint candidates are light-aligned in one call, then each
+    pair replays the wave rule in candidate order: a strictly better
+    score replaces the best, and the pair stops at its perfect score.
+    Each pair has its own chromosome of 16 copies of a unit, one joint
+    candidate per copy (the next copy is past Δ); a copy's edits in
+    read 1's middle seed set that candidate's score and leave it seeded."""
+
+    UNIT = 1000
+    FLANK = 500
+    READ1, READ2 = 100, 350  # read starts within a unit
+    #: name -> (mismatches of read 1 at each copy, the winning copy, the
+    #: attempts up to the replay's stop); 3 mismatches fail light.
+    PLANS = {
+        "first": ([0] + [1] * 15, 0, 1),
+        "middle": ([1] * 7 + [0] + [2] * 8, 7, 8),
+        "last": ([2] * 15 + [0], 15, 16),
+        "never": ([3, 3, 3, 2, 2, 1] + [2] * 10, 5, 16),
+        "tie": ([2] * 4 + [1] + [2] * 6 + [1] + [2] * 4, 4, 16),
+    }
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        rng = np.random.default_rng(47)
+        chromosomes, items = {}, []
+        for name, (edits, _winner, _stop) in self.PLANS.items():
+            unit = random_sequence(rng, self.UNIT)
+            copies = np.tile(unit, MAX_JOINT_CANDIDATES)
+            for copy, count in enumerate(edits):
+                where = copy * self.UNIT + self.READ1 + 70 \
+                    + 10 * np.arange(count)
+                copies[where] = (copies[where] + 1) % 4
+            chromosomes[name] = np.concatenate((
+                random_sequence(rng, self.FLANK), copies,
+                random_sequence(rng, self.FLANK)))
+            read1 = unit[self.READ1:self.READ1 + 150]
+            read2 = reverse_complement(unit[self.READ2:self.READ2 + 150])
+            items.append((read1, read2, name))
+        genome = ReferenceGenome(chromosomes)
+        seedmap = SeedMap.build(genome, filter_threshold=None)
+        return genome, seedmap, items
+
+    def pipeline(self, world):
+        genome, seedmap, _items = world
+        return GenPairPipeline(genome, seedmap=seedmap,
+                               config=GenPairConfig(filter_threshold=None))
+
+    def test_one_chunk_replays_the_waves(self, world, result_signature):
+        items = world[2]
+        alone = self.pipeline(world)
+        want = []
+        for item, (edits, winner, stop) in zip(items,
+                                               self.PLANS.values()):
+            before = alone.stats.light_attempts
+            result = alone.map_pairs([item], chunk_size=1)[0]
+            assert result.stage == STAGE_LIGHT
+            assert result.record1.position == self.FLANK \
+                + winner * self.UNIT + self.READ1
+            assert result.joint_score == 600 - 10 * edits[winner]
+            assert alone.stats.light_attempts - before == 2 * stop
+            want.append(result_signature(result))
+        chunk = self.pipeline(world)
+        got = chunk.map_pairs(items, chunk_size=len(items))
+        assert list(map(result_signature, got)) == want
+        assert chunk.stats == alone.stats
+
+
+class TestCandidateDpCells:
+    def test_read_2_is_charged_only_where_read_1_survived(self):
+        """Two copies of a fragment: read 1's last 100 bases are random
+        at copy A (its DP score is negative) and carry 3 mismatches at
+        copy B (light alignment fails at both).  One call sweeps read 2
+        at both copies; ``dp_cells_candidate`` charges read 1 twice and
+        read 2 once, 150 x 33 cells each."""
+        rng = np.random.default_rng(49)
+        unit = random_sequence(rng, 1000)
+        copy_a, copy_b = unit.copy(), unit.copy()
+        copy_a[150:250] = random_sequence(rng, 100)
+        copy_b[[160, 170, 180]] = (copy_b[[160, 170, 180]] + 1) % 4
+        genome = ReferenceGenome({"two": np.concatenate((
+            random_sequence(rng, 500), copy_a, copy_b,
+            random_sequence(rng, 500)))})
+        pipeline = GenPairPipeline(
+            genome, seedmap=SeedMap.build(genome, filter_threshold=None),
+            config=GenPairConfig(filter_threshold=None))
+        read1 = unit[100:250]
+        read2 = reverse_complement(unit[350:500])
+        result = pipeline.map_pair(read1, read2, "two")
+        assert result.stage == STAGE_DP_CANDIDATE
+        assert result.record1.position == 500 + 1000 + 100
+        assert pipeline.stats.light_attempts == 4
+        assert pipeline.stats.dp_cells_candidate == 3 * 150 * 33
+
+
 class TestCounters:
     def test_exact_pairs_counter(self, plain_reference, plain_seedmap,
                                  clean_pairs):

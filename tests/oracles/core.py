@@ -34,7 +34,8 @@ mismatch-count test per profile, with the per-base
 with the package's ``LightAligner`` and defines what the run-table
 kernel must return for every attempt: ``None``, or the same score,
 CIGAR, ``ref_start`` and profile.  Its stacked form is a loop over the
-rows, so the pipeline's light-alignment waves run on it unchanged.
+rows, so the pipeline's stacked light-alignment call runs on it
+unchanged.
 
 Nothing under ``src/`` imports this module; tests import it as
 ``oracles.core``.

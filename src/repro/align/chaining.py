@@ -111,7 +111,7 @@ def chain_anchors(anchors: AnchorColumns, max_gap: int = 500,
     if not anchors.ref_pos.size:
         none = np.zeros(0, dtype=np.int64)
         return ChainColumns(none, none, np.zeros(0), none, 0)
-    order = np.lexsort((anchors.read_pos, anchors.ref_pos, anchors.problem))
+    order = _sorted_order(anchors)
     ref = anchors.ref_pos[order]
     read = anchors.read_pos[order]
     length = anchors.length[order]
@@ -132,6 +132,18 @@ def chain_anchors(anchors: AnchorColumns, max_gap: int = 500,
                                       max_chains)
     return ChainColumns(problem[tails], rank, scores[tails],
                         ref[roots] - read[roots], cells)
+
+
+def _sorted_order(anchors: AnchorColumns) -> np.ndarray:
+    """The ``(problem, ref_pos, read_pos)`` order of the anchors,
+    ``np.lexsort``'s, as two stable sorts: by ``read_pos``, then by one
+    int64 key for the other two (a third of the lexsort's time; the key
+    holds ``problems x`` the reference span, far inside int64)."""
+    order = np.argsort(anchors.read_pos, kind="stable")
+    low = int(anchors.ref_pos.min())
+    span = int(anchors.ref_pos.max()) - low + 1
+    key = anchors.problem[order] * span + (anchors.ref_pos[order] - low)
+    return order[np.argsort(key, kind="stable")]
 
 
 def _segment_starts(ref: np.ndarray, problem: np.ndarray,

@@ -65,7 +65,10 @@ the walk's op letters into a ``Cigar`` the first time ``cigar`` is:
 the mappers sweep many problems per answer they keep (candidate DP every
 filtered candidate, mm2 every chain and rescue band) and pay the walk
 only for the answers they read.  Pickling or copying a result resolves
-it and never carries the plane.
+it and never carries the plane.  The results that
+:func:`~repro.align.banded.align_problems` certifies ungapped never had a
+plane: each holds its op letters (``=``/``X`` from its equality row) and
+builds its ``Cigar`` the same way, on first read.
 """
 
 from __future__ import annotations
@@ -111,7 +114,9 @@ class AlignmentResult:
 
     Built with all five values, a result is eager.  The kernel's results
     hold their sweep's pointer plane instead of ``ref_start`` and
-    ``cigar``, and resolve them on first read (module docstring).
+    ``cigar``, and resolve them on first read (module docstring); an
+    ungapped one holds its op letters and builds ``cigar`` on first
+    read.
     """
 
     __slots__ = ("score", "ref_end", "cells", "_ref_start", "_cigar",
@@ -133,6 +138,14 @@ class AlignmentResult:
                 pending: tuple) -> "AlignmentResult":
         result = cls(score, None, 0, ref_end, cells)
         result._pending = pending
+        return result
+
+    @classmethod
+    def _ungapped(cls, score: int, ref_start: int, cells: int,
+                  ops: bytes) -> "AlignmentResult":
+        """A result with no gap: one op letter per read base."""
+        result = cls(score, None, ref_start, ref_start + len(ops), cells)
+        result._ops = ops
         return result
 
     def _walk(self) -> None:
@@ -198,19 +211,15 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
     m = refs.shape[1]
     if n == 0:
         return [AlignmentResult(0, Cigar(()), 0, 0, 0)] * stack
-    rows = np.arange(1, n + 1)
-    lo = np.maximum(1, rows + (diagonal - bandwidth))
-    hi = np.minimum(m, rows + (diagonal + bandwidth))
-    dead = np.flatnonzero(lo > hi)
-    cells = int((hi - lo + 1)[:dead[0] if dead.size else n].sum())
-    if dead.size:  # the band leaves the window: alignment is hopeless
+    lo, hi, cells, hopeless = band_rows(n, m, diagonal, bandwidth)
+    if hopeless:  # the band leaves the window
         return [AlignmentResult(NEG_INF, Cigar(()), 0, 0, cells)] * stack
 
     # Band coordinates over the diagonals that hold a cell, one pad
     # column each side: column c of row i is matrix column i + shift + c.
     low, width = _band_span(n, m, diagonal, bandwidth)
     shift = low - 1
-    firsts = (lo - rows - shift).tolist()
+    firsts = (lo - np.arange(1, n + 1) - shift).tolist()
     gap_open, extend = scheme.gap_open, scheme.gap_extend
     dtype, sentinel = _plane_type(n, m, width, scheme)
     # Stack innermost: a row's band is one contiguous block.
@@ -292,6 +301,20 @@ def gotoh_stack(reads: np.ndarray, refs: np.ndarray, scheme: ScoringScheme,
     return results
 
 
+def band_rows(n: int, m: int, diagonal: int, bandwidth: int
+              ) -> Tuple[np.ndarray, np.ndarray, int, bool]:
+    """``(lo, hi, cells, hopeless)`` of an ``n x m`` problem's band
+    (``n >= 1``): row ``i`` holds columns ``lo[i - 1]`` to ``hi[i - 1]``;
+    ``cells`` counts them up to the first row the band has left the
+    window, and ``hopeless`` says whether it left."""
+    rows = np.arange(1, n + 1)
+    lo = np.maximum(1, rows + (diagonal - bandwidth))
+    hi = np.minimum(m, rows + (diagonal + bandwidth))
+    dead = np.flatnonzero(lo > hi)
+    cells = int((hi - lo + 1)[:dead[0] if dead.size else n].sum())
+    return lo, hi, cells, bool(dead.size)
+
+
 def _runs(firsts: List[int]) -> List[Tuple[int, int]]:
     """``(top, end)`` of each run of consecutive rows ``top..end - 1``
     (1-based) whose first band columns are equal."""
@@ -334,16 +357,12 @@ def _plane_type(n: int, m: int, width: int, scheme: ScoringScheme
 def plane_bytes(n: int, m: int, diagonal: int, bandwidth: int,
                 scheme: ScoringScheme) -> int:
     """Bytes of the planes one problem adds to a :func:`gotoh_stack`
-    sweep, as the sweep budget counts them: ``H``/``E``/``F`` and
-    substitution (which then holds the diagonal sums) in the plane type,
-    the bool and pointer planes, and one more plane-type plane.  That
-    last plane is margin, not memory the sweep takes: the sweep sizes
-    of :data:`~repro.align.banded.STACK_BYTE_BUDGET` were measured with
-    it counted."""
+    sweep: ``H``/``E``/``F`` and substitution (which then holds the
+    diagonal sums) in the plane type, and the bool and pointer planes."""
     _low, width = _band_span(n, m, diagonal, bandwidth)
     width = max(width, 1)
     itemsize = np.dtype(_plane_type(n, m, width, scheme)[0]).itemsize
-    return itemsize * (3 * (n + 1) * (width + 2) + 2 * n * width) \
+    return itemsize * (3 * (n + 1) * (width + 2) + n * width) \
         + 2 * n * width
 
 

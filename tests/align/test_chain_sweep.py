@@ -177,6 +177,25 @@ class TestAgainstScalarOracle:
         assert rows(chain_anchors(columns([]))) == ([], 0)
 
 
+class TestAnchorOrder:
+    @settings(deadline=None)
+    @given(st.integers(1, 6), st.lists(st.tuples(
+        st.integers(0, 5), st.integers(0, 4), st.integers(0, 3)),
+        min_size=1, max_size=60), st.sampled_from((0, 3 * 10 ** 9)))
+    def test_two_stable_sorts_are_the_lexsort(self, problems, drawn, base):
+        """Anchors in drawn order (not by ``read_pos``), with ties in
+        every key and whole duplicates, sort exactly as the three-key
+        ``np.lexsort`` does, positions past int32 included."""
+        table = np.array([(base + 7 * ref, read, problem % problems)
+                          for problem, ref, read in drawn],
+                         dtype=np.int64)
+        ref, read, problem = table.T
+        anchors = AnchorColumns(ref, read, np.full(ref.size, 15), problem,
+                                problems)
+        assert chaining._sorted_order(anchors).tolist() \
+            == np.lexsort((read, ref, problem)).tolist()
+
+
 @pytest.fixture(scope="module")
 def repeat_mapper():
     reference = generate_reference(np.random.default_rng(41), (60_000,),

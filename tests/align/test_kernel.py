@@ -21,6 +21,7 @@ from repro.api import Mapper
 from repro.genome import (ErrorModel, ReadSimulator, generate_reference,
                           plant_variants)
 from repro.genome.cigar import Cigar
+from repro.genome.sequence import N_CODE
 from repro.genome.reference import RepeatProfile
 
 #: The default scheme, the tie schemes (``gap_open = 0`` makes opening and
@@ -374,8 +375,9 @@ class TestAlignProblems:
         """A band the window clamps on either side is swept as given;
         one starting at the window's first diagonal is cut on the right
         only."""
-        read = np.zeros(150, np.uint8)
-        window = np.zeros(400, np.uint8)
+        rng = np.random.default_rng(9)  # no diagonal the certificate takes
+        read = rng.integers(0, 4, 150).astype(np.uint8)
+        window = rng.integers(0, 4, 400).astype(np.uint8)
         problems = [(read, window, 10, 16), (read, window, 240, 16),
                     (read, window, 16, 16)]
         results = align_problems(problems)
@@ -387,10 +389,12 @@ class TestAlignProblems:
 
     def test_repeats_are_swept_once_and_each_carries_its_cells(self, sweeps):
         """The same read in windows that cut to the same bases: one
-        problem swept, every member a whole result of its own window."""
+        problem swept, every member a whole result of its own window.
+        Two mismatches keep the certificate from resolving it."""
         rng = np.random.default_rng(8)
         window = rng.integers(0, 4, 300).astype(np.uint8)
         read = window[100:250].copy()
+        read[[30, 80]] = (read[[30, 80]] + 1) % 4
         shifted = np.concatenate([rng.integers(0, 4, 7).astype(np.uint8),
                                   window])
         problems = [(read, window, 100, 16), None, (read, window, 100, 16),
@@ -422,6 +426,167 @@ class TestAlignProblems:
         assert align_problems([None, None]) == [None, None]
         assert align_problems([]) == []
         assert sweeps == []
+
+
+@st.composite
+def ungapped_problems(draw):
+    """``(read, window, diagonal, bandwidth, scheme)`` biased to make the
+    ungapped certificate fire: the read is the window on a diagonal
+    ``d`` (often ``0`` or ``m - n``), exact or with one mismatch at its
+    first, middle or last base; the window may be a tandem repeat (many
+    perfect diagonals in the band) and either may hold an ``N``; the
+    band around ``d`` may be clipped by column 0 or by column ``m``, or
+    miss ``d``."""
+    scheme = draw(st.sampled_from(SCHEMES))
+    n = draw(st.integers(1, 40))
+    m = n + draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        unit = bases(draw, draw(st.integers(1, 4)), 4)
+        window = np.resize(unit, m)
+    else:
+        window = bases(draw, m, 4)
+    d = draw(st.sampled_from((0, m - n)) | st.integers(0, m - n))
+    read = window[d:d + n].copy()
+    where = draw(st.sampled_from((None, 0, n // 2, n - 1)))
+    if where is not None:
+        read[where] = (read[where] + 1) % 4
+    if draw(st.booleans()):
+        read[draw(st.integers(0, n - 1))] = N_CODE
+    if draw(st.booleans()):
+        window[draw(st.integers(0, m - 1))] = N_CODE
+    bandwidth = draw(st.integers(1, 12))
+    # Only a problem whose own diagonal passes the rule is scanned.
+    diagonal = d + draw(st.just(0) | st.integers(-bandwidth - 2,
+                                                 bandwidth + 2))
+    return read, window, diagonal, bandwidth, scheme
+
+
+def certified(problem, scheme):
+    """Does :func:`align_problems` resolve ``problem`` without a sweep?"""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = record_sweeps(patch)
+        align_problems([problem], scheme)
+    return not calls
+
+
+class TestUngappedCertificate:
+    """A problem :func:`align_problems` certifies ungapped gets exactly
+    the lone sweep's result, ties and all."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(ungapped_problems())
+    def test_certified_equals_the_sweep(self, drawn):
+        *problem, scheme = drawn
+        got, = align_problems([tuple(problem)], scheme)
+        assert signature(got) == signature(lone(problem, scheme))
+
+    @pytest.mark.parametrize("case", [
+        "certified", "certified int32", "leftmost of several", "N",
+        "clipped at column 0", "clipped at column m", "not certified"])
+    def test_the_generator_draws(self, case):
+        def holds(drawn):
+            read, window, diagonal, bandwidth, scheme = drawn
+            problem = (read, window, diagonal, bandwidth)
+            n, m = len(read), len(window)
+            low = max(diagonal - bandwidth, 0)
+            high = min(diagonal + bandwidth, m - n)
+            perfect = [d for d in range(low, high + 1)
+                       if np.array_equal(window[d:d + n], read)]
+            fires = certified(problem, scheme)
+            return {
+                "certified": fires,
+                "certified int32": fires and plane_type(
+                    read, window, diagonal, bandwidth, scheme) is np.int32,
+                "leftmost of several": fires and len(perfect) > 2,
+                "N": fires and N_CODE in read and N_CODE in window,
+                "clipped at column 0": fires and diagonal - bandwidth < 0,
+                "clipped at column m": fires and diagonal + bandwidth > m - n,
+                "not certified": not fires and scheme.gap_open
+                + scheme.gap_extend <= scheme.match + scheme.mismatch
+                and len(perfect) < 1 <= high - low,
+            }[case]
+
+        find(ungapped_problems(), holds,
+             settings=settings(phases=[Phase.generate], database=None,
+                               derandomize=True, max_examples=2_000))
+
+    @pytest.mark.parametrize("where", [None, 0, 75, 149])
+    @pytest.mark.parametrize("d", [0, 24, 48])
+    def test_mapper_scale(self, where, d):
+        """A 150-base read on diagonal ``d`` of a 198-base window, band
+        16 around it: exact or one mismatch at its first, middle or last
+        base; at ``d = 0`` column 0 clips the band, at ``d = m - n``
+        column ``m`` does."""
+        rng = np.random.default_rng(d)
+        window = rng.integers(0, 4, 198).astype(np.uint8)
+        read = window[d:d + 150].copy()
+        if where is not None:
+            read[where] = (read[where] + 1) % 4
+        problem = (read, window, d, 16)
+        assert certified(problem, DEFAULT_SCHEME)
+        got, = align_problems([problem])
+        assert signature(got) == signature(lone(problem))
+        assert got.ref_start == d
+
+    def test_a_tandem_repeat_ends_at_the_leftmost_perfect_diagonal(self):
+        window = np.resize(np.array([0, 1, 2], np.uint8), 200)
+        read = window[30:180].copy()
+        problem = (read, window, 33, 16)  # perfect on 18, 21, ..., 48
+        got, = align_problems([problem])
+        assert signature(got) == signature(lone(problem)) \
+            == (300, "150=", 18, 168, 150 * 33)
+
+    def test_a_gap_cheaper_than_a_mismatch_is_never_certified(self):
+        """``gap_open + gap_extend`` at most one mismatch's loss: one
+        mismatch is swept (a gapped path may win), and only an exact read
+        is certified."""
+        rng = np.random.default_rng(2)
+        window = rng.integers(0, 4, 60).astype(np.uint8)
+        read = window[10:40].copy()
+        for scheme in (ScoringScheme(2, 8, 0, 2), ScoringScheme(3, 2, 1, 4)):
+            assert certified((read, window, 10, 4), scheme)
+            edited = read.copy()
+            edited[15] = (edited[15] + 1) % 4
+            assert not certified((edited, window, 10, 4), scheme)
+            got, = align_problems([(edited, window, 10, 4)], scheme)
+            assert signature(got) \
+                == signature(lone((edited, window, 10, 4), scheme))
+
+    def test_with_no_substitution_score_every_diagonal_ties(self):
+        """``match = mismatch = 0``: every ungapped diagonal scores the
+        perfect 0 and any gap costs, so the band's first diagonal in the
+        window wins, however many bases it mismatches."""
+        rng = np.random.default_rng(3)
+        window = rng.integers(0, 4, 60).astype(np.uint8)
+        problem = (window[20:40].copy(), window, 20, 6)
+        scheme = ScoringScheme(0, 0, 3, 1)
+        assert certified(problem, scheme)
+        got, = align_problems([problem], scheme)
+        assert signature(got) == signature(lone(problem, scheme))
+        assert (got.score, got.ref_start) == (0, 14)
+
+    def test_exact_reads_make_no_sweep_and_walk_no_traceback(
+            self, sweeps, monkeypatch):
+        """The drift guard: a stack of exact reads is resolved without
+        the kernel; the CIGAR is built only when read."""
+        walks = []
+        monkeypatch.setattr(dp, "_traceback",
+                            lambda *args: walks.append(args))
+        rng = np.random.default_rng(6)
+        problems = []
+        for start in range(8, 48, 5):
+            window = rng.integers(0, 4, 198).astype(np.uint8)
+            problems.append((window[start:start + 150].copy(), window,
+                             start, 16))
+        results = align_problems(problems)
+        assert sweeps == [] and walks == []
+        assert all(result._cigar is None for result in results)
+        assert [(result.score, str(result.cigar), result.ref_start)
+                for result in results] \
+            == [(300, "150=", start) for start in range(8, 48, 5)]
+        assert [result.cells for result in results] == [
+            lone(problem).cells for problem in problems]
+        assert walks == []
 
 
 def path_in_band(result, diagonal, bandwidth):
@@ -543,28 +708,43 @@ class TestTracebacksOnDemand:
 
     @pytest.fixture
     def tally(self, monkeypatch):
-        counts = {"walks": 0, "cigars": 0}
+        """Tracebacks walked, CIGARs built, and of those the ones built
+        from a certified result's op letters (it never had a plane)."""
+        counts = {"walks": 0, "cigars": 0, "certified": 0}
         walk, encode = dp._traceback, Cigar.from_ops.__func__
+        ungapped = dp.AlignmentResult._ungapped.__func__
+        letters = []  # kept alive, so that ``is`` cannot meet a reused id
 
         def counting_walk(*args):
             counts["walks"] += 1
             return walk(*args)
 
+        def recording(cls, score, ref_start, cells, ops):
+            letters.append(ops)
+            return ungapped(cls, score, ref_start, cells, ops)
+
         def counting_encode(cls, ops):
             counts["cigars"] += 1
+            counts["certified"] += any(ops is seen for seen in letters)
             return encode(cls, ops)
 
         monkeypatch.setattr(dp, "_traceback", counting_walk)
+        monkeypatch.setattr(dp.AlignmentResult, "_ungapped",
+                            classmethod(recording))
         monkeypatch.setattr(Cigar, "from_ops", classmethod(counting_encode))
         return counts
 
     def test_candidate_dp_walks_two_per_placed_pair(self, giab_like, tally):
+        """Each placed pair reads both winners: a swept one walks its
+        traceback, a certified one builds its CIGAR from its letters."""
         reference, pairs = giab_like
         _lines, stats = mapped(reference, pairs, engine="genpair",
                                full_fallback=False)
         assert stats["light_fallback"] == 33
         assert stats["residual_fallback"] > 0
-        assert tally["walks"] == 2 * stats["light_fallback"]
+        assert tally["walks"] + tally["certified"] \
+            == 2 * stats["light_fallback"]
+        assert tally["walks"] > 0 < tally["certified"]
 
     def test_mm2_builds_a_cigar_per_mapped_read_only(self, giab_like, tally):
         reference, pairs = giab_like

@@ -220,25 +220,33 @@ class TestChunkInvariance:
             self, hard, banded_calls, monkeypatch):
         """Chain alignment is chunk-wide: the problems of a ``map_pair``
         loop, one sweep per cut shape and budget slice.  Rescue runs in
-        waves whose certified bands share sweeps; a whole-window rescue
-        (forced here by a 10-base mate) rides in its wave's second call,
-        so no call is a lone 1-D one."""
+        waves whose narrow bands go to the kernel in one call per wave,
+        where the ungapped certificate resolves most and the rest share
+        a sweep; a whole-window rescue (forced here by a 10-base mate)
+        rides in its wave's second call, so no sweep is a lone 1-D
+        one."""
         from repro.align.banded import STACK_BYTE_BUDGET
         from repro.align.dp import plane_bytes
         from repro.align.scoring import DEFAULT_SCHEME
         from repro.mapper.mm2 import BANDWIDTH, RESCUE_BAND
 
-        rescue_calls = []
-        real = Mm2LikeMapper._rescue
+        rescue_calls, narrow_waves, handed = [], [], []
+        real, real_align = Mm2LikeMapper._rescue, Mm2LikeMapper._align
 
         def marking(mapper, jobs):
-            first = len(banded_calls)
+            first, calls = len(banded_calls), len(handed)
             try:
                 return real(mapper, jobs)
             finally:
                 rescue_calls.extend(range(first, len(banded_calls)))
+                narrow_waves.append(handed[calls])  # its first call
+
+        def handing(mapper, problems):
+            handed.append(sum(problem is not None for problem in problems))
+            return real_align(mapper, problems)
 
         monkeypatch.setattr(Mm2LikeMapper, "_rescue", marking)
+        monkeypatch.setattr(Mm2LikeMapper, "_align", handing)
 
         def tally():
             chains, rescues, lone = {}, {}, 0
@@ -248,9 +256,11 @@ class TestChunkInvariance:
                 else:
                     stacks = rescues if number in rescue_calls else chains
                     stacks.setdefault(shape, []).append(size)
+            waves = [count for count in narrow_waves if count]
             banded_calls.clear()
             rescue_calls.clear()
-            return chains, rescues, lone
+            narrow_waves.clear()
+            return chains, rescues, lone, waves
 
         reference, index, items = hard
         items = items + [(items[0][0], np.random.default_rng(53).integers(
@@ -258,10 +268,10 @@ class TestChunkInvariance:
         serial = Mm2LikeMapper(reference, index=index)
         for item in items:
             serial.map_pair(*item)
-        pair_chains, pair_rescues, pair_lone = tally()
+        pair_chains, pair_rescues, pair_lone, pair_waves = tally()
         chunked = Mm2LikeMapper(reference, index=index)
         chunked.map_pairs(items)
-        chains, rescues, lone = tally()
+        chains, rescues, lone, waves = tally()
         band = (150, 150 + 2 * BANDWIDTH + 1, BANDWIDTH + 1, BANDWIDTH)
         assert lone == pair_lone == 0
         assert chunked.stats.rescue_whole_window == 1
@@ -285,8 +295,10 @@ class TestChunkInvariance:
         assert list(chains) == [band] and len(chains[band]) == 1
         assert sum(map(len, chains.values())) \
             < sum(map(len, pair_chains.values())) / 4
-        # The certified bands: one sweep per wave, shared by its rescues.
+        # The narrow bands: one call per wave, shared by its rescues, and
+        # what the certificate leaves of them at most one sweep per wave.
         narrow = (150, 150 + 2 * RESCUE_BAND + 1, RESCUE_BAND + 1,
                   RESCUE_BAND)
-        assert len(rescues[narrow]) <= 2 < sum(rescues[narrow])
-        assert len(rescues[narrow]) < len(pair_rescues[narrow])
+        assert len(waves) <= 2 < sum(waves) == sum(pair_waves)
+        assert len(waves) < len(pair_waves)
+        assert len(rescues[narrow]) <= len(waves)

@@ -49,7 +49,11 @@ runs into a used anchor is skipped.
 chunk-wide columns — problem, rank, score and diagonal of every chain —
 which is all a mapper reads.  A chain's score is its tail's and its
 diagonal its root's (the backtrack's end, found by pointer doubling), so
-no chain is walked anchor by anchor.
+no chain is walked anchor by anchor.  The greedy walk keeps one tail per
+root, its best (lowest index on a tie): the tails are grouped by root
+with one stable sort and each group's best taken with one
+``np.maximum.reduceat``, so only one winner per root, not every tail,
+is sorted by score.
 """
 
 from __future__ import annotations
@@ -250,17 +254,31 @@ def _chain_tails(problem: np.ndarray, scores: np.ndarray,
     at most once — as ``(tail, rank, root)`` columns of the chains kept,
     in problem then rank order.
 
-    Walking the tails best first and skipping any whose backtrack meets
-    a used anchor keeps, of each tree of the parent forest, exactly the
-    first tail met — every later one runs into the used root — so the
-    walk is a first-occurrence-per-root over the sorted tails.
+    Walking the tails best first (ties in sorted-anchor order) and
+    skipping any whose backtrack meets a used anchor keeps, of each tree
+    of the parent forest, exactly the first tail met — every later one
+    runs into the used root.  So each root keeps its best tail, the
+    lowest index on a tie, and only those winners are ordered by
+    ``(problem, -score, index)``: no sort over every tail's float score.
     """
     tails = np.flatnonzero(scores >= min_score)
-    # Stable: equal scores keep sorted-anchor order within a problem.
-    tails = tails[np.lexsort((-scores[tails], problem[tails]))]
+    if not tails.size:
+        return tails, tails, tails
     roots = _chain_starts(parents)
-    _, first = np.unique(roots[tails], return_index=True)
-    tails = tails[np.sort(first)]
+    # Tails grouped by root, each group in index order (stable).
+    tails = tails[np.argsort(roots[tails], kind="stable")]
+    tail_roots, tail_scores = roots[tails], scores[tails]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], tail_roots[1:] != tail_roots[:-1])))
+    best = np.maximum.reduceat(tail_scores, starts)
+    # The first tail of each group reaching its best: the lowest index.
+    reaching = np.flatnonzero(tail_scores == np.repeat(
+        best, np.diff(starts, append=tails.size)))
+    group = np.searchsorted(starts, reaching, side="right")
+    winners = tails[reaching[np.concatenate(
+        ([True], group[1:] != group[:-1]))]]
+    tails = winners[np.lexsort((winners, -scores[winners],
+                                problem[winners]))]
     _, rank = ragged_ranges(np.bincount(problem[tails]))
     kept = rank < max_chains
     tails = tails[kept]

@@ -60,8 +60,9 @@ plane, scaled to its bit in place.
 ``cells`` at once, and frees ``H``/``E``/``F``; only the uint8 pointer
 plane (``n x diagonals x B`` bytes, ~0.3 MB for 64 problems of 150 x 33)
 stays, shared by the sweep's results.  A result walks its traceback the
-first time ``ref_start`` is read, and run-length encodes
-the walk's op letters into a ``Cigar`` the first time ``cigar`` is:
+first time ``ref_start`` is read, and hands
+the walk's op letters (``bytes``, one per column) to ``Cigar.from_ops``,
+one regex pass, the first time ``cigar`` is:
 the mappers sweep many problems per answer they keep (candidate DP every
 filtered candidate, mm2 every chain and rescue band) and pay the walk
 only for the answers they read.  Pickling or copying a result resolves

@@ -26,7 +26,10 @@ Mechanism, mirroring the hardware module (§5.4):
    L`` (a substitution profile is the case ``k = 0``: ``m`` mismatches in
    all).  One comparison settles every (profile, frame) slot of the
    lattice; the first slot that fits wins, and only its indel split
-   position is searched (the first minimum of the per-split count).
+   position is searched (the first minimum of the per-split count);
+4. the winner's CIGAR: its mask rows' bytes (the indel run spliced
+   between the two) become ``=``/``X``/``I``/``D`` letters in one
+   ``bytes.translate``, which ``Cigar.from_ops`` run-length encodes.
 
 A slot fits with *at most* ``m`` mismatches, yet is still the slot that
 holds exactly ``m``: a profile with ``m' < m`` mismatches and the same
@@ -54,6 +57,11 @@ from ..genome.cigar import Cigar
 #: Attempts settled by one run-table pass: bounds its ``(rows, shifts,
 #: L)`` mismatch block and prefix counts to a few MB.
 STACK_ROWS = 256
+
+#: ``bytes.translate`` table from a mismatch mask's bytes (1 where read
+#: and reference differ) to op letters; an ``I``/``D`` run spliced into
+#: them maps to itself.
+_MISMATCH_OP = bytes.maketrans(b"\0\1", b"=X")
 
 
 @dataclass(frozen=True)
@@ -297,10 +305,8 @@ class LightAligner:
             first = fits.argmax(1)
             for k in fits[np.arange(len(rows)), first].nonzero()[0].tolist():
                 profile, a, b = slots[first[k]]
-                mask_a = ~mismatches[k, a - shift_lo]
-                if a == b:
-                    cigar = _mask_to_cigar(mask_a)
-                else:
+                letters = mismatches[k, a - shift_lo].tobytes()
+                if a != b:
                     # Split q: read[0, q) in mask a, read[q + consumed, L)
                     # in mask b; the fewest mismatches where this is least.
                     consumed = profile.insertion_run
@@ -309,14 +315,15 @@ class LightAligner:
                     split = int(np.argmin(
                         counts[at_a:at_a + length - consumed + 1]
                         - counts[at_b:at_b + length - consumed + 1]))
-                    tail = ~mismatches[k, b - shift_lo, split + consumed:]
-                    cigar = Cigar.from_pairs(
-                        _mask_to_cigar(mask_a[:split]).ops
-                        + ((consumed or profile.deletion_run,
-                            "I" if consumed else "D"),)
-                        + _mask_to_cigar(tail).ops)
+                    letters = (letters[:split]
+                               + (b"I" * consumed
+                                  or b"D" * profile.deletion_run)
+                               + mismatches[k, b - shift_lo,
+                                            split + consumed:].tobytes())
                 hits[rows[k]] = LightAlignment(
-                    profile.score, cigar, int(offsets[rows[k]]) + a, profile)
+                    profile.score,
+                    Cigar.from_ops(letters.translate(_MISMATCH_OP)),
+                    int(offsets[rows[k]]) + a, profile)
         return hits
 
 
@@ -324,9 +331,3 @@ class LightAligner:
 def _perfect_cigar(length: int) -> Cigar:
     """The exact hit's CIGAR, one shared object per read length."""
     return Cigar.perfect(length)
-
-
-def _mask_to_cigar(mask: np.ndarray) -> Cigar:
-    """Convert a Hamming mask to an ``=``/``X`` CIGAR."""
-    return Cigar.from_ops(np.where(mask, np.uint8(ord("=")),
-                                   np.uint8(ord("X"))))

@@ -569,40 +569,45 @@ class GenPairPipeline:
     def _light_stack(self, roles: Sequence[np.ndarray], rows: np.ndarray,
                      lengths: np.ndarray, candidates: np.ndarray) -> list:
         """``(hit, chromosome, window_start)`` or ``None`` per
-        ``roles[rows[k]]`` at ``candidates[k]``, in one stacked
-        :meth:`LightAligner.align` call on the spans the shifts read:
+        ``roles[rows[k]]`` at ``candidates[k]``, stacked
+        :meth:`LightAligner.align` calls on the spans the shifts read:
         the read's span and ``max_edits`` either side, cut to its
         chromosome (a span shorter than the read can fit no shift).
-        Unless one is cut, those are rows of a strided view of the
-        linear reference (one per span, built once), gathered once."""
+        The uncut spans of the first read length are rows of a strided
+        view of the linear reference (one per span, built once),
+        gathered in one call; the others, sliced one by one, in one
+        more."""
         reference, edits = self.reference, self.light_aligner.max_edits
         index, begin, end = reference.windows(candidates, lengths, edits,
                                               edits, lengths)
-        usable = (index >= 0).nonzero()[0]
+        usable = index >= 0
         hits: list = [None] * len(rows)
-        if not usable.size:
+        if not usable.any():
             return hits
-        if usable.size < rows.size:
-            rows, candidates, lengths = (rows[usable], candidates[usable],
-                                         lengths[usable])
-            index, begin, end = index[usable], begin[usable], end[usable]
-        reads = [roles[row] for row in rows.tolist()]
-        length = int(lengths[0])
+        length = int(lengths[usable.argmax()])
         span = length + 2 * edits
-        if ((end - begin == span) & (lengths == length)).all():
-            reads, windows = np.array(reads), self._spans(span)[begin]
-        else:
-            codes = reference.linear_codes()
-            windows = [codes[start:stop] for start, stop in zip(
-                begin.tolist(), end.tolist())]
+        whole = usable & (end - begin == span) & (lengths == length)
         names = reference.names
-        for row, hit, chromosome, start in zip(
-                usable.tolist(), self.light_aligner.align(
-                    reads, windows, candidates - begin),
-                index.tolist(),
-                (begin - reference.offsets[index]).tolist()):
-            if hit is not None:
-                hits[row] = (hit, names[chromosome], start)
+        for part, strided in ((whole.nonzero()[0], True),
+                              ((usable & ~whole).nonzero()[0], False)):
+            if not part.size:
+                continue
+            reads = [roles[row] for row in rows[part].tolist()]
+            starts = begin[part]
+            if strided:
+                reads, windows = np.array(reads), self._spans(span)[starts]
+            else:
+                codes = reference.linear_codes()
+                windows = [codes[start:stop] for start, stop in zip(
+                    starts.tolist(), end[part].tolist())]
+            chromosomes = index[part]
+            for k, hit, chromosome, start in zip(
+                    part.tolist(), self.light_aligner.align(
+                        reads, windows, candidates[part] - starts),
+                    chromosomes.tolist(),
+                    (starts - reference.offsets[chromosomes]).tolist()):
+                if hit is not None:
+                    hits[k] = (hit, names[chromosome], start)
         return hits
 
     def _spans(self, span: int) -> np.ndarray:

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple, Union
-
-import numpy as np
+from typing import Iterable, List, Tuple
 
 _VALID_OPS = frozenset("M=XIDS")
 _READ_OPS = frozenset("M=XIS")
 _REF_OPS = frozenset("M=XD")
 _CIGAR_RE = re.compile(r"(\d+)([M=XIDS])")
+#: One run of equal op letters, and its letter.
+_OP_RUN = re.compile(r"((.)\2*)", re.DOTALL)
 
 
 class CigarError(ValueError):
@@ -81,17 +81,13 @@ class Cigar:
         return cls(tuple(merged))
 
     @classmethod
-    def from_ops(cls, ops: Union[bytes, np.ndarray]) -> "Cigar":
-        """Run-length encode one op letter per alignment column (``bytes``
-        or a ``uint8`` array of ASCII letters): ``b"==XI"`` is ``2=1X1I``."""
-        letters = np.frombuffer(ops, dtype=np.uint8) \
-            if isinstance(ops, bytes) else ops
-        if not letters.size:
-            return cls(())
-        edges = np.flatnonzero(np.concatenate(
-            ([True], letters[1:] != letters[:-1], [True])))
-        return cls(tuple(zip((edges[1:] - edges[:-1]).tolist(),
-                             letters[edges[:-1]].tobytes().decode("ascii"))))
+    def from_ops(cls, ops: bytes) -> "Cigar":
+        """Run-length encode one op letter per alignment column (``bytes``,
+        or any buffer of ASCII letters such as a ``uint8`` array):
+        ``b"==XI"`` is ``2=1X1I``.  One regex pass finds the runs; a
+        letter that is no CIGAR op raises :class:`CigarError`."""
+        return cls(tuple([(len(run), op) for run, op in _OP_RUN.findall(
+            bytes(ops).decode("latin-1"))]))
 
     @classmethod
     def parse(cls, text: str) -> "Cigar":

@@ -154,6 +154,22 @@ def reverse_complement(codes: np.ndarray) -> np.ndarray:
     return complement(codes)[::-1]
 
 
+def reverse_complements(sequences: Sequence[np.ndarray]
+                        ) -> List[np.ndarray]:
+    """The reverse complement of each sequence, from one
+    :func:`reverse_complement`: that of all of them laid end to end holds
+    each one's own, in reverse order (each result is a view of it)."""
+    if not sequences:
+        return []
+    flipped = reverse_complement(np.concatenate(sequences))
+    result, end = [], len(flipped)
+    for codes in sequences:
+        start = end - len(codes)
+        result.append(flipped[start:end])
+        end = start
+    return result
+
+
 def random_sequence(rng: np.random.Generator, length: int) -> np.ndarray:
     """Draw a uniform random sequence of ``length`` concrete bases."""
     if length < 0:

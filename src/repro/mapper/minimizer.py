@@ -9,14 +9,15 @@ on these, in contrast to GenPair's fixed-offset 50bp partitioned seeds.
 Extraction is array-native: every k-mer of every row (a chromosome, or
 all oriented reads of a chunk) is hashed in one call, the hashes are
 laid out in one row with ``w - 1`` sentinel slots after each input row,
-and the sliding-window minimum is ``w`` elementwise passes over that
-row.  The contract is that of the one-k-mer-at-a-time monotone-queue
-loop, which is the test oracle in ``tests/oracles/align.py`` (nothing
-under ``src/`` imports it): the queue pops on ``>=``, so the
-**rightmost** minimum of a window wins; consecutive windows sharing a
-winner emit it once; a row with fewer than ``w`` k-mers is one window
-(the sentinels, larger than any hash, pad it); a k-mer spanning an
-ambiguous base is never emitted.
+and the sliding-window minimum is one ``argmin`` over the reversed
+windows of that row (its first minimum is the window's rightmost), in
+blocks of :data:`WINDOW_BLOCK` windows.  The contract is that of the
+one-k-mer-at-a-time monotone-queue loop, which is the test oracle in
+``tests/oracles/align.py`` (nothing under ``src/`` imports it): the
+queue pops on ``>=``, so the **rightmost** minimum of a window wins;
+consecutive windows sharing a winner emit it once; a row with fewer
+than ``w`` k-mers is one window (the sentinels, larger than any hash,
+pad it); a k-mer spanning an ambiguous base is never emitted.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..genome.sequence import ALPHABET_SIZE
 from ..hashing import hash_reference_windows, ragged_ranges
@@ -39,6 +41,10 @@ W = 10
 #: minimum only lands on it when the whole window is ambiguous — and
 #: then nothing is emitted.
 _AMBIGUOUS = 1 << 32
+
+#: Windows per ``argmin`` of the sliding-window minimum: bounds the copy
+#: of their ``w`` hashes each to a few MB, however long the row.
+WINDOW_BLOCK = 1 << 15
 
 
 def extract_minimizers(codes: np.ndarray, k: int = K,
@@ -76,16 +82,7 @@ def extract_minimizers_rows(rows: Sequence[np.ndarray], k: int = K,
     padded[slot[row_of] + within] = _kmer_hashes(np.concatenate(rows), k)[
         (np.cumsum(lengths) - lengths)[row_of] + within]
 
-    # Rightmost minimum of every window of w: start from the last slot
-    # and let a slot further left win only when strictly smaller.
-    windows = padded.size - (w - 1)
-    lowest = padded[w - 1:]
-    offset = np.full(windows, w - 1, dtype=np.int64)
-    for shift in range(w - 2, -1, -1):
-        candidate = padded[shift:shift + windows]
-        lower = candidate < lowest
-        lowest = np.where(lower, candidate, lowest)
-        offset[lower] = shift
+    offset = _rightmost_minima(padded, w)
 
     # The windows that lie inside a row: max(count - w, 0) + 1 of them,
     # from the row's first slot.
@@ -99,6 +96,19 @@ def extract_minimizers_rows(rows: Sequence[np.ndarray], k: int = K,
     return winner - slot[window_row], padded[winner], window_row
 
 
+def _rightmost_minima(values: np.ndarray, w: int) -> np.ndarray:
+    """Offset of the rightmost minimum in every window of ``w`` values:
+    one ``argmin`` over the reversed windows (the first minimum of a
+    reversed window is its rightmost), :data:`WINDOW_BLOCK` windows at a
+    time, since ``argmin`` copies the strided view it is given."""
+    windows = sliding_window_view(values, w)[:, ::-1]
+    offset = np.empty(len(windows), dtype=np.int64)
+    for start in range(0, len(windows), WINDOW_BLOCK):
+        np.argmin(windows[start:start + WINDOW_BLOCK], axis=1,
+                  out=offset[start:start + WINDOW_BLOCK])
+    return np.subtract(w - 1, offset, out=offset)
+
+
 def _kmer_hashes(codes: np.ndarray, k: int) -> np.ndarray:
     """Hash of the k-mer at every start of ``codes``; :data:`_AMBIGUOUS`
     where it spans an ``N``."""
@@ -110,6 +120,5 @@ def _kmer_hashes(codes: np.ndarray, k: int) -> np.ndarray:
         ambiguous = codes >= ALPHABET_SIZE
         hashes = hash_reference_windows(np.where(ambiguous, 0, codes)
                                         .astype(codes.dtype), k)
-        hashes[np.lib.stride_tricks.sliding_window_view(
-            ambiguous, k).any(axis=1)] = _AMBIGUOUS
+        hashes[sliding_window_view(ambiguous, k).any(axis=1)] = _AMBIGUOUS
         return hashes

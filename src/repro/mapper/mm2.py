@@ -46,10 +46,11 @@ replaced, and the whole-window rescue, are the oracles in
 ``tests/oracles/align.py``.
 
 Coordinates: minimizer hits, anchors and chain diagonals are *linear*;
-:meth:`~repro.genome.ReferenceGenome.window` turns a chain's diagonal
-into a chromosome and a window, and a placement is ``(chromosome,
-position)`` from there on — pairing compares chromosomes before gaps,
-rescue searches the anchor's chromosome, records copy the placement.
+:meth:`~repro.genome.ReferenceGenome.windows` turns every chain's
+diagonal into a chromosome and a window in one call, and a placement
+is ``(chromosome, position)`` from there on — pairing compares
+chromosomes before gaps, rescue searches the anchor's chromosome,
+records copy the placement.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ from ..align.scoring import DEFAULT_SCHEME, ScoringScheme
 from ..genome.reference import ReferenceGenome
 from ..genome.results import MappingResult
 from ..genome.sam import METHOD_DP, AlignmentRecord, mapped_pair
-from ..genome.sequence import ALPHABET_SIZE, reverse_complement
+from ..genome.sequence import (ALPHABET_SIZE, reverse_complement,
+                               reverse_complements)
 from ..hashing import PositionTable, ragged_ranges
 from ..obs import span
 from .index import MinimizerIndex
@@ -423,8 +425,9 @@ class Mm2LikeMapper:
         read: one minimizer pass, one index probe and one chaining sweep
         for every read and strand of the chunk, read as columns."""
         with span("mm2.seeding"):
-            oriented = [strand for codes in reads
-                        for strand in (codes, reverse_complement(codes))]
+            oriented = [strand for pair in zip(reads,
+                                               reverse_complements(reads))
+                        for strand in pair]
             anchors = self._anchors(oriented)
             self.stats.anchors_total += anchors.ref_pos.size
         with span("mm2.chaining"):
@@ -456,24 +459,30 @@ class Mm2LikeMapper:
     def _align_chains(self, chains: list) -> List[Optional[_Placement]]:
         """Banded alignment in the window each ``(oriented read, strand,
         diagonal)`` chain implies: a placement or ``None`` per chain, in
-        order."""
-        windows = [self.reference.window(diagonal, len(oriented),
-                                         WINDOW_PAD, WINDOW_PAD,
-                                         min_length=len(oriented) // 2)
-                   for oriented, _strand, diagonal in chains]
+        order.  One :meth:`~repro.genome.ReferenceGenome.windows` call
+        finds every chain's window."""
+        reference = self.reference
+        lengths = np.array([len(oriented) for oriented, _, _ in chains],
+                           dtype=np.int64)
+        index, low, high = reference.windows(
+            np.array([diagonal for _, _, diagonal in chains],
+                     dtype=np.int64),
+            lengths, WINDOW_PAD, WINDOW_PAD, min_length=lengths // 2)
+        codes, found = reference.linear_codes(), index.tolist()
         results = self._align(
-            [None if window is None else
-             (oriented, window[0], window[3], BANDWIDTH)
-             for (oriented, _strand, _diagonal), window
-             in zip(chains, windows)])
+            [None if chromosome < 0 else
+             (oriented, codes[begin:end], diagonal - begin, BANDWIDTH)
+             for (oriented, _strand, diagonal), chromosome, begin, end
+             in zip(chains, found, low.tolist(), high.tolist())])
+        names = reference.names
+        starts = (low - reference.offsets[index]).tolist()
         placements: List[Optional[_Placement]] = [None] * len(chains)
         for k, result in enumerate(results):
             if result is not None and result.score >= 0:
-                _, chromosome, window_start, _ = windows[k]
                 oriented, strand, _diagonal = chains[k]
                 placements[k] = _Placement(
-                    score=result.score, chromosome=chromosome,
-                    position=window_start + result.ref_start,
+                    score=result.score, chromosome=names[found[k]],
+                    position=starts[k] + result.ref_start,
                     strand=strand, alignment=result, oriented=oriented)
         return placements
 

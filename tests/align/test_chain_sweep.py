@@ -95,9 +95,53 @@ def anchor_problems(draw):
             anchors.append(Anchor(ref_pos, read_pos, draw(lengths)))
         problems.append(draw(st.permutations(anchors)))
     min_score = draw(st.sampled_from([0.0, 4.0, 20.0]))
-    max_chains = draw(st.sampled_from([1, 2, 8]))
+    max_chains = draw(st.sampled_from([1, 2, 3, 8]))
     return problems, dict(max_gap=max_gap, max_lookback=max_lookback,
                           min_score=min_score, max_chains=max_chains)
+
+
+@st.composite
+def tied_problems(draw):
+    """Problems built to tie at extraction.
+
+    A *tree* is a root anchor and pairs of children at mirror-image
+    offsets from it — reference and read gaps ``(g, g + d)`` and ``(g +
+    d, g)`` — so both children score the same off the root and neither
+    is an arc of the other: one root, several tails at its best score
+    (an exact duplicate child adds one more).  A problem holds shifted
+    copies of one tree — different roots whose chains tie — spaced past
+    ``max_gap`` on the reference (separate segments) or inside it, down
+    to a base apart, so that the copies' anchors interleave in sorted
+    order, each copy keeping some of the children (so that one root's
+    tied tails can straddle another's lone best).  Copies on one read
+    span may chain into each other; copies
+    further apart on the read than ``max_gap`` never do, and their
+    chains tie exactly.  Anchors arrive shuffled.
+    """
+    max_gap = 60
+    children = []
+    for _ in range(draw(st.integers(1, 3))):
+        gap, d = draw(st.integers(16, 40)), draw(st.integers(0, 3))
+        children += [(gap, gap + d), (gap + d, gap)]
+    if draw(st.booleans()):
+        children.append(children[0])
+    tree = [(0, 0)] + children
+    problems = []
+    for _ in range(draw(st.integers(1, 5))):
+        spacing = draw(st.sampled_from([max_gap + 1, 45, 2, 1]))
+        apart = draw(st.sampled_from([0, 4 * max_gap]))
+        copies = draw(st.integers(1, 4))
+        anchors = []
+        for copy in range(copies):
+            kept = [tree[0]] + [child for child in tree[1:]
+                                if draw(st.booleans())]
+            anchors += [Anchor(1000 + copy * spacing + ref,
+                               copy * apart + read, 15)
+                        for ref, read in kept]
+        problems.append(draw(st.permutations(anchors)))
+    return problems, dict(max_gap=max_gap,
+                          min_score=draw(st.sampled_from([0.0, 20.0])),
+                          max_chains=draw(st.sampled_from([1, 2, 3, 8])))
 
 
 #: Plane budgets for the sweep: the real one (a test's problems fit one
@@ -120,6 +164,34 @@ class TestAgainstScalarOracle:
         assert rows(got) == projected(expected)
         for chains, reference in zip(alone, expected):
             assert rows(chains) == projected([reference])
+
+    @settings(deadline=None)
+    @given(tied_problems())
+    def test_tied_tails_match_oracle(self, drawn):
+        """Equal scores under one root and across roots: each root keeps
+        its lowest-index best tail, and equal chains rank in sorted-anchor
+        order."""
+        problems, options = drawn
+        expected = [align_oracle.chain_anchors(anchors, **options)
+                    for anchors in problems]
+        assert rows(chain_anchors(columns(problems), **options)) \
+            == projected(expected)
+        for anchors, reference in zip(problems, expected):
+            assert rows(chain_anchors(columns([anchors]), **options)) \
+                == projected([reference])
+
+    def test_a_lone_best_between_two_tied_tails(self):
+        """Root ``A`` has two tails at its best score, and root ``D``'s
+        lone tail, at that score too, sorts between them: ``A``'s chain
+        ranks first because its *first* tied tail does."""
+        anchors = [Anchor(1000, 0, 15), Anchor(1001, 200, 15),
+                   Anchor(1030, 32, 15), Anchor(1031, 232, 15),
+                   Anchor(1032, 30, 15)]
+        for max_chains in (1, 2):
+            options = dict(max_gap=60, min_score=0.0, max_chains=max_chains)
+            got = rows(chain_anchors(columns([anchors]), **options))
+            assert got == oracle_rows(anchors, **options)
+            assert got[0][0][3] == 1000
 
     def test_zero_lookback_leaves_every_anchor_alone(self):
         """``max_lookback=0`` used to raise in the sweep's ``argmax``

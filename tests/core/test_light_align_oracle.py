@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import core as oracle
 from repro.core import LightAligner
-from repro.core.light_align import _mask_to_cigar
+from repro.core.light_align import _MISMATCH_OP
+from repro.genome.cigar import Cigar
 
 LENGTHS = (1, 30, 60, 100, 150, 151, 250)
 THRESHOLDS = (260, 276, 290)
@@ -172,6 +173,12 @@ class TestLatticeOrder:
                                profile.deletion_run)
                     assert where.get(sibling, len(profiles)) < index, \
                         (length, profile)
+
+
+def _mask_to_cigar(mask):
+    """A Hamming mask's CIGAR the way a light hit builds it: the mismatch
+    bytes translated to op letters, run-length encoded."""
+    return Cigar.from_ops((~mask).tobytes().translate(_MISMATCH_OP))
 
 
 class TestMaskToCigar:

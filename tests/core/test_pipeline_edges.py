@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (STAGE_DP_CANDIDATE, STAGE_LIGHT, GenPairConfig,
                         GenPairPipeline, SeedMap)
+from repro.core.light_align import LightAligner
 from repro.core.pipeline import MAX_JOINT_CANDIDATES
 from repro.genome import (ReferenceGenome, encode, random_sequence,
                           reverse_complement)
@@ -31,6 +32,55 @@ class TestWindowClamping:
         result = pipeline.map_pair(read1, read2, "edgeN")
         assert result.mapped
         assert result.record2.position == end - 150
+
+
+class TestLightStackClamping:
+    """A span cut at a chromosome end sends only its own row down the
+    sliced path; the uncut rows stay one strided block."""
+
+    def test_one_clamped_row_leaves_the_others_stacked(
+            self, plain_reference, plain_seedmap, monkeypatch):
+        pipeline = GenPairPipeline(plain_reference, seedmap=plain_seedmap)
+        rng = np.random.default_rng(5)
+        end = plain_reference.length("chr1")
+        uncut = rng.integers(100, end - 300, size=12).tolist()
+        candidates = np.array(uncut[:6] + [2] + uncut[6:], dtype=np.int64)
+        roles = []
+        for number, start in enumerate(candidates.tolist()):
+            read = plain_reference.fetch("chr1", start, start + 150).copy()
+            if number % 3 == 1:  # a mismatch
+                read[40] = (read[40] + 1) % 4
+            elif number % 3 == 2:  # a 2-base deletion
+                read = np.concatenate((
+                    plain_reference.fetch("chr1", start, start + 70),
+                    plain_reference.fetch("chr1", start + 72,
+                                          start + 152)))
+            roles.append(read)
+        rows = np.arange(len(roles))
+        lengths = np.full(len(roles), 150, dtype=np.int64)
+        alone = [pipeline._light_stack(roles, rows[[k]], lengths[[k]],
+                                       candidates[[k]])[0]
+                 for k in rows.tolist()]
+        calls, frames = [], []
+        align, align_frames = LightAligner.align, LightAligner._align_frames
+
+        def spy_align(self, reads, windows, offsets):
+            calls.append((isinstance(windows, np.ndarray), len(offsets)))
+            return align(self, reads, windows, offsets)
+
+        def spy_frames(self, reads, *args):
+            frames.append(len(reads))
+            return align_frames(self, reads, *args)
+
+        monkeypatch.setattr(LightAligner, "align", spy_align)
+        monkeypatch.setattr(LightAligner, "_align_frames", spy_frames)
+        stacked = pipeline._light_stack(roles, rows, lengths, candidates)
+        assert all(hit is not None for hit in stacked)
+        assert stacked == alone
+        assert [hit[0].cigar.count("D") for hit in stacked].count(2) == 4
+        # The 12 uncut rows in one strided block, the cut one alone.
+        assert calls == [(True, 12), (False, 1)]
+        assert frames == [12, 1]
 
 
 class TestCandidateCap:

@@ -7,7 +7,8 @@ from repro.genome.sequence import (ALPHABET_SIZE, N_CODE, SequenceError,
                                    complement, decode, encode,
                                    encode_many,
                                    kmers, pack_2bit, random_sequence,
-                                   reverse_complement, unpack_2bit)
+                                   reverse_complement,
+                                   reverse_complements, unpack_2bit)
 
 
 class TestEncodeDecode:
@@ -113,6 +114,17 @@ class TestComplement:
     def test_n_preserved(self):
         codes = encode("ANT", allow_n=True)
         assert decode(reverse_complement(codes)) == "ANT"
+
+    def test_reverse_complements_one_call(self):
+        """Each sequence's own reverse complement, empty ones and ``N``
+        included, from one call over them all."""
+        texts = ["AACGT", "", "GNNTA", "C", "", "TTTTGCA"]
+        got = reverse_complements([encode(text, allow_n=True)
+                                   for text in texts])
+        assert [decode(codes) for codes in got] == [
+            decode(reverse_complement(encode(text, allow_n=True)))
+            for text in texts]
+        assert reverse_complements([]) == []
 
 
 class TestPacking:

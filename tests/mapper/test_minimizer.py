@@ -1,5 +1,7 @@
 """Tests for minimizer extraction."""
 
+from unittest import mock
+
 from oracles import align as align_oracle
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.genome import random_sequence
 from repro.mapper import extract_minimizers, extract_minimizers_rows
+from repro.mapper import minimizer
 
 N_CODE = 4
 
@@ -81,25 +84,36 @@ def code_rows(draw):
     return rows, k, w
 
 
+def oracle_columns(rows, k, w):
+    """The oracle's minimizers of every row as ``(row, position, hash)``."""
+    return [(number, position, hash_value)
+            for number, codes in enumerate(rows)
+            for position, hash_value
+            in align_oracle.extract_minimizers(codes, k, w)]
+
+
+def columns(rows, k, w):
+    positions, hashes, row = extract_minimizers_rows(rows, k, w)
+    return list(zip(row.tolist(), positions.tolist(), hashes.tolist()))
+
+
 class TestAgainstScalarOracle:
     """The numpy sliding-window minimum == the one-k-mer-at-a-time
     monotone-queue loop of ``tests/oracles/align.py``."""
 
     @settings(deadline=None)
-    @given(code_rows())
-    def test_rows_match_oracle(self, drawn):
+    @given(code_rows(), st.sampled_from([minimizer.WINDOW_BLOCK, 1, 3, 7]))
+    def test_rows_match_oracle(self, drawn, block):
+        """Also with argmin blocks of a few windows, so that blocks end
+        inside rows and inside their sentinel runs."""
         rows, k, w = drawn
-        expected = [(row, position, hash_value)
-                    for row, codes in enumerate(rows)
-                    for position, hash_value
-                    in align_oracle.extract_minimizers(codes, k, w)]
-        positions, hashes, row = extract_minimizers_rows(rows, k, w)
-        assert list(zip(row.tolist(), positions.tolist(),
-                        hashes.tolist())) == expected
-        for codes in rows:
-            positions, hashes = extract_minimizers(codes, k, w)
-            assert list(zip(positions.tolist(), hashes.tolist())) \
-                == align_oracle.extract_minimizers(codes, k, w)
+        expected = oracle_columns(rows, k, w)
+        with mock.patch.object(minimizer, "WINDOW_BLOCK", block):
+            assert columns(rows, k, w) == expected
+            for codes in rows:
+                positions, hashes = extract_minimizers(codes, k, w)
+                assert list(zip(positions.tolist(), hashes.tolist())) \
+                    == align_oracle.extract_minimizers(codes, k, w)
 
     def test_reads_with_an_n_in_a_chunk(self):
         """150 bp reads at the mapper's (15, 10), one with ``N``s, one
@@ -118,3 +132,34 @@ class TestAgainstScalarOracle:
             for position, hash_value
             in align_oracle.extract_minimizers(codes, 15, 10)]
         assert set(row.tolist()) == {0, 1, 2, 3, 4, 5, 6}
+
+    @pytest.mark.parametrize("w", [1, 2, 10])
+    def test_ties_and_ambiguous_runs(self, w):
+        """Tied hashes (homopolymers, dinucleotide repeats: the rightmost
+        of equal minima wins), windows of nothing but ``N`` k-mers, and
+        rows shorter than ``w`` k-mers."""
+        k = 15
+        rng = np.random.default_rng(7)
+        mixed = random_sequence(rng, 300)
+        mixed[100:140] = N_CODE  # 26 k-mers all ambiguous
+        mixed[200:230] = 0
+        rows = [np.zeros(60, dtype=np.uint8),
+                np.tile(np.array([0, 1], dtype=np.uint8), 40),
+                np.tile(np.array([2, 3, 3], dtype=np.uint8), 30),
+                np.full(50, N_CODE, dtype=np.uint8), mixed,
+                np.zeros(k + w - 2, dtype=np.uint8),
+                random_sequence(rng, k + w - 2), random_sequence(rng, k),
+                np.zeros(0, dtype=np.uint8)]
+        assert columns(rows, k, w) == oracle_columns(rows, k, w)
+
+    def test_a_row_longer_than_an_argmin_block(self):
+        """A chromosome-sized row spans several blocks; a homopolymer
+        straddles a block edge."""
+        rng = np.random.default_rng(8)
+        length = 2 * minimizer.WINDOW_BLOCK + 5_000
+        codes = random_sequence(rng, length)
+        edge = minimizer.WINDOW_BLOCK
+        codes[edge - 40:edge + 40] = 2
+        codes[edge + 3_000:edge + 3_100] = N_CODE
+        rows = [codes, random_sequence(rng, 150)]
+        assert columns(rows, 15, 10) == oracle_columns(rows, 15, 10)

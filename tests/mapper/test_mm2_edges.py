@@ -154,7 +154,10 @@ class TestWindowErrors:
         def broken(*args, **kwargs):
             raise RuntimeError("coordinate table corrupt")
 
-        monkeypatch.setattr(mapper.reference, "window", broken)
+        # Chain windows come from one ``windows`` call; a rescue asks
+        # ``window`` for its one insert window.
+        method = "windows" if site == "window" else "window"
+        monkeypatch.setattr(mapper.reference, method, broken)
         with pytest.raises(RuntimeError, match="corrupt"):
             if site == "window":
                 mapper._placements([codes])

@@ -8,13 +8,15 @@ disagrees with full DP when it answers.
 """
 
 import numpy as np
+import pytest
 from oracles.core import xxhash32
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.align import DEFAULT_SCHEME, align_banded
 from repro.core import LightAligner, filter_adjacent
 from repro.genome import (Cigar, decode, encode, pack_2bit,
                           reverse_complement, unpack_2bit)
+from repro.genome.cigar import CigarError
 from repro.hashing import xxhash32_rows
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=200)
@@ -93,6 +95,44 @@ class TestCigarProperties:
         assert Cigar.from_ops(columns).ops == cigar.ops
         assert Cigar.from_ops(
             np.frombuffer(columns, dtype=np.uint8)).ops == cigar.ops
+
+
+#: One op letter per alignment column, long runs and short ones.
+op_columns = st.one_of(
+    st.text(alphabet="=XIDMS", max_size=300),
+    st.lists(st.tuples(st.sampled_from("=XIDMS"), st.integers(1, 40)),
+             max_size=8).map(lambda runs: "".join(op * length
+                                                  for op, length in runs)))
+
+
+def _as(form, letters):
+    data = letters.encode("latin-1")
+    return np.frombuffer(data, dtype=np.uint8) if form == "uint8" else data
+
+
+class TestFromOps:
+    """``Cigar.from_ops`` run-length encodes op letters as bytes or as a
+    uint8 array, and refuses a letter that is no CIGAR op."""
+
+    @given(op_columns, st.sampled_from(["bytes", "uint8"]))
+    @example("", "bytes")
+    @example("", "uint8")
+    def test_equals_one_pair_per_column(self, letters, form):
+        cigar = Cigar.from_ops(_as(form, letters))
+        assert cigar == Cigar.from_pairs((1, op) for op in letters)
+        assert cigar == Cigar.parse(str(cigar))
+        assert "".join(op * length for length, op in cigar.ops) == letters
+        assert all(a[1] != b[1] for a, b in zip(cigar.ops, cigar.ops[1:]))
+
+    @given(op_columns, st.characters(min_codepoint=0, max_codepoint=255)
+           .filter(lambda letter: letter not in "=XIDMS"),
+           st.integers(0, 300), st.sampled_from(["bytes", "uint8"]))
+    @example("==X", "\n", 1, "bytes")  # no regex wildcard may skip it
+    @example("", "\xff", 0, "uint8")  # not ASCII
+    def test_an_invalid_letter_raises(self, letters, bad, at, form):
+        at %= len(letters) + 1
+        with pytest.raises(CigarError):
+            Cigar.from_ops(_as(form, letters[:at] + bad + letters[at:]))
 
 
 def _rescore(cigar):
